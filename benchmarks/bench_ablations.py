@@ -19,7 +19,7 @@ from repro.hardware import gpu_spec
 from repro.models import llama4_scout
 from repro.models.weights import validate_fit
 from repro.simkernel import SimKernel
-from repro.vllm import EngineArgs, LLMEngine, PerfModel
+from repro.vllm import EngineArgs, LLMEngine, PerfModel, RequestSpec
 
 
 def test_quantization_ablation(benchmark):
@@ -62,8 +62,8 @@ def _throughput(max_num_seqs: int, n_requests: int = 200) -> float:
     def worker(env):
         while queue:
             s = queue.pop()
-            finished = yield engine.submit(s.prompt_tokens,
-                                           s.output_tokens).done
+            finished = yield engine.submit(RequestSpec(
+                s.prompt_tokens, s.output_tokens)).done
             produced[0] += finished.tokens_generated
 
     workers = [kernel.spawn(worker(kernel)) for _ in range(256)]

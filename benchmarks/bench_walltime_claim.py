@@ -11,7 +11,7 @@ from repro.hardware import gpu_spec
 from repro.models import llama4_scout
 from repro.models.weights import validate_fit
 from repro.simkernel import SimKernel
-from repro.vllm import EngineArgs, LLMEngine, PerfModel
+from repro.vllm import EngineArgs, LLMEngine, PerfModel, RequestSpec
 
 
 def _bench_duration(concurrency: int, n_requests: int) -> float:
@@ -32,7 +32,8 @@ def _bench_duration(concurrency: int, n_requests: int) -> float:
     def worker(env):
         while queue:
             s = queue.pop()
-            yield engine.submit(s.prompt_tokens, s.output_tokens).done
+            yield engine.submit(RequestSpec(s.prompt_tokens,
+                                            s.output_tokens)).done
 
     workers = [kernel.spawn(worker(kernel)) for _ in range(concurrency)]
     kernel.run(until=kernel.all_of(workers))

@@ -17,7 +17,7 @@ Architecture
   AST, an import alias table, and a module-local set-type inference
   table.
 * :mod:`rules` — the rule base class and registry; concrete rules live
-  in :mod:`rules_det`, :mod:`rules_sim`, and :mod:`rules_api`.
+  in :mod:`rules_det` and :mod:`rules_sim`.
 * :mod:`suppress` — inline ``# repro: allow[CODE] -- reason``
   suppressions (a reason is mandatory; unused suppressions are
   themselves findings).

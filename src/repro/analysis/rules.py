@@ -1,10 +1,9 @@
 """Rule base class and registry.
 
 Every rule has a stable ``code`` (``DET...`` determinism hazards,
-``SIM...`` simulation discipline, ``API...`` deprecated surfaces,
-``LNT...`` lint meta-findings), a one-line ``summary`` for
-``repro lint --list-rules``, and a ``rationale`` documenting the
-contract it enforces.  ``allow_paths`` carries fnmatch globs for files
+``SIM...`` simulation discipline, ``LNT...`` lint meta-findings), a
+one-line ``summary`` for ``repro lint --list-rules``, and a
+``rationale`` documenting the contract it enforces.  ``allow_paths`` carries fnmatch globs for files
 that are exempt *by design* (e.g. the wall-clock profiler); everything
 else needs an inline ``# repro: allow[CODE] -- reason``.
 """
@@ -72,7 +71,7 @@ def get_rule(code: str) -> LintRule:
 def _load() -> None:
     # Import the concrete rule modules exactly once; the @register
     # decorators populate the table as a side effect.
-    from . import rules_api, rules_det, rules_sim  # noqa: F401
+    from . import rules_det, rules_sim  # noqa: F401
 
 
 class _MetaRule(LintRule):

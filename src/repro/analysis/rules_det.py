@@ -165,9 +165,9 @@ class EnvironReadRule(LintRule):
     rationale = (
         "Process environment is invisible to the spec hash: two runs of "
         "the same spec could differ because of an ambient variable.  "
-        "All configuration flows through typed specs; only the CLI and "
-        "the RouterConfig legacy-env shim may touch the environment.")
-    allow_paths = ("*/services/router.py", "*/cli.py", "*benchmarks/*")
+        "All configuration flows through typed specs; only the CLI may "
+        "touch the environment.")
+    allow_paths = ("*/cli.py", "*benchmarks/*")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -34,9 +34,8 @@ Commands
 ``lint``                determinism & sim-discipline static analysis:
                         wall-clock reads, global RNG, unordered set
                         iteration, env reads outside the typed-config
-                        layer, blocking sleeps, private kernel state,
-                        deprecated surfaces (see
-                        ``docs/static-analysis.md``).
+                        layer, blocking sleeps, private kernel state
+                        (see ``docs/static-analysis.md``).
 ``site``                print the converged-site inventory.
 """
 
@@ -695,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint = sub.add_parser(
         "lint", help="determinism & sim-discipline static analysis "
                      "(wall-clock reads, global RNG, unordered set "
-                     "iteration, deprecated surfaces, ...)")
+                     "iteration, blocking sleeps, ...)")
     from .analysis.runner import add_lint_arguments
     add_lint_arguments(lint)
     return parser

@@ -15,7 +15,6 @@ from .fleet import (DisaggSpec, Fleet, FleetConfig, FleetReport,
                     Replica, TurnResult)
 from .slo import (RequestRecord, SloReport, SloSnapshot, SloSpec,
                   SloTracker, TenantStats)
-from .stats import LogHistogram
 from .traffic import (ArrivalSchedule, DiurnalSchedule, FlashCrowdSchedule,
                       PoissonSchedule, Tenant, TenantMix, TrafficGenerator)
 
@@ -30,7 +29,6 @@ __all__ = [
     "FleetConfig",
     "FleetReport",
     "LoadSample",
-    "LogHistogram",
     "PoissonSchedule",
     "Replica",
     "RequestRecord",

@@ -29,16 +29,15 @@ from ..cluster.platform import HPCPlatform, K8sPlatform
 from ..containers.runtime import Container, RunOpts
 from ..core.deployer import Deployment
 from ..core.workflow import CaseStudyWorkflow
-from ..errors import (APIError, ConfigurationError, ContainerCrash,
-                      NetworkUnreachable, ReproError, StateError)
+from ..errors import (APIError, ConfigurationError, NetworkUnreachable,
+                      ReproError, StateError)
 from ..k8s.objects import PodPhase
 from ..net.http import HttpClient, lookup
 from ..obs.alerts import AlertEvaluator, AlertRule, default_slo_rules
 from ..obs.critical_path import CriticalPathAnalyzer
-from ..obs.profile import profiler
 from ..services.router import (LlmRouter, RouterConfig, RouterPolicy,
                                router_image)
-from ..vllm.spec import RequestSpec
+from ..vllm.spec import CompletionCall
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from .slo import RequestRecord, SloSpec, SloTracker
 from .traffic import ArrivalSchedule, TenantMix, TrafficGenerator
@@ -111,10 +110,9 @@ class FleetConfig:
     #: disaggregated prefill/decode serving (off by default: every
     #: replica is a unified engine serving whole requests).
     disagg: DisaggSpec = field(default_factory=DisaggSpec)
-    #: fleet fast-forward: requests take an in-process lane that replays
-    #: the routed HTTP path closed-form, and provably-idle periodic
-    #: ticks (autoscaler, monitor, health passes) are slept through in
-    #: one timeout.  Bit-identical to stepping by construction (see
+    #: fleet fast-forward: provably-idle periodic ticks (autoscaler,
+    #: monitor, health passes) are slept through in one timeout.
+    #: Bit-identical to stepping by construction (see
     #: docs/performance.md); auto-disabled under chaos, armed fault
     #: plans, or disaggregated serving.  Set False to force the fully
     #: stepped path.
@@ -241,23 +239,14 @@ class FleetReport:
 
 
 class FleetFastForward:
-    """Governor for the fleet's fast-forward machinery.
+    """Governor for the fleet's quiet-tick fast-play.
 
-    Two independent, per-instant decisions:
-
-    * :meth:`lane_ok` — may a request take the in-process fast lane
-      (:meth:`Fleet._request_fast`) instead of the stepped HTTP hop
-      chain?  The lane replays the routed path closed-form and is
-      bit-identical only while no failover can occur, so it requires
-      fast-forward enabled, no chaos orchestrator armed, unified (non
-      disagg) serving, the profiler off, and every backend engine free
-      of fault plans and crashes.
-    * :meth:`quiet` — is the whole fleet provably idle, so the periodic
-      control loops (autoscaler ticks, SLO snapshots, health passes)
-      can skip ahead?  Skips are bounded by :meth:`arrival_bound` (the
-      traffic generator publishes its next arrival time before
-      sleeping) and the autoscaler's own
-      :meth:`~repro.fleet.autoscaler.Autoscaler.quiet_action_bound`.
+    :meth:`quiet` decides, per instant, whether the whole fleet is
+    provably idle, so the periodic control loops (autoscaler ticks, SLO
+    snapshots, health passes) can skip ahead.  Skips are bounded by
+    :meth:`arrival_bound` (the traffic generator publishes its next
+    arrival time before sleeping) and the autoscaler's own
+    :meth:`~repro.fleet.autoscaler.Autoscaler.quiet_action_bound`.
 
     Everything here is advisory: with ``FleetConfig.fast_forward``
     False (or any eligibility check failing) every consumer falls back
@@ -268,9 +257,10 @@ class FleetFastForward:
         self.fleet = fleet
         self.kernel = fleet.kernel
         #: set by the chaos orchestrator before it drives scenarios;
-        #: faults attach mid-run there, which the lane must never race.
+        #: faults attach mid-run there, which quiet-play must not race.
         self.chaos = False
-        self.fast_requests = 0     # requests served through the lane
+        #: requests issued through :meth:`Fleet.request` (the one path)
+        self.fast_requests = 0
         self._traffic: TrafficGenerator | None = None
         self._engines: dict | None = None
         self._engines_epoch = -1
@@ -291,14 +281,14 @@ class FleetFastForward:
     def enabled(self) -> bool:
         config = self.fleet.config
         return (config.fast_forward and not self.chaos
-                and not config.disagg.enabled and not profiler.enabled)
+                and not config.disagg.enabled)
 
     def engines(self) -> dict | None:
         """(host, port) -> live LLMEngine behind each router backend.
 
         Cached per router pool epoch; returns None when any backend
         does not resolve to a vLLM engine (dead service, foreign app) —
-        which simply disqualifies the fast lane.
+        which simply disqualifies quiet-play.
         """
         router = self.fleet.router_app
         if router is None:
@@ -307,10 +297,8 @@ class FleetFastForward:
             fabric = self.fleet.site.fabric
             engines: dict | None = {}
             for b in router.backends:
-                service = lookup(fabric, b.host, b.port)
-                app = getattr(service, "handler", None)
-                app = getattr(app, "__self__", None)
-                engine = getattr(app, "engine", None)
+                engine = getattr(getattr(lookup(fabric, b.host, b.port),
+                                         "app", None), "engine", None)
                 if engine is None:
                     engines = None
                     break
@@ -319,28 +307,20 @@ class FleetFastForward:
             self._engines_epoch = router._epoch
         return self._engines
 
-    def lane_ok(self) -> bool:
-        """May the next request take the in-process fast lane?"""
-        if not self.enabled:
-            return False
-        engines = self.engines()
-        if not engines:
-            return False
-        for engine in engines.values():
-            if engine.fault_plan is not None or engine.crashed is not None:
-                return False
-        return True
-
     def quiet(self) -> bool:
         """Is the fleet provably idle right now?
 
-        True only when nothing is in flight anywhere — no open-loop
-        request, no deploy, no scale action, every backend healthy with
-        zero outstanding forwards, every engine's queues empty — *and*
-        the lane preconditions hold (no armed faults), so the only
-        upcoming events are periodic ticks and the next arrival.
+        True only when fast-forward is enabled and nothing is in flight
+        anywhere — no open-loop request, no deploy, no scale action,
+        every backend healthy with zero outstanding forwards, every
+        engine's queues empty and free of fault plans and crashes — so
+        the only upcoming events are periodic ticks and the next
+        arrival.
         """
-        if self._traffic is None or not self.lane_ok():
+        if self._traffic is None or not self.enabled:
+            return False
+        engines = self.engines()
+        if not engines:
             return False
         fleet = self.fleet
         if fleet.inflight or fleet._pending_nodes:
@@ -350,8 +330,10 @@ class FleetFastForward:
         for b in fleet.router_app.backends:
             if not b.healthy or b.outstanding or b.consecutive_failures:
                 return False
-        for engine in self.engines().values():
-            if engine.running or engine.waiting:
+        for engine in engines.values():
+            if (engine.running or engine.waiting
+                    or engine.fault_plan is not None
+                    or engine.crashed is not None):
                 return False
         return True
 
@@ -771,136 +753,16 @@ class Fleet:
     def submit(self, tenant: str, sample) -> None:
         """Open-loop entry: fire one request worker and return immediately."""
         self.inflight += 1
-        worker = (self._request_fast(tenant, sample)
-                  if self.ff.lane_ok()
-                  else self._request_worker(tenant, sample))
-        self.kernel.spawn(worker, name=f"fleet:req:{tenant}")
+        self.kernel.spawn(self._request_fast(tenant, sample),
+                          name=f"fleet:req:{tenant}")
 
-    def _request_worker(self, tenant: str, sample):
+    def _request_fast(self, tenant: str, sample):
+        """The open-loop worker: one :meth:`request`, then release its
+        inflight slot (unconditionally, so a teardown interrupt cannot
+        strand the drain loop on an elevated count)."""
         try:
             yield from self.request(tenant, sample.prompt_tokens,
                                     sample.output_tokens)
-        finally:
-            # Unconditional: an exception escaping request() (teardown
-            # interrupt, malformed response) must not strand the drain
-            # loop on a permanently-elevated inflight count.
-            self.inflight -= 1
-
-    def _request_fast(self, tenant: str, sample):
-        """The fast lane: one open-loop request, no HTTP machinery.
-
-        Replays :meth:`request` -> router -> vLLM server closed-form in
-        a single generator: the same four fabric-latency timeouts, the
-        same router pick (via the router's own ``_pick``, so rotation
-        state advances identically), the same ``engine.submit`` /
-        ``handle.done`` wait, and the same span/metric/SLO/trace
-        epilogue — event-for-event and byte-for-byte what the stepped
-        path produces, minus the dict-shuffling of HTTP bodies through
-        three generator layers.
-
-        Only entered when :meth:`FleetFastForward.lane_ok` held at
-        submit time: unified serving, healthy engines, no armed faults.
-        A 5xx would mean a fault attached mid-flight outside the chaos
-        orchestrator (which disarms the lane up front) — the lane
-        cannot replay failover, so that raises StateError loudly rather
-        than silently diverging from the stepped path.
-        """
-        kernel = self.kernel
-        fabric = self.site.fabric
-        router = self.router_app
-        prompt_tokens = sample.prompt_tokens
-        output_tokens = sample.output_tokens
-        self.ff.fast_requests += 1
-        try:
-            self.slo.note_submitted()
-            submitted = kernel.now
-            spans = kernel.obs.spans
-            trace_id, root_sid = spans.reserve_trace()
-            # Leg 1: client -> router.
-            yield kernel.timeout(
-                fabric.latency(self._client.host, self.router_host))
-            # Router ingress (router._handle): route span reservation,
-            # backend pick, outstanding accounting.
-            rec = spans if (spans.enabled and trace_id) else None
-            route_sid = rec.reserve_span() if rec is not None else 0
-            route_start = kernel.now
-            backend = next(router._pick(), None)
-            engines = self.ff.engines()
-            engine = (engines or {}).get(
-                (backend.host, backend.port)) if backend else None
-            if engine is None:
-                raise StateError(
-                    "fleet fast lane: no routable engine (pool churned "
-                    "mid-request?)")
-            backend.outstanding += 1
-            status, payload, stats = 200, None, None
-            try:
-                # Leg 2: router -> backend, then the vLLM server's
-                # completion handler (engine submit + wait), inlined.
-                yield kernel.timeout(
-                    fabric.latency(self.router_host, backend.host))
-                handle = None
-                try:
-                    spec = RequestSpec(
-                        prompt_tokens=prompt_tokens,
-                        max_new_tokens=output_tokens,
-                        session_key=None, priority=0,
-                        trace_id=trace_id, trace_parent=root_sid)
-                    handle = engine.submit(spec)
-                except ConfigurationError as exc:
-                    status, payload = 400, {"error": str(exc)}
-                except APIError as exc:
-                    status, payload = exc.status, {"error": exc.message}
-                if handle is not None:
-                    try:
-                        finished = yield handle.done
-                        stats = finished.stats()
-                    except APIError as exc:
-                        status, payload = exc.status, {"error": exc.message}
-                    except ContainerCrash as exc:
-                        status = 500
-                        payload = {"error": f"engine crashed: {exc}"}
-                # Leg 3: backend -> router.
-                yield kernel.timeout(
-                    fabric.latency(backend.host, self.router_host))
-            finally:
-                backend.outstanding -= 1
-            if status >= 500:
-                raise StateError(
-                    f"fleet fast lane: backend {backend.key} answered "
-                    f"{status} ({payload}); a fault attached mid-run — "
-                    "run with fast_forward=False (or through the chaos "
-                    "orchestrator) for failover semantics")
-            backend.consecutive_failures = 0
-            backend.served += 1
-            if rec is not None:
-                rec.emit("route", trace_id, root_sid or None,
-                         route_start, kernel.now,
-                         {"backend": backend.key, "attempts": 1,
-                          "outcome": "ok"}, span_id=route_sid)
-            # Leg 4: router -> client, then the client epilogue.
-            yield kernel.timeout(
-                fabric.latency(self.router_host, self._client.host))
-            ok = status == 200
-            ttft = stats.ttft if ok else 0.0
-            out_tokens = stats.output_tokens if ok else 0
-            error = "" if ok else str((status, payload))
-            if kernel.obs.registry.enabled:
-                (self._c_req_ok if ok else self._c_req_err).inc()
-            if trace_id:
-                spans.emit("request", trace_id, None, submitted, kernel.now,
-                           {"tenant": tenant, "ok": ok,
-                            "output_tokens": out_tokens}, span_id=root_sid)
-            self.slo.observe(RequestRecord(
-                tenant=tenant, submitted=submitted, completed=kernel.now,
-                ttft=ttft, latency=kernel.now - submitted,
-                prompt_tokens=prompt_tokens, output_tokens=out_tokens,
-                ok=ok, error=error))
-            kernel.trace.emit(
-                "fleet.request", tenant=tenant, ok=ok,
-                ttft=round(ttft, 6),
-                latency=round(kernel.now - submitted, 6),
-                output_tokens=out_tokens)
         finally:
             self.inflight -= 1
 
@@ -909,51 +771,50 @@ class Fleet:
                 priority: int = 0):
         """Generator: one request through the router, fully accounted.
 
-        The closed-loop entry point session turns use directly (the
-        open-loop :meth:`submit` wraps it in a fire-and-forget worker).
-        Observes the SLO tracker — with turn and prefix-cache telemetry
-        when ``session`` is set — and returns a :class:`TurnResult` the
-        session can grow its context from.  ``priority`` rides to the
-        engine (meaningful under the ``priority`` scheduler policy).
+        The one per-request data path: open-loop arrivals (:meth:`submit`
+        wraps it in a fire-and-forget worker) and session turns alike.
+        The client -> router hop runs the HTTP client's reachability
+        preflight and fabric latencies around an in-process
+        :meth:`LlmRouter.route`, which owns picking, failover, affinity
+        and disagg dispatch.  Observes the SLO tracker — with turn and
+        prefix-cache telemetry when ``session`` is set — and returns a
+        :class:`TurnResult` the session can grow its context from.
+        ``priority`` rides to the engine (meaningful under the
+        ``priority`` scheduler policy).
         """
         kernel = self.kernel
+        self.ff.fast_requests += 1
         self.slo.note_submitted()
         submitted = kernel.now
         ok, error, ttft, out_tokens, cached = False, "", 0.0, 0, 0
         path, kv_transfer_s = "unified", 0.0
-        # Root span for the whole request; its trace id travels in the
-        # body so the router (route/attempt) and engine (queue/prefill/
-        # decode) attach their spans to the same tree.  Reserved here,
-        # emitted closed at completion; ids are (0, 0) when recording
-        # is off.
+        # Root span for the whole request; its trace id travels with
+        # the call so the router (route/attempt) and engine (queue/
+        # prefill/decode) attach their spans to the same tree.  Reserved
+        # here, emitted closed at completion; ids are (0, 0) when
+        # recording is off.
         spans = kernel.obs.spans
         trace_id, root_sid = spans.reserve_trace()
-        body = {"model": self.config.model,
-                "messages": [{"role": "user", "content": "<sampled>"}],
-                "repro_prompt_tokens": prompt_tokens,
-                "max_tokens": output_tokens,
-                "temperature": 0.7}
-        if session is not None:
-            body["repro_session"] = session
-        if priority:
-            body["repro_priority"] = priority
-        if trace_id:
-            body["repro_trace"] = trace_id
-            body["repro_parent"] = root_sid
+        call = CompletionCall(
+            prompt_tokens=prompt_tokens, max_tokens=output_tokens,
+            model=self.config.model, session=session, priority=priority,
+            trace_id=trace_id, trace_parent=root_sid)
+        client, router_host = self._client, self.router_host
+        latency = self.site.fabric.latency
         try:
-            response = yield from self._client.post(
-                self.router_host, self.config.router_port,
-                "/v1/chat/completions", json=body)
-            ok = response.ok
+            client.preflight(router_host, self.config.router_port)
+            yield kernel.timeout(latency(client.host, router_host))
+            result = yield from self.router_app.route(call)
+            yield kernel.timeout(latency(router_host, client.host))
+            ok = result.ok
             if ok:
-                stats = response.json.get("repro_stats", {})
-                ttft = float(stats.get("ttft", 0.0))
-                cached = int(stats.get("cached_tokens", 0))
-                path = str(stats.get("path") or "unified")
-                kv_transfer_s = float(stats.get("kv_transfer_s", 0.0))
-                out_tokens = response.json["usage"]["completion_tokens"]
+                ttft = result.ttft
+                cached = result.cached_tokens
+                path = result.path
+                kv_transfer_s = result.kv_transfer_s
+                out_tokens = result.output_tokens
             else:
-                error = str((response.status, response.json))
+                error = str((result.status, result.error))
         except (APIError, NetworkUnreachable, ReproError) as exc:
             error = str(exc)
         if self.kernel.obs.registry.enabled:

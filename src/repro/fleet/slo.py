@@ -19,7 +19,7 @@ The tracker is *streaming*: window aggregates (good/ok/error counts,
 token sums) update O(1) on :meth:`SloTracker.observe` and trim, and
 every quantile — the reported p50/p95/p99 **and** the ``slo_met``
 attainment gate — comes from one shared
-:class:`~repro.fleet.stats.LogHistogram` estimator, so
+:class:`~repro.obs.stats.LogHistogram` estimator, so
 :meth:`SloTracker.snapshot` never materializes or sorts the window and
 its cost is independent of how many requests were ever observed.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
-from .stats import LogHistogram
+from ..obs.stats import LogHistogram
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel import SimKernel
@@ -449,7 +449,7 @@ class SloTracker:
         Empty windows return the vacuously-healthy defaults documented
         on :class:`SloSnapshot`; every field is always a finite number.
         Both the reported percentiles and the ``slo_met`` gate come from
-        the *same* :class:`~repro.fleet.stats.LogHistogram` estimator,
+        the *same* :class:`~repro.obs.stats.LogHistogram` estimator,
         so they can never disagree about where a percentile sits.
 
         ``at`` lets the fleet fast-forward path take the snapshot a

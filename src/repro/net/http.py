@@ -61,6 +61,10 @@ class HttpService:
         self.host = host
         self.port = port
         self.handler = handler
+        #: the app whose method serves this port (None for a plain
+        #: function handler); in-process callers pick their protocol
+        #: from its kind
+        self.app = getattr(handler, "__self__", None)
         self.name = name or f"{host}:{port}"
         key = (host, port)
         registry = _registry(fabric)
@@ -100,30 +104,37 @@ class HttpClient:
         if host not in fabric.hosts:
             raise ConfigurationError(f"client host {host!r} not on fabric")
 
-    def request(self, method: str, host: str, port: int, path: str,
-                json: Any = None, headers: dict[str, str] | None = None,
-                body_bytes: int = 0,
-                ) -> Generator[Any, Any, HttpResponse]:
-        """Issue a request and return the response.
+    def preflight(self, host: str, port: int) -> HttpService:
+        """The service a connection to ``(host, port)`` would reach.
 
         Raises :class:`NetworkUnreachable` when routing/reachability policy
         blocks the connection, and :class:`APIError` (502) when nothing
-        listens on the target port.
+        listens on the target port.  In-process callers run this same
+        check before they pay :meth:`request`'s fabric latencies.
         """
-        kernel = self.fabric.kernel
         service = lookup(self.fabric, host, port)
         client_zone = self.fabric.hosts[self.host].zone
         target = self.fabric.hosts.get(host)
         if target is None:
             raise NetworkUnreachable(f"unknown host {host!r}",
-                                     sim_time=kernel.now)
+                                     sim_time=self.fabric.kernel.now)
         if client_zone == "external" and not target.externally_reachable:
             raise NetworkUnreachable(
                 f"{host} is not reachable from the external network "
                 "(use an SSH tunnel, Compute-as-Login, or K8s ingress)",
-                sim_time=kernel.now)
+                sim_time=self.fabric.kernel.now)
         if service is None:
             raise APIError(502, f"connection refused: {host}:{port}")
+        return service
+
+    def request(self, method: str, host: str, port: int, path: str,
+                json: Any = None, headers: dict[str, str] | None = None,
+                body_bytes: int = 0,
+                ) -> Generator[Any, Any, HttpResponse]:
+        """Issue a request and return the response (raises as
+        :meth:`preflight` does)."""
+        kernel = self.fabric.kernel
+        service = self.preflight(host, port)
 
         # Forward latency (+ optional request body transfer).
         yield kernel.timeout(self.fabric.latency(self.host, host))

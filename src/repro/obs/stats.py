@@ -10,8 +10,7 @@ bugs where a snapshot reports ``ttft_p99 <= target`` while the gate
 (computed through a different interpolation) disagrees.
 
 (The estimator lives in ``repro.obs`` — the one package under every
-layer of the stack — and is re-exported as ``repro.fleet.stats`` for
-its original consumers.)
+layer of the stack.)
 
 Why a log histogram and not P²/t-digest: the SLO tracker is *windowed* —
 records age out of the rolling window, so the estimator must support

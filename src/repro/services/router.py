@@ -8,8 +8,8 @@ fails over, giving HPC deployments K8s-like behavior.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-import warnings
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
@@ -22,6 +22,8 @@ from ..errors import (APIError, ConfigurationError, NetworkUnreachable,
 from ..net.http import HttpClient, HttpResponse, HttpService
 from ..obs.profile import profiler
 from ..units import MiB
+from ..vllm.server import VllmOpenAIServer
+from ..vllm.spec import CompletionCall, CompletionResult
 
 
 def router_image(tag: str = "main") -> ImageManifest:
@@ -36,8 +38,7 @@ def router_image(tag: str = "main") -> ImageManifest:
 class RouterPolicy(str, Enum):
     """Load-balancing policies the router understands.
 
-    The typed replacement for the old ``ROUTER_POLICY`` env string:
-    configs carry the enum, so an unknown policy fails where the
+    Configs carry the enum, so an unknown policy fails where the
     config is *built* (a ScenarioSpec, a FleetConfig) instead of at
     container start deep inside a scenario.
     """
@@ -62,10 +63,7 @@ class RouterPolicy(str, Enum):
 class RouterConfig:
     """Typed router configuration (policy, port, dispatch mode).
 
-    Travels to the container as one ``ROUTER_CONFIG`` JSON env var;
-    the old ``ROUTER_POLICY``/``ROUTER_PORT`` pair is still honored as
-    a deprecated alias (with a :class:`DeprecationWarning`) when
-    ``ROUTER_CONFIG`` is absent.
+    Travels to the container as one ``ROUTER_CONFIG`` JSON env var.
 
     ``disagg`` switches the dispatcher to disaggregated serving: a
     completion request is routed twice — its prefill leg to a backend
@@ -90,29 +88,19 @@ class RouterConfig:
 
     @classmethod
     def from_env(cls, env: dict[str, str]) -> RouterConfig:
-        """Parse container env; legacy vars warn but keep working."""
+        """Parse container env (defaults when ``ROUTER_CONFIG`` is unset)."""
         raw = env.get("ROUTER_CONFIG")
-        if raw:
-            try:
-                data = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"bad ROUTER_CONFIG JSON: {exc}") from exc
-            return cls(policy=RouterPolicy.coerce(
-                data.get("policy", RouterPolicy.ROUND_ROBIN)),
-                port=int(data.get("port", 4000)),
-                disagg=bool(data.get("disagg", False)))
-        kwargs: dict = {}
-        # repro: allow[API001] -- this *is* the legacy-env shim that warns
-        if "ROUTER_POLICY" in env:
-            warnings.warn(
-                "the ROUTER_POLICY env var is deprecated; pass a "
-                "RouterConfig (ROUTER_CONFIG) instead",
-                DeprecationWarning, stacklevel=2)
-            kwargs["policy"] = RouterPolicy.coerce(env["ROUTER_POLICY"])  # repro: allow[API001] -- shim
-        if "ROUTER_PORT" in env:  # repro: allow[API001] -- shim body
-            kwargs["port"] = int(env["ROUTER_PORT"])  # repro: allow[API001] -- shim body
-        return cls(**kwargs)
+        if not raw:
+            return cls()
+        try:
+            data = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(
+                f"bad ROUTER_CONFIG JSON: {exc}") from exc
+        return cls(policy=RouterPolicy.coerce(
+            data.get("policy", RouterPolicy.ROUND_ROBIN)),
+            port=int(data.get("port", 4000)),
+            disagg=bool(data.get("disagg", False)))
 
 
 @dataclass
@@ -148,8 +136,7 @@ class LlmRouter(ContainerApp):
     """Load balancing with failover across vLLM backends.
 
     Configured through a :class:`RouterConfig` (``ROUTER_CONFIG`` env
-    JSON; the legacy ``ROUTER_POLICY``/``ROUTER_PORT`` vars still work
-    with a deprecation warning) plus ``BACKENDS`` =
+    JSON) plus ``BACKENDS`` =
     ``host1:port1[:role1],host2:port2[:role2],...``.  Policies:
     ``round-robin`` (default), ``least-outstanding``, or
     ``cache-affinity`` (session-sticky: requests carrying a
@@ -226,9 +213,7 @@ class LlmRouter(ContainerApp):
         try:
             self.config = RouterConfig.from_env(ctx.env)
         except ConfigurationError as exc:
-            source = ("ROUTER_CONFIG" if "ROUTER_CONFIG" in ctx.env
-                      else "ROUTER_POLICY")  # repro: allow[API001] -- crash-message text only
-            raise ContainerCrash(f"router: bad {source}: {exc}",
+            raise ContainerCrash(f"router: bad ROUTER_CONFIG: {exc}",
                                  sim_time=ctx.kernel.now) from exc
         self._client = HttpClient(ctx.fabric, ctx.hostname)
         self.service = HttpService(ctx.fabric, ctx.hostname,
@@ -521,7 +506,7 @@ class LlmRouter(ContainerApp):
             self._affinity.popitem(last=False)
 
     def _note_session_result(self, session: str | None, backend: Backend,
-                             response: HttpResponse) -> None:
+                             result: CompletionResult) -> None:
         """Confirm stickiness + record cache telemetry after a success."""
         if session is None:
             return
@@ -529,74 +514,71 @@ class LlmRouter(ContainerApp):
             # A failover landed the turn elsewhere: that backend now
             # holds the freshest context blocks, so stick to it.
             self._remember(session, backend)
-        body = response.json if isinstance(response.json, dict) else {}
-        stats = body.get("repro_stats")
-        if isinstance(stats, dict):
-            cached = int(stats.get("cached_tokens", 0))
-            if cached > 0:
-                backend.cache_hits += 1
-                backend.cached_tokens += cached
-            else:
-                backend.cache_misses += 1
+        if result.cached_tokens > 0:
+            backend.cache_hits += 1
+            backend.cached_tokens += result.cached_tokens
+        else:
+            backend.cache_misses += 1
 
     def _handle(self, request):
+        """HTTP edge: admin routes, and JSON onto :meth:`route`."""
         if request.path == "/router/cache" and request.method == "GET":
             response = yield from self._cache_report()
             return response
         if request.path.startswith("/router/"):
             return self._handle_admin(request)
+        result = yield from self.route(CompletionCall.from_http(request))
+        return result.to_response()
+
+    def route(self, call: CompletionCall):
+        """Generator: route one call to the pool; returns its result.
+
+        Picks a backend by policy, fails over (quarantining backends
+        that error or answer 5xx), keeps session affinity, and under
+        ``disagg`` dispatches the prefill and decode legs.  The route
+        span is reserved up front (failed hops parent their ``attempt``
+        children to it) and emitted closed when the call resolves.
+        ``rec`` is None when tracing is off (or the router runs bare in
+        a bench): every span line below gates on it.
+        """
         if not self.backends:   # dynamic removal can empty the pool
-            return HttpResponse(503, json={"error": "no backends"})
-        session = (request.json.get("repro_session")
-                   if isinstance(request.json, dict) else None)
-        trace_id = (int(request.json.get("repro_trace") or 0)
-                    if isinstance(request.json, dict) else 0)
-        parent_id = (int(request.json.get("repro_parent") or 0)
-                     if isinstance(request.json, dict) else 0)
-        # Route span ids are reserved up front (failed hops parent their
-        # "attempt" children to it) and the span is emitted closed when
-        # the request resolves.  ``rec`` is None when tracing is off (or
-        # the router runs bare in a bench): every span line below gates
-        # on it.
+            return CompletionResult.failed(503, "no backends")
+        trace_id = call.trace_id
         rec = self._kernel.obs.spans if self._kernel is not None else None
         if rec is not None and not (rec.enabled and trace_id):
             rec = None
         route_sid = rec.reserve_span() if rec is not None else 0
         route_start = rec.kernel.now if rec is not None else 0.0
-        if (self.config.disagg
-                and request.path in ("/v1/chat/completions",
-                                     "/v1/completions")):
-            response = yield from self._dispatch_disagg(
-                request, session, trace_id, parent_id, rec,
-                route_sid, route_start)
-            return response
-        response, backend, failed_attempts = yield from self._forward(
-            request, request.json, session, None, rec, trace_id, route_sid)
-        if backend is not None:
-            if rec is not None:
-                rec.emit("route", trace_id, parent_id or None,
-                         route_start, rec.kernel.now,
-                         {"backend": backend.key,
-                          "attempts": failed_attempts + 1, "outcome": "ok"},
-                         span_id=route_sid)
-            return response
+        if self.config.disagg and call.is_completion:
+            result = yield from self._route_disagg(call, rec, route_sid,
+                                                   route_start)
+            return result
+        result, backend, failed_attempts = yield from self._forward(
+            call, call.session, None, rec, route_sid)
         if rec is not None:
-            rec.emit("route", trace_id, parent_id or None,
-                     route_start, rec.kernel.now,
-                     {"attempts": failed_attempts,
-                      "outcome": "failed"}, span_id=route_sid)
-        return response or HttpResponse(503, json={
-            "error": "no healthy backends"})
+            attrs = ({"backend": backend.key,
+                      "attempts": failed_attempts + 1, "outcome": "ok"}
+                     if backend is not None else
+                     {"attempts": failed_attempts, "outcome": "failed"})
+            rec.emit("route", trace_id, call.trace_parent or None,
+                     route_start, rec.kernel.now, attrs, span_id=route_sid)
+        return result or CompletionResult.failed(503, "no healthy backends")
 
-    def _forward(self, request, body, session: str | None,
-                 role: str | None, rec, trace_id: int, route_sid: int):
+    def _forward(self, call: CompletionCall, session: str | None,
+                 role: str | None, rec, route_sid: int):
         """One routed leg with failover inside the ``role`` pool.
 
-        Returns ``(response, backend, failed_attempts)``: ``backend``
-        is the one that served (None when every attempt failed, with
-        ``response`` the last error or None for an empty pool).
+        Returns ``(result, backend, failed_attempts)``: ``backend`` is
+        the one that served (None when every attempt failed, with
+        ``result`` the last error or None for an empty pool).  A leg to
+        a vLLM server is an in-process :meth:`VllmOpenAIServer.complete`
+        between the fabric latencies an HTTP exchange pays; any other
+        service bound at the backend's port gets the call over HTTP.
         """
-        last_error: HttpResponse | None = None
+        client = self._client
+        kernel = client.fabric.kernel
+        latency = client.fabric.latency
+        last_error: CompletionResult | None = None
         failed_attempts = 0
         picker = self._pick(session=session, role=role)
         while True:
@@ -614,136 +596,130 @@ class LlmRouter(ContainerApp):
             # common no-retry path just stamps the backend on the route
             # span (one span per request, not two).
             attempt_start = rec.kernel.now if rec is not None else 0.0
+            host = backend.host
             backend.outstanding += 1
             try:
-                response = yield from self._client.request(
-                    request.method, backend.host, backend.port, request.path,
-                    json=body, headers=request.headers)
+                server = client.preflight(host, backend.port).app
+                if isinstance(server, VllmOpenAIServer) and call.is_completion:
+                    yield kernel.timeout(latency(client.host, host))
+                    result = yield from server.complete(call)
+                    yield kernel.timeout(latency(host, client.host))
+                else:
+                    request = call.to_http()
+                    response = yield from client.request(
+                        request.method, host, backend.port, request.path,
+                        json=request.json, headers=request.headers)
+                    result = CompletionResult.from_response(response)
             except (APIError, NetworkUnreachable, ReproError) as exc:
                 self._note_failure(backend)
                 self.failed_forwards += 1
                 failed_attempts += 1
-                last_error = HttpResponse(502, json={"error": str(exc)})
+                last_error = CompletionResult.failed(502, str(exc))
                 if rec is not None:
-                    rec.emit("attempt", trace_id, route_sid,
+                    rec.emit("attempt", call.trace_id, route_sid,
                              attempt_start, rec.kernel.now,
                              {"backend": backend.key, "outcome": "error"})
                 continue
             finally:
                 backend.outstanding -= 1
-            if response.status >= 500:
+            if result.status >= 500:
                 # Server errors count toward quarantine too: faster than
                 # waiting out the periodic health pass, and it covers
                 # backends whose health endpoint lies.
                 self._note_failure(backend)
                 self.failed_forwards += 1
                 failed_attempts += 1
-                last_error = response
+                last_error = result
                 if rec is not None:
-                    rec.emit("attempt", trace_id, route_sid,
+                    rec.emit("attempt", call.trace_id, route_sid,
                              attempt_start, rec.kernel.now,
                              {"backend": backend.key,
-                              "outcome": f"http_{response.status}"})
+                              "outcome": f"http_{result.status}"})
                 continue
             backend.consecutive_failures = 0
             backend.served += 1
-            self._note_session_result(session, backend, response)
+            self._note_session_result(session, backend, result)
             if failed_attempts:
                 # The request was saved by failover: retried, not lost.
                 self.retried_ok += 1
-            return response, backend, failed_attempts
+            return result, backend, failed_attempts
         return last_error, None, failed_attempts
 
-    def _dispatch_disagg(self, request, session: str | None, trace_id: int,
-                         parent_id: int, rec, route_sid: int,
-                         route_start: float):
+    def _route_disagg(self, call: CompletionCall, rec, route_sid: int,
+                      route_start: float):
         """Disaggregated dispatch: prefill leg, then decode leg.
 
         The prefill backend runs the request to its first token and
-        returns a ``repro_handoff`` descriptor (source host, KV
-        tokens); the decode leg carries it to a decode backend, which
-        pays the KV transfer over the fabric and continues generation.
-        The merged response keeps the decode leg's usage (its token
-        count spans the whole request) with TTFT and prefix-cache
-        telemetry from the prefill leg.
+        returns a :class:`KvHandoff` (source host, KV tokens); the
+        decode leg carries it to a decode backend, which pays the KV
+        transfer over the fabric and continues generation.  The merged
+        result keeps the decode leg's usage (its token count spans the
+        whole request) with TTFT and prefix-cache telemetry from the
+        prefill leg.
 
         Session affinity applies to the prefill leg only — that is
         where the conversation's KV prefix lives; the decode pool is
         balanced purely by the policy.
         """
-        body = request.json if isinstance(request.json, dict) else {}
-        pre_resp, pre_backend, pre_failed = yield from self._forward(
-            request, body, session, "prefill", rec, trace_id, route_sid)
+        trace_id, parent_id = call.trace_id, call.trace_parent or None
+        pre, pre_backend, pre_failed = yield from self._forward(
+            call, call.session, "prefill", rec, route_sid)
         attempts = pre_failed + (1 if pre_backend is not None else 0)
-        if pre_backend is None or not pre_resp.ok:
+        if pre_backend is None or not pre.ok:
             if rec is not None:
-                rec.emit("route", trace_id, parent_id or None,
+                rec.emit("route", trace_id, parent_id,
                          route_start, rec.kernel.now,
                          {"attempts": attempts, "path": "disagg",
                           "outcome": "failed", "leg": "prefill"},
                          span_id=route_sid)
-            return pre_resp or HttpResponse(503, json={
-                "error": "no prefill backends"})
-        pre_body = pre_resp.json if isinstance(pre_resp.json, dict) else {}
-        handoff = pre_body.get("repro_handoff")
-        if not isinstance(handoff, dict):
+            return pre or CompletionResult.failed(503, "no prefill backends")
+        handoff = pre.handoff
+        if handoff is None:
             # The backend is not actually a prefill engine (role
             # mislabeled); surface a clear dispatch error.
-            return HttpResponse(502, json={
-                "error": f"backend {pre_backend.key} returned no "
-                         "repro_handoff; is it running with "
-                         "--disagg-role prefill?"})
-        pre_stats = pre_body.get("repro_stats", {})
-        max_tokens = int(body.get("max_tokens", 1024))
-        if int(handoff.get("generated") or 1) >= max_tokens:
+            return CompletionResult.failed(
+                502, f"backend {pre_backend.key} returned no "
+                     "repro_handoff; is it running with "
+                     "--disagg-role prefill?")
+        pre.response = None   # the merged reply is rendered, not relayed
+        if handoff.generated >= call.max_tokens:
             # Single-token request: the prefill leg already finished it.
             if rec is not None:
-                rec.emit("route", trace_id, parent_id or None,
+                rec.emit("route", trace_id, parent_id,
                          route_start, rec.kernel.now,
                          {"prefill": pre_backend.key, "attempts": attempts,
                           "path": "disagg", "outcome": "ok"},
                          span_id=route_sid)
-            pre_body = dict(pre_body)
-            pre_body.pop("repro_handoff", None)
-            return HttpResponse(200, json=pre_body)
-        dec_body = dict(body)
-        dec_body["repro_handoff"] = handoff
-        dec_resp, dec_backend, dec_failed = yield from self._forward(
-            request, dec_body, None, "decode", rec, trace_id, route_sid)
+            pre.handoff = None
+            return pre
+        dec, dec_backend, dec_failed = yield from self._forward(
+            dataclasses.replace(call, handoff=handoff), None, "decode", rec,
+            route_sid)
         attempts += dec_failed + (1 if dec_backend is not None else 0)
-        if dec_backend is None or not dec_resp.ok:
+        if dec_backend is None or not dec.ok:
             if rec is not None:
-                rec.emit("route", trace_id, parent_id or None,
+                rec.emit("route", trace_id, parent_id,
                          route_start, rec.kernel.now,
                          {"prefill": pre_backend.key, "attempts": attempts,
                           "path": "disagg", "outcome": "failed",
                           "leg": "decode"}, span_id=route_sid)
-            return dec_resp or HttpResponse(503, json={
-                "error": "no decode backends"})
-        merged = dict(dec_resp.json if isinstance(dec_resp.json, dict)
-                      else {})
-        dec_stats = merged.get("repro_stats", {})
-        merged["repro_stats"] = {
-            # TTFT is the prefill leg's: the client saw its first token
-            # when the prefill engine produced it.
-            "ttft": float(pre_stats.get("ttft", 0.0)),
-            "latency": (float(pre_stats.get("latency", 0.0))
-                        + float(dec_stats.get("kv_transfer_s", 0.0))
-                        + float(dec_stats.get("latency", 0.0))),
-            "preemptions": (int(pre_stats.get("preemptions", 0))
-                            + int(dec_stats.get("preemptions", 0))),
-            "cached_tokens": int(pre_stats.get("cached_tokens", 0)),
-            "kv_transfer_s": float(dec_stats.get("kv_transfer_s", 0.0)),
-            "path": "disagg",
-        }
+            return dec or CompletionResult.failed(503, "no decode backends")
+        dec.response = None
+        # TTFT is the prefill leg's: the client saw its first token when
+        # the prefill engine produced it.
+        dec.ttft = pre.ttft
+        dec.latency = pre.latency + dec.kv_transfer_s + dec.latency
+        dec.preemptions += pre.preemptions
+        dec.cached_tokens = pre.cached_tokens
+        dec.path = "disagg"
         if rec is not None:
-            rec.emit("route", trace_id, parent_id or None,
+            rec.emit("route", trace_id, parent_id,
                      route_start, rec.kernel.now,
                      {"prefill": pre_backend.key,
                       "decode": dec_backend.key,
                       "attempts": attempts, "path": "disagg",
                       "outcome": "ok"}, span_id=route_sid)
-        return HttpResponse(200, json=merged)
+        return dec
 
     # -- admin API ---------------------------------------------------------------------
 

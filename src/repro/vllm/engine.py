@@ -22,7 +22,6 @@ admission with their prefill already paid for.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -207,33 +206,8 @@ class LLMEngine:
     def max_model_len(self) -> int:
         return self.args.max_model_len or self.card.max_context
 
-    def submit(self, spec: RequestSpec | int | None = None,
-               max_new_tokens: int | None = None,
-               session_key: str | None = None,
-               trace_id: int = 0, trace_parent: int = 0, *,
-               prompt_tokens: int | None = None) -> Request:
-        """Enqueue a request; returns it (wait on ``request.done``).
-
-        The argument is a :class:`~repro.vllm.spec.RequestSpec`.  The
-        legacy form ``submit(prompt_tokens, max_new_tokens,
-        session_key=..., trace_id=..., trace_parent=...)`` (positional
-        or keyword) still works for one release and emits a
-        :class:`DeprecationWarning`.
-        """
-        if prompt_tokens is not None:   # legacy keyword spelling
-            spec = prompt_tokens
-        if not isinstance(spec, RequestSpec):
-            warnings.warn(
-                "LLMEngine.submit(prompt_tokens, max_new_tokens, ...) is "
-                "deprecated; pass a RequestSpec instead",
-                DeprecationWarning, stacklevel=2)
-            if spec is None or max_new_tokens is None \
-                    or int(spec) < 1 or int(max_new_tokens) < 1:
-                raise APIError(400, "prompt and max_tokens must be positive")
-            spec = RequestSpec(prompt_tokens=int(spec),
-                               max_new_tokens=int(max_new_tokens),
-                               session_key=session_key, trace_id=trace_id,
-                               trace_parent=trace_parent)
+    def submit(self, spec: RequestSpec) -> Request:
+        """Enqueue a request; returns it (wait on ``request.done``)."""
         if self.crashed is not None:
             raise APIError(503, f"engine {self.name} has crashed")
         if spec.prompt_tokens + spec.max_new_tokens > self.max_model_len:
@@ -435,11 +409,6 @@ class LLMEngine:
         if self.fault_plan is not None:
             self.fault_plan.check(self)
 
-    def _can_admit(self, request: Request) -> bool:
-        """Deprecated alias for :meth:`Scheduler.can_admit` (the one
-        admission predicate lives on the scheduler now)."""
-        return self.scheduler.can_admit(request)
-
     def _advance_all(self) -> None:
         now = self.kernel.now
         running = self.running
@@ -469,7 +438,7 @@ class LLMEngine:
                     continue  # got preempted while advancing others
                 if request.prefill_remaining > 0:
                     continue
-                if not self._ensure_appendable(request):
+                if not self._ensure_appendable(request, finished):
                     # Cache completely full with this sequence alone: cap it.
                     finished.append(request)
                     continue
@@ -488,26 +457,29 @@ class LLMEngine:
         self.total_output_tokens += advanced
         self._kv_tokens += advanced
         for request in finished:
-            running.remove(request)
-            request.active = False
-            # A finished conversation turn donates its full-context
-            # blocks to the prefix cache (zero-ref residents) so the
-            # next turn's prompt — prior context + new user text —
-            # prefills only the tail.
-            self.blocks.free(request.id, register_key=request.session_key)
-            self._kv_tokens -= request.total_tokens
-            request.finished_at = now
-            if request.first_token_at is None:
-                request.first_token_at = now
-                request.first_token.succeed(now)
-            self.completed.append(request)
-            if self._obs.registry.enabled:
-                self._h_latency.observe(now - request.submitted_at)
-                self._h_ttft.observe(request.first_token_at
-                                     - request.submitted_at)
-            if request.trace_id and self._obs.spans.enabled:
-                self._emit_request_spans(request, now)
-            request.done.succeed(request)
+            self._finish(request, now)
+
+    def _finish(self, request: Request, now: float) -> None:
+        self.running.remove(request)
+        request.active = False
+        # A finished conversation turn donates its full-context blocks
+        # to the prefix cache (zero-ref residents) so the next turn's
+        # prompt — prior context + new user text — prefills only the
+        # tail.
+        self.blocks.free(request.id, register_key=request.session_key)
+        self._kv_tokens -= request.total_tokens
+        request.finished_at = now
+        if request.first_token_at is None:
+            request.first_token_at = now
+            request.first_token.succeed(now)
+        self.completed.append(request)
+        if self._obs.registry.enabled:
+            self._h_latency.observe(now - request.submitted_at)
+            self._h_ttft.observe(request.first_token_at
+                                 - request.submitted_at)
+        if request.trace_id and self._obs.spans.enabled:
+            self._emit_request_spans(request, now)
+        request.done.succeed(request)
 
     def _emit_request_spans(self, request: Request, now: float) -> None:
         """Derive queue/prefill/decode phase spans at finish.
@@ -533,14 +505,25 @@ class LLMEngine:
              {"output_tokens": request.tokens_generated,
               "preemptions": request.preemptions})))
 
-    def _ensure_appendable(self, request: Request) -> bool:
+    def _ensure_appendable(self, request: Request,
+                           finished: list[Request]) -> bool:
         """Preempt (recompute-style) until ``request`` can grow.
-        Returns False if the cache is full with no preemptable victim."""
+        Returns False if the cache is full with no preemptable victim.
+
+        A victim in ``finished`` already holds its whole token budget
+        this iteration: it retires now, freeing the blocks it would
+        free at the end of the iteration, instead of being preempted
+        into a recompute it has no tokens left for.
+        """
         while not self.blocks.can_append(request.id):
             victim = self.scheduler.victim(request)
             if victim is None:
                 return False
-            self._preempt(victim)
+            if victim in finished:
+                finished.remove(victim)
+                self._finish(victim, self.kernel.now)
+            else:
+                self._preempt(victim)
         return True
 
     def _preempt(self, victim: Request) -> None:

@@ -25,7 +25,7 @@ from ..net.http import HttpResponse, HttpService
 from .config import EngineArgs, is_offline_env, parse_serve_command
 from .engine import LLMEngine
 from .perf import PerfModel, PerfProfile
-from .spec import RequestSpec
+from .spec import CompletionCall, CompletionResult, KvHandoff, RequestSpec
 
 #: Engine initialization after weights are resident (graph capture, warmup).
 ENGINE_INIT_SECONDS = 90.0
@@ -35,13 +35,6 @@ ENGINE_INIT_SECONDS = 90.0
 #: PCIe) — a large share of the paper's "30 minutes or more" startup for
 #: big models.
 WEIGHT_LOAD_RATE_PER_NODE = 250e6
-
-#: Crude tokenizer: ~4 characters per token.
-CHARS_PER_TOKEN = 4
-
-
-def estimate_tokens(text: str) -> int:
-    return max(1, len(text) // CHARS_PER_TOKEN)
 
 
 @register_app("vllm-openai")
@@ -196,117 +189,103 @@ class VllmOpenAIServer(ContainerApp):
         return HttpResponse(404, json={"error": f"no route {request.path}"})
 
     def _completions(self, request):
+        result = yield from self.complete(CompletionCall.from_http(request))
+        return result.to_response()
+
+    def complete(self, call: CompletionCall):
+        """Generator: serve one completion; returns a CompletionResult.
+
+        The one serving implementation: routers call it in process, and
+        the HTTP route above adapts JSON onto it.  A ``prefill`` engine
+        runs the request to its first token and returns a
+        :class:`KvHandoff`; a ``decode`` engine given a handoff first
+        pays the KV transfer over the fabric, then continues from it.
+        """
         assert self.engine is not None and self.args is not None
-        body = request.json or {}
-        model = body.get("model")
-        if model and model != self.args.public_model_name:
-            return HttpResponse(404, json={
-                "error": f"model {model!r} not served here"})
-        prompt_tokens = body.get("repro_prompt_tokens")
-        if prompt_tokens is None:
-            if "messages" in body:
-                text = " ".join(str(m.get("content", ""))
-                                for m in body["messages"])
-            else:
-                text = str(body.get("prompt", ""))
-            prompt_tokens = estimate_tokens(text)
-        prompt_tokens = int(prompt_tokens)
-        max_tokens = int(body.get("max_tokens", 1024))
+        model = self.args.public_model_name
+        if call.model and call.model != model:
+            return CompletionResult.failed(
+                404, f"model {call.model!r} not served here")
+        max_tokens = call.max_tokens
         # Conversation identity for prefix caching: ``cache_salt`` is
-        # vLLM's own field; ``repro_session`` is what the fleet's
-        # session workload sends.  Either keys the engine's block reuse.
-        session = body.get("repro_session") or body.get("cache_salt")
-        # Observability trace id minted upstream (fleet/router); joins
-        # the engine's queue/prefill/decode spans to the caller's trace.
-        trace_id = int(body.get("repro_trace") or 0)
-        trace_parent = int(body.get("repro_parent") or 0)
-        priority = int(body.get("repro_priority") or 0)
+        # vLLM's own field; ``session`` is what the fleet's session
+        # workload sends.  Either keys the engine's block reuse.
+        session = call.session or call.cache_salt
         role = self.role
-        handoff = body.get("repro_handoff")
+        handoff = call.handoff
         kv_transfer_s = 0.0
-        spec_extra: dict = {}
+        generated = 0
         if role == "prefill":
             # Prefill leg: run to the first token only; the router
             # forwards the handoff below to a decode engine.
             max_tokens = 1
-        elif role == "decode" and isinstance(handoff, dict):
-            generated = int(handoff.get("generated") or 1)
+        elif role == "decode" and handoff is not None:
+            generated = handoff.generated
             if generated >= max_tokens:
-                return HttpResponse(400, json={
-                    "error": f"handoff already carries {generated} tokens "
-                             f"but max_tokens={max_tokens}; nothing left "
-                             "to decode"})
+                return CompletionResult.failed(
+                    400, f"handoff already carries {generated} tokens "
+                         f"but max_tokens={max_tokens}; nothing left "
+                         "to decode")
             # Pay for moving the prefilled KV blocks over the fabric
             # before the request can join this engine's batch; the
             # transfer shares bandwidth max-min fairly with everything
             # else on the links.
             error, kv_transfer_s = yield from self._kv_transfer(
-                handoff, prompt_tokens + generated, trace_id, trace_parent)
+                handoff, call.prompt_tokens + generated, call.trace_id,
+                call.trace_parent)
             if error is not None:
-                return error
-            spec_extra = {"prefill_done": True, "tokens_generated": generated}
+                return CompletionResult.failed(502, error)
         try:
             spec = RequestSpec(
-                prompt_tokens=prompt_tokens, max_new_tokens=max_tokens,
+                prompt_tokens=call.prompt_tokens, max_new_tokens=max_tokens,
                 session_key=str(session) if session else None,
-                priority=priority, trace_id=trace_id,
-                trace_parent=trace_parent, **spec_extra)
+                priority=call.priority, trace_id=call.trace_id,
+                trace_parent=call.trace_parent,
+                prefill_done=generated > 0, tokens_generated=generated)
             handle = self.engine.submit(spec)
         except ConfigurationError as exc:
-            return HttpResponse(400, json={"error": str(exc)})
+            return CompletionResult.failed(400, str(exc))
         except APIError as exc:
-            return HttpResponse(exc.status, json={"error": exc.message})
+            return CompletionResult.failed(exc.status, exc.message)
         try:
             finished = yield handle.done
         except APIError as exc:
-            return HttpResponse(exc.status, json={"error": exc.message})
+            return CompletionResult.failed(exc.status, exc.message)
         except ContainerCrash as exc:
-            return HttpResponse(500, json={"error": f"engine crashed: {exc}"})
+            return CompletionResult.failed(500, f"engine crashed: {exc}")
         stats = finished.stats()
-        path = "decode" if spec_extra else role
-        payload = {
-            "id": f"chatcmpl-{finished.id}",
-            "object": "chat.completion",
-            "model": self.args.public_model_name,
-            "choices": [{"index": 0,
-                         "message": {"role": "assistant",
-                                     "content": "<generated>"},
-                         "finish_reason": "length"}],
-            "usage": {"prompt_tokens": stats.prompt_tokens,
-                      "completion_tokens": stats.output_tokens,
-                      "total_tokens": stats.prompt_tokens
-                      + stats.output_tokens},
-            "repro_stats": {"ttft": stats.ttft, "latency": stats.latency,
-                            "preemptions": stats.preemptions,
-                            "cached_tokens": stats.cached_tokens,
-                            "path": path,
-                            "kv_transfer_s": kv_transfer_s},
-        }
+        result = CompletionResult(
+            request_id=finished.id, model=model,
+            prompt_tokens=stats.prompt_tokens,
+            output_tokens=stats.output_tokens, ttft=stats.ttft,
+            latency=stats.latency, preemptions=stats.preemptions,
+            cached_tokens=stats.cached_tokens,
+            path="decode" if generated else role,
+            kv_transfer_s=kv_transfer_s)
         if role == "prefill":
             # Everything a decode engine needs to continue the request.
-            payload["repro_handoff"] = {
-                "source": self._ctx.hostname if self._ctx else "",
-                "prompt_tokens": stats.prompt_tokens,
-                "generated": stats.output_tokens,
-                "kv_tokens": stats.prompt_tokens + stats.output_tokens,
-            }
-        return HttpResponse(200, json=payload)
+            result.handoff = KvHandoff(
+                source=self._ctx.hostname if self._ctx else "",
+                prompt_tokens=stats.prompt_tokens,
+                generated=stats.output_tokens or 1,
+                kv_tokens=stats.prompt_tokens + stats.output_tokens)
+        return result
 
-    def _kv_transfer(self, handoff: dict, fallback_tokens: int,
+    def _kv_transfer(self, handoff: KvHandoff, fallback_tokens: int,
                      trace_id: int, trace_parent: int):
         """Move handed-off KV blocks from the prefill host to this one.
 
         Costed through the fabric's max-min fair flow network; emits a
         ``kv_transfer`` span joined to the request's trace.  Returns
-        ``(error_response, seconds)`` — the error is set (and seconds
+        ``(error, seconds)`` — the error message is set (and seconds
         zero) when the source is unreachable, so the router can fail
         the decode leg over.
         """
         assert self.engine is not None and self._ctx is not None
         kernel = self.engine.kernel
-        src = str(handoff.get("source") or "")
+        src = handoff.source
         dst = self._ctx.hostname
-        kv_tokens = int(handoff.get("kv_tokens") or fallback_tokens)
+        kv_tokens = handoff.kv_tokens or fallback_tokens
         nbytes = kv_tokens * self.engine.card.kv_bytes_per_token
         started = kernel.now
         if src and src != dst:
@@ -314,8 +293,7 @@ class VllmOpenAIServer(ContainerApp):
                 yield from self._ctx.fabric.transfer(
                     src, dst, nbytes, name=f"kv:{src}->{dst}")
             except (NetworkUnreachable, NotFoundError) as exc:
-                return HttpResponse(502, json={
-                    "error": f"kv transfer from {src} failed: {exc}"}), 0.0
+                return f"kv transfer from {src} failed: {exc}", 0.0
         seconds = kernel.now - started
         spans = kernel.obs.spans
         if trace_id and spans.enabled:

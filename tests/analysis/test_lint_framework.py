@@ -181,7 +181,7 @@ def test_cli_list_rules(capsys):
     assert _cli("--list-rules") == 0
     out = capsys.readouterr().out
     for code in ("DET001", "DET002", "DET003", "DET004",
-                 "SIM001", "SIM002", "API001"):
+                 "SIM001", "SIM002"):
         assert code in out
 
 

@@ -5,8 +5,9 @@ with ``FleetConfig.fast_forward`` on, every digest-visible artifact —
 the serialized :class:`FleetReport` (tokens, TTFTs, finish times,
 snapshots), the kernel trace digest, the span/metrics/scrape digests,
 and the autoscaler's sample tape — must be *byte-identical* to a run
-with fast-forward off.  Not statistically close: identical.  And the
-lane must disarm itself, silently falling back to stepping, whenever a
+with fast-forward off.  Not statistically close: identical.  Every
+request takes the one request path either way; quiet-tick fast-play
+must disarm itself, silently falling back to stepping, whenever a
 FaultPlan is armed, chaos is orchestrating, or disagg is enabled.
 """
 
@@ -23,7 +24,7 @@ QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
 def _build_fleet(seed: int, fast_forward: bool, platforms=("hops",),
-                 max_replicas: int = 3) -> tuple:
+                 max_replicas: int = 3, min_replicas: int = 1) -> tuple:
     site = build_sandia_site(seed=seed, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
     config = FleetConfig(
@@ -32,18 +33,40 @@ def _build_fleet(seed: int, fast_forward: bool, platforms=("hops",),
         policy="least-outstanding",
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(
-            min_replicas=1, max_replicas=max_replicas,
+            min_replicas=min_replicas, max_replicas=max_replicas,
             target_outstanding=8.0, up_cooldown=120.0,
             down_cooldown=600.0, low_streak=4),
         fast_forward=fast_forward)
     return site, Fleet(site, config)
 
 
-def _play(site, fleet, schedule, horizon: float) -> dict:
-    """Run one scenario and capture every digest-visible artifact."""
+def _count_quiet(fleet) -> dict:
+    """Wrap ``fleet.ff.quiet`` to count the instants it held."""
+    seen = {"quiet": 0}
+    quiet = fleet.ff.quiet
+
+    def counted() -> bool:
+        held = quiet()
+        seen["quiet"] += held
+        return held
+
+    fleet.ff.quiet = counted
+    return seen
+
+
+def _play(site, fleet, schedule, horizon: float, replicas: int = 1,
+          during=None) -> dict:
+    """Run one scenario and capture every digest-visible artifact.
+
+    ``during(env)``, when given, runs as its own process alongside the
+    scenario (mid-run fault injection).
+    """
+    seen = _count_quiet(fleet)
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=1)
+        yield from fleet.start(initial_replicas=replicas)
+        if during is not None:
+            env.spawn(during(env))
         report = yield from fleet.run_scenario(
             schedule, horizon=horizon, label="ff-equiv")
         return report
@@ -57,8 +80,10 @@ def _play(site, fleet, schedule, horizon: float) -> dict:
                          for s in fleet.autoscaler.samples),
         "snapshots": json.dumps(report.snapshots),
         "fast": fleet.ff.fast_requests,
+        "quiet": seen["quiet"],
         "now": site.kernel.now,
         "arrivals": report.arrivals,
+        "retried": fleet.router_app.retried_ok,
     }
 
 
@@ -69,8 +94,9 @@ def test_flash_crowd_bit_identical_vs_stepping():
     """Busy scenario: a 150x flash crowd scaling 1 -> 3 -> 1.
 
     Thousands of requests, scale-outs, node boots, health passes, and
-    monitor tapes — all byte-identical across the two arms, and the on
-    arm must actually have used the lane for every request.
+    monitor tapes — all byte-identical across the two arms.  Both arms
+    issue every request through the one request path; only the on arm
+    fast-plays quiet ticks.
     """
     schedule = FlashCrowdSchedule(
         PoissonSchedule(0.1), start=600.0, duration=900.0,
@@ -82,8 +108,9 @@ def test_flash_crowd_bit_identical_vs_stepping():
         runs[ff] = _play(site, fleet, schedule, horizon=5400.0)
     on, off = runs[True], runs[False]
     assert on["arrivals"] > 1000
-    assert on["fast"] == on["arrivals"]     # every request took the lane
-    assert off["fast"] == 0                 # config off forces stepping
+    assert on["fast"] == off["fast"] == on["arrivals"]
+    assert on["quiet"] > 0
+    assert off["quiet"] == 0                # config off forces stepping
     for key in EQUIV_KEYS:
         assert on[key] == off[key], f"fast-forward diverged on {key!r}"
 
@@ -105,31 +132,59 @@ def test_pulse_gaps_bit_identical_vs_stepping():
     on, off = runs[True], runs[False]
     assert on["arrivals"] > 1000
     assert on["fast"] == on["arrivals"]
+    assert on["quiet"] > 0
     for key in EQUIV_KEYS:
         assert on[key] == off[key], f"fast-forward diverged on {key!r}"
 
 
 def test_armed_fault_plan_disarms_the_lane():
     """An armed FaultPlan — even one whose triggers never fire — must
-    push every request back onto the stepping path."""
+    disarm quiet-tick fast-play for the whole scenario."""
     from repro.vllm import faults
 
     site, fleet = _build_fleet(seed=11, fast_forward=True)
-    schedule = PoissonSchedule(0.5)
+    seen = _count_quiet(fleet)
+    schedule = PulseSchedule(rate_rps=0.5, period=3600.0, duty=0.25)
 
     def scenario(env):
         yield from fleet.start(initial_replicas=1)
         for engine in fleet.ff.engines().values():
             faults.attach(engine, lambda eng: None)   # armed, never fires
-        assert not fleet.ff.lane_ok()
         report = yield from fleet.run_scenario(
-            schedule, horizon=600.0, label="armed")
+            schedule, horizon=7200.0, label="armed")
         return report
 
     report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    assert report.arrivals > 100
-    assert fleet.ff.fast_requests == 0
+    assert report.arrivals > 500
+    assert seen["quiet"] == 0
+    assert fleet.ff.fast_requests == report.arrivals
     assert report.slo.completed == report.arrivals
+
+
+def test_mid_run_fault_fails_over_like_stepping():
+    """A crash fault attached to a live engine mid-scenario, outside the
+    chaos orchestrator, fails over on the one request path: the
+    fast-forward arm matches the stepped arm byte for byte."""
+    from repro.vllm import faults
+
+    schedule = PoissonSchedule(0.5)
+    runs = {}
+    for ff in (True, False):
+        site, fleet = _build_fleet(seed=13, fast_forward=ff, min_replicas=2)
+
+        def crash_one(env, fleet=fleet):
+            yield env.timeout(300.0)
+            engine = next(iter(fleet.ff.engines().values()))
+            faults.attach(engine, faults.CrashAtTime(
+                env.now, reason="mid-run OOM"))
+
+        runs[ff] = _play(site, fleet, schedule, horizon=1800.0,
+                         replicas=2, during=crash_one)
+    on, off = runs[True], runs[False]
+    assert on["arrivals"] > 500
+    assert on["retried"] > 0                # failover saved requests
+    for key in EQUIV_KEYS:
+        assert on[key] == off[key], f"fast-forward diverged on {key!r}"
 
 
 def test_chaos_orchestrator_disarms_for_good():

@@ -135,7 +135,7 @@ def test_snapshot_never_iterates_the_window():
 def test_snapshot_work_is_independent_of_total_observed():
     """Operation-count harness: estimator update counts scale with the
     *window*, not the run; snapshot() adds zero estimator updates."""
-    from repro.fleet.stats import LogHistogram
+    from repro.obs.stats import LogHistogram
 
     calls = {"add": 0, "remove": 0}
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError
-from repro.fleet.stats import LogHistogram
+from repro.obs.stats import LogHistogram
 
 
 def test_empty_histogram_is_all_zero():

@@ -1,5 +1,5 @@
-"""The typed router configuration surface: RouterPolicy, RouterConfig,
-and the deprecated ROUTER_POLICY/ROUTER_PORT env alias."""
+"""The typed router configuration surface: RouterPolicy and
+RouterConfig (one ``ROUTER_CONFIG`` env var)."""
 
 from __future__ import annotations
 
@@ -37,18 +37,9 @@ def test_config_validates_at_construction():
         RouterConfig.from_env({"ROUTER_CONFIG": "{not json"})
 
 
-def test_legacy_env_vars_warn_but_parse():
-    with pytest.warns(DeprecationWarning, match="ROUTER_POLICY"):
-        config = RouterConfig.from_env(
-            {"ROUTER_POLICY": "least-outstanding", "ROUTER_PORT": "4004"})
-    assert config.policy is RouterPolicy.LEAST_OUTSTANDING
-    assert config.port == 4004
-    assert config.disagg is False
-
-
 def test_typed_env_wins_over_legacy():
     env = RouterConfig(policy="cache-affinity").to_env()
-    env["ROUTER_POLICY"] = "round-robin"   # stale legacy var ignored
+    env["ROUTER_POLICY"] = "round-robin"   # stale removed var: ignored
     import warnings
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # no DeprecationWarning either

@@ -253,6 +253,6 @@ def test_unknown_policy_crashes_startup(rig):
         rig.nodes[3], "berriai/litellm:main",
         RunOpts(network_host=True,
                 env={"BACKENDS": "hops01:8000",
-                     "ROUTER_POLICY": "spray-and-pray"})))
-    with pytest.raises(ContainerCrash, match="ROUTER_POLICY"):
+                     "ROUTER_CONFIG": '{"policy": "spray-and-pray"}'})))
+    with pytest.raises(ContainerCrash, match="ROUTER_CONFIG"):
         rig.kernel.run(until=container.ready)

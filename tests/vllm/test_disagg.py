@@ -5,7 +5,7 @@ never *how many*."""
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hardware import gpu_spec
@@ -79,6 +79,10 @@ request_lists = st.lists(
 
 @given(reqs=request_lists,
        kv_tokens=st.integers(min_value=2048, max_value=60_000))
+# A full cache once made a sequence preempt a peer that had just
+# produced its last token; the engine loop died with requests queued.
+@example(reqs=[(144, 1), (176, 1), (192, 1), (400, 1), (496, 1), (560, 1)],
+         kv_tokens=2048)
 @settings(max_examples=40, deadline=None)
 def test_disagg_split_conserves_token_counts(reqs, kv_tokens):
     """Serving a workload as prefill+decode legs yields the same

@@ -1,10 +1,10 @@
-"""RequestSpec validation and the legacy ``submit`` deprecation shim."""
+"""RequestSpec validation, and ``LLMEngine.submit`` taking only a spec."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import APIError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.hardware import gpu_spec
 from repro.models import llama4_scout
 from repro.vllm import (EngineArgs, LLMEngine, PerfModel, PerfProfile,
@@ -43,42 +43,11 @@ def test_spec_is_frozen_and_hashable():
     assert len({spec, RequestSpec(100, 10, session_key="s", priority=2)}) == 1
 
 
-def test_legacy_positional_submit_warns_and_works(kernel):
+def test_submit_takes_only_a_request_spec(kernel):
     engine = _engine(kernel)
-    with pytest.warns(DeprecationWarning, match="RequestSpec"):
-        request = engine.submit(200, 50)
+    request = engine.submit(RequestSpec(300, 40))
     kernel.run(until=request.done)
     stats = request.stats()
-    assert stats.prompt_tokens == 200 and stats.output_tokens == 50
-
-
-def test_legacy_keyword_submit_warns_and_works(kernel):
-    engine = _engine(kernel)
-    with pytest.warns(DeprecationWarning, match="RequestSpec"):
-        request = engine.submit(prompt_tokens=128, max_new_tokens=16,
-                                session_key="conv")
-    kernel.run(until=request.done)
-    assert request.tokens_generated == 16
-    assert request.session_key == "conv"
-
-
-def test_legacy_bad_args_keep_the_api_error_contract(kernel):
-    """The legacy path validated inside submit and raised a 400; the
-    shim preserves that for its one deprecation release."""
-    engine = _engine(kernel)
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(APIError) as err:
-            engine.submit(0, 5)
-    assert err.value.status == 400
-    with pytest.warns(DeprecationWarning):
-        with pytest.raises(APIError):
-            engine.submit(100, None)
-
-
-def test_typed_and_legacy_submissions_are_equivalent(kernel):
-    engine = _engine(kernel)
-    typed = engine.submit(RequestSpec(300, 40))
-    with pytest.warns(DeprecationWarning):
-        legacy = engine.submit(300, 40)
-    kernel.run(until=kernel.all_of([typed.done, legacy.done]))
-    assert typed.spec == legacy.spec
+    assert stats.prompt_tokens == 300 and stats.output_tokens == 40
+    with pytest.raises(TypeError):
+        engine.submit(200, 50)
