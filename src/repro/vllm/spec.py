@@ -162,7 +162,7 @@ class CompletionCall:
         if self.http is not None:
             if self.handoff is None:
                 return self.http
-            body = dict(self.http.json)
+            body = dict(self.http.json or {})
             body["repro_handoff"] = self.handoff.to_json()
             return HttpRequest(self.http.method, self.http.path,
                                self.http.headers, json=body)

@@ -79,6 +79,32 @@ def test_disagg_report_renders_the_paths_block(disagg_run):
     assert report.slo.to_json()["paths"]["kv_transfers"] > 0
 
 
+def test_router_http_route_serves_the_two_legs(disagg_run):
+    """The router's JSON route adapts onto the same typed dispatch the
+    fleet calls in process: one POST comes back as a merged disagg
+    completion, without the internal handoff descriptor."""
+    from repro.net.http import HttpClient
+
+    site, fleet, _ = disagg_run
+    client = HttpClient(site.fabric, fleet._client.host)
+    kernel = site.kernel
+
+    def post(env):
+        response = yield from client.post(
+            fleet.router_host, fleet.config.router_port,
+            "/v1/chat/completions",
+            json={"model": QUANT, "repro_prompt_tokens": 300,
+                  "max_tokens": 12})
+        return response
+
+    response = kernel.run(until=kernel.spawn(post(kernel)))
+    assert response.ok
+    assert response.json["usage"]["completion_tokens"] == 12
+    assert response.json["repro_stats"]["path"] == "disagg"
+    assert response.json["repro_stats"]["kv_transfer_s"] > 0
+    assert "repro_handoff" not in response.json
+
+
 DISAGG_SPEC = ScenarioSpec(
     name="disagg-golden", seed=2026, horizon=600.0,
     site=SiteSpec(hops_nodes=8, eldorado_nodes=2, goodall_nodes=3,
