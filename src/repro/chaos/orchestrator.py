@@ -129,9 +129,10 @@ class ChaosOrchestrator:
                  probe_interval: float = 15.0):
         self.fleet = fleet
         self.kernel = fleet.kernel
-        # Chaos attaches faults mid-scenario; the fleet's fast-forward
-        # lane cannot replay failover, so disarm it for good the moment
-        # a fleet is bound to an orchestrator.
+        # Chaos faults such as fabric partitions and registry outages
+        # are invisible to the quiet predicate, so an idle tick skipped
+        # across one could miss its effect: disarm quiet-play for good
+        # the moment a fleet is bound to an orchestrator.
         fleet.ff.chaos = True
         self.supervisor = ReplicaSupervisor(fleet, supervisor)
         self.probe_interval = probe_interval

@@ -111,7 +111,9 @@ class Autoscaler:
         self._last_up = -math.inf
         self._last_down = -math.inf
         self._low_streak = 0
-        self._next_tick = math.inf
+        #: time of the last tick played, live or closed-form: the
+        #: anchor of this loop's stepped tick chain.
+        self._tick = 0.0
 
     def reset(self) -> None:
         """Fresh accounting for a new scenario, cooldowns included.
@@ -145,95 +147,64 @@ class Autoscaler:
 
     # -- control loop -----------------------------------------------------------
 
-    def quiet_action_bound(self) -> float:
-        """Earliest future time this loop could mutate the fleet, assuming
-        the fleet stays quiet (zero outstanding) until then.
+    def next_decision_tick(self, bound: float) -> float:
+        """First tick on this loop's chain, before ``bound``, at which a
+        zero-load sample could change the fleet (+inf when none).
 
-        The fleet fast-forward governor uses this to bound how far the
-        *other* periodic processes (health passes, snapshots) may skip:
-        with zero load the only possible decision is a scale-down, whose
-        firing tick is fully determined by the current low-streak, the
-        cooldown clocks, and this loop's tick phase.  Returns +inf when
-        no quiet-window action is possible (already at ``min_replicas``).
+        The autoscaler's share of the fleet's quiet-window edge (see
+        :meth:`~repro.fleet.fleet.FleetFastForward.edge`).  With zero
+        load the only possible decisions are a scale-up back to
+        ``min_replicas`` and a scale-down once the low streak and both
+        cooldowns allow it, all fixed by the state of the last tick
+        played and the tick chain itself.
         """
         cfg = self.config
-        if self._scaling:
-            return self.kernel.now
         n = len(self.fleet.replicas)
-        nt = self._next_tick
+        t = self._tick + cfg.interval
         if n < cfg.min_replicas:
-            return nt                       # a scale-up fires next tick
-        if n <= cfg.min_replicas or cfg.scale_down_threshold <= 0:
+            return t
+        if n == cfg.min_replicas or cfg.scale_down_threshold <= 0:
             return math.inf
-        # Tick j (0-based from the next wake) sees streak _low_streak+j+1.
-        j_streak = max(0, cfg.low_streak - self._low_streak - 1)
-        t_cd = max(self._last_down, self._last_up) + cfg.down_cooldown
-        j_cd = (0 if t_cd <= nt
-                else int(math.ceil((t_cd - nt) / cfg.interval)))
-        return nt + max(j_streak, j_cd) * cfg.interval
+        streak = self._low_streak
+        while t < bound:
+            streak += 1
+            if (streak >= cfg.low_streak
+                    and t - self._last_down >= cfg.down_cooldown
+                    and t - self._last_up >= cfg.down_cooldown):
+                return t
+            t += cfg.interval
+        return math.inf
 
-    def _plan_quiet_ticks(self, horizon: float) -> int:
-        """How many upcoming ticks are provably decision-free no-ops.
-
-        Called while the fleet is quiet (zero outstanding, all healthy,
-        no arrival before ``horizon``).  Each such tick would append one
-        zero-load sample, bump the low streak, and decide nothing — so
-        they can be played closed-form and slept through in one timeout.
-        Stops strictly before the first tick at which a scale decision
-        would fire, which then runs live.
-        """
-        cfg = self.config
-        now = self.kernel.now
-        n = len(self.fleet.replicas)
-        if n < cfg.min_replicas or horizon <= now:
-            return 0
-        k = int(math.ceil((horizon - now) / cfg.interval)) - 1
-        if n > cfg.min_replicas and cfg.scale_down_threshold > 0:
-            # Skipped tick i carries streak _low_streak + i; the decision
-            # tick must run live.
-            i_streak = max(1, cfg.low_streak - self._low_streak)
-            t_cd = max(self._last_down, self._last_up) + cfg.down_cooldown
-            i_cd = (1 if t_cd <= now
-                    else int(math.ceil((t_cd - now) / cfg.interval)))
-            k = min(k, max(i_streak, i_cd) - 1)
-        return max(0, k)
-
-    def _fast_play(self) -> float:
-        """Skip provably-idle ticks; returns extra seconds to sleep."""
-        ff = getattr(self.fleet, "ff", None)
-        if ff is None or not ff.quiet():
-            return 0.0
-        bound = ff.arrival_bound()
-        if not math.isfinite(bound):
-            # No future arrival is known (stream ended or not armed):
-            # skipping would be unbounded, so keep ticking live.
-            return 0.0
-        cfg = self.config
-        k = self._plan_quiet_ticks(bound)
-        if k <= 0:
-            return 0.0
+    def _play_idle(self, ticks: list[float]) -> None:
+        """Closed-form ticks over an idle fleet: each appends a
+        zero-load sample and extends the low streak, deciding nothing
+        (they all precede :meth:`next_decision_tick`)."""
         stats = self.fleet.router_app.stats()
-        now = self.kernel.now
         n = len(self.fleet.replicas)
-        append = self.samples.append
-        for i in range(1, k + 1):
-            append(LoadSample(
-                time=now + i * cfg.interval, replicas=n,
-                outstanding=stats["outstanding"], healthy=stats["healthy"]))
-        if cfg.scale_down_threshold > 0:
-            self._low_streak += k
-        return k * cfg.interval
+        for t in ticks:
+            self.samples.append(LoadSample(
+                time=t, replicas=n, outstanding=stats["outstanding"],
+                healthy=stats["healthy"]))
+        if self.config.scale_down_threshold > 0:
+            self._low_streak += len(ticks)
+        else:
+            self._low_streak = 0
+        self._tick = ticks[-1]
 
     def run(self, stop_event: Event):
         """Generator process: sample, decide, and converge until stopped."""
         kernel = self.kernel
         cfg = self.config
+        ff = self.fleet.ff
+        self._tick = kernel.now
         while not stop_event.triggered:
-            sleep = cfg.interval + self._fast_play()
-            self._next_tick = kernel.now + sleep
-            yield kernel.any_of([stop_event, kernel.timeout(sleep)])
+            skipped, tick = ff.next_tick(cfg.interval)
+            if skipped:
+                self._play_idle(skipped)
+            yield kernel.any_of([stop_event, tick])
             if stop_event.triggered:
                 return
+            self._tick = kernel.now
             sample = self.sample()
             if self._scaling:
                 continue  # a deploy/drain is already converging
@@ -244,8 +215,12 @@ class Autoscaler:
                 self._low_streak += 1
             else:
                 self._low_streak = 0
+            # _scaling is raised here, not when the spawned action
+            # starts later this instant, so the fleet reads as busy
+            # from the decision on.
             if desired > n and now - self._last_up >= cfg.up_cooldown:
                 self._low_streak = 0
+                self._scaling = True
                 step = min(desired - n, cfg.max_step_up)
                 kernel.spawn(self._scale_up(step, sample),
                              name="autoscaler:up")
@@ -254,6 +229,7 @@ class Autoscaler:
                   and now - self._last_down >= cfg.down_cooldown
                   and now - self._last_up >= cfg.down_cooldown):
                 self._low_streak = 0
+                self._scaling = True
                 kernel.spawn(self._scale_down(sample),
                              name="autoscaler:down")
 
@@ -261,7 +237,6 @@ class Autoscaler:
 
     def _scale_up(self, step: int, sample: LoadSample):
         kernel = self.kernel
-        self._scaling = True
         before = len(self.fleet.replicas)
         reason = (f"outstanding={sample.outstanding} > "
                   f"{self.config.target_outstanding:g}/replica x {before}")
@@ -285,7 +260,6 @@ class Autoscaler:
 
     def _scale_down(self, sample: LoadSample):
         kernel = self.kernel
-        self._scaling = True
         before = len(self.fleet.replicas)
         try:
             removed = yield from self.fleet.remove_replica(

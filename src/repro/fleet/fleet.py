@@ -22,6 +22,7 @@ hosts directly (the converged-site advantage the paper describes).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,13 +40,14 @@ from ..services.router import (LlmRouter, RouterConfig, RouterPolicy,
                                router_image)
 from ..vllm.spec import CompletionCall
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
-from .slo import RequestRecord, SloSpec, SloTracker
+from .slo import RequestRecord, SloSnapshot, SloSpec, SloTracker
 from .traffic import ArrivalSchedule, TenantMix, TrafficGenerator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.site import ConvergedSite
     from ..hardware.node import Node
     from ..sessions import SessionSpec
+    from ..simkernel import Timeout
 
 
 @dataclass(frozen=True)
@@ -110,12 +112,12 @@ class FleetConfig:
     #: disaggregated prefill/decode serving (off by default: every
     #: replica is a unified engine serving whole requests).
     disagg: DisaggSpec = field(default_factory=DisaggSpec)
-    #: fleet fast-forward: provably-idle periodic ticks (autoscaler,
-    #: monitor, health passes) are slept through in one timeout.
-    #: Bit-identical to stepping by construction (see
-    #: docs/performance.md); auto-disabled under chaos, armed fault
-    #: plans, or disaggregated serving.  Set False to force the fully
-    #: stepped path.
+    #: fleet quiet-play: while the fleet is provably idle, the periodic
+    #: loops (autoscaler, SLO monitor, router health checks) skip their
+    #: ticks through one governor, :class:`FleetFastForward`.
+    #: Bit-identical to stepping (see docs/performance.md); off under
+    #: chaos, armed fault plans, and session traffic.  False makes
+    #: every loop step.
     fast_forward: bool = True
 
     def __post_init__(self):
@@ -239,31 +241,33 @@ class FleetReport:
 
 
 class FleetFastForward:
-    """Governor for the fleet's quiet-tick fast-play.
+    """Governor for the fleet's quiet-play: skipping idle periodic ticks.
 
-    :meth:`quiet` decides, per instant, whether the whole fleet is
-    provably idle, so the periodic control loops (autoscaler ticks, SLO
-    snapshots, health passes) can skip ahead.  Skips are bounded by
-    :meth:`arrival_bound` (the traffic generator publishes its next
-    arrival time before sleeping) and the autoscaler's own
-    :meth:`~repro.fleet.autoscaler.Autoscaler.quiet_action_bound`.
+    Every periodic fleet loop — autoscaler, SLO monitor, router health
+    checks — waits for its next tick through :meth:`next_tick`.  While
+    the fleet is provably idle (:meth:`quiet`), that call skips the
+    loop's ticks strictly before one fleet-wide :meth:`edge` and wakes
+    the loop on its first tick at or after it; otherwise it is a plain
+    ``timeout(interval)``.  Tick times always follow the loop's own
+    stepped float chain, so the live tick lands on the exact instant
+    stepping would have run it.
 
     Everything here is advisory: with ``FleetConfig.fast_forward``
-    False (or any eligibility check failing) every consumer falls back
-    to plain stepping.
+    False, under chaos, or for session traffic, every loop steps.
     """
 
     def __init__(self, fleet: Fleet):
         self.fleet = fleet
         self.kernel = fleet.kernel
         #: set by the chaos orchestrator before it drives scenarios;
-        #: faults attach mid-run there, which quiet-play must not race.
+        #: its faults act mid-window, which quiet-play must not race.
         self.chaos = False
         #: requests issued through :meth:`Fleet.request` (the one path)
         self.fast_requests = 0
         self._traffic: TrafficGenerator | None = None
         self._engines: dict | None = None
         self._engines_epoch = -1
+        self._edge = -math.inf
 
     # -- scenario lifecycle ----------------------------------------------------
 
@@ -271,6 +275,7 @@ class FleetFastForward:
         """Arm for one scenario (None = ineligible traffic kind)."""
         self._traffic = traffic
         self._engines_epoch = -1
+        self._edge = -math.inf
 
     def end(self) -> None:
         self._traffic = None
@@ -279,9 +284,7 @@ class FleetFastForward:
 
     @property
     def enabled(self) -> bool:
-        config = self.fleet.config
-        return (config.fast_forward and not self.chaos
-                and not config.disagg.enabled)
+        return self.fleet.config.fast_forward and not self.chaos
 
     def engines(self) -> dict | None:
         """(host, port) -> live LLMEngine behind each router backend.
@@ -312,9 +315,10 @@ class FleetFastForward:
 
         True only when fast-forward is enabled and nothing is in flight
         anywhere — no open-loop request, no deploy, no scale action,
-        every backend healthy with zero outstanding forwards, every
-        engine's queues empty and free of fault plans and crashes — so
-        the only upcoming events are periodic ticks and the next
+        every backend (prefill and decode ones included) healthy with
+        zero outstanding forwards, every engine's queues empty and free
+        of fault plans and crashes, and the SLO window drained empty —
+        so the only upcoming events are periodic ticks and the next
         arrival.
         """
         if self._traffic is None or not self.enabled:
@@ -325,7 +329,7 @@ class FleetFastForward:
         fleet = self.fleet
         if fleet.inflight or fleet._pending_nodes:
             return False
-        if fleet.autoscaler._scaling:
+        if fleet.autoscaler._scaling or not fleet.slo.drained():
             return False
         for b in fleet.router_app.backends:
             if not b.healthy or b.outstanding or b.consecutive_failures:
@@ -337,30 +341,54 @@ class FleetFastForward:
                 return False
         return True
 
-    def arrival_bound(self) -> float:
-        """Time of the next traffic arrival (+inf when none is known)."""
-        traffic = self._traffic
-        if traffic is None or not traffic.active:
-            return math.inf
-        return traffic.next_arrival
+    # -- the one skip path ----------------------------------------------------
 
-    def health_extra(self, interval: float) -> float:
-        """Extra seconds the router's health loop may sleep past one
-        ``interval``.
+    def edge(self) -> float:
+        """End of the current quiet window; ``-inf`` when there is none.
 
-        Health passes over an all-healthy pool write nothing observable
-        (the only state touched is resetting already-zero failure
-        counters), so any number of them inside a provably-quiet window
-        can be skipped outright; the pass resumes at the window's edge.
+        The earliest of the next arrival and the autoscaler's next
+        possible decision tick on its own chain.  It is worked out once,
+        when a window opens, and shared by every loop until the clock
+        reaches it, so no loop reads another's skipped-tick state.  With
+        no arrival pending the window would be unbounded, so there is
+        none and every loop ticks live.
         """
         if not self.quiet():
-            return 0.0
-        bound = min(self.arrival_bound(),
-                    self.fleet.autoscaler.quiet_action_bound())
-        now = self.kernel.now
-        if not math.isfinite(bound) or bound <= now + interval:
-            return 0.0
-        return bound - now - interval
+            self._edge = -math.inf
+        elif self._edge <= self.kernel.now:
+            traffic = self._traffic
+            bound = traffic.next_arrival if traffic.active else math.inf
+            self._edge = (-math.inf if math.isinf(bound) else min(
+                bound, self.fleet.autoscaler.next_decision_tick(bound)))
+        return self._edge
+
+    def next_tick(self, interval: float,
+                  waits: Callable[[], list[float]] | None = None
+                  ) -> tuple[list[float], Timeout]:
+        """Plan a periodic loop's wait for its next live tick.
+
+        Returns the tick times skipped, for which the caller plays its
+        closed-form idle tick body, and the timeout to wait on.  Tick
+        times follow the loop's stepped chain from ``now``: a tick at
+        ``t`` ends once the delays ``waits()`` lists have been added to
+        ``t`` in order (none by default; called only when a skip is
+        possible), and the next tick is ``end + interval``.  A tick is
+        skipped only if it ends strictly before :meth:`edge`; the loop
+        wakes, exactly, on the first tick that does not.
+        """
+        t = self.kernel.now + interval
+        skipped: list[float] = []
+        edge = self.edge()
+        delays = waits() if waits is not None and t < edge else ()
+        while t < edge:
+            end = t
+            for delay in delays:
+                end += delay
+            if end >= edge:
+                break
+            skipped.append(t)
+            t = end + interval
+        return skipped, self.kernel.at(t)
 
 
 class Fleet:
@@ -881,8 +909,7 @@ class Fleet:
                                      self.request, mix=mix)
         else:
             mix = mix or TenantMix.single(kernel)
-            traffic = TrafficGenerator(kernel, schedule, mix, self.submit,
-                                       fast=self.config.fast_forward)
+            traffic = TrafficGenerator(kernel, schedule, mix, self.submit)
         # Arm the fast-forward governor for open-loop traffic only:
         # session traffic keeps closed-loop think-time state the quiet
         # predicate does not model, so it always steps.
@@ -925,9 +952,7 @@ class Fleet:
         finally:
             self.ff.end()
         stop.succeed()
-        final_row = self.slo.snapshot().row()
-        final_row["replicas"] = len(self.replicas)
-        self.snapshots.append(final_row)
+        self._record(self.slo.snapshot())
         obs = None
         if self.config.obs_report and (kernel.obs.registry.enabled
                                        or kernel.obs.spans.enabled):
@@ -963,42 +988,19 @@ class Fleet:
         kernel = self.kernel
         interval = self.config.snapshot_interval
         while not stop_event.triggered:
-            sleep = interval + self._monitor_fast_play(interval)
-            yield kernel.any_of([stop_event, kernel.timeout(sleep)])
+            skipped, tick = self.ff.next_tick(interval)
+            for t in skipped:
+                # The drained SLO window makes the empty-window row exact.
+                self._record(SloSnapshot(time=t, window=self.slo.spec.window))
+            yield kernel.any_of([stop_event, tick])
             if stop_event.triggered:
                 return
-            snap = self.slo.snapshot()
-            row = snap.row()
-            row["replicas"] = len(self.replicas)
-            self.snapshots.append(row)
+            self._record(self.slo.snapshot())
 
-    def _monitor_fast_play(self, interval: float) -> float:
-        """Synthesize provably-idle snapshot rows; extra seconds to sleep.
-
-        Each skipped tick's row is exactly what the live tick would
-        have recorded: with nothing in flight and no arrival before the
-        bound, the SLO window only *ages* (``snapshot(at=...)`` trims it
-        the same way the live tick would) and the replica count cannot
-        move before the autoscaler's own action bound.  The tick at or
-        after the bound runs live, on the unchanged tick phase.
-        """
-        if not self.ff.quiet():
-            return 0.0
-        bound = min(self.ff.arrival_bound(),
-                    self.autoscaler.quiet_action_bound())
-        now = self.kernel.now
-        if not math.isfinite(bound) or bound <= now:
-            return 0.0
-        k = int(math.ceil((bound - now) / interval)) - 1
-        if k <= 0:
-            return 0.0
-        n = len(self.replicas)
-        append = self.snapshots.append
-        for i in range(1, k + 1):
-            row = self.slo.snapshot(at=now + i * interval).row()
-            row["replicas"] = n
-            append(row)
-        return k * interval
+    def _record(self, snap: SloSnapshot) -> None:
+        row = snap.row()
+        row["replicas"] = len(self.replicas)
+        self.snapshots.append(row)
 
     def _drain(self):
         kernel = self.kernel

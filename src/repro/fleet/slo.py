@@ -443,20 +443,22 @@ class SloTracker:
 
     # -- views ------------------------------------------------------------------
 
-    def snapshot(self, at: float | None = None) -> SloSnapshot:
-        """The rolling-window view right now (or at ``at``).
+    def drained(self) -> bool:
+        """Is the rolling window empty right now?  (No trim: a pure
+        read of what :meth:`snapshot` would see.)"""
+        ctimes = self._ctimes
+        return not ctimes or ctimes[-1] < self.kernel.now - self.spec.window
+
+    def snapshot(self) -> SloSnapshot:
+        """The rolling-window view right now.
 
         Empty windows return the vacuously-healthy defaults documented
         on :class:`SloSnapshot`; every field is always a finite number.
         Both the reported percentiles and the ``slo_met`` gate come from
         the *same* :class:`~repro.obs.stats.LogHistogram` estimator,
         so they can never disagree about where a percentile sits.
-
-        ``at`` lets the fleet fast-forward path take the snapshot a
-        monitor tick *would have taken* at a skipped timestamp; it must
-        not precede the newest observed completion.
         """
-        now = self.kernel.now if at is None else at
+        now = self.kernel.now
         self._trim(now)
         snap = SloSnapshot(time=now, window=self.spec.window)
         samples = self._w_ok + self._w_errors

@@ -45,10 +45,9 @@ def _thin_blocks(schedule: ArrivalSchedule, rng: np.random.Generator,
     acceptance test evaluates :meth:`ArrivalSchedule.rate_array` once per
     batch.  Yields the accepted times of each candidate batch as an
     ascending list (empty batches are skipped), so consumers can do
-    per-block work — the fleet fast-forward path draws one vectorized
-    tenant/length batch per block.  Flattened, the blocks are exactly
-    the per-value stream :func:`_thin_batched` always produced, from the
-    identical RNG call sequence.
+    per-block work — the traffic generator draws one vectorized
+    tenant/length batch per block.  Flattened, they are
+    :meth:`ArrivalSchedule.arrivals`.
     """
     if envelope <= 0:
         raise ConfigurationError("schedule peak rate must be positive")
@@ -63,14 +62,6 @@ def _thin_blocks(schedule: ArrivalSchedule, rng: np.random.Generator,
         accepted = times[keep & (times < end)]
         if accepted.size:
             yield accepted.tolist()
-
-
-def _thin_batched(schedule: ArrivalSchedule, rng: np.random.Generator,
-                  start: float, end: float, envelope: float,
-                  batch: int = THINNING_BATCH) -> Iterator[float]:
-    """Per-value view of :func:`_thin_blocks` (ascending floats)."""
-    for block in _thin_blocks(schedule, rng, start, end, envelope, batch):
-        yield from block
 
 
 class ArrivalSchedule:
@@ -380,14 +371,13 @@ class TrafficGenerator:
     def __init__(self, kernel: SimKernel, schedule: ArrivalSchedule,
                  mix: TenantMix,
                  submit: Callable[[str, SampledRequest], None],
-                 stream: str = "fleet.arrivals", fast: bool = True):
+                 stream: str = "fleet.arrivals"):
         self.kernel = kernel
         self.schedule = schedule
         self.mix = mix
         self.submit = submit
         self.rng = kernel.rng.stream(stream)
         self.generated = 0
-        self.fast = fast
         #: the next pending arrival time, published *before* the sleep
         #: toward it — the fleet fast-forward governor's bound on how far
         #: the periodic control loops may skip.  ``inf`` outside a run.
@@ -396,9 +386,6 @@ class TrafficGenerator:
 
     def run(self, horizon: float):
         """Generator process: emit arrivals for ``horizon`` seconds."""
-        if not self.fast:
-            yield from self._run_stepping(horizon)
-            return self.generated
         kernel = self.kernel
         start = kernel.now
         self.active = True
@@ -424,25 +411,3 @@ class TrafficGenerator:
             self.active = False
             self.next_arrival = math.inf
         return self.generated
-
-    def _run_stepping(self, horizon: float):
-        """The per-arrival reference path (``fast=False``): one scalar
-        tenant pick and one scalar length draw per arrival."""
-        kernel = self.kernel
-        start = kernel.now
-        self.active = True
-        try:
-            for t in self.schedule.arrivals(self.rng, start, horizon):
-                self.next_arrival = t
-                if t > kernel.now:
-                    yield kernel.timeout(t - kernel.now)
-                tenant, sample = self.mix.draw(self.rng)
-                self.submit(tenant, sample)
-                self.generated += 1
-                if self.generated % 1000 == 0:
-                    kernel.trace.emit(
-                        "fleet.traffic", generated=self.generated,
-                        rate=round(self.schedule.rate(kernel.now), 3))
-        finally:
-            self.active = False
-            self.next_arrival = math.inf

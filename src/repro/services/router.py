@@ -182,9 +182,10 @@ class LlmRouter(ContainerApp):
         self._rr_idx: dict[str, int] = {}
         self._client: HttpClient | None = None
         self._kernel = None   # set at startup; None for bare (bench) use
-        #: fleet fast-forward governor (duck-typed: ``health_extra``);
+        #: fleet fast-forward governor (duck-typed: ``next_tick``);
         #: installed by Fleet.run_scenario so provably-idle health passes
-        #: can be slept through in one timeout.  None = always tick live.
+        #: are skipped like every other fleet loop's idle ticks.  None =
+        #: always tick live.
         self.ff_governor = None
         # cache-affinity state: session key -> backend key, LRU-bounded.
         self._affinity: OrderedDict[str, str] = OrderedDict()
@@ -223,18 +224,18 @@ class LlmRouter(ContainerApp):
 
     def run(self, ctx: ContainerContext):
         # Periodic health checks run alongside request serving.  Under a
-        # fleet fast-forward governor, passes that would provably probe
-        # an all-healthy idle pool (no arrival, no autoscaler action
-        # before the next pass) are slept through in one timeout —
-        # healthy-pool passes write nothing observable, so skipping them
-        # cannot move a digest.
+        # fleet fast-forward governor, passes over an all-healthy idle
+        # pool are skipped: they write nothing observable, so their
+        # closed-form body is empty, and the pass after them runs on
+        # the stepped phase.
         while not ctx.stop_event.triggered:
-            sleep = self.HEALTH_INTERVAL
             gov = self.ff_governor
-            if gov is not None:
-                sleep += gov.health_extra(self.HEALTH_INTERVAL)
-            yield ctx.kernel.any_of(
-                [ctx.stop_event, ctx.kernel.timeout(sleep)])
+            if gov is None:
+                tick = ctx.kernel.timeout(self.HEALTH_INTERVAL)
+            else:
+                _, tick = gov.next_tick(self.HEALTH_INTERVAL,
+                                        waits=self._health_pass_delays)
+            yield ctx.kernel.any_of([ctx.stop_event, tick])
             if ctx.stop_event.triggered:
                 return
             yield from self._health_pass()
@@ -320,6 +321,16 @@ class LlmRouter(ContainerApp):
                 backend.consecutive_failures = 0
             else:
                 self._note_failure(backend)
+
+    def _health_pass_delays(self) -> list[float]:
+        """The fabric latencies a pass over a reachable pool waits out,
+        in :meth:`_health_pass` order: there and back per backend."""
+        latency = self._client.fabric.latency
+        me = self._client.host
+        delays = []
+        for backend in self.backends:
+            delays += (latency(me, backend.host), latency(backend.host, me))
+        return delays
 
     def _note_failure(self, backend: Backend) -> None:
         """One failed probe/forward; quarantines after UNHEALTHY_AFTER."""

@@ -127,7 +127,7 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, kernel: SimKernel, delay: float,
-                 value: Any = None) -> None:
+                 value: Any = None, *, at: float | None = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         super().__init__(kernel)
@@ -135,7 +135,10 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self._scheduled = True
-        kernel._schedule(self, delay=delay)
+        if at is None:
+            kernel._schedule(self, delay=delay)
+        else:
+            kernel._schedule_at(self, at)
 
 
 class Callback(Event):
@@ -151,7 +154,8 @@ class Callback(Event):
     __slots__ = ("fn", "arg")
 
     def __init__(self, kernel: SimKernel, delay: float,
-                 fn: Callable[[Any], None], arg: Any = None) -> None:
+                 fn: Callable[[Any], None], arg: Any = None, *,
+                 at: float | None = None) -> None:
         if delay < 0:
             raise ValueError(f"negative callback delay: {delay}")
         super().__init__(kernel)
@@ -159,7 +163,10 @@ class Callback(Event):
         self.arg = arg
         self._ok = True
         self._scheduled = True
-        kernel._schedule(self, delay=delay)
+        if at is None:
+            kernel._schedule(self, delay=delay)
+        else:
+            kernel._schedule_at(self, at)
 
     def _run_callbacks(self) -> None:
         self._processed = True

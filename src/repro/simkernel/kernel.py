@@ -139,6 +139,11 @@ class SimKernel:
         self._seq += 1
         heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
 
+    def _schedule_at(self, event: Event, when: float) -> None:
+        """Queue ``event`` at exactly ``when`` (callers clamp to now)."""
+        self._seq += 1
+        heapq.heappush(self._heap, (when, PRIORITY_NORMAL, self._seq, event))
+
     # -- public factory helpers ----------------------------------------------
 
     def event(self) -> Event:
@@ -150,11 +155,15 @@ class SimKernel:
     def at(self, when: float, value: Any = None) -> Timeout:
         """A timeout firing at *absolute* simulated time ``when``.
 
-        Times already in the past fire immediately — schedulers (e.g. the
-        chaos orchestrator) can plan injections before knowing how long
-        bring-up takes.
+        Exact: the event fires at ``when`` itself, not at
+        ``now + (when - now)``, which can land one ulp away — so a loop
+        that computed its tick times by repeated addition wakes on them
+        bit for bit.  Times already in the past fire immediately —
+        schedulers (e.g. the chaos orchestrator) can plan injections
+        before knowing how long bring-up takes.
         """
-        return Timeout(self, max(0.0, when - self.now), value)
+        when = max(when, self.now)
+        return Timeout(self, when - self.now, value, at=when)
 
     def spawn(self, generator: ProcGen, name: str = "") -> Process:
         """Start a new process from a generator."""
@@ -172,8 +181,9 @@ class SimKernel:
 
     def call_at(self, when: float, fn: Callable[[Any], None],
                 arg: Any = None) -> Callback:
-        """Schedule ``fn(arg)`` at absolute time ``when`` (clamped to now)."""
-        return Callback(self, max(0.0, when - self.now), fn, arg)
+        """Schedule ``fn(arg)`` at exactly ``when`` (clamped to now)."""
+        when = max(when, self.now)
+        return Callback(self, when - self.now, fn, arg, at=when)
 
     def any_of(self, events: Iterable[Event]) -> AnyOf:
         return AnyOf(self, events)

@@ -8,15 +8,17 @@ and the autoscaler's sample tape — must be *byte-identical* to a run
 with fast-forward off.  Not statistically close: identical.  Every
 request takes the one request path either way; quiet-tick fast-play
 must disarm itself, silently falling back to stepping, whenever a
-FaultPlan is armed, chaos is orchestrating, or disagg is enabled.
+FaultPlan is armed or chaos is orchestrating.
 """
 
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, Fleet, FleetConfig,
+from repro.fleet import (AutoscalerConfig, DisaggSpec, Fleet, FleetConfig,
                          FlashCrowdSchedule, PoissonSchedule, SloSpec)
 from repro.fleet.traffic import PulseSchedule
 
@@ -24,7 +26,8 @@ QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
 def _build_fleet(seed: int, fast_forward: bool, platforms=("hops",),
-                 max_replicas: int = 3, min_replicas: int = 1) -> tuple:
+                 max_replicas: int = 3, min_replicas: int = 1,
+                 disagg: bool = False) -> tuple:
     site = build_sandia_site(seed=seed, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
     config = FleetConfig(
@@ -36,6 +39,7 @@ def _build_fleet(seed: int, fast_forward: bool, platforms=("hops",),
             min_replicas=min_replicas, max_replicas=max_replicas,
             target_outstanding=8.0, up_cooldown=120.0,
             down_cooldown=600.0, low_streak=4),
+        disagg=DisaggSpec(enabled=disagg),
         fast_forward=fast_forward)
     return site, Fleet(site, config)
 
@@ -137,7 +141,79 @@ def test_pulse_gaps_bit_identical_vs_stepping():
         assert on[key] == off[key], f"fast-forward diverged on {key!r}"
 
 
-def test_armed_fault_plan_disarms_the_lane():
+def _pulse_arms(seed: int, rate: float, period: float, duty: float,
+                min_replicas: int, replicas: int, periods: int,
+                crash_at: float | None = None, disagg: bool = False) -> dict:
+    """Both arms of one pulse shape (``duty`` in seconds per period).
+
+    ``crash_at`` attaches a :func:`~repro.vllm.faults.CrashAtTime` to
+    one live engine at that absolute time; the engine only crashes once
+    load next reaches it, so a crash attached in a traffic gap lands
+    while every periodic loop is skipping ticks.
+    """
+    from repro.vllm import faults
+
+    schedule = PulseSchedule(rate_rps=rate, period=period,
+                             duty=duty / period)
+    runs = {}
+    for ff in (True, False):
+        site, fleet = _build_fleet(seed=seed, fast_forward=ff,
+                                   min_replicas=min_replicas, disagg=disagg)
+        during = None
+        if crash_at is not None:
+            def during(env, fleet=fleet):
+                yield env.timeout(max(0.0, crash_at - env.now))
+                engine = next(iter(fleet.ff.engines().values()))
+                faults.attach(engine, faults.CrashAtTime(
+                    env.now, reason="crash in the gap"))
+        runs[ff] = _play(site, fleet, schedule, horizon=periods * period,
+                         replicas=replicas, during=during)
+    return runs
+
+
+@given(seed=st.integers(min_value=0, max_value=2**16),
+       rate=st.sampled_from((0.02, 0.05, 0.1, 0.2)),
+       period=st.sampled_from((1800.0, 3600.0, 5400.0)),
+       duty=st.sampled_from((150.0, 300.0, 600.0)),
+       min_replicas=st.integers(min_value=1, max_value=2),
+       replicas=st.integers(min_value=1, max_value=3),
+       crash=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.9)),
+       disagg=st.booleans(),
+       periods=st.just(3))
+@example(seed=1, rate=0.05, period=7200.0, duty=600.0, min_replicas=2,
+         replicas=1, crash=None, disagg=False, periods=4)
+@example(seed=1, rate=0.05, period=7200.0, duty=600.0, min_replicas=1,
+         replicas=1, crash=None, disagg=False, periods=4)
+@example(seed=1, rate=0.05, period=7200.0, duty=600.0, min_replicas=2,
+         replicas=2, crash=0.3, disagg=False, periods=4)
+@settings(max_examples=6, deadline=None)
+def test_pulse_shapes_bit_identical_vs_stepping(seed, rate, period, duty,
+                                                min_replicas, replicas,
+                                                crash, disagg, periods):
+    """Generated pulse shapes: every digest-visible artifact is equal
+    with quiet-play on and off.
+
+    ``crash`` places a crash fault at that fraction of the second
+    traffic gap; ``disagg`` serves through prefill and decode pools.
+    The pinned examples are the three shapes where the per-loop skip
+    routines diverged from stepping: a float-chain mismatch on the
+    autoscaler tape, a scrape that read an SLO window trimmed ahead of
+    the clock, and health passes that resumed off their stepped phase
+    after a crash attached in the gap.
+    """
+    crash_at = None
+    if crash is not None:
+        gap_start = period + duty
+        crash_at = gap_start + crash * (2 * period - gap_start)
+    runs = _pulse_arms(seed, rate, period, duty, min_replicas, replicas,
+                       periods, crash_at=crash_at, disagg=disagg)
+    on, off = runs[True], runs[False]
+    assert off["quiet"] == 0
+    for key in EQUIV_KEYS:
+        assert on[key] == off[key], f"fast-forward diverged on {key!r}"
+
+
+def test_armed_fault_plan_disarms_quiet_play():
     """An armed FaultPlan — even one whose triggers never fire — must
     disarm quiet-tick fast-play for the whole scenario."""
     from repro.vllm import faults
@@ -197,17 +273,18 @@ def test_chaos_orchestrator_disarms_for_good():
     assert not fleet.ff.enabled
 
 
-def test_disagg_config_disarms_the_lane():
-    from repro.fleet.fleet import DisaggSpec
-
-    site = build_sandia_site(seed=5, hops_nodes=6, eldorado_nodes=2,
-                             goodall_nodes=3, cee_nodes=1)
-    config = FleetConfig(model=QUANT, tensor_parallel_size=2,
-                         platforms=("hops",),
-                         disagg=DisaggSpec(enabled=True,
-                                           prefill_replicas=1))
-    fleet = Fleet(site, config)
-    assert not fleet.ff.enabled
+def test_disagg_pulse_bit_identical_vs_stepping():
+    """Disaggregated serving keeps quiet-play armed: the quiet predicate
+    checks every backend and engine, prefill ones included, so a disagg
+    pulse day matches stepping byte for byte."""
+    runs = _pulse_arms(seed=2, rate=0.5, period=7200.0, duty=600.0,
+                       min_replicas=1, replicas=1, periods=3, disagg=True)
+    on, off = runs[True], runs[False]
+    assert on["arrivals"] > 500
+    assert on["quiet"] > 0
+    assert json.loads(on["report"])["slo"]["paths"]["kv_transfers"] > 0
+    for key in EQUIV_KEYS:
+        assert on[key] == off[key], f"fast-forward diverged on {key!r}"
 
 
 def test_spec_fast_forward_round_trips_and_gates_run_cell():

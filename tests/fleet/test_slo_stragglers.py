@@ -31,7 +31,8 @@ def _tracker(window=500.0):
 
 
 def _snapshot_tuple(slo, at):
-    snap = slo.snapshot(at=at)
+    slo.kernel.advance_to(at)
+    snap = slo.snapshot()
     return tuple(sorted(snap.row().items()))
 
 

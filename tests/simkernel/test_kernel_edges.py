@@ -79,6 +79,24 @@ def test_at_future_fires_at_absolute_time(kernel):
     assert seen == [25.0]
 
 
+def test_at_and_call_at_land_on_the_exact_float(kernel):
+    """Absolute scheduling keys the heap on ``when`` itself: here
+    ``now + (when - now)`` is one ulp below ``when``."""
+    now, when = 26.09886950140617, 6142.246507682167
+    assert now + (when - now) != when
+    kernel.run(until=now)
+    seen = []
+
+    def proc(env):
+        yield env.at(when)
+        seen.append(env.now)
+
+    kernel.spawn(proc(kernel))
+    kernel.call_at(when, lambda _: seen.append(kernel.now))
+    kernel.run()
+    assert seen == [when, when]
+
+
 # -- interrupt races ----------------------------------------------------------
 
 def test_interrupt_after_completion_race_preserves_value(kernel):
