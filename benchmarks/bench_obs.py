@@ -238,8 +238,7 @@ def test_analysis_plane_one_shot_cost(benchmark):
     digests = []
 
     def analysis():
-        replay = AlertEvaluator(kernel, scraper, evaluator.rules,
-                                interval=evaluator.interval)
+        replay = AlertEvaluator(kernel, scraper, evaluator.rules)
         for sample in scraper.samples:
             replay.evaluate_at(sample.time)
         report = CriticalPathAnalyzer(spans).report()

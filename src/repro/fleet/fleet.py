@@ -34,8 +34,9 @@ from ..errors import (APIError, ConfigurationError, NetworkUnreachable,
                       ReproError, StateError)
 from ..k8s.objects import PodPhase
 from ..net.http import HttpClient, lookup
-from ..obs.alerts import AlertEvaluator, AlertRule, default_slo_rules
+from ..obs.alerts import AlertEvaluator, default_slo_rules
 from ..obs.critical_path import CriticalPathAnalyzer
+from ..obs.scrape import MetricsScraper
 from ..services.router import (LlmRouter, RouterConfig, RouterPolicy,
                                router_image)
 from ..vllm.spec import CompletionCall
@@ -47,7 +48,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.site import ConvergedSite
     from ..hardware.node import Node
     from ..sessions import SessionSpec
-    from ..simkernel import Timeout
+    from ..simkernel import Event, Timeout
+
+#: Simulated seconds between SLO monitor rows (``FleetReport.snapshots``).
+SNAPSHOT_INTERVAL = 120.0
+#: Scenario-end settle budget: how long in-flight requests may drain.
+DRAIN_TIMEOUT = 1800.0
 
 
 @dataclass(frozen=True)
@@ -85,8 +91,6 @@ class FleetConfig:
     slo: SloSpec = field(default_factory=SloSpec)
     autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
     client_host: str = ""            # default: router platform service host
-    snapshot_interval: float = 120.0
-    drain_timeout: float = 1800.0    # scenario-end settle budget
     #: extra ``vllm serve`` parameters applied to every replica deploy
     #: (e.g. ``{"enable_prefix_caching": True}`` for session fleets, or
     #: ``gpu_memory_utilization`` to sweep the KV-cache size).
@@ -94,16 +98,11 @@ class FleetConfig:
     #: record per-request span trees during scenarios (arrive → route →
     #: queue/prefill/decode); digest lands in ``FleetReport.obs``.
     obs_spans: bool = True
-    #: simulated seconds between metrics scrapes (0 disables the scraper).
+    #: simulated seconds between metrics scrapes (0 disables the
+    #: scraper).  Each scrape is followed by an evaluation of the stock
+    #: :func:`~repro.obs.alerts.default_slo_rules`; the firing timeline
+    #: and its digest land in ``FleetReport.obs``.
     scrape_interval: float = 300.0
-    #: evaluate SLO alert rules against the scraped series during
-    #: scenarios (requires the scraper, i.e. ``scrape_interval > 0``);
-    #: the firing timeline and its digest land in ``FleetReport.obs``.
-    alerts: bool = True
-    #: explicit rule set; empty means the stock
-    #: :func:`~repro.obs.alerts.default_slo_rules` derived from ``slo``
-    #: and ``scrape_interval``.
-    alert_rules: tuple[AlertRule, ...] = ()
     #: build the end-of-run ``FleetReport.obs`` block (series counts,
     #: span/metrics/scrape digests).  Off, recording still happens but
     #: the one-shot reporting pass is skipped — overhead benches use
@@ -113,8 +112,8 @@ class FleetConfig:
     #: replica is a unified engine serving whole requests).
     disagg: DisaggSpec = field(default_factory=DisaggSpec)
     #: fleet quiet-play: while the fleet is provably idle, the periodic
-    #: loops (autoscaler, SLO monitor, router health checks) skip their
-    #: ticks through one governor, :class:`FleetFastForward`.
+    #: loops (autoscaler, SLO monitor, telemetry, router health checks)
+    #: skip their ticks through one governor, :class:`FleetFastForward`.
     #: Bit-identical to stepping (see docs/performance.md); off under
     #: chaos, armed fault plans, and session traffic.  False makes
     #: every loop step.
@@ -243,14 +242,14 @@ class FleetReport:
 class FleetFastForward:
     """Governor for the fleet's quiet-play: skipping idle periodic ticks.
 
-    Every periodic fleet loop — autoscaler, SLO monitor, router health
-    checks — waits for its next tick through :meth:`next_tick`.  While
-    the fleet is provably idle (:meth:`quiet`), that call skips the
-    loop's ticks strictly before one fleet-wide :meth:`edge` and wakes
-    the loop on its first tick at or after it; otherwise it is a plain
-    ``timeout(interval)``.  Tick times always follow the loop's own
-    stepped float chain, so the live tick lands on the exact instant
-    stepping would have run it.
+    Every periodic fleet loop — autoscaler, SLO monitor, telemetry,
+    router health checks — waits for its next tick through
+    :meth:`next_tick`.  While the fleet is provably idle (:meth:`quiet`),
+    that call skips the loop's ticks strictly before one fleet-wide
+    :meth:`edge` and wakes the loop on its first tick at or after it;
+    otherwise it is a plain ``timeout(interval)``.  Tick times always
+    follow the loop's own stepped float chain, so the live tick lands on
+    the exact instant stepping would have run it.
 
     Everything here is advisory: with ``FleetConfig.fast_forward``
     False, under chaos, or for session traffic, every loop steps.
@@ -417,7 +416,7 @@ class Fleet:
         self._seeded = False
         self._scenario_ran = False
         #: alert evaluator of the current/last scenario (None when the
-        #: scraper or alerting is off); chaos scoring reads its events.
+        #: scraper is off); chaos scoring reads its events.
         self.alerts: AlertEvaluator | None = None
         reg = self.kernel.obs.registry
         requests_total = reg.counter(
@@ -881,9 +880,9 @@ class Fleet:
                      sessions: SessionSpec | None = None):
         """Generator: play ``horizon`` seconds of open-loop traffic.
 
-        Starts the autoscaler and a metrics monitor, waits for the arrival
-        stream to end and in-flight requests to drain, then returns a
-        :class:`FleetReport`.
+        Starts the autoscaler, the SLO monitor and (with a scraper) the
+        telemetry loop, waits for the arrival stream to end and in-flight
+        requests to drain, then returns a :class:`FleetReport`.
 
         With a ``sessions`` spec the schedule emits *session starts*
         instead of single-shot requests: each start becomes a multi-turn
@@ -918,31 +917,21 @@ class Fleet:
         self.router_app.ff_governor = self.ff
         if self.config.obs_spans:
             kernel.obs.enable_spans()
-        scraper = None
-        if self.config.scrape_interval > 0 and kernel.obs.registry.enabled:
-            from ..obs import MetricsScraper
-            scraper = MetricsScraper(kernel, kernel.obs.registry,
-                                     self.config.scrape_interval)
-        self.alerts = None
-        if scraper is not None and self.config.alerts:
-            rules = self.config.alert_rules or default_slo_rules(
-                ttft_target=self.config.slo.ttft_target,
-                e2e_target=self.config.slo.e2e_target,
-                max_error_rate=self.config.slo.max_error_rate,
-                percentile=self.config.slo.percentile,
-                interval=self.config.scrape_interval,
-                min_replicas=self.config.autoscaler.min_replicas)
-            self.alerts = AlertEvaluator(kernel, scraper, rules)
         stop = kernel.event()
         kernel.spawn(self.autoscaler.run(stop), name="fleet:autoscaler")
         kernel.spawn(self._monitor(stop), name="fleet:monitor")
-        if scraper is not None:
-            kernel.spawn(scraper.run(stop), name="fleet:scraper")
-        if self.alerts is not None:
-            # Spawned after the scraper: same-instant wakeups then run
-            # scrape-before-evaluate, so every evaluation reads the
-            # freshest sample.
-            kernel.spawn(self.alerts.run(stop), name="fleet:alerts")
+        scraper = self.alerts = None
+        if self.config.scrape_interval > 0 and kernel.obs.registry.enabled:
+            scraper = MetricsScraper(kernel, kernel.obs.registry,
+                                     self.config.scrape_interval)
+            slo = self.config.slo
+            self.alerts = AlertEvaluator(kernel, scraper, default_slo_rules(
+                ttft_target=slo.ttft_target, e2e_target=slo.e2e_target,
+                max_error_rate=slo.max_error_rate,
+                percentile=slo.percentile, interval=scraper.interval,
+                min_replicas=self.config.autoscaler.min_replicas))
+            kernel.spawn(self._telemetry(stop, scraper, self.alerts),
+                         name="fleet:telemetry")
         started = kernel.now
         self.replica_timeline.append((started, len(self.replicas)))
         try:
@@ -957,10 +946,10 @@ class Fleet:
         if self.config.obs_report and (kernel.obs.registry.enabled
                                        or kernel.obs.spans.enabled):
             if scraper is not None:
-                scraper.scrape_once()   # pin the end-of-run state
-            if self.alerts is not None:
-                # Close the loop on the pin scrape: breaches still live
-                # at the horizon fire/resolve deterministically.
+                # Pin the end-of-run state, then close the loop on it:
+                # breaches still live at the horizon fire/resolve
+                # deterministically.
+                scraper.scrape_once()
                 self.alerts.evaluate_at(kernel.now)
             obs = kernel.obs.summary()
             if scraper is not None:
@@ -969,7 +958,6 @@ class Fleet:
                     "scrapes": len(scraper.samples),
                     "digest": scraper.digest(),
                 }
-            if self.alerts is not None:
                 obs["alerts"] = self.alerts.to_json()
             if kernel.obs.spans.enabled:
                 obs["attribution"] = \
@@ -986,9 +974,8 @@ class Fleet:
 
     def _monitor(self, stop_event):
         kernel = self.kernel
-        interval = self.config.snapshot_interval
         while not stop_event.triggered:
-            skipped, tick = self.ff.next_tick(interval)
+            skipped, tick = self.ff.next_tick(SNAPSHOT_INTERVAL)
             for t in skipped:
                 # The drained SLO window makes the empty-window row exact.
                 self._record(SloSnapshot(time=t, window=self.slo.spec.window))
@@ -997,6 +984,28 @@ class Fleet:
                 return
             self._record(self.slo.snapshot())
 
+    def _telemetry(self, stop_event: Event, scraper: MetricsScraper,
+                   alerts: AlertEvaluator):
+        """Scrape, then evaluate the alert rules, every scrape interval.
+
+        The first tick is live (its delta is the whole registry); later
+        ones skip only from a live scrape.  No series reads the clock,
+        so a skipped scrape is an empty delta, but alerts still evaluate
+        at it: an absence rule's silence grows with the clock.
+        """
+        kernel = self.kernel
+        skipped, tick = [], kernel.timeout(scraper.interval)
+        while True:
+            for t in skipped:
+                scraper.scrape_idle(t)
+                alerts.evaluate_at(t)
+            yield kernel.any_of([stop_event, tick])
+            if stop_event.triggered:
+                return
+            scraper.scrape_once()
+            alerts.evaluate_at(kernel.now)
+            skipped, tick = self.ff.next_tick(scraper.interval)
+
     def _record(self, snap: SloSnapshot) -> None:
         row = snap.row()
         row["replicas"] = len(self.replicas)
@@ -1004,7 +1013,7 @@ class Fleet:
 
     def _drain(self):
         kernel = self.kernel
-        deadline = kernel.now + self.config.drain_timeout
+        deadline = kernel.now + DRAIN_TIMEOUT
         while self.inflight > 0 and kernel.now < deadline:
             yield kernel.timeout(10.0)
 

@@ -3,10 +3,12 @@
 PR 6 built the telemetry *data plane* — a metrics registry and a
 simulated Prometheus (:class:`~repro.obs.scrape.MetricsScraper`).  This
 module is the first consumer that closes the operator loop: a set of
-declarative :class:`AlertRule`\\ s evaluated on the simulated clock
-against the scraper's point-in-time reads, with the standard
-pending → firing → resolved lifecycle.  Three rule kinds cover the SRE
-playbook:
+declarative :class:`AlertRule`\\ s evaluated against the scraper's
+point-in-time reads, with the standard pending → firing → resolved
+lifecycle.  The evaluator owns no clock: the fleet's telemetry loop
+calls :meth:`AlertEvaluator.evaluate_at` right after each scrape, live
+or skipped, so every evaluation reads the sample of its own instant.
+Three rule kinds cover the SRE playbook:
 
 * ``threshold`` — a series compared against a constant, optionally
   sustained for ``for_s`` seconds before paging (``fleet_slo_ttft_p95
@@ -20,8 +22,8 @@ playbook:
   the short window makes the alert resolve quickly once the bleeding
   stops.
 
-Everything is deterministic by construction: evaluation instants come
-from the simkernel clock, measurements come from the scraper's
+Everything is deterministic by construction: evaluation instants are
+the scrape instants, measurements come from the scraper's
 delta-encoded series (so w4 and w1 campaign workers read identical
 values), and :meth:`AlertEvaluator.digest` is a canonical SHA-256 over
 the transition events — the scorecard witness the CI job ``cmp``\\ s
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Generator, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
@@ -171,19 +173,16 @@ class _RuleState:
 
 
 class AlertEvaluator:
-    """Evaluates a rule set on the simulated clock, deterministically.
+    """Evaluates a rule set at the scraper's cadence, deterministically.
 
-    Spawn ``kernel.spawn(evaluator.run(stop))`` *after* the scraper so
-    same-instant wakeups land scrape-then-evaluate (the kernel runs
-    same-time events in spawn order); or call :meth:`evaluate_at` at
-    chosen instants.  Only transition events are recorded — a rule that
+    Call :meth:`evaluate_at` after each scrape (the fleet's telemetry
+    loop does).  Only transition events are recorded — a rule that
     stays firing across ten evaluations contributes one event — so the
     scorecard block stays small on long soaks.
     """
 
     def __init__(self, kernel: SimKernel, scraper: MetricsScraper,
-                 rules: Sequence[AlertRule],
-                 interval: float | None = None):
+                 rules: Sequence[AlertRule]):
         names = [r.name for r in rules]
         if len(set(names)) != len(names):
             raise ConfigurationError(
@@ -192,11 +191,6 @@ class AlertEvaluator:
         self.kernel = kernel
         self.scraper = scraper
         self.rules = tuple(rules)
-        self.interval = float(scraper.interval if interval is None
-                              else interval)
-        if self.interval <= 0:
-            raise ConfigurationError(
-                "alert evaluation interval must be positive")
         self.started_at = kernel.now
         self.evaluations = 0
         self.events: list[AlertEvent] = []
@@ -206,11 +200,10 @@ class AlertEvaluator:
     # -- measurement --------------------------------------------------------------
 
     def _sum_at(self, keys: Iterable[str], t: float) -> float:
-        scraper = self.scraper
+        value_at = self.scraper.value_at
         total = 0.0
         for key in keys:
-            value = scraper.value_at(key, t, default=0.0)
-            total += value if value is not None else 0.0
+            total += value_at(key, t, default=0.0)
         return total
 
     def burn_over(self, rule: AlertRule, now: float,
@@ -285,15 +278,6 @@ class AlertEvaluator:
                 st.state = INACTIVE
         self.evaluations += 1
 
-    def run(self, stop: Any = None) -> Generator[Any, Any, None]:
-        """Process body: evaluate every ``interval`` until ``stop``."""
-        kernel = self.kernel
-        while stop is None or not stop.triggered:
-            yield kernel.timeout(self.interval)
-            if stop is not None and stop.triggered:
-                break
-            self.evaluate_at(kernel.now)
-
     # -- queries ------------------------------------------------------------------
 
     def firing(self) -> list[str]:
@@ -327,7 +311,7 @@ class AlertEvaluator:
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "interval": self.interval,
+            "interval": float(self.scraper.interval),
             "rules": [r.to_json() for r in self.rules],
             "evaluations": self.evaluations,
             "events": [e.row() for e in self.events],

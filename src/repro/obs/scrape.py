@@ -1,12 +1,15 @@
 """A simulated scrape pipeline over the metrics registry.
 
 :class:`MetricsScraper` plays the role Prometheus plays in a real
-fleet: a process on the simkernel that wakes every ``interval``
-simulated seconds and snapshots the registry into an append-only
-time-series.  Because the clock is virtual and collection order is
-deterministic, the resulting series — and its :meth:`digest` — are
-byte-identical across campaign worker counts, which is what lets the
-scorecard job ``cmp`` the whole observability surface w4-vs-w1.
+fleet: every ``interval`` simulated seconds it snapshots the registry
+into an append-only time-series.  It owns no clock: the fleet's
+telemetry loop (``Fleet._telemetry``) calls :meth:`scrape_once` on its
+live ticks and :meth:`scrape_idle` on the ticks quiet-play skips, and a
+test can call :meth:`scrape_once` at chosen instants.  Because the clock
+is virtual and collection order is deterministic, the resulting series
+— and its :meth:`digest` — are byte-identical across campaign worker
+counts, which is what lets the scorecard job ``cmp`` the whole
+observability surface w4-vs-w1.
 
 The scrape stores *deltas by default*: each sample records only the
 series whose value changed since the previous scrape (plus every series
@@ -27,8 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from collections.abc import Iterator
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, overload
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel.kernel import SimKernel
@@ -51,11 +53,10 @@ class ScrapeSample:
 
 
 class MetricsScraper:
-    """Periodic registry snapshots on the simulated clock.
+    """Registry snapshots on the simulated clock, stored as deltas.
 
-    Spawn with ``kernel.spawn(scraper.run(stop_event))`` alongside the
-    scenario (the fleet does this automatically when observability is
-    on); or call :meth:`scrape_once` manually at chosen instants.
+    ``interval`` is the cadence its driver keeps; the fleet's telemetry
+    loop scrapes at it when observability is on.
     """
 
     def __init__(self, kernel: SimKernel, registry: MetricsRegistry,
@@ -93,14 +94,15 @@ class MetricsScraper:
                 entry[1].append(value)
         return sample
 
-    def run(self, stop: Any = None):
-        """Process body: scrape every ``interval`` until ``stop`` fires."""
-        kernel = self.kernel
-        while stop is None or not stop.triggered:
-            yield kernel.timeout(self.interval)
-            if stop is not None and stop.triggered:
-                break
-            self.scrape_once()
+    def scrape_idle(self, t: float) -> None:
+        """Record a scrape at ``t`` at which no series moved.
+
+        The empty delta a :meth:`scrape_once` at ``t`` would store, for
+        a driver that knows the registry has not changed since the last
+        live scrape; the change index is untouched, so :meth:`value_at`
+        and :meth:`last_change` read exactly as if it had scraped.
+        """
+        self.samples.append(ScrapeSample(t, {}))
 
     # -- queries ------------------------------------------------------------------
 
@@ -110,6 +112,12 @@ class MetricsScraper:
         if entry is None:
             return []
         return list(zip(entry[0], entry[1], strict=True))
+
+    @overload
+    def value_at(self, key: str, t: float) -> float | None: ...
+
+    @overload
+    def value_at(self, key: str, t: float, default: float) -> float: ...
 
     def value_at(self, key: str, t: float,
                  default: float | None = None) -> float | None:
@@ -156,17 +164,6 @@ class MetricsScraper:
                 break
             state.update(sample.values)
         return state
-
-    def state_at(self, index: int) -> dict[str, float]:
-        """Full registry state at scrape ``index`` (fold of deltas)."""
-        state: dict[str, float] = {}
-        for sample in self.samples[:index + 1]:
-            state.update(sample.values)
-        return state
-
-    def iter_dicts(self) -> Iterator[dict[str, Any]]:
-        for sample in self.samples:
-            yield sample.to_dict()
 
     def to_dict(self) -> dict[str, Any]:
         return {

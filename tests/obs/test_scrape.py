@@ -41,16 +41,15 @@ def test_scrape_once_stores_only_changed_series():
     assert len(scraper.samples) == 3
 
 
-def test_state_at_folds_deltas_and_series_reconstructs():
+def test_fold_at_scrape_times_and_series_reconstruct():
     kernel, reg, scraper = _setup()
     c = reg.counter("requests_total").labels()
     for n in [1, 0, 2]:
         c.inc(n)
         kernel.run(until=kernel.now + 10.0)
         scraper.scrape_once()
-    assert scraper.state_at(0) == {"requests_total": 1}
-    assert scraper.state_at(1) == {"requests_total": 1}
-    assert scraper.state_at(2) == {"requests_total": 3}
+    assert [scraper.fold(at=s.time) for s in scraper.samples] == [
+        {"requests_total": 1}, {"requests_total": 1}, {"requests_total": 3}]
     assert scraper.series("requests_total") == [(10.0, 1.0), (30.0, 3.0)]
 
 
@@ -99,24 +98,7 @@ def test_fold_reconstructs_state_as_of_a_time():
     assert scraper.fold(10.0) == {"requests_total": 1, "inflight": 1}
     assert scraper.fold(20.0) == {"requests_total": 1, "inflight": 0}
     assert scraper.fold() == {"requests_total": 3, "inflight": 2}
-    assert scraper.fold() == scraper.state_at(len(scraper.samples) - 1)
-
-
-def test_run_scrapes_on_the_simulated_clock_until_stop():
-    kernel, reg, scraper = _setup(interval=60.0)
-    reg.gauge("clock").labels().set_function(lambda: kernel.now)
-    stop = kernel.event()
-    kernel.spawn(scraper.run(stop))
-
-    def day(env):
-        yield kernel.timeout(301.0)
-        stop.succeed()
-
-    kernel.run(until=kernel.spawn(day(kernel)))
-    times = [s.time for s in scraper.samples]
-    assert times == [60.0, 120.0, 180.0, 240.0, 300.0]
-    # The callback gauge was read at each scrape instant.
-    assert scraper.series("clock") == [(t, t) for t in times]
+    assert scraper.fold() == scraper.fold(at=scraper.samples[-1].time)
 
 
 def test_digest_is_deterministic_and_change_sensitive():
