@@ -12,8 +12,8 @@ worker count.
 """
 
 from .runner import (SCHEMA, CampaignGrid, CampaignRunner, demo_grid,
-                     disagg_grid, run_cell, scorecard_text, sessions_grid,
-                     smoke_grid)
+                     disagg_grid, play, run_cell, scorecard_text,
+                     sessions_grid, smoke_grid)
 from .spec import (ChaosEventSpec, ScenarioSpec, ScheduleSpec, SiteSpec,
                    TenantSpec, coerce_chaos, get_path, set_path)
 
@@ -30,6 +30,7 @@ __all__ = [
     "demo_grid",
     "disagg_grid",
     "get_path",
+    "play",
     "run_cell",
     "scorecard_text",
     "sessions_grid",

@@ -123,18 +123,19 @@ class CampaignGrid:
 
 # -- one cell -------------------------------------------------------------------
 
-def run_cell(spec: ScenarioSpec, observability: bool = True) -> dict:
-    """Simulate one cell start to finish; returns its scorecard row.
+def play(spec: ScenarioSpec, observability: bool = True):
+    """Simulate one spec start to finish: the one scenario driver.
 
-    Builds a fresh site and fleet from the spec, plays the schedule
-    (through the chaos orchestrator when the spec lists injections), and
-    reduces the :class:`FleetReport` to a JSON-safe row including the
-    kernel's trace digest — the strongest cheap witness that two
-    processes computed the same simulation.
+    Builds a fresh site and fleet from the spec, starts the fleet, plays
+    the schedule (plainly, through one chaos fault, or through a game
+    day when the spec lists several), and shuts the fleet down.
+    Returns ``(report, fleet, trace_digest)``.  The kernel's trace
+    digest is taken *before* shutdown, whose Helm uninstalls emit trace
+    records of their own.
 
     ``observability=False`` runs the identical cell fully dark (no
-    registry, spans, or scraper; the row's ``obs`` block is None) — the
-    baseline arm of the overhead bench and of instrumentation-cost
+    registry, spans, or scraper; the report's ``obs`` block is None) —
+    the baseline arm of the overhead bench and of instrumentation-cost
     ablations.
     """
     from ..chaos.orchestrator import ChaosOrchestrator
@@ -193,6 +194,18 @@ def run_cell(spec: ScenarioSpec, observability: bool = True) -> dict:
     report = kernel.run(until=kernel.spawn(cell(kernel), name=spec.name))
     digest = kernel.trace.digest()
     fleet.shutdown()
+    return report, fleet, digest
+
+
+def run_cell(spec: ScenarioSpec, observability: bool = True) -> dict:
+    """Play one cell (see :func:`play`) and reduce it to a scorecard row.
+
+    The row is JSON-safe and carries the kernel's trace digest — the
+    strongest cheap witness that two processes computed the same
+    simulation.  ``observability=False`` leaves the row's ``obs`` block
+    None.
+    """
+    report, _fleet, digest = play(spec, observability)
     slo = report.slo
     row = {
         "cell": spec.name,

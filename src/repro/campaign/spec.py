@@ -31,6 +31,7 @@ from ..fleet.traffic import (DAY, ArrivalSchedule, DiurnalSchedule,
                              FlashCrowdSchedule, PoissonSchedule,
                              PulseSchedule, Tenant, TenantMix)
 from ..sessions.spec import SessionSpec
+from ..vllm.scheduler import SCHEDULER_POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.site import ConvergedSite
@@ -195,10 +196,10 @@ class ScenarioSpec:
     #: disaggregated prefill/decode serving (the serving-architecture
     #: axis: unified vs split pools).
     disagg: DisaggSpec = field(default_factory=DisaggSpec)
-    #: fleet fast-forward: bulk time-jumps over provably event-free
-    #: intervals.  Bit-identical to stepping by construction and
-    #: auto-disabled under chaos/faults/disagg, so the only reason to
-    #: flip it off is an A/B arm in an equivalence or perf study.
+    #: fleet quiet-play: idle periodic ticks are skipped bit-identically
+    #: to stepping, and it switches itself off under chaos, armed faults
+    #: and sessions, so the only reason to flip it off is an A/B arm in
+    #: an equivalence or perf study.
     fast_forward: bool = True
 
     def __post_init__(self) -> None:
@@ -219,10 +220,10 @@ class ScenarioSpec:
         elif isinstance(self.disagg, dict):
             object.__setattr__(self, "disagg",
                                _make(DisaggSpec, self.disagg, "disagg"))
-        if self.scheduler_policy not in ("fcfs", "priority", "chunked"):
+        if self.scheduler_policy not in SCHEDULER_POLICIES:
             raise ConfigurationError(
                 f"unknown scheduler_policy {self.scheduler_policy!r} "
-                "(choices: fcfs, priority, chunked)")
+                f"(choices: {', '.join(SCHEDULER_POLICIES)})")
         if not (0.1 <= self.gpu_memory_utilization <= 1.0):
             raise ConfigurationError(
                 f"gpu_memory_utilization {self.gpu_memory_utilization} "

@@ -1,12 +1,14 @@
 """The chaos orchestrator: schedule a fault, measure the recovery.
 
-``run_case`` plays one scenario against a live fleet: open-loop traffic
-runs for the whole horizon, the fault injects at a scheduled simulated
-time on the simkernel event loop, the :class:`ReplicaSupervisor` and the
-fleet autoscaler react, and a probe loop samples two booleans the whole
-time — *is the infrastructure whole* (every replica serving, router pool
-fully healthy, no repair deficit) and *is the SLO window met*.  The
-resilience report derives from that probe timeline:
+``run_case`` plays one scenario against a live fleet (a one-event plan
+on the same run loop a multi-fault ``run_gameday`` uses): open-loop
+traffic runs for the whole horizon, the fault injects at a scheduled
+simulated time on the simkernel event loop, the
+:class:`ReplicaSupervisor` and the fleet autoscaler react, and a probe
+loop samples two booleans the whole time — *is the infrastructure
+whole* (every replica serving, router pool fully healthy, no repair
+deficit) and *is the SLO window met*.  The resilience report derives
+from that probe timeline:
 
 * **MTTR** — injection until the first probe after which both signals
   stay good through the end of the run (0 when the fault never registers,
@@ -204,21 +206,19 @@ class ChaosOrchestrator:
                if isinstance(v, (str, int, float))})
         return record
 
-    # -- one scenario -----------------------------------------------------------
+    # -- the run loop -----------------------------------------------------------
 
-    def run_case(self, scenario: ChaosScenario,
-                 schedule: ArrivalSchedule, horizon: float,
-                 inject_at: float, fault_duration: float = 600.0,
-                 mix: TenantMix | None = None,
-                 platform_name: str | None = None,
-                 sessions: SessionSpec | None = None):
-        """Generator: one scenario over one traffic run.
+    def _play(self, plan: list[tuple[float, ChaosScenario, float]],
+              schedule: ArrivalSchedule, horizon: float,
+              label: str, mix: TenantMix | None,
+              platform_name: str | None, sessions: SessionSpec | None):
+        """Generator: one traffic run with ``plan``'s faults injected.
 
-        ``inject_at`` is seconds after traffic start.  Returns
-        ``(FleetReport, ResilienceReport)``; the fleet report carries the
-        resilience scorecard in its ``resilience`` field.  ``sessions``
-        plays the multi-turn conversational workload through the fault,
-        exactly as :meth:`Fleet.run_scenario` would.
+        ``plan`` is ``[(offset_seconds, scenario, fault_duration), ...]``
+        sorted by offset.  Spawns the supervisor, the probe loop, and one
+        injector that walks the plan; plays the traffic; takes the
+        end-of-run confirmation probe; stops.  Returns
+        ``(FleetReport, injection records, platform_name)``.
         """
         fleet = self.fleet
         if fleet.router_app is None:
@@ -229,24 +229,46 @@ class ChaosOrchestrator:
         self._target_replicas = len(fleet.replicas)
         platform_name = platform_name or fleet.config.platforms[0]
         start = kernel.now
-        state: dict = {}
+        injections: list[dict] = []
 
         def injector(env):
-            yield env.at(start + inject_at)
-            state.update(self._inject_now(scenario, platform_name,
-                                          fault_duration))
+            for offset, scenario, duration in plan:
+                yield env.at(start + offset)
+                injections.append(self._inject_now(scenario, platform_name,
+                                                   duration))
 
         stop = kernel.event()
         kernel.spawn(self.supervisor.run(stop), name="chaos:supervisor")
         kernel.spawn(self._probe_loop(stop), name="chaos:probes")
-        kernel.spawn(injector(kernel), name=f"chaos:inject:{scenario.name}")
+        kernel.spawn(injector(kernel), name="chaos:inject")
         report = yield from fleet.run_scenario(
-            schedule, horizon, mix=mix, label=f"chaos:{scenario.name}",
-            sessions=sessions)
+            schedule, horizon, mix=mix, label=label, sessions=sessions)
         self._probe_once()      # end-of-run confirmation probe
         stop.succeed()
+        return report, injections, platform_name
+
+    # -- one scenario -----------------------------------------------------------
+
+    def run_case(self, scenario: ChaosScenario,
+                 schedule: ArrivalSchedule, horizon: float,
+                 inject_at: float, fault_duration: float = 600.0,
+                 mix: TenantMix | None = None,
+                 platform_name: str | None = None,
+                 sessions: SessionSpec | None = None):
+        """Generator: one scenario over one traffic run.
+
+        A one-event plan on the shared run loop.  ``inject_at`` is
+        seconds after traffic start.  Returns
+        ``(FleetReport, ResilienceReport)``; the fleet report carries the
+        resilience scorecard in its ``resilience`` field.  ``sessions``
+        plays the multi-turn conversational workload through the fault,
+        exactly as :meth:`Fleet.run_scenario` would.
+        """
+        report, injections, platform_name = yield from self._play(
+            [(inject_at, scenario, fault_duration)], schedule, horizon,
+            f"chaos:{scenario.name}", mix, platform_name, sessions)
         resilience = self._resilience(scenario, platform_name, report,
-                                      state)
+                                      injections[0] if injections else {})
         report.resilience = resilience.to_json()
         return report, resilience
 
@@ -266,35 +288,14 @@ class ChaosOrchestrator:
         ``(FleetReport, segments)`` where each segment reports the
         recovery window between its injection and the next one.
         """
-        fleet = self.fleet
-        kernel = self.kernel
-        self.probes = []
-        self.supervisor.reset()
-        self._target_replicas = len(fleet.replicas)
-        platform_name = platform_name or fleet.config.platforms[0]
-        start = kernel.now
         plan = sorted(((item[0], item[1],
                         item[2] if len(item) > 2 else fault_duration)
                        for item in plan), key=lambda item: item[0])
-        injections: list[dict] = []
-
-        def injector(env):
-            for offset, scenario, duration in plan:
-                yield env.at(start + offset)
-                injections.append(self._inject_now(scenario, platform_name,
-                                                   duration))
-
-        stop = kernel.event()
-        kernel.spawn(self.supervisor.run(stop), name="chaos:supervisor")
-        kernel.spawn(self._probe_loop(stop), name="chaos:probes")
-        kernel.spawn(injector(kernel), name="chaos:gameday")
-        report = yield from fleet.run_scenario(
-            schedule, horizon, mix=mix, label="chaos:gameday",
-            sessions=sessions)
-        self._probe_once()
-        stop.succeed()
-        final_stats = fleet.router_app.stats()
-        alerts = fleet.alerts
+        report, injections, _platform = yield from self._play(
+            plan, schedule, horizon, "chaos:gameday", mix, platform_name,
+            sessions)
+        final_stats = self.fleet.router_app.stats()
+        alerts = self.fleet.alerts
         segments = []
         for i, record in enumerate(injections):
             t0 = record["injected_at"]

@@ -166,28 +166,22 @@ def _fleet_spec(args: argparse.Namespace):
             max_replicas=args.max_replicas))
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
+def _write_scorecard(report, out: str) -> None:
+    """Write a fleet report's canonical JSON scorecard to ``out``."""
+    import pathlib
     from .experiments.common import canonical_json_text
-    spec = _fleet_spec(args)
-    site = spec.build_site()
-    fleet = spec.build_fleet(site)
-    schedule = spec.schedule.build()
+    path = pathlib.Path(out)
+    path.write_text(canonical_json_text(report.to_json()))
+    print(f"wrote scorecard to {path}")
 
-    def scenario(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        report = yield from fleet.run_scenario(
-            schedule, horizon=spec.horizon, label=spec.name)
-        return report
 
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    fleet.shutdown()
+def _cmd_fleet(args: argparse.Namespace) -> int:
+    from .campaign import play
+    report, fleet, _digest = play(_fleet_spec(args))
     print(report.summary())
-    print(f"simulated time: {fmt_duration(site.kernel.now)}")
+    print(f"simulated time: {fmt_duration(fleet.kernel.now)}")
     if args.out:
-        import pathlib
-        path = pathlib.Path(args.out)
-        path.write_text(canonical_json_text(report.to_json()))
-        print(f"wrote scorecard to {path}")
+        _write_scorecard(report, args.out)
     return 0
 
 
@@ -221,21 +215,8 @@ def _sessions_spec(args: argparse.Namespace):
 
 
 def _cmd_sessions(args: argparse.Namespace) -> int:
-    from .experiments.common import canonical_json_text
-    spec = _sessions_spec(args)
-    site = spec.build_site()
-    fleet = spec.build_fleet(site)
-    schedule = spec.schedule.build()
-
-    def scenario(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        report = yield from fleet.run_scenario(
-            schedule, horizon=spec.horizon, label=spec.name,
-            sessions=spec.sessions)
-        return report
-
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    fleet.shutdown()
+    from .campaign import play
+    report, fleet, _digest = play(_sessions_spec(args))
     print(report.summary())
     sessions = report.sessions or {}
     print(f"  sessions: {sessions.get('started', 0)} started, "
@@ -243,12 +224,9 @@ def _cmd_sessions(args: argparse.Namespace) -> int:
           f"{sessions.get('turns_submitted', 0)} turns ok, "
           f"{sessions.get('cut_by_horizon', 0)} cut by horizon, "
           f"max context {sessions.get('context_tokens_max', 0)} tokens")
-    print(f"simulated time: {fmt_duration(site.kernel.now)}")
+    print(f"simulated time: {fmt_duration(fleet.kernel.now)}")
     if args.out:
-        import pathlib
-        path = pathlib.Path(args.out)
-        path.write_text(canonical_json_text(report.to_json()))
-        print(f"wrote scorecard to {path}")
+        _write_scorecard(report, args.out)
     return 0
 
 
@@ -340,7 +318,7 @@ def _percentile(values: list[float], q: float) -> float:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from .campaign import ScenarioSpec, ScheduleSpec, SiteSpec
+    from .campaign import ScenarioSpec, ScheduleSpec, SiteSpec, play
     from .fleet import AutoscalerConfig, SloSpec
     from .obs import CriticalPathAnalyzer, IncidentLog, chrome_trace, profiler
 
@@ -353,27 +331,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         schedule=ScheduleSpec(kind="poisson", rate_rps=args.rate),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3))
-    site = spec.build_site()
-    fleet = spec.build_fleet(site)
-    schedule = spec.schedule.build()
     if args.profile:
         profiler.reset()
         profiler.enable()
-
-    def scenario(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        report = yield from fleet.run_scenario(
-            schedule, horizon=spec.horizon, label=spec.name)
-        return report
-
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    fleet.shutdown()
+    report, fleet, _digest = play(spec)
     if args.profile:
         profiler.disable()
 
-    spans = site.kernel.obs.spans
+    spans = fleet.kernel.obs.spans
     print(report.summary())
-    print(f"simulated time: {fmt_duration(site.kernel.now)}")
+    print(f"simulated time: {fmt_duration(fleet.kernel.now)}")
 
     # Per-phase latency breakdown across every traced request.
     print("\nper-phase latency breakdown:")
@@ -464,11 +431,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(f"wrote Chrome trace ({len(doc['traceEvents'])} events) "
               f"to {path} — open in chrome://tracing or ui.perfetto.dev")
     if args.out:
-        import pathlib
-        from .experiments.common import canonical_json_text
-        path = pathlib.Path(args.out)
-        path.write_text(canonical_json_text(report.to_json()))
-        print(f"wrote scorecard to {path}")
+        _write_scorecard(report, args.out)
     return 0
 
 

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections.abc import Iterator
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -269,10 +268,6 @@ class SpanRecorder:
 
     def of_name(self, name: str) -> list[Span]:
         return [s for s in self.finished if s.name == name]
-
-    def iter_dicts(self) -> Iterator[dict[str, Any]]:
-        for span in self.finished:
-            yield span.to_dict()
 
     def digest(self) -> str:
         """Canonical SHA-256 over every finished span.

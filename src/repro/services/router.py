@@ -676,16 +676,18 @@ class LlmRouter(ContainerApp):
         pre, pre_backend, pre_failed = yield from self._forward(
             call, call.session, "prefill", rec, route_sid)
         attempts = pre_failed + (1 if pre_backend is not None else 0)
-        if pre_backend is None or not pre.ok:
+        served = pre_backend is not None and pre.ok
+        handoff = pre.handoff if served else None
+        if handoff is None:
             if rec is not None:
                 rec.emit("route", trace_id, parent_id,
                          route_start, rec.kernel.now,
                          {"attempts": attempts, "path": "disagg",
                           "outcome": "failed", "leg": "prefill"},
                          span_id=route_sid)
-            return pre or CompletionResult.failed(503, "no prefill backends")
-        handoff = pre.handoff
-        if handoff is None:
+            if not served:
+                return pre or CompletionResult.failed(
+                    503, "no prefill backends")
             # The backend is not actually a prefill engine (role
             # mislabeled); surface a clear dispatch error.
             return CompletionResult.failed(

@@ -15,10 +15,6 @@ from ..errors import StateError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .kernel import SimKernel
 
-# Event priorities: lower runs first among events scheduled at the same time.
-PRIORITY_URGENT = 0
-PRIORITY_NORMAL = 1
-
 
 class Event:
     """A one-shot occurrence in simulated time.
@@ -144,11 +140,11 @@ class Timeout(Event):
 class Callback(Event):
     """A pre-succeeded event that invokes one function when it fires.
 
-    The arena-style record for bulk scheduling: where a full process
-    costs a generator plus per-wait Event churn, a ``Callback`` is one
-    flat heap entry — ``fn(arg)`` runs when the clock reaches it, and
-    ordinary ``add_callback`` waiters still work afterwards.  Created
-    via :meth:`SimKernel.call_in` / :meth:`SimKernel.call_at`.
+    Where a full process costs a generator plus per-wait Event churn, a
+    ``Callback`` is one flat heap entry — ``fn(arg)`` runs when the
+    clock reaches it, and ordinary ``add_callback`` waiters still work
+    afterwards.  Created via :meth:`SimKernel.call_in` /
+    :meth:`SimKernel.call_at`.
     """
 
     __slots__ = ("fn", "arg")

@@ -9,8 +9,7 @@ from typing import Any
 from ..errors import StateError
 from ..obs.context import Observability
 from ..obs.profile import profiler
-from .events import (PRIORITY_NORMAL, PRIORITY_URGENT, AllOf, AnyOf,
-                     Callback, Event, Interrupted, Timeout)
+from .events import AllOf, AnyOf, Callback, Event, Interrupted, Timeout
 from .rng import RngRegistry
 from .tracing import Tracer
 
@@ -82,24 +81,19 @@ class Process(Event):
             self._step(throw=ev._value)
 
     def _step(self, send: Any = None, throw: BaseException | None = None) -> None:
-        kernel = self.kernel
-        kernel._active_process = self
         try:
             if throw is not None:
                 nxt = self.generator.throw(throw)
             else:
                 nxt = self.generator.send(send)
         except StopIteration as stop:
-            kernel._active_process = None
             self.succeed(stop.value)
             return
         except BaseException as exc:
-            kernel._active_process = None
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             self.fail(exc)
             return
-        kernel._active_process = None
         if not isinstance(nxt, Event):
             # Programming error inside the process: fail loudly.
             self.generator.close()
@@ -123,26 +117,24 @@ class SimKernel:
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._active_process: Process | None = None
         self.rng = RngRegistry(seed)
         self.trace = Tracer(self)
         self.obs = Observability(self)
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, *, delay: float = 0.0,
-                  priority: int = PRIORITY_NORMAL) -> None:
+    def _schedule(self, event: Event, *, delay: float = 0.0) -> None:
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, priority, self._seq, event))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
 
     def _schedule_at(self, event: Event, when: float) -> None:
         """Queue ``event`` at exactly ``when`` (callers clamp to now)."""
         self._seq += 1
-        heapq.heappush(self._heap, (when, PRIORITY_NORMAL, self._seq, event))
+        heapq.heappush(self._heap, (when, self._seq, event))
 
     # -- public factory helpers ----------------------------------------------
 
@@ -174,8 +166,7 @@ class SimKernel:
         """Schedule ``fn(arg)`` after ``delay`` seconds of simulated time.
 
         The flat-callback counterpart to spawning a process: one heap
-        entry, no generator machinery — the bulk-scheduling primitive of
-        the fleet fast-forward path.
+        entry, no generator machinery.
         """
         return Callback(self, delay, fn, arg)
 
@@ -191,17 +182,13 @@ class SimKernel:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    @property
-    def active_process(self) -> Process | None:
-        return self._active_process
-
     # -- execution -------------------------------------------------------------
 
     def step(self) -> None:
         """Process the single next event."""
         if not self._heap:
             raise StateError("no more events")
-        t, _prio, _seq, event = heapq.heappop(self._heap)
+        t, _seq, event = heapq.heappop(self._heap)
         if t < self.now:  # pragma: no cover - defensive
             raise StateError(f"time went backwards: {t} < {self.now}")
         self.now = t
@@ -241,13 +228,11 @@ class SimKernel:
         return None
 
     def advance_to(self, horizon: float) -> None:
-        """Bulk-jump the clock: process every event at or before
-        ``horizon`` (including events scheduled *at* the horizon by
-        horizon-time callbacks), then set ``now = horizon``.
+        """Run to ``horizon``: process every event at or before it
+        (including events scheduled *at* the horizon by horizon-time
+        callbacks), then set ``now = horizon``.
 
-        This is the kernel half of the fleet fast-forward contract — a
-        caller that has proven ``[now, horizon]`` free of its own events
-        can collapse the interval into one call.  After it returns,
+        This is what ``run(until=<float>)`` does.  After it returns,
         ``peek()`` is strictly greater than ``now`` (or +inf), so the
         ``peek()``/``now`` invariant survives the final clock assignment.
         """
@@ -262,27 +247,3 @@ class SimKernel:
     def peek(self) -> float:
         """Time of the next pending event, or +inf if none."""
         return self._heap[0][0] if self._heap else float("inf")
-
-    # -- convenience ------------------------------------------------------------
-
-    def process_sleep(self, delay: float) -> Timeout:
-        """Alias of :meth:`timeout`, reads better inside processes."""
-        return self.timeout(delay)
-
-    def urgent_event(self) -> Event:
-        """An event whose callbacks run before normal events at the same time."""
-        ev = Event(self)
-        orig_succeed = ev.succeed
-
-        def succeed(value: Any = None, *, delay: float = 0.0) -> Event:
-            if ev._scheduled:
-                raise StateError("event already triggered")
-            ev._ok = True
-            ev._value = value
-            ev._scheduled = True
-            self._schedule(ev, delay=delay, priority=PRIORITY_URGENT)
-            return ev
-
-        ev.succeed = succeed  # type: ignore[method-assign]
-        del orig_succeed
-        return ev

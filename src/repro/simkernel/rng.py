@@ -33,14 +33,3 @@ class RngRegistry:
             gen = np.random.default_rng(child_seed)
             self._streams[name] = gen
         return gen
-
-    def reseed(self, seed: int) -> None:
-        """Reset the registry with a new root seed (drops all streams)."""
-        self.root_seed = int(seed)
-        self._streams.clear()
-
-    def spawn_registry(self, name: str) -> RngRegistry:
-        """Derive an independent child registry (for nested simulations)."""
-        digest = hashlib.sha256(
-            f"{self.root_seed}/registry:{name}".encode()).digest()
-        return RngRegistry(int.from_bytes(digest[:8], "little"))

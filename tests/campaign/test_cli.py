@@ -6,7 +6,9 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.campaign import play
+from repro.cli import _fleet_spec, _sessions_spec, build_parser, main
+from repro.experiments.common import canonical_json_text
 
 
 def test_campaign_list_prints_cells(capsys):
@@ -64,3 +66,19 @@ def test_campaign_spec_file(tmp_path):
 def test_campaign_bad_axis_exits():
     with pytest.raises(SystemExit):
         main(["campaign", "--axis", "notanaxis"])
+
+
+@pytest.mark.parametrize("argv, to_spec", [
+    (["fleet", "--hours", "0.25", "--flash-hour", "0.1",
+      "--flash-minutes", "5"], _fleet_spec),
+    (["sessions", "--hours", "0.25", "--base-rate", "0.03",
+      "--peak-rate", "0.06"], _sessions_spec),
+], ids=["fleet", "sessions"])
+def test_cli_scorecard_is_the_played_spec(tmp_path, capsys, argv, to_spec):
+    """``repro fleet`` / ``repro sessions`` write exactly what
+    :func:`play` reports for the spec their flags describe."""
+    out_path = tmp_path / "scorecard.json"
+    assert main([*argv, "--out", str(out_path)]) == 0
+    assert "wrote scorecard to" in capsys.readouterr().out
+    report, _fleet, _digest = play(to_spec(build_parser().parse_args(argv)))
+    assert out_path.read_text() == canonical_json_text(report.to_json())

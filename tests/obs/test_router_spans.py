@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from repro.containers import RunOpts
+from repro.services import router_image
+from repro.services.router import RouterConfig
+from tests.containers.conftest import drive
 from tests.services.test_router_failover import (_backend, _post,
                                                  _start_router)
 
@@ -47,3 +51,33 @@ def test_untraced_requests_emit_no_spans(rig):
                  "/v1/chat/completions", {"messages": []})
     assert resp.ok
     assert rig.kernel.obs.spans.finished == []
+
+
+def test_disagg_missing_handoff_emits_the_failed_route_span(rig):
+    """A prefill-role backend that answers without a KV handoff (a
+    unified server under the wrong role) fails the call with 502, and
+    the route span still closes, marked failed on the prefill leg."""
+    _backend(rig, "hops01")
+    rig.registry.seed(router_image())
+    container = drive(rig.kernel, rig.podman.run(
+        rig.nodes[3], "berriai/litellm:main",
+        RunOpts(network_host=True,
+                env={"BACKENDS": "hops01:8000:prefill",
+                     **RouterConfig(disagg=True).to_env()})))
+    kernel = rig.kernel
+    kernel.run(until=container.ready)
+    kernel.obs.enable_spans()
+    spans = kernel.obs.spans
+    root = spans.start_trace("request")
+    resp = _post(kernel, rig.fabric, "registry", rig.nodes[3].hostname,
+                 4000, "/v1/chat/completions",
+                 {"messages": [], "repro_trace": root.trace_id,
+                  "repro_parent": root.span_id})
+    assert resp.status == 502
+    assert "repro_handoff" in resp.json["error"]
+    root.finish(ok=False)
+
+    (route,) = spans.of_name("route")
+    assert route.parent_id == root.span_id
+    assert route.attrs == {"attempts": 1, "path": "disagg",
+                           "outcome": "failed", "leg": "prefill"}
