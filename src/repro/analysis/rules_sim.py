@@ -11,7 +11,7 @@ from .rules import LintRule, register
 
 #: Private kernel attributes no component outside simkernel/ may touch.
 #: The public surface is now/peek()/run()/advance_to()/timeout()/at()/
-#: spawn()/call_in()/call_at()/event()/rng/trace/obs.
+#: sleep()/spawn()/start()/call_in()/call_at()/event()/rng/trace/obs.
 _PRIVATE_KERNEL_ATTRS = frozenset({
     "_heap", "_queue", "_now", "_seq", "_schedule", "_active_process",
 })

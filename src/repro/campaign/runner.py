@@ -138,10 +138,6 @@ def play(spec: ScenarioSpec, observability: bool = True):
     the baseline arm of the overhead bench and of instrumentation-cost
     ablations.
     """
-    from ..chaos.orchestrator import ChaosOrchestrator
-    from ..chaos.scenarios import catalog
-    from ..chaos.supervisor import SupervisorConfig
-
     site = spec.build_site()
     kernel = site.kernel
     if not observability:
@@ -152,8 +148,6 @@ def play(spec: ScenarioSpec, observability: bool = True):
             fleet.config, obs_spans=False, scrape_interval=0.0)
     schedule = spec.schedule.build()
     mix = spec.build_mix(kernel)
-    by_name = {s.name: s for s in catalog()}
-
     sessions = spec.sessions if spec.sessions.enabled else None
 
     def cell(env):
@@ -163,6 +157,12 @@ def play(spec: ScenarioSpec, observability: bool = True):
                 schedule, spec.horizon, mix=mix, label=spec.name,
                 sessions=sessions)
             return report
+        # The chaos stack loads only for chaos cells.
+        from ..chaos.orchestrator import ChaosOrchestrator
+        from ..chaos.scenarios import catalog
+        from ..chaos.supervisor import SupervisorConfig
+
+        by_name = {s.name: s for s in catalog()}
         orchestrator = ChaosOrchestrator(
             fleet,
             supervisor=SupervisorConfig(interval=spec.supervisor_interval),

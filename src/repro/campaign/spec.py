@@ -246,7 +246,7 @@ class ScenarioSpec:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate tenant names: {names}")
-        known = _known_chaos_names()
+        known = _known_chaos_names() if self.chaos else set()
         for event in self.chaos:
             if event.scenario not in known:
                 raise ConfigurationError(

@@ -778,9 +778,14 @@ class Fleet:
     # -- traffic ----------------------------------------------------------------
 
     def submit(self, tenant: str, sample) -> None:
-        """Open-loop entry: fire one request worker and return immediately."""
+        """Open-loop entry: fire one request worker and return immediately.
+
+        The worker starts inline, inside the arrival's step: nothing
+        waits on it, so it needs neither a boot event nor a completion
+        entry (see :meth:`SimKernel.start`).
+        """
         self.inflight += 1
-        self.kernel.spawn(self._request_fast(tenant, sample),
+        self.kernel.start(self._request_fast(tenant, sample),
                           name=f"fleet:req:{tenant}")
 
     def _request_fast(self, tenant: str, sample):

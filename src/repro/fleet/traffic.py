@@ -364,7 +364,7 @@ class TrafficGenerator:
     """Drives an open-loop request stream into a submit callback.
 
     ``submit(tenant_name, sample)`` must be non-blocking (fire-and-forget:
-    the fleet spawns one process per request) — the generator never waits
+    the fleet starts one process per request) — the generator never waits
     for completions, only for the next arrival.
     """
 

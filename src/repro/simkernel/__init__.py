@@ -19,7 +19,7 @@ Example
 [2.0]
 """
 
-from .events import AllOf, AnyOf, Callback, Event, Interrupted, Timeout
+from .events import AllOf, AnyOf, Callback, Event, Interrupted, Sleep, Timeout
 from .kernel import Process, SimKernel
 from .resources import Resource, Store
 from .rng import RngRegistry
@@ -35,6 +35,7 @@ __all__ = [
     "Resource",
     "RngRegistry",
     "SimKernel",
+    "Sleep",
     "Store",
     "Timeout",
     "TraceRecord",

@@ -8,6 +8,7 @@ exception.  Processes wait on events by yielding them.  Combinators
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from heapq import heappush
 from typing import TYPE_CHECKING, Any
 
 from ..errors import StateError
@@ -57,17 +58,18 @@ class Event:
 
     # -- triggering --------------------------------------------------------
 
-    def succeed(self, value: Any = None, *, delay: float = 0.0) -> Event:
-        """Mark the event successful, scheduling callbacks after ``delay``."""
+    def succeed(self, value: Any = None) -> Event:
+        """Mark the event successful; its callbacks run at the current
+        instant, after the events already queued for it."""
         if self._scheduled:
             raise StateError("event already triggered")
         self._ok = True
         self._value = value
         self._scheduled = True
-        self.kernel._schedule(self, delay=delay)
+        self.kernel._schedule(self)
         return self
 
-    def fail(self, exception: BaseException, *, delay: float = 0.0) -> Event:
+    def fail(self, exception: BaseException) -> Event:
         """Mark the event failed; waiting processes receive ``exception``."""
         if self._scheduled:
             raise StateError("event already triggered")
@@ -76,7 +78,7 @@ class Event:
         self._ok = False
         self._value = exception
         self._scheduled = True
-        self.kernel._schedule(self, delay=delay)
+        self.kernel._schedule(self)
         return self
 
     # -- internal ------------------------------------------------------------
@@ -120,25 +122,64 @@ class Event:
 class Timeout(Event):
     """An event that fires after a fixed delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ()
 
     def __init__(self, kernel: SimKernel, delay: float,
                  value: Any = None, *, at: float | None = None) -> None:
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(kernel)
-        self.delay = delay
-        self._ok = True
+        # The hottest constructor in a run: set the slots and queue the
+        # entry directly rather than through Event.__init__ + _schedule.
+        self.kernel = kernel
+        self.callbacks = []
         self._value = value
+        self._ok = True
         self._scheduled = True
-        if at is None:
-            kernel._schedule(self, delay=delay)
-        else:
-            kernel._schedule_at(self, at)
+        self._processed = False
+        kernel._seq += 1
+        heappush(kernel._heap, (kernel.now + delay if at is None else at,
+                                kernel._seq, self))
 
 
-class Callback(Event):
-    """A pre-succeeded event that invokes one function when it fires.
+class Sleep(Timeout):
+    """A timeout that :meth:`wake` can fire early, at the current instant.
+
+    One timer where a wait would otherwise be
+    ``any_of([wake_event, timeout])``: no second event, no composite,
+    no re-dispatch.  Waking queues the sleep at ``now``; its deadline
+    entry stays on the heap and is a no-op when it comes up.  After the
+    sleep fires, :attr:`woke` tells the two apart: True only if it fired
+    before its deadline.  A wake at the deadline instant itself loses to
+    the deadline entry, which was queued first.  Created via
+    :meth:`SimKernel.sleep`.
+    """
+
+    __slots__ = ("deadline", "woke")
+
+    def __init__(self, kernel: SimKernel, delay: float,
+                 value: Any = None) -> None:
+        super().__init__(kernel, delay, value)
+        self.deadline = kernel.now + delay
+        self.woke = False
+
+    def wake(self) -> None:
+        """Fire at the current instant instead of at the deadline; a
+        no-op once the sleep has fired or a wake is already queued."""
+        if self._processed or self.woke:
+            return
+        self.woke = True
+        self.kernel._schedule(self)
+
+    def _run_callbacks(self) -> None:
+        if self._processed:
+            return          # the other of the two heap entries
+        if self.woke and self.kernel.now >= self.deadline:
+            self.woke = False   # the deadline entry won the instant
+        Event._run_callbacks(self)
+
+
+class Callback(Timeout):
+    """A timeout that invokes one function when it fires.
 
     Where a full process costs a generator plus per-wait Event churn, a
     ``Callback`` is one flat heap entry — ``fn(arg)`` runs when the
@@ -152,17 +193,9 @@ class Callback(Event):
     def __init__(self, kernel: SimKernel, delay: float,
                  fn: Callable[[Any], None], arg: Any = None, *,
                  at: float | None = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative callback delay: {delay}")
-        super().__init__(kernel)
+        super().__init__(kernel, delay, at=at)
         self.fn = fn
         self.arg = arg
-        self._ok = True
-        self._scheduled = True
-        if at is None:
-            kernel._schedule(self, delay=delay)
-        else:
-            kernel._schedule_at(self, at)
 
     def _run_callbacks(self) -> None:
         self._processed = True

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import Callable, Generator, Iterable
+from heapq import heappop, heappush
 from typing import Any
 
 from ..errors import StateError
 from ..obs.context import Observability
 from ..obs.profile import profiler
-from .events import AllOf, AnyOf, Callback, Event, Interrupted, Timeout
+from .events import (AllOf, AnyOf, Callback, Event, Interrupted, Sleep,
+                     Timeout)
 from .rng import RngRegistry
 from .tracing import Tracer
 
@@ -20,8 +21,12 @@ class Process(Event):
     """A running simulation process wrapping a generator.
 
     A Process is itself an :class:`Event` that triggers when the generator
-    returns (success, value = return value) or raises (failure).  Processes
-    may be interrupted; the waiting process receives :class:`Interrupted`.
+    returns (success, value = return value) or raises (failure).  A
+    process that finishes while nothing waits on it completes in place,
+    with no heap entry: a later ``yield proc`` or ``run(until=proc)``
+    still finds it processed, and a failure still raises through
+    ``run(until=proc)``.  Processes may be interrupted; the waiting
+    process receives :class:`Interrupted`.
     """
 
     __slots__ = ("generator", "name", "_waiting_on")
@@ -32,10 +37,6 @@ class Process(Event):
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
         self._waiting_on: Event | None = None
-        # Bootstrap: resume the generator at the current time.
-        boot = Event(kernel)
-        boot.succeed()
-        boot.add_callback(self._resume)
 
     @property
     def is_alive(self) -> bool:
@@ -49,9 +50,8 @@ class Process(Event):
         """
         if self.triggered:
             return
-        kernel = self.kernel
 
-        def deliver(_ev: Event) -> None:
+        def deliver(tick: Event) -> None:
             if self.triggered:
                 return
             # Detach from whatever we are waiting on *now* — the process
@@ -64,44 +64,55 @@ class Process(Event):
             target = self._waiting_on
             if target is not None:
                 target.detach(self._resume)
-            self._waiting_on = None
-            self._step(throw=Interrupted(cause))
+            self._resume(tick)
 
-        tick = Event(kernel)
-        tick.succeed()
+        tick = Event(self.kernel)
+        tick.fail(Interrupted(cause))
         tick.add_callback(deliver)
 
     # -- generator driving ---------------------------------------------------
 
     def _resume(self, ev: Event) -> None:
-        self._waiting_on = None
-        if ev.ok:
-            self._step(send=ev._value)
-        else:
-            self._step(throw=ev._value)
-
-    def _step(self, send: Any = None, throw: BaseException | None = None) -> None:
+        """Send ``ev``'s value into the generator (or throw its
+        exception), then wait on whatever it yields next."""
         try:
-            if throw is not None:
-                nxt = self.generator.throw(throw)
+            if ev._ok:
+                nxt = self.generator.send(ev._value)
             else:
-                nxt = self.generator.send(send)
+                nxt = self.generator.throw(ev._value)
         except StopIteration as stop:
-            self.succeed(stop.value)
+            self._complete(True, stop.value)
             return
         except BaseException as exc:
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self.fail(exc)
+            self._complete(False, exc)
             return
         if not isinstance(nxt, Event):
             # Programming error inside the process: fail loudly.
             self.generator.close()
-            self.fail(TypeError(
+            self._complete(False, TypeError(
                 f"process {self.name!r} yielded non-event {nxt!r}"))
             return
         self._waiting_on = nxt
-        nxt.add_callback(self._resume)
+        callbacks = nxt.callbacks       # Event.add_callback, inlined
+        if callbacks is None:
+            self._resume(nxt)
+        else:
+            callbacks.append(self._resume)
+
+    def _complete(self, ok: bool, value: Any) -> None:
+        self._waiting_on = None
+        self._ok = ok
+        self._value = value
+        self._scheduled = True
+        if self.callbacks:
+            self.kernel._schedule(self)
+        else:
+            # Nobody waits: finish in place rather than queue a heap
+            # entry whose dispatch would run no callbacks.
+            self._processed = True
+            self.callbacks = None
 
 
 class SimKernel:
@@ -125,16 +136,15 @@ class SimKernel:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _schedule(self, event: Event, *, delay: float = 0.0) -> None:
-        if delay < 0:
-            raise ValueError(f"cannot schedule into the past (delay={delay})")
+    def _schedule(self, event: Event) -> None:
+        """Queue ``event`` at the current instant."""
         self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
+        heappush(self._heap, (self.now, self._seq, event))
 
     def _schedule_at(self, event: Event, when: float) -> None:
         """Queue ``event`` at exactly ``when`` (callers clamp to now)."""
         self._seq += 1
-        heapq.heappush(self._heap, (when, self._seq, event))
+        heappush(self._heap, (when, self._seq, event))
 
     # -- public factory helpers ----------------------------------------------
 
@@ -158,8 +168,35 @@ class SimKernel:
         return Timeout(self, when - self.now, value, at=when)
 
     def spawn(self, generator: ProcGen, name: str = "") -> Process:
-        """Start a new process from a generator."""
-        return Process(self, generator, name=name)
+        """Start a new process from a generator.
+
+        Its first step runs from a boot event queued at the current
+        instant, after the events already queued for it.
+        """
+        proc = Process(self, generator, name=name)
+        boot = Event(self)
+        boot.succeed()
+        boot.add_callback(proc._resume)
+        return proc
+
+    def start(self, generator: ProcGen, name: str = "") -> Process:
+        """Start a process inline: its first step runs now, inside the
+        caller, with no boot event.
+
+        For fire-and-forget work whose first step need not wait behind
+        the current instant's queue (the fleet's request workers).  A
+        generator that finishes in that first step returns a process
+        that is already processed.
+        """
+        proc = Process(self, generator, name=name)
+        go = Event(self)        # an outcome only: never queued
+        go._ok = True
+        proc._resume(go)
+        return proc
+
+    def sleep(self, delay: float, value: Any = None) -> Sleep:
+        """A timeout that ``wake()`` can fire early; see :class:`Sleep`."""
+        return Sleep(self, delay, value)
 
     def call_in(self, delay: float, fn: Callable[[Any], None],
                 arg: Any = None) -> Callback:
@@ -186,9 +223,10 @@ class SimKernel:
 
     def step(self) -> None:
         """Process the single next event."""
-        if not self._heap:
-            raise StateError("no more events")
-        t, _seq, event = heapq.heappop(self._heap)
+        try:
+            t, _seq, event = heappop(self._heap)
+        except IndexError:
+            raise StateError("no more events") from None
         if t < self.now:  # pragma: no cover - defensive
             raise StateError(f"time went backwards: {t} < {self.now}")
         self.now = t

@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 from ..errors import APIError, ContainerCrash
 from ..models.catalog import ModelCard
 from ..obs.profile import profiler
-from ..simkernel import Event, Interrupted
+from ..simkernel import Event, Interrupted, Sleep
 from .config import EngineArgs
 from .kvcache import BlockManager
 from .perf import PerfModel
@@ -67,6 +67,7 @@ class Request:
     _ids = itertools.count(1)
 
     def __init__(self, kernel: SimKernel, spec: RequestSpec):
+        self.kernel = kernel
         self.id = next(Request._ids)
         self.spec = spec
         self.prompt_tokens = spec.prompt_tokens
@@ -86,22 +87,42 @@ class Request:
         self.preemptions = 0
         self.active = False       # currently in the running batch
         self.prefill_remaining = 0  # chunked-prefill tokens still unpaid
-        self.first_token: Event = kernel.event()
+        self._first_token: Event | None = None
         self.done: Event = kernel.event()
         if spec.prefill_done:
             # Disaggregated decode leg: the prompt (and the handoff's
             # first token) were computed on a prefill engine; this
-            # engine starts from that context.  The first-token event
-            # resolves immediately — it fired on the other engine.
+            # engine starts from that context.  The first token counts
+            # as produced on submit — it fired on the other engine.
             self.tokens_generated = spec.tokens_generated
             self.needs_prefill = False
             self.prefill_done = True
             self.first_token_at = kernel.now
-            self.first_token.succeed(kernel.now)
         else:
             self.tokens_generated = 0
             self.needs_prefill = True
             self.prefill_done = False
+
+    @property
+    def first_token(self) -> Event:
+        """An event that fires with ``first_token_at`` at the first token.
+
+        Created on first access, so a request nobody watches costs no
+        event.  Asked for after the first token, it is already
+        triggered and fires at the current instant.
+        """
+        if self._first_token is None:
+            self._first_token = self.kernel.event()
+            if self.first_token_at is not None:
+                self._first_token.succeed(self.first_token_at)
+        return self._first_token
+
+    def mark_first_token(self, now: float) -> None:
+        """Record the first token (once) and fire a watcher, if any."""
+        if self.first_token_at is None:
+            self.first_token_at = now
+            if self._first_token is not None:
+                self._first_token.succeed(now)
 
     def stats(self) -> RequestStats:
         assert self.finished_at is not None and self.first_token_at is not None
@@ -147,7 +168,7 @@ class LLMEngine:
         self.crashed: EngineCrash | None = None
         self._kv_tokens = 0       # running total of in-batch context tokens
         self._wake: Event | None = None       # idle engine, waiting for load
-        self._jump_wake: Event | None = None  # coalesced decode in progress
+        self._jump_sleep: Sleep | None = None  # coalesced decode in progress
         self._proc = None
         self._register_obs()
 
@@ -227,10 +248,13 @@ class LLMEngine:
 
         New arrivals (and live fault attachment) must be noticed at the
         next iteration *boundary*, exactly as in per-iteration stepping;
-        a no-op unless a fast-forward sleep is in flight.
+        a no-op unless a fast-forward sleep is in flight.  The sleep is
+        one :class:`~repro.simkernel.Sleep` timer: ``wake()`` queues it
+        at ``now`` and its deadline entry becomes a no-op, so a nudge
+        costs one heap entry and the loop resumes straight from it.
         """
-        if self._jump_wake is not None and not self._jump_wake.triggered:
-            self._jump_wake.succeed()
+        if self._jump_sleep is not None:
+            self._jump_sleep.wake()
 
     def start(self):
         """Spawn the engine loop; returns the process."""
@@ -320,14 +344,15 @@ class LLMEngine:
         finish, a preemption, an admission, a first token, or a fault
         check — ``Scheduler.plan_jump`` counts how many iterations are
         provably free of all five, and that whole stretch collapses into
-        one timeout whose duration is the closed-form sum of the
-        per-iteration costs (affine in KV tokens, which grow by
-        ``batch`` per iteration).  A new arrival interrupts the sleep
-        via :meth:`nudge`; the elapsed whole iterations are applied in
-        bulk, the iteration in flight completes at normal granularity,
-        and the main loop admits at the boundary — bit-for-bat the same
-        token counts, TTFTs, and finish times as per-iteration stepping
-        (timing differs only by float-sum rounding).  Disabled whenever
+        one :class:`~repro.simkernel.Sleep` whose duration is the
+        closed-form sum of the per-iteration costs (affine in KV tokens,
+        which grow by ``batch`` per iteration).  A new arrival wakes the
+        sleep early via :meth:`nudge`; the elapsed whole iterations are
+        applied in bulk, the iteration in flight completes at normal
+        granularity, and the main loop admits at the boundary —
+        bit-for-bit the same token counts, TTFTs, and finish times as
+        per-iteration stepping (timing differs only by float-sum
+        rounding).  Disabled whenever
         a fault plan is armed (those contracts are per-iteration) and
         under any scheduler policy but FCFS — the jump plan's proof
         obligations are FCFS-specific (see ``docs/serving.md``).
@@ -355,14 +380,13 @@ class LLMEngine:
             """Time for the first ``m`` jump iterations."""
             return m * per_iter + kv_growth * (m * (m - 1) * 0.5)
 
-        self._jump_wake = kernel.event()
-        sleep = kernel.timeout(cum(j))
+        sleep = self._jump_sleep = kernel.sleep(cum(j))
         started = kernel.now
         try:
-            yield kernel.any_of([self._jump_wake, sleep])
+            yield sleep
         finally:
-            self._jump_wake = None
-        if sleep.processed:
+            self._jump_sleep = None
+        if not sleep.woke:
             self._apply_iterations(j)
             return
         # Nudged mid-sleep: bulk-apply the whole iterations already
@@ -426,9 +450,7 @@ class LLMEngine:
                 advanced += 1
                 if request.needs_prefill:
                     request.needs_prefill = False
-                    if request.first_token_at is None:
-                        request.first_token_at = now
-                        request.first_token.succeed(now)
+                    request.mark_first_token(now)
                 if request.tokens_generated >= request.max_new_tokens:
                     finished.append(request)
         else:
@@ -449,9 +471,7 @@ class LLMEngine:
                 advanced += 1
                 if request.needs_prefill:
                     request.needs_prefill = False
-                    if request.first_token_at is None:
-                        request.first_token_at = now
-                        request.first_token.succeed(now)
+                    request.mark_first_token(now)
                 if request.tokens_generated >= request.max_new_tokens:
                     finished.append(request)
         self.total_output_tokens += advanced
@@ -469,9 +489,7 @@ class LLMEngine:
         self.blocks.free(request.id, register_key=request.session_key)
         self._kv_tokens -= request.total_tokens
         request.finished_at = now
-        if request.first_token_at is None:
-            request.first_token_at = now
-            request.first_token.succeed(now)
+        request.mark_first_token(now)
         self.completed.append(request)
         if self._obs.registry.enabled:
             self._h_latency.observe(now - request.submitted_at)

@@ -201,7 +201,7 @@ class FcfsPolicy(SchedulingPolicy):
         loosens at one) — but an *admissible* head must be admitted at
         this boundary, exactly as per-iteration stepping would: a
         request that arrived during the previous iteration's sleep had
-        no jump wake to nudge, so it must not be slept past here.
+        no jump sleep to wake, so it must not be slept past here.
 
         Prefix caching does not loosen this argument: admissibility
         (:meth:`Scheduler.can_admit`) reads cached hits plus evictable
