@@ -13,7 +13,8 @@ from .rules import LintRule, register
 #: The public surface is now/peek()/run()/advance_to()/timeout()/at()/
 #: sleep()/spawn()/start()/call_in()/call_at()/event()/rng/trace/obs.
 _PRIVATE_KERNEL_ATTRS = frozenset({
-    "_heap", "_queue", "_now", "_seq", "_schedule", "_active_process",
+    "_heap", "_queue", "_now", "_seq", "_schedule", "_schedule_at",
+    "_active_process",
 })
 
 #: Receiver spellings conventionally bound to the kernel.  Components

@@ -197,9 +197,10 @@ class ScenarioSpec:
     #: axis: unified vs split pools).
     disagg: DisaggSpec = field(default_factory=DisaggSpec)
     #: fleet quiet-play: idle periodic ticks are skipped bit-identically
-    #: to stepping, and it switches itself off under chaos, armed faults
-    #: and sessions, so the only reason to flip it off is an A/B arm in
-    #: an equivalence or perf study.
+    #: to stepping for open-loop and session traffic alike, and it
+    #: switches itself off under chaos and armed faults, so the only
+    #: reason to flip it off is an A/B arm in an equivalence or perf
+    #: study.
     fast_forward: bool = True
 
     def __post_init__(self) -> None:

@@ -114,9 +114,9 @@ class FleetConfig:
     #: fleet quiet-play: while the fleet is provably idle, the periodic
     #: loops (autoscaler, SLO monitor, telemetry, router health checks)
     #: skip their ticks through one governor, :class:`FleetFastForward`.
-    #: Bit-identical to stepping (see docs/performance.md); off under
-    #: chaos, armed fault plans, and session traffic.  False makes
-    #: every loop step.
+    #: Bit-identical to stepping for every traffic kind, sessions
+    #: included (see docs/performance.md); off under chaos and armed
+    #: fault plans.  False makes every loop step.
     fast_forward: bool = True
 
     def __post_init__(self):
@@ -239,6 +239,12 @@ class FleetReport:
         return out
 
 
+#: Value of every governed periodic wake (see
+#: :meth:`FleetFastForward.next_tick`); no loop reads it.  The quiet
+#: window's edge is the earliest pending kernel entry without it.
+_TICK = object()
+
+
 class FleetFastForward:
     """Governor for the fleet's quiet-play: skipping idle periodic ticks.
 
@@ -247,12 +253,15 @@ class FleetFastForward:
     :meth:`next_tick`.  While the fleet is provably idle (:meth:`quiet`),
     that call skips the loop's ticks strictly before one fleet-wide
     :meth:`edge` and wakes the loop on its first tick at or after it;
-    otherwise it is a plain ``timeout(interval)``.  Tick times always
-    follow the loop's own stepped float chain, so the live tick lands on
-    the exact instant stepping would have run it.
+    otherwise it is a plain ``timeout(interval)``.  The edge is the
+    earliest pending kernel entry that is not a governed tick, so one
+    rule covers every traffic kind: an open-loop arrival, a session's
+    think timer, a deploy or a timer any process set all end a window.
+    Tick times always follow the loop's own stepped float chain, so the
+    live tick lands on the exact instant stepping would have run it.
 
     Everything here is advisory: with ``FleetConfig.fast_forward``
-    False, under chaos, or for session traffic, every loop steps.
+    False, or under chaos, every loop steps.
     """
 
     def __init__(self, fleet: Fleet):
@@ -263,21 +272,9 @@ class FleetFastForward:
         self.chaos = False
         #: requests issued through :meth:`Fleet.request` (the one path)
         self.fast_requests = 0
-        self._traffic: TrafficGenerator | None = None
         self._engines: dict | None = None
         self._engines_epoch = -1
         self._edge = -math.inf
-
-    # -- scenario lifecycle ----------------------------------------------------
-
-    def begin(self, traffic: TrafficGenerator | None) -> None:
-        """Arm for one scenario (None = ineligible traffic kind)."""
-        self._traffic = traffic
-        self._engines_epoch = -1
-        self._edge = -math.inf
-
-    def end(self) -> None:
-        self._traffic = None
 
     # -- eligibility -----------------------------------------------------------
 
@@ -317,10 +314,9 @@ class FleetFastForward:
         every backend (prefill and decode ones included) healthy with
         zero outstanding forwards, every engine's queues empty and free
         of fault plans and crashes, and the SLO window drained empty —
-        so the only upcoming events are periodic ticks and the next
-        arrival.
+        so nothing but a pending kernel entry can end the idleness.
         """
-        if self._traffic is None or not self.enabled:
+        if not self.enabled:
             return False
         engines = self.engines()
         if not engines:
@@ -345,18 +341,18 @@ class FleetFastForward:
     def edge(self) -> float:
         """End of the current quiet window; ``-inf`` when there is none.
 
-        The earliest of the next arrival and the autoscaler's next
-        possible decision tick on its own chain.  It is worked out once,
-        when a window opens, and shared by every loop until the clock
-        reaches it, so no loop reads another's skipped-tick state.  With
-        no arrival pending the window would be unbounded, so there is
-        none and every loop ticks live.
+        The earliest of the next pending kernel entry that is not a
+        governed tick and the autoscaler's next possible decision tick
+        on its own chain.  It is worked out once, when a window opens,
+        and shared by every loop until the clock reaches it, so no loop
+        reads another's skipped-tick state.  With only ticks pending the
+        window would be unbounded, so there is none and every loop ticks
+        live.
         """
         if not self.quiet():
             self._edge = -math.inf
         elif self._edge <= self.kernel.now:
-            traffic = self._traffic
-            bound = traffic.next_arrival if traffic.active else math.inf
+            bound = self.kernel.peek(ignore=_TICK)
             self._edge = (-math.inf if math.isinf(bound) else min(
                 bound, self.fleet.autoscaler.next_decision_tick(bound)))
         return self._edge
@@ -387,7 +383,7 @@ class FleetFastForward:
                 break
             skipped.append(t)
             t = end + interval
-        return skipped, self.kernel.at(t)
+        return skipped, self.kernel.at(t, _TICK)
 
 
 class Fleet:
@@ -914,11 +910,8 @@ class Fleet:
         else:
             mix = mix or TenantMix.single(kernel)
             traffic = TrafficGenerator(kernel, schedule, mix, self.submit)
-        # Arm the fast-forward governor for open-loop traffic only:
-        # session traffic keeps closed-loop think-time state the quiet
-        # predicate does not model, so it always steps.
-        self.ff.begin(traffic if isinstance(traffic, TrafficGenerator)
-                      else None)
+        # No quiet window or engine map carries over between scenarios.
+        self.ff._edge, self.ff._engines_epoch = -math.inf, -1
         self.router_app.ff_governor = self.ff
         if self.config.obs_spans:
             kernel.obs.enable_spans()
@@ -939,12 +932,9 @@ class Fleet:
                          name="fleet:telemetry")
         started = kernel.now
         self.replica_timeline.append((started, len(self.replicas)))
-        try:
-            arrivals = yield kernel.spawn(traffic.run(horizon),
-                                          name="fleet:traffic")
-            yield from self._drain()
-        finally:
-            self.ff.end()
+        arrivals = yield kernel.spawn(traffic.run(horizon),
+                                      name="fleet:traffic")
+        yield from self._drain()
         stop.succeed()
         self._record(self.slo.snapshot())
         obs = None

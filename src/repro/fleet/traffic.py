@@ -378,36 +378,24 @@ class TrafficGenerator:
         self.submit = submit
         self.rng = kernel.rng.stream(stream)
         self.generated = 0
-        #: the next pending arrival time, published *before* the sleep
-        #: toward it — the fleet fast-forward governor's bound on how far
-        #: the periodic control loops may skip.  ``inf`` outside a run.
-        self.next_arrival = math.inf
-        self.active = False
 
     def run(self, horizon: float):
         """Generator process: emit arrivals for ``horizon`` seconds."""
         kernel = self.kernel
         start = kernel.now
-        self.active = True
-        try:
-            for block in self.schedule.arrival_blocks(self.rng, start,
-                                                      horizon):
-                # One vectorized tenant/length batch per thinning block:
-                # RNG streams are consumed in exactly the per-arrival
-                # order (picks follow the block's candidate draws;
-                # tenant streams never interleave with anything else).
-                entries = self.mix.draw_block(self.rng, len(block))
-                for t, (tenant, sample) in zip(block, entries, strict=True):
-                    self.next_arrival = t
-                    if t > kernel.now:
-                        yield kernel.timeout(t - kernel.now)
-                    self.submit(tenant, sample)
-                    self.generated += 1
-                    if self.generated % 1000 == 0:
-                        kernel.trace.emit(
-                            "fleet.traffic", generated=self.generated,
-                            rate=round(self.schedule.rate(kernel.now), 3))
-        finally:
-            self.active = False
-            self.next_arrival = math.inf
+        for block in self.schedule.arrival_blocks(self.rng, start, horizon):
+            # One vectorized tenant/length batch per thinning block: RNG
+            # streams are consumed in exactly the per-arrival order
+            # (picks follow the block's candidate draws; tenant streams
+            # never interleave with anything else).
+            entries = self.mix.draw_block(self.rng, len(block))
+            for t, (tenant, sample) in zip(block, entries, strict=True):
+                if t > kernel.now:
+                    yield kernel.timeout(t - kernel.now)
+                self.submit(tenant, sample)
+                self.generated += 1
+                if self.generated % 1000 == 0:
+                    kernel.trace.emit(
+                        "fleet.traffic", generated=self.generated,
+                        rate=round(self.schedule.rate(kernel.now), 3))
         return self.generated

@@ -282,6 +282,16 @@ class SimKernel:
             self.step()
         self.now = horizon
 
-    def peek(self) -> float:
-        """Time of the next pending event, or +inf if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+    def peek(self, ignore: Any = None) -> float:
+        """Time of the next pending event, or +inf if none.
+
+        With ``ignore``, entries whose event value *is* that object are
+        passed over.  An entry that will turn out a no-op (the deadline
+        a woken :class:`Sleep` leaves behind) still counts, so the time
+        is never later than the next event that can change state.
+        """
+        heap = self._heap
+        if ignore is None:
+            return heap[0][0] if heap else float("inf")
+        return min((t for t, _seq, event in heap
+                    if event._value is not ignore), default=float("inf"))

@@ -29,6 +29,7 @@ def findings_for(code: str, fixture: str):
     ("DET004", "bad_det004.py", 3),
     ("SIM001", "bad_sim001.py", 2),
     ("SIM002", "bad_sim002.py", 3),
+    ("SIM002", "bad_sim002_heap_edge.py", 2),
 ])
 def test_rule_fires_on_golden_fixture(code, fixture, count):
     found = findings_for(code, fixture)

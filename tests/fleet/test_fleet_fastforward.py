@@ -8,7 +8,9 @@ and the autoscaler's sample tape — must be *byte-identical* to a run
 with fast-forward off.  Not statistically close: identical.  Every
 request takes the one request path either way; quiet-tick fast-play
 must disarm itself, silently falling back to stepping, whenever a
-FaultPlan is armed or chaos is orchestrating.
+FaultPlan is armed or chaos is orchestrating.  Open-loop and session
+traffic fast-play alike: a quiet window ends at the next pending kernel
+entry that is not a periodic tick, whoever queued it.
 """
 
 import json
@@ -59,11 +61,12 @@ def _count_quiet(fleet) -> dict:
 
 
 def _play(site, fleet, schedule, horizon: float, replicas: int = 1,
-          during=None) -> dict:
+          during=None, sessions=None) -> dict:
     """Run one scenario and capture every digest-visible artifact.
 
     ``during(env)``, when given, runs as its own process alongside the
-    scenario (mid-run fault injection).
+    scenario (mid-run fault injection).  ``sessions`` turns the
+    schedule's arrivals into session starts.
     """
     seen = _count_quiet(fleet)
 
@@ -72,7 +75,7 @@ def _play(site, fleet, schedule, horizon: float, replicas: int = 1,
         if during is not None:
             env.spawn(during(env))
         report = yield from fleet.run_scenario(
-            schedule, horizon=horizon, label="ff-equiv")
+            schedule, horizon=horizon, label="ff-equiv", sessions=sessions)
         return report
 
     report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
@@ -218,14 +221,18 @@ def test_telemetry_loop_skips_scrapes_exactly(monkeypatch):
 
 def _pulse_arms(seed: int, rate: float, period: float, duty: float,
                 min_replicas: int, replicas: int, periods: int,
-                crash_at: float | None = None, disagg: bool = False) -> dict:
+                crash_at: float | None = None, disagg: bool = False,
+                sessions: bool = False) -> dict:
     """Both arms of one pulse shape (``duty`` in seconds per period).
 
     ``crash_at`` attaches a :func:`~repro.vllm.faults.CrashAtTime` to
     one live engine at that absolute time; the engine only crashes once
     load next reaches it, so a crash attached in a traffic gap lands
-    while every periodic loop is skipping ticks.
+    while every periodic loop is skipping ticks.  ``sessions`` makes
+    each arrival a multi-turn conversation whose later turns follow
+    closed-loop think timers.
     """
+    from repro.sessions import SessionSpec
     from repro.vllm import faults
 
     schedule = PulseSchedule(rate_rps=rate, period=period,
@@ -242,7 +249,8 @@ def _pulse_arms(seed: int, rate: float, period: float, duty: float,
                 faults.attach(engine, faults.CrashAtTime(
                     env.now, reason="crash in the gap"))
         runs[ff] = _play(site, fleet, schedule, horizon=periods * period,
-                         replicas=replicas, during=during)
+                         replicas=replicas, during=during,
+                         sessions=SessionSpec(enabled=sessions))
     return runs
 
 
@@ -254,36 +262,66 @@ def _pulse_arms(seed: int, rate: float, period: float, duty: float,
        replicas=st.integers(min_value=1, max_value=3),
        crash=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.9)),
        disagg=st.booleans(),
+       sessions=st.booleans(),
        periods=st.just(3))
 @example(seed=1, rate=0.05, period=7200.0, duty=600.0, min_replicas=2,
-         replicas=1, crash=None, disagg=False, periods=4)
+         replicas=1, crash=None, disagg=False, sessions=False, periods=4)
 @example(seed=1, rate=0.05, period=7200.0, duty=600.0, min_replicas=1,
-         replicas=1, crash=None, disagg=False, periods=4)
+         replicas=1, crash=None, disagg=False, sessions=False, periods=4)
 @example(seed=1, rate=0.05, period=7200.0, duty=600.0, min_replicas=2,
-         replicas=2, crash=0.3, disagg=False, periods=4)
+         replicas=2, crash=0.3, disagg=False, sessions=False, periods=4)
+@example(seed=2, rate=0.1, period=3600.0, duty=600.0, min_replicas=1,
+         replicas=1, crash=None, disagg=False, sessions=True, periods=3)
 @settings(max_examples=6, deadline=None)
 def test_pulse_shapes_bit_identical_vs_stepping(seed, rate, period, duty,
                                                 min_replicas, replicas,
-                                                crash, disagg, periods):
+                                                crash, disagg, sessions,
+                                                periods):
     """Generated pulse shapes: every digest-visible artifact is equal
-    with quiet-play on and off.
+    with quiet-play on and off, and quiet-play holds in the gaps.
 
     ``crash`` places a crash fault at that fraction of the second
-    traffic gap; ``disagg`` serves through prefill and decode pools.
-    The pinned examples are the three shapes where the per-loop skip
+    traffic gap; ``disagg`` serves through prefill and decode pools;
+    ``sessions`` makes every arrival a closed-loop conversation.  The
+    first three pinned examples are the shapes where the per-loop skip
     routines diverged from stepping: a float-chain mismatch on the
     autoscaler tape, a scrape that read an SLO window trimmed ahead of
     the clock, and health passes that resumed off their stepped phase
-    after a crash attached in the gap.
+    after a crash attached in the gap.  The fourth is session traffic,
+    which fast-plays like open-loop traffic: its think timers are heap
+    entries, so they bound a window like any other.
     """
     crash_at = None
     if crash is not None:
         gap_start = period + duty
         crash_at = gap_start + crash * (2 * period - gap_start)
     runs = _pulse_arms(seed, rate, period, duty, min_replicas, replicas,
-                       periods, crash_at=crash_at, disagg=disagg)
+                       periods, crash_at=crash_at, disagg=disagg,
+                       sessions=sessions)
     on, off = runs[True], runs[False]
+    assert on["quiet"] > 0
     assert off["quiet"] == 0
+    for key in EQUIV_KEYS:
+        assert on[key] == off[key], f"fast-forward diverged on {key!r}"
+
+
+def test_deploy_inside_a_traffic_gap_ends_the_quiet_window():
+    """A scale-out that a timer starts in the middle of a traffic gap:
+    the timer is a pending kernel entry, so it ends the quiet window
+    and every loop ticks live through the deploy, as stepping does."""
+    schedule = PulseSchedule(0.5, period=7200.0, duty=600.0 / 7200.0)
+    runs = {}
+    for ff in (True, False):
+        site, fleet = _build_fleet(seed=5, fast_forward=ff)
+
+        def scale_out(env, fleet=fleet):
+            yield env.timeout(10200.0)
+            yield from fleet.add_replicas(1)
+
+        runs[ff] = _play(site, fleet, schedule, horizon=4 * 7200.0,
+                         during=scale_out)
+    on, off = runs[True], runs[False]
+    assert on["quiet"] > 0
     for key in EQUIV_KEYS:
         assert on[key] == off[key], f"fast-forward diverged on {key!r}"
 

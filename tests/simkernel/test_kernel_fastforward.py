@@ -167,3 +167,42 @@ def test_interrupt_inside_all_of_detaches_stale_resume(kernel):
     kernel.run()
     assert log == ["interrupted"]
     assert proc.processed
+
+
+# -- peek(ignore=...): the quiet-window edge ------------------------------------
+
+TICK = object()
+
+
+def test_peek_ignore_skips_entries_carrying_the_value(kernel):
+    kernel.at(5.0, TICK)
+    kernel.at(6.0, TICK)
+    kernel.timeout(7.0)
+    assert kernel.peek() == 5.0
+    assert kernel.peek(ignore=TICK) == 7.0
+
+
+def test_peek_ignore_counts_callbacks_and_plain_timeouts(kernel):
+    kernel.at(1.0, TICK)
+    kernel.call_at(4.0, lambda _: None)
+    assert kernel.peek(ignore=TICK) == 4.0
+    kernel.timeout(3.0)
+    assert kernel.peek(ignore=TICK) == 3.0
+
+
+def test_peek_ignore_counts_a_woken_sleeps_stale_deadline(kernel):
+    """The deadline entry an early wake leaves behind is a no-op when it
+    comes up, but it still bounds the edge: earlier, never later."""
+    sleep = kernel.sleep(10.0)
+    kernel.call_at(2.0, lambda _: sleep.wake())
+    kernel.at(20.0, TICK)
+    kernel.run(until=3.0)
+    assert sleep.processed and sleep.woke
+    assert kernel.peek(ignore=TICK) == 10.0
+
+
+def test_peek_ignore_is_inf_on_an_empty_or_ticks_only_heap(kernel):
+    assert kernel.peek(ignore=TICK) == float("inf")
+    kernel.at(5.0, TICK)
+    assert kernel.peek(ignore=TICK) == float("inf")
+    assert kernel.peek() == 5.0
