@@ -68,19 +68,19 @@ def main() -> None:
             platform_name="goodall")
         return result
 
-    report, segments = kernel.run(until=kernel.spawn(gameday(kernel),
-                                                     name="gameday"))
+    report, windows = kernel.run(until=kernel.spawn(gameday(kernel),
+                                                    name="gameday"))
     fleet.shutdown()
 
     print(report.summary())
     print(f"\nsimulated time: {fmt_duration(kernel.now)}")
     print("\ngame-day faults:")
-    for seg in segments:
-        mttr = ("not recovered" if seg["mttr_s"] is None
-                else f"recovered in {seg['mttr_s']:.0f}s")
-        when = fmt_duration(seg["injected_at_s"])
-        print(f"  [{when:>9s}] {seg['scenario']:18s} "
-              f"[{seg['layer']}] -> {mttr}")
+    for window in windows:
+        mttr = ("not recovered" if window.mttr_s is None
+                else f"recovered in {window.mttr_s:.0f}s")
+        when = fmt_duration(window.injected_at)
+        print(f"  [{when:>9s}] {window.scenario:18s} "
+              f"[{window.layer}] -> {mttr}")
     print("\nrepair log:")
     events = report.resilience["repair_events"]
     if not events:
@@ -89,7 +89,7 @@ def main() -> None:
         print(f"  [{fmt_duration(event['t']):>9s}] {event['action']:15s} "
               f"{event['replica']:10s} {event['detail']}")
 
-    unrecovered = [s for s in segments if s["mttr_s"] is None]
+    unrecovered = [w.summary() for w in windows if not w.recovery_ok]
     assert not unrecovered, f"faults without recovery: {unrecovered}"
     assert report.slo.attainment > 0.8
 

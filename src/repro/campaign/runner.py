@@ -129,9 +129,10 @@ def play(spec: ScenarioSpec, observability: bool = True):
     Builds a fresh site and fleet from the spec, starts the fleet, plays
     the schedule (plainly, through one chaos fault, or through a game
     day when the spec lists several), and shuts the fleet down.
-    Returns ``(report, fleet, trace_digest)``.  The kernel's trace
-    digest is taken *before* shutdown, whose Helm uninstalls emit trace
-    records of their own.
+    Returns ``(report, fleet, trace_digest)``; a chaos cell's report
+    carries one typed :class:`~repro.chaos.ResilienceReport` per fault
+    in ``report.faults``.  The kernel's trace digest is taken *before*
+    shutdown, whose Helm uninstalls emit trace records of their own.
 
     ``observability=False`` runs the identical cell fully dark (no
     registry, spans, or scraper; the report's ``obs`` block is None) —
@@ -173,22 +174,11 @@ def play(spec: ScenarioSpec, observability: bool = True):
                 by_name[event.scenario], schedule, spec.horizon,
                 event.inject_at, fault_duration=event.fault_duration,
                 mix=mix, sessions=sessions)
-            return report
-        plan = [(e.inject_at, by_name[e.scenario], e.fault_duration)
-                for e in spec.chaos]
-        report, segments = yield from orchestrator.run_gameday(
-            plan, schedule, spec.horizon, mix=mix, sessions=sessions)
-        # Lift whole-cell verdicts out of the per-segment reports so
-        # scorecard aggregates (recovered counts, MTTR curves) treat
-        # gameday cells like single-fault cells: recovered means every
-        # fault recovered, MTTR is the worst fault's.
-        mttrs = [s["mttr_s"] for s in segments]
-        report.resilience["recovery_ok"] = all(
-            s["recovered_at_s"] is not None and s.get("error") is None
-            for s in segments)
-        report.resilience["mttr_s"] = (max(mttrs)
-                                       if segments and None not in mttrs
-                                       else None)
+        else:
+            plan = [(e.inject_at, by_name[e.scenario], e.fault_duration)
+                    for e in spec.chaos]
+            report, _windows = yield from orchestrator.run_gameday(
+                plan, schedule, spec.horizon, mix=mix, sessions=sessions)
         return report
 
     report = kernel.run(until=kernel.spawn(cell(kernel), name=spec.name))

@@ -11,28 +11,32 @@ deficit) and *is the SLO window met*.  The resilience report derives
 from that probe timeline:
 
 * **MTTR** — injection until the first probe after which both signals
-  stay good through the end of the run (0 when the fault never registers,
-  e.g. a latency spike the SLO absorbs);
+  stay good through the end of the fault's window (0 when the fault
+  never registers, e.g. a latency spike the SLO absorbs);
 * **requests lost vs retried** — SLO-tracker errors vs router requests
   that succeeded only after a failover;
 * **first response** — the first supervisor repair or autoscaler action
   after injection.
 
-Since PR 10 the probe ground truth is scored *next to* the telemetry
-path an operator would actually have: when the fleet ran with its alert
+The probe ground truth is scored *next to* the telemetry path an
+operator would actually have: when the fleet runs with its alert
 evaluator on, ``detection_delay_alert_s`` measures injection to first
 firing alert (``None`` = the rule set never noticed), false-positive
 firings are counted, and the firing timeline merges with injections,
 supervisor repairs, and scale actions into a deterministic
 :class:`~repro.obs.incident.IncidentLog` on the report.
+
+One scorer serves both: each fault scores over its window, up to the
+next injection or the run's end; a single fault is the one-window case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from ..errors import StateError
+from ..errors import ConfigurationError, StateError
 from ..obs.incident import IncidentLog
 from .scenarios import ChaosContext, ChaosScenario
 from .supervisor import ReplicaSupervisor, SupervisorConfig
@@ -56,7 +60,7 @@ class Probe:
 
 @dataclass
 class ResilienceReport:
-    """Scorecard of one chaos case."""
+    """Scorecard of one fault over its injection window."""
 
     scenario: str
     layer: str
@@ -70,6 +74,8 @@ class ResilienceReport:
     requests_lost: int = 0
     requests_retried: int = 0
     failed_forwards: int = 0
+    #: the run's whole supervisor repair log (run-level, like
+    #: ``false_alerts`` and ``incidents``).
     repair_events: list[dict] = field(default_factory=list)
     recovery_ok: bool = False
     error: str | None = None
@@ -121,6 +127,13 @@ class ResilienceReport:
             **({"incidents": self.incidents}
                if self.incidents is not None else {}),
         }
+
+
+#: The :meth:`ResilienceReport.to_json` keys a game-day segment row keeps.
+SEGMENT_KEYS = frozenset({
+    "scenario", "layer", "injected_at_s", "detail", "detected_at_s",
+    "recovered_at_s", "mttr_s", "detection_delay_alert_s",
+    "requests_lost", "requests_retried", "error"})
 
 
 class ChaosOrchestrator:
@@ -217,8 +230,9 @@ class ChaosOrchestrator:
         ``plan`` is ``[(offset_seconds, scenario, fault_duration), ...]``
         sorted by offset.  Spawns the supervisor, the probe loop, and one
         injector that walks the plan; plays the traffic; takes the
-        end-of-run confirmation probe; stops.  Returns
-        ``(FleetReport, injection records, platform_name)``.
+        end-of-run confirmation probe; stops.  Returns the
+        :class:`FleetReport` with one scored :class:`ResilienceReport`
+        per planned fault in its ``faults`` field.
         """
         fleet = self.fleet
         if fleet.router_app is None:
@@ -245,7 +259,8 @@ class ChaosOrchestrator:
             schedule, horizon, mix=mix, label=label, sessions=sessions)
         self._probe_once()      # end-of-run confirmation probe
         stop.succeed()
-        return report, injections, platform_name
+        report.faults = self._score(plan, injections, report, platform_name)
+        return report
 
     # -- one scenario -----------------------------------------------------------
 
@@ -257,18 +272,17 @@ class ChaosOrchestrator:
                  sessions: SessionSpec | None = None):
         """Generator: one scenario over one traffic run.
 
-        A one-event plan on the shared run loop.  ``inject_at`` is
-        seconds after traffic start.  Returns
+        A one-event plan on the shared run loop, scored as one window.
+        ``inject_at`` is seconds after traffic start.  Returns
         ``(FleetReport, ResilienceReport)``; the fleet report carries the
         resilience scorecard in its ``resilience`` field.  ``sessions``
         plays the multi-turn conversational workload through the fault,
         exactly as :meth:`Fleet.run_scenario` would.
         """
-        report, injections, platform_name = yield from self._play(
+        report = yield from self._play(
             [(inject_at, scenario, fault_duration)], schedule, horizon,
             f"chaos:{scenario.name}", mix, platform_name, sessions)
-        resilience = self._resilience(scenario, platform_name, report,
-                                      injections[0] if injections else {})
+        (resilience,) = report.faults
         report.resilience = resilience.to_json()
         return report, resilience
 
@@ -285,55 +299,34 @@ class ChaosOrchestrator:
         ``plan`` is ``[(offset_seconds, scenario), ...]``; an optional
         third element overrides ``fault_duration`` for that injection
         (campaign specs carry per-event durations).  Returns
-        ``(FleetReport, segments)`` where each segment reports the
-        recovery window between its injection and the next one.
+        ``(FleetReport, windows)``: one :class:`ResilienceReport` per
+        fault, scored over the window between its injection and the
+        next one.  The fleet report's ``resilience`` block lists each
+        window's :data:`SEGMENT_KEYS` and the whole-cell verdict:
+        recovered when every window recovered, MTTR the worst window's
+        (None when any window did not recover).
         """
+        if not plan:
+            raise ConfigurationError("a game day needs at least one fault")
         plan = sorted(((item[0], item[1],
                         item[2] if len(item) > 2 else fault_duration)
                        for item in plan), key=lambda item: item[0])
-        report, injections, _platform = yield from self._play(
+        report = yield from self._play(
             plan, schedule, horizon, "chaos:gameday", mix, platform_name,
             sessions)
-        final_stats = self.fleet.router_app.stats()
-        alerts = self.fleet.alerts
-        segments = []
-        for i, record in enumerate(injections):
-            t0 = record["injected_at"]
-            nxt = injections[i + 1] if i + 1 < len(injections) else None
-            t1 = nxt["injected_at"] if nxt else float("inf")
-            detected, recovered = self._recovery_window(t0, t1)
-            errors_end = (nxt["errors_before"] if nxt
-                          else report.slo.errors)
-            retried_end = (nxt["retried_before"] if nxt
-                           else final_stats["retried_ok"])
-            first_alert = (alerts.first_firing(t0, t1)
-                           if alerts is not None else None)
-            segments.append({
-                "scenario": record["scenario"],
-                "layer": record["layer"],
-                "injected_at_s": round(t0, 1),
-                "detail": record["detail"],
-                "detected_at_s": (None if detected is None
-                                  else round(detected, 1)),
-                "recovered_at_s": (None if recovered is None
-                                   else round(recovered, 1)),
-                "mttr_s": (None if recovered is None
-                           else round(recovered - t0, 1)),
-                "detection_delay_alert_s": (None if first_alert is None
-                                            else round(first_alert - t0,
-                                                       1)),
-                "requests_lost": errors_end - record["errors_before"],
-                "requests_retried": (retried_end
-                                     - record["retried_before"]),
-                "error": record.get("error"),
-            })
-        report.resilience = {"gameday": segments,
-                             "repair_events": [e.row() for e in
-                                               self.supervisor.events]}
-        if alerts is not None:
-            report.resilience["incidents"] = \
-                self._incident_log(injections).to_json()
-        return report, segments
+        windows = report.faults
+        rows = [window.to_json() for window in windows]
+        segments = [{k: v for k, v in row.items() if k in SEGMENT_KEYS}
+                    for row in rows]
+        mttrs = [s["mttr_s"] for s in segments]
+        report.resilience = {
+            "gameday": segments,
+            # run-level, so every window carries the same ones
+            **{k: rows[0][k] for k in ("repair_events", "incidents")
+               if k in rows[0]},
+            "recovery_ok": all(w.recovery_ok for w in windows),
+            "mttr_s": None if None in mttrs else max(mttrs)}
+        return report, windows
 
     # -- scoring ----------------------------------------------------------------
 
@@ -361,56 +354,71 @@ class ChaosOrchestrator:
         return IncidentLog.build(
             alerts=alerts.events if alerts is not None else (),
             injections=[(rec["injected_at"], rec["scenario"],
-                         rec["layer"]) for rec in injections
-                        if rec.get("injected_at") is not None],
+                         rec["layer"]) for rec in injections],
             repairs=[(e.time, e.action, e.replica)
                      for e in self.supervisor.events],
             scales=[(e.time, e.action,
                      f"{e.replicas_before}->{e.replicas_after}")
                     for e in self.fleet.autoscaler.events])
 
-    def _resilience(self, scenario: ChaosScenario, platform_name: str,
-                    report: FleetReport, state: dict) -> ResilienceReport:
-        injected_at = state.get("injected_at")
-        out = ResilienceReport(
-            scenario=scenario.name, layer=scenario.layer,
-            platform=platform_name,
-            injected_at=injected_at if injected_at is not None else -1.0,
-            detail=state.get("detail", {}),
-            error=state.get("error"))
-        if injected_at is None:
-            out.error = out.error or "fault never injected"
-            return out
-        detected, recovered = self._recovery_window(injected_at,
-                                                    float("inf"))
-        out.detected_at = detected
-        out.recovered_at = recovered
-        out.mttr_s = (None if recovered is None
-                      else recovered - injected_at)
-        out.recovery_ok = recovered is not None and out.error is None
-        stats = self.fleet.router_app.stats()
-        out.failed_forwards = (stats["failed_forwards"]
-                               - state.get("failed_forwards_before", 0))
-        out.requests_retried = (stats["retried_ok"]
-                                - state.get("retried_before", 0))
-        # Delta since injection, like the counters above: errors from
-        # before the fault are not this fault's losses.
-        out.requests_lost = (report.slo.errors
-                             - state.get("errors_before", 0))
-        responses = [e.time for e in self.supervisor.events
-                     if e.time >= injected_at]
-        responses += [e.time for e in self.fleet.autoscaler.events
-                      if e.time >= injected_at]
-        out.first_response_s = (min(responses) - injected_at
-                                if responses else None)
-        out.repair_events = [e.row() for e in self.supervisor.events]
-        alerts = self.fleet.alerts
+    def _score(self, plan: list[tuple[float, ChaosScenario, float]],
+               injections: list[dict], report: FleetReport,
+               platform_name: str) -> list[ResilienceReport]:
+        """One :class:`ResilienceReport` per planned fault, each over
+        ``[injection i, injection i+1)`` (the last up to the run's end).
+
+        Window counters are the next record's ``*_before`` snapshots (or
+        the final stats) minus the fault's own.  A fault the run ended
+        before injecting reports ``"fault never injected"``.
+        """
+        fleet = self.fleet
+        stats = fleet.router_app.stats()
+        end_of_run = {"injected_at": math.inf,
+                      "failed_forwards_before": stats["failed_forwards"],
+                      "retried_before": stats["retried_ok"],
+                      "errors_before": report.slo.errors}
+        bounds = injections[1:] + [end_of_run]
+        repairs = [e.row() for e in self.supervisor.events]
+        responses = sorted([e.time for e in self.supervisor.events]
+                           + [e.time for e in fleet.autoscaler.events])
+        alerts = fleet.alerts
         if alerts is not None:
-            first = alerts.first_firing(injected_at)
-            out.detection_delay_alert_s = (None if first is None
-                                           else first - injected_at)
-            out.alerts_fired = alerts.fired_count(injected_at)
-            log = self._incident_log([state])
-            out.false_alerts = log.false_alerts()
-            out.incidents = log.to_json()
-        return out
+            log = self._incident_log(injections)
+            false_alerts, incidents = log.false_alerts(), log.to_json()
+        windows = []
+        for i, (_offset, scenario, _duration) in enumerate(plan):
+            out = ResilienceReport(
+                scenario=scenario.name, layer=scenario.layer,
+                platform=platform_name, injected_at=-1.0,
+                repair_events=repairs, error="fault never injected")
+            if alerts is not None:
+                out.false_alerts, out.incidents = false_alerts, incidents
+            windows.append(out)
+            if i >= len(injections):
+                continue
+            state, end = injections[i], bounds[i]
+            t0, t1 = state["injected_at"], end["injected_at"]
+            out.injected_at = t0
+            out.detail = state["detail"]
+            out.error = state.get("error")
+            out.detected_at, out.recovered_at = self._recovery_window(t0,
+                                                                      t1)
+            out.mttr_s = (None if out.recovered_at is None
+                          else out.recovered_at - t0)
+            out.recovery_ok = (out.recovered_at is not None
+                               and out.error is None)
+            # Deltas over the window: traffic lost before the fault, or
+            # after the next one, is not this fault's.
+            out.failed_forwards = (end["failed_forwards_before"]
+                                   - state["failed_forwards_before"])
+            out.requests_retried = (end["retried_before"]
+                                    - state["retried_before"])
+            out.requests_lost = end["errors_before"] - state["errors_before"]
+            out.first_response_s = next(
+                (t - t0 for t in responses if t0 <= t < t1), None)
+            if alerts is not None:
+                first = alerts.first_firing(t0, t1)
+                out.detection_delay_alert_s = (None if first is None
+                                               else first - t0)
+                out.alerts_fired = alerts.fired_count(t0, t1)
+        return windows

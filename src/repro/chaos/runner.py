@@ -9,14 +9,13 @@ simulation clock, so the same seed produces a byte-identical scorecard.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 from ..experiments.common import canonical_json_text
 from ..fleet import AutoscalerConfig, SloSpec
-from .orchestrator import ChaosOrchestrator, ResilienceReport
+from .orchestrator import ResilienceReport
 from .scenarios import ChaosScenario, catalog
-from .supervisor import SupervisorConfig
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
@@ -83,7 +82,14 @@ def case_spec(config: ChaosRunConfig, fleet_platform: str):
 def run_case(scenario: ChaosScenario | str, platform_kind: str,
              config: ChaosRunConfig | None = None,
              fleet_platform: str | None = None):
-    """One (scenario, platform) cell: returns ``(row, report, res)``."""
+    """One (scenario, platform) cell: returns ``(row, report, res)``.
+
+    The cell is :func:`case_spec` with the scenario as its one chaos
+    event, played by :func:`repro.campaign.play`; ``res`` is the typed
+    :class:`ResilienceReport` the played report carries.
+    """
+    # Deferred for the same cycle as in case_spec.
+    from ..campaign import ChaosEventSpec, play
     config = config or ChaosRunConfig()
     if isinstance(scenario, str):
         scenario = catalog(names=[scenario])[0]
@@ -91,38 +97,24 @@ def run_case(scenario: ChaosScenario | str, platform_kind: str,
         raise ValueError(f"platform kind must be one of "
                          f"{sorted(PLATFORM_FLEETS)}: {platform_kind!r}")
     fleet_platform = fleet_platform or PLATFORM_FLEETS[platform_kind]
-    spec = case_spec(config, fleet_platform)
-    fleet = spec.build_fleet(spec.build_site())
-    orchestrator = ChaosOrchestrator(
-        fleet,
-        supervisor=SupervisorConfig(interval=spec.supervisor_interval),
-        probe_interval=spec.probe_interval)
-    schedule = spec.schedule.build()
-
-    def case(env):
-        yield from fleet.start(initial_replicas=config.initial_replicas)
-        result = yield from orchestrator.run_case(
-            scenario, schedule, config.horizon, config.inject_at,
-            fault_duration=config.fault_duration)
-        return result
-
-    kernel = fleet.kernel
-    report, res = kernel.run(until=kernel.spawn(case(kernel),
-                                                name="chaos:case"))
-    fleet.shutdown()
-    row = _case_row(platform_kind, fleet_platform, scenario, report, res)
+    spec = replace(
+        case_spec(config, fleet_platform),
+        chaos=(ChaosEventSpec(scenario.name, config.inject_at,
+                              config.fault_duration),))
+    report, _fleet, _digest = play(spec)
+    (res,) = report.faults
+    row = _case_row(platform_kind, fleet_platform, scenario, report)
     return row, report, res
 
 
 def _case_row(platform_kind: str, fleet_platform: str,
-              scenario: ChaosScenario, report,
-              res: ResilienceReport) -> dict:
+              scenario: ChaosScenario, report) -> dict:
     return {
         "platform": platform_kind,
         "fleet_platform": fleet_platform,
         "scenario": scenario.name,
         "layer": scenario.layer,
-        "resilience": res.to_json(),
+        "resilience": report.resilience,
         "fleet": {
             "arrivals": report.arrivals,
             "errors": report.slo.errors,

@@ -9,8 +9,7 @@ autoscaler spanning the converged site's HPC and Kubernetes platforms
 handle that ties them together behind one ``run_scenario()`` call.
 """
 
-from .autoscaler import (Autoscaler, AutoscalerConfig, LoadSample,
-                         ScaleEvent)
+from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
 from .fleet import (DisaggSpec, Fleet, FleetConfig, FleetReport,
                     Replica, TurnResult)
 from .slo import (RequestRecord, SloReport, SloSnapshot, SloSpec,
@@ -28,7 +27,6 @@ __all__ = [
     "Fleet",
     "FleetConfig",
     "FleetReport",
-    "LoadSample",
     "PoissonSchedule",
     "Replica",
     "RequestRecord",

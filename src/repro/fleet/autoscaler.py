@@ -17,7 +17,9 @@ holds a cooldown before reconsidering.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -90,12 +92,9 @@ class ScaleEvent:
                 "reason": self.reason}
 
 
-@dataclass
-class LoadSample:
-    time: float
-    replicas: int
-    outstanding: int
-    healthy: int
+#: one tick's (time, replicas, outstanding, healthy), as folded into
+#: :meth:`Autoscaler.digest`.
+_SAMPLE = struct.Struct("<dqqq")
 
 
 class Autoscaler:
@@ -106,7 +105,9 @@ class Autoscaler:
         self.config = config
         self.kernel = fleet.kernel
         self.events: list[ScaleEvent] = []
-        self.samples: list[LoadSample] = []
+        #: running SHA-256 over every tick's load sample, live and
+        #: closed-form alike (see :meth:`digest`).
+        self._samples = hashlib.sha256()
         self._scaling = False
         self._last_up = -math.inf
         self._last_down = -math.inf
@@ -125,7 +126,7 @@ class Autoscaler:
         for up to ``down_cooldown`` simulated seconds.
         """
         self.events = []
-        self.samples = []
+        self._samples = hashlib.sha256()
         self._low_streak = 0
         self._last_up = -math.inf
         self._last_down = -math.inf
@@ -137,13 +138,15 @@ class Autoscaler:
         want = math.ceil(outstanding / cfg.target_outstanding)
         return max(cfg.min_replicas, min(cfg.max_replicas, want))
 
-    def sample(self) -> LoadSample:
-        stats = self.fleet.router_app.stats()
-        sample = LoadSample(
-            time=self.kernel.now, replicas=len(self.fleet.replicas),
-            outstanding=stats["outstanding"], healthy=stats["healthy"])
-        self.samples.append(sample)
-        return sample
+    def digest(self) -> str:
+        """SHA-256 over every tick's ``(time, replicas, outstanding,
+        healthy)`` since the last :meth:`reset`: the witness that
+        closed-form ticks sample what stepped ticks would."""
+        return self._samples.hexdigest()
+
+    def _fold(self, t: float, replicas: int, stats: dict) -> None:
+        self._samples.update(_SAMPLE.pack(t, replicas, stats["outstanding"],
+                                        stats["healthy"]))
 
     # -- control loop -----------------------------------------------------------
 
@@ -176,15 +179,13 @@ class Autoscaler:
         return math.inf
 
     def _play_idle(self, ticks: list[float]) -> None:
-        """Closed-form ticks over an idle fleet: each appends a
-        zero-load sample and extends the low streak, deciding nothing
-        (they all precede :meth:`next_decision_tick`)."""
+        """Closed-form ticks over an idle fleet: each folds a zero-load
+        sample and extends the low streak, deciding nothing (they all
+        precede :meth:`next_decision_tick`)."""
         stats = self.fleet.router_app.stats()
         n = len(self.fleet.replicas)
         for t in ticks:
-            self.samples.append(LoadSample(
-                time=t, replicas=n, outstanding=stats["outstanding"],
-                healthy=stats["healthy"]))
+            self._fold(t, n, stats)
         if self.config.scale_down_threshold > 0:
             self._low_streak += len(ticks)
         else:
@@ -204,14 +205,15 @@ class Autoscaler:
             yield kernel.any_of([stop_event, tick])
             if stop_event.triggered:
                 return
-            self._tick = kernel.now
-            sample = self.sample()
+            now = self._tick = kernel.now
+            stats = self.fleet.router_app.stats()
+            n = len(self.fleet.replicas)
+            self._fold(now, n, stats)
             if self._scaling:
                 continue  # a deploy/drain is already converging
-            n = len(self.fleet.replicas)
-            desired = self.desired_replicas(sample.outstanding)
-            now = kernel.now
-            if sample.outstanding / max(n, 1) < cfg.scale_down_threshold:
+            outstanding = stats["outstanding"]
+            desired = self.desired_replicas(outstanding)
+            if outstanding / max(n, 1) < cfg.scale_down_threshold:
                 self._low_streak += 1
             else:
                 self._low_streak = 0
@@ -222,7 +224,7 @@ class Autoscaler:
                 self._low_streak = 0
                 self._scaling = True
                 step = min(desired - n, cfg.max_step_up)
-                kernel.spawn(self._scale_up(step, sample),
+                kernel.spawn(self._scale_up(step, outstanding),
                              name="autoscaler:up")
             elif (n > cfg.min_replicas
                   and self._low_streak >= cfg.low_streak
@@ -230,22 +232,22 @@ class Autoscaler:
                   and now - self._last_up >= cfg.down_cooldown):
                 self._low_streak = 0
                 self._scaling = True
-                kernel.spawn(self._scale_down(sample),
+                kernel.spawn(self._scale_down(outstanding),
                              name="autoscaler:down")
 
     # -- actions ----------------------------------------------------------------
 
-    def _scale_up(self, step: int, sample: LoadSample):
+    def _scale_up(self, step: int, outstanding: int):
         kernel = self.kernel
         before = len(self.fleet.replicas)
-        reason = (f"outstanding={sample.outstanding} > "
+        reason = (f"outstanding={outstanding} > "
                   f"{self.config.target_outstanding:g}/replica x {before}")
         try:
             added = yield from self.fleet.add_replicas(step)
         except (ReproError, StateError) as exc:
             self.events.append(ScaleEvent(
                 kernel.now, "up_failed", before, len(self.fleet.replicas),
-                sample.outstanding, reason=str(exc)))
+                outstanding, reason=str(exc)))
             kernel.trace.emit("fleet.scale_up_failed", error=str(exc))
             return
         finally:
@@ -253,12 +255,12 @@ class Autoscaler:
             self._last_up = kernel.now
         after = len(self.fleet.replicas)
         self.events.append(ScaleEvent(
-            kernel.now, "up", before, after, sample.outstanding,
+            kernel.now, "up", before, after, outstanding,
             reason=reason))
         kernel.trace.emit("fleet.scale_up", added=len(added),
                           replicas=after)
 
-    def _scale_down(self, sample: LoadSample):
+    def _scale_down(self, outstanding: int):
         kernel = self.kernel
         before = len(self.fleet.replicas)
         try:
@@ -271,9 +273,9 @@ class Autoscaler:
         if removed is None:
             return
         self.events.append(ScaleEvent(
-            kernel.now, "down", before, after, sample.outstanding,
+            kernel.now, "down", before, after, outstanding,
             reason=(f"outstanding/replica = "
-                    f"{sample.outstanding / max(before, 1):.2f} < "
+                    f"{outstanding / max(before, 1):.2f} < "
                     f"{self.config.scale_down_threshold:g}")))
         kernel.trace.emit("fleet.scale_down", removed=removed.name,
                           replicas=after)

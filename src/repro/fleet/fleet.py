@@ -45,6 +45,7 @@ from .slo import RequestRecord, SloSnapshot, SloSpec, SloTracker
 from .traffic import ArrivalSchedule, TenantMix, TrafficGenerator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..chaos.orchestrator import ResilienceReport
     from ..core.site import ConvergedSite
     from ..hardware.node import Node
     from ..sessions import SessionSpec
@@ -168,6 +169,9 @@ class FleetReport:
     snapshots: list[dict] = field(default_factory=list)
     #: chaos-orchestrator resilience scorecard (None outside chaos runs)
     resilience: dict | None = None
+    #: the typed per-fault reports behind ``resilience``, one per
+    #: injection window (not serialized)
+    faults: list[ResilienceReport] = field(default_factory=list)
     #: session-workload accounting (None for single-shot scenarios);
     #: when set, ``arrivals`` counts session *starts*, not requests.
     sessions: dict | None = None

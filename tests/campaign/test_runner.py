@@ -111,8 +111,8 @@ def test_run_cell_gameday_for_multiple_faults():
     segments = row["resilience"]["gameday"]
     assert [s["scenario"] for s in segments] == ["engine_oom",
                                                  "latency_spike"]
-    # Whole-cell verdicts are lifted out of the segments so scorecard
-    # aggregates count gameday cells like single-fault cells.
+    # The orchestrator adds whole-cell verdicts next to the segments so
+    # scorecard aggregates count gameday cells like single-fault cells.
     assert row["resilience"]["recovery_ok"] == all(
         s["recovered_at_s"] is not None for s in segments)
     if row["resilience"]["recovery_ok"]:

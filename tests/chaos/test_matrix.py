@@ -9,7 +9,7 @@ import pytest
 from repro.chaos import CATALOG, catalog, run_case
 from repro.chaos.runner import (ChaosRunConfig, PLATFORM_FLEETS,
                                 run_matrix, scorecard_text)
-from repro.errors import StateError
+from repro.errors import ConfigurationError, StateError
 
 
 def test_catalog_spans_every_layer():
@@ -75,6 +75,14 @@ def test_wlm_preemption_goes_through_flux_too():
     assert res.recovery_ok
     assert res.detail["wlm"] == "flux"
     assert row["fleet_platform"] == "eldorado"
+
+
+def test_fault_at_the_horizon_is_rejected():
+    """A fault at the horizon would fire during the end-of-run drain,
+    where only the confirmation probe sees it: it must not score as a
+    recovery."""
+    with pytest.raises(ConfigurationError):
+        run_case("engine_oom", "hpc", ChaosRunConfig(inject_at=3600.0))
 
 
 def test_same_seed_byte_identical_scorecard():

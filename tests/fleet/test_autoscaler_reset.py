@@ -7,6 +7,7 @@ scenario's last scale timestamps into the second, silently vetoing its
 first scale decision for up to a full cooldown of simulated time.
 """
 
+import hashlib
 import math
 
 from repro.core import build_sandia_site
@@ -25,13 +26,16 @@ def test_reset_clears_cooldowns_streak_and_tapes():
     scaler._last_up = 5000.0
     scaler._last_down = 4000.0
     scaler._low_streak = 3
+    empty = scaler.digest()
     scaler.events.append(object())
-    scaler.samples.append(object())
+    scaler._fold(10.0, 1, {"outstanding": 3, "healthy": 1})
+    assert scaler.digest() != empty
     scaler.reset()
     assert scaler._last_up == -math.inf
     assert scaler._last_down == -math.inf
     assert scaler._low_streak == 0
-    assert scaler.events == [] and scaler.samples == []
+    assert scaler.events == [] and scaler.digest() == empty
+    assert empty == hashlib.sha256().hexdigest()
 
 
 def test_second_scenario_can_scale_despite_huge_cooldown():

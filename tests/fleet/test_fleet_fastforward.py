@@ -4,7 +4,7 @@ The contract under test (docs/performance.md, "Fleet fast-forward"):
 with ``FleetConfig.fast_forward`` on, every digest-visible artifact —
 the serialized :class:`FleetReport` (tokens, TTFTs, finish times,
 snapshots), the kernel trace digest, the span/metrics/scrape digests,
-and the autoscaler's sample tape — must be *byte-identical* to a run
+and the autoscaler digest — must be *byte-identical* to a run
 with fast-forward off.  Not statistically close: identical.  Every
 request takes the one request path either way; quiet-tick fast-play
 must disarm itself, silently falling back to stepping, whenever a
@@ -83,8 +83,7 @@ def _play(site, fleet, schedule, horizon: float, replicas: int = 1,
         "report": json.dumps(report.to_json(), sort_keys=True),
         "trace": site.kernel.trace.digest(),
         "obs": json.dumps(report.obs, sort_keys=True),
-        "samples": tuple((s.time, s.replicas, s.outstanding, s.healthy)
-                         for s in fleet.autoscaler.samples),
+        "samples": fleet.autoscaler.digest(),
         "snapshots": json.dumps(report.snapshots),
         "fast": fleet.ff.fast_requests,
         "quiet": seen["quiet"],
@@ -128,7 +127,7 @@ def test_pulse_gaps_bit_identical_vs_stepping():
     This is the shape the fast-forward exists for — the idle gaps are
     where the autoscaler/monitor/health fast-play skips ticks, and
     where any phase or closed-form error would show up as a diverging
-    sample tape or snapshot row.
+    autoscaler digest or snapshot row.
     """
     schedule = PulseSchedule(rate_rps=1.2, period=21600.0,
                              duty=600.0 / 21600.0)
@@ -284,8 +283,8 @@ def test_pulse_shapes_bit_identical_vs_stepping(seed, rate, period, duty,
     traffic gap; ``disagg`` serves through prefill and decode pools;
     ``sessions`` makes every arrival a closed-loop conversation.  The
     first three pinned examples are the shapes where the per-loop skip
-    routines diverged from stepping: a float-chain mismatch on the
-    autoscaler tape, a scrape that read an SLO window trimmed ahead of
+    routines diverged from stepping: a float-chain mismatch in the
+    autoscaler digest, a scrape that read an SLO window trimmed ahead of
     the clock, and health passes that resumed off their stepped phase
     after a crash attached in the gap.  The fourth is session traffic,
     which fast-plays like open-loop traffic: its think timers are heap
