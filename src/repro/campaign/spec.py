@@ -197,8 +197,8 @@ class ScenarioSpec:
     #: axis: unified vs split pools).
     disagg: DisaggSpec = field(default_factory=DisaggSpec)
     #: fleet quiet-play: idle periodic ticks are skipped bit-identically
-    #: to stepping for open-loop and session traffic alike, and it
-    #: switches itself off under chaos and armed faults, so the only
+    #: to stepping for open-loop and session traffic and chaos faults
+    #: alike, and it switches itself off under armed faults, so the only
     #: reason to flip it off is an A/B arm in an equivalence or perf
     #: study.
     fast_forward: bool = True

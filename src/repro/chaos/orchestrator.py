@@ -144,23 +144,16 @@ class ChaosOrchestrator:
                  probe_interval: float = 15.0):
         self.fleet = fleet
         self.kernel = fleet.kernel
-        # Chaos faults such as fabric partitions and registry outages
-        # are invisible to the quiet predicate, so an idle tick skipped
-        # across one could miss its effect: disarm quiet-play for good
-        # the moment a fleet is bound to an orchestrator.
-        fleet.ff.chaos = True
-        self.supervisor = ReplicaSupervisor(fleet, supervisor)
+        self.supervisor = fleet.supervisor = ReplicaSupervisor(fleet,
+                                                               supervisor)
         self.probe_interval = probe_interval
         self.probes: list[Probe] = []
-        self._target_replicas = 0
 
     # -- probes -----------------------------------------------------------------
 
     def _infra_ok(self) -> bool:
         fleet = self.fleet
-        if len(fleet.replicas) < self._target_replicas:
-            return False
-        if self.supervisor.deficit > 0:
+        if self.supervisor.deficit or self.supervisor.replacing:
             return False
         if any(fleet.replica_status(r)[0] != "ok" for r in fleet.replicas):
             return False
@@ -176,10 +169,15 @@ class ChaosOrchestrator:
                                  self._slo_ok()))
 
     def _probe_loop(self, stop_event):
+        """Probe every ``probe_interval``; a skipped probe reads the
+        infrastructure as it stands and a drained, so met, SLO window."""
         kernel = self.kernel
         while not stop_event.triggered:
-            yield kernel.any_of(
-                [stop_event, kernel.timeout(self.probe_interval)])
+            skipped, tick = self.fleet.ff.next_tick(self.probe_interval)
+            if skipped:
+                infra_ok = self._infra_ok()
+                self.probes += [Probe(t, infra_ok, True) for t in skipped]
+            yield kernel.any_of([stop_event, tick])
             if stop_event.triggered:
                 return
             self._probe_once()
@@ -240,7 +238,6 @@ class ChaosOrchestrator:
         kernel = self.kernel
         self.probes = []
         self.supervisor.reset()
-        self._target_replicas = len(fleet.replicas)
         platform_name = platform_name or fleet.config.platforms[0]
         start = kernel.now
         injections: list[dict] = []

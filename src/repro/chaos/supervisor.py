@@ -65,6 +65,7 @@ class ReplicaSupervisor:
         self.kernel = fleet.kernel
         self.events: list[RepairEvent] = []
         self.deficit = 0      # replicas discarded but not yet replaced
+        self.replacing = 0    # replacements deploying right now
         self._unhealthy_since: dict[str, float] = {}
 
     def reset(self) -> None:
@@ -81,11 +82,12 @@ class ReplicaSupervisor:
     # -- control loop -----------------------------------------------------------
 
     def run(self, stop_event: Event):
-        """Generator process: sweep every ``interval`` until stopped."""
+        """Generator process: sweep every ``interval`` until stopped;
+        a sweep quiet-play skips has an empty body (all replicas ok)."""
         kernel = self.kernel
         while not stop_event.triggered:
-            yield kernel.any_of(
-                [stop_event, kernel.timeout(self.config.interval)])
+            _, tick = self.fleet.ff.next_tick(self.config.interval)
+            yield kernel.any_of([stop_event, tick])
             if stop_event.triggered:
                 return
             yield from self._sweep()
@@ -126,6 +128,7 @@ class ReplicaSupervisor:
     def _replace(self, replica, detail: str):
         self._note(replica.name, "replace", detail)
         self._unhealthy_since.pop(replica.name, None)
+        self.replacing += 1
         try:
             successor = yield from self.fleet.replace_replica(replica)
         except (ReproError, StateError) as exc:
@@ -134,5 +137,7 @@ class ReplicaSupervisor:
             self.deficit += 1
             self._note(replica.name, "replace_failed", str(exc))
             return
+        finally:
+            self.replacing -= 1
         self._note(successor.name, "replaced",
                    f"for {replica.name} on {successor.platform_name}")

@@ -46,6 +46,7 @@ from .traffic import ArrivalSchedule, TenantMix, TrafficGenerator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..chaos.orchestrator import ResilienceReport
+    from ..chaos.supervisor import ReplicaSupervisor
     from ..core.site import ConvergedSite
     from ..hardware.node import Node
     from ..sessions import SessionSpec
@@ -113,11 +114,11 @@ class FleetConfig:
     #: replica is a unified engine serving whole requests).
     disagg: DisaggSpec = field(default_factory=DisaggSpec)
     #: fleet quiet-play: while the fleet is provably idle, the periodic
-    #: loops (autoscaler, SLO monitor, telemetry, router health checks)
-    #: skip their ticks through one governor, :class:`FleetFastForward`.
-    #: Bit-identical to stepping for every traffic kind, sessions
-    #: included (see docs/performance.md); off under chaos and armed
-    #: fault plans.  False makes every loop step.
+    #: loops (autoscaler, SLO monitor, telemetry, router health checks,
+    #: and under chaos the supervisor and the probes) skip their ticks
+    #: through one governor, :class:`FleetFastForward`.  Bit-identical
+    #: to stepping for every traffic kind and chaos fault (see
+    #: docs/performance.md).  False makes every loop step.
     fast_forward: bool = True
 
     def __post_init__(self):
@@ -253,10 +254,10 @@ class FleetFastForward:
     """Governor for the fleet's quiet-play: skipping idle periodic ticks.
 
     Every periodic fleet loop — autoscaler, SLO monitor, telemetry,
-    router health checks — waits for its next tick through
+    router health checks, chaos supervisor and probes — waits through
     :meth:`next_tick`.  While the fleet is provably idle (:meth:`quiet`),
-    that call skips the loop's ticks strictly before one fleet-wide
-    :meth:`edge` and wakes the loop on its first tick at or after it;
+    that call skips the loop's ticks before one fleet-wide :meth:`edge`
+    and wakes the loop on its last tick before it, which then runs live;
     otherwise it is a plain ``timeout(interval)``.  The edge is the
     earliest pending kernel entry that is not a governed tick, so one
     rule covers every traffic kind: an open-loop arrival, a session's
@@ -265,68 +266,59 @@ class FleetFastForward:
     live tick lands on the exact instant stepping would have run it.
 
     Everything here is advisory: with ``FleetConfig.fast_forward``
-    False, or under chaos, every loop steps.
+    False every loop steps.  A chaos fault ends quiet-play only through
+    the state :meth:`quiet` reads.
     """
 
     def __init__(self, fleet: Fleet):
         self.fleet = fleet
         self.kernel = fleet.kernel
-        #: set by the chaos orchestrator before it drives scenarios;
-        #: its faults act mid-window, which quiet-play must not race.
-        self.chaos = False
         #: requests issued through :meth:`Fleet.request` (the one path)
         self.fast_requests = 0
-        self._engines: dict | None = None
-        self._engines_epoch = -1
         self._edge = -math.inf
 
     # -- eligibility -----------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        return self.fleet.config.fast_forward and not self.chaos
-
     def engines(self) -> dict | None:
         """(host, port) -> live LLMEngine behind each router backend.
 
-        Cached per router pool epoch; returns None when any backend
-        does not resolve to a vLLM engine (dead service, foreign app) —
-        which simply disqualifies quiet-play.
+        Resolved on every call; None, which disqualifies quiet-play,
+        when a backend resolves to no vLLM engine (stopped container,
+        evicted pod) or its host or the router's is partitioned.
         """
         router = self.fleet.router_app
-        if router is None:
+        fabric = self.fleet.site.fabric
+        if router is None or fabric.partitioned(self.fleet.router_host):
             return None
-        if router._epoch != self._engines_epoch:
-            fabric = self.fleet.site.fabric
-            engines: dict | None = {}
-            for b in router.backends:
-                engine = getattr(getattr(lookup(fabric, b.host, b.port),
-                                         "app", None), "engine", None)
-                if engine is None:
-                    engines = None
-                    break
-                engines[(b.host, b.port)] = engine
-            self._engines = engines
-            self._engines_epoch = router._epoch
-        return self._engines
+        engines = {}
+        for b in router.backends:
+            engine = getattr(getattr(lookup(fabric, b.host, b.port),
+                                     "app", None), "engine", None)
+            if engine is None or fabric.partitioned(b.host):
+                return None
+            engines[(b.host, b.port)] = engine
+        return engines
 
     def quiet(self) -> bool:
         """Is the fleet provably idle right now?
 
         True only when fast-forward is enabled and nothing is in flight
-        anywhere — no open-loop request, no deploy, no scale action,
-        every backend (prefill and decode ones included) healthy with
-        zero outstanding forwards, every engine's queues empty and free
-        of fault plans and crashes, and the SLO window drained empty —
-        so nothing but a pending kernel entry can end the idleness.
+        anywhere — no open-loop request, no deploy, no scale action, no
+        supervisor redeploy owed, every backend (prefill and decode ones
+        included) reachable and healthy with zero outstanding forwards,
+        every engine's queues empty and free of fault plans and crashes,
+        and the SLO window drained empty — so nothing but a pending
+        kernel entry can end the idleness.
         """
-        if not self.enabled:
+        if not self.fleet.config.fast_forward:
             return False
         engines = self.engines()
         if not engines:
             return False
         fleet = self.fleet
-        if fleet.inflight or fleet._pending_nodes:
+        supervisor = fleet.supervisor
+        if (fleet.inflight or fleet._pending_nodes
+                or supervisor is not None and supervisor.deficit):
             return False
         if fleet.autoscaler._scaling or not fleet.slo.drained():
             return False
@@ -372,8 +364,11 @@ class FleetFastForward:
         ``t`` ends once the delays ``waits()`` lists have been added to
         ``t`` in order (none by default; called only when a skip is
         possible), and the next tick is ``end + interval``.  A tick is
-        skipped only if it ends strictly before :meth:`edge`; the loop
-        wakes, exactly, on the first tick that does not.
+        skipped only if the tick after it also starts strictly before
+        :meth:`edge`; the loop wakes, exactly, on its last tick before
+        the edge, which queues the next one as stepping does (same
+        instant, same heap position), so ticks that tie with the edge's
+        entry run in stepping's order — loop bodies need not commute.
         """
         t = self.kernel.now + interval
         skipped: list[float] = []
@@ -383,7 +378,7 @@ class FleetFastForward:
             end = t
             for delay in delays:
                 end += delay
-            if end >= edge:
+            if end + interval >= edge:
                 break
             skipped.append(t)
             t = end + interval
@@ -401,6 +396,8 @@ class Fleet:
         self.slo = SloTracker(site.kernel, config.slo)
         self.autoscaler = Autoscaler(self, config.autoscaler)
         self.ff = FleetFastForward(self)
+        #: chaos replica supervisor, if bound; a deficit bars quiet-play
+        self.supervisor: ReplicaSupervisor | None = None
         self.replicas: list[Replica] = []
         self.placements: list[tuple[str, str]] = []  # (replica, platform)
         self.replica_timeline: list[tuple[float, int]] = []
@@ -914,8 +911,8 @@ class Fleet:
         else:
             mix = mix or TenantMix.single(kernel)
             traffic = TrafficGenerator(kernel, schedule, mix, self.submit)
-        # No quiet window or engine map carries over between scenarios.
-        self.ff._edge, self.ff._engines_epoch = -math.inf, -1
+        # No quiet window carries over between scenarios.
+        self.ff._edge = -math.inf
         self.router_app.ff_governor = self.ff
         if self.config.obs_spans:
             kernel.obs.enable_spans()

@@ -17,6 +17,7 @@ from repro.chaos import ChaosOrchestrator, SupervisorConfig, catalog
 from repro.chaos.runner import (ChaosRunConfig, PLATFORM_FLEETS,
                                 case_spec, run_case)
 from repro.errors import ConfigurationError
+from repro.fleet import AutoscalerConfig
 
 CONFIG = ChaosRunConfig(horizon=1800.0, inject_at=600.0,
                         fault_duration=300.0)
@@ -136,3 +137,23 @@ def test_gameday_windows_end_at_the_next_injection():
     retried = [window.requests_retried for window in report.faults]
     assert min(retried) >= 1
     assert sum(retried) == fleet.router_app.retried_ok
+
+
+def test_scale_down_does_not_leave_infra_bad():
+    """An idle scale-down below the starting replica count is not an
+    impairment: infrastructure is whole when no replacement is owed or
+    deploying, so a later fault's window still recovers."""
+    spec = dataclasses.replace(
+        case_spec(ChaosRunConfig(), "hops"), initial_replicas=3,
+        autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=4,
+                                    target_outstanding=8.0),
+        horizon=3 * 3600.0,
+        chaos=(ChaosEventSpec("engine_oom", 5400.0, 600.0),))
+    report, _fleet, _digest = play(spec)
+    downs = [e for e in report.scale_events if e.action == "down"]
+    assert [e.replicas_after for e in downs[:2]] == [2, 1]
+    assert downs[1].time < 5400.0
+    (res,) = report.faults
+    assert res.recovery_ok
+    assert res.detected_at - res.injected_at == pytest.approx(30.0)
+    assert res.mttr_s == pytest.approx(675.0)

@@ -8,9 +8,10 @@ and the autoscaler digest — must be *byte-identical* to a run
 with fast-forward off.  Not statistically close: identical.  Every
 request takes the one request path either way; quiet-tick fast-play
 must disarm itself, silently falling back to stepping, whenever a
-FaultPlan is armed or chaos is orchestrating.  Open-loop and session
-traffic fast-play alike: a quiet window ends at the next pending kernel
-entry that is not a periodic tick, whoever queued it.
+FaultPlan is armed.  Open-loop and session traffic fast-play alike: a
+quiet window ends at the next pending kernel entry that is not a
+periodic tick, whoever queued it.  Chaos runs fast-play too; their
+differential tests live in tests/chaos/test_chaos_fastforward.py.
 """
 
 import json
@@ -373,16 +374,6 @@ def test_mid_run_fault_fails_over_like_stepping():
     assert on["retried"] > 0                # failover saved requests
     for key in EQUIV_KEYS:
         assert on[key] == off[key], f"fast-forward diverged on {key!r}"
-
-
-def test_chaos_orchestrator_disarms_for_good():
-    from repro.chaos.orchestrator import ChaosOrchestrator
-
-    site, fleet = _build_fleet(seed=3, fast_forward=True)
-    assert fleet.ff.enabled
-    ChaosOrchestrator(fleet)
-    assert fleet.ff.chaos
-    assert not fleet.ff.enabled
 
 
 def test_disagg_pulse_bit_identical_vs_stepping():
