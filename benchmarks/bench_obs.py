@@ -44,6 +44,7 @@ import dataclasses
 import gc
 import statistics
 import time
+import tracemalloc
 
 from repro.campaign.runner import demo_grid, run_cell
 from repro.obs.alerts import AlertEvaluator
@@ -60,6 +61,8 @@ OVERHEAD_BUDGET_PCT = 5.0
 #: Absolute-noise floor: deltas under this many seconds are timer noise
 #: on a sub-second run, not a hot-path cost.
 ABS_FLOOR_S = 0.05
+#: Peak traced heap of a full ``run_cell``, observability on over dark.
+MEMORY_RATIO_BUDGET = 3.0
 
 
 def _cell_spec():
@@ -281,3 +284,38 @@ def test_analysis_plane_one_shot_cost(benchmark):
         f"analysis plane one-shot pass {analysis_s * 1e3:.0f}ms exceeds "
         f"max({ABS_FLOOR_S}s, {OVERHEAD_BUDGET_PCT}% of the "
         f"{day_s:.2f}s day)")
+
+
+def _traced_peak_mb(observability: bool) -> float:
+    """Peak Python heap (tracemalloc) of one ``run_cell`` of the 1 h
+    poisson cell: ``demo_grid(1)`` cell 0, the repo benchmark's
+    ``poisson_steady`` spec."""
+    spec = dataclasses.replace(demo_grid(seed=1).expand()[0][0],
+                               horizon=3600.0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        row = run_cell(spec, observability=observability)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert row["errors"] == 0 and row["arrivals"] > 7000
+    return peak / 2 ** 20
+
+
+def test_obs_memory_peak_ratio():
+    """Observability on costs at most 3x the dark run's peak heap.
+
+    Allocation is deterministic for a fixed spec and seed, so unlike
+    the wall-clock gates this one measures the program, not the host.
+    The end-of-run analysis plane (digests and attribution) sets the
+    on-arm's peak: it must read the retained stores without copying
+    them.
+    """
+    dark = _traced_peak_mb(False)
+    on = _traced_peak_mb(True)
+    print(f"\nobs memory: on={on:.1f}MB dark={dark:.1f}MB "
+          f"ratio={on / dark:.2f}x (budget {MEMORY_RATIO_BUDGET}x)")
+    assert on <= MEMORY_RATIO_BUDGET * dark, (
+        f"observability peak heap {on:.1f}MB is {on / dark:.2f}x the "
+        f"dark run's {dark:.1f}MB (budget {MEMORY_RATIO_BUDGET}x)")

@@ -321,6 +321,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from .campaign import ScenarioSpec, ScheduleSpec, SiteSpec, play
     from .fleet import AutoscalerConfig, SloSpec
     from .obs import CriticalPathAnalyzer, IncidentLog, chrome_trace, profiler
+    from .obs.critical_path import _union_length
 
     spec = ScenarioSpec(
         name="cli-obs", seed=args.seed,
@@ -346,10 +347,19 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     print("\nper-phase latency breakdown:")
     print(f"  {'phase':8s} {'count':>7s} {'mean_s':>9s} "
           f"{'p95_s':>9s} {'max_s':>9s} {'share':>7s}")
+    # A route span covers its engine phases: count only what they leave.
+    by_trace = spans.traces()
     phases: dict[str, list[float]] = {}
     for span in spans.finished:
         if span.name in ("route", "queue", "prefill", "decode"):
-            phases.setdefault(span.name, []).append(span.duration)
+            seconds = span.duration
+            if span.name == "route":
+                seconds -= _union_length([
+                    (max(s.start, span.start), min(s.end, span.end))
+                    for s in by_trace[span.trace_id]
+                    if s.name in ("queue", "prefill", "kv_transfer", "decode")
+                    and min(s.end, span.end) > max(s.start, span.start)])
+            phases.setdefault(span.name, []).append(seconds)
     total = sum(sum(v) for v in phases.values()) or 1.0
     for name in ("route", "queue", "prefill", "decode"):
         durations = sorted(phases.get(name, []))
@@ -362,7 +372,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
               f"{sum(durations) / total:6.1%}")
 
     # The slowest end-to-end requests, with where each spent its time.
-    by_trace = spans.traces()
     roots = sorted((s for s in spans.finished if s.name == "request"),
                    key=lambda s: -s.duration)[:args.top]
     print(f"\ntop {len(roots)} slowest requests:")

@@ -30,10 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from array import array
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .spans import Span, SpanRecorder
+    from .spans import SpanRecorder
 
 __all__ = ["CriticalPathAnalyzer", "CriticalPathReport", "PHASES"]
 
@@ -44,22 +47,13 @@ PHASES = ("queue", "prefill", "kv_transfer", "decode", "retry")
 _COHORTS = (("p50", 0.50), ("p50_p90", 0.90), ("p90_p99", 0.99),
             ("p99", 1.01))
 
-_PHASE_NAMES = frozenset(PHASES) - {"retry"}
+#: Span name -> phase slot; an ``attempt`` span is retry time.
+_SLOT = {"queue": 0, "prefill": 1, "kv_transfer": 2, "decode": 3,
+         "attempt": 4}
 
-
-class _Request:
-    """One decomposed request: phase seconds over E2E and over TTFT."""
-
-    __slots__ = ("trace_id", "e2e", "ttft", "phases", "ttft_phases")
-
-    def __init__(self, trace_id: int, e2e: float, ttft: float,
-                 phases: dict[str, float],
-                 ttft_phases: dict[str, float]):
-        self.trace_id = trace_id
-        self.e2e = e2e
-        self.ttft = ttft
-        self.phases = phases
-        self.ttft_phases = ttft_phases
+#: One flat row of columns per request: e2e, its six phase values
+#: (``PHASES`` then ``other``), then ttft and its five phase values.
+_WIDTH, _TTFT = 13, 7
 
 
 def _union_length(intervals: list[tuple[float, float]]) -> float:
@@ -140,135 +134,117 @@ class CriticalPathReport:
 class CriticalPathAnalyzer:
     """One-shot analysis pass over a :class:`SpanRecorder`.
 
-    Iterates the finished-span store once (it is close-ordered, so
-    grouping by trace id is a dict walk, not a sort), decomposes every
-    ok ``request`` root, and aggregates cohorts.  Cost is paid only at
-    reporting time — nothing here touches the serving hot path — and
-    the overhead bench budgets the whole pass.
+    Reads the close-ordered store through :meth:`SpanRecorder.chunks`,
+    never materializing it; groups it by trace id (late children count);
+    decomposes every ok ``request`` root into one flat row of columns;
+    and ranks each metric once.  Nothing here touches the hot path.
     """
 
     def __init__(self, recorder: SpanRecorder):
         self.recorder = recorder
 
-    # -- per-request decomposition ------------------------------------------------
-
-    def _decompose(self, spans: list[Span]) -> _Request | None:
-        root = None
-        for span in spans:
-            if span.name == "request" and span.parent_id is None:
-                root = span
-                break
-        if root is None or root.end is None:
-            return None
-        if not bool(root.attrs.get("ok", True)):
-            return None
-        r_start, r_end = root.start, root.end
-        e2e = r_end - r_start
-        phases = dict.fromkeys(PHASES, 0.0)
-        ttft_phases = dict.fromkeys(PHASES, 0.0)
-        covered: list[tuple[float, float]] = []
-        ttft_end = r_start
-        for span in spans:
-            name = span.name if span.name in _PHASE_NAMES else (
-                "retry" if span.name == "attempt" else None)
-            if name is None or span.end is None:
-                continue
-            start = max(span.start, r_start)
-            end = min(span.end, r_end)
-            if end <= start:
-                continue
-            phases[name] += end - start
-            covered.append((start, end))
-            if span.name in ("prefill", "kv_transfer") and end > ttft_end:
-                ttft_end = end
-        ttft = ttft_end - r_start
-        for span in spans:
-            name = span.name if span.name in _PHASE_NAMES else (
-                "retry" if span.name == "attempt" else None)
-            if name is None or span.end is None:
-                continue
-            start = max(span.start, r_start)
-            end = min(span.end, ttft_end)
-            if end > start:
-                ttft_phases[name] += end - start
-        phases["other"] = max(0.0, e2e - _union_length(covered))
-        return _Request(root.trace_id, e2e, ttft, phases, ttft_phases)
-
-    # -- aggregation --------------------------------------------------------------
+    def report(self) -> CriticalPathReport:
+        by_trace: dict[int, list[tuple]] = {}
+        for rows in self.recorder.chunks():
+            for row in rows:
+                by_trace.setdefault(row[1], []).append(row)
+        tids: list[int] = []
+        flat = array("d")
+        for tid, spans in by_trace.items():
+            row = self._decompose(spans)
+            if row is not None:
+                tids.append(tid)
+                flat.extend(row)
+        skipped = len(by_trace) - len(tids)
+        del by_trace
+        cohorts: dict[str, dict[str, dict[str, Any]]] = {}
+        if tids:
+            cohorts = {"ttft": self._aggregate(flat, tids, _TTFT, PHASES),
+                       "e2e": self._aggregate(flat, tids, 0,
+                                              PHASES + ("other",))}
+        return CriticalPathReport(len(tids), skipped, cohorts)
 
     @staticmethod
-    def _aggregate(requests: list[_Request],
-                   metric: str) -> dict[str, dict[str, Any]]:
-        key = (lambda r: (r.ttft, r.trace_id)) if metric == "ttft" \
-            else (lambda r: (r.e2e, r.trace_id))
-        ranked = sorted(requests, key=key)
-        n = len(ranked)
-        out: dict[str, dict[str, Any]] = {}
-        groups: dict[str, list[_Request]] = {name: []
-                                             for name, _ in _COHORTS}
-        for i, request in enumerate(ranked):
-            frac = (i + 1) / n
-            for name, ceiling in _COHORTS:
-                if frac <= ceiling or name == "p99":
-                    groups[name].append(request)
-                    break
-        for name, members in [("all", ranked)] + list(groups.items()):
-            out[name] = CriticalPathAnalyzer._cohort(members, metric)
+    def _decompose(spans: list[tuple]) -> list[float] | None:
+        """One trace's row, or None when it has no ok, closed root."""
+        root = next((s for s in spans
+                     if s[0] == "request" and not s[3]), None)
+        if (root is None or root[5] is None
+                or not bool(root[6].get("ok", True))):
+            return None
+        r_start, r_end = root[4], root[5]
+        phases = [0.0] * 5
+        slots: list[int] = []
+        covered: list[tuple[float, float]] = []
+        ttft_end = r_start
+        for name, _t, _s, _p, start, end, _a in spans:
+            slot = _SLOT.get(name)
+            if slot is None or end is None:
+                continue
+            start = max(start, r_start)
+            end = min(end, r_end)
+            if end <= start:
+                continue
+            phases[slot] += end - start
+            slots.append(slot)
+            covered.append((start, end))
+            if slot in (1, 2) and end > ttft_end:
+                ttft_end = end
+        ttft_phases = [0.0] * 5
+        for slot, (start, end) in zip(slots, covered, strict=True):
+            end = min(end, ttft_end)
+            if end > start:
+                ttft_phases[slot] += end - start
+        e2e = r_end - r_start
+        other = max(0.0, e2e - _union_length(covered))
+        return [e2e, *phases, other, ttft_end - r_start, *ttft_phases]
+
+    @staticmethod
+    def _aggregate(flat: array, tids: list[int], first: int,
+                   names: tuple[str, ...]) -> dict[str, dict[str, Any]]:
+        """Rank by ``(value, trace_id)`` once; cut and sum the cohorts.
+
+        ``first`` is the metric's value column; its phase columns follow.
+        """
+        columns = [flat[first + k::_WIDTH] for k in range(len(names) + 1)]
+        order = [i for _v, _t, i in sorted(zip(columns[0], tids,
+                                                range(len(tids)), strict=True))]
+        n = len(order)
+        out = {"all": CriticalPathAnalyzer._cohort(columns, names, order)}
+        lo = 0
+        for name, ceiling in _COHORTS:
+            hi = lo
+            while hi < n and ((hi + 1) / n <= ceiling or name == "p99"):
+                hi += 1
+            out[name] = CriticalPathAnalyzer._cohort(columns, names,
+                                                     order[lo:hi])
+            lo = hi
         return out
 
     @staticmethod
-    def _cohort(members: list[_Request],
-                metric: str) -> dict[str, Any]:
-        names = PHASES + ("other",)
+    def _cohort(columns: list[array], names: tuple[str, ...],
+                members: list[int]) -> dict[str, Any]:
+        """Sum one cohort's columns over its members in rank order."""
         n = len(members)
         if not n:
             return {"n": 0, "mean_s": 0.0, "phase_s": {}, "share": {},
                     "top_phase": ""}
-        phase_sums = dict.fromkeys(names, 0.0)
-        total = 0.0
-        for request in members:
-            if metric == "ttft":
-                total += request.ttft
-                for name in PHASES:
-                    phase_sums[name] += request.ttft_phases[name]
-            else:
-                total += request.e2e
-                for name in PHASES:
-                    phase_sums[name] += request.phases[name]
-        if metric == "ttft":
+        # Sums add left to right in rank order, as a ``+=`` loop does
+        # (builtin ``sum`` compensates floats on Python 3.12+).
+        total, *sums = [reduce(add, map(column.__getitem__, members), 0.0)
+                        for column in columns]
+        phase_sums = dict(zip(names, sums, strict=True))
+        if "other" not in phase_sums:
+            # TTFT: ``other`` is what the phases leave of the total.
             covered = sum(phase_sums[name] for name in PHASES)
             phase_sums["other"] = max(0.0, total - covered)
-        else:
-            for request in members:
-                phase_sums["other"] += request.phases["other"]
-        top = max(names, key=lambda name: (phase_sums[name], name))
+        top = max(phase_sums, key=lambda name: (phase_sums[name], name))
         return {
             "n": n,
             "mean_s": round(total / n, 6),
-            "phase_s": {name: round(phase_sums[name] / n, 6)
-                        for name in names},
-            "share": {name: (round(phase_sums[name] / total, 6)
-                             if total > 0 else 0.0)
-                      for name in names},
+            "phase_s": {name: round(value / n, 6)
+                        for name, value in phase_sums.items()},
+            "share": {name: (round(value / total, 6) if total > 0 else 0.0)
+                      for name, value in phase_sums.items()},
             "top_phase": top,
         }
-
-    # -- entry point --------------------------------------------------------------
-
-    def report(self) -> CriticalPathReport:
-        by_trace: dict[int, list[Span]] = {}
-        for span in self.recorder.finished:
-            by_trace.setdefault(span.trace_id, []).append(span)
-        requests: list[_Request] = []
-        skipped = 0
-        for trace_id in by_trace:
-            decomposed = self._decompose(by_trace[trace_id])
-            if decomposed is None:
-                skipped += 1
-            else:
-                requests.append(decomposed)
-        cohorts: dict[str, dict[str, dict[str, Any]]] = {}
-        if requests:
-            cohorts = {"ttft": self._aggregate(requests, "ttft"),
-                       "e2e": self._aggregate(requests, "e2e")}
-        return CriticalPathReport(len(requests), skipped, cohorts)

@@ -22,6 +22,7 @@ admission with their prefill already paid for.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -161,7 +162,9 @@ class LLMEngine:
                               chunk_tokens=getattr(args, "chunk_tokens",
                                                    512)))
         self.fault_plan = fault_plan
-        self.completed: list[Request] = []
+        #: The last 500 finished requests; the counters cover the run.
+        self.completed: deque[Request] = deque(maxlen=500)
+        self.completed_count = self.completed_preemptions = 0
         self.total_output_tokens = 0
         self.total_requests = 0
         self.iterations = 0
@@ -210,7 +213,7 @@ class LLMEngine:
             .labels(**eng).set_function(lambda: self.iterations)
         reg.gauge("engine_requests_completed_total",
                   "Requests finished", labels=labels) \
-            .labels(**eng).set_function(lambda: len(self.completed))
+            .labels(**eng).set_function(lambda: self.completed_count)
         reg.gauge("engine_generation_tokens_total",
                   "Output tokens generated", labels=labels) \
             .labels(**eng).set_function(lambda: self.total_output_tokens)
@@ -273,18 +276,17 @@ class LLMEngine:
     def metrics(self) -> dict:
         """Prometheus-style snapshot (vLLM's /metrics equivalent)."""
         import numpy as np
-        latencies = [r.stats().latency for r in self.completed[-500:]]
+        latencies = [r.stats().latency for r in self.completed]
         return {
             "num_requests_running": len(self.running),
             "num_requests_waiting": len(self.waiting),
             "gpu_cache_usage_perc": round(
                 self.blocks.used_blocks / self.blocks.total_blocks, 4),
             "num_requests_total": self.total_requests,
-            "num_requests_completed": len(self.completed),
+            "num_requests_completed": self.completed_count,
             "generation_tokens_total": self.total_output_tokens,
             "iterations_total": self.iterations,
-            "num_preemptions_total": sum(
-                r.preemptions for r in self.completed)
+            "num_preemptions_total": self.completed_preemptions
             + sum(r.preemptions for r in self.running),
             "prefix_cache": self.blocks.cache_stats(),
             "scheduler_policy": self.scheduler.policy.name,
@@ -491,6 +493,8 @@ class LLMEngine:
         request.finished_at = now
         request.mark_first_token(now)
         self.completed.append(request)
+        self.completed_count += 1
+        self.completed_preemptions += request.preemptions
         if self._obs.registry.enabled:
             self._h_latency.observe(now - request.submitted_at)
             self._h_ttft.observe(request.first_token_at

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 
@@ -52,3 +54,16 @@ def test_obs_command_minimal_run_is_quiet_about_profile(capsys):
     assert "wall-clock self-profile" not in out
     assert "alert timeline:" not in out
     assert "incident timeline" not in out
+
+
+def test_obs_phase_shares_partition_the_time(capsys):
+    """``route`` spans cover the engine phases; the table counts only the
+    time those phases leave of it, so the shares sum to the whole."""
+    assert main(["obs", "--minutes", "6", "--rate", "0.3"]) == 0
+    out = capsys.readouterr().out
+    table = out.split("per-phase latency breakdown:\n")[1].split("\n\n")[0]
+    shares = {line.split()[0]: float(line.split()[-1].rstrip("%"))
+              for line in table.splitlines()[1:]}
+    assert set(shares) == {"route", "queue", "prefill", "decode"}
+    assert shares["route"] < 5.0
+    assert sum(shares.values()) == pytest.approx(100.0, abs=0.3)
