@@ -86,7 +86,3 @@ class ShareGptSampler:
                 o = max(MIN_TOKENS, int(o * scale))
             out.append(SampledRequest(int(p), int(o)))
         return out
-
-    @staticmethod
-    def dataset_name() -> str:
-        return "ShareGPT_V3_unfiltered_cleaned_split.json (synthetic-equivalent)"

@@ -42,7 +42,7 @@ from .scenarios import ChaosContext, ChaosScenario
 from .supervisor import ReplicaSupervisor, SupervisorConfig
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fleet.fleet import Fleet, FleetReport
+    from ..fleet import Fleet, FleetReport
     from ..fleet.traffic import ArrivalSchedule, TenantMix
     from ..sessions import SessionSpec
 
@@ -171,16 +171,13 @@ class ChaosOrchestrator:
     def _probe_loop(self, stop_event):
         """Probe every ``probe_interval``; a skipped probe reads the
         infrastructure as it stands and a drained, so met, SLO window."""
-        kernel = self.kernel
-        while not stop_event.triggered:
-            skipped, tick = self.fleet.ff.next_tick(self.probe_interval)
-            if skipped:
-                infra_ok = self._infra_ok()
-                self.probes += [Probe(t, infra_ok, True) for t in skipped]
-            yield kernel.any_of([stop_event, tick])
-            if stop_event.triggered:
-                return
+        while (yield from self.fleet.ff.wait_tick(
+                self.probe_interval, stop_event, idle=self._probe_idle)):
             self._probe_once()
+
+    def _probe_idle(self, ticks: list[float]) -> None:
+        infra_ok = self._infra_ok()
+        self.probes += [Probe(t, infra_ok, True) for t in ticks]
 
     # -- injection --------------------------------------------------------------
 

@@ -84,12 +84,8 @@ class ReplicaSupervisor:
     def run(self, stop_event: Event):
         """Generator process: sweep every ``interval`` until stopped;
         a sweep quiet-play skips has an empty body (all replicas ok)."""
-        kernel = self.kernel
-        while not stop_event.triggered:
-            _, tick = self.fleet.ff.next_tick(self.config.interval)
-            yield kernel.any_of([stop_event, tick])
-            if stop_event.triggered:
-                return
+        while (yield from self.fleet.ff.wait_tick(self.config.interval,
+                                                  stop_event)):
             yield from self._sweep()
 
     def _sweep(self):

@@ -88,7 +88,3 @@ class K8sPlatform:
     @property
     def gpu_spec(self):
         return self.nodes[0].spec.gpus[0]
-
-    @property
-    def ingress_url(self) -> str:
-        return self.cluster.ingress.url

@@ -323,7 +323,3 @@ class ContainerRuntime:
         if container.ctx.gpu_indices:
             container.node.release_gpus(container.ctx.gpu_indices)
             container.ctx.gpu_indices = []
-
-    @staticmethod
-    def _env_args(opts: RunOpts, flag: str = "-e") -> list[str]:
-        return [f'{flag} "{k}={v}"' for k, v in opts.env.items()]

@@ -86,21 +86,3 @@ def command_text(argv: list[str]) -> str:
             lines[-1] += " " + token
     return " \\\n".join([lines[0]] + [l.strip() for l in lines[1:]])
 
-
-def paper_figure4_command() -> list[str]:
-    """The literal Figure 4 Podman deployment (for artifact tests)."""
-    return [
-        "podman run", "--rm", "--name=vllm", "--network=host", "--ipc=host",
-        "--entrypoint=vllm", "--device nvidia.com/gpu=all",
-        '-e "OMP_NUM_THREADS=1"', '-e "HF_HUB_ENABLE_HF_TRANSFER=0"',
-        '-e "HF_HUB_DISABLE_TELEMETRY=1"', '-e "VLLM_NO_USAGE_STATS=1"',
-        '-e "DO_NOT_TRACK=1"', '-e "HF_DATASETS_OFFLINE=1"',
-        '-e "TRANSFORMERS_OFFLINE=1"', '-e "HF_HUB_OFFLINE=1"',
-        '-e "VLLM_DISABLE_COMPILE_CACHE=1"',
-        "--volume=./models:/vllm-workspace/models",
-        "--workdir=/vllm-workspace/models",
-        "${LOCAL_REGISTRY}vllm/vllm-openai:v0.9.1 serve",
-        "meta-llama/Llama-4-Scout-17B-16E-Instruct",
-        "--tensor_parallel_size=4", "--disable-log-requests",
-        "--max-model-len=65536",
-    ]

@@ -3,7 +3,6 @@ scorecard serialization, and ASCII plots."""
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,11 +19,6 @@ def canonical_json_text(payload: dict) -> str:
     """
     return json.dumps(payload, indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
-
-
-def scorecard_digest(payload: dict) -> str:
-    """SHA-256 of the canonical serialization (artifact fingerprint)."""
-    return hashlib.sha256(canonical_json_text(payload).encode()).hexdigest()
 
 
 @dataclass

@@ -10,8 +10,8 @@ handle that ties them together behind one ``run_scenario()`` call.
 """
 
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
-from .fleet import (DisaggSpec, Fleet, FleetConfig, FleetReport,
-                    Replica, TurnResult)
+from .fleet import DisaggSpec, Fleet, FleetConfig, Replica
+from .report import FleetReport
 from .slo import (RequestRecord, SloReport, SloSnapshot, SloSpec,
                   SloTracker, TenantStats)
 from .traffic import (ArrivalSchedule, DiurnalSchedule, FlashCrowdSchedule,
@@ -39,5 +39,4 @@ __all__ = [
     "TenantMix",
     "TenantStats",
     "TrafficGenerator",
-    "TurnResult",
 ]

@@ -155,7 +155,7 @@ class Autoscaler:
         zero-load sample could change the fleet (+inf when none).
 
         The autoscaler's share of the fleet's quiet-window edge (see
-        :meth:`~repro.fleet.fleet.FleetFastForward.edge`).  With zero
+        :meth:`~repro.fleet.governor.FleetFastForward.edge`).  With zero
         load the only possible decisions are a scale-up back to
         ``min_replicas`` and a scale-down once the low streak and both
         cooldowns allow it, all fixed by the state of the last tick
@@ -198,13 +198,8 @@ class Autoscaler:
         cfg = self.config
         ff = self.fleet.ff
         self._tick = kernel.now
-        while not stop_event.triggered:
-            skipped, tick = ff.next_tick(cfg.interval)
-            if skipped:
-                self._play_idle(skipped)
-            yield kernel.any_of([stop_event, tick])
-            if stop_event.triggered:
-                return
+        while (yield from ff.wait_tick(cfg.interval, stop_event,
+                                       idle=self._play_idle)):
             now = self._tick = kernel.now
             stats = self.fleet.router_app.stats()
             n = len(self.fleet.replicas)

@@ -22,7 +22,6 @@ hosts directly (the converged-site advantage the paper describes).
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -40,17 +39,18 @@ from ..obs.scrape import MetricsScraper
 from ..services.router import (LlmRouter, RouterConfig, RouterPolicy,
                                router_image)
 from ..vllm.spec import CompletionCall
-from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
+from .autoscaler import Autoscaler, AutoscalerConfig
+from .governor import FleetFastForward
+from .report import FleetReport
 from .slo import RequestRecord, SloSnapshot, SloSpec, SloTracker
 from .traffic import ArrivalSchedule, TenantMix, TrafficGenerator
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..chaos.orchestrator import ResilienceReport
     from ..chaos.supervisor import ReplicaSupervisor
     from ..core.site import ConvergedSite
     from ..hardware.node import Node
     from ..sessions import SessionSpec
-    from ..simkernel import Event, Timeout
+    from ..simkernel import Event
 
 #: Simulated seconds between SLO monitor rows (``FleetReport.snapshots``).
 SNAPSHOT_INTERVAL = 120.0
@@ -116,7 +116,8 @@ class FleetConfig:
     #: fleet quiet-play: while the fleet is provably idle, the periodic
     #: loops (autoscaler, SLO monitor, telemetry, router health checks,
     #: and under chaos the supervisor and the probes) skip their ticks
-    #: through one governor, :class:`FleetFastForward`.  Bit-identical
+    #: through one governor,
+    #: :class:`~repro.fleet.governor.FleetFastForward`.  Bit-identical
     #: to stepping for every traffic kind and chaos fault (see
     #: docs/performance.md).  False makes every loop step.
     fast_forward: bool = True
@@ -143,246 +144,6 @@ class Replica:
     @property
     def backend(self) -> tuple[str, int]:
         return self.backend_host, self.backend_port
-
-
-@dataclass(frozen=True)
-class TurnResult:
-    """What one request (or session turn) looked like to its caller."""
-
-    ok: bool
-    ttft: float = 0.0
-    latency: float = 0.0
-    output_tokens: int = 0
-    cached_tokens: int = 0
-    error: str = ""
-
-
-@dataclass
-class FleetReport:
-    """Scorecard of one scenario run."""
-
-    label: str
-    duration: float
-    arrivals: int
-    slo: object                      # SloReport
-    scale_events: list[ScaleEvent]
-    replica_timeline: list[tuple[float, int]]
-    snapshots: list[dict] = field(default_factory=list)
-    #: chaos-orchestrator resilience scorecard (None outside chaos runs)
-    resilience: dict | None = None
-    #: the typed per-fault reports behind ``resilience``, one per
-    #: injection window (not serialized)
-    faults: list[ResilienceReport] = field(default_factory=list)
-    #: session-workload accounting (None for single-shot scenarios);
-    #: when set, ``arrivals`` counts session *starts*, not requests.
-    sessions: dict | None = None
-    #: observability scorecard: span/metrics/scrape digests and counts
-    #: (None when the scenario ran with observability fully off).
-    obs: dict | None = None
-
-    @property
-    def peak_replicas(self) -> int:
-        return max((n for _, n in self.replica_timeline), default=0)
-
-    @property
-    def final_replicas(self) -> int:
-        return self.replica_timeline[-1][1] if self.replica_timeline else 0
-
-    @property
-    def replica_seconds(self) -> float:
-        """Integral of replica count over the scenario: the cost metric.
-
-        Campaign aggregates divide goodput by this to price resilience
-        (how much extra capacity a chaos policy burns).
-        """
-        if not self.replica_timeline:
-            return 0.0
-        end = self.replica_timeline[0][0] + self.duration
-        total = 0.0
-        for i, (t, n) in enumerate(self.replica_timeline):
-            t_next = (self.replica_timeline[i + 1][0]
-                      if i + 1 < len(self.replica_timeline) else end)
-            total += n * max(0.0, min(t_next, end) - t)
-        return total
-
-    def summary(self) -> str:
-        hours = self.duration / 3600.0
-        lines = [f"fleet scenario {self.label!r}: {self.arrivals} arrivals "
-                 f"over {hours:.1f} h, replicas peak={self.peak_replicas} "
-                 f"final={self.final_replicas}",
-                 self.slo.summary(),
-                 "  scale events:"]
-        if not self.scale_events:
-            lines.append("    (none)")
-        for event in self.scale_events:
-            lines.append(
-                f"    [{event.time / 3600.0:6.2f} h] {event.action:9s} "
-                f"{event.replicas_before}->{event.replicas_after}  "
-                f"({event.reason})")
-        return "\n".join(lines)
-
-    def to_json(self) -> dict:
-        out = {
-            "label": self.label,
-            "duration_s": round(self.duration, 1),
-            "arrivals": self.arrivals,
-            "peak_replicas": self.peak_replicas,
-            "final_replicas": self.final_replicas,
-            "replica_seconds": round(self.replica_seconds, 1),
-            "slo": self.slo.to_json(),
-            "scale_events": [e.row() for e in self.scale_events],
-            "replica_timeline": [(round(t, 1), n)
-                                 for t, n in self.replica_timeline],
-            "snapshots": self.snapshots,
-        }
-        if self.resilience is not None:
-            out["resilience"] = self.resilience
-        if self.sessions is not None:
-            out["sessions"] = self.sessions
-        if self.obs is not None:
-            out["obs"] = self.obs
-        return out
-
-
-#: Value of every governed periodic wake (see
-#: :meth:`FleetFastForward.next_tick`); no loop reads it.  The quiet
-#: window's edge is the earliest pending kernel entry without it.
-_TICK = object()
-
-
-class FleetFastForward:
-    """Governor for the fleet's quiet-play: skipping idle periodic ticks.
-
-    Every periodic fleet loop — autoscaler, SLO monitor, telemetry,
-    router health checks, chaos supervisor and probes — waits through
-    :meth:`next_tick`.  While the fleet is provably idle (:meth:`quiet`),
-    that call skips the loop's ticks before one fleet-wide :meth:`edge`
-    and wakes the loop on its last tick before it, which then runs live;
-    otherwise it is a plain ``timeout(interval)``.  The edge is the
-    earliest pending kernel entry that is not a governed tick, so one
-    rule covers every traffic kind: an open-loop arrival, a session's
-    think timer, a deploy or a timer any process set all end a window.
-    Tick times always follow the loop's own stepped float chain, so the
-    live tick lands on the exact instant stepping would have run it.
-
-    Everything here is advisory: with ``FleetConfig.fast_forward``
-    False every loop steps.  A chaos fault ends quiet-play only through
-    the state :meth:`quiet` reads.
-    """
-
-    def __init__(self, fleet: Fleet):
-        self.fleet = fleet
-        self.kernel = fleet.kernel
-        #: requests issued through :meth:`Fleet.request` (the one path)
-        self.fast_requests = 0
-        self._edge = -math.inf
-
-    # -- eligibility -----------------------------------------------------------
-
-    def engines(self) -> dict | None:
-        """(host, port) -> live LLMEngine behind each router backend.
-
-        Resolved on every call; None, which disqualifies quiet-play,
-        when a backend resolves to no vLLM engine (stopped container,
-        evicted pod) or its host or the router's is partitioned.
-        """
-        router = self.fleet.router_app
-        fabric = self.fleet.site.fabric
-        if router is None or fabric.partitioned(self.fleet.router_host):
-            return None
-        engines = {}
-        for b in router.backends:
-            engine = getattr(getattr(lookup(fabric, b.host, b.port),
-                                     "app", None), "engine", None)
-            if engine is None or fabric.partitioned(b.host):
-                return None
-            engines[(b.host, b.port)] = engine
-        return engines
-
-    def quiet(self) -> bool:
-        """Is the fleet provably idle right now?
-
-        True only when fast-forward is enabled and nothing is in flight
-        anywhere — no open-loop request, no deploy, no scale action, no
-        supervisor redeploy owed, every backend (prefill and decode ones
-        included) reachable and healthy with zero outstanding forwards,
-        every engine's queues empty and free of fault plans and crashes,
-        and the SLO window drained empty — so nothing but a pending
-        kernel entry can end the idleness.
-        """
-        if not self.fleet.config.fast_forward:
-            return False
-        engines = self.engines()
-        if not engines:
-            return False
-        fleet = self.fleet
-        supervisor = fleet.supervisor
-        if (fleet.inflight or fleet._pending_nodes
-                or supervisor is not None and supervisor.deficit):
-            return False
-        if fleet.autoscaler._scaling or not fleet.slo.drained():
-            return False
-        for b in fleet.router_app.backends:
-            if not b.healthy or b.outstanding or b.consecutive_failures:
-                return False
-        for engine in engines.values():
-            if (engine.running or engine.waiting
-                    or engine.fault_plan is not None
-                    or engine.crashed is not None):
-                return False
-        return True
-
-    # -- the one skip path ----------------------------------------------------
-
-    def edge(self) -> float:
-        """End of the current quiet window; ``-inf`` when there is none.
-
-        The earliest of the next pending kernel entry that is not a
-        governed tick and the autoscaler's next possible decision tick
-        on its own chain.  It is worked out once, when a window opens,
-        and shared by every loop until the clock reaches it, so no loop
-        reads another's skipped-tick state.  With only ticks pending the
-        window would be unbounded, so there is none and every loop ticks
-        live.
-        """
-        if not self.quiet():
-            self._edge = -math.inf
-        elif self._edge <= self.kernel.now:
-            bound = self.kernel.peek(ignore=_TICK)
-            self._edge = (-math.inf if math.isinf(bound) else min(
-                bound, self.fleet.autoscaler.next_decision_tick(bound)))
-        return self._edge
-
-    def next_tick(self, interval: float,
-                  waits: Callable[[], list[float]] | None = None
-                  ) -> tuple[list[float], Timeout]:
-        """Plan a periodic loop's wait for its next live tick.
-
-        Returns the tick times skipped, for which the caller plays its
-        closed-form idle tick body, and the timeout to wait on.  Tick
-        times follow the loop's stepped chain from ``now``: a tick at
-        ``t`` ends once the delays ``waits()`` lists have been added to
-        ``t`` in order (none by default; called only when a skip is
-        possible), and the next tick is ``end + interval``.  A tick is
-        skipped only if the tick after it also starts strictly before
-        :meth:`edge`; the loop wakes, exactly, on its last tick before
-        the edge, which queues the next one as stepping does (same
-        instant, same heap position), so ticks that tie with the edge's
-        entry run in stepping's order — loop bodies need not commute.
-        """
-        t = self.kernel.now + interval
-        skipped: list[float] = []
-        edge = self.edge()
-        delays = waits() if waits is not None and t < edge else ()
-        while t < edge:
-            end = t
-            for delay in delays:
-                end += delay
-            if end + interval >= edge:
-                break
-            skipped.append(t)
-            t = end + interval
-        return skipped, self.kernel.at(t, _TICK)
 
 
 class Fleet:
@@ -806,8 +567,9 @@ class Fleet:
         preflight and fabric latencies around an in-process
         :meth:`LlmRouter.route`, which owns picking, failover, affinity
         and disagg dispatch.  Observes the SLO tracker — with turn and
-        prefix-cache telemetry when ``session`` is set — and returns a
-        :class:`TurnResult` the session can grow its context from.
+        prefix-cache telemetry when ``session`` is set — and returns the
+        :class:`RequestRecord` it observed, which a session grows its
+        context from.
         ``priority`` rides to the engine (meaningful under the
         ``priority`` scheduler policy).
         """
@@ -854,12 +616,13 @@ class Fleet:
                 attrs["turn"] = turn
             spans.emit("request", trace_id, None, submitted, kernel.now,
                        attrs, span_id=root_sid)
-        self.slo.observe(RequestRecord(
+        record = RequestRecord(
             tenant=tenant, submitted=submitted, completed=kernel.now,
             ttft=ttft, latency=kernel.now - submitted,
             prompt_tokens=prompt_tokens, output_tokens=out_tokens,
             ok=ok, error=error, session=session or "", turn=turn,
-            cached_tokens=cached, path=path, kv_transfer_s=kv_transfer_s))
+            cached_tokens=cached, path=path, kv_transfer_s=kv_transfer_s)
+        self.slo.observe(record)
         # Request-level golden-trace record: the seed-sensitive part of
         # the day, so trace digests distinguish runs that differ only in
         # arrival randomness.  Session turns tag their turn index and
@@ -871,9 +634,7 @@ class Fleet:
             **({"turn": turn, "cached_tokens": cached} if turn else {}),
             **({"path": path, "kv_transfer_s": round(kv_transfer_s, 6)}
                if path != "unified" else {}))
-        return TurnResult(ok=ok, ttft=ttft, latency=kernel.now - submitted,
-                          output_tokens=out_tokens, cached_tokens=cached,
-                          error=error)
+        return record
 
     # -- scenarios --------------------------------------------------------------
 
@@ -968,17 +729,15 @@ class Fleet:
                       if isinstance(traffic, SessionTraffic) else None),
             obs=obs)
 
-    def _monitor(self, stop_event):
-        kernel = self.kernel
-        while not stop_event.triggered:
-            skipped, tick = self.ff.next_tick(SNAPSHOT_INTERVAL)
-            for t in skipped:
-                # The drained SLO window makes the empty-window row exact.
-                self._record(SloSnapshot(time=t, window=self.slo.spec.window))
-            yield kernel.any_of([stop_event, tick])
-            if stop_event.triggered:
-                return
+    def _monitor(self, stop_event: Event):
+        while (yield from self.ff.wait_tick(SNAPSHOT_INTERVAL, stop_event,
+                                            idle=self._record_idle)):
             self._record(self.slo.snapshot())
+
+    def _record_idle(self, ticks: list[float]) -> None:
+        # The drained SLO window makes the empty-window row exact.
+        for t in ticks:
+            self._record(SloSnapshot(time=t, window=self.slo.spec.window))
 
     def _telemetry(self, stop_event: Event, scraper: MetricsScraper,
                    alerts: AlertEvaluator):
@@ -990,17 +749,17 @@ class Fleet:
         at it: an absence rule's silence grows with the clock.
         """
         kernel = self.kernel
-        skipped, tick = [], kernel.timeout(scraper.interval)
-        while True:
-            for t in skipped:
+
+        def idle(ticks: list[float]) -> None:
+            for t in ticks:
                 scraper.scrape_idle(t)
                 alerts.evaluate_at(t)
-            yield kernel.any_of([stop_event, tick])
-            if stop_event.triggered:
-                return
+
+        yield kernel.any_of([stop_event, kernel.timeout(scraper.interval)])
+        while not stop_event.triggered:
             scraper.scrape_once()
             alerts.evaluate_at(kernel.now)
-            skipped, tick = self.ff.next_tick(scraper.interval)
+            yield from self.ff.wait_tick(scraper.interval, stop_event, idle)
 
     def _record(self, snap: SloSnapshot) -> None:
         row = snap.row()

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import CapacityError, ConfigurationError
-from ..units import GiB
 from .gpu import GpuSpec
 
 
@@ -46,10 +45,6 @@ class NodeSpec:
     @property
     def gpu_count(self) -> int:
         return len(self.gpus)
-
-    @property
-    def memory_gib(self) -> float:
-        return self.memory_bytes / GiB
 
 
 class Node:

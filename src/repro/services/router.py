@@ -182,7 +182,7 @@ class LlmRouter(ContainerApp):
         self._rr_idx: dict[str, int] = {}
         self._client: HttpClient | None = None
         self._kernel = None   # set at startup; None for bare (bench) use
-        #: fleet fast-forward governor (duck-typed: ``next_tick``);
+        #: fleet fast-forward governor (duck-typed: ``wait_tick``);
         #: installed by Fleet.run_scenario so provably-idle health passes
         #: are skipped like every other fleet loop's idle ticks.  None =
         #: always tick live.
@@ -228,15 +228,16 @@ class LlmRouter(ContainerApp):
         # pool are skipped: they write nothing observable, so their
         # closed-form body is empty, and the pass after them runs on
         # the stepped phase.
-        while not ctx.stop_event.triggered:
+        stop = ctx.stop_event
+        while not stop.triggered:
             gov = self.ff_governor
             if gov is None:
-                tick = ctx.kernel.timeout(self.HEALTH_INTERVAL)
+                yield ctx.kernel.any_of(
+                    [stop, ctx.kernel.timeout(self.HEALTH_INTERVAL)])
             else:
-                _, tick = gov.next_tick(self.HEALTH_INTERVAL,
-                                        waits=self._health_pass_delays)
-            yield ctx.kernel.any_of([ctx.stop_event, tick])
-            if ctx.stop_event.triggered:
+                yield from gov.wait_tick(self.HEALTH_INTERVAL, stop,
+                                         waits=self._health_pass_delays)
+            if stop.triggered:
                 return
             yield from self._health_pass()
 
@@ -561,19 +562,21 @@ class LlmRouter(ContainerApp):
         route_sid = rec.reserve_span() if rec is not None else 0
         route_start = rec.kernel.now if rec is not None else 0.0
         if self.config.disagg and call.is_completion:
-            result = yield from self._route_disagg(call, rec, route_sid,
-                                                   route_start)
-            return result
-        result, backend, failed_attempts = yield from self._forward(
-            call, call.session, None, rec, route_sid)
-        if rec is not None:
+            result, attrs = yield from self._route_disagg(call, rec,
+                                                          route_sid)
+        else:
+            result, backend, failed_attempts = yield from self._forward(
+                call, call.session, None, rec, route_sid)
             attrs = ({"backend": backend.key,
                       "attempts": failed_attempts + 1, "outcome": "ok"}
                      if backend is not None else
                      {"attempts": failed_attempts, "outcome": "failed"})
+            result = result or CompletionResult.failed(
+                503, "no healthy backends")
+        if rec is not None:
             rec.emit("route", trace_id, call.trace_parent or None,
                      route_start, rec.kernel.now, attrs, span_id=route_sid)
-        return result or CompletionResult.failed(503, "no healthy backends")
+        return result
 
     def _forward(self, call: CompletionCall, session: str | None,
                  role: str | None, rec, route_sid: int):
@@ -656,8 +659,7 @@ class LlmRouter(ContainerApp):
             return result, backend, failed_attempts
         return last_error, None, failed_attempts
 
-    def _route_disagg(self, call: CompletionCall, rec, route_sid: int,
-                      route_start: float):
+    def _route_disagg(self, call: CompletionCall, rec, route_sid: int):
         """Disaggregated dispatch: prefill leg, then decode leg.
 
         The prefill backend runs the request to its first token and
@@ -670,53 +672,41 @@ class LlmRouter(ContainerApp):
 
         Session affinity applies to the prefill leg only — that is
         where the conversation's KV prefix lives; the decode pool is
-        balanced purely by the policy.
+        balanced purely by the policy.  Returns ``(result, attrs)``,
+        ``attrs`` being the route span's attributes.
         """
-        trace_id, parent_id = call.trace_id, call.trace_parent or None
         pre, pre_backend, pre_failed = yield from self._forward(
             call, call.session, "prefill", rec, route_sid)
         attempts = pre_failed + (1 if pre_backend is not None else 0)
         served = pre_backend is not None and pre.ok
         handoff = pre.handoff if served else None
         if handoff is None:
-            if rec is not None:
-                rec.emit("route", trace_id, parent_id,
-                         route_start, rec.kernel.now,
-                         {"attempts": attempts, "path": "disagg",
-                          "outcome": "failed", "leg": "prefill"},
-                         span_id=route_sid)
+            attrs = {"attempts": attempts, "path": "disagg",
+                     "outcome": "failed", "leg": "prefill"}
             if not served:
                 return pre or CompletionResult.failed(
-                    503, "no prefill backends")
+                    503, "no prefill backends"), attrs
             # The backend is not actually a prefill engine (role
             # mislabeled); surface a clear dispatch error.
             return CompletionResult.failed(
                 502, f"backend {pre_backend.key} returned no "
                      "repro_handoff; is it running with "
-                     "--disagg-role prefill?")
+                     "--disagg-role prefill?"), attrs
         pre.response = None   # the merged reply is rendered, not relayed
         if handoff.generated >= call.max_tokens:
             # Single-token request: the prefill leg already finished it.
-            if rec is not None:
-                rec.emit("route", trace_id, parent_id,
-                         route_start, rec.kernel.now,
-                         {"prefill": pre_backend.key, "attempts": attempts,
-                          "path": "disagg", "outcome": "ok"},
-                         span_id=route_sid)
             pre.handoff = None
-            return pre
+            return pre, {"prefill": pre_backend.key, "attempts": attempts,
+                         "path": "disagg", "outcome": "ok"}
         dec, dec_backend, dec_failed = yield from self._forward(
             dataclasses.replace(call, handoff=handoff), None, "decode", rec,
             route_sid)
         attempts += dec_failed + (1 if dec_backend is not None else 0)
         if dec_backend is None or not dec.ok:
-            if rec is not None:
-                rec.emit("route", trace_id, parent_id,
-                         route_start, rec.kernel.now,
-                         {"prefill": pre_backend.key, "attempts": attempts,
-                          "path": "disagg", "outcome": "failed",
-                          "leg": "decode"}, span_id=route_sid)
-            return dec or CompletionResult.failed(503, "no decode backends")
+            attrs = {"prefill": pre_backend.key, "attempts": attempts,
+                     "path": "disagg", "outcome": "failed", "leg": "decode"}
+            return dec or CompletionResult.failed(
+                503, "no decode backends"), attrs
         dec.response = None
         # TTFT is the prefill leg's: the client saw its first token when
         # the prefill engine produced it.
@@ -725,14 +715,8 @@ class LlmRouter(ContainerApp):
         dec.preemptions += pre.preemptions
         dec.cached_tokens = pre.cached_tokens
         dec.path = "disagg"
-        if rec is not None:
-            rec.emit("route", trace_id, parent_id,
-                     route_start, rec.kernel.now,
-                     {"prefill": pre_backend.key,
-                      "decode": dec_backend.key,
-                      "attempts": attempts, "path": "disagg",
-                      "outcome": "ok"}, span_id=route_sid)
-        return dec
+        return dec, {"prefill": pre_backend.key, "decode": dec_backend.key,
+                     "attempts": attempts, "path": "disagg", "outcome": "ok"}
 
     # -- admin API ---------------------------------------------------------------------
 

@@ -152,14 +152,14 @@ class SessionTraffic:
             self.log.turns_submitted += 1
             result = yield from self.request_fn(
                 tenant, prompt, budget, session=key, turn=turn)
-            if not getattr(result, "ok", False):
+            if not result.ok:
                 # The user gave up on an errored turn; the conversation
                 # ends deterministically rather than retrying forever.
                 outcome = "aborted"
                 break
             self.log.turns_ok += 1
             turns_done += 1
-            context = prompt + int(getattr(result, "output_tokens", 0))
+            context = prompt + result.output_tokens
             self.log.context_tokens_max = max(
                 self.log.context_tokens_max, context)
             if turn == turns_planned:

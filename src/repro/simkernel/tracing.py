@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections import deque
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator, MutableSequence
 from itertools import islice
 from typing import TYPE_CHECKING, Any
 
@@ -42,18 +40,10 @@ def _jsonable(obj: Any) -> Any:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` objects; optionally filtered.
+    """Collects every :class:`TraceRecord` a run emits, in emit order.
 
-    Tracing is enabled by default but can be limited with
-    :meth:`set_filter` to keep long benches light.  Subscribers can react
-    to records as they are emitted (used by live monitors in examples);
-    a raising subscriber is counted and skipped, never allowed to abort
-    the emitting component.
-
-    Retention is unbounded by default — digest and golden-trace paths
-    need every record — but long soaks cap it with :meth:`set_capacity`,
-    which turns the store into a ring buffer of the most recent records
-    (:attr:`dropped` counts the evictions).
+    Retention is unbounded: the digest and golden-trace paths need
+    every record.
     """
 
     #: Records hashed per chunk in :meth:`digest`.
@@ -61,57 +51,10 @@ class Tracer:
 
     def __init__(self, kernel: SimKernel) -> None:
         self.kernel = kernel
-        self.records: MutableSequence[TraceRecord] = []
-        self.enabled = True
-        self.dropped = 0
-        self.subscriber_errors = 0
-        self._capacity: int | None = None
-        self._filter: Callable[[str], bool] | None = None
-        self._subscribers: list[Callable[[TraceRecord], None]] = []
+        self.records: list[TraceRecord] = []
 
     def emit(self, kind: str, **fields: Any) -> None:
-        if not self.enabled:
-            return
-        if self._filter is not None and not self._filter(kind):
-            return
-        rec = TraceRecord(self.kernel.now, kind, fields)
-        if (self._capacity is not None
-                and len(self.records) >= self._capacity):
-            self.dropped += 1
-        self.records.append(rec)
-        for sub in self._subscribers:
-            try:
-                sub(rec)
-            except Exception:
-                # A broken live monitor must not kill the simulation.
-                self.subscriber_errors += 1
-
-    def set_capacity(self, capacity: int | None) -> None:
-        """Cap retention to the most recent ``capacity`` records.
-
-        ``None`` restores unbounded retention (the default, required by
-        any path that digests the full run).  Existing records are kept
-        up to the new cap, newest-last.
-        """
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be >= 1 (or None for unbounded)")
-        self._capacity = capacity
-        if capacity is None:
-            self.records = list(self.records)
-        else:
-            if len(self.records) > capacity:
-                self.dropped += len(self.records) - capacity
-            self.records = deque(self.records, maxlen=capacity)
-
-    @property
-    def capacity(self) -> int | None:
-        return self._capacity
-
-    def set_filter(self, predicate: Callable[[str], bool] | None) -> None:
-        self._filter = predicate
-
-    def subscribe(self, callback: Callable[[TraceRecord], None]) -> None:
-        self._subscribers.append(callback)
+        self.records.append(TraceRecord(self.kernel.now, kind, fields))
 
     def digest(self) -> str:
         """Canonical SHA-256 over every record (time, kind, fields).
@@ -131,9 +74,6 @@ class Tracer:
 
     def of_kind(self, kind: str) -> list[TraceRecord]:
         return [r for r in self.records if r.kind == kind]
-
-    def matching(self, prefix: str) -> Iterator[TraceRecord]:
-        return (r for r in self.records if r.kind.startswith(prefix))
 
     def clear(self) -> None:
         self.records.clear()

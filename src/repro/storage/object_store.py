@@ -192,21 +192,11 @@ class ObjectStore:
                                size=meta.size, site=site.name)
         return meta
 
-    def head_object(self, bucket: str, key: str) -> ObjectMeta:
-        """Metadata lookup at the primary (no data movement)."""
-        return self.primary().bucket(bucket).get(key)
-
     def list_objects(self, bucket: str, prefix: str = "") -> list[ObjectMeta]:
         try:
             return self.primary().bucket(bucket).list(prefix)
         except NotFoundError:
             return []
-
-    def delete_object(self, bucket: str, key: str) -> None:
-        for site in self.sites:
-            b = site.buckets.get(bucket)
-            if b is not None:
-                b.delete(key)
 
     # -- replication -----------------------------------------------------------------
 

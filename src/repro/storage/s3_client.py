@@ -133,12 +133,3 @@ class S3Client:
             yield from self.store.put_object(self.host, bucket, key, size)
             uploaded.append(key)
         return uploaded
-
-    def sync_down(self, bucket: str, prefix: str = ""):
-        """Download every object under ``prefix``; returns {key: size}."""
-        self._preflight()
-        got: dict[str, int] = {}
-        for meta in self.store.list_objects(bucket, prefix):
-            yield from self.store.get_object(self.host, bucket, meta.key)
-            got[meta.key] = meta.size
-        return got

@@ -43,11 +43,6 @@ def mbps(value: float) -> float:
     return value * 1e6 / 8.0
 
 
-def gBps(value: float) -> float:
-    """Decimal gigaBYTES per second -> bytes per second."""
-    return value * 1e9
-
-
 def tBps(value: float) -> float:
     """Decimal teraBYTES per second -> bytes per second (HBM rates)."""
     return value * 1e12

@@ -56,11 +56,6 @@ class RequestStats:
     preemptions: int
     cached_tokens: int = 0   # prompt tokens served from the prefix cache
 
-    @property
-    def decode_rate(self) -> float:
-        """Output tokens/second over the full request lifetime."""
-        return self.output_tokens / self.latency if self.latency > 0 else 0.0
-
 
 class Request:
     """One generation request inside the engine."""

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from repro.fleet.fleet import FleetReport
+from repro.fleet.report import FleetReport
 from repro.fleet.slo import RequestRecord, SloSpec, SloTracker
 from repro.simkernel import SimKernel
 

@@ -6,7 +6,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.fleet import PoissonSchedule, Tenant, TenantMix, TurnResult
+from repro.fleet import (PoissonSchedule, RequestRecord, Tenant,
+                         TenantMix)
 from repro.sessions import SessionSpec, SessionTraffic
 from repro.simkernel import SimKernel
 
@@ -22,16 +23,20 @@ class StubServer:
 
     def request(self, tenant, prompt_tokens, output_tokens,
                 session=None, turn=0):
-        self.turns.append({"t": self.kernel.now, "tenant": tenant,
+        submitted = self.kernel.now
+        self.turns.append({"t": submitted, "tenant": tenant,
                            "session": session, "turn": turn,
                            "prompt": prompt_tokens,
                            "budget": output_tokens})
         yield self.kernel.timeout(self.service_time)
         if self.fail_request is not None \
                 and len(self.turns) == self.fail_request:
-            return TurnResult(ok=False, error="boom")
-        return TurnResult(ok=True, ttft=0.01, latency=self.service_time,
-                          output_tokens=output_tokens)
+            return RequestRecord(tenant, submitted, self.kernel.now,
+                                 ttft=0.0, latency=self.service_time,
+                                 ok=False, error="boom")
+        return RequestRecord(tenant, submitted, self.kernel.now, ttft=0.01,
+                             latency=self.service_time,
+                             output_tokens=output_tokens)
 
 
 def _run(spec, seed=5, horizon=1200.0, rate=0.02, **stub_kw):
