@@ -11,7 +11,7 @@ a healthy replica remains.
 
 from __future__ import annotations
 
-from repro.chaos import run_case
+from repro.chaos import PLATFORM_FLEETS, case_spec, run_case
 
 HPC_SCENARIOS = ("engine_oom", "node_crash", "registry_outage")
 K8S_SCENARIOS = ("pod_eviction", "gpu_ecc")
@@ -23,7 +23,9 @@ MTTR_BUDGET_S = 1800.0
 
 def _run_and_check(benchmark, platform_kind, scenarios):
     def run():
-        return [run_case(name, platform_kind) for name in scenarios]
+        fleet_platform = PLATFORM_FLEETS[platform_kind]
+        return [run_case(case_spec(name, fleet_platform), platform_kind)
+                for name in scenarios]
 
     results = benchmark.pedantic(run, rounds=1, iterations=1)
     for _row, report, res in results:

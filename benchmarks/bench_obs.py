@@ -84,8 +84,7 @@ def _timed_day(enabled: bool) -> float:
         kernel.obs.disable()
     fleet = spec.build_fleet(site)
     fleet.config = dataclasses.replace(
-        fleet.config, obs_spans=enabled, scrape_interval=0.0,
-        obs_report=False)
+        fleet.config, scrape_interval=0.0, obs_report=False)
     schedule = spec.schedule.build()
     mix = spec.build_mix(kernel)
 
@@ -236,7 +235,6 @@ def test_analysis_plane_one_shot_cost(benchmark):
     assert evaluator is not None and evaluator.evaluations > 0
     scraper = evaluator.scraper
     spans = kernel.obs.spans
-    spans.finished        # materialize outside the timed window
 
     digests = []
 

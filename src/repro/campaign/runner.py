@@ -144,9 +144,6 @@ def play(spec: ScenarioSpec, observability: bool = True):
     if not observability:
         kernel.obs.disable()
     fleet = spec.build_fleet(site)
-    if not observability:
-        fleet.config = dataclasses.replace(
-            fleet.config, obs_spans=False, scrape_interval=0.0)
     schedule = spec.schedule.build()
     mix = spec.build_mix(kernel)
     sessions = spec.sessions if spec.sessions.enabled else None

@@ -198,29 +198,32 @@ class ScenarioSpec:
     disagg: DisaggSpec = field(default_factory=DisaggSpec)
     #: fleet quiet-play: idle periodic ticks are skipped bit-identically
     #: to stepping for open-loop and session traffic and chaos faults
-    #: alike, and it switches itself off under armed faults, so the only
-    #: reason to flip it off is an A/B arm in an equivalence or perf
-    #: study.
+    #: alike (a fault ends a quiet window only through the fleet state
+    #: the governor reads), so the only reason to flip it off is an A/B
+    #: arm in an equivalence or perf study.
     fast_forward: bool = True
 
     def __post_init__(self) -> None:
-        # Forgiving construction: the ergonomic spellings accepted by
-        # from_dict / grid axes also work on the constructor directly.
+        # The one coercion point: every ergonomic spelling (a bare
+        # platform name, nested dicts, a chaos name, ``disagg=True``)
+        # becomes its typed value here, so the constructor, from_dict,
+        # set_path and grid axes all accept the same spellings and give
+        # equal specs.  Unknown nested keys fail now, never mid-run.
         if isinstance(self.platforms, str):
             object.__setattr__(self, "platforms", (self.platforms,))
         elif not isinstance(self.platforms, tuple):
             object.__setattr__(self, "platforms", tuple(self.platforms))
         object.__setattr__(self, "chaos", coerce_chaos(self.chaos))
-        if not isinstance(self.tenants, tuple):
-            object.__setattr__(self, "tenants", tuple(self.tenants))
-        if isinstance(self.sessions, dict):
-            object.__setattr__(self, "sessions",
-                               _make(SessionSpec, self.sessions, "sessions"))
+        object.__setattr__(self, "tenants", tuple(
+            _make(TenantSpec, t, "tenant") if isinstance(t, dict) else t
+            for t in self.tenants))
         if isinstance(self.disagg, bool):
             object.__setattr__(self, "disagg", DisaggSpec(enabled=self.disagg))
-        elif isinstance(self.disagg, dict):
-            object.__setattr__(self, "disagg",
-                               _make(DisaggSpec, self.disagg, "disagg"))
+        for f in fields(self):
+            kind, value = f.default_factory, getattr(self, f.name)
+            if (isinstance(value, dict) and isinstance(kind, type)
+                    and dataclasses.is_dataclass(kind)):
+                object.__setattr__(self, f.name, _make(kind, value, f.name))
         if self.scheduler_policy not in SCHEDULER_POLICIES:
             raise ConfigurationError(
                 f"unknown scheduler_policy {self.scheduler_policy!r} "
@@ -269,40 +272,7 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> ScenarioSpec:
-        data = dict(data)
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(
-                f"unknown spec keys: {sorted(unknown)} "
-                f"(known: {sorted(known)})")
-        if "platforms" in data:
-            value = data["platforms"]
-            data["platforms"] = ((value,) if isinstance(value, str)
-                                 else tuple(value))
-        if isinstance(data.get("site"), dict):
-            data["site"] = _make(SiteSpec, data["site"], "site")
-        if isinstance(data.get("schedule"), dict):
-            data["schedule"] = _make(ScheduleSpec, data["schedule"],
-                                     "schedule")
-        if isinstance(data.get("slo"), dict):
-            data["slo"] = _make(SloSpec, data["slo"], "slo")
-        if isinstance(data.get("autoscaler"), dict):
-            data["autoscaler"] = _make(AutoscalerConfig, data["autoscaler"],
-                                       "autoscaler")
-        if "tenants" in data:
-            data["tenants"] = tuple(
-                t if isinstance(t, TenantSpec)
-                else _make(TenantSpec, t, "tenant")
-                for t in data["tenants"])
-        if "chaos" in data:
-            data["chaos"] = coerce_chaos(data["chaos"])
-        if isinstance(data.get("sessions"), dict):
-            data["sessions"] = _make(SessionSpec, data["sessions"],
-                                     "sessions")
-        if isinstance(data.get("disagg"), dict):
-            data["disagg"] = _make(DisaggSpec, data["disagg"], "disagg")
-        return cls(**data)
+        return _make(cls, dict(data), "spec")
 
     def to_file(self, path: str | pathlib.Path) -> None:
         path = pathlib.Path(path)
@@ -403,9 +373,9 @@ def get_path(spec: Any, path: str) -> Any:
 def set_path(spec: Any, path: str, value: Any) -> Any:
     """A copy of ``spec`` with the dotted-path field replaced.
 
-    Field-aware coercions keep grid axes terse: ``platforms`` accepts a
-    bare platform name, ``chaos`` accepts anything
-    :func:`coerce_chaos` does.
+    The value may take any spelling the spec's constructor accepts:
+    ``dataclasses.replace`` reruns ``__post_init__``, the one coercion
+    point.
     """
     head, _, rest = path.partition(".")
     if not dataclasses.is_dataclass(spec) or not hasattr(spec, head):
@@ -413,19 +383,6 @@ def set_path(spec: Any, path: str, value: Any) -> Any:
             f"no spec field {path!r} (failed at {head!r})")
     if rest:
         value = set_path(getattr(spec, head), rest, value)
-    elif head == "platforms":
-        value = (value,) if isinstance(value, str) else tuple(value)
-    elif head == "chaos":
-        value = coerce_chaos(value)
-    elif head == "sessions" and isinstance(value, dict):
-        value = _make(SessionSpec, value, "sessions")
-    elif head == "disagg":
-        if isinstance(value, bool):
-            value = DisaggSpec(enabled=value)
-        elif isinstance(value, dict):
-            value = _make(DisaggSpec, value, "disagg")
-    elif head == "tenants" and not isinstance(value, tuple):
-        value = tuple(value)
     return dataclasses.replace(spec, **{head: value})
 
 

@@ -13,7 +13,7 @@ lost vs retried, reaction times) merged into the fleet scorecard.
 """
 
 from .orchestrator import ChaosOrchestrator, ResilienceReport
-from .runner import (ChaosRunConfig, PLATFORM_FLEETS, run_case, run_matrix,
+from .runner import (PLATFORM_FLEETS, case_spec, run_case, run_matrix,
                      scorecard_text)
 from .scenarios import CATALOG, ChaosContext, ChaosScenario, catalog
 from .supervisor import RepairEvent, ReplicaSupervisor, SupervisorConfig
@@ -22,13 +22,13 @@ __all__ = [
     "CATALOG",
     "ChaosContext",
     "ChaosOrchestrator",
-    "ChaosRunConfig",
     "ChaosScenario",
     "PLATFORM_FLEETS",
     "RepairEvent",
     "ReplicaSupervisor",
     "ResilienceReport",
     "SupervisorConfig",
+    "case_spec",
     "catalog",
     "run_case",
     "run_matrix",

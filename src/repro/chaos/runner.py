@@ -10,100 +10,78 @@ simulation clock, so the same seed produces a byte-identical scorecard.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 
+from ..errors import ConfigurationError
 from ..experiments.common import canonical_json_text
 from ..fleet import AutoscalerConfig, SloSpec
 from .orchestrator import ResilienceReport
 from .scenarios import ChaosScenario, catalog
 
-QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
-
 #: Which site platform hosts the fleet for each platform kind.
 PLATFORM_FLEETS = {"hpc": "hops", "k8s": "goodall"}
 
 
-@dataclass(frozen=True)
-class ChaosRunConfig:
-    """Matrix-wide knobs; ``quick`` for CI, ``long`` for the nightly."""
-
-    seed: int = 42
-    mode: str = "quick"
-    rate_rps: float = 0.15
-    horizon: float = 3600.0
-    inject_at: float = 900.0
-    fault_duration: float = 600.0
-    probe_interval: float = 15.0
-    initial_replicas: int = 2
-    supervisor_interval: float = 30.0
-
-    @classmethod
-    def quick(cls, seed: int = 42) -> ChaosRunConfig:
-        return cls(seed=seed)
-
-    @classmethod
-    def long(cls, seed: int = 42) -> ChaosRunConfig:
-        return cls(seed=seed, mode="long", rate_rps=0.25,
-                   horizon=4 * 3600.0, inject_at=1800.0,
-                   fault_duration=1200.0)
+#: The matrix's two timings: ``quick`` for CI, ``long`` for the
+#: nightly.  Each row is ``(rate_rps, horizon, inject_at,
+#: fault_duration)``.
+MODES = {
+    "quick": (0.15, 3600.0, 900.0, 600.0),
+    "long": (0.25, 4 * 3600.0, 1800.0, 1200.0),
+}
 
 
-def case_spec(config: ChaosRunConfig, fleet_platform: str):
+def case_spec(scenario: str, fleet_platform: str = "hops", seed: int = 42,
+              mode: str = "quick"):
     """The matrix cell as a declarative :class:`ScenarioSpec`.
 
-    Chaos cases construct their site and fleet through the campaign
-    spec, so the matrix runner and the campaign runner provably build
-    identical worlds for identical knobs.
+    The cell's one chaos event injects the catalog ``scenario`` on a
+    fleet on ``fleet_platform``, timed by ``MODES[mode]``.  Chaos cases
+    construct their site and fleet through the campaign spec, so the
+    matrix runner and the campaign runner provably build identical
+    worlds for identical knobs.
     """
     # Deferred import: repro.campaign.spec <-> repro.chaos is a cycle at
     # module scope (the spec validates scenario names against the
     # catalog).
-    from ..campaign.spec import ScenarioSpec, ScheduleSpec, SiteSpec
+    from ..campaign.spec import (ChaosEventSpec, ScenarioSpec, ScheduleSpec,
+                                 SiteSpec)
+    if mode not in MODES:
+        raise ConfigurationError(
+            f"chaos mode must be one of {sorted(MODES)}: {mode!r}")
+    rate_rps, horizon, inject_at, fault_duration = MODES[mode]
     return ScenarioSpec(
-        name=f"chaos:{fleet_platform}", seed=config.seed, model=QUANT,
-        tensor_parallel_size=2, platforms=(fleet_platform,),
-        router_platform="hops", policy="least-outstanding",
-        initial_replicas=config.initial_replicas, horizon=config.horizon,
+        name=f"chaos:{fleet_platform}", seed=seed,
+        platforms=(fleet_platform,), initial_replicas=2, horizon=horizon,
         site=SiteSpec(hops_nodes=6, eldorado_nodes=4, goodall_nodes=5,
                       cee_nodes=1),
-        schedule=ScheduleSpec(kind="poisson", rate_rps=config.rate_rps),
+        schedule=ScheduleSpec(kind="poisson", rate_rps=rate_rps),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
-        autoscaler=AutoscalerConfig(
-            min_replicas=config.initial_replicas, max_replicas=3,
-            target_outstanding=8.0),
-        probe_interval=config.probe_interval,
-        supervisor_interval=config.supervisor_interval,
+        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3,
+                                    target_outstanding=8.0),
+        chaos=(ChaosEventSpec(scenario, inject_at, fault_duration),),
         # Tighter than the fleet default: the alert evaluator runs at
         # the scrape cadence, and telemetry-driven detection delay is
         # only meaningful when resolved finer than the fault duration.
         scrape_interval=60.0)
 
 
-def run_case(scenario: ChaosScenario | str, platform_kind: str,
-             config: ChaosRunConfig | None = None,
-             fleet_platform: str | None = None):
-    """One (scenario, platform) cell: returns ``(row, report, res)``.
+def run_case(spec, platform_kind: str):
+    """Play one matrix cell (a :func:`case_spec`, or any spec with one
+    chaos event): returns ``(row, report, res)``.
 
-    The cell is :func:`case_spec` with the scenario as its one chaos
-    event, played by :func:`repro.campaign.play`; ``res`` is the typed
-    :class:`ResilienceReport` the played report carries.
+    ``res`` is the typed :class:`ResilienceReport` the report played by
+    :func:`repro.campaign.play` carries; ``platform_kind`` labels the
+    row.
     """
     # Deferred for the same cycle as in case_spec.
-    from ..campaign import ChaosEventSpec, play
-    config = config or ChaosRunConfig()
-    if isinstance(scenario, str):
-        scenario = catalog(names=[scenario])[0]
+    from ..campaign import play
     if platform_kind not in PLATFORM_FLEETS:
         raise ValueError(f"platform kind must be one of "
                          f"{sorted(PLATFORM_FLEETS)}: {platform_kind!r}")
-    fleet_platform = fleet_platform or PLATFORM_FLEETS[platform_kind]
-    spec = replace(
-        case_spec(config, fleet_platform),
-        chaos=(ChaosEventSpec(scenario.name, config.inject_at,
-                              config.fault_duration),))
     report, _fleet, _digest = play(spec)
     (res,) = report.faults
-    row = _case_row(platform_kind, fleet_platform, scenario, report)
+    (scenario,) = catalog(names=[res.scenario])
+    row = _case_row(platform_kind, spec.platforms[0], scenario, report)
     return row, report, res
 
 
@@ -131,12 +109,11 @@ def run_matrix(platform_kinds=("hpc", "k8s"), seed: int = 42,
                on_case: Callable[[dict, ResilienceReport], None]
                | None = None) -> dict:
     """The full applicable catalog on every requested platform kind."""
-    config = (ChaosRunConfig.long(seed) if mode == "long"
-              else ChaosRunConfig.quick(seed))
     cases = []
     for kind in platform_kinds:
         for scenario in catalog(kind, scenarios):
-            row, _report, res = run_case(scenario, kind, config)
+            row, _report, res = run_case(case_spec(
+                scenario.name, PLATFORM_FLEETS[kind], seed, mode), kind)
             cases.append(row)
             if on_case is not None:
                 on_case(row, res)
@@ -151,7 +128,7 @@ def run_matrix(platform_kinds=("hpc", "k8s"), seed: int = 42,
     return {
         "schema": "chaos_scorecard/v1",
         "seed": seed,
-        "mode": config.mode,
+        "mode": mode,
         "platforms": sorted(platform_kinds),
         "cases": cases,
         "summary": {

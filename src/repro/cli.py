@@ -482,6 +482,10 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .chaos.runner import PLATFORM_FLEETS
+    from .services.router import RouterPolicy
+    from .vllm.scheduler import SCHEDULER_POLICIES
+    router_policies = [p.value for p in RouterPolicy]
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Simulated converged HPC/K8s GenAI serving "
@@ -522,10 +526,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument("--platforms", default="hops,goodall",
                        help="comma-separated replica placement targets")
     fleet.add_argument("--policy", default="least-outstanding",
-                       choices=["round-robin", "least-outstanding",
-                                "cache-affinity"])
+                       choices=router_policies)
     fleet.add_argument("--scheduler-policy", default="fcfs",
-                       choices=["fcfs", "priority", "chunked"],
+                       choices=SCHEDULER_POLICIES,
                        help="engine admission policy on every replica")
     fleet.add_argument("--disagg", action="store_true",
                        help="disaggregated serving: a fixed prefill pool "
@@ -564,8 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     sessions.add_argument("--platforms", default="hops,goodall",
                           help="comma-separated replica placement targets")
     sessions.add_argument("--policy", default="cache-affinity",
-                          choices=["round-robin", "least-outstanding",
-                                   "cache-affinity"])
+                          choices=router_policies)
     sessions.add_argument("--hours", type=float, default=6.0,
                           help="scenario length in simulated hours")
     sessions.add_argument("--base-rate", type=float, default=0.02,
@@ -620,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos", help="fault-injection scenario matrix with resilience "
                       "scorecards")
     chaos.add_argument("--platform", action="append",
-                       choices=["hpc", "k8s"],
+                       choices=list(PLATFORM_FLEETS),
                        help="platform kind to test (repeatable; "
                             "default: both)")
     chaos.add_argument("--scenario", action="append",

@@ -97,9 +97,6 @@ class FleetConfig:
     #: (e.g. ``{"enable_prefix_caching": True}`` for session fleets, or
     #: ``gpu_memory_utilization`` to sweep the KV-cache size).
     engine_params: dict = field(default_factory=dict)
-    #: record per-request span trees during scenarios (arrive → route →
-    #: queue/prefill/decode); digest lands in ``FleetReport.obs``.
-    obs_spans: bool = True
     #: simulated seconds between metrics scrapes (0 disables the
     #: scraper).  Each scrape is followed by an evaluation of the stock
     #: :func:`~repro.obs.alerts.default_slo_rules`; the firing timeline
@@ -675,8 +672,6 @@ class Fleet:
         # No quiet window carries over between scenarios.
         self.ff._edge = -math.inf
         self.router_app.ff_governor = self.ff
-        if self.config.obs_spans:
-            kernel.obs.enable_spans()
         stop = kernel.event()
         kernel.spawn(self.autoscaler.run(stop), name="fleet:autoscaler")
         kernel.spawn(self._monitor(stop), name="fleet:monitor")

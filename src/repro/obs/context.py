@@ -7,11 +7,11 @@ instruments through the kernel they already hold (``env.obs.registry``),
 so a campaign running forty cells in one process keeps forty fully
 independent observability surfaces — no globals, no cross-cell bleed.
 
-The registry is always live (registration is cheap and counters are
-plain attribute adds); span recording is **off by default** and enabled
-per-run (``kernel.obs.enable_spans()`` or ``FleetConfig(obs_spans=
-True)``) because span trees hold per-request objects.  The wall-clock
-profiler is process-global by design — see :mod:`repro.obs.profile`.
+The registry and the span recorder are live from the start, and
+:meth:`Observability.disable` is the one switch that turns both off
+(the dark arm of overhead benches and ``play(observability=False)``).
+The wall-clock profiler is process-global by design — see
+:mod:`repro.obs.profile`.
 """
 
 from __future__ import annotations
@@ -36,9 +36,6 @@ class Observability:
         self.kernel = kernel
         self.registry = MetricsRegistry()
         self.spans = SpanRecorder(kernel)
-
-    def enable_spans(self) -> None:
-        self.spans.enabled = True
 
     def disable(self) -> None:
         """Turn off all optional collection (bench disabled-baseline)."""

@@ -134,10 +134,10 @@ class CriticalPathReport:
 class CriticalPathAnalyzer:
     """One-shot analysis pass over a :class:`SpanRecorder`.
 
-    Reads the close-ordered store through :meth:`SpanRecorder.chunks`,
-    never materializing it; groups it by trace id (late children count);
-    decomposes every ok ``request`` root into one flat row of columns;
-    and ranks each metric once.  Nothing here touches the hot path.
+    Reads the close-ordered rows through :meth:`SpanRecorder.chunks`;
+    groups them by trace id (late children count); decomposes every ok
+    ``request`` root into one flat row of columns; and ranks each metric
+    once.  Nothing here touches the hot path.
     """
 
     def __init__(self, recorder: SpanRecorder):

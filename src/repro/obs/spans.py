@@ -120,13 +120,13 @@ _DIGEST_PACK = struct.Struct("<qqqdd").pack
 
 
 class SpanRecorder:
-    """Owns every span of one simulation; disabled-by-default cheap.
+    """Owns every span of one simulation; cheap when disabled.
 
     ``start_trace`` opens a root span and mints a fresh trace id; the id
     travels with the request (``repro_trace`` in HTTP bodies) so the
-    router and engine attach their spans to the same tree.  ``finished``
-    holds completed spans in close order — a deterministic order, since
-    closing happens at simulated-time milestones.
+    router and engine attach their spans to the same tree.  Completed
+    spans are stored as rows in close order — a deterministic order,
+    since closing happens at simulated-time milestones.
     """
 
     #: Spans per chunk in :meth:`chunks`.
@@ -134,29 +134,27 @@ class SpanRecorder:
 
     def __init__(self, kernel: SimKernel):
         self.kernel = kernel
-        self.enabled = False
-        #: Close-ordered storage.  ``emit`` appends bare tuples instead of
-        #: Span objects — the hot path runs once per engine phase — and the
-        #: ``finished`` property materializes them on first structured read.
-        self._finished: list[Any] = []
-        self._raw = False
+        #: On with ``kernel.obs``; :meth:`Observability.disable` turns
+        #: it off.
+        self.enabled = True
+        #: Close-ordered storage, one row per completed span: ``(name,
+        #: trace_id, span_id, parent_id or 0, start, end, attrs)``.
+        self._finished: list[tuple] = []
         self._next_trace = 0
         self._next_span = 0
 
     @property
     def finished(self) -> list[Span]:
-        """Completed spans in close order (materialized on demand)."""
-        if self._raw:
-            fin = self._finished
-            for i, item in enumerate(fin):
-                if type(item) is tuple:
-                    name, tid, sid, pid, start, end, attrs = item
-                    span = Span(self, name, tid, sid, pid or None, start)
-                    span.end = end
-                    span.attrs = attrs
-                    fin[i] = span
-            self._raw = False
-        return self._finished
+        """Completed spans in close order, as read-only views: recorder-
+        less ``Span``s built from the rows, so annotating or finishing
+        one is a no-op and the store never changes."""
+        out = []
+        for name, tid, sid, pid, start, end, attrs in self._finished:
+            span = Span(None, name, tid, sid, pid or None, start)
+            span.end = end
+            span.attrs = attrs
+            out.append(span)
+        return out
 
     # -- creation -----------------------------------------------------------------
 
@@ -218,7 +216,6 @@ class SpanRecorder:
         if span_id is None:
             self._next_span += 1
             span_id = self._next_span
-        self._raw = True
         self._finished.append((name, trace_id, span_id,
                                parent_id or 0, start, end,
                                attrs if attrs else {}))
@@ -241,7 +238,6 @@ class SpanRecorder:
             fin.append((name, trace_id, n, pid, start, end,
                         attrs if attrs else {}))
         self._next_span = n
-        self._raw = True
 
     def _open(self, name: str, trace_id: int, parent_id: int | None,
               start: float | None) -> Span:
@@ -250,13 +246,15 @@ class SpanRecorder:
                     self.kernel.now if start is None else float(start))
 
     def _close(self, span: Span) -> None:
-        self._finished.append(span)
+        self._finished.append((span.name, span.trace_id, span.span_id,
+                               span.parent_id or 0, span.start, span.end,
+                               span.attrs))
 
     # -- queries ------------------------------------------------------------------
 
     @property
     def span_count(self) -> int:
-        """``len(finished)`` without materializing the hot-path tuples."""
+        """``len(finished)`` without building the views."""
         return len(self._finished)
 
     def traces(self) -> dict[int, list[Span]]:
@@ -272,14 +270,10 @@ class SpanRecorder:
         return [s for s in self.finished if s.name == name]
 
     def chunks(self) -> Iterator[list[tuple]]:
-        """The store in close order, ``_CHUNK`` rows at a time: the seven
-        fields :meth:`emit` stores, read alike from tuples and Spans."""
+        """The store's rows in close order, ``_CHUNK`` at a time."""
         fin = self._finished
         for lo in range(0, len(fin), self._CHUNK):
-            yield [s if type(s) is tuple else
-                   (s.name, s.trace_id, s.span_id, s.parent_id or 0,
-                    s.start, s.end, s.attrs)
-                   for s in fin[lo:lo + self._CHUNK]]
+            yield fin[lo:lo + self._CHUNK]
 
     def digest(self) -> str:
         """Canonical SHA-256 over every finished span.
@@ -313,4 +307,3 @@ class SpanRecorder:
 
     def clear(self) -> None:
         self._finished.clear()
-        self._raw = False

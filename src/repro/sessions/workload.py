@@ -135,9 +135,11 @@ class SessionTraffic:
         kernel.trace.emit("sessions.start", session=key, tenant=tenant,
                           turns=turns_planned)
         # One span per conversation (its own trace; each turn's request
-        # opens a separate per-request trace via the fleet).
-        session_span = kernel.obs.spans.start_trace(
-            "session", session=key, tenant=tenant)
+        # opens a separate per-request trace via the fleet).  Its ids are
+        # minted now and it is emitted closed when the conversation ends.
+        spans = kernel.obs.spans
+        trace_id, span_id = spans.reserve_trace()
+        started = kernel.now
         context = 0
         turns_done = 0
         outcome = "finished"
@@ -179,6 +181,8 @@ class SessionTraffic:
             self.log.cut_by_horizon += 1
         kernel.trace.emit("sessions.end", session=key, turns=turns_done,
                           context_tokens=context, outcome=outcome)
-        session_span.finish(turns=turns_done, outcome=outcome,
-                            context_tokens=context)
+        spans.emit("session", trace_id, None, started, kernel.now,
+                   {"session": key, "tenant": tenant, "turns": turns_done,
+                    "outcome": outcome, "context_tokens": context},
+                   span_id=span_id)
         return turns_done

@@ -6,6 +6,7 @@ import json
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
+from .scheduler import SCHEDULER_POLICIES
 
 #: Environment variables the paper sets for disconnected serving (Fig. 4/5).
 OFFLINE_ENV_FLAGS = (
@@ -56,10 +57,10 @@ class EngineArgs:
                 "out of range")
         if self.max_model_len is not None and self.max_model_len < 16:
             raise ConfigurationError("max_model_len too small")
-        if self.scheduler_policy not in ("fcfs", "priority", "chunked"):
+        if self.scheduler_policy not in SCHEDULER_POLICIES:
             raise ConfigurationError(
                 f"unknown scheduler_policy {self.scheduler_policy!r} "
-                "(choices: fcfs, priority, chunked)")
+                f"(choices: {', '.join(SCHEDULER_POLICIES)})")
         if self.chunk_tokens < 1:
             raise ConfigurationError("chunk_tokens must be positive")
         if self.disagg_role not in ("unified", "prefill", "decode"):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.campaign import ChaosEventSpec
 from repro.campaign.spec import ScheduleSpec
 from repro.chaos import ChaosOrchestrator, SupervisorConfig, catalog
-from repro.chaos.runner import ChaosRunConfig, PLATFORM_FLEETS, case_spec
+from repro.chaos.runner import PLATFORM_FLEETS, case_spec
 from repro.fleet import AutoscalerConfig
 
 HORIZON = 2 * 3600.0
@@ -31,7 +31,7 @@ PULSE = ScheduleSpec(kind="pulse", rate_rps=0.5, period=1800.0, duty=0.2)
 
 def _spec(kind: str, events) -> object:
     return dataclasses.replace(
-        case_spec(ChaosRunConfig(), PLATFORM_FLEETS[kind]),
+        case_spec(events[0][0], PLATFORM_FLEETS[kind]),
         schedule=PULSE, horizon=HORIZON,
         chaos=tuple(ChaosEventSpec(*event) for event in events))
 

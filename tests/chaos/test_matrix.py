@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from repro.campaign import ChaosEventSpec
 from repro.chaos import CATALOG, catalog, run_case
-from repro.chaos.runner import (ChaosRunConfig, PLATFORM_FLEETS,
+from repro.chaos.runner import (MODES, PLATFORM_FLEETS, case_spec,
                                 run_matrix, scorecard_text)
 from repro.errors import ConfigurationError, StateError
 
@@ -35,7 +37,20 @@ def test_catalog_platform_applicability():
 def test_platform_fleets_mapping():
     assert PLATFORM_FLEETS == {"hpc": "hops", "k8s": "goodall"}
     with pytest.raises(ValueError):
-        run_case("engine_oom", "vax")
+        run_case(case_spec("engine_oom"), "vax")
+
+
+def test_case_spec_modes():
+    """``quick`` and ``long`` are two rows of one table; anything else
+    fails where the spec is built."""
+    for mode, (rate, horizon, inject_at, duration) in MODES.items():
+        spec = case_spec("node_crash", "goodall", seed=3, mode=mode)
+        assert spec.platforms == ("goodall",) and spec.seed == 3
+        assert (spec.schedule.rate_rps, spec.horizon) == (rate, horizon)
+        assert spec.chaos == (ChaosEventSpec("node_crash", inject_at,
+                                             duration),)
+    with pytest.raises(ConfigurationError):
+        case_spec("node_crash", mode="nightly")
 
 
 @pytest.mark.parametrize("name,kind", [
@@ -45,7 +60,8 @@ def test_platform_fleets_mapping():
     ("gpu_ecc", "k8s"),
 ])
 def test_scenarios_recover(name, kind):
-    row, report, res = run_case(name, kind)
+    row, report, res = run_case(case_spec(name, PLATFORM_FLEETS[kind]),
+                                kind)
     assert res.recovery_ok, res.summary()
     assert res.mttr_s is not None and 0.0 <= res.mttr_s <= 1800.0
     assert res.error is None
@@ -70,8 +86,8 @@ def test_scenarios_recover(name, kind):
 
 def test_wlm_preemption_goes_through_flux_too():
     """The same scenario drives FluxManager on El Dorado (ROCm)."""
-    row, report, res = run_case("wlm_preemption", "hpc",
-                                fleet_platform="eldorado")
+    row, report, res = run_case(case_spec("wlm_preemption", "eldorado"),
+                                "hpc")
     assert res.recovery_ok
     assert res.detail["wlm"] == "flux"
     assert row["fleet_platform"] == "eldorado"
@@ -82,14 +98,15 @@ def test_fault_at_the_horizon_is_rejected():
     where only the confirmation probe sees it: it must not score as a
     recovery."""
     with pytest.raises(ConfigurationError):
-        run_case("engine_oom", "hpc", ChaosRunConfig(inject_at=3600.0))
+        dataclasses.replace(case_spec("engine_oom"),
+                            chaos=(ChaosEventSpec("engine_oom", 3600.0),))
 
 
 def test_same_seed_byte_identical_scorecard():
-    config = ChaosRunConfig.quick(seed=42)
+    spec = case_spec("registry_outage", "hops", seed=42, mode="quick")
 
     def once():
-        row, _report, _res = run_case("registry_outage", "hpc", config)
+        row, _report, _res = run_case(spec, "hpc")
         return json.dumps(row, sort_keys=True)
 
     assert once() == once()

@@ -14,13 +14,12 @@ import pytest
 
 from repro.campaign import ChaosEventSpec, play
 from repro.chaos import ChaosOrchestrator, SupervisorConfig, catalog
-from repro.chaos.runner import (ChaosRunConfig, PLATFORM_FLEETS,
-                                case_spec, run_case)
+from repro.chaos.runner import PLATFORM_FLEETS, case_spec, run_case
 from repro.errors import ConfigurationError
 from repro.fleet import AutoscalerConfig
 
-CONFIG = ChaosRunConfig(horizon=1800.0, inject_at=600.0,
-                        fault_duration=300.0)
+#: Chaos cells here run half an hour, not the matrix's quick hour.
+HORIZON = 1800.0
 #: The keys of a game-day segment row.
 SEGMENT_KEYS = {"scenario", "layer", "injected_at_s", "detail",
                 "detected_at_s", "recovered_at_s", "mttr_s",
@@ -28,26 +27,39 @@ SEGMENT_KEYS = {"scenario", "layer", "injected_at_s", "detail",
                 "requests_retried", "error"}
 
 
+def _chaos_spec(fleet_platform: str, *events):
+    """``case_spec`` over ``HORIZON`` with ``(scenario, inject_at,
+    fault_duration)`` chaos events."""
+    return dataclasses.replace(
+        case_spec(events[0][0], fleet_platform), horizon=HORIZON,
+        chaos=tuple(ChaosEventSpec(*event) for event in events))
+
+
+#: A node crash 600 s in, for 300 s.
+SPEC = _chaos_spec("hops", ("node_crash", 600.0, 300.0))
+
+
 def _play(arm: str) -> tuple[str, dict]:
-    spec = case_spec(CONFIG, "hops")
+    spec = SPEC
+    (event,) = spec.chaos
     fleet = spec.build_fleet(spec.build_site())
     orchestrator = ChaosOrchestrator(
         fleet,
         supervisor=SupervisorConfig(interval=spec.supervisor_interval),
         probe_interval=spec.probe_interval)
-    (scenario,) = catalog(names=["node_crash"])
+    (scenario,) = catalog(names=[event.scenario])
     schedule = spec.schedule.build()
 
     def run(env):
         yield from fleet.start(initial_replicas=spec.initial_replicas)
         if arm == "case":
             report, _res = yield from orchestrator.run_case(
-                scenario, schedule, spec.horizon, CONFIG.inject_at,
-                fault_duration=CONFIG.fault_duration)
+                scenario, schedule, spec.horizon, event.inject_at,
+                fault_duration=event.fault_duration)
         else:
             report, _segments = yield from orchestrator.run_gameday(
-                [(CONFIG.inject_at, scenario)], schedule, spec.horizon,
-                fault_duration=CONFIG.fault_duration)
+                [(event.inject_at, scenario)], schedule, spec.horizon,
+                fault_duration=event.fault_duration)
         return report
 
     kernel = fleet.kernel
@@ -84,34 +96,24 @@ def test_run_case_is_a_one_event_gameday():
     assert case == day
 
 
-def _chaos_spec(fleet_platform: str, *events):
-    """``case_spec`` with ``(scenario, inject_at, fault_duration)``
-    chaos events."""
-    return dataclasses.replace(
-        case_spec(CONFIG, fleet_platform),
-        chaos=tuple(ChaosEventSpec(*event) for event in events))
-
-
 @pytest.mark.parametrize("name,kind", [("registry_outage", "hpc"),
                                        ("pod_eviction", "k8s")])
 def test_matrix_case_is_the_played_spec(name, kind):
-    """A chaos-matrix cell is ``case_spec`` plus one chaos event, played
-    by the campaign driver: the same report, the same typed score."""
-    _row, report, res = run_case(name, kind, CONFIG)
-    played, _fleet, _digest = play(_chaos_spec(
-        PLATFORM_FLEETS[kind],
-        (name, CONFIG.inject_at, CONFIG.fault_duration)))
+    """A chaos-matrix case is its spec played by the campaign driver:
+    the same report, the same typed score."""
+    spec = _chaos_spec(PLATFORM_FLEETS[kind], (name, 600.0, 300.0))
+    _row, report, res = run_case(spec, kind)
+    played, _fleet, _digest = play(spec)
     assert report.to_json() == played.to_json()
     assert report.faults == [res]
     assert report.resilience == res.to_json()
 
 
 def test_gameday_needs_a_fault():
-    spec = case_spec(CONFIG, "hops")
-    orchestrator = ChaosOrchestrator(spec.build_fleet(spec.build_site()))
+    orchestrator = ChaosOrchestrator(SPEC.build_fleet(SPEC.build_site()))
     with pytest.raises(ConfigurationError):
-        next(orchestrator.run_gameday([], spec.schedule.build(),
-                                      spec.horizon))
+        next(orchestrator.run_gameday([], SPEC.schedule.build(),
+                                      SPEC.horizon))
 
 
 def test_gameday_windows_end_at_the_next_injection():
@@ -144,7 +146,7 @@ def test_scale_down_does_not_leave_infra_bad():
     impairment: infrastructure is whole when no replacement is owed or
     deploying, so a later fault's window still recovers."""
     spec = dataclasses.replace(
-        case_spec(ChaosRunConfig(), "hops"), initial_replicas=3,
+        case_spec("engine_oom"), initial_replicas=3,
         autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=4,
                                     target_outstanding=8.0),
         horizon=3 * 3600.0,

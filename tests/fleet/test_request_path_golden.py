@@ -20,7 +20,7 @@ import pytest
 from repro.campaign.runner import disagg_grid, run_cell, sessions_grid
 from repro.campaign.spec import (ChaosEventSpec, ScenarioSpec, ScheduleSpec,
                                  SiteSpec)
-from repro.chaos.runner import ChaosRunConfig, case_spec
+from repro.chaos.runner import case_spec
 from repro.fleet import AutoscalerConfig, SloSpec
 
 SPECS = {
@@ -40,7 +40,7 @@ SPECS = {
         disagg_grid(7).base, name="golden-disagg", horizon=600.0,
         disagg=True),
     "chaos": dataclasses.replace(
-        case_spec(ChaosRunConfig(seed=7, horizon=1200.0), "hops"),
+        case_spec("engine_oom", "hops", seed=7), horizon=1200.0,
         chaos=(ChaosEventSpec("engine_oom", inject_at=300.0,
                               fault_duration=300.0),)),
 }

@@ -4,7 +4,7 @@
 chunk at a time.  The frozen one-shot versions below build whole-run
 buffers; both must agree on stores that end just before, on and after
 each chunk edge, with numpy scalars and non-ASCII text in the payload,
-and a span store materialized midway.
+and with Span-closed rows mixed in among emitted ones.
 """
 
 from __future__ import annotations
@@ -23,16 +23,11 @@ from repro.simkernel.tracing import Tracer, _jsonable
 def _one_shot_spans(recorder):
     h = hashlib.sha256()
     packed, text = [], []
-    for span in recorder._finished:
-        if type(span) is tuple:
-            name, tid, sid, pid, start, end, attrs = span
-            packed.append(_DIGEST_PACK(tid, sid, pid, start, end))
-            text.append(f"{name}|{attrs!r}\n")
-        else:
-            packed.append(_DIGEST_PACK(
-                span.trace_id, span.span_id, span.parent_id or 0,
-                span.start, span.end if span.end is not None else -1.0))
-            text.append(f"{span.name}|{span.attrs!r}\n")
+    for span in recorder.finished:
+        packed.append(_DIGEST_PACK(
+            span.trace_id, span.span_id, span.parent_id or 0,
+            span.start, span.end if span.end is not None else -1.0))
+        text.append(f"{span.name}|{span.attrs!r}\n")
     h.update(b"".join(packed))
     h.update("".join(text).encode())
     return h.hexdigest()
@@ -69,10 +64,6 @@ def test_span_digest_matches_one_shot_across_chunk_edges(n):
             tid, sid = rec.reserve_trace()
             rec.emit("request", tid, None, i * 0.5, i * 0.5 + 1 / 3,
                      _attrs(i), span_id=sid)
-        if i == n // 2:
-            assert rec.finished            # materialized midway
-    assert rec.digest() == _one_shot_spans(rec)
-    rec.finished
     assert rec.digest() == _one_shot_spans(rec)
 
 

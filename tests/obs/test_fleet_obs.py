@@ -197,7 +197,7 @@ def test_disabled_observability_yields_no_obs_block():
     config = FleetConfig(
         model=QUANT, tensor_parallel_size=2, platforms=("hops",),
         autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=1),
-        obs_spans=False, scrape_interval=0.0)
+        scrape_interval=0.0)
     fleet = Fleet(site, config)
 
     def scenario(env):

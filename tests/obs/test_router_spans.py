@@ -15,7 +15,6 @@ def test_failed_hops_emit_attempt_spans(rig):
     s2 = _backend(rig, "hops02")
     router_host, app = _start_router(rig, ["hops01", "hops02"])
     kernel = rig.kernel
-    kernel.obs.enable_spans()
     spans = kernel.obs.spans
     root = spans.start_trace("request")
     s1["healthy"] = False                # first hop fails, failover saves it
@@ -46,7 +45,6 @@ def test_failed_hops_emit_attempt_spans(rig):
 def test_untraced_requests_emit_no_spans(rig):
     _backend(rig, "hops01")
     router_host, app = _start_router(rig, ["hops01"])
-    rig.kernel.obs.enable_spans()
     resp = _post(rig.kernel, rig.fabric, "registry", router_host, 4000,
                  "/v1/chat/completions", {"messages": []})
     assert resp.ok
@@ -66,7 +64,6 @@ def test_disagg_missing_handoff_emits_the_failed_route_span(rig):
                      **RouterConfig(disagg=True).to_env()})))
     kernel = rig.kernel
     kernel.run(until=container.ready)
-    kernel.obs.enable_spans()
     spans = kernel.obs.spans
     root = spans.start_trace("request")
     resp = _post(kernel, rig.fabric, "registry", rig.nodes[3].hostname,

@@ -19,7 +19,8 @@ def _recorder(seed=1):
 
 def test_disabled_recorder_hands_out_the_null_span():
     kernel = SimKernel(seed=1)
-    rec = SpanRecorder(kernel)
+    kernel.obs.disable()
+    rec = kernel.obs.spans
     span = rec.start_trace("request")
     assert span is NULL_SPAN
     assert rec.start_span("route", trace_id=7) is NULL_SPAN
@@ -56,7 +57,7 @@ def test_span_tree_parents_children_and_durations():
     assert [s.name for s in rec.finished] == ["route", "request"]
     tree = rec.traces()[root.trace_id]
     assert [s.name for s in tree] == ["request", "route"]  # start-ordered
-    assert rec.of_name("route") == [child]
+    assert [s.span_id for s in rec.of_name("route")] == [child.span_id]
     assert root.to_dict()["attrs"] == {"tenant": "batch", "ok": True}
 
 
