@@ -6,23 +6,28 @@ scheduler to admit, grow, free, and preempt sequences without
 fragmentation.  Invariants (no leaks, no double frees, capacity respected)
 are property-tested.
 
-With ``prefix_caching`` enabled the manager also keeps a *content hash*
-table of full blocks, mirroring vLLM's automatic prefix caching: a
-finished sequence registers its context blocks under a prefix key, a
-later allocation with the same key reuses the longest cached block chain
-(ref-counted, shared, never copied), and blocks nobody references stay
-resident in an LRU until memory pressure evicts them.  Multi-turn
-conversations are the payoff: turn *k+1*'s prompt is turn *k*'s full
-context plus the new user text, so everything but the tail prefills for
-free.  Because synthetic workloads carry no token contents, block
-identity is ``(prefix key, block index)`` — exact for append-only
-per-session token streams, which is the only sharing the workload
-generator produces.
+With ``prefix_caching`` enabled the manager also keeps a cache of full
+blocks, mirroring vLLM's automatic prefix caching: a finished sequence
+registers its context blocks under a prefix key, a later allocation with
+the same key reuses the longest cached block chain (ref-counted, shared,
+never copied), and blocks nobody references stay resident in an LRU
+until memory pressure evicts them.  Multi-turn conversations are the
+payoff: turn *k+1*'s prompt is turn *k*'s full context plus the new user
+text, so everything but the tail prefills for free.  Because synthetic
+workloads carry no token contents, block identity is ``(prefix key,
+block index)`` — exact for append-only per-session token streams, which
+is the only sharing the workload generator produces.  The cache keeps
+that state per chain, never per block (index runs, holder lengths and
+run-length LRU segments), so a lookup is O(1) and allocate / free cost
+O(segments of one key) however long a conversation grows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, OrderedDict
+from dataclasses import dataclass
+from operator import itemgetter
 
 from ..errors import CapacityError, ConfigurationError, StateError
 
@@ -40,6 +45,15 @@ def block_hash(prefix_key: str, index: int) -> str:
     return f"{prefix_key}/{index}"
 
 
+@dataclass(eq=False, slots=True)
+class _Segment:
+    """Zero-ref blocks ``hi-1, hi-2, .., lo`` of ``key``, in LRU order."""
+
+    key: str
+    lo: int
+    hi: int
+
+
 class BlockManager:
     """Allocates KV blocks to sequence ids, optionally sharing prefixes.
 
@@ -53,6 +67,13 @@ class BlockManager:
     Cached blocks with a zero refcount live in an LRU; they are evicted
     (becoming free blocks) only under memory pressure, so a warm cache
     costs nothing until the space is actually needed.
+
+    A sequence holds refs on a chain *prefix*, so a block's refcount
+    (holders of its key longer than its index) never rises with the
+    index: a key's zero-ref blocks are its resident blocks at or above
+    the longest holder.  Eviction can still leave gaps in a chain (two
+    holders registering interleaved ranges, or a finish registered
+    under another key), hence resident *runs*, not one length.
     """
 
     def __init__(self, capacity_tokens: int, block_size: int = BLOCK_SIZE,
@@ -67,20 +88,18 @@ class BlockManager:
         self.free_blocks = self.total_blocks
         self._held: dict[int, int] = {}    # seq id -> private blocks
         self._tokens: dict[int, int] = {}  # seq id -> logical tokens
-        # seq id -> cached block hashes this sequence holds a ref on
-        # (always a prefix of the sequence's block list, in index order).
-        self._shared: dict[int, tuple[str, ...]] = {}
-        # block hash -> refcount; refcount-0 entries are also in _lru.
-        self._refs: dict[str, int] = {}
-        self._lru: OrderedDict[str, None] = OrderedDict()
-        # Cache-content epoch (bumped on register/evict, the only events
-        # that change _refs *membership*) + a one-entry memo for the
-        # prefix-hit walk: admission asks the same (key, tokens)
-        # question up to three times per boundary (_plan_jump, _admit,
-        # allocate), and a warm long-context chain is hundreds of
-        # blocks.
-        self._content_epoch = 0
-        self._hits_memo: tuple | None = None
+        # seq id -> (key, h): a ref on each cached block (key, 0..h-1).
+        self._shared: dict[int, tuple[str, int]] = {}
+        # key -> multiset of holder lengths, and the largest of them.
+        self._holders: dict[str, Counter[int]] = {}
+        self._top: dict[str, int] = {}
+        # key -> sorted, disjoint, non-adjacent [lo, hi) resident runs.
+        self._runs: dict[str, list[list[int]]] = {}
+        self._resident = 0
+        # The LRU as run-length segments, oldest first, indexed by key.
+        self._lru: OrderedDict[_Segment, None] = OrderedDict()
+        self._segments: dict[str, dict[_Segment, None]] = {}
+        self._evictable = 0
         # Telemetry (engine /metrics and the router's /router/cache).
         self.cache_hit_blocks = 0
         self.cache_miss_blocks = 0
@@ -96,12 +115,12 @@ class BlockManager:
     @property
     def resident_cached_blocks(self) -> int:
         """Blocks currently in the prefix cache (referenced or LRU)."""
-        return len(self._refs)
+        return self._resident
 
     @property
     def evictable_blocks(self) -> int:
         """Cached blocks nobody references (reclaimable on pressure)."""
-        return len(self._lru)
+        return self._evictable
 
     def holds(self, seq_id: int) -> bool:
         return seq_id in self._held
@@ -109,28 +128,23 @@ class BlockManager:
     def tokens_of(self, seq_id: int) -> int:
         return self._tokens.get(seq_id, 0)
 
-    def _prefix_hits(self, prefix_key: str | None,
-                     n_tokens: int) -> list[str]:
-        """Longest cached block chain usable by an ``n_tokens`` prompt.
+    def _lookup(self, prefix_key: str | None,
+                n_tokens: int) -> tuple[int, int]:
+        """``(hit blocks, evictable blocks once the hit holds them)``.
 
-        Capped at ``(n_tokens - 1) // block_size`` so at least one token
-        is always computed (vLLM's full-hit rule: the last token's
-        logits must be produced by a real forward pass).
+        The hit is the chain resident from block 0, capped at
+        ``(n_tokens - 1) // block_size`` so at least one token is always
+        computed (vLLM's full-hit rule: the last token's logits must be
+        produced by a real forward pass).
         """
         if not self.prefix_caching or not prefix_key:
-            return []
-        memo = self._hits_memo
-        if memo is not None and memo[0] == prefix_key \
-                and memo[1] == n_tokens and memo[2] == self._content_epoch:
-            return memo[3]
-        hits: list[str] = []
-        for i in range((n_tokens - 1) // self.block_size):
-            h = block_hash(prefix_key, i)
-            if h not in self._refs:
-                break
-            hits.append(h)
-        self._hits_memo = (prefix_key, n_tokens, self._content_epoch, hits)
-        return hits
+            return 0, self._evictable
+        runs = self._runs.get(prefix_key)
+        if not runs or runs[0][0]:
+            return 0, self._evictable
+        hit = max(0, min(runs[0][1], (n_tokens - 1) // self.block_size))
+        return hit, self._evictable - max(
+            0, hit - self._top.get(prefix_key, 0))
 
     def can_allocate(self, n_tokens: int,
                      prefix_key: str | None = None) -> bool:
@@ -141,10 +155,8 @@ class BlockManager:
         predicate :meth:`allocate` enforces, so admission decisions and
         the engine's coalescing planner can never disagree with it.
         """
-        hits = self._prefix_hits(prefix_key, n_tokens)
-        need = blocks_needed(n_tokens, self.block_size) - len(hits)
-        evictable = len(self._lru) - sum(
-            1 for h in hits if self._refs.get(h) == 0)
+        hit, evictable = self._lookup(prefix_key, n_tokens)
+        need = blocks_needed(n_tokens, self.block_size) - hit
         return need <= self.free_blocks + evictable
 
     def can_append(self, seq_id: int) -> bool:
@@ -153,7 +165,7 @@ class BlockManager:
         tokens = self._tokens[seq_id]
         if tokens % self.block_size != 0:
             return True  # room in the current block
-        return self.free_blocks >= 1 or bool(self._lru)
+        return self.free_blocks >= 1 or self._evictable > 0
 
     # -- mutations ------------------------------------------------------------------
 
@@ -170,31 +182,26 @@ class BlockManager:
         """
         if seq_id in self._held:
             raise StateError(f"sequence {seq_id} already has blocks")
-        hits = self._prefix_hits(prefix_key, n_tokens)
-        need = blocks_needed(n_tokens, self.block_size) - len(hits)
-        evictable = len(self._lru) - sum(
-            1 for h in hits if self._refs.get(h) == 0)
+        hit, evictable = self._lookup(prefix_key, n_tokens)
+        need = blocks_needed(n_tokens, self.block_size) - hit
         if need > self.free_blocks + evictable:
             raise CapacityError(
                 f"need {need} blocks, {self.free_blocks} free "
                 f"+ {evictable} evictable")
-        for h in hits:           # take refs first: hits are not evictable
-            if self._refs[h] == 0:
-                del self._lru[h]
-            self._refs[h] += 1
-        while need > self.free_blocks:
-            self._evict_one()
+        if hit and prefix_key:   # take refs first: hits are not evictable
+            self._hold(prefix_key, hit)
+            self._shared[seq_id] = (prefix_key, hit)
+        if need > self.free_blocks:
+            self._evict(need - self.free_blocks)
         self.free_blocks -= need
         self._held[seq_id] = need
         self._tokens[seq_id] = n_tokens
-        if hits:
-            self._shared[seq_id] = tuple(hits)
         if self.prefix_caching and prefix_key:
-            full = (n_tokens - 1) // self.block_size
-            self.cache_hit_blocks += len(hits)
-            self.cache_miss_blocks += full - len(hits)
-            self.cached_tokens_total += len(hits) * self.block_size
-        return len(hits) * self.block_size
+            full = max(0, (n_tokens - 1) // self.block_size)
+            self.cache_hit_blocks += hit
+            self.cache_miss_blocks += full - hit
+            self.cached_tokens_total += hit * self.block_size
+        return hit * self.block_size
 
     def append_token(self, seq_id: int) -> None:
         """Grow a sequence by one generated token."""
@@ -202,8 +209,8 @@ class BlockManager:
             raise StateError(f"sequence {seq_id} has no blocks")
         tokens = self._tokens[seq_id]
         if tokens % self.block_size == 0:
-            if self.free_blocks < 1 and self._lru:
-                self._evict_one()
+            if self.free_blocks < 1 and self._evictable:
+                self._evict(1)
             if self.free_blocks < 1:
                 raise CapacityError("KV cache exhausted")
             self.free_blocks -= 1
@@ -228,12 +235,12 @@ class BlockManager:
         # keeps the formula right at tokens == 0.
         need = ((tokens + n - 1) // self.block_size
                 - (tokens - 1) // self.block_size)
-        if need > self.free_blocks + len(self._lru):
+        if need > self.free_blocks + self._evictable:
             raise CapacityError(
                 f"need {need} blocks, {self.free_blocks} free "
-                f"+ {len(self._lru)} evictable")
-        while need > self.free_blocks:
-            self._evict_one()
+                f"+ {self._evictable} evictable")
+        if need > self.free_blocks:
+            self._evict(need - self.free_blocks)
         self.free_blocks -= need
         self._held[seq_id] += need
         self._tokens[seq_id] = tokens + n
@@ -257,42 +264,124 @@ class BlockManager:
             raise StateError(f"sequence {seq_id} has no blocks")
         tokens = self._tokens.pop(seq_id)
         private = self._held.pop(seq_id)
-        shared = self._shared.pop(seq_id, ())
+        key, held = self._shared.pop(seq_id, ("", 0))
         if self.prefix_caching and register_key:
-            registered = False
-            for i in reversed(range(len(shared), tokens // self.block_size)):
-                h = block_hash(register_key, i)
-                if h not in self._refs:
-                    self._refs[h] = 0
-                    self._lru[h] = None        # MRU end
-                    private -= 1               # stays resident, not freed
-                    registered = True
-            if registered:
-                self._content_epoch += 1
+            private -= self._register(register_key, held,
+                                      tokens // self.block_size)
         self.free_blocks += private
-        for h in reversed(shared):
-            self._release(h)
+        if held:
+            self._release(key, held)
 
     def drop_cache(self) -> int:
         """Evict every unreferenced cached block; returns blocks freed."""
-        dropped = 0
-        while self._lru:
-            self._evict_one()
-            dropped += 1
+        dropped = self._evictable
+        self._evict(dropped)
         return dropped
 
-    def _release(self, h: str) -> None:
-        count = self._refs[h] - 1
-        self._refs[h] = count
-        if count == 0:
-            self._lru[h] = None                # MRU end (just used)
+    # -- chain bookkeeping ----------------------------------------------------------
 
-    def _evict_one(self) -> None:
-        h, _ = self._lru.popitem(last=False)   # LRU end
-        del self._refs[h]
-        self.free_blocks += 1
-        self.cache_evictions += 1
-        self._content_epoch += 1
+    def _hold(self, key: str, h: int) -> None:
+        """Take a ref on blocks ``(key, 0..h-1)``; the zero-ref ones,
+        ``[top, h)``, leave the LRU.  That range is the low end of every
+        segment it touches (a key's segments all start at or above
+        ``top``), so a hit trims segments and never splits one."""
+        top = self._top.get(key, 0)
+        if h > top:
+            self._evictable -= h - top
+            for seg in [s for s in self._segments[key] if s.lo < h]:
+                if seg.hi <= h:
+                    self._unlink(seg)
+                else:
+                    seg.lo = h
+            self._top[key] = h
+        self._holders.setdefault(key, Counter())[h] += 1
+
+    def _release(self, key: str, h: int) -> None:
+        """Drop one holder of ``(key, 0..h-1)``; blocks left unheld enter
+        the LRU tail-first at the MRU end."""
+        holders = self._holders[key]
+        holders[h] -= 1
+        if holders[h]:
+            return
+        del holders[h]
+        top = self._top[key]
+        if h < top:
+            return
+        if holders:
+            self._top[key] = new_top = max(holders)
+        else:
+            new_top = 0
+            del self._holders[key], self._top[key]
+        self._push(key, new_top, top)
+
+    def _register(self, key: str, start: int, stop: int) -> int:
+        """Make absent blocks ``(key, start..stop-1)`` zero-ref residents,
+        entering the LRU in descending index order; returns how many."""
+        runs = self._runs.get(key, [])
+        gaps: list[list[int]] = []           # absent ranges, ascending
+        lo = start
+        for r_lo, r_hi in runs + [[stop, stop]]:
+            if lo >= stop:
+                break
+            if r_lo > lo:
+                gaps.append([lo, min(r_lo, stop)])
+            lo = max(lo, r_hi)
+        if not gaps:
+            return 0
+        for lo, hi in reversed(gaps):
+            self._push(key, lo, hi)
+        added = sum(hi - lo for lo, hi in gaps)
+        merged: list[list[int]] = []
+        for run in sorted(runs + gaps):
+            if merged and merged[-1][1] == run[0]:
+                merged[-1][1] = run[1]
+            else:
+                merged.append(run)
+        self._runs[key] = merged
+        self._resident += added
+        return added
+
+    def _push(self, key: str, lo: int, hi: int) -> None:
+        """Append zero-ref blocks ``hi-1 .. lo`` of ``key`` at the MRU
+        end, extending the newest segment when they continue it."""
+        self._evictable += hi - lo
+        if self._lru:
+            tail = next(reversed(self._lru))
+            if tail.key == key and tail.lo == hi:
+                tail.lo = lo
+                return
+        seg = _Segment(key, lo, hi)
+        self._lru[seg] = None
+        self._segments.setdefault(key, {})[seg] = None
+
+    def _unlink(self, seg: _Segment) -> None:
+        del self._lru[seg]
+        segments = self._segments[seg.key]
+        del segments[seg]
+        if not segments:
+            del self._segments[seg.key]
+
+    def _evict(self, n: int) -> None:
+        """Free the ``n`` least-recently-used zero-ref blocks: trim the
+        oldest segments from their high (oldest) end."""
+        self._evictable -= n
+        self._resident -= n
+        self.free_blocks += n
+        self.cache_evictions += n
+        while n:
+            seg = next(iter(self._lru))
+            m = min(n, seg.hi - seg.lo)
+            seg.hi -= m
+            n -= m
+            runs = self._runs[seg.key]
+            i = bisect_right(runs, seg.hi, key=itemgetter(0)) - 1
+            r_lo, r_hi = runs[i]    # the one run holding [seg.hi, +m)
+            runs[i:i + 1] = [r for r in ([r_lo, seg.hi], [seg.hi + m, r_hi])
+                             if r[0] < r[1]]
+            if not runs:
+                del self._runs[seg.key]
+            if seg.lo == seg.hi:
+                self._unlink(seg)
 
     # -- telemetry ----------------------------------------------------------------
 
@@ -314,26 +403,43 @@ class BlockManager:
     # -- invariant check (used by property tests) --------------------------------------
 
     def check_invariants(self) -> None:
-        """Full accounting audit; raises AssertionError on any leak,
-        double free, or refcount drift.  Reused by the hypothesis suites
-        and the engine's kv-counter audits."""
+        """Full per-block accounting audit; raises AssertionError on any
+        leak, double free, or refcount drift.  Reused by the hypothesis
+        suites and the engine's kv-counter audits."""
+        resident = {(key, i) for key, runs in self._runs.items()
+                    for lo, hi in runs for i in range(lo, hi)}
+        for key, runs in self._runs.items():
+            ends = [-1] + [end for run in runs for end in run]
+            assert runs and all(a < b for a, b in zip(ends, ends[1:])), \
+                f"runs of {key} not sorted, disjoint and non-adjacent"
+        assert len(resident) == self._resident, "resident count drift"
         private = sum(self._held.values())
-        assert private + self.free_blocks + len(self._refs) \
+        assert private + self.free_blocks + len(resident) \
             == self.total_blocks, "block accounting leak"
         assert 0 <= self.free_blocks <= self.total_blocks, \
             "free-block count out of range"
-        held_refs = Counter(h for hashes in self._shared.values()
-                            for h in hashes)
-        for h, count in self._refs.items():
-            assert count >= 0, f"negative refcount on {h}"
-            assert count == held_refs.get(h, 0), \
-                f"refcount drift on {h}: {count} != {held_refs.get(h, 0)}"
-            assert (count == 0) == (h in self._lru), \
-                f"LRU membership wrong for {h}"
-        for h in held_refs:
-            assert h in self._refs, f"dangling shared ref {h}"
+        refs: Counter[tuple[str, int]] = Counter()
+        holders: dict[str, Counter[int]] = {}
+        for key, h in self._shared.values():
+            assert h > 0, f"empty shared prefix of {key}"
+            refs.update((key, i) for i in range(h))
+            holders.setdefault(key, Counter())[h] += 1
+        assert holders == self._holders, "holder multiset drift"
+        assert self._top == {key: max(c) for key, c in holders.items()}, \
+            "longest-holder drift"
+        assert set(refs) <= resident, "dangling shared ref"
+        lru = [(seg.key, i) for seg in self._lru
+               for i in range(seg.hi - 1, seg.lo - 1, -1)]
+        assert all(seg.lo < seg.hi for seg in self._lru), "empty segment"
+        assert len(set(lru)) == len(lru) == self._evictable, \
+            "LRU duplicates or count drift"
+        assert set(lru) == resident - set(refs), "LRU membership wrong"
+        by_key: dict[str, dict[_Segment, None]] = {}
+        for seg in self._lru:
+            by_key.setdefault(seg.key, {})[seg] = None
+        assert by_key == self._segments, "segment index drift"
         for seq_id, blocks in self._held.items():
-            shared = len(self._shared.get(seq_id, ()))
+            shared = self._shared.get(seq_id, ("", 0))[1]
             assert blocks + shared == blocks_needed(
                 self._tokens[seq_id], self.block_size), \
                 f"sequence {seq_id} block count drifted"

@@ -6,8 +6,9 @@ it replaced: a ``_Request`` with two phase dicts per request, ranked and
 summed cohort by cohort.  Hypothesis generates span stores that mix raw
 ``emit``/``emit_many`` tuples with ``start_trace``/``start_span`` Span
 objects, closed in a shuffled order, and the two must agree on every
-byte of ``to_json()`` — on the raw store, and again after
-``SpanRecorder.finished`` has materialized it in place.
+byte of ``to_json()`` — on the raw store, and again on a second pass
+after the reference has read it through ``SpanRecorder.finished``'s
+read-only views (which leave the store unchanged).
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def _build(traces, rnd):
 def test_one_pass_matches_the_per_request_reference(traces, rnd):
     rec = _build(traces, rnd)
     raw = CriticalPathAnalyzer(rec).report().to_json()
-    reference = _reference(rec).to_json()       # materializes the store
+    reference = _reference(rec).to_json()       # reads read-only span views
     assert raw == reference
     assert CriticalPathAnalyzer(rec).report().to_json() == reference
 

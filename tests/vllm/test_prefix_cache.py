@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from repro.errors import CapacityError, StateError
 from repro.simkernel import SimKernel
-from repro.vllm import RequestSpec
+from repro.vllm import RequestSpec, kvcache
 from repro.vllm.kvcache import BLOCK_SIZE, BlockManager, block_hash
+from tests.vllm.test_prefix_cache_oracle import expand
 
 
 def make(blocks: int = 10, caching: bool = True) -> BlockManager:
@@ -75,10 +76,11 @@ def test_lru_eviction_under_pressure():
     # (older), and within a chain the tail precedes the head.
     bm.allocate(3, 48)
     assert bm.cache_evictions == 3
-    assert block_hash("a", 0) not in bm._refs
-    assert block_hash("a", 1) not in bm._refs
-    assert block_hash("b", 1) not in bm._refs           # b's tail gone...
-    assert block_hash("b", 0) in bm._refs               # ...head survives
+    resident, _ = expand(bm)
+    assert block_hash("a", 0) not in resident
+    assert block_hash("a", 1) not in resident
+    assert block_hash("b", 1) not in resident           # b's tail gone...
+    assert block_hash("b", 0) in resident               # ...head survives
     bm.check_invariants()
 
 
@@ -91,7 +93,9 @@ def test_eviction_trims_chains_tail_first():
     bm.free(1, register_key="a")                        # a/0..a/3 resident
     bm.allocate(2, 3 * BLOCK_SIZE)                      # evicts 1 block
     assert bm.cache_evictions == 1
-    assert block_hash("a", 3) not in bm._refs           # the tail
+    resident, _ = expand(bm)
+    assert block_hash("a", 3) not in resident           # the tail
+    assert block_hash("a", 2) in resident
     # The surviving head still hits for the session's next turn.
     bm.free(2)
     assert bm.allocate(3, 64, prefix_key="a") == 3 * BLOCK_SIZE
@@ -157,6 +161,47 @@ def test_caching_off_is_bitwise_legacy():
     assert bm.resident_cached_blocks == 0
     assert bm.free_blocks == 4
     assert bm.allocate(2, 32, prefix_key="a") == 0
+    bm.check_invariants()
+
+
+def test_zero_token_allocation_counts_no_miss():
+    """A zero-token prompt has no full blocks: it must not count a
+    negative miss (which turned the hit rate into ``-0.0``)."""
+    bm = make(4)
+    assert bm.allocate(1, 0, prefix_key="k") == 0
+    stats = bm.cache_stats()
+    assert stats["hit_blocks"] == 0 and stats["miss_blocks"] == 0
+    assert str(stats["hit_rate"]) == "0.0"
+    bm.free(1, register_key="k")
+    bm.allocate(2, 32, prefix_key="k")
+    bm.free(2, register_key="k")                        # k/0..1 resident
+    assert bm.allocate(3, 0, prefix_key="k") == 0       # nothing to hit
+    assert bm.cache_stats()["miss_blocks"] == 1
+    bm.check_invariants()
+
+
+def test_a_long_conversation_costs_o_turn(monkeypatch):
+    """200 turns growing past 2,000 blocks of context: after every
+    finish the chain is one resident run in at most two LRU segments,
+    and no lookup, allocate or free walks the chain block by block."""
+    def walk(*_args):
+        raise AssertionError("per-block walk")
+
+    bm = make(4096)
+    context = 0
+    for turn in range(200):
+        prompt = context + 100
+        with monkeypatch.context() as patch:
+            patch.setattr(kvcache, "block_hash", walk)
+            assert bm.can_allocate(prompt, prefix_key="conv")
+            cached = bm.allocate(turn, prompt, prefix_key="conv")
+            bm.append_tokens(turn, 70)
+            bm.free(turn, register_key="conv")
+        assert cached == context // BLOCK_SIZE * BLOCK_SIZE
+        context = prompt + 70
+        assert bm._runs["conv"] == [[0, context // BLOCK_SIZE]]
+        assert len(bm._segments["conv"]) <= 2
+    assert context // BLOCK_SIZE > 2000
     bm.check_invariants()
 
 
