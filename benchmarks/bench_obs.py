@@ -62,7 +62,7 @@ OVERHEAD_BUDGET_PCT = 5.0
 #: on a sub-second run, not a hot-path cost.
 ABS_FLOOR_S = 0.05
 #: Peak traced heap of a full ``run_cell``, observability on over dark.
-MEMORY_RATIO_BUDGET = 3.0
+MEMORY_RATIO_BUDGET = 2.5
 
 
 def _cell_spec():
@@ -302,7 +302,7 @@ def _traced_peak_mb(observability: bool) -> float:
 
 
 def test_obs_memory_peak_ratio():
-    """Observability on costs at most 3x the dark run's peak heap.
+    """Observability on costs at most 2.5x the dark run's peak heap.
 
     Allocation is deterministic for a fixed spec and seed, so unlike
     the wall-clock gates this one measures the program, not the host.

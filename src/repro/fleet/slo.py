@@ -372,7 +372,9 @@ class SloTracker:
             ctimes.insert(idx, completed)
         self._window_add(record)
         self._trim(ctimes[-1])
-        tenant = self.per_tenant.setdefault(record.tenant, TenantStats())
+        tenant = self.per_tenant.get(record.tenant)
+        if tenant is None:
+            tenant = self.per_tenant[record.tenant] = TenantStats()
         if record.ok:
             self.completed += 1
             tenant.completed += 1
@@ -388,8 +390,10 @@ class SloTracker:
                     self.cache_hit_requests += 1
                 key = "first" if record.turn == 1 else "later"
                 self._turn_stats[key].add(record.ttft)
-            self._path_stats.setdefault(
-                record.path, _TurnTtft()).add(record.ttft)
+            turn_ttft = self._path_stats.get(record.path)
+            if turn_ttft is None:
+                turn_ttft = self._path_stats[record.path] = _TurnTtft()
+            turn_ttft.add(record.ttft)
             if record.kv_transfer_s > 0:
                 self.kv_transfers += 1
                 self.kv_transfer_s += record.kv_transfer_s

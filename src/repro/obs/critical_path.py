@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from array import array
-from functools import reduce
-from operator import add
 from typing import TYPE_CHECKING, Any
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
-    from .spans import SpanRecorder
+    from .spans import SpanColumns, SpanRecorder
 
 __all__ = ["CriticalPathAnalyzer", "CriticalPathReport", "PHASES"]
 
@@ -47,13 +46,15 @@ PHASES = ("queue", "prefill", "kv_transfer", "decode", "retry")
 _COHORTS = (("p50", 0.50), ("p50_p90", 0.90), ("p90_p99", 0.99),
             ("p99", 1.01))
 
-#: Span name -> phase slot; an ``attempt`` span is retry time.
+#: Span name -> phase slot; an ``attempt`` span is retry time.  A
+#: ``request`` span takes slot ``_ROOT`` in the analysis pass.
 _SLOT = {"queue": 0, "prefill": 1, "kv_transfer": 2, "decode": 3,
          "attempt": 4}
+_ROOT = 5
 
-#: One flat row of columns per request: e2e, its six phase values
-#: (``PHASES`` then ``other``), then ttft and its five phase values.
-_WIDTH, _TTFT = 13, 7
+#: Per-request columns: e2e and its six phase values (``PHASES`` then
+#: ``other``), then from ``_TTFT`` on ttft and its five phase values.
+_TTFT = 7
 
 
 def _union_length(intervals: list[tuple[float, float]]) -> float:
@@ -70,6 +71,33 @@ def _union_length(intervals: list[tuple[float, float]]) -> float:
         elif end > cur_end:
             cur_end = end
     return total + (cur_end - cur_start)
+
+
+def _union_lengths(group: np.ndarray, start: np.ndarray, end: np.ndarray,
+                   n: int) -> np.ndarray:
+    """:func:`_union_length` of each of ``n`` groups of intervals at once.
+
+    Sorted by ``(group, start, end)``, an interval opens a new merged run
+    when it starts past the running max of the ends before it in its
+    group.  The running max is taken over integer ranks of the ends,
+    offset per group, so no float arithmetic is added; run lengths then
+    sum per group in sorted order, as the scalar sweep does.
+    """
+    order = np.lexsort((end, start, group))
+    group, start, end = group[order], start[order], end[order]
+    values, rank = np.unique(end, return_inverse=True)
+    del order, end
+    offset = group * len(values)
+    rank += offset
+    np.maximum.accumulate(rank, out=rank)
+    rank -= offset
+    reach = values[rank]
+    opens = np.ones(len(group), bool)
+    opens[1:] = (group[1:] != group[:-1]) | (start[1:] > reach[:-1])
+    closes = np.ones(len(group), bool)
+    closes[:-1] = opens[1:]
+    heads, tails = np.flatnonzero(opens), np.flatnonzero(closes)
+    return np.bincount(group[heads], reach[tails] - start[heads], n)
 
 
 class CriticalPathReport:
@@ -134,105 +162,127 @@ class CriticalPathReport:
 class CriticalPathAnalyzer:
     """One-shot analysis pass over a :class:`SpanRecorder`.
 
-    Reads the close-ordered rows through :meth:`SpanRecorder.chunks`;
-    groups them by trace id (late children count); decomposes every ok
-    ``request`` root into one flat row of columns; and ranks each metric
-    once.  Nothing here touches the hot path.
+    Reads the store's columns through :meth:`SpanRecorder.columns` and
+    decomposes every ok ``request`` root with whole-array numpy passes
+    (late children count), then ranks each metric once.  Every float
+    step adds in the order a per-trace loop over close-ordered spans
+    would, so the report is the loop's to the last bit.  Nothing here
+    touches the hot path.
     """
 
     def __init__(self, recorder: SpanRecorder):
         self.recorder = recorder
 
     def report(self) -> CriticalPathReport:
-        by_trace: dict[int, list[tuple]] = {}
-        for rows in self.recorder.chunks():
-            for row in rows:
-                by_trace.setdefault(row[1], []).append(row)
-        tids: list[int] = []
-        flat = array("d")
-        for tid, spans in by_trace.items():
-            row = self._decompose(spans)
-            if row is not None:
-                tids.append(tid)
-                flat.extend(row)
-        skipped = len(by_trace) - len(tids)
-        del by_trace
+        traces, tids, columns = self._decompose(self.recorder.columns())
         cohorts: dict[str, dict[str, dict[str, Any]]] = {}
-        if tids:
-            cohorts = {"ttft": self._aggregate(flat, tids, _TTFT, PHASES),
-                       "e2e": self._aggregate(flat, tids, 0,
+        if len(tids):
+            cohorts = {"ttft": self._aggregate(columns[_TTFT:], tids,
+                                               PHASES),
+                       "e2e": self._aggregate(columns[:_TTFT], tids,
                                               PHASES + ("other",))}
-        return CriticalPathReport(len(tids), skipped, cohorts)
+        return CriticalPathReport(len(tids), traces - len(tids), cohorts)
 
     @staticmethod
-    def _decompose(spans: list[tuple]) -> list[float] | None:
-        """One trace's row, or None when it has no ok, closed root."""
-        root = next((s for s in spans
-                     if s[0] == "request" and not s[3]), None)
-        if (root is None or root[5] is None
-                or not bool(root[6].get("ok", True))):
-            return None
-        r_start, r_end = root[4], root[5]
-        phases = [0.0] * 5
-        slots: list[int] = []
-        covered: list[tuple[float, float]] = []
-        ttft_end = r_start
-        for name, _t, _s, _p, start, end, _a in spans:
-            slot = _SLOT.get(name)
-            if slot is None or end is None:
-                continue
-            start = max(start, r_start)
-            end = min(end, r_end)
-            if end <= start:
-                continue
-            phases[slot] += end - start
-            slots.append(slot)
-            covered.append((start, end))
-            if slot in (1, 2) and end > ttft_end:
-                ttft_end = end
-        ttft_phases = [0.0] * 5
-        for slot, (start, end) in zip(slots, covered, strict=True):
-            end = min(end, ttft_end)
-            if end > start:
-                ttft_phases[slot] += end - start
+    def _decompose(cols: SpanColumns) -> tuple[int, np.ndarray,
+                                               list[np.ndarray]]:
+        """``(traces seen, trace id per ok request, its columns)``.
+
+        The columns are e2e, the ``PHASES`` sums and ``other``, then
+        ttft and its ``PHASES`` sums; a trace without an ok, closed
+        root has no row.  Per-span temporaries are deleted as soon as
+        they are spent: this pass sets the run's peak heap.
+        """
+        ids = np.sort(cols.trace)
+        traces = int(np.count_nonzero(ids[1:] != ids[:-1])) + bool(len(ids))
+        del ids
+        lookup = dict.fromkeys(cols.name, -1)
+        lookup.update(_SLOT, request=_ROOT)
+        slot = np.fromiter(map(lookup.__getitem__, cols.name), np.int8,
+                           len(cols.name))
+        # Root: each trace's first-closed parentless ``request`` span.
+        rows = np.flatnonzero((slot == _ROOT) & (cols.parent == 0))
+        tids, first = np.unique(cols.trace[rows], return_index=True)
+        rows = rows[first]
+        attrs = cols.attrs
+        ok = np.array([bool(attrs[i].get("ok", True))
+                       for i in rows.tolist()], bool)
+        ok &= ~np.isnan(cols.end[rows])
+        rows, tids = rows[ok], tids[ok]
+        n = len(rows)
+        if not n:
+            return traces, tids, []
+        r_start, r_end = cols.start[rows], cols.end[rows]
+
+        # Phase spans in close order, matched to their request by trace
+        # id and clamped to its root.
+        spans = np.flatnonzero((slot >= 0) & (slot < _ROOT)
+                               & ~np.isnan(cols.end))
+        trace = cols.trace[spans]
+        req = np.minimum(np.searchsorted(tids, trace), n - 1)
+        hit = tids[req] == trace            # the trace has an ok request
+        spans, req = spans[hit], req[hit]
+        slot, start, end = slot[spans], cols.start[spans], cols.end[spans]
+        del spans, trace, hit
+        bound = r_start[req]
+        start = np.where(bound > start, bound, start)   # max(start, r_start)
+        bound = r_end[req]
+        end = np.where(bound < end, bound, end)         # min(end, r_end)
+        del bound
+        live = end > start
+        slot, req, start, end = slot[live], req[live], start[live], end[live]
+        del live
         e2e = r_end - r_start
-        other = max(0.0, e2e - _union_length(covered))
-        return [e2e, *phases, other, ttft_end - r_start, *ttft_phases]
+        other = e2e - _union_lengths(req, start, end, n)
+        bins = req * 5 + slot
+        # bincount adds in input order: close order, as the loop did.
+        phases = np.bincount(bins, end - start, n * 5).reshape(n, 5)
+        ttft_end = r_start.copy()
+        pre = (slot == 1) | (slot == 2)             # prefill, kv_transfer
+        np.maximum.at(ttft_end, req[pre], end[pre])
+        del slot, pre
+        bound = ttft_end[req]
+        end = np.where(bound < end, bound, end)     # min(end, ttft_end)
+        del bound, req
+        early = end > start
+        ttft_phases = np.bincount(bins[early], end[early] - start[early],
+                                  n * 5).reshape(n, 5)
+        return traces, tids, [
+            e2e, *phases.T, np.where(other > 0.0, other, 0.0),
+            ttft_end - r_start, *ttft_phases.T]
 
     @staticmethod
-    def _aggregate(flat: array, tids: list[int], first: int,
+    def _aggregate(columns: list[np.ndarray], tids: np.ndarray,
                    names: tuple[str, ...]) -> dict[str, dict[str, Any]]:
         """Rank by ``(value, trace_id)`` once; cut and sum the cohorts.
 
-        ``first`` is the metric's value column; its phase columns follow.
+        ``columns`` is the metric's value column, then its phase columns.
         """
-        columns = [flat[first + k::_WIDTH] for k in range(len(names) + 1)]
-        order = [i for _v, _t, i in sorted(zip(columns[0], tids,
-                                                range(len(tids)), strict=True))]
+        order = np.lexsort((tids, columns[0]))
+        ranked = [column[order] for column in columns]
         n = len(order)
-        out = {"all": CriticalPathAnalyzer._cohort(columns, names, order)}
+        rank_frac = np.arange(1, n + 1) / n
+        out = {"all": CriticalPathAnalyzer._cohort(ranked, names, 0, n)}
         lo = 0
         for name, ceiling in _COHORTS:
-            hi = lo
-            while hi < n and ((hi + 1) / n <= ceiling or name == "p99"):
-                hi += 1
-            out[name] = CriticalPathAnalyzer._cohort(columns, names,
-                                                     order[lo:hi])
+            hi = n if name == "p99" else max(
+                lo, int(np.searchsorted(rank_frac, ceiling, "right")))
+            out[name] = CriticalPathAnalyzer._cohort(ranked, names, lo, hi)
             lo = hi
         return out
 
     @staticmethod
-    def _cohort(columns: list[array], names: tuple[str, ...],
-                members: list[int]) -> dict[str, Any]:
-        """Sum one cohort's columns over its members in rank order."""
-        n = len(members)
+    def _cohort(ranked: list[np.ndarray], names: tuple[str, ...],
+                lo: int, hi: int) -> dict[str, Any]:
+        """Sum one cohort's columns over ranks ``[lo, hi)`` in order."""
+        n = hi - lo
         if not n:
             return {"n": 0, "mean_s": 0.0, "phase_s": {}, "share": {},
                     "top_phase": ""}
-        # Sums add left to right in rank order, as a ``+=`` loop does
-        # (builtin ``sum`` compensates floats on Python 3.12+).
-        total, *sums = [reduce(add, map(column.__getitem__, members), 0.0)
-                        for column in columns]
+        # cumsum adds left to right in rank order, as a ``+=`` loop does
+        # (``np.sum`` is pairwise); ``0.0 +`` is the loop's initial value.
+        total, *sums = [0.0 + float(np.cumsum(column[lo:hi])[-1])
+                        for column in ranked]
         phase_sums = dict(zip(names, sums, strict=True))
         if "other" not in phase_sums:
             # TTFT: ``other`` is what the phases leave of the total.

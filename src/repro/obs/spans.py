@@ -31,13 +31,17 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from collections.abc import Iterator
-from typing import TYPE_CHECKING, Any
+from array import array
+from collections.abc import Iterable
+from math import nan
+from typing import TYPE_CHECKING, Any, NamedTuple
+
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel.kernel import SimKernel
 
-__all__ = ["Span", "SpanRecorder", "NULL_SPAN"]
+__all__ = ["Span", "SpanColumns", "SpanRecorder", "NULL_SPAN"]
 
 
 class Span:
@@ -114,9 +118,38 @@ class Span:
 #: on it are no-ops, so call sites need no ``if enabled`` of their own.
 NULL_SPAN = Span(None, "", 0, 0, None, 0.0)
 
-#: Fixed-width digest prefix: trace id, span id, parent id (0 = root),
-#: start, end.  Span ids start at 1, so 0 is unambiguous for "no parent".
-_DIGEST_PACK = struct.Struct("<qqqdd").pack
+#: Fixed-width digest prefix, one record per span: trace id, span id,
+#: parent id (0 = root), start, end (-1.0 while open).  Span ids start
+#: at 1, so 0 is unambiguous for "no parent".
+_DIGEST_DTYPE = np.dtype([("trace", "<i8"), ("span", "<i8"),
+                          ("parent", "<i8"), ("start", "<f8"),
+                          ("end", "<f8")])
+
+#: Spans per digest chunk, and per move of young rows into the columns.
+_CHUNK = 4096
+
+#: Values per row of the flat young list: ``name, trace_id, span_id,
+#: parent_id or 0, start, end, attrs``.
+_FIELDS = 7
+#: Young-list length that moves it into the columns.
+_FLUSH = _FIELDS * _CHUNK
+
+
+class SpanColumns(NamedTuple):
+    """The span store read column-wise, in close order.
+
+    The arrays are numpy views over the recorder's own arrays, not
+    copies.  An array cannot grow while a view of it is alive, so drop
+    the views before the recorder writes again.
+    """
+
+    name: list[str]
+    trace: np.ndarray           # int64
+    span: np.ndarray            # int64
+    parent: np.ndarray          # int64, 0 for a root
+    start: np.ndarray           # float64
+    end: np.ndarray             # float64, NaN while open
+    attrs: list[dict[str, Any]]
 
 
 class SpanRecorder:
@@ -125,33 +158,40 @@ class SpanRecorder:
     ``start_trace`` opens a root span and mints a fresh trace id; the id
     travels with the request (``repro_trace`` in HTTP bodies) so the
     router and engine attach their spans to the same tree.  Completed
-    spans are stored as rows in close order — a deterministic order,
-    since closing happens at simulated-time milestones.
+    spans are stored in close order — a deterministic order, since
+    closing happens at simulated-time milestones — as columns: ids in
+    ``array("q")``, times in ``array("d")`` (NaN for an open end),
+    names and attribute dicts in one list each.  Writers extend a flat
+    young list by one row of ``_FIELDS`` values; every ``_CHUNK`` rows,
+    and before any read, :meth:`_flush` moves it into the columns.  No
+    per-span tuple outlives its write, so the garbage collector has
+    nothing per span to scan.
     """
 
-    #: Spans per chunk in :meth:`chunks`.
-    _CHUNK = 4096
+    _CHUNK = _CHUNK
 
     def __init__(self, kernel: SimKernel):
         self.kernel = kernel
         #: On with ``kernel.obs``; :meth:`Observability.disable` turns
         #: it off.
         self.enabled = True
-        #: Close-ordered storage, one row per completed span: ``(name,
-        #: trace_id, span_id, parent_id or 0, start, end, attrs)``.
-        self._finished: list[tuple] = []
         self._next_trace = 0
         self._next_span = 0
+        self.clear()
 
     @property
     def finished(self) -> list[Span]:
         """Completed spans in close order, as read-only views: recorder-
-        less ``Span``s built from the rows, so annotating or finishing
-        one is a no-op and the store never changes."""
+        less ``Span``s built from the columns, so annotating or
+        finishing one is a no-op and the store never changes."""
+        self._flush()
         out = []
-        for name, tid, sid, pid, start, end, attrs in self._finished:
+        for name, tid, sid, pid, start, end, attrs in zip(
+                self._name, self._trace, self._span, self._parent,
+                self._start, self._end, self._attrs, strict=True):
             span = Span(None, name, tid, sid, pid or None, start)
-            span.end = end
+            if end == end:                  # NaN marks an open end
+                span.end = end
             span.attrs = attrs
             out.append(span)
         return out
@@ -216,12 +256,15 @@ class SpanRecorder:
         if span_id is None:
             self._next_span += 1
             span_id = self._next_span
-        self._finished.append((name, trace_id, span_id,
-                               parent_id or 0, start, end,
-                               attrs if attrs else {}))
+        young = self._young
+        young += (name, trace_id, span_id, parent_id or 0, start, end,
+                  attrs if attrs else {})
+        if len(young) >= _FLUSH:
+            self._flush()
 
     def emit_many(self, trace_id: int, parent_id: int | None,
-                  phases) -> None:
+                  phases: Iterable[tuple[str, float, float,
+                                         dict[str, Any] | None]]) -> None:
         """Append several closed spans of one trace in close order.
 
         ``phases`` is an iterable of ``(name, start, end, attrs)`` —
@@ -231,13 +274,15 @@ class SpanRecorder:
         if not self.enabled or not trace_id:
             return
         n = self._next_span
-        fin = self._finished
+        young = self._young
         pid = parent_id or 0
         for name, start, end, attrs in phases:
             n += 1
-            fin.append((name, trace_id, n, pid, start, end,
-                        attrs if attrs else {}))
+            young += (name, trace_id, n, pid, start, end,
+                      attrs if attrs else {})
         self._next_span = n
+        if len(young) >= _FLUSH:
+            self._flush()
 
     def _open(self, name: str, trace_id: int, parent_id: int | None,
               start: float | None) -> Span:
@@ -246,16 +291,40 @@ class SpanRecorder:
                     self.kernel.now if start is None else float(start))
 
     def _close(self, span: Span) -> None:
-        self._finished.append((span.name, span.trace_id, span.span_id,
-                               span.parent_id or 0, span.start, span.end,
-                               span.attrs))
+        young = self._young
+        young += (span.name, span.trace_id, span.span_id,
+                  span.parent_id or 0, span.start, span.end, span.attrs)
+        if len(young) >= _FLUSH:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Move the young rows into the columns: one stride slice and
+        one ``struct`` pack per column."""
+        young = self._young
+        if not young:
+            return
+        n = len(young) // _FIELDS
+        ints, floats = f"{n}q", f"{n}d"
+        self._name += young[0::_FIELDS]
+        self._trace.frombytes(struct.pack(ints, *young[1::_FIELDS]))
+        self._span.frombytes(struct.pack(ints, *young[2::_FIELDS]))
+        self._parent.frombytes(struct.pack(ints, *young[3::_FIELDS]))
+        self._start.frombytes(struct.pack(floats, *young[4::_FIELDS]))
+        ends = young[5::_FIELDS]
+        try:
+            self._end.frombytes(struct.pack(floats, *ends))
+        except struct.error:            # an open end stores as NaN
+            self._end.frombytes(struct.pack(
+                floats, *[nan if end is None else end for end in ends]))
+        self._attrs += young[6::_FIELDS]
+        young.clear()
 
     # -- queries ------------------------------------------------------------------
 
     @property
     def span_count(self) -> int:
         """``len(finished)`` without building the views."""
-        return len(self._finished)
+        return len(self._attrs) + len(self._young) // _FIELDS
 
     def traces(self) -> dict[int, list[Span]]:
         """Finished spans grouped by trace id, start-ordered within."""
@@ -269,11 +338,16 @@ class SpanRecorder:
     def of_name(self, name: str) -> list[Span]:
         return [s for s in self.finished if s.name == name]
 
-    def chunks(self) -> Iterator[list[tuple]]:
-        """The store's rows in close order, ``_CHUNK`` at a time."""
-        fin = self._finished
-        for lo in range(0, len(fin), self._CHUNK):
-            yield fin[lo:lo + self._CHUNK]
+    def columns(self) -> SpanColumns:
+        """The whole store as numpy column views, in close order."""
+        self._flush()
+        return SpanColumns(
+            self._name,
+            np.frombuffer(self._trace, np.int64),
+            np.frombuffer(self._span, np.int64),
+            np.frombuffer(self._parent, np.int64),
+            np.frombuffer(self._start, np.float64),
+            np.frombuffer(self._end, np.float64), self._attrs)
 
     def digest(self) -> str:
         """Canonical SHA-256 over every finished span.
@@ -283,27 +357,44 @@ class SpanRecorder:
         campaign worker count — the scorecard witness for spans.
 
         Serialization is hand-rolled rather than ``json.dumps``: ids
-        and bounds struct-pack; name and attributes hash as
-        ``repr``-rendered text (insertion order is fixed by the
-        emitting code, so the dict repr is as deterministic as the
-        values — ints, floats, strings, bools from the serving
-        components; numpy scalars and enums repr deterministically
-        too).  A 30-minute cell finishes ~20k spans, and one dumps()
-        per span was the single largest line of observability overhead
-        on the hot-cell bench.  Every span's packed header hashes
-        before any span's text, one chunk at a time.
+        and bounds pack as fixed-width ``<qqqdd`` records straight from
+        the columns; name and attributes hash as ``repr``-rendered text
+        (insertion order is fixed by the emitting code, so the dict
+        repr is as deterministic as the values — ints, floats, strings,
+        bools from the serving components; numpy scalars and enums repr
+        deterministically too).  A 30-minute cell finishes ~20k spans,
+        and one dumps() per span was the single largest line of
+        observability overhead on the hot-cell bench.  Every span's
+        packed header hashes before any span's text, one chunk at a
+        time.
         """
+        cols = self.columns()
+        n = len(cols.attrs)
         h = hashlib.sha256()
-        pack = _DIGEST_PACK
-        for rows in self.chunks():
-            h.update(b"".join([
-                pack(tid, sid, pid, start, -1.0 if end is None else end)
-                for _n, tid, sid, pid, start, end, _a in rows]))
-        for rows in self.chunks():
-            h.update("".join([f"{name}|{attrs!r}\n"
-                              for name, _t, _s, _p, _b, _e, attrs
-                              in rows]).encode())
+        head = np.empty(min(n, _CHUNK), _DIGEST_DTYPE)
+        for lo in range(0, n, _CHUNK):
+            hi = min(n, lo + _CHUNK)
+            rec = head[:hi - lo]
+            for field in ("trace", "span", "parent", "start"):
+                rec[field] = getattr(cols, field)[lo:hi]
+            end = cols.end[lo:hi]
+            rec["end"] = np.where(np.isnan(end), -1.0, end)
+            h.update(rec.tobytes())
+        for lo in range(0, n, _CHUNK):
+            h.update("".join([
+                f"{name}|{attrs!r}\n" for name, attrs
+                in zip(cols.name[lo:lo + _CHUNK], cols.attrs[lo:lo + _CHUNK],
+                       strict=True)
+            ]).encode())
         return h.hexdigest()
 
     def clear(self) -> None:
-        self._finished.clear()
+        """Drop every finished span (id counters keep counting)."""
+        self._young: list[Any] = []
+        self._name: list[str] = []
+        self._trace = array("q")
+        self._span = array("q")
+        self._parent = array("q")
+        self._start = array("d")
+        self._end = array("d")
+        self._attrs: list[dict[str, Any]] = []

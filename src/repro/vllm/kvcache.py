@@ -294,7 +294,10 @@ class BlockManager:
                 else:
                     seg.lo = h
             self._top[key] = h
-        self._holders.setdefault(key, Counter())[h] += 1
+        holders = self._holders.get(key)
+        if holders is None:
+            holders = self._holders[key] = Counter()
+        holders[h] += 1
 
     def _release(self, key: str, h: int) -> None:
         """Drop one holder of ``(key, 0..h-1)``; blocks left unheld enter

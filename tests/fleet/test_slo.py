@@ -127,3 +127,32 @@ def test_report_serializes(tracker):
     assert parsed["slo"]["name"] == "interactive"
     assert "p95" in parsed["ttft_s"]
     assert slo.report().summary()    # renders without raising
+
+
+def test_observe_builds_per_path_and_per_tenant_state_once(tracker,
+                                                          monkeypatch):
+    """A path's TTFT aggregate and a tenant's stats are built on first
+    sight, not as a throwaway default on every observation."""
+    from repro.fleet import slo as slo_module
+
+    built = {"turn": 0, "tenant": 0}
+
+    class CountingTurnTtft(slo_module._TurnTtft):
+        def __init__(self, *args, **kwargs):
+            built["turn"] += 1
+            super().__init__(*args, **kwargs)
+
+    class CountingTenantStats(slo_module.TenantStats):
+        def __init__(self, *args, **kwargs):
+            built["tenant"] += 1
+            super().__init__(*args, **kwargs)
+
+    _, slo = tracker
+    monkeypatch.setattr(slo_module, "_TurnTtft", CountingTurnTtft)
+    monkeypatch.setattr(slo_module, "TenantStats", CountingTenantStats)
+    for i in range(1000):
+        slo.observe(_record(1.0 + i * 0.01))
+    assert built == {"turn": 1, "tenant": 1}
+    report = slo.report()
+    assert report.completed == 1000
+    assert report.per_tenant["t"].completed == 1000

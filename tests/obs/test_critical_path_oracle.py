@@ -265,3 +265,45 @@ def test_tied_values_rank_by_trace_id_across_a_cohort_edge():
     report = CriticalPathAnalyzer(rec).report()
     assert report.to_json() == _reference(rec).to_json()
     assert report.cohorts["e2e"]["p50"]["phase_s"]["prefill"] == 1.5
+
+
+def test_cohort_sums_add_in_rank_order():
+    """A phase column whose sum depends on the order of addition: one
+    huge value first in rank order, then ones that round away against
+    it one at a time but not when added to each other first."""
+    rec = SpanRecorder(SimKernel(seed=1))
+    for k in range(24):
+        tid, sid = rec.reserve_trace()
+        rec.emit("queue", tid, sid, 0.0, 1e16 if k == 0 else 1.0)
+        rec.emit("request", tid, None, 0.0, 1e16 + 4.0 * k, span_id=sid)
+    report = CriticalPathAnalyzer(rec).report()
+    assert report.to_json() == _reference(rec).to_json()
+
+
+def test_touching_phases_merge_into_one_run():
+    """Two phases that touch merge into one run of the union, whose
+    length rounds differently from the sum of the two lengths."""
+    a, b, c = 3.0, 1.061179966067107e16, 1.161406633128822e16
+    assert (b - a) + (c - b) != c - a
+    rec = SpanRecorder(SimKernel(seed=1))
+    tid, sid = rec.reserve_trace()
+    rec.emit("queue", tid, sid, a, b)
+    rec.emit("decode", tid, sid, b, c)
+    rec.emit("request", tid, None, 0.0, 2e16, span_id=sid)
+    report = CriticalPathAnalyzer(rec).report()
+    assert report.to_json() == _reference(rec).to_json()
+    assert report.cohorts["e2e"]["all"]["phase_s"]["other"] == 2e16 - (c - a)
+
+
+def test_the_first_closed_root_decides():
+    """Of two parentless ``request`` spans in one trace, the one that
+    closed first is the root: here an errored one, so the trace is
+    skipped."""
+    rec = SpanRecorder(SimKernel(seed=1))
+    tid, sid = rec.reserve_trace()
+    rec.emit("decode", tid, sid, 1.0, 2.0)
+    rec.emit("request", tid, None, 0.0, 3.0, {"ok": False}, span_id=sid)
+    rec.emit("request", tid, None, 0.0, 4.0, {"ok": True})
+    report = CriticalPathAnalyzer(rec).report()
+    assert report.to_json() == _reference(rec).to_json()
+    assert (report.requests, report.skipped) == (0, 1)

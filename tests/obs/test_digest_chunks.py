@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
-from repro.obs.spans import _DIGEST_PACK, SpanRecorder
+from repro.obs.spans import SpanRecorder
 from repro.simkernel import SimKernel
 from repro.simkernel.tracing import Tracer, _jsonable
+
+#: The span header as ``struct`` packs it: trace id, span id, parent id
+#: (0 = root), start, end (-1.0 while open).
+_DIGEST_PACK = struct.Struct("<qqqdd").pack
 
 
 def _one_shot_spans(recorder):
