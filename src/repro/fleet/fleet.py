@@ -159,7 +159,8 @@ class Fleet:
         self.replicas: list[Replica] = []
         self.placements: list[tuple[str, str]] = []  # (replica, platform)
         self.replica_timeline: list[tuple[float, int]] = []
-        self.snapshots: list[dict] = []
+        #: SLO monitor rows as stored: see :attr:`FleetReport.monitor`
+        self.monitor: list[dict | tuple[dict, list[float]]] = []
         self.inflight = 0
         self.router_container: Container | None = None
         self.router_app: LlmRouter | None = None
@@ -659,7 +660,7 @@ class Fleet:
             # their own (now detached) trackers and event lists.
             self.slo = SloTracker(kernel, self.config.slo)
             self.autoscaler.reset()
-            self.snapshots = []
+            self.monitor = []
             self.replica_timeline = []
         self._scenario_ran = True
         from ..sessions import SessionTraffic
@@ -707,7 +708,7 @@ class Fleet:
             if scraper is not None:
                 obs["scrape"] = {
                     "interval": scraper.interval,
-                    "scrapes": len(scraper.samples),
+                    "scrapes": scraper.scrapes,
                     "digest": scraper.digest(),
                 }
                 obs["alerts"] = self.alerts.to_json()
@@ -719,7 +720,7 @@ class Fleet:
             slo=self.slo.report(),
             scale_events=list(self.autoscaler.events),
             replica_timeline=list(self.replica_timeline),
-            snapshots=list(self.snapshots),
+            monitor=list(self.monitor),
             sessions=(traffic.log.to_json()
                       if isinstance(traffic, SessionTraffic) else None),
             obs=obs)
@@ -730,9 +731,11 @@ class Fleet:
             self._record(self.slo.snapshot())
 
     def _record_idle(self, ticks: list[float]) -> None:
-        # The drained SLO window makes the empty-window row exact.
-        for t in ticks:
-            self._record(SloSnapshot(time=t, window=self.slo.spec.window))
+        # The drained SLO window makes the empty-window row exact; the
+        # quiet window is stored as that one row and its tick times.
+        row = SloSnapshot(time=0.0, window=self.slo.spec.window).row()
+        row["replicas"] = len(self.replicas)
+        self.monitor.append((row, ticks))
 
     def _telemetry(self, stop_event: Event, scraper: MetricsScraper,
                    alerts: AlertEvaluator):
@@ -746,9 +749,8 @@ class Fleet:
         kernel = self.kernel
 
         def idle(ticks: list[float]) -> None:
-            for t in ticks:
-                scraper.scrape_idle(t)
-                alerts.evaluate_at(t)
+            scraper.scrape_idle(ticks)
+            alerts.evaluate_idle(ticks)
 
         yield kernel.any_of([stop_event, kernel.timeout(scraper.interval)])
         while not stop_event.triggered:
@@ -759,7 +761,7 @@ class Fleet:
     def _record(self, snap: SloSnapshot) -> None:
         row = snap.row()
         row["replicas"] = len(self.replicas)
-        self.snapshots.append(row)
+        self.monitor.append(row)
 
     def _drain(self):
         kernel = self.kernel

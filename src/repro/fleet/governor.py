@@ -122,8 +122,8 @@ class FleetFastForward:
         return self._edge
 
     def next_tick(self, interval: float,
-                  waits: Callable[[], list[float]] | None = None
-                  ) -> tuple[list[float], Timeout]:
+                  waits: Callable[[], list[float]] | None = None,
+                  keep: bool = True) -> tuple[list[float], Timeout]:
         """Plan a periodic loop's wait for its next live tick.
 
         Returns the tick times skipped, for which the caller plays its
@@ -137,6 +137,8 @@ class FleetFastForward:
         the edge, which queues the next one as stepping does (same
         instant, same heap position), so ticks that tie with the edge's
         entry run in stepping's order — loop bodies need not commute.
+        ``keep=False`` walks the same chain but lists no skipped tick,
+        for a loop with no idle body.
         """
         t = self.kernel.now + interval
         skipped: list[float] = []
@@ -146,10 +148,12 @@ class FleetFastForward:
             end = t
             for delay in delays:
                 end += delay
-            if end + interval >= edge:
+            end += interval
+            if end >= edge:
                 break
-            skipped.append(t)
-            t = end + interval
+            if keep:
+                skipped.append(t)
+            t = end
         return skipped, self.kernel.at(t, _TICK)
 
     def wait_tick(self, interval: float, stop: Event,
@@ -168,7 +172,7 @@ class FleetFastForward:
         """
         if stop.triggered:
             return False
-        skipped, tick = self.next_tick(interval, waits)
+        skipped, tick = self.next_tick(interval, waits, idle is not None)
         if skipped and idle is not None:
             idle(skipped)
         yield self.kernel.any_of([stop, tick])

@@ -20,7 +20,10 @@ class FleetReport:
     slo: object                      # SloReport
     scale_events: list[ScaleEvent]
     replica_timeline: list[tuple[float, int]]
-    snapshots: list[dict] = field(default_factory=list)
+    #: SLO monitor rows as stored: a row per live tick, and one
+    #: ``(row, ticks)`` run per quiet window (see :attr:`snapshots`)
+    monitor: list[dict | tuple[dict, list[float]]] = field(
+        default_factory=list)
     #: chaos-orchestrator resilience scorecard (None outside chaos runs)
     resilience: dict | None = None
     #: the typed per-fault reports behind ``resilience``, one per
@@ -32,6 +35,27 @@ class FleetReport:
     #: observability scorecard: span/metrics/scrape digests and counts
     #: (None when the scenario ran with observability fully off).
     obs: dict | None = None
+    _snapshots: list[dict] | None = field(default=None, init=False,
+                                          repr=False, compare=False)
+
+    @property
+    def snapshots(self) -> list[dict]:
+        """The SLO monitor rows, one per tick, in time order.
+
+        Expanded from :attr:`monitor` on first read and cached: a quiet
+        window's run becomes its row once per tick, with that tick's
+        time.
+        """
+        if self._snapshots is None:
+            rows: list[dict] = []
+            for entry in self.monitor:
+                if isinstance(entry, dict):
+                    rows.append(entry)
+                else:
+                    row, ticks = entry
+                    rows.extend([{**row, "t": round(t, 1)} for t in ticks])
+            self._snapshots = rows
+        return self._snapshots
 
     @property
     def peak_replicas(self) -> int:

@@ -6,8 +6,9 @@ module is the first consumer that closes the operator loop: a set of
 declarative :class:`AlertRule`\\ s evaluated against the scraper's
 point-in-time reads, with the standard pending → firing → resolved
 lifecycle.  The evaluator owns no clock: the fleet's telemetry loop
-calls :meth:`AlertEvaluator.evaluate_at` right after each scrape, live
-or skipped, so every evaluation reads the sample of its own instant.
+calls :meth:`AlertEvaluator.evaluate_at` right after each live scrape,
+and :meth:`AlertEvaluator.evaluate_idle` on each run of skipped ones,
+so every evaluation reads the sample of its own instant.
 Three rule kinds cover the SRE playbook:
 
 * ``threshold`` — a series compared against a constant, optionally
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from bisect import bisect_left
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -278,6 +280,54 @@ class AlertEvaluator:
                 st.state = INACTIVE
         self.evaluations += 1
 
+    def evaluate_idle(self, ticks: Sequence[float]) -> None:
+        """Evaluate at every tick of a run of skipped (empty) scrapes.
+
+        The same events and states as :meth:`evaluate_at` on each tick
+        in turn, but evaluated only on the ticks where some rule can
+        change state (the run's event horizon): no series moves during
+        the run, so a threshold rule's value is constant, an absence
+        rule's silence grows with the clock, and a burn rate moves only
+        when a window start passes a change of one of its series.
+        ``evaluations`` still counts every tick.
+        """
+        n = len(ticks)
+        i = calls = 0
+        while i < n:
+            self.evaluate_at(ticks[i])
+            calls += 1
+            nxt = n
+            for rule in self.rules:
+                nxt = self._next_change(rule, ticks, i, nxt)
+            i = nxt
+        self.evaluations += n - calls
+
+    def _next_change(self, rule: AlertRule, ticks: Sequence[float],
+                     i: int, hi: int) -> int:
+        """Index of the first tick in ``ticks[i + 1:hi]`` at which
+        ``rule``, as evaluated at ``ticks[i]``, can change state over an
+        empty-delta run; ``hi`` when there is none."""
+        st = self._states[rule.name]
+        lo = i + 1
+        if rule.kind == "threshold":
+            if st.state != PENDING:
+                return hi       # constant value: the state is settled
+            return _first_reaching(ticks, lo, hi, st.pending_since,
+                                   rule.for_s)
+        if rule.kind == "absence":
+            if st.state == FIRING:
+                return hi       # silence only grows
+            last = self.scraper.last_change(rule.series, ticks[i])
+            base = self.started_at if last is None else last
+            return _first_reaching(ticks, lo, hi, base, rule.max_silence_s)
+        now = ticks[i]
+        for window in (rule.long_s, rule.short_s):
+            for key in (*rule.bad_series, *rule.total_series):
+                change = self.scraper.next_change(key, now - window)
+                if change is not None:
+                    hi = _first_reaching(ticks, lo, hi, window, change)
+        return hi
+
     # -- queries ------------------------------------------------------------------
 
     def firing(self) -> list[str]:
@@ -319,6 +369,18 @@ class AlertEvaluator:
             "fired_total": self.fired_count(),
             "digest": self.digest(),
         }
+
+
+def _first_reaching(ticks: Sequence[float], lo: int, hi: int,
+                    base: float, span: float) -> int:
+    """Index of the first tick in ``ticks[lo:hi]`` with
+    ``t - base >= span``; ``hi`` when there is none.
+
+    Bisects on the exact float comparison :meth:`AlertEvaluator.measure`
+    and :meth:`AlertEvaluator.evaluate_at` make: the rearranged
+    ``t >= base + span`` can differ from it by an ulp.
+    """
+    return bisect_left(ticks, True, lo, hi, key=lambda t: t - base >= span)
 
 
 def default_slo_rules(*, ttft_target: float, e2e_target: float,

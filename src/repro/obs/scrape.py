@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, overload
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -66,7 +67,11 @@ class MetricsScraper:
         self.kernel = kernel
         self.registry = registry
         self.interval = interval
-        self.samples: list[ScrapeSample] = []
+        #: scrapes taken, live and skipped
+        self.scrapes = 0
+        # Time-ordered log: a live sample, or the tick times of a run
+        # of skipped scrapes (each an empty delta).
+        self._log: list[ScrapeSample | Sequence[float]] = []
         self._last: dict[str, float] = {}
         # Per-series change index: key -> (change times, values), both
         # append-only and time-sorted because scrapes only move forward.
@@ -83,7 +88,8 @@ class MetricsScraper:
         self._last = current
         now = self.kernel.now
         sample = ScrapeSample(now, changed)
-        self.samples.append(sample)
+        self._log.append(sample)
+        self.scrapes += 1
         points = self._points
         for key, value in changed.items():
             entry = points.get(key)
@@ -94,17 +100,32 @@ class MetricsScraper:
                 entry[1].append(value)
         return sample
 
-    def scrape_idle(self, t: float) -> None:
-        """Record a scrape at ``t`` at which no series moved.
+    def scrape_idle(self, ticks: Sequence[float]) -> None:
+        """Record scrapes at ``ticks`` (float times) at which no series
+        moved.
 
-        The empty delta a :meth:`scrape_once` at ``t`` would store, for
-        a driver that knows the registry has not changed since the last
-        live scrape; the change index is untouched, so :meth:`value_at`
-        and :meth:`last_change` read exactly as if it had scraped.
+        The empty deltas :meth:`scrape_once` would store at each tick,
+        for a caller that knows the registry has not changed since the
+        last live scrape, kept as one entry whatever the run's length.
+        The change index is untouched, so :meth:`value_at` and
+        :meth:`last_change` read exactly as if it had scraped.
         """
-        self.samples.append(ScrapeSample(t, {}))
+        self._log.append(ticks)
+        self.scrapes += len(ticks)
 
     # -- queries ------------------------------------------------------------------
+
+    @property
+    def samples(self) -> list[ScrapeSample]:
+        """Every scrape in time order, skipped ones expanded from the
+        run-length log into empty deltas."""
+        samples: list[ScrapeSample] = []
+        for entry in self._log:
+            if isinstance(entry, ScrapeSample):
+                samples.append(entry)
+            else:
+                samples.extend([ScrapeSample(t, {}) for t in entry])
+        return samples
 
     def series(self, key: str) -> list[tuple[float, float]]:
         """Reconstruct one series as (time, value) points at its changes."""
@@ -151,6 +172,16 @@ class MetricsScraper:
             return None
         return entry[0][idx - 1]
 
+    def next_change(self, key: str, t: float) -> float | None:
+        """When series ``key`` first changes strictly after ``t``
+        (``None`` if it never does): from then on :meth:`value_at`
+        stops reading what it reads at ``t``."""
+        entry = self._points.get(key)
+        if entry is None:
+            return None
+        idx = bisect_right(entry[0], t)
+        return entry[0][idx] if idx < len(entry[0]) else None
+
     def fold(self, at: float | None = None) -> dict[str, float]:
         """Full registry state as of time ``at`` (fold of all deltas).
 
@@ -159,24 +190,32 @@ class MetricsScraper:
         property tests hold the two views equal on random series.
         """
         state: dict[str, float] = {}
-        for sample in self.samples:
-            if at is not None and sample.time > at:
+        for entry in self._log:
+            if not isinstance(entry, ScrapeSample):
+                continue            # a skipped run moves no series
+            if at is not None and entry.time > at:
                 break
-            state.update(sample.values)
+            state.update(entry.values)
         return state
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "interval": self.interval,
-            "scrapes": len(self.samples),
+            "scrapes": self.scrapes,
             "samples": [s.to_dict() for s in self.samples],
         }
 
     def digest(self) -> str:
         """Canonical SHA-256 over the whole time-series."""
         h = hashlib.sha256()
-        for sample in self.samples:
-            h.update(json.dumps([sample.time, sample.values],
-                                sort_keys=True).encode())
-            h.update(b"\n")
+        for entry in self._log:
+            if isinstance(entry, ScrapeSample):
+                h.update(json.dumps([entry.time, entry.values],
+                                    sort_keys=True).encode())
+                h.update(b"\n")
+            else:
+                # json.dumps([t, {}]) of a float t is its float repr in
+                # brackets (json writes floats with float.__repr__).
+                h.update("".join([f"[{float.__repr__(t)}, {{}}]\n"
+                                  for t in entry]).encode())
         return h.hexdigest()

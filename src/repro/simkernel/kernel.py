@@ -250,7 +250,9 @@ class SimKernel:
         """
         if isinstance(until, Event):
             target = until
-            while not target.processed:
+            # The slot, not the ``processed`` property: this is read
+            # once per kernel step.
+            while not target._processed:
                 if not self._heap:
                     raise StateError(
                         "simulation ran out of events before target event fired")

@@ -163,9 +163,9 @@ def _telemetry_arm(fast_forward: bool, monkeypatch) -> dict:
     registry.sample_dict = counted_sample_dict
     scrape_idle = MetricsScraper.scrape_idle
 
-    def recorded_scrape_idle(self, t):
-        idle.append(t)
-        scrape_idle(self, t)
+    def recorded_scrape_idle(self, ticks):
+        idle.extend(ticks)
+        scrape_idle(self, ticks)
 
     monkeypatch.setattr(MetricsScraper, "scrape_idle", recorded_scrape_idle)
     schedule = PulseSchedule(rate_rps=0.05, period=7200.0,
