@@ -322,6 +322,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from .fleet import AutoscalerConfig, SloSpec
     from .obs import CriticalPathAnalyzer, IncidentLog, chrome_trace, profiler
     from .obs.critical_path import _union_length
+    from .obs.spans import by_trace
 
     spec = ScenarioSpec(
         name="cli-obs", seed=args.seed,
@@ -348,15 +349,16 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     print(f"  {'phase':8s} {'count':>7s} {'mean_s':>9s} "
           f"{'p95_s':>9s} {'max_s':>9s} {'share':>7s}")
     # A route span covers its engine phases: count only what they leave.
-    by_trace = spans.traces()
+    finished = spans.finished
+    traces = by_trace(finished)
     phases: dict[str, list[float]] = {}
-    for span in spans.finished:
+    for span in finished:
         if span.name in ("route", "queue", "prefill", "decode"):
             seconds = span.duration
             if span.name == "route":
                 seconds -= _union_length([
                     (max(s.start, span.start), min(s.end, span.end))
-                    for s in by_trace[span.trace_id]
+                    for s in traces[span.trace_id]
                     if s.name in ("queue", "prefill", "kv_transfer", "decode")
                     and min(s.end, span.end) > max(s.start, span.start)])
             phases.setdefault(span.name, []).append(seconds)
@@ -372,13 +374,13 @@ def _cmd_obs(args: argparse.Namespace) -> int:
               f"{sum(durations) / total:6.1%}")
 
     # The slowest end-to-end requests, with where each spent its time.
-    roots = sorted((s for s in spans.finished if s.name == "request"),
+    roots = sorted((s for s in finished if s.name == "request"),
                    key=lambda s: -s.duration)[:args.top]
     print(f"\ntop {len(roots)} slowest requests:")
     for root in roots:
         parts = ", ".join(
             f"{child.name}={child.duration:.3f}s"
-            for child in by_trace.get(root.trace_id, [])
+            for child in traces.get(root.trace_id, [])
             if child.name in ("queue", "prefill", "decode"))
         print(f"  trace {root.trace_id}: {root.duration:.3f}s "
               f"(tenant={root.attrs.get('tenant')}, {parts})")

@@ -79,22 +79,32 @@ def _union_lengths(group: np.ndarray, start: np.ndarray, end: np.ndarray,
 
     Sorted by ``(group, start, end)``, an interval opens a new merged run
     when it starts past the running max of the ends before it in its
-    group.  The running max is taken over integer ranks of the ends,
-    offset per group, so no float arithmetic is added; run lengths then
-    sum per group in sorted order, as the scalar sweep does.
+    group.  The running max is taken over integer keys ``group * m +
+    rank``, ``rank`` being an end's position in value order (tied ends
+    are equal, so any order among them picks the same value): no float
+    arithmetic is added and groups cannot mix.  Run lengths then sum per
+    group in sorted order, as the scalar sweep does.  Temporaries are
+    freed as soon as they are spent: this sets the analysis peak.
     """
+    m = len(group)
+    if not m:
+        return np.zeros(n)
     order = np.lexsort((end, start, group))
     group, start, end = group[order], start[order], end[order]
-    values, rank = np.unique(end, return_inverse=True)
-    del order, end
-    offset = group * len(values)
-    rank += offset
-    np.maximum.accumulate(rank, out=rank)
-    rank -= offset
-    reach = values[rank]
-    opens = np.ones(len(group), bool)
+    del order
+    by_value = np.argsort(end)
+    key = np.empty(m, np.int64)
+    key[by_value] = np.arange(m)
+    key += group * m
+    np.maximum.accumulate(key, out=key)
+    key %= m
+    key = by_value[key]
+    del by_value
+    reach = end[key]
+    del key, end
+    opens = np.ones(m, bool)
     opens[1:] = (group[1:] != group[:-1]) | (start[1:] > reach[:-1])
-    closes = np.ones(len(group), bool)
+    closes = np.ones(m, bool)
     closes[:-1] = opens[1:]
     heads, tails = np.flatnonzero(opens), np.flatnonzero(closes)
     return np.bincount(group[heads], reach[tails] - start[heads], n)
@@ -204,15 +214,13 @@ class CriticalPathAnalyzer:
         rows = np.flatnonzero((slot == _ROOT) & (cols.parent == 0))
         tids, first = np.unique(cols.trace[rows], return_index=True)
         rows = rows[first]
-        attrs = cols.attrs
-        ok = np.array([bool(attrs[i].get("ok", True))
-                       for i in rows.tolist()], bool)
-        ok &= ~np.isnan(cols.end[rows])
+        ok = (cols.ok[rows] != 0) & ~np.isnan(cols.end[rows])
         rows, tids = rows[ok], tids[ok]
         n = len(rows)
         if not n:
             return traces, tids, []
         r_start, r_end = cols.start[rows], cols.end[rows]
+        del rows
 
         # Phase spans in close order, matched to their request by trace
         # id and clamped to its root.

@@ -29,10 +29,13 @@ call is a single attribute check returning a shared no-op span.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import struct
+import zlib
 from array import array
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from itertools import repeat
 from math import nan
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -41,7 +44,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel.kernel import SimKernel
 
-__all__ = ["Span", "SpanColumns", "SpanRecorder", "NULL_SPAN"]
+__all__ = ["Span", "SpanColumns", "SpanRecorder", "NULL_SPAN", "by_trace"]
 
 
 class Span:
@@ -125,14 +128,64 @@ _DIGEST_DTYPE = np.dtype([("trace", "<i8"), ("span", "<i8"),
                           ("parent", "<i8"), ("start", "<f8"),
                           ("end", "<f8")])
 
-#: Spans per digest chunk, and per move of young rows into the columns.
+#: Span headers packed per digest chunk.
 _CHUNK = 4096
 
 #: Values per row of the flat young list: ``name, trace_id, span_id,
 #: parent_id or 0, start, end, attrs``.
 _FIELDS = 7
-#: Young-list length that moves it into the columns.
-_FLUSH = _FIELDS * _CHUNK
+#: Young-list length that moves it into the columns (512 rows).
+_FLUSH = _FIELDS * 512
+
+#: The young row of an attribute-less span; rendered, never handed out.
+_NO_ATTRS: dict[str, Any] = {}
+
+#: Unbound ``dict.get``: ``map(_GET, attrs, repeat("ok"), repeat(True))``
+#: reads ``attrs.get("ok", True)`` of every span with no Python frame.
+_GET: Any = dict.get
+
+#: Value types whose ``repr`` ``ast.literal_eval`` reads back exactly
+#: (a non-finite float reads back through :func:`_literal`).
+_LITERAL_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+class _NonFinite(ast.NodeTransformer):
+    """``inf`` and ``nan`` (float reprs that are names) as constants."""
+
+    def visit_Name(self, node: ast.Name) -> ast.AST:
+        if node.id in ("inf", "nan"):
+            return ast.copy_location(ast.Constant(float(node.id)), node)
+        return node
+
+
+def _literal(text: str) -> dict[str, Any]:
+    """The attribute dict whose ``repr`` is ``text``."""
+    if text == "{}":
+        return {}
+    try:
+        attrs = ast.literal_eval(text)
+    except ValueError:
+        attrs = ast.literal_eval(
+            _NonFinite().visit(ast.parse(text, mode="eval")))
+    if repr(attrs) != text:
+        raise ValueError(f"span attributes {text} do not read back")
+    return attrs
+
+
+def _literal_only(attrs: dict[str, Any]) -> bool:
+    """True when every key and value of ``attrs`` is a literal type."""
+    return (_LITERAL_TYPES.issuperset(map(type, attrs))
+            and _LITERAL_TYPES.issuperset(map(type, attrs.values())))
+
+
+def by_trace(spans: Iterable[Span]) -> dict[int, list[Span]]:
+    """``spans`` grouped by trace id, start-ordered within."""
+    out: dict[int, list[Span]] = {}
+    for span in spans:
+        out.setdefault(span.trace_id, []).append(span)
+    for group in out.values():
+        group.sort(key=lambda s: (s.start, s.span_id))
+    return out
 
 
 class SpanColumns(NamedTuple):
@@ -149,7 +202,7 @@ class SpanColumns(NamedTuple):
     parent: np.ndarray          # int64, 0 for a root
     start: np.ndarray           # float64
     end: np.ndarray             # float64, NaN while open
-    attrs: list[dict[str, Any]]
+    ok: np.ndarray              # int8, bool(attrs.get("ok", True))
 
 
 class SpanRecorder:
@@ -161,11 +214,16 @@ class SpanRecorder:
     spans are stored in close order — a deterministic order, since
     closing happens at simulated-time milestones — as columns: ids in
     ``array("q")``, times in ``array("d")`` (NaN for an open end),
-    names and attribute dicts in one list each.  Writers extend a flat
-    young list by one row of ``_FIELDS`` values; every ``_CHUNK`` rows,
-    and before any read, :meth:`_flush` moves it into the columns.  No
-    per-span tuple outlives its write, so the garbage collector has
-    nothing per span to scan.
+    names in a list.  Attributes are kept as the digest's text, not as
+    dicts: each span's ``name|attrs!r`` line, in one zlib-compressed
+    blob per flush, plus an ``int8`` column of ``bool(attrs.get("ok",
+    True))`` for the analysis pass.  A dict whose text would not read back
+    (numpy scalars, enums) is also kept as is, in a sparse side store.
+    Writers extend a flat young list by one row of ``_FIELDS`` values;
+    every 512 rows, and before any read, :meth:`_flush` moves it into
+    the columns.  No per-span object outlives its flush, so the garbage
+    collector has nothing per span to scan.  Writers hand over their
+    attribute dicts and must not change them afterwards.
     """
 
     _CHUNK = _CHUNK
@@ -183,12 +241,14 @@ class SpanRecorder:
     def finished(self) -> list[Span]:
         """Completed spans in close order, as read-only views: recorder-
         less ``Span``s built from the columns, so annotating or
-        finishing one is a no-op and the store never changes."""
+        finishing one is a no-op and the store never changes.  The
+        attribute dicts are read back from the text (``repr``-equal to
+        what was written), so this is for reports, not the run path."""
         self._flush()
         out = []
         for name, tid, sid, pid, start, end, attrs in zip(
                 self._name, self._trace, self._span, self._parent,
-                self._start, self._end, self._attrs, strict=True):
+                self._start, self._end, self._read_attrs(), strict=True):
             span = Span(None, name, tid, sid, pid or None, start)
             if end == end:                  # NaN marks an open end
                 span.end = end
@@ -258,7 +318,7 @@ class SpanRecorder:
             span_id = self._next_span
         young = self._young
         young += (name, trace_id, span_id, parent_id or 0, start, end,
-                  attrs if attrs else {})
+                  attrs or _NO_ATTRS)
         if len(young) >= _FLUSH:
             self._flush()
 
@@ -279,7 +339,7 @@ class SpanRecorder:
         for name, start, end, attrs in phases:
             n += 1
             young += (name, trace_id, n, pid, start, end,
-                      attrs if attrs else {})
+                      attrs or _NO_ATTRS)
         self._next_span = n
         if len(young) >= _FLUSH:
             self._flush()
@@ -299,13 +359,26 @@ class SpanRecorder:
 
     def _flush(self) -> None:
         """Move the young rows into the columns: one stride slice and
-        one ``struct`` pack per column."""
+        one ``struct`` pack per column, and one compressed text blob."""
         young = self._young
         if not young:
             return
         n = len(young) // _FIELDS
+        names, attrs = young[0::_FIELDS], young[6::_FIELDS]
+        text = "".join([f"{name}|{a!r}\n"
+                        for name, a in zip(names, attrs, strict=True)])
+        # A repr that does not read back is a call (``np.int64(3)``), an
+        # angle repr (enums, objects) or a dotted name (``np.True_``):
+        # blocks without "(", "<" or "." skip the per-dict type check.
+        if "(" in text or "<" in text or "." in text:
+            row = len(self._name)
+            self._side.update((row + i, a) for i, a in enumerate(attrs)
+                             if not _literal_only(a))
+        self._text.append(zlib.compress(text.encode(), 1))
+        self._ok.frombytes(bytes(map(
+            bool, map(_GET, attrs, repeat("ok"), repeat(True)))))
         ints, floats = f"{n}q", f"{n}d"
-        self._name += young[0::_FIELDS]
+        self._name += names
         self._trace.frombytes(struct.pack(ints, *young[1::_FIELDS]))
         self._span.frombytes(struct.pack(ints, *young[2::_FIELDS]))
         self._parent.frombytes(struct.pack(ints, *young[3::_FIELDS]))
@@ -316,24 +389,43 @@ class SpanRecorder:
         except struct.error:            # an open end stores as NaN
             self._end.frombytes(struct.pack(
                 floats, *[nan if end is None else end for end in ends]))
-        self._attrs += young[6::_FIELDS]
         young.clear()
+
+    def _read_attrs(self) -> Iterator[dict[str, Any]]:
+        """Each stored span's attributes, in close order, read back
+        from the text blobs (side-store dicts as kept).  Each distinct
+        text is parsed once per read; every span gets its own copy."""
+        names = iter(self._name)
+        parsed: dict[str, dict[str, Any]] = {}
+        row = 0
+        for blob in self._text:
+            text = zlib.decompress(blob).decode()
+            pos = 0
+            while pos < len(text):
+                pos += len(next(names)) + 1         # "name|"
+                attrs = self._side.get(row)
+                if attrs is None:
+                    end = text.index("\n", pos)
+                    line = text[pos:end]
+                    if line not in parsed:
+                        parsed[line] = _literal(line)
+                    attrs = dict(parsed[line])
+                else:
+                    end = pos + len(repr(attrs))
+                row += 1
+                pos = end + 1
+                yield attrs
 
     # -- queries ------------------------------------------------------------------
 
     @property
     def span_count(self) -> int:
         """``len(finished)`` without building the views."""
-        return len(self._attrs) + len(self._young) // _FIELDS
+        return len(self._name) + len(self._young) // _FIELDS
 
     def traces(self) -> dict[int, list[Span]]:
         """Finished spans grouped by trace id, start-ordered within."""
-        out: dict[int, list[Span]] = {}
-        for span in self.finished:
-            out.setdefault(span.trace_id, []).append(span)
-        for spans in out.values():
-            spans.sort(key=lambda s: (s.start, s.span_id))
-        return out
+        return by_trace(self.finished)
 
     def of_name(self, name: str) -> list[Span]:
         return [s for s in self.finished if s.name == name]
@@ -347,7 +439,8 @@ class SpanRecorder:
             np.frombuffer(self._span, np.int64),
             np.frombuffer(self._parent, np.int64),
             np.frombuffer(self._start, np.float64),
-            np.frombuffer(self._end, np.float64), self._attrs)
+            np.frombuffer(self._end, np.float64),
+            np.frombuffer(self._ok, np.int8))
 
     def digest(self) -> str:
         """Canonical SHA-256 over every finished span.
@@ -358,18 +451,18 @@ class SpanRecorder:
 
         Serialization is hand-rolled rather than ``json.dumps``: ids
         and bounds pack as fixed-width ``<qqqdd`` records straight from
-        the columns; name and attributes hash as ``repr``-rendered text
-        (insertion order is fixed by the emitting code, so the dict
-        repr is as deterministic as the values — ints, floats, strings,
-        bools from the serving components; numpy scalars and enums repr
-        deterministically too).  A 30-minute cell finishes ~20k spans,
-        and one dumps() per span was the single largest line of
-        observability overhead on the hot-cell bench.  Every span's
-        packed header hashes before any span's text, one chunk at a
-        time.
+        the columns; name and attributes hash as the ``repr``-rendered
+        text the flushes kept (insertion order is fixed by the emitting
+        code, so the dict repr is as deterministic as the values — ints,
+        floats, strings, bools from the serving components; numpy
+        scalars and enums repr deterministically too).  A 30-minute cell
+        finishes ~20k spans, and one dumps() per span was the single
+        largest line of observability overhead on the hot-cell bench.
+        Every span's packed header hashes before any span's text, one
+        chunk at a time.
         """
         cols = self.columns()
-        n = len(cols.attrs)
+        n = len(cols.name)
         h = hashlib.sha256()
         head = np.empty(min(n, _CHUNK), _DIGEST_DTYPE)
         for lo in range(0, n, _CHUNK):
@@ -380,12 +473,8 @@ class SpanRecorder:
             end = cols.end[lo:hi]
             rec["end"] = np.where(np.isnan(end), -1.0, end)
             h.update(rec.tobytes())
-        for lo in range(0, n, _CHUNK):
-            h.update("".join([
-                f"{name}|{attrs!r}\n" for name, attrs
-                in zip(cols.name[lo:lo + _CHUNK], cols.attrs[lo:lo + _CHUNK],
-                       strict=True)
-            ]).encode())
+        for blob in self._text:
+            h.update(zlib.decompress(blob))
         return h.hexdigest()
 
     def clear(self) -> None:
@@ -397,4 +486,8 @@ class SpanRecorder:
         self._parent = array("q")
         self._start = array("d")
         self._end = array("d")
-        self._attrs: list[dict[str, Any]] = []
+        self._ok = array("b")
+        #: One ``name|attrs!r`` line per span, one zlib blob per flush.
+        self._text: list[bytes] = []
+        #: Row -> attribute dict whose text does not read back.
+        self._side: dict[int, dict[str, Any]] = {}

@@ -25,6 +25,8 @@ snapshot time — never per request.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from itertools import accumulate
 
 from ..errors import ConfigurationError
 
@@ -120,36 +122,21 @@ class LogHistogram:
 
     def quantile(self, q: float) -> float:
         """Nearest-rank quantile ``q`` in (0, 100]; 0.0 when empty."""
-        if self._total == 0:
-            return 0.0
-        rank = max(1, math.ceil(q / 100.0 * self._total))
-        seen = 0
-        for idx, count in enumerate(self._counts):
-            seen += count
-            if seen >= rank:
-                return self._representative(idx)
-        return self.max_value  # pragma: no cover - rank <= total always hits
+        return self.quantiles((q,))[0]
 
     def quantiles(self, qs: tuple[float, ...] = QUANTILE_KEYS) -> list[float]:
-        """Several quantiles in one pass over the buckets (any order).
+        """Several quantiles from one cumulative sum (any order).
 
-        Returns one value per ``q``, all 0.0 when empty.
+        Each rank's bucket is the first whose running count reaches
+        it.  Returns one value per ``q``, all 0.0 when empty.
         """
-        if self._total == 0:
+        total = self._total
+        if total == 0:
             return [0.0] * len(qs)
-        ranks = [max(1, math.ceil(q / 100.0 * self._total)) for q in qs]
-        order = sorted(range(len(qs)), key=ranks.__getitem__)
-        out = [0.0] * len(qs)
-        seen = 0
-        pos = 0
-        for idx, count in enumerate(self._counts):
-            seen += count
-            while pos < len(order) and seen >= ranks[order[pos]]:
-                out[order[pos]] = self._representative(idx)
-                pos += 1
-            if pos == len(order):
-                break
-        return out
+        seen = list(accumulate(self._counts))
+        return [self._representative(
+                    bisect_left(seen, max(1, math.ceil(q / 100.0 * total))))
+                for q in qs]
 
     def percentile_dict(self) -> dict[str, float]:
         """The standard ``{"p50": ..., "p95": ..., "p99": ...}`` triple."""

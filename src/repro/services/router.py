@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from ..containers.image import (ExecutionExpectations, ImageManifest,
@@ -120,10 +120,12 @@ class Backend:
     cache_hits: int = 0
     cache_misses: int = 0
     cached_tokens: int = 0
+    #: ``host:port``, built once: it names the backend in every route
+    #: span and affinity entry.  Host and port never change.
+    key: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def key(self) -> str:
-        return f"{self.host}:{self.port}"
+    def __post_init__(self) -> None:
+        self.key = f"{self.host}:{self.port}"
 
     @property
     def cache_hit_rate(self) -> float:

@@ -252,6 +252,18 @@ class _Condition(Event):
     def _results(self) -> dict[Event, Any]:
         return {ev: ev._value for ev in self.events if ev.processed and ev.ok}
 
+    def _release(self) -> None:
+        """Drop the ``_on_child`` hooks of children still pending once
+        the composite is decided (the hook is a no-op from then on).
+
+        A periodic ``yield any_of([stop, tick])`` would otherwise leave
+        one decided composite, and its result dict, on the long-lived
+        ``stop`` per tick for the rest of the simulation.
+        """
+        for ev in self.events:
+            if ev.callbacks is not None:
+                ev.detach(self._on_child)
+
 
 class AnyOf(_Condition):
     """Succeeds when the first child event succeeds (or fails if it failed)."""
@@ -265,6 +277,7 @@ class AnyOf(_Condition):
             self.succeed(self._results())
         else:
             self.fail(ev._value)
+        self._release()
 
 
 class AllOf(_Condition):
@@ -280,6 +293,7 @@ class AllOf(_Condition):
             return
         if not ev.ok:
             self.fail(ev._value)
+            self._release()
             return
         self._remaining -= 1
         if self._remaining == 0:

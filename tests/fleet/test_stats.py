@@ -126,3 +126,48 @@ def test_numpy_percentile_is_not_the_gate():
     nearest = hist.quantile(50)                          # ~1.0
     assert nearest == pytest.approx(1.0, rel=hist.rel_error_bound())
     assert abs(interpolated - nearest) > 1.0
+
+
+def _scan_quantiles(hist, qs):
+    """The bucket scan ``quantiles`` used before the cumulative search,
+    frozen as the oracle."""
+    if hist._total == 0:
+        return [0.0] * len(qs)
+    ranks = [max(1, math.ceil(q / 100.0 * hist._total)) for q in qs]
+    order = sorted(range(len(qs)), key=ranks.__getitem__)
+    out = [0.0] * len(qs)
+    seen = 0
+    pos = 0
+    for idx, count in enumerate(hist._counts):
+        seen += count
+        while pos < len(order) and seen >= ranks[order[pos]]:
+            out[order[pos]] = hist._representative(idx)
+            pos += 1
+        if pos == len(order):
+            break
+    return out
+
+
+@given(values=st.lists(st.one_of(st.floats(0.0, 20.0),
+                                 st.sampled_from((0.5, 1.0, 1.5, 15.0))),
+                       max_size=60),
+       removed=st.integers(0, 10),
+       qs=st.lists(st.floats(min_value=1e-9, max_value=100.0), max_size=5),
+       edges=st.lists(st.integers(0, 60), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_quantiles_match_the_bucket_scan(values, removed, qs, edges):
+    """The cumulative search picks the scan's bucket for every rank:
+    ranks that land exactly on a running count, q = 100, underflow and
+    overflow buckets, emptied and empty histograms."""
+    hist = LogHistogram(min_value=1.0, max_value=10.0, growth=1.5)
+    for v in values:
+        hist.add(v)
+    for v in values[:removed]:
+        hist.remove(v)
+    total = len(hist)
+    # q at exact rank edges: k / total of the way through the counts.
+    qs = [*qs, 100.0, *(100.0 * min(k, total) / max(total, 1)
+                        for k in edges if k)]
+    assert hist.quantiles(tuple(qs)) == _scan_quantiles(hist, qs)
+    for q in qs:
+        assert hist.quantile(q) == _scan_quantiles(hist, [q])[0]

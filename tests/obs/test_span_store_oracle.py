@@ -1,20 +1,24 @@
 """Differential oracle for the columnar span store.
 
 ``SpanRecorder`` keeps closed spans as columns: ids and times in typed
-arrays, names as codes into one table, attributes in one list, with
-recent rows waiting in a short young list.  The frozen reference below
+arrays, names in a list, attributes as their rendered digest text (plus
+a side store for dicts whose text does not read back), with recent rows
+waiting in a short young list.  The frozen reference below
 is the row store it replaced: one ``(name, trace, span, parent, start,
 end, attrs)`` tuple per closed span.  Hypothesis drives both through the
 same sequence of ``emit`` / ``emit_many`` / ``start_trace`` /
 ``start_span`` + ``finish`` / ``record`` / ``clear`` calls — with open
 ends, numpy-scalar attributes and bulk writes that cross the flush and
 digest chunk size — and every read must agree: ``digest()``,
-``span_count``, the ``finished`` views, ``traces()`` and ``of_name()``.
+``span_count``, the ``finished`` views (attributes ``repr``-equal to
+what was written), ``traces()`` and ``of_name()``.
 """
 
 from __future__ import annotations
 
+import enum
 import hashlib
+import math
 import struct
 from unittest import mock
 
@@ -146,7 +150,9 @@ ENDS = st.one_of(st.none(), TIMES)
 VALUES = st.one_of(
     st.integers(-5, 5), st.booleans(), st.text(max_size=3),
     st.integers(0, 9).map(np.int64), st.integers(0, 9).map(np.int32),
-    st.floats(0.0, 1.0, allow_nan=False).map(np.float64))
+    st.floats(0.0, 1.0, allow_nan=False).map(np.float64),
+    st.sampled_from((math.inf, -math.inf, -0.0, 1e-05, 0.1, None)),
+    st.sampled_from(("(", "<np>", "'ok': False", "a\nb")))
 ATTRS = st.one_of(st.none(),
                   st.dictionaries(st.sampled_from(("ok", "engine", "n")),
                                   VALUES, max_size=3))
@@ -241,6 +247,8 @@ def _assert_same(new, ref, chunk):
     assert len(new._young) < spans_module._FIELDS * chunk
     assert new.span_count == ref.span_count
     assert _views(new.finished) == _views(ref.finished)
+    assert ([repr(span.attrs) for span in new.finished]
+            == [repr(span.attrs) for span in ref.finished])
     assert ({tid: _views(spans) for tid, spans in new.traces().items()}
             == {tid: _views(spans) for tid, spans in ref.traces().items()})
     for name in ("request", "decode", "réseau", "absent"):
@@ -282,3 +290,52 @@ def test_an_open_end_reads_back_as_none():
     ref.emit("request", tid, None, 1.5, None, {"ok": True}, span_id=sid)
     ref.emit("decode", tid, sid, 1.5, 2.0, span_id=sid + 1)
     assert rec.digest() == ref.digest()
+
+
+class _Mode(enum.Enum):
+    FAST = "fast"
+
+
+def test_attrs_read_back_repr_equal_whatever_their_values():
+    """Text that reads back, and dicts kept aside that would not: NaN
+    and infinities, enums, numpy scalars inside containers, strings
+    that look like reprs, and falsy ``ok`` values of several types."""
+    kernel = SimKernel(seed=1)
+    rec, ref = SpanRecorder(kernel), _RowRecorder(kernel)
+    written = [
+        {"ok": False, "x": math.nan, "y": -math.inf},
+        {"mode": _Mode.FAST, "ok": np.False_},
+        {"tokens": [np.int64(3), 4], "pair": (1, "a")},
+        {"note": "f(x) < g(x)", "nested": {"k": [1, 2.5]}, "ok": 0},
+        {"ok": True, "none": None, "neg": -0.0},
+        {},
+        {"ok": "yes", "b": b"\x00"},
+    ]
+    for i, attrs in enumerate(written):
+        tid, sid = rec.reserve_trace()
+        for store in (rec, ref):
+            store.emit("request", tid, None, float(i), i + 0.5, dict(attrs),
+                       span_id=sid)
+    got = [span.attrs for span in rec.finished]
+    assert [repr(a) for a in got] == [repr(a) for a in written]
+    assert rec.digest() == ref.digest()
+    assert rec.columns().ok.tolist() == [
+        bool(a.get("ok", True)) for a in written]
+
+
+@mock.patch.object(spans_module, "_FLUSH", spans_module._FIELDS)
+def test_each_flush_decides_its_own_side_store():
+    """One-span flushes: a numpy bool (``np.True_``, no parenthesis)
+    and a NaN alone in their blocks still read back."""
+    kernel = SimKernel(seed=1)
+    rec, ref = SpanRecorder(kernel), _RowRecorder(kernel)
+    written = [{"ok": np.True_}, {"x": math.nan}, {"ok": np.False_},
+               {"n": 1}]
+    for store in (rec, ref):
+        tid, _sid = store.reserve_trace()
+        for i, attrs in enumerate(written):
+            store.emit("request", tid, None, float(i), i + 1.0, dict(attrs))
+    assert ([repr(span.attrs) for span in rec.finished]
+            == [repr(a) for a in written])
+    assert rec.digest() == ref.digest()
+    assert rec.columns().ok.tolist() == [1, 1, 0, 1]

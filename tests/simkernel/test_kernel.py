@@ -257,6 +257,8 @@ def test_peek(kernel):
 
 
 def test_trace_records_time_ordering(kernel):
+    kernel.trace.retain = True
+
     def proc(env):
         env.trace.emit("tick", n=1)
         yield env.timeout(2.0)

@@ -180,3 +180,31 @@ def test_interrupting_completed_process_keeps_it_successful():
     proc.interrupt("way too late")
     kernel.run()
     assert proc.ok and proc._value == 42
+
+
+def test_decided_any_of_releases_a_long_lived_child(kernel):
+    """A periodic ``any_of([stop, tick])`` leaves no hook on ``stop``:
+    each decided composite detaches from the children still pending, so
+    memory does not grow with the number of ticks."""
+    stop = kernel.event()
+    woke = []
+
+    def loop(env):
+        for _ in range(200):
+            yield env.any_of([stop, env.timeout(1.0)])
+            woke.append(env.now)
+
+    kernel.spawn(loop(kernel))
+    kernel.run()
+    assert len(woke) == 200
+    assert stop.callbacks == []
+
+
+def test_failed_all_of_releases_its_pending_children(kernel):
+    pending = kernel.event()
+    failing = kernel.event()
+    both = kernel.all_of([pending, failing])
+    failing.fail(RuntimeError("boom"))
+    kernel.run()
+    assert not both.ok
+    assert pending.callbacks == []

@@ -37,6 +37,7 @@ def test_identical_seeds_identical_traces(delays, seed):
 
     def build():
         kernel = SimKernel(seed=seed)
+        kernel.trace.retain = True
 
         def proc(env, d):
             yield env.timeout(d)
