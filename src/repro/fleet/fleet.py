@@ -614,12 +614,12 @@ class Fleet:
                 attrs["turn"] = turn
             spans.emit("request", trace_id, None, submitted, kernel.now,
                        attrs, span_id=root_sid)
+        # Positional, in field order: 14 keywords cost more than the
+        # tuple itself (tests/fleet/test_slo.py pins the order).
         record = RequestRecord(
-            tenant=tenant, submitted=submitted, completed=kernel.now,
-            ttft=ttft, latency=kernel.now - submitted,
-            prompt_tokens=prompt_tokens, output_tokens=out_tokens,
-            ok=ok, error=error, session=session or "", turn=turn,
-            cached_tokens=cached, path=path, kv_transfer_s=kv_transfer_s)
+            tenant, submitted, kernel.now, ttft, kernel.now - submitted,
+            prompt_tokens, out_tokens, ok, error, session or "", turn,
+            cached, path, kv_transfer_s)
         self.slo.observe(record)
         # Request-level golden-trace record: the seed-sensitive part of
         # the day, so trace digests distinguish runs that differ only in

@@ -26,9 +26,10 @@ its cost is independent of how many requests were ever observed.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ..errors import ConfigurationError
 from ..obs.stats import LogHistogram
@@ -57,8 +58,7 @@ class SloSpec:
             raise ConfigurationError("window must be positive")
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """One finished request as observed by the client.
 
     ``turn`` is 0 for single-shot traffic and 1-based for session
@@ -69,6 +69,9 @@ class RequestRecord:
     when the router split it into prefill and decode legs — and
     ``kv_transfer_s`` the fabric seconds its KV handoff cost (0 on the
     unified path).
+
+    A named tuple: immutable, with no per-instance ``__dict__``, and
+    built by a single tuple allocation (one per request).
     """
 
     tenant: str
@@ -283,10 +286,11 @@ class _TurnTtft:
     ttft_sum: float = 0.0
     hist: LogHistogram = field(default_factory=LogHistogram)
 
-    def add(self, ttft: float) -> None:
+    def add_at(self, ttft: float, idx: int) -> None:
+        """Add ``ttft``, already bucketed to ``idx`` by the tracker."""
         self.n += 1
         self.ttft_sum += ttft
-        self.hist.add(ttft)
+        self.hist.add_at(idx)
 
     def to_json(self) -> dict:
         out = {"n": self.n,
@@ -296,12 +300,22 @@ class _TurnTtft:
         return out
 
 
+def _layout(hist: LogHistogram) -> tuple[float, float, float]:
+    return hist.min_value, hist.max_value, hist.growth
+
+
 class SloTracker:
     """Online SLO accounting: O(1) per observation, O(1)-window snapshots.
 
     The rolling window keeps the raw records (ordered by completion
     time) only so aged-out records can be *subtracted* from the running
     aggregates; nothing ever iterates, copies, or sorts the window.
+
+    :meth:`observe` buckets a record's ``ttft`` and ``latency`` once and
+    adds those bucket indices to every histogram that takes the value,
+    so every histogram here shares one bucket layout.  The window keeps
+    them in a packed key column, so a trimmed record is subtracted
+    without being bucketed again.
     """
 
     def __init__(self, kernel: SimKernel, spec: SloSpec):
@@ -309,12 +323,14 @@ class SloTracker:
         self.spec = spec
         self.started_at = kernel.now
         self.submitted = 0
-        # Live window records, sorted by completion time, plus a parallel
-        # float list of those completion times so out-of-order stragglers
-        # can be placed by binary search instead of a linear scan.
+        # Live window records, sorted by completion time, plus parallel
+        # columns of their completion times (so out-of-order stragglers
+        # can be placed by binary search instead of a linear scan) and
+        # of their packed window keys.
         self._window: list[RequestRecord] = []
         self._ctimes: list[float] = []
-        # Rolling-window aggregates (maintained by _window_add/_remove).
+        self._wkeys = array("q")
+        # Rolling-window aggregates (maintained by observe/_trim).
         self._w_ok = 0
         self._w_errors = 0
         self._w_good = 0
@@ -343,6 +359,14 @@ class SloTracker:
         self._path_stats: dict[str, _TurnTtft] = {}
         self.kv_transfers = 0           # ok requests that paid a handoff
         self.kv_transfer_s = 0.0
+        # The one bucket mapping every histogram above shares.
+        self._index = self._run_ttft._index
+        self._layout = _layout(self._run_ttft)
+        assert all(_layout(hist) == self._layout for hist in (
+            self._w_ttft, self._w_e2e, self._run_e2e,
+            *(stats.hist for stats in self._turn_stats.values())))
+        # Bits of a bucket index (underflow and overflow included).
+        self._idx_bits = (self._run_ttft._buckets + 1).bit_length()
 
     # -- ingestion --------------------------------------------------------------
 
@@ -354,12 +378,27 @@ class SloTracker:
                 and record.latency <= self.spec.e2e_target)
 
     def observe(self, record: RequestRecord) -> None:
+        ok = record.ok
+        if ok:
+            ttft = record.ttft
+            latency = record.latency
+            ttft_idx = self._index(ttft)
+            e2e_idx = self._index(latency)
+            good = (ttft <= self.spec.ttft_target
+                    and latency <= self.spec.e2e_target)
+            # Window key: both bucket indices and the good bit; -1 marks
+            # an error record.
+            key = (ttft_idx << self._idx_bits | e2e_idx) << 1 | good
+        else:
+            good = False
+            key = -1
         window = self._window
         ctimes = self._ctimes
         completed = record.completed
         if not ctimes or completed >= ctimes[-1]:
             window.append(record)
             ctimes.append(completed)
+            self._wkeys.append(key)
         else:
             # Straggler from a concurrent replica completing out of
             # order: insert in completion order so trimming by the
@@ -370,69 +409,49 @@ class SloTracker:
             idx = bisect_right(ctimes, completed)
             window.insert(idx, record)
             ctimes.insert(idx, completed)
-        self._window_add(record)
-        self._trim(ctimes[-1])
+            self._wkeys.insert(idx, key)
         tenant = self.per_tenant.get(record.tenant)
         if tenant is None:
             tenant = self.per_tenant[record.tenant] = TenantStats()
-        if record.ok:
+        if ok:
+            tokens = record.output_tokens
+            self._w_ok += 1
+            self._w_tokens += tokens
+            self._w_ttft.add_at(ttft_idx)
+            self._w_e2e.add_at(e2e_idx)
             self.completed += 1
             tenant.completed += 1
-            self.output_tokens += record.output_tokens
-            tenant.output_tokens += record.output_tokens
-            self._run_ttft.add(record.ttft)
-            self._run_e2e.add(record.latency)
+            self.output_tokens += tokens
+            tenant.output_tokens += tokens
+            self._run_ttft.add_at(ttft_idx)
+            self._run_e2e.add_at(e2e_idx)
             if record.turn >= 1:
+                self._w_session += 1
                 self.session_requests += 1
                 self.cached_tokens += record.cached_tokens
                 self.session_prompt_tokens += record.prompt_tokens
                 if record.cached_tokens > 0:
+                    self._w_cache_hits += 1
                     self.cache_hit_requests += 1
-                key = "first" if record.turn == 1 else "later"
-                self._turn_stats[key].add(record.ttft)
-            turn_ttft = self._path_stats.get(record.path)
-            if turn_ttft is None:
-                turn_ttft = self._path_stats[record.path] = _TurnTtft()
-            turn_ttft.add(record.ttft)
+                self._turn_stats["first" if record.turn == 1 else "later"] \
+                    .add_at(ttft, ttft_idx)
+            path_stats = self._path_stats.get(record.path)
+            if path_stats is None:
+                path_stats = self._path_stats[record.path] = _TurnTtft()
+                assert _layout(path_stats.hist) == self._layout
+            path_stats.add_at(ttft, ttft_idx)
             if record.kv_transfer_s > 0:
                 self.kv_transfers += 1
                 self.kv_transfer_s += record.kv_transfer_s
-        else:
-            self.errors += 1
-            tenant.errors += 1
-        if self.is_good(record):
-            self.good += 1
-            tenant.good += 1
-
-    def _window_add(self, record: RequestRecord) -> None:
-        if record.ok:
-            self._w_ok += 1
-            self._w_tokens += record.output_tokens
-            self._w_ttft.add(record.ttft)
-            self._w_e2e.add(record.latency)
-            if record.turn >= 1:
-                self._w_session += 1
-                if record.cached_tokens > 0:
-                    self._w_cache_hits += 1
+            if good:
+                self._w_good += 1
+                self.good += 1
+                tenant.good += 1
         else:
             self._w_errors += 1
-        if self.is_good(record):
-            self._w_good += 1
-
-    def _window_remove(self, record: RequestRecord) -> None:
-        if record.ok:
-            self._w_ok -= 1
-            self._w_tokens -= record.output_tokens
-            self._w_ttft.remove(record.ttft)
-            self._w_e2e.remove(record.latency)
-            if record.turn >= 1:
-                self._w_session -= 1
-                if record.cached_tokens > 0:
-                    self._w_cache_hits -= 1
-        else:
-            self._w_errors -= 1
-        if self.is_good(record):
-            self._w_good -= 1
+            self.errors += 1
+            tenant.errors += 1
+        self._trim(ctimes[-1])
 
     def _trim(self, now: float) -> None:
         floor = now - self.spec.window
@@ -440,10 +459,28 @@ class SloTracker:
         aged = bisect_left(ctimes, floor)
         if aged:
             window = self._window
+            keys = self._wkeys
+            ttft_shift = self._idx_bits + 1
+            e2e_mask = (1 << self._idx_bits) - 1
             for i in range(aged):
-                self._window_remove(window[i])
+                key = keys[i]
+                if key < 0:
+                    self._w_errors -= 1
+                    continue
+                record = window[i]
+                self._w_ok -= 1
+                self._w_tokens -= record.output_tokens
+                self._w_ttft.remove_at(key >> ttft_shift)
+                self._w_e2e.remove_at(key >> 1 & e2e_mask)
+                if record.turn >= 1:
+                    self._w_session -= 1
+                    if record.cached_tokens > 0:
+                        self._w_cache_hits -= 1
+                if key & 1:
+                    self._w_good -= 1
             del window[:aged]
             del ctimes[:aged]
+            del keys[:aged]
 
     # -- views ------------------------------------------------------------------
 

@@ -48,7 +48,15 @@ def max_min_fair_rates(flows: Sequence["Flow"]) -> dict["Flow", float]:
     (smallest fair share among its unfixed flows), fix those flows at that
     share, subtract, repeat.  Flows may carry an intrinsic ``rate_cap``
     (e.g. a disk or endpoint limit), treated as a private link.
+
+    A lone flow gets ``min(rate_cap, tightest link)`` directly: the same
+    float progressive filling reaches, without its set bookkeeping.
     """
+    if len(flows) == 1:
+        flow = flows[0]
+        rate = min((link.capacity for link in flow.path), default=math.inf)
+        cap = flow.rate_cap
+        return {flow: cap if cap is not None and cap <= rate else rate}
     rates: dict[Flow, float] = {}
     unfixed = set(flows)
     if not unfixed:
@@ -230,12 +238,13 @@ class FlowNetwork:
         """Recompute rates and (re)schedule the next completion."""
         self._generation += 1
         gen = self._generation
-        rates = max_min_fair_rates(self._ordered())
+        ordered = self._ordered()
+        rates = max_min_fair_rates(ordered)
         for flow, rate in rates.items():
             flow.rate = rate
 
         # Finish any flow that is already done (zero remaining or inf rate).
-        finished = [f for f in self._ordered()
+        finished = [f for f in ordered
                     if f.remaining <= self._tolerance(f)
                     or math.isinf(f.rate)]
         for flow in finished:
@@ -249,7 +258,7 @@ class FlowNetwork:
         # and completes whatever finished.  Stale timers (older generation)
         # are ignored.
         next_eta = math.inf
-        for flow in self._ordered():
+        for flow in ordered:
             if flow.rate > 0:
                 next_eta = min(next_eta, flow.remaining / flow.rate)
         if math.isfinite(next_eta):

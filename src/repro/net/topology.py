@@ -63,6 +63,9 @@ class Fabric:
         # pairs millions of times per scenario; this takes each off the
         # per-request BFS.
         self._path_cache: dict[tuple[str, str], list[str]] = {}
+        # (src, dst) -> hop count for latency(), flushed with the path
+        # memo (see _flush_paths).
+        self._hops: dict[tuple[str, str], int] = {}
 
     # -- construction ----------------------------------------------------------
 
@@ -89,7 +92,7 @@ class Fabric:
         for v in (a, b):
             if v not in self._vertices:
                 raise NotFoundError(f"unknown vertex {v!r}")
-        self._path_cache.clear()
+        self._flush_paths()
         base = name or f"{a}--{b}"
         fwd = Link(f"{base}:fwd", bandwidth)
         rev = Link(f"{base}:rev", bandwidth_ba
@@ -109,11 +112,11 @@ class Fabric:
         endpoints are substituted per-flow).
         """
         self._route_overrides[(src, dst)] = list(via)
-        self._path_cache.clear()
+        self._flush_paths()
 
     def remove_route(self, src: str, dst: str) -> None:
         self._route_overrides.pop((src, dst), None)
-        self._path_cache.clear()
+        self._flush_paths()
 
     # -- fault injection ---------------------------------------------------------
 
@@ -123,12 +126,12 @@ class Fabric:
         if name not in self.hosts:
             raise NotFoundError(f"unknown host {name!r}")
         self._down_hosts.add(name)
-        self._path_cache.clear()
+        self._flush_paths()
         self.kernel.trace.emit("net.partition", host=name)
 
     def heal_host(self, name: str) -> None:
         self._down_hosts.discard(name)
-        self._path_cache.clear()
+        self._flush_paths()
         self.kernel.trace.emit("net.heal", host=name)
 
     def partitioned(self, name: str) -> bool:
@@ -142,6 +145,10 @@ class Fabric:
         self.kernel.trace.emit("net.latency_factor", factor=factor)
 
     # -- path resolution -----------------------------------------------------------
+
+    def _flush_paths(self) -> None:
+        self._path_cache.clear()
+        self._hops.clear()
 
     def _selectors(self, host: Host) -> list[str]:
         return [host.name, f"zone:{host.zone}"]
@@ -222,8 +229,11 @@ class Fabric:
 
     def latency(self, src: str, dst: str) -> float:
         """One-way latency along the resolved path."""
-        return (self.base_latency * self.latency_factor
-                * max(1, len(self.vertex_path(src, dst)) - 1))
+        hops = self._hops.get((src, dst))
+        if hops is None:
+            hops = self._hops[(src, dst)] = max(
+                1, len(self.vertex_path(src, dst)) - 1)
+        return self.base_latency * self.latency_factor * hops
 
     # -- transfers --------------------------------------------------------------------
 

@@ -96,9 +96,18 @@ class LogHistogram:
         self._counts[self._index(value)] += 1
         self._total += 1
 
+    def add_at(self, idx: int) -> None:
+        """Add one value already mapped to bucket ``idx`` by ``_index``
+        of a histogram with this one's ``(min_value, max_value, growth)``."""
+        self._counts[idx] += 1
+        self._total += 1
+
     def remove(self, value: float) -> None:
         """Remove a previously-added value (same bucket mapping as add)."""
-        idx = self._index(value)
+        self.remove_at(self._index(value))
+
+    def remove_at(self, idx: int) -> None:
+        """Remove one value from bucket ``idx`` (see :meth:`add_at`)."""
         if self._counts[idx] <= 0:
             raise ConfigurationError(
                 f"remove() without matching add() (bucket {idx})")

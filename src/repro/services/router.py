@@ -8,7 +8,6 @@ fails over, giving HPC deployments K8s-like behavior.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -700,9 +699,16 @@ class LlmRouter(ContainerApp):
             pre.handoff = None
             return pre, {"prefill": pre_backend.key, "attempts": attempts,
                          "path": "disagg", "outcome": "ok"}
+        # ``call`` plus the handoff, built field by field: a generic
+        # dataclasses.replace walks fields() on every disagg request.
+        leg = CompletionCall(
+            prompt_tokens=call.prompt_tokens, max_tokens=call.max_tokens,
+            model=call.model, session=call.session,
+            cache_salt=call.cache_salt, priority=call.priority,
+            trace_id=call.trace_id, trace_parent=call.trace_parent,
+            handoff=handoff, http=call.http)
         dec, dec_backend, dec_failed = yield from self._forward(
-            dataclasses.replace(call, handoff=handoff), None, "decode", rec,
-            route_sid)
+            leg, None, "decode", rec, route_sid)
         attempts += dec_failed + (1 if dec_backend is not None else 0)
         if dec_backend is None or not dec.ok:
             attrs = {"prefill": pre_backend.key, "attempts": attempts,

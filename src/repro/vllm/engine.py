@@ -156,6 +156,12 @@ class LLMEngine:
             self, make_policy(getattr(args, "scheduler_policy", "fcfs"),
                               chunk_tokens=getattr(args, "chunk_tokens",
                                                    512)))
+        # The scheduler's waiting deque and running list themselves
+        # (plain aliases: the hot loop reads them without a property
+        # call).  The scheduler mutates both in place and never rebinds
+        # either.
+        self.waiting = self.scheduler.waiting
+        self.running = self.scheduler.running
         self.fault_plan = fault_plan
         #: The last 500 finished requests; the counters cover the run.
         self.completed: deque[Request] = deque(maxlen=500)
@@ -169,18 +175,6 @@ class LLMEngine:
         self._jump_sleep: Sleep | None = None  # coalesced decode in progress
         self._proc = None
         self._register_obs()
-
-    # -- queue views (storage lives on the Scheduler) ----------------------------------
-
-    @property
-    def waiting(self):
-        """The scheduler's waiting queue (the same deque object)."""
-        return self.scheduler.waiting
-
-    @property
-    def running(self):
-        """The scheduler's running batch (the same list object)."""
-        return self.scheduler.running
 
     def _register_obs(self) -> None:
         """Register this engine's slice of the kernel's metrics registry.

@@ -86,7 +86,8 @@ class Scheduler:
     The engine keeps the resources (BlockManager, perf model, KV
     counter) and the iteration loop; the scheduler decides *which*
     requests hold them.  ``waiting``/``running`` are the only queue
-    storage — ``LLMEngine.waiting``/``running`` are views onto them.
+    storage — ``LLMEngine.waiting``/``running`` alias these same
+    objects, so neither is ever rebound.
     """
 
     def __init__(self, engine: LLMEngine, policy: SchedulingPolicy):

@@ -236,12 +236,13 @@ class VllmOpenAIServer(ContainerApp):
             if error is not None:
                 return CompletionResult.failed(502, error)
         try:
+            # Positional, in field order: eight keywords cost more than
+            # the tuple itself (tests/vllm/test_request_spec.py pins the
+            # order).
             spec = RequestSpec(
-                prompt_tokens=call.prompt_tokens, max_new_tokens=max_tokens,
-                session_key=str(session) if session else None,
-                priority=call.priority, trace_id=call.trace_id,
-                trace_parent=call.trace_parent,
-                prefill_done=generated > 0, tokens_generated=generated)
+                call.prompt_tokens, max_tokens,
+                str(session) if session else None, call.priority,
+                call.trace_id, call.trace_parent, generated > 0, generated)
             handle = self.engine.submit(spec)
         except ConfigurationError as exc:
             return CompletionResult.failed(400, str(exc))

@@ -15,8 +15,9 @@ vLLM server in process.  JSON exists only at the HTTP edges:
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import ConfigurationError
 from ..net.http import HttpRequest, HttpResponse
@@ -35,8 +36,19 @@ def estimate_tokens(text: str) -> int:
     return max(1, len(text) // CHARS_PER_TOKEN)
 
 
-@dataclass(frozen=True)
-class RequestSpec:
+class _RequestSpecFields(NamedTuple):
+    # Field order and types only; defaults live on RequestSpec.__new__.
+    prompt_tokens: int
+    max_new_tokens: int
+    session_key: str | None
+    priority: int
+    trace_id: int
+    trace_parent: int
+    prefill_done: bool
+    tokens_generated: int
+
+
+class RequestSpec(_RequestSpecFields):
     """Everything the engine needs to know about one generation request.
 
     ``session_key`` names the request's append-only token stream (one
@@ -51,34 +63,44 @@ class RequestSpec:
     prefill compute and the request decodes from its arrival context.
     A preemption revokes this — the KV blocks are gone, so recompute
     prefills locally like any other request.
+
+    A named tuple (immutable, no per-instance ``__dict__``) whose
+    constructor validates and then builds the tuple in one C-level
+    call; every other way to build one (``_make``, ``_replace``,
+    copying, unpickling) goes through that constructor too.
     """
 
-    prompt_tokens: int
-    max_new_tokens: int
-    session_key: str | None = None
-    priority: int = 0
-    trace_id: int = 0
-    trace_parent: int = 0
-    prefill_done: bool = False
-    tokens_generated: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.prompt_tokens < 1 or self.max_new_tokens < 1:
+    def __new__(cls, prompt_tokens: int, max_new_tokens: int,
+                session_key: str | None = None, priority: int = 0,
+                trace_id: int = 0, trace_parent: int = 0,
+                prefill_done: bool = False,
+                tokens_generated: int = 0) -> RequestSpec:
+        if prompt_tokens < 1 or max_new_tokens < 1:
             raise ConfigurationError(
                 "prompt_tokens and max_new_tokens must be positive, got "
-                f"{self.prompt_tokens}+{self.max_new_tokens}")
-        if self.tokens_generated and not self.prefill_done:
+                f"{prompt_tokens}+{max_new_tokens}")
+        if tokens_generated and not prefill_done:
             raise ConfigurationError(
                 "tokens_generated requires prefill_done=True (it describes "
                 "a disaggregated handoff)")
-        if self.prefill_done and self.tokens_generated < 1:
+        if prefill_done and tokens_generated < 1:
             raise ConfigurationError(
                 "a prefill_done spec must carry at least the handoff's "
                 "first token (tokens_generated >= 1)")
-        if self.tokens_generated > self.max_new_tokens:
+        if tokens_generated > max_new_tokens:
             raise ConfigurationError(
-                f"tokens_generated={self.tokens_generated} exceeds "
-                f"max_new_tokens={self.max_new_tokens}")
+                f"tokens_generated={tokens_generated} exceeds "
+                f"max_new_tokens={max_new_tokens}")
+        return tuple.__new__(cls, (prompt_tokens, max_new_tokens,
+                                   session_key, priority, trace_id,
+                                   trace_parent, prefill_done,
+                                   tokens_generated))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[Any]) -> RequestSpec:
+        return cls(*iterable)
 
 
 @dataclass(frozen=True, slots=True)

@@ -35,6 +35,38 @@ def test_spec_validation():
         SloSpec(window=-1.0)
 
 
+#: RequestRecord's fields in constructor order; positional callers (the
+#: session tests' stub server) rely on it.
+RECORD_FIELDS = ("tenant", "submitted", "completed", "ttft", "latency",
+                 "prompt_tokens", "output_tokens", "ok", "error", "session",
+                 "turn", "cached_tokens", "path", "kv_transfer_s")
+
+
+def test_record_field_order_and_positional_construction():
+    assert RequestRecord._fields == RECORD_FIELDS
+    values = ("t", 1.0, 3.0, 0.25, 2.0, 50, 7, False, "boom", "s1", 2, 16,
+              "disagg", 0.125)
+    by_position = RequestRecord(*values)
+    assert by_position == RequestRecord(**dict(zip(RECORD_FIELDS, values)))
+    assert [getattr(by_position, name) for name in RECORD_FIELDS] == \
+        list(values)
+    assert RequestRecord("t", 0.0, 1.0, ttft=0.1, latency=1.0) == \
+        RequestRecord(tenant="t", submitted=0.0, completed=1.0, ttft=0.1,
+                      latency=1.0, prompt_tokens=0, output_tokens=0,
+                      ok=True, error="", session="", turn=0,
+                      cached_tokens=0, path="unified", kv_transfer_s=0.0)
+
+
+def test_record_rejects_every_attribute_assignment_and_has_no_dict():
+    record = _record(1.0)
+    for name in RECORD_FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert not hasattr(record, "__dict__")
+
+
 def test_good_and_bad_requests_counted(tracker):
     kernel, slo = tracker
     slo.note_submitted(4)

@@ -3,6 +3,7 @@ agreement, snapshot cost independence, and streaming-vs-exact equality."""
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
 
 import pytest
@@ -119,11 +120,23 @@ class _NoIterDeque(deque):
         raise AssertionError("snapshot() iterated the window")
 
 
+class _NoIterArray(array):
+    """The window's packed key column, forbidding iteration/copies."""
+
+    def __iter__(self):
+        raise AssertionError("snapshot() iterated the window keys")
+
+    def __reversed__(self):
+        raise AssertionError("snapshot() iterated the window keys")
+
+
 def test_snapshot_never_iterates_the_window():
     """The O(1) contract: snapshot() reads running aggregates only —
-    it must not materialize, scan, or sort the window."""
+    it must not materialize, scan, or sort the window (its records or
+    its key column)."""
     kernel, slo = _tracker(window=1000.0)
     slo._window = _NoIterDeque()
+    slo._wkeys = _NoIterArray(slo._wkeys.typecode)
     kernel.now = 500.0
     for i in range(200):
         slo.observe(_record(float(i), ttft=0.1 + i * 0.001))
@@ -134,7 +147,9 @@ def test_snapshot_never_iterates_the_window():
 
 def test_snapshot_work_is_independent_of_total_observed():
     """Operation-count harness: estimator update counts scale with the
-    *window*, not the run; snapshot() adds zero estimator updates."""
+    *window*, not the run; snapshot() adds zero estimator updates.  The
+    tracker buckets each value once and updates through the index-level
+    ``add_at``/``remove_at``, so those are what is counted."""
     from repro.obs.stats import LogHistogram
 
     calls = {"add": 0, "remove": 0}
@@ -142,13 +157,13 @@ def test_snapshot_work_is_independent_of_total_observed():
     class CountingHistogram(LogHistogram):
         __slots__ = ()
 
-        def add(self, value):
+        def add_at(self, idx):
             calls["add"] += 1
-            super().add(value)
+            super().add_at(idx)
 
-        def remove(self, value):
+        def remove_at(self, idx):
             calls["remove"] += 1
-            super().remove(value)
+            super().remove_at(idx)
 
     kernel, slo = _tracker(window=10.0)
     slo._w_ttft = CountingHistogram()

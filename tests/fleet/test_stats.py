@@ -45,6 +45,22 @@ def test_remove_without_add_raises():
     hist.add(1.0)
     with pytest.raises(ConfigurationError):
         hist.remove(100.0)
+    with pytest.raises(ConfigurationError):
+        hist.remove_at(hist._index(100.0))
+    assert len(hist) == 1
+
+
+def test_index_level_updates_match_value_updates():
+    by_value, by_index = LogHistogram(), LogHistogram()
+    values = (0.0, 1e-4, 1e-3, 0.5, 2.0, 1e5, 1e9)
+    for v in values:
+        by_value.add(v)
+        by_index.add_at(by_index._index(v))
+    assert by_value._counts == by_index._counts
+    assert len(by_value) == len(by_index) == len(values)
+    by_value.remove(0.5)
+    by_index.remove_at(by_index._index(0.5))
+    assert by_value._counts == by_index._counts
 
 
 def test_underflow_and_overflow_representatives():

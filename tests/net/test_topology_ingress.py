@@ -70,6 +70,33 @@ def test_zone_route_override(kernel):
     assert fab.vertex_path("hops01", "s3") == ["hops01", "spine", "s3"]
 
 
+def test_latency_hop_memo_follows_every_path_change(kernel):
+    """``latency`` memoises hop counts; each route, link, partition or
+    heal must be seen exactly as a fresh resolution would see it."""
+    fab = _site(kernel)
+
+    def fresh():
+        return (fab.base_latency * fab.latency_factor
+                * max(1, len(fab._resolve_path("hops01", "s3")) - 1))
+
+    assert fab.latency("hops01", "s3") == fresh() == 2 * fab.base_latency
+    fab.connect("hops01", "campus", gbps(10))
+    fab.add_route("hops01", "s3", via=["hops01", "campus", "spine", "s3"])
+    assert fab.latency("hops01", "s3") == fresh() == 3 * fab.base_latency
+    fab.set_latency_factor(2.5)
+    assert fab.latency("hops01", "s3") == fresh()
+    fab.remove_route("hops01", "s3")
+    assert fab.latency("hops01", "s3") == fresh()
+    fab.partition_host("s3")
+    with pytest.raises(NetworkUnreachable):
+        fab.latency("hops01", "s3")
+    fab.heal_host("s3")
+    assert fab.latency("hops01", "s3") == fresh()
+    fab.connect("hops01", "s3", gbps(10))
+    assert fab.latency("hops01", "s3") == fresh() == 2.5 * fab.base_latency
+    assert fab.latency("s3", "s3") == 2.5 * fab.base_latency
+
+
 def test_unreachable_host_raises(kernel):
     fab = _site(kernel)
     fab.add_host("island", zone="nowhere")

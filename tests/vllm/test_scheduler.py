@@ -89,9 +89,20 @@ def test_only_fcfs_supports_coalescing():
 
 def test_engine_queues_are_scheduler_views(kernel):
     engine = _engine(kernel)
-    assert engine.waiting is engine.scheduler.waiting
-    assert engine.running is engine.scheduler.running
+    waiting, running = engine.waiting, engine.running
+    assert waiting is engine.scheduler.waiting
+    assert running is engine.scheduler.running
     assert isinstance(engine.scheduler, Scheduler)
+    # Plain aliases, so neither side may ever rebind: still the same
+    # objects after requests queued, ran and finished, and after a
+    # failure cleared both queues.
+    reqs = [engine.submit(RequestSpec(64, 40)) for _ in range(6)]
+    kernel.run(until=kernel.all_of([r.done for r in reqs]))
+    engine.submit(RequestSpec(64, 40))
+    engine._fail_outstanding(RuntimeError("queues cleared"))
+    assert not waiting and not running
+    for obj in (engine, engine.scheduler):
+        assert obj.waiting is waiting and obj.running is running
 
 
 def test_priority_equal_classes_is_bit_identical_to_fcfs():
