@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
 from repro.campaign.runner import run_cell
-from repro.fleet import AutoscalerConfig, DisaggSpec, SloSpec
+from repro.fleet import AutoscalerConfig, DisaggSpec, Fleet, SloSpec
 
 MODEL = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
@@ -49,7 +49,7 @@ def _serve(spec: ScenarioSpec):
     percentiles, paths block) is in reach — run_cell rows carry only
     the scorecard columns."""
     site = spec.build_site()
-    fleet = spec.build_fleet(site)
+    fleet = Fleet(site, spec)
     schedule = spec.schedule.build()
 
     def scenario(env):

@@ -47,6 +47,7 @@ import time
 import tracemalloc
 
 from repro.campaign.runner import demo_grid, play, run_cell
+from repro.fleet import Fleet
 from repro.obs.alerts import AlertEvaluator
 from repro.obs.critical_path import CriticalPathAnalyzer
 
@@ -89,9 +90,8 @@ def _timed_day(enabled: bool) -> float:
     kernel = site.kernel
     if not enabled:
         kernel.obs.disable()
-    fleet = spec.build_fleet(site)
-    fleet.config = dataclasses.replace(
-        fleet.config, scrape_interval=0.0, obs_report=False)
+    fleet = Fleet(site, dataclasses.replace(spec, scrape_interval=0.0),
+                  obs_report=False)
     schedule = spec.schedule.build()
     mix = spec.build_mix(kernel)
 
@@ -198,8 +198,7 @@ def _full_obs_day():
     spec = _cell_spec()
     site = spec.build_site()
     kernel = site.kernel
-    fleet = spec.build_fleet(site)
-    fleet.config = dataclasses.replace(fleet.config, obs_report=False)
+    fleet = Fleet(site, spec, obs_report=False)
     schedule = spec.schedule.build()
     mix = spec.build_mix(kernel)
 

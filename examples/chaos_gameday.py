@@ -25,10 +25,10 @@ Run:  python examples/chaos_gameday.py
 
 from __future__ import annotations
 
+from repro.campaign import ScenarioSpec
 from repro.chaos import ChaosOrchestrator, catalog
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, Fleet, FleetConfig,
-                         PoissonSchedule, SloSpec)
+from repro.fleet import AutoscalerConfig, Fleet, PoissonSchedule, SloSpec
 from repro.units import fmt_duration
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
@@ -41,7 +41,7 @@ def main() -> None:
                              goodall_nodes=5, cee_nodes=2)
     kernel = site.kernel
 
-    fleet = Fleet(site, FleetConfig(
+    fleet = Fleet(site, ScenarioSpec(
         model=QUANT,
         tensor_parallel_size=2,
         platforms=("hops", "goodall"),

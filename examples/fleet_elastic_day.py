@@ -18,10 +18,10 @@ Run:  python examples/fleet_elastic_day.py
 
 from __future__ import annotations
 
+from repro.campaign import ScenarioSpec
 from repro.core import build_sandia_site
 from repro.fleet import (AutoscalerConfig, DiurnalSchedule, Fleet,
-                         FleetConfig, FlashCrowdSchedule, SloSpec, Tenant,
-                         TenantMix)
+                         FlashCrowdSchedule, SloSpec, Tenant, TenantMix)
 from repro.units import fmt_duration
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
@@ -34,7 +34,7 @@ def main() -> None:
                              goodall_nodes=4, cee_nodes=2)
     kernel = site.kernel
 
-    config = FleetConfig(
+    spec = ScenarioSpec(
         model=QUANT,
         tensor_parallel_size=2,
         platforms=("hops", "goodall"),      # CUDA HPC + OpenShift
@@ -44,7 +44,7 @@ def main() -> None:
             min_replicas=1, max_replicas=4, target_outstanding=8.0,
             up_cooldown=120.0, down_cooldown=600.0, low_streak=5),
     )
-    fleet = Fleet(site, config)
+    fleet = Fleet(site, spec)
 
     # Quiet nights around 0.03 req/s, afternoons around 0.2 req/s, and a
     # 30-minute 14:00 flash crowd at ~80x the instantaneous rate — far

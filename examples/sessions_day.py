@@ -24,7 +24,7 @@ Run:  python examples/sessions_day.py
 from __future__ import annotations
 
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
-from repro.fleet import AutoscalerConfig, SloSpec
+from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 from repro.sessions import SessionSpec
 from repro.units import fmt_duration
 
@@ -57,7 +57,7 @@ def build_spec(prefix_caching: bool) -> ScenarioSpec:
 def run_day(prefix_caching: bool):
     spec = build_spec(prefix_caching)
     site = spec.build_site()
-    fleet = spec.build_fleet(site)
+    fleet = Fleet(site, spec)
     schedule = spec.schedule.build()
 
     def scenario(env):

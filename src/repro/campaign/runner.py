@@ -27,6 +27,7 @@ from typing import Any
 from ..errors import ConfigurationError
 from ..experiments.common import canonical_json_text
 from ..fleet.autoscaler import AutoscalerConfig
+from ..fleet.fleet import Fleet
 from ..fleet.slo import SloSpec
 from .spec import (ChaosEventSpec, ScenarioSpec, ScheduleSpec, SiteSpec,
                    _load_text, set_path)
@@ -143,7 +144,7 @@ def play(spec: ScenarioSpec, observability: bool = True):
     kernel = site.kernel
     if not observability:
         kernel.obs.disable()
-    fleet = spec.build_fleet(site)
+    fleet = Fleet(site, spec)
     schedule = spec.schedule.build()
     mix = spec.build_mix(kernel)
     sessions = spec.sessions if spec.sessions.enabled else None
@@ -158,13 +159,9 @@ def play(spec: ScenarioSpec, observability: bool = True):
         # The chaos stack loads only for chaos cells.
         from ..chaos.orchestrator import ChaosOrchestrator
         from ..chaos.scenarios import catalog
-        from ..chaos.supervisor import SupervisorConfig
 
         by_name = {s.name: s for s in catalog()}
-        orchestrator = ChaosOrchestrator(
-            fleet,
-            supervisor=SupervisorConfig(interval=spec.supervisor_interval),
-            probe_interval=spec.probe_interval)
+        orchestrator = ChaosOrchestrator(fleet)
         if len(spec.chaos) == 1:
             event = spec.chaos[0]
             report, _res = yield from orchestrator.run_case(

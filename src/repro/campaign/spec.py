@@ -4,8 +4,9 @@ A :class:`ScenarioSpec` composes everything the stack can already do —
 site topology, replica platforms, traffic schedule (Poisson / diurnal /
 flash-crowd overlay + tenant mix), autoscaler policy, a list of chaos
 injections, horizon, and seed — into a single frozen dataclass.  The
-spec is the *only* input a campaign cell needs: ``build_site()`` /
-``build_fleet()`` / ``schedule.build()`` turn it into live objects, and
+spec is the *only* input a campaign cell needs: ``build_site()`` and
+``schedule.build()`` turn it into live objects, ``Fleet(site, spec)``
+reads its fleet, supervisor and probe settings straight from it, and
 ``spec_hash()`` canonically fingerprints it, so two processes holding
 equal specs provably simulate the same cell.
 
@@ -23,6 +24,7 @@ import pathlib
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, TypeVar
 
+from ..core.site import PLATFORM_KINDS
 from ..errors import ConfigurationError
 from ..fleet.autoscaler import AutoscalerConfig
 from ..fleet.fleet import DisaggSpec
@@ -30,12 +32,12 @@ from ..fleet.slo import SloSpec
 from ..fleet.traffic import (DAY, ArrivalSchedule, DiurnalSchedule,
                              FlashCrowdSchedule, PoissonSchedule,
                              PulseSchedule, Tenant, TenantMix)
+from ..services.router import RouterPolicy
 from ..sessions.spec import SessionSpec
 from ..vllm.scheduler import SCHEDULER_POLICIES
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.site import ConvergedSite
-    from ..fleet.fleet import Fleet
     from ..simkernel import SimKernel
 
 _T = TypeVar("_T")
@@ -224,6 +226,19 @@ class ScenarioSpec:
             if (isinstance(value, dict) and isinstance(kind, type)
                     and dataclasses.is_dataclass(kind)):
                 object.__setattr__(self, f.name, _make(kind, value, f.name))
+        # Validated, but kept as the plain string: spec_hash() reads it.
+        object.__setattr__(self, "policy",
+                           RouterPolicy.coerce(self.policy).value)
+        unknown = [p for p in self.platforms if p not in PLATFORM_KINDS]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown platforms {unknown} (site has "
+                f"{list(PLATFORM_KINDS)})")
+        hpc = [p for p, kind in PLATFORM_KINDS.items() if kind == "hpc"]
+        if self.router_platform not in hpc:
+            raise ConfigurationError(
+                f"router_platform {self.router_platform!r} must be one of "
+                f"the HPC platforms {hpc}: the router runs podman-side")
         if self.scheduler_policy not in SCHEDULER_POLICIES:
             raise ConfigurationError(
                 f"unknown scheduler_policy {self.scheduler_policy!r} "
@@ -297,33 +312,6 @@ class ScenarioSpec:
             eldorado_nodes=self.site.eldorado_nodes,
             goodall_nodes=self.site.goodall_nodes,
             cee_nodes=self.site.cee_nodes)
-
-    def build_fleet(self, site: ConvergedSite) -> Fleet:
-        from ..fleet.fleet import Fleet, FleetConfig
-        # Non-default engine knobs only: the rendered `vllm serve`
-        # command (and so every deployment artifact) stays byte-stable
-        # for specs that do not touch them.
-        engine_params: dict = {}
-        if self.sessions.enabled and self.sessions.prefix_caching:
-            engine_params["enable_prefix_caching"] = True
-        if self.gpu_memory_utilization != 0.90:
-            engine_params["gpu_memory_utilization"] = \
-                self.gpu_memory_utilization
-        if self.scheduler_policy != "fcfs":
-            engine_params["scheduler_policy"] = self.scheduler_policy
-        config = FleetConfig(
-            model=self.model,
-            tensor_parallel_size=self.tensor_parallel_size,
-            platforms=self.platforms,
-            router_platform=self.router_platform,
-            policy=self.policy,
-            slo=self.slo,
-            autoscaler=self.autoscaler,
-            engine_params=engine_params,
-            scrape_interval=self.scrape_interval,
-            disagg=self.disagg,
-            fast_forward=self.fast_forward)
-        return Fleet(site, config)
 
     def build_mix(self, kernel: SimKernel) -> TenantMix | None:
         """The declared tenant mix, or ``None`` for the fleet default."""

@@ -16,7 +16,7 @@ from .orchestrator import ChaosOrchestrator, ResilienceReport
 from .runner import (PLATFORM_FLEETS, case_spec, run_case, run_matrix,
                      scorecard_text)
 from .scenarios import CATALOG, ChaosContext, ChaosScenario, catalog
-from .supervisor import RepairEvent, ReplicaSupervisor, SupervisorConfig
+from .supervisor import RepairEvent, ReplicaSupervisor
 
 __all__ = [
     "CATALOG",
@@ -27,7 +27,6 @@ __all__ = [
     "RepairEvent",
     "ReplicaSupervisor",
     "ResilienceReport",
-    "SupervisorConfig",
     "case_spec",
     "catalog",
     "run_case",

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 from ..errors import ConfigurationError, StateError
 from ..obs.incident import IncidentLog
 from .scenarios import ChaosContext, ChaosScenario
-from .supervisor import ReplicaSupervisor, SupervisorConfig
+from .supervisor import ReplicaSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fleet import Fleet, FleetReport
@@ -137,16 +137,16 @@ SEGMENT_KEYS = frozenset({
 
 
 class ChaosOrchestrator:
-    """Binds a fleet to the supervisor, a probe loop, and fault plans."""
+    """Binds a fleet to the supervisor, a probe loop, and fault plans.
 
-    def __init__(self, fleet: Fleet,
-                 supervisor: SupervisorConfig | None = None,
-                 probe_interval: float = 15.0):
+    Both cadences come from the fleet's spec: ``supervisor_interval``
+    for the supervisor's sweeps, ``probe_interval`` for the probes.
+    """
+
+    def __init__(self, fleet: Fleet):
         self.fleet = fleet
         self.kernel = fleet.kernel
-        self.supervisor = fleet.supervisor = ReplicaSupervisor(fleet,
-                                                               supervisor)
-        self.probe_interval = probe_interval
+        self.supervisor = fleet.supervisor = ReplicaSupervisor(fleet)
         self.probes: list[Probe] = []
 
     # -- probes -----------------------------------------------------------------
@@ -172,7 +172,8 @@ class ChaosOrchestrator:
         """Probe every ``probe_interval``; a skipped probe reads the
         infrastructure as it stands and a drained, so met, SLO window."""
         while (yield from self.fleet.ff.wait_tick(
-                self.probe_interval, stop_event, idle=self._probe_idle)):
+                self.fleet.spec.probe_interval, stop_event,
+                idle=self._probe_idle)):
             self._probe_once()
 
     def _probe_idle(self, ticks: list[float]) -> None:
@@ -235,7 +236,7 @@ class ChaosOrchestrator:
         kernel = self.kernel
         self.probes = []
         self.supervisor.reset()
-        platform_name = platform_name or fleet.config.platforms[0]
+        platform_name = platform_name or fleet.spec.platforms[0]
         start = kernel.now
         injections: list[dict] = []
 

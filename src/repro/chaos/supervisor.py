@@ -15,29 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError, ReproError, StateError
+from ..errors import ReproError, StateError
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fleet.fleet import Fleet
     from ..simkernel import Event
 
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Cron cadence and patience.
-
-    ``replace_after`` is how long a K8s replica may sit not-ready
-    (CrashLoopBackOff, ImagePullBackOff, rescheduling) before the
-    supervisor gives up on self-healing and redeploys the release.
-    """
-
-    interval: float = 30.0
-    replace_after: float = 1200.0
-
-    def __post_init__(self):
-        if self.interval <= 0 or self.replace_after <= 0:
-            raise ConfigurationError(
-                "supervisor interval and replace_after must be positive")
+#: How long a K8s replica may sit not-ready (CrashLoopBackOff,
+#: ImagePullBackOff, rescheduling) before the supervisor gives up on
+#: self-healing and redeploys the release.
+REPLACE_AFTER = 1200.0
 
 
 @dataclass
@@ -56,12 +43,11 @@ class RepairEvent:
 
 
 class ReplicaSupervisor:
-    """Periodic health sweep over a fleet's replicas."""
+    """Periodic health sweep over a fleet's replicas, every
+    ``fleet.spec.supervisor_interval`` simulated seconds."""
 
-    def __init__(self, fleet: Fleet,
-                 config: SupervisorConfig | None = None):
+    def __init__(self, fleet: Fleet):
         self.fleet = fleet
-        self.config = config or SupervisorConfig()
         self.kernel = fleet.kernel
         self.events: list[RepairEvent] = []
         self.deficit = 0      # replicas discarded but not yet replaced
@@ -82,10 +68,11 @@ class ReplicaSupervisor:
     # -- control loop -----------------------------------------------------------
 
     def run(self, stop_event: Event):
-        """Generator process: sweep every ``interval`` until stopped;
-        a sweep quiet-play skips has an empty body (all replicas ok)."""
-        while (yield from self.fleet.ff.wait_tick(self.config.interval,
-                                                  stop_event)):
+        """Generator process: sweep every ``supervisor_interval`` until
+        stopped; a sweep quiet-play skips has an empty body (all
+        replicas ok)."""
+        while (yield from self.fleet.ff.wait_tick(
+                self.fleet.spec.supervisor_interval, stop_event)):
             yield from self._sweep()
 
     def _sweep(self):
@@ -104,8 +91,7 @@ class ReplicaSupervisor:
                                                      self.kernel.now)
             if status == "dead":
                 yield from self._replace(replica, detail)
-            elif (self.kernel.now - first
-                    >= self.config.replace_after):
+            elif self.kernel.now - first >= REPLACE_AFTER:
                 yield from self._replace(
                     replica, f"not ready for "
                     f"{self.kernel.now - first:.0f}s ({detail})")

@@ -39,6 +39,11 @@ from ..units import GiB, gbps
 #: Default access token granted for gated model downloads.
 HF_TOKEN = "hf_sandia_demo_token"
 S3_KEY, S3_SECRET = "AKIA_SANDIA", "s3-secret-demo"
+#: The site's platforms by name, each with its kind (``hpc`` runs
+#: Slurm/Flux plus podman, ``k8s`` runs OpenShift): the one list
+#: :class:`ConvergedSite` resolves names against and specs validate by.
+PLATFORM_KINDS = {"hops": "hpc", "eldorado": "hpc", "goodall": "k8s",
+                  "cee": "k8s"}
 
 
 @dataclass
@@ -60,20 +65,16 @@ class ConvergedSite:
     s3_env: dict[str, str] = field(default_factory=dict)
 
     def platform(self, name: str):
-        mapping = {"hops": self.hops, "eldorado": self.eldorado,
-                   "goodall": self.goodall, "cee": self.cee}
-        try:
-            return mapping[name]
-        except KeyError:
+        if name not in PLATFORM_KINDS:
             from ..errors import NotFoundError
             raise NotFoundError(
-                f"unknown platform {name!r}; site has {sorted(mapping)}"
-            ) from None
+                f"unknown platform {name!r}; site has "
+                f"{sorted(PLATFORM_KINDS)}")
+        return getattr(self, name)
 
     @property
     def platforms(self) -> dict[str, object]:
-        return {"hops": self.hops, "eldorado": self.eldorado,
-                "goodall": self.goodall, "cee": self.cee}
+        return {name: getattr(self, name) for name in PLATFORM_KINDS}
 
 
 def _hpc_node_spec(name: str, gpu_name: str, mem_gib: int = 768) -> NodeSpec:
@@ -222,7 +223,7 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
             "AWS_REQUEST_CHECKSUM_CALCULATION": "when_required",
             "AWS_MAX_ATTEMPTS": "10",
         })
-    kernel.trace.emit("site.built", platforms=sorted(site.platforms))
+    kernel.trace.emit("site.built", platforms=sorted(PLATFORM_KINDS))
     return site
 
 

@@ -10,7 +10,7 @@ handle that ties them together behind one ``run_scenario()`` call.
 """
 
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent
-from .fleet import DisaggSpec, Fleet, FleetConfig, Replica
+from .fleet import DisaggSpec, Fleet, Replica
 from .report import FleetReport
 from .slo import (RequestRecord, SloReport, SloSnapshot, SloSpec,
                   SloTracker, TenantStats)
@@ -25,7 +25,6 @@ __all__ = [
     "DiurnalSchedule",
     "FlashCrowdSchedule",
     "Fleet",
-    "FleetConfig",
     "FleetReport",
     "PoissonSchedule",
     "Replica",

@@ -22,7 +22,7 @@ hosts directly (the converged-site advantage the paper describes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..cluster.platform import HPCPlatform, K8sPlatform
@@ -36,16 +36,16 @@ from ..net.http import HttpClient, lookup
 from ..obs.alerts import AlertEvaluator, default_slo_rules
 from ..obs.critical_path import CriticalPathAnalyzer
 from ..obs.scrape import MetricsScraper
-from ..services.router import (LlmRouter, RouterConfig, RouterPolicy,
-                               router_image)
+from ..services.router import LlmRouter, RouterConfig, router_image
 from ..vllm.spec import CompletionCall
-from .autoscaler import Autoscaler, AutoscalerConfig
+from .autoscaler import Autoscaler
 from .governor import FleetFastForward
 from .report import FleetReport
-from .slo import RequestRecord, SloSnapshot, SloSpec, SloTracker
+from .slo import RequestRecord, SloSnapshot, SloTracker
 from .traffic import ArrivalSchedule, TenantMix, TrafficGenerator
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..campaign.spec import ScenarioSpec
     from ..chaos.supervisor import ReplicaSupervisor
     from ..core.site import ConvergedSite
     from ..hardware.node import Node
@@ -80,51 +80,6 @@ class DisaggSpec:
                 "disagg needs at least one prefill replica")
 
 
-@dataclass(frozen=True)
-class FleetConfig:
-    """What to serve, where replicas may land, and how hard to defend SLOs."""
-
-    model: str
-    tensor_parallel_size: int = 2
-    platforms: tuple[str, ...] = ("hops",)
-    router_platform: str = "hops"
-    router_port: int = 4000
-    policy: str = "least-outstanding"
-    slo: SloSpec = field(default_factory=SloSpec)
-    autoscaler: AutoscalerConfig = field(default_factory=AutoscalerConfig)
-    client_host: str = ""            # default: router platform service host
-    #: extra ``vllm serve`` parameters applied to every replica deploy
-    #: (e.g. ``{"enable_prefix_caching": True}`` for session fleets, or
-    #: ``gpu_memory_utilization`` to sweep the KV-cache size).
-    engine_params: dict = field(default_factory=dict)
-    #: simulated seconds between metrics scrapes (0 disables the
-    #: scraper).  Each scrape is followed by an evaluation of the stock
-    #: :func:`~repro.obs.alerts.default_slo_rules`; the firing timeline
-    #: and its digest land in ``FleetReport.obs``.
-    scrape_interval: float = 300.0
-    #: build the end-of-run ``FleetReport.obs`` block (series counts,
-    #: span/metrics/scrape digests).  Off, recording still happens but
-    #: the one-shot reporting pass is skipped — overhead benches use
-    #: this to time the serving day alone.
-    obs_report: bool = True
-    #: disaggregated prefill/decode serving (off by default: every
-    #: replica is a unified engine serving whole requests).
-    disagg: DisaggSpec = field(default_factory=DisaggSpec)
-    #: fleet quiet-play: while the fleet is provably idle, the periodic
-    #: loops (autoscaler, SLO monitor, telemetry, router health checks,
-    #: and under chaos the supervisor and the probes) skip their ticks
-    #: through one governor,
-    #: :class:`~repro.fleet.governor.FleetFastForward`.  Bit-identical
-    #: to stepping for every traffic kind and chaos fault (see
-    #: docs/performance.md).  False makes every loop step.
-    fast_forward: bool = True
-
-    def __post_init__(self):
-        # Fail on an unknown policy where the config is built, not at
-        # router-container start deep inside a scenario.
-        RouterPolicy.coerce(self.policy)
-
-
 @dataclass
 class Replica:
     """One running vLLM backend owned by the fleet."""
@@ -144,15 +99,39 @@ class Replica:
 
 
 class Fleet:
-    """Deployments + router + autoscaler + SLO tracker, one lifecycle."""
+    """Deployments + router + autoscaler + SLO tracker, one lifecycle.
 
-    def __init__(self, site: ConvergedSite, config: FleetConfig):
+    ``spec`` is the fleet's one declaration: model, placement, router
+    policy, SLO, autoscaler, scrape cadence, disagg shape, quiet-play
+    (``fast_forward``) and engine knobs, plus the chaos supervisor's and
+    probes' cadences, are all read from it.  ``obs_report=False`` skips
+    the end-of-run ``FleetReport.obs`` pass (recording still happens),
+    so an overhead bench times the serving day alone.
+    """
+
+    def __init__(self, site: ConvergedSite, spec: ScenarioSpec,
+                 obs_report: bool = True):
         self.site = site
-        self.config = config
+        self.spec = spec
+        self.obs_report = obs_report
         self.kernel = site.kernel
         self.wf = CaseStudyWorkflow(site)
-        self.slo = SloTracker(site.kernel, config.slo)
-        self.autoscaler = Autoscaler(self, config.autoscaler)
+        self.router_config = RouterConfig(policy=spec.policy,
+                                          disagg=spec.disagg.enabled)
+        # Extra ``vllm serve`` parameters for every replica: non-default
+        # knobs only, in this order, so the rendered command (and every
+        # deployment artifact) stays byte-stable for specs that do not
+        # touch them.
+        self._engine_params: dict = {}
+        if spec.sessions.enabled and spec.sessions.prefix_caching:
+            self._engine_params["enable_prefix_caching"] = True
+        if spec.gpu_memory_utilization != 0.90:
+            self._engine_params["gpu_memory_utilization"] = \
+                spec.gpu_memory_utilization
+        if spec.scheduler_policy != "fcfs":
+            self._engine_params["scheduler_policy"] = spec.scheduler_policy
+        self.slo = SloTracker(site.kernel, spec.slo)
+        self.autoscaler = Autoscaler(self, spec.autoscaler)
         self.ff = FleetFastForward(self)
         #: chaos replica supervisor, if bound; a deficit bars quiet-play
         self.supervisor: ReplicaSupervisor | None = None
@@ -222,42 +201,38 @@ class Fleet:
     def start(self, initial_replicas: int = 1):
         """Generator: seed artifacts, deploy replicas, start the router.
 
-        Under a disagg config ``initial_replicas`` sizes the *decode*
-        pool; the prefill pool is ``config.disagg.prefill_replicas``.
+        Under a disagg spec ``initial_replicas`` sizes the *decode*
+        pool; the prefill pool is ``spec.disagg.prefill_replicas``.
         """
         self._seed()
-        if self.config.disagg.enabled:
+        if self.spec.disagg.enabled:
             yield from self.add_replicas(
-                self.config.disagg.prefill_replicas, role="prefill")
+                self.spec.disagg.prefill_replicas, role="prefill")
             yield from self.add_replicas(initial_replicas, role="decode")
         else:
             yield from self.add_replicas(initial_replicas)
         yield from self._start_router()
-        client_host = (self.config.client_host
-                       or self._router_platform().service_host)
-        self._client = HttpClient(self.site.fabric, client_host)
+        self._client = HttpClient(self.site.fabric,
+                                  self._router_platform().service_host)
         self.kernel.trace.emit(
             "fleet.started", replicas=len(self.replicas),
-            router=f"{self.router_host}:{self.config.router_port}")
+            router=f"{self.router_host}:{self.router_config.port}")
 
     def _router_platform(self) -> HPCPlatform:
-        platform = self.site.platform(self.config.router_platform)
-        if not isinstance(platform, HPCPlatform):
-            raise StateError("the router runs podman-side; pick an HPC "
-                             f"platform, not {self.config.router_platform!r}")
-        return platform
+        # The spec admits only HPC router platforms.
+        return self.site.platform(self.spec.router_platform)
 
     def _seed(self) -> None:
         if self._seeded:
             return
         self.site.gitlab.seed(router_image())
         seeded_s3 = False
-        for name in self.config.platforms:
+        for name in self.spec.platforms:
             platform = self.site.platform(name)
             if isinstance(platform, HPCPlatform):
-                self.wf.admin_seed_model(self.config.model, name)
+                self.wf.admin_seed_model(self.spec.model, name)
             elif not seeded_s3:
-                self.wf.admin_seed_s3(self.config.model)
+                self.wf.admin_seed_s3(self.spec.model)
                 seeded_s3 = True
         self._seeded = True
 
@@ -266,12 +241,9 @@ class Fleet:
         node = self._router_node(platform)
         backends = ",".join(f"{r.backend_host}:{r.backend_port}:{r.role}"
                             for r in self.replicas)
-        router_config = RouterConfig(policy=self.config.policy,
-                                     port=self.config.router_port,
-                                     disagg=self.config.disagg.enabled)
         opts = RunOpts(name="llm-router", network_host=True,
                        env={"BACKENDS": backends,
-                            **router_config.to_env()})
+                            **self.router_config.to_env()})
         container = yield from platform.podman.run(
             node, router_image().ref, opts)
         yield container.ready
@@ -284,14 +256,14 @@ class Fleet:
         # keeps GPU nodes clear of the router.
         for node in reversed(platform.nodes):
             if node.up and lookup(self.site.fabric, node.hostname,
-                                  self.config.router_port) is None:
+                                  self.router_config.port) is None:
                 return node
         raise StateError(f"no node on {platform.name!r} can host the router")
 
     # -- capacity ---------------------------------------------------------------
 
     def _free_slots(self, platform) -> int:
-        tp = self.config.tensor_parallel_size
+        tp = self.spec.tensor_parallel_size
         if isinstance(platform, HPCPlatform):
             slots = 0
             for node in platform.nodes:
@@ -317,7 +289,7 @@ class Fleet:
                                      | None = None):
         """Next placement target, discounting slots already promised to
         other replicas of the same batch (``reserved``)."""
-        names = self.config.platforms
+        names = self.spec.platforms
         reserved = reserved or {}
         for offset in range(len(names)):
             name = names[(self._next_platform + offset) % len(names)]
@@ -328,7 +300,7 @@ class Fleet:
                 return platform
         raise StateError(
             f"no capacity left on any of {list(names)} for "
-            f"tp={self.config.tensor_parallel_size}")
+            f"tp={self.spec.tensor_parallel_size}")
 
     # -- replica lifecycle ------------------------------------------------------
 
@@ -342,13 +314,13 @@ class Fleet:
         deploy settles — successes are tracked and registered even when
         a sibling fails mid-flight, so no replica can leak untracked.
 
-        ``role`` defaults to ``decode`` under a disagg config (growth
+        ``role`` defaults to ``decode`` under a disagg spec (growth
         means decode capacity) and ``unified`` otherwise, so the
         autoscaler needs no disagg awareness.
         """
         kernel = self.kernel
         if role is None:
-            role = "decode" if self.config.disagg.enabled else "unified"
+            role = "decode" if self.spec.disagg.enabled else "unified"
         placements: list[tuple[object, str, "Node | None"]] = []
         reserved: dict[str, int] = {}
         reserved_nodes: set[str] = set()
@@ -364,7 +336,7 @@ class Fleet:
                 node = self.wf.deployer.pick_node(
                     platform,
                     {"tensor_parallel_size":
-                     self.config.tensor_parallel_size},
+                     self.spec.tensor_parallel_size},
                     service_port=self.wf.package.service_port,
                     exclude=reserved_nodes | self._pending_nodes)
                 reserved_nodes.add(node.hostname)
@@ -411,12 +383,12 @@ class Fleet:
 
     def _deploy_replica(self, platform, name: str, node=None,
                         role: str = "unified"):
-        extra = {**self.config.engine_params, "name": name}
+        extra = {**self._engine_params, "name": name}
         if role != "unified":
             extra["disagg_role"] = role
         deployment = yield from self.wf.deploy_model(
-            platform.name, self.config.model,
-            tensor_parallel_size=self.config.tensor_parallel_size,
+            platform.name, self.spec.model,
+            tensor_parallel_size=self.spec.tensor_parallel_size,
             node=node, extra_params=extra)
         if isinstance(platform, K8sPlatform):
             host, port = self._k8s_backend(platform, name)
@@ -502,12 +474,12 @@ class Fleet:
         """Generator: deregister, drain in-flight work, stop the replica.
 
         Returns the removed replica, or ``None`` when the fleet is already
-        at one replica (never scale to zero).  Under a disagg config
+        at one replica (never scale to zero).  Under a disagg spec
         only the decode pool shrinks — the prefill pool is fixed
         provisioning, so scale-down refuses prefill replicas and keeps
         at least one decode replica.
         """
-        if self.config.disagg.enabled:
+        if self.spec.disagg.enabled:
             pool = [r for r in self.replicas if r.role == "decode"]
             if len(pool) <= 1 or (replica is not None
                                   and replica.role != "decode"):
@@ -586,12 +558,12 @@ class Fleet:
         trace_id, root_sid = spans.reserve_trace()
         call = CompletionCall(
             prompt_tokens=prompt_tokens, max_tokens=output_tokens,
-            model=self.config.model, session=session, priority=priority,
+            model=self.spec.model, session=session, priority=priority,
             trace_id=trace_id, trace_parent=root_sid)
         client, router_host = self._client, self.router_host
         latency = self.site.fabric.latency
         try:
-            client.preflight(router_host, self.config.router_port)
+            client.preflight(router_host, self.router_config.port)
             yield kernel.timeout(latency(client.host, router_host))
             result = yield from self.router_app.route(call)
             yield kernel.timeout(latency(router_host, client.host))
@@ -658,7 +630,7 @@ class Fleet:
         if self._scenario_ran:
             # Fresh accounting per scenario; earlier FleetReports keep
             # their own (now detached) trackers and event lists.
-            self.slo = SloTracker(kernel, self.config.slo)
+            self.slo = SloTracker(kernel, self.spec.slo)
             self.autoscaler.reset()
             self.monitor = []
             self.replica_timeline = []
@@ -677,15 +649,15 @@ class Fleet:
         kernel.spawn(self.autoscaler.run(stop), name="fleet:autoscaler")
         kernel.spawn(self._monitor(stop), name="fleet:monitor")
         scraper = self.alerts = None
-        if self.config.scrape_interval > 0 and kernel.obs.registry.enabled:
+        if self.spec.scrape_interval > 0 and kernel.obs.registry.enabled:
             scraper = MetricsScraper(kernel, kernel.obs.registry,
-                                     self.config.scrape_interval)
-            slo = self.config.slo
+                                     self.spec.scrape_interval)
+            slo = self.spec.slo
             self.alerts = AlertEvaluator(kernel, scraper, default_slo_rules(
                 ttft_target=slo.ttft_target, e2e_target=slo.e2e_target,
                 max_error_rate=slo.max_error_rate,
                 percentile=slo.percentile, interval=scraper.interval,
-                min_replicas=self.config.autoscaler.min_replicas))
+                min_replicas=self.spec.autoscaler.min_replicas))
             kernel.spawn(self._telemetry(stop, scraper, self.alerts),
                          name="fleet:telemetry")
         started = kernel.now
@@ -696,7 +668,7 @@ class Fleet:
         stop.succeed()
         self._record(self.slo.snapshot())
         obs = None
-        if self.config.obs_report and (kernel.obs.registry.enabled
+        if self.obs_report and (kernel.obs.registry.enabled
                                        or kernel.obs.spans.enabled):
             if scraper is not None:
                 # Pin the end-of-run state, then close the loop on it:

@@ -33,7 +33,7 @@ class FleetFastForward:
     the loop's own stepped float chain, so the live tick lands on the
     exact instant stepping would have run it.
 
-    Everything here is advisory: with ``FleetConfig.fast_forward``
+    Everything here is advisory: with ``ScenarioSpec.fast_forward``
     False every loop steps.  A chaos fault ends quiet-play only through
     the state :meth:`quiet` reads.
     """
@@ -78,7 +78,7 @@ class FleetFastForward:
         and the SLO window drained empty — so nothing but a pending
         kernel entry can end the idleness.
         """
-        if not self.fleet.config.fast_forward:
+        if not self.fleet.spec.fast_forward:
             return False
         engines = self.engines()
         if not engines:

@@ -38,7 +38,7 @@ class RouterPolicy(str, Enum):
     """Load-balancing policies the router understands.
 
     Configs carry the enum, so an unknown policy fails where the
-    config is *built* (a ScenarioSpec, a FleetConfig) instead of at
+    config is *built* (a ScenarioSpec, a RouterConfig) instead of at
     container start deep inside a scenario.
     """
 

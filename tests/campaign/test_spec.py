@@ -10,6 +10,7 @@ from repro.campaign import (ChaosEventSpec, ScenarioSpec, ScheduleSpec,
                             SiteSpec, TenantSpec, coerce_chaos, get_path,
                             set_path)
 from repro.errors import ConfigurationError
+from repro.fleet import Fleet
 from repro.fleet.traffic import (DiurnalSchedule, FlashCrowdSchedule,
                                  PoissonSchedule)
 
@@ -137,10 +138,11 @@ def test_build_site_and_fleet_honour_spec():
         tensor_parallel_size=4)
     site = spec.build_site()
     assert len(site.platform("hops").nodes) == 3
-    fleet = spec.build_fleet(site)
-    assert fleet.config.policy == "round-robin"
-    assert fleet.config.tensor_parallel_size == 4
-    assert fleet.config.slo == spec.slo
+    fleet = Fleet(site, spec)
+    assert fleet.spec is spec
+    assert fleet.router_config.policy.value == "round-robin"
+    assert fleet.spec.tensor_parallel_size == 4
+    assert fleet.slo.spec == spec.slo
 
 
 def test_build_mix_default_and_tenants():

@@ -20,6 +20,7 @@ from repro.campaign import (CampaignGrid, ChaosEventSpec, ScenarioSpec,
 from repro.errors import ConfigurationError
 from repro.fleet import AutoscalerConfig, SloSpec
 from repro.fleet.fleet import DisaggSpec
+from repro.services.router import RouterPolicy
 from repro.sessions import SessionSpec
 
 BASE = ScenarioSpec(name="coerce", horizon=1800.0)
@@ -108,3 +109,36 @@ def test_a_dict_spelled_slo_runs():
     spec = set_path(ScenarioSpec(horizon=300.0), "slo", {"ttft_target": 3.0})
     row = run_cell(spec)
     assert row["errors"] == 0 and row["completed"] > 0
+
+
+#: ``(field, name the site does not have)``: each spec used to build
+#: fine and fail later, in ``build_fleet`` or mid-``play()``.
+BAD_NAMES = [
+    ("policy", "bogus"),
+    ("platforms", ("nope",)),
+    ("platforms", "nope"),
+    ("platforms", ["hops", "nope"]),
+    ("router_platform", "nope"),
+    ("router_platform", "goodall"),     # Kubernetes: no podman router
+    ("router_platform", "cee"),
+]
+
+
+@pytest.mark.parametrize("field,bad", BAD_NAMES,
+                         ids=[f"{f}-{i}" for i, (f, _b)
+                              in enumerate(BAD_NAMES)])
+def test_bad_fleet_name_fails_at_construction(field, bad):
+    for build in (lambda: ScenarioSpec(**{field: bad}),
+                  lambda: ScenarioSpec.from_dict({field: bad}),
+                  lambda: set_path(BASE, field, bad),
+                  lambda: CampaignGrid(base=BASE,
+                                       axes={field: [bad]}).expand()):
+        with pytest.raises(ConfigurationError, match=field):
+            build()
+
+
+def test_policy_is_validated_but_stored_as_the_plain_string():
+    typed = ScenarioSpec(policy=RouterPolicy.ROUND_ROBIN)
+    plain = ScenarioSpec(policy="round-robin")
+    assert type(typed.policy) is str
+    assert typed == plain and typed.spec_hash() == plain.spec_hash()

@@ -20,9 +20,9 @@ from hypothesis import strategies as st
 
 from repro.campaign import ChaosEventSpec
 from repro.campaign.spec import ScheduleSpec
-from repro.chaos import ChaosOrchestrator, SupervisorConfig, catalog
+from repro.chaos import ChaosOrchestrator, catalog
 from repro.chaos.runner import PLATFORM_FLEETS, case_spec
-from repro.fleet import AutoscalerConfig
+from repro.fleet import AutoscalerConfig, Fleet
 
 HORIZON = 2 * 3600.0
 #: Pulse traffic leaves quiet gaps long enough to skip ticks in.
@@ -40,12 +40,9 @@ def _run(spec, fast_forward: bool) -> tuple[dict, int]:
     """Play ``spec`` as a game day; returns the five outputs and the
     number of ticks the governor skipped."""
     spec = dataclasses.replace(spec, fast_forward=fast_forward)
-    fleet = spec.build_fleet(spec.build_site())
+    fleet = Fleet(spec.build_site(), spec)
     kernel = fleet.kernel
-    orchestrator = ChaosOrchestrator(
-        fleet,
-        supervisor=SupervisorConfig(interval=spec.supervisor_interval),
-        probe_interval=spec.probe_interval)
+    orchestrator = ChaosOrchestrator(fleet)
     by_name = {s.name: s for s in catalog()}
     plan = [(e.inject_at, by_name[e.scenario], e.fault_duration)
             for e in spec.chaos]

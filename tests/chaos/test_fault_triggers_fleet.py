@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import (ChaosOrchestrator, ReplicaSupervisor,
-                         SupervisorConfig)
+from repro.campaign import ScenarioSpec
+from repro.chaos import ChaosOrchestrator, ReplicaSupervisor
 from repro.chaos.scenarios import engine_of
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, Fleet, FleetConfig,
-                         PoissonSchedule, SloSpec)
+from repro.fleet import AutoscalerConfig, Fleet, PoissonSchedule, SloSpec
 from repro.vllm import faults
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
@@ -26,7 +25,7 @@ QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 def _fleet(seed=23):
     site = build_sandia_site(seed=seed, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
-    fleet = Fleet(site, FleetConfig(
+    fleet = Fleet(site, ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("hops",),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3)))
@@ -36,8 +35,7 @@ def _fleet(seed=23):
 def _run_trigger_scenario(site, fleet, arm):
     """Start, arm the trigger at t+300, run traffic, track recovery."""
     kernel = site.kernel
-    supervisor = ReplicaSupervisor(fleet,
-                                   SupervisorConfig(interval=30.0))
+    supervisor = ReplicaSupervisor(fleet)   # the spec's 30 s sweeps
     state = {}
 
     def scenario(env):

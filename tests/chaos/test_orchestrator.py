@@ -13,10 +13,10 @@ import dataclasses
 import pytest
 
 from repro.campaign import ChaosEventSpec, play
-from repro.chaos import ChaosOrchestrator, SupervisorConfig, catalog
+from repro.chaos import ChaosOrchestrator, catalog
 from repro.chaos.runner import PLATFORM_FLEETS, case_spec, run_case
 from repro.errors import ConfigurationError
-from repro.fleet import AutoscalerConfig
+from repro.fleet import AutoscalerConfig, Fleet
 
 #: Chaos cells here run half an hour, not the matrix's quick hour.
 HORIZON = 1800.0
@@ -42,11 +42,8 @@ SPEC = _chaos_spec("hops", ("node_crash", 600.0, 300.0))
 def _play(arm: str) -> tuple[str, dict]:
     spec = SPEC
     (event,) = spec.chaos
-    fleet = spec.build_fleet(spec.build_site())
-    orchestrator = ChaosOrchestrator(
-        fleet,
-        supervisor=SupervisorConfig(interval=spec.supervisor_interval),
-        probe_interval=spec.probe_interval)
+    fleet = Fleet(spec.build_site(), spec)
+    orchestrator = ChaosOrchestrator(fleet)
     (scenario,) = catalog(names=[event.scenario])
     schedule = spec.schedule.build()
 
@@ -110,7 +107,7 @@ def test_matrix_case_is_the_played_spec(name, kind):
 
 
 def test_gameday_needs_a_fault():
-    orchestrator = ChaosOrchestrator(SPEC.build_fleet(SPEC.build_site()))
+    orchestrator = ChaosOrchestrator(Fleet(SPEC.build_site(), SPEC))
     with pytest.raises(ConfigurationError):
         next(orchestrator.run_gameday([], SPEC.schedule.build(),
                                       SPEC.horizon))

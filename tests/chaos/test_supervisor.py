@@ -4,36 +4,65 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chaos import ReplicaSupervisor, SupervisorConfig
+from repro.campaign import ScenarioSpec
+from repro.chaos import ReplicaSupervisor
 from repro.core import build_sandia_site
 from repro.errors import ConfigurationError
-from repro.fleet import AutoscalerConfig, Fleet, FleetConfig
+from repro.fleet import AutoscalerConfig, Fleet
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
 def test_supervisor_config_validation():
     with pytest.raises(ConfigurationError):
-        SupervisorConfig(interval=0.0)
+        ScenarioSpec(supervisor_interval=0.0)
     with pytest.raises(ConfigurationError):
-        SupervisorConfig(replace_after=-1.0)
+        ScenarioSpec(probe_interval=0.0)
 
 
 def _hpc_fleet(seed=7):
     site = build_sandia_site(seed=seed, hops_nodes=5, eldorado_nodes=2,
                              goodall_nodes=2, cee_nodes=1)
-    fleet = Fleet(site, FleetConfig(
+    fleet = Fleet(site, ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("hops",),
-        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3)))
+        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3),
+        supervisor_interval=20.0))
     return site, fleet
 
 
-def _run_with_supervisor(site, fleet, wound, settle=3600.0,
-                         interval=20.0):
+def test_sweeps_follow_the_spec_interval():
+    site = build_sandia_site(seed=7, hops_nodes=5, eldorado_nodes=2,
+                             goodall_nodes=2, cee_nodes=1)
+    # Stepping, so every tick runs and the sweep times are the cadence.
+    fleet = Fleet(site, ScenarioSpec(
+        model=QUANT, supervisor_interval=20.0, fast_forward=False))
+    supervisor = ReplicaSupervisor(fleet)
+    kernel = site.kernel
+    sweeps = []
+
+    def sweep():
+        sweeps.append(kernel.now)
+        yield from ()
+
+    supervisor._sweep = sweep
+
+    def scenario(env):
+        yield from fleet.start(initial_replicas=1)
+        start = env.now
+        stop = env.event()
+        env.spawn(supervisor.run(stop), name="sup")
+        yield env.timeout(110.0)
+        stop.succeed()
+        return start
+
+    start = kernel.run(until=kernel.spawn(scenario(kernel)))
+    assert [round(t - start, 6) for t in sweeps] == [20, 40, 60, 80, 100]
+
+
+def _run_with_supervisor(site, fleet, wound, settle=3600.0):
     """Start a 2-replica fleet, apply ``wound``, wait for wholeness."""
     kernel = site.kernel
-    supervisor = ReplicaSupervisor(fleet,
-                                   SupervisorConfig(interval=interval))
+    supervisor = ReplicaSupervisor(fleet)
 
     def scenario(env):
         yield from fleet.start(initial_replicas=2)
@@ -107,9 +136,10 @@ def test_replace_failure_leaves_deficit_then_retries():
 def test_k8s_pod_move_is_rebound():
     site = build_sandia_site(seed=13, hops_nodes=4, eldorado_nodes=2,
                              goodall_nodes=5, cee_nodes=1)
-    fleet = Fleet(site, FleetConfig(
+    fleet = Fleet(site, ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("goodall",),
-        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3)))
+        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3),
+        supervisor_interval=20.0))
 
     def wound(fleet):
         victim = fleet.replicas[0]

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster.platform import HPCPlatform, K8sPlatform
 from repro.core import apply_s3_routing_fix
+from repro.core.site import PLATFORM_KINDS
 from repro.errors import NotFoundError
 from repro.units import GB, gbps
 from tests.core.conftest import SCOUT
@@ -33,6 +35,16 @@ def test_hub_has_gated_models(site):
     assert SCOUT in site.hub.repos
     assert SCOUT in site.hub.gated
     assert site.hf_token in site.hub.tokens
+
+
+def test_platform_kinds_declare_the_built_site(site):
+    # Specs validate platform names and the router's platform against
+    # PLATFORM_KINDS, so it must name and type exactly what is built.
+    assert list(site.platforms) == list(PLATFORM_KINDS)
+    kinds = {"hpc": HPCPlatform, "k8s": K8sPlatform}
+    for name, kind in PLATFORM_KINDS.items():
+        assert isinstance(site.platform(name), kinds[kind])
+        assert site.platform(name).name == name
 
 
 def test_unknown_platform_raises(site):

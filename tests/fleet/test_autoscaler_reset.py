@@ -10,8 +10,9 @@ first scale decision for up to a full cooldown of simulated time.
 import hashlib
 import math
 
+from repro.campaign import ScenarioSpec
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, Fleet, FleetConfig,
+from repro.fleet import (AutoscalerConfig, Fleet,
                          FlashCrowdSchedule, PoissonSchedule, SloSpec)
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
@@ -20,8 +21,8 @@ QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 def test_reset_clears_cooldowns_streak_and_tapes():
     site = build_sandia_site(seed=13, hops_nodes=4, eldorado_nodes=1,
                              goodall_nodes=1, cee_nodes=1)
-    fleet = Fleet(site, FleetConfig(model=QUANT, tensor_parallel_size=2,
-                                    platforms=("hops",)))
+    fleet = Fleet(site, ScenarioSpec(model=QUANT, tensor_parallel_size=2,
+                                     platforms=("hops",)))
     scaler = fleet.autoscaler
     scaler._last_up = 5000.0
     scaler._last_down = 4000.0
@@ -44,14 +45,14 @@ def test_second_scenario_can_scale_despite_huge_cooldown():
     ``_last_up`` from scenario 1 would veto it for the entire horizon."""
     site = build_sandia_site(seed=31, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
-    config = FleetConfig(
+    spec = ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("hops",),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(
             min_replicas=1, max_replicas=3, target_outstanding=8.0,
             up_cooldown=10_000_000.0, down_cooldown=10_000_000.0,
             low_streak=4))
-    fleet = Fleet(site, config)
+    fleet = Fleet(site, spec)
 
     def _flash(at: float) -> FlashCrowdSchedule:
         # Flash windows are absolute sim time, so scenario 2 needs its

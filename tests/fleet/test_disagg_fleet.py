@@ -8,7 +8,7 @@ import pytest
 
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec, run_cell
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, DisaggSpec, Fleet, FleetConfig,
+from repro.fleet import (AutoscalerConfig, DisaggSpec, Fleet,
                          PoissonSchedule, SloSpec)
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
@@ -17,14 +17,14 @@ QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 def _run_disagg_day(seed=11):
     site = build_sandia_site(seed=seed, hops_nodes=8, eldorado_nodes=2,
                             goodall_nodes=3, cee_nodes=1)
-    config = FleetConfig(
+    spec = ScenarioSpec(
         model=QUANT, tensor_parallel_size=2,
         platforms=("hops",),
         policy="round-robin",
         slo=SloSpec(ttft_target=15.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=3),
         disagg=DisaggSpec(enabled=True, prefill_replicas=1))
-    fleet = Fleet(site, config)
+    fleet = Fleet(site, spec)
     schedule = PoissonSchedule(0.5)
 
     def scenario(env):
@@ -91,7 +91,7 @@ def test_router_http_route_serves_the_two_legs(disagg_run):
 
     def post(env):
         response = yield from client.post(
-            fleet.router_host, fleet.config.router_port,
+            fleet.router_host, fleet.router_config.port,
             "/v1/chat/completions",
             json={"model": QUANT, "repro_prompt_tokens": 300,
                   "max_tokens": 12})

@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign import ScenarioSpec
 from repro.core import build_sandia_site
-from repro.fleet import (Autoscaler, AutoscalerConfig, Fleet, FleetConfig,
+from repro.fleet import (Autoscaler, AutoscalerConfig, Fleet,
                          FlashCrowdSchedule, PoissonSchedule, SloSpec)
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
@@ -53,7 +54,7 @@ def elastic_run():
     """One compact flash-crowd day shared by the assertions below."""
     site = build_sandia_site(seed=99, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
-    config = FleetConfig(
+    spec = ScenarioSpec(
         model=QUANT, tensor_parallel_size=2,
         platforms=("hops", "goodall"),
         policy="least-outstanding",
@@ -61,7 +62,7 @@ def elastic_run():
         autoscaler=AutoscalerConfig(
             min_replicas=1, max_replicas=3, target_outstanding=8.0,
             up_cooldown=120.0, down_cooldown=600.0, low_streak=4))
-    fleet = Fleet(site, config)
+    fleet = Fleet(site, spec)
     # Baseline 0.1 req/s; the burst (~15 req/s) exceeds a single
     # replica's decode ceiling, so backlog builds until the fleet grows.
     schedule = FlashCrowdSchedule(
@@ -122,11 +123,11 @@ def test_scenario_is_deterministic():
     def run_once():
         site = build_sandia_site(seed=123, hops_nodes=4, eldorado_nodes=2,
                                  goodall_nodes=2, cee_nodes=1)
-        config = FleetConfig(
+        spec = ScenarioSpec(
             model=QUANT, tensor_parallel_size=2, platforms=("hops",),
             autoscaler=AutoscalerConfig(
                 min_replicas=1, max_replicas=2, target_outstanding=8.0))
-        fleet = Fleet(site, config)
+        fleet = Fleet(site, spec)
         schedule = FlashCrowdSchedule(
             PoissonSchedule(0.1), start=300.0, duration=600.0,
             multiplier=120.0, ramp=60.0)

@@ -20,8 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.campaign import ScenarioSpec
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, DisaggSpec, Fleet, FleetConfig,
+from repro.fleet import (AutoscalerConfig, DisaggSpec, Fleet,
                          FlashCrowdSchedule, PoissonSchedule, SloSpec)
 from repro.fleet.traffic import PulseSchedule
 
@@ -33,7 +34,7 @@ def _build_fleet(seed: int, fast_forward: bool, platforms=("hops",),
                  disagg: bool = False) -> tuple:
     site = build_sandia_site(seed=seed, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
-    config = FleetConfig(
+    spec = ScenarioSpec(
         model=QUANT, tensor_parallel_size=2,
         platforms=platforms,
         policy="least-outstanding",
@@ -44,7 +45,7 @@ def _build_fleet(seed: int, fast_forward: bool, platforms=("hops",),
             down_cooldown=600.0, low_streak=4),
         disagg=DisaggSpec(enabled=disagg),
         fast_forward=fast_forward)
-    return site, Fleet(site, config)
+    return site, Fleet(site, spec)
 
 
 def _count_quiet(fleet) -> dict:

@@ -9,8 +9,9 @@ tick.
 
 import math
 
+from repro.campaign import ScenarioSpec
 from repro.core import build_sandia_site
-from repro.fleet import AutoscalerConfig, Fleet, FleetConfig
+from repro.fleet import AutoscalerConfig, Fleet
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
@@ -18,7 +19,7 @@ QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 def _started_fleet():
     site = build_sandia_site(seed=3, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
-    fleet = Fleet(site, FleetConfig(
+    fleet = Fleet(site, ScenarioSpec(
         model=QUANT, autoscaler=AutoscalerConfig(min_replicas=1)))
     kernel = site.kernel
     kernel.run(until=kernel.spawn(fleet.start(initial_replicas=1)))

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.campaign import ScenarioSpec
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, Fleet, FleetConfig,
+from repro.fleet import (AutoscalerConfig, Fleet,
                          PoissonSchedule, SloSpec)
 from repro.net.http import HttpClient
 from repro.obs import parse_exposition
@@ -24,11 +25,11 @@ QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 def _run_day(seed=7, horizon=900.0):
     site = build_sandia_site(seed=seed, hops_nodes=4, eldorado_nodes=2,
                              goodall_nodes=2, cee_nodes=1)
-    config = FleetConfig(
+    spec = ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("hops",),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=2))
-    fleet = Fleet(site, config)
+    fleet = Fleet(site, spec)
 
     def scenario(env):
         yield from fleet.start(initial_replicas=2)
@@ -160,7 +161,7 @@ def test_vllm_metrics_route_negotiates_text_exposition(obs_run):
 
 def test_router_admin_routes_serve_the_registry(obs_run):
     site, fleet, report = obs_run
-    host, port = fleet.router_host, fleet.config.router_port
+    host, port = fleet.router_host, fleet.router_config.port
     # /router/metrics: the full fleet-wide exposition.
     full = _get(site, host, port, "/router/metrics")
     assert full.ok and full.headers["content-type"] == "text/plain"
@@ -194,11 +195,11 @@ def test_disabled_observability_yields_no_obs_block():
     site = build_sandia_site(seed=3, hops_nodes=4, eldorado_nodes=2,
                              goodall_nodes=2, cee_nodes=1)
     site.kernel.obs.disable()
-    config = FleetConfig(
+    spec = ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("hops",),
         autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=1),
         scrape_interval=0.0)
-    fleet = Fleet(site, config)
+    fleet = Fleet(site, spec)
 
     def scenario(env):
         yield from fleet.start(initial_replicas=1)

@@ -12,7 +12,7 @@ from repro.campaign import (CampaignGrid, CampaignRunner, ScenarioSpec,
                             scorecard_text, sessions_grid, set_path)
 from repro.campaign.runner import run_cell
 from repro.errors import ConfigurationError
-from repro.fleet import AutoscalerConfig, SloSpec
+from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 from repro.sessions import SessionSpec
 
 
@@ -71,18 +71,39 @@ def test_gpu_memory_utilization_validated_and_swept():
     assert small.gpu_memory_utilization == 0.5
 
 
-def test_build_fleet_wires_engine_params():
-    spec = _session_spec(gpu_memory_utilization=0.5)
+#: ``vllm serve`` commands as the parent of the single-declaration fleet
+#: rendered them, from the image on: the engine knobs a spec sets must
+#: reach every replica's command byte for byte, and only non-default
+#: knobs may appear.
+_SERVE = ("vllm/vllm-openai:v0.9.1 serve "
+          "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16 "
+          "--tensor_parallel_size=2 --disable-log-requests ")
+
+
+@pytest.mark.parametrize("overrides, commands", [
+    ({"sessions": SessionSpec(enabled=True)},
+     [("unified", _SERVE + "--enable-prefix-caching --max-model-len=65536")]),
+    ({"disagg": True},
+     [("prefill", _SERVE + "--max-model-len=65536 --disagg-role=prefill"),
+      ("decode", _SERVE + "--max-model-len=65536 --disagg-role=decode")]),
+    ({"gpu_memory_utilization": 0.5, "scheduler_policy": "priority"},
+     [("unified", _SERVE + "--gpu_memory_utilization=0.5 "
+       "--max-model-len=65536 --scheduler-policy=priority")]),
+    ({"sessions": SessionSpec(enabled=True, prefix_caching=False)},
+     [("unified", _SERVE + "--max-model-len=65536")]),
+], ids=["sessions", "disagg", "knobs", "cold"])
+def test_engine_params_render_into_vllm_serve(overrides, commands):
+    spec = ScenarioSpec(**overrides)
     site = spec.build_site()
-    fleet = spec.build_fleet(site)
-    assert fleet.config.engine_params == {
-        "enable_prefix_caching": True, "gpu_memory_utilization": 0.5}
-    cold = dataclasses.replace(
-        spec, sessions=dataclasses.replace(spec.sessions,
-                                           prefix_caching=False),
-        gpu_memory_utilization=0.90)
-    fleet_cold = cold.build_fleet(cold.build_site())
-    assert fleet_cold.config.engine_params == {}
+    fleet = Fleet(site, spec)
+    kernel = site.kernel
+    kernel.run(until=kernel.spawn(fleet.start(spec.initial_replicas)))
+    rendered = []
+    for replica in fleet.replicas:
+        argv = replica.deployment.artifact
+        rendered.append(
+            (replica.role, " ".join(argv[argv.index("serve") - 1:])))
+    assert rendered == commands
 
 
 def test_sessions_grid_shape():
