@@ -24,7 +24,7 @@ import pathlib
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, TypeVar
 
-from ..core.site import PLATFORM_KINDS
+from ..core.site import GPUS_PER_NODE, PLATFORM_KINDS
 from ..errors import ConfigurationError
 from ..fleet.autoscaler import AutoscalerConfig
 from ..fleet.fleet import DisaggSpec
@@ -265,6 +265,7 @@ class ScenarioSpec:
         names = [t.name for t in self.tenants]
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate tenant names: {names}")
+        self._check_capacity()
         known = _known_chaos_names() if self.chaos else set()
         for event in self.chaos:
             if event.scenario not in known:
@@ -275,6 +276,31 @@ class ScenarioSpec:
                 raise ConfigurationError(
                     f"chaos {event.scenario!r} injects at "
                     f"{event.inject_at}s, past the {self.horizon}s horizon")
+
+    def _check_capacity(self) -> None:
+        """Refuse a site that cannot be built or hold the initial pool:
+        each HPC platform runs a workload manager (one also runs the
+        router), and a platform holds one replica per node with at
+        least ``tensor_parallel_size`` GPUs (one per service port)."""
+        nodes = {p: int(getattr(self.site, f"{p}_nodes"))
+                 for p in PLATFORM_KINDS}
+        empty = [p for p, kind in PLATFORM_KINDS.items()
+                 if kind == "hpc" and nodes[p] == 0]
+        if empty:
+            raise ConfigurationError(
+                f"HPC platforms {empty} have no nodes; each needs one "
+                f"for its workload manager (the router runs on "
+                f"{self.router_platform!r})")
+        slots = sum(nodes[p] for p in self.platforms
+                    if GPUS_PER_NODE[p] >= self.tensor_parallel_size)
+        pool = self.initial_replicas + (self.disagg.prefill_replicas
+                                        if self.disagg.enabled else 0)
+        if slots < pool:
+            raise ConfigurationError(
+                f"{list(self.platforms)} hold {slots} replicas of "
+                f"tensor_parallel_size={self.tensor_parallel_size} (one "
+                f"per node with that many GPUs); the initial pool needs "
+                f"{pool}")
 
     # -- serialization ----------------------------------------------------------
 

@@ -121,9 +121,9 @@ def container_of(fleet: Fleet, replica: Replica):
 
 def _pod_of(platform, replica: Replica):
     from ..k8s.objects import PodPhase
-    for pod in platform.cluster.api.list("Pod"):
-        if (pod.meta.labels.get("app") == replica.name and not pod.deleted
-                and pod.phase in (PodPhase.PENDING, PodPhase.RUNNING)):
+    for pod in platform.cluster.api.list("Pod",
+                                         selector={"app": replica.name}):
+        if pod.phase in (PodPhase.PENDING, PodPhase.RUNNING):
             return pod
     raise StateError(f"chaos: no pod for release {replica.name!r}")
 

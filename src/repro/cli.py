@@ -82,10 +82,7 @@ def _cmd_deploy(args: argparse.Namespace) -> int:
     site = build_sandia_site(seed=args.seed)
     wf = CaseStudyWorkflow(site)
     model = args.model
-    if args.platform == "goodall":
-        wf.admin_seed_s3(model)
-    else:
-        wf.admin_seed_model(model, args.platform)
+    wf.admin_seed_model(model, args.platform)
 
     def go(env):
         deployment = yield from wf.deploy_model(

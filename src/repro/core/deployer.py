@@ -23,6 +23,7 @@ equivalent CLI/Helm artifact for transparency.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,10 +31,10 @@ from ..cluster.platform import HPCPlatform, K8sPlatform
 from ..cluster.profiles import PERF_PROFILES
 from ..containers.image import ExecutionExpectations
 from ..containers.runtime import Container, RunOpts
-from ..errors import ConfigurationError, NotFoundError, StateError
+from ..errors import NotFoundError, StateError
 from ..hardware.node import Node
 from ..k8s.helm import HelmRelease
-from ..k8s.objects import PodPhase
+from ..net.http import lookup
 from .package import AppPackage
 from .site import ConvergedSite
 from .translate import helm_values_for
@@ -61,6 +62,8 @@ class Deployment:
     platform_name: str
     mechanism: str                      # "podman" | "apptainer" | "helm"
     endpoint: tuple[str, int]           # (host, port) inside the site
+    #: the serving (host, port): the HPC node, or the ready pod's node
+    backend: tuple[str, int]
     artifact: Any                       # argv list or helm values dict
     container: Container | None = None  # HPC deployments
     release: HelmRelease | None = None  # K8s deployments
@@ -119,13 +122,11 @@ class Deployer:
         runtime_name = runtime_name or platform.default_runtime
         runtime = platform.runtime(runtime_name)
         variant = package.variant_for(platform.gpu_variant)
-        registry = runtime.registry
-        manifest = registry.resolve(variant.image_ref)
+        manifest = runtime.registry.resolve(variant.image_ref)
         profile = package.profile(profile_name)
 
-        chosen = node or self.pick_node(platform, params,
-                                        service_port=package.service_port)
         gpus = int(params.get("tensor_parallel_size", 1))
+        chosen = node or self.pick_node(platform, gpus, package.service_port)
         command = package.command(params)
         opts = RunOpts(
             name=params.get("name", package.name),
@@ -136,23 +137,17 @@ class Deployer:
             volumes={"./models": "/vllm-workspace/models"},
             mounts={"/vllm-workspace/models": platform.models_mount()},
             workdir="/vllm-workspace/models",
+            extras=self._extras(platform.name, params),
         )
         self.adapt_opts(manifest.expectations, runtime_name, opts)
-        key = perf_variant_key(str(params.get("model", "")))
-        if key is not None:
-            perf = PERF_PROFILES.get((platform.name, key))
-            if perf is not None:
-                opts.extras["perf_profile"] = perf
-        if "fault_plan" in params:
-            opts.extras["fault_plan"] = params["fault_plan"]
 
         container = yield from runtime.run(chosen, manifest, opts)
         yield container.ready
         artifact = runtime.cli(variant.image_ref, opts)
+        backend = (chosen.hostname, package.service_port)
         deployment = Deployment(
             package=package, platform_name=platform.name,
-            mechanism=runtime_name,
-            endpoint=(chosen.hostname, package.service_port),
+            mechanism=runtime_name, endpoint=backend, backend=backend,
             artifact=artifact, container=container, params=dict(params))
         self.site.kernel.trace.emit(
             "deployer.deployed", package=package.name,
@@ -160,39 +155,40 @@ class Deployer:
             node=chosen.hostname)
         return deployment
 
-    def pick_node(self, platform: HPCPlatform, params: dict[str, Any],
-                  service_port: int | None = None,
-                  exclude: set[str] | None = None) -> Node:
-        """Prefer idle nodes with the service port free; fall back to any
-        node with enough free GPUs.
+    def fits(self, node: Node, gpus: int, port: int) -> bool:
+        """The HPC placement rule: ``node`` is up, has ``gpus`` free GPUs
+        and nothing bound on ``port`` (one replica per node per service
+        port, as :meth:`PodScheduler.fits
+        <repro.k8s.scheduler.PodScheduler.fits>` rules on Kubernetes)."""
+        return (node.up and node.gpus_free >= gpus
+                and lookup(self.site.fabric, node.hostname, port) is None)
+
+    def free_slots(self, platform: HPCPlatform | K8sPlatform, gpus: int,
+                   port: int) -> int:
+        """How many nodes of ``platform`` can take one more replica of
+        ``gpus`` GPUs serving on ``port``, under that platform kind's
+        placement rule."""
+        if isinstance(platform, HPCPlatform):
+            return sum(self.fits(node, gpus, port) for node in platform.nodes)
+        fits = platform.cluster.scheduler.fits
+        return sum(fits(knode, gpus, port)
+                   for knode in platform.cluster.nodes)
+
+    def pick_node(self, platform: HPCPlatform, gpus: int, port: int,
+                  exclude: Collection[str] = ()) -> Node:
+        """The first idle node that :meth:`fits`, else the first that fits.
 
         ``exclude`` lets callers resolving a *batch* of placements (the
         fleet deploying several replicas concurrently) keep two deploys
         off the same node before either has bound its port.
         """
-        from ..net.http import lookup
-        need = int(params.get("tensor_parallel_size", 1))
-        exclude = exclude or set()
-        fallback: Node | None = None
-        for candidate in platform.nodes:
-            if candidate.hostname in exclude:
-                continue
-            if not candidate.up or candidate.gpus_free < need:
-                continue
-            port_busy = (service_port is not None and lookup(
-                self.site.fabric, candidate.hostname, service_port)
-                is not None)
-            if port_busy:
-                continue
-            if candidate.gpus_used == 0:
-                return candidate
-            if fallback is None:
-                fallback = candidate
-        if fallback is not None:
-            return fallback
-        raise StateError(
-            f"no node on {platform.name!r} has {need} free GPUs "
-            f"(and a free port {service_port})")
+        fitting = [n for n in platform.nodes
+                   if n.hostname not in exclude and self.fits(n, gpus, port)]
+        if not fitting:
+            raise StateError(
+                f"no node on {platform.name!r} has {gpus} free GPUs "
+                f"(and a free port {port})")
+        return next((n for n in fitting if n.gpus_used == 0), fitting[0])
 
     # -- Kubernetes path ------------------------------------------------------------------
 
@@ -204,49 +200,50 @@ class Deployer:
         profile = package.profile(profile_name)
         values = helm_values_for(self.site, package, variant, profile, params)
         release_name = params.get("name", package.name)
-        key = perf_variant_key(str(params.get("model", "")))
         release = HelmRelease.install(platform.cluster, release_name, values)
         # Sim-side extras must reach the pod's container: patch the
         # rendered Deployment template (the chart cannot carry live
-        # objects, so this mirrors an operator-injected config).
-        if key is not None:
-            perf = PERF_PROFILES.get((platform.name, key))
-            if perf is not None:
-                self._attach_extras(platform, release_name,
-                                    {"perf_profile": perf,
-                                     **({"fault_plan": params["fault_plan"]}
-                                        if "fault_plan" in params else {})})
-        # Wait until one pod is Running and ready.
-        yield from self._wait_ready(platform, release_name)
+        # objects, so this mirrors an operator-injected config); the
+        # kubelet copies them into each container's RunOpts.
+        extras = self._extras(platform.name, params)
+        if extras:
+            dep = platform.cluster.api.get("Deployment", release_name)
+            dep.template._extras = extras  # type: ignore[attr-defined]
+        pod = yield from self._wait_ready(platform, release_name)
         deployment = Deployment(
             package=package, platform_name=platform.name, mechanism="helm",
             endpoint=(platform.cluster.ingress.frontend_host,
                       platform.cluster.ingress.port),
-            artifact=values, release=release, cluster=platform.cluster,
-            params=dict(params))
+            backend=(pod.node_name, package.service_port), artifact=values,
+            release=release, cluster=platform.cluster, params=dict(params))
         self.site.kernel.trace.emit(
             "deployer.deployed", package=package.name,
             platform=platform.name, mechanism="helm")
         return deployment
 
     @staticmethod
-    def _attach_extras(platform: K8sPlatform, release_name: str,
-                       extras: dict[str, Any]) -> None:
-        """Stash sim-side extras on the pod template; the kubelet copies
-        them into each container's RunOpts."""
-        dep = platform.cluster.api.get("Deployment", release_name)
-        dep.template._extras = extras  # type: ignore[attr-defined]
+    def _extras(platform_name: str, params: dict[str, Any]) -> dict:
+        """Sim-side engine extras: the platform's perf profile for the
+        model, and a fault plan when ``params`` carries one."""
+        extras: dict[str, Any] = {}
+        perf = PERF_PROFILES.get(
+            (platform_name, perf_variant_key(str(params.get("model", "")))))
+        if perf is not None:
+            extras["perf_profile"] = perf
+        if "fault_plan" in params:
+            extras["fault_plan"] = params["fault_plan"]
+        return extras
 
     def _wait_ready(self, platform: K8sPlatform, release_name: str,
                     poll: float = 5.0, timeout: float = 7200.0):
+        """Generator: the release's first Running, ready pod."""
         kernel = self.site.kernel
         deadline = kernel.now + timeout
         while kernel.now < deadline:
-            pods = platform.cluster.api.list("Pod")
-            for pod in pods:
-                if pod.meta.labels.get("app") == release_name and \
-                        pod.phase is PodPhase.RUNNING and pod.ready:
-                    return
+            for pod in platform.cluster.api.list(
+                    "Pod", selector={"app": release_name}):
+                if pod.serving:
+                    return pod
             yield kernel.timeout(poll)
         raise StateError(
             f"release {release_name!r} did not become ready within "
@@ -255,15 +252,17 @@ class Deployer:
     # -- uniform front door ------------------------------------------------------------------
 
     def deploy(self, package: AppPackage, platform_name: str,
-               params: dict[str, Any], **kw):
-        """Generator: platform-dispatching deploy (the tool's single UI)."""
+               params: dict[str, Any], node: Node | None = None,
+               runtime_name: str | None = None,
+               profile_name: str | None = None):
+        """Generator: platform-dispatching deploy (the tool's single UI).
+
+        ``node`` and ``runtime_name`` choose the HPC node and container
+        runtime; a Kubernetes deploy leaves both to the cluster.
+        """
         platform = self.site.platform(platform_name)
-        if isinstance(platform, HPCPlatform):
-            result = yield from self.deploy_hpc(platform, package, params,
-                                                **kw)
-        elif isinstance(platform, K8sPlatform):
-            result = yield from self.deploy_k8s(platform, package, params,
-                                                **kw)
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unknown platform type {platform!r}")
-        return result
+        if isinstance(platform, K8sPlatform):
+            return (yield from self.deploy_k8s(platform, package, params,
+                                               profile_name))
+        return (yield from self.deploy_hpc(
+            platform, package, params, node, runtime_name, profile_name))

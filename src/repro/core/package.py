@@ -17,6 +17,7 @@ The paper identifies four gaps and proposes metadata-driven tooling:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from collections.abc import Callable
 from typing import Any
@@ -102,43 +103,55 @@ ONLINE_SERVING_ENV = {
 }
 
 
+def vllm_serve_flags(params: dict[str, Any],
+                     served_name: bool = True) -> list[str]:
+    """Every ``vllm serve`` engine flag after the tensor-parallel head.
+
+    The one flag renderer: the Podman/Apptainer argv and the Helm chart
+    command both append it.  A flag appears only when its parameter is
+    set, in a fixed order.  ``served_name=False`` leaves
+    ``--served-model-name`` to a head that names it (the chart's).
+    """
+    flags: list[str] = []
+    pp = int(params.get("pipeline_parallel_size", 1))
+    if pp > 1:
+        flags.append(f"--pipeline_parallel_size={pp}")
+    if params.get("disable_log_requests", True):
+        flags.append("--disable-log-requests")
+    if params.get("enable_prefix_caching"):
+        flags.append("--enable-prefix-caching")
+    gmu = params.get("gpu_memory_utilization")
+    if gmu is not None:
+        flags.append(f"--gpu_memory_utilization={float(gmu)}")
+    max_len = params.get("max_model_len")
+    if max_len is not None:
+        flags.append(f"--max-model-len={int(max_len)}")
+    served = params.get("served_model_name")
+    if served and served_name:
+        flags.append(f"--served-model-name={served}")
+    policy = params.get("scheduler_policy")
+    if policy and policy != "fcfs":
+        flags.append(f"--scheduler-policy={policy}")
+    chunk = params.get("chunk_tokens")
+    if chunk is not None:
+        flags.append(f"--chunk-tokens={int(chunk)}")
+    role = params.get("disagg_role")
+    if role and role != "unified":
+        flags.append(f"--disagg-role={role}")
+    overrides = params.get("override_generation_config")
+    if overrides:
+        flags.append(
+            f"--override-generation-config={json.dumps(overrides)}")
+    return flags
+
+
 def _vllm_command(params: dict[str, Any]) -> tuple[str, ...]:
     model = params.get("model")
     if not model:
         raise ConfigurationError("vllm deployment needs a 'model' parameter")
-    argv: list[str] = ["serve", str(model)]
     tp = int(params.get("tensor_parallel_size", 1))
-    argv.append(f"--tensor_parallel_size={tp}")
-    pp = int(params.get("pipeline_parallel_size", 1))
-    if pp > 1:
-        argv.append(f"--pipeline_parallel_size={pp}")
-    if params.get("disable_log_requests", True):
-        argv.append("--disable-log-requests")
-    if params.get("enable_prefix_caching"):
-        argv.append("--enable-prefix-caching")
-    gmu = params.get("gpu_memory_utilization")
-    if gmu is not None:
-        argv.append(f"--gpu_memory_utilization={float(gmu)}")
-    max_len = params.get("max_model_len")
-    if max_len is not None:
-        argv.append(f"--max-model-len={int(max_len)}")
-    served = params.get("served_model_name")
-    if served:
-        argv.append(f"--served-model-name={served}")
-    policy = params.get("scheduler_policy")
-    if policy and policy != "fcfs":
-        argv.append(f"--scheduler-policy={policy}")
-    chunk = params.get("chunk_tokens")
-    if chunk is not None:
-        argv.append(f"--chunk-tokens={int(chunk)}")
-    role = params.get("disagg_role")
-    if role and role != "unified":
-        argv.append(f"--disagg-role={role}")
-    overrides = params.get("override_generation_config")
-    if overrides:
-        import json
-        argv.append(f"--override-generation-config={json.dumps(overrides)}")
-    return tuple(argv)
+    return ("serve", str(model), f"--tensor_parallel_size={tp}",
+            *vllm_serve_flags(params))
 
 
 def vllm_package() -> AppPackage:

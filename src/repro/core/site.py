@@ -44,6 +44,9 @@ S3_KEY, S3_SECRET = "AKIA_SANDIA", "s3-secret-demo"
 #: :class:`ConvergedSite` resolves names against and specs validate by.
 PLATFORM_KINDS = {"hops": "hpc", "eldorado": "hpc", "goodall": "k8s",
                   "cee": "k8s"}
+#: GPUs on each node of each platform: the table the site's nodes are
+#: built from and specs check capacity against.
+GPUS_PER_NODE = {"hops": 4, "eldorado": 4, "goodall": 2, "cee": 4}
 
 
 @dataclass
@@ -77,10 +80,11 @@ class ConvergedSite:
         return {name: getattr(self, name) for name in PLATFORM_KINDS}
 
 
-def _hpc_node_spec(name: str, gpu_name: str, mem_gib: int = 768) -> NodeSpec:
+def _hpc_node_spec(name: str, gpu_name: str, gpus: int,
+                   mem_gib: int = 768) -> NodeSpec:
     return NodeSpec(
         name=name, cpus=96, memory_bytes=mem_gib * GiB,
-        gpus=tuple([gpu_spec(gpu_name)] * 4),
+        gpus=tuple([gpu_spec(gpu_name)] * gpus),
         nics=(NicSpec("hsn0", gbps(200), "hsn"),
               NicSpec("eth0", gbps(25), "campus")))
 
@@ -152,7 +156,8 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
     fabric.add_host("hops-lustre", zone="hops")
     fabric.connect("hops-lustre", hops_switch, gbps(800))
     hops_nodes_list = make_nodes(
-        "hops", hops_nodes, _hpc_node_spec("hops-node", "H100-SXM-80G"))
+        "hops", hops_nodes,
+        _hpc_node_spec("hops-node", "H100-SXM-80G", GPUS_PER_NODE["hops"]))
     for node in hops_nodes_list:
         fabric.add_host(node.hostname, zone="hops")
         fabric.connect(node.hostname, hops_switch, gbps(200))
@@ -186,7 +191,8 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
     fabric.connect("eldo-lustre", eldo_switch, gbps(800))
     eldo_nodes_list = make_nodes(
         "eldo", eldorado_nodes,
-        _hpc_node_spec("eldo-node", "MI300A-120G"), start=1001, width=4)
+        _hpc_node_spec("eldo-node", "MI300A-120G", GPUS_PER_NODE["eldorado"]),
+        start=1001, width=4)
     for node in eldo_nodes_list:
         fabric.add_host(node.hostname, zone="eldorado")
         fabric.connect(node.hostname, eldo_switch, gbps(200))
@@ -206,12 +212,12 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
     # -- Goodall (OpenShift + H100 NVL) ---------------------------------------------------
     goodall = _build_k8s_platform(
         kernel, fabric, spine, name="goodall", n_nodes=goodall_nodes,
-        gpu_name="H100-NVL-94G", gpus_per_node=2, registry=quay)
+        gpu_name="H100-NVL-94G", registry=quay)
 
     # -- CEE-OpenShift (production, A100) ---------------------------------------------------
     cee = _build_k8s_platform(
         kernel, fabric, spine, name="cee", n_nodes=cee_nodes,
-        gpu_name="A100-SXM-80G", gpus_per_node=4, registry=quay)
+        gpu_name="A100-SXM-80G", registry=quay)
 
     site = ConvergedSite(
         kernel=kernel, fabric=fabric, s3=s3, hub=hub, gitlab=gitlab,
@@ -228,8 +234,7 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
 
 
 def _build_k8s_platform(kernel, fabric, spine, name: str, n_nodes: int,
-                        gpu_name: str, gpus_per_node: int,
-                        registry: Registry) -> K8sPlatform:
+                        gpu_name: str, registry: Registry) -> K8sPlatform:
     switch = fabric.add_switch(f"{name}-net")
     fabric.connect(switch, spine, gbps(200), name=f"{name}-uplink")
     fabric.add_host(f"{name}-ingress", zone=name, externally_reachable=True)
@@ -238,7 +243,7 @@ def _build_k8s_platform(kernel, fabric, spine, name: str, n_nodes: int,
     fabric.connect(f"{name}-ceph", switch, gbps(400))
     spec = NodeSpec(
         name=f"{name}-node", cpus=64, memory_bytes=512 * GiB,
-        gpus=tuple([gpu_spec(gpu_name)] * gpus_per_node),
+        gpus=tuple([gpu_spec(gpu_name)] * GPUS_PER_NODE[name]),
         nics=(NicSpec("eth0", gbps(100), name),))
     nodes = make_nodes(name, n_nodes, spec)
     for node in nodes:

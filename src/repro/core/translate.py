@@ -1,9 +1,16 @@
-"""Artifact generation: the paper-figure commands from deployment intent.
+"""Artifact generation: the Helm values of Figure 6 from deployment intent.
 
 The deployer produces *runnable simulated deployments*; this module
-produces the *equivalent human artifacts* — the Podman/Apptainer command
-lines of Figures 4-5 and the Helm values of Figure 6 — so users can see
-exactly what the tool did on their behalf.
+produces the chart values a Kubernetes deploy installs, and renders
+argv lists as the paper's multi-line commands, so users can see exactly
+what the tool did on their behalf.  The Podman/Apptainer command lines
+of Figures 4-5 come from the package's command builder.
+
+The chart command is only Figure 6's head (``vllm serve /data/`` with
+host, port, served name and tensor parallelism); every engine flag after
+it comes from :func:`~repro.core.package.vllm_serve_flags`, the renderer
+the Podman/Apptainer argv uses too, so a Helm replica serves with the
+same engine settings as a container on an HPC node.
 """
 
 from __future__ import annotations
@@ -11,9 +18,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigurationError
+from .package import (AppPackage, ConfigProfile, HardwareVariant,
+                      vllm_serve_flags)
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .package import AppPackage, ConfigProfile, HardwareVariant
     from .site import ConvergedSite
 
 
@@ -26,29 +34,15 @@ def helm_values_for(site: ConvergedSite, package: AppPackage,
         raise ConfigurationError("k8s deployment needs a 'model' parameter")
     repository, _, tag = variant.image_ref.rpartition(":")
     gpus = int(params.get("tensor_parallel_size", 1))
+    served = params.get("served_model_name") or model
     command = ["vllm", "serve", "/data/",
                "--host", "0.0.0.0", "--port",
                str(package.service_port),
-               "--served-model-name", str(model),
-               f"--tensor-parallel-size={gpus}"]
-    if params.get("disable_log_requests", True):
-        command.append("--disable-log-requests")
-    max_len = params.get("max_model_len")
-    if max_len is not None:
-        command.append(f"--max-model-len={int(max_len)}")
-    policy = params.get("scheduler_policy")
-    if policy and policy != "fcfs":
-        command.append(f"--scheduler-policy={policy}")
-    chunk = params.get("chunk_tokens")
-    if chunk is not None:
-        command.append(f"--chunk-tokens={int(chunk)}")
-    role = params.get("disagg_role")
-    if role and role != "unified":
-        command.append(f"--disagg-role={role}")
-    env = [{"name": "HOME", "value": "/data"},
-           {"name": "HF_HOME", "value": "/data"}]
-    for key, value in profile.env.items():
-        env.append({"name": key, "value": value})
+               "--served-model-name", str(served),
+               f"--tensor-parallel-size={gpus}",
+               *vllm_serve_flags(params, served_name=False)]
+    env = [{"name": key, "value": value} for key, value in
+           {"HOME": "/data", "HF_HOME": "/data", **profile.env}.items()]
     storage = int(params.get("storage_bytes", 300 * 1024**3))
     values: dict[str, Any] = {
         "image": {"repository": repository, "tag": tag, "command": command},
@@ -73,16 +67,11 @@ def helm_values_for(site: ConvergedSite, package: AppPackage,
 
 def command_text(argv: list[str]) -> str:
     """Render an argv list as a readable multi-line command (paper style)."""
-    if not argv:
-        return ""
-    head, *rest = argv
-    lines = [head]
-    current = head
-    for token in rest:
-        if token.startswith("-") or current.startswith("-") is False:
-            lines.append("    " + token)
-            current = token
+    lines: list[str] = []
+    for token in argv:
+        if lines and lines[-1].startswith("-") and not token.startswith("-"):
+            lines[-1] += " " + token      # a flag's value joins its line
         else:
-            lines[-1] += " " + token
-    return " \\\n".join([lines[0]] + [l.strip() for l in lines[1:]])
+            lines.append(token)
+    return " \\\n".join(lines)
 

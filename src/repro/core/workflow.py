@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Any
 from ..bench.client import BenchmarkClient
 from ..bench.sharegpt import ShareGptSampler
 from ..bench.sweep import ConcurrencySweep, SweepResult
-from ..cluster.platform import HPCPlatform, K8sPlatform
+from ..cluster.platform import HPCPlatform
 from ..containers.runtime import RunOpts
 from ..errors import ConfigurationError, SimulatedFailure
 from ..models.catalog import model_card
@@ -130,16 +130,16 @@ class CaseStudyWorkflow:
         return mount.listdir()
 
     def admin_seed_model(self, model: str, platform_name: str) -> None:
-        """Test/bench fast path: place model files on platform storage
-        without simulating the transfer pipeline."""
+        """Test/bench fast path: place model files where the platform's
+        deploys read them (its filesystem on HPC; S3, which the Helm
+        chart stages from, on Kubernetes) without simulating the
+        transfer pipeline."""
         platform = self.site.platform(platform_name)
-        card = model_card(model)
-        if isinstance(platform, HPCPlatform):
-            for rel, size in card.repo_files().items():
-                platform.filesystem.write_meta(f"/models/{model}/{rel}", size)
-        else:
-            raise ConfigurationError(
-                "K8s platforms stage via the Helm chart; seed S3 instead")
+        if not isinstance(platform, HPCPlatform):
+            self.admin_seed_s3(model)
+            return
+        for rel, size in model_card(model).repo_files().items():
+            platform.filesystem.write_meta(f"/models/{model}/{rel}", size)
 
     def admin_seed_s3(self, model: str) -> None:
         """Place the model in S3 directly (as if previously uploaded)."""
@@ -157,22 +157,10 @@ class CaseStudyWorkflow:
                      node: Node | None = None,
                      extra_params: dict[str, Any] | None = None):
         """Unified deploy via the Section 4 tool."""
-        params: dict[str, Any] = {
-            "model": model,
-            "tensor_parallel_size": tensor_parallel_size,
-            "max_model_len": max_model_len,
-        }
-        if extra_params:
-            params.update(extra_params)
-        platform = self.site.platform(platform_name)
-        if isinstance(platform, K8sPlatform):
-            deployment = yield from self.deployer.deploy_k8s(
-                platform, self.package, params)
-        else:
-            deployment = yield from self.deployer.deploy_hpc(
-                platform, self.package, params, node=node,
-                runtime_name=runtime_name)
-        return deployment
+        params = {"model": model, "tensor_parallel_size": tensor_parallel_size,
+                  "max_model_len": max_model_len, **(extra_params or {})}
+        return (yield from self.deployer.deploy(
+            self.package, platform_name, params, node, runtime_name))
 
     # -- stage 5: expose (Section 3.3) --------------------------------------------------------
 

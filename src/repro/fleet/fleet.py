@@ -25,14 +25,13 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..cluster.platform import HPCPlatform, K8sPlatform
+from ..cluster.platform import HPCPlatform
 from ..containers.runtime import Container, RunOpts
 from ..core.deployer import Deployment
 from ..core.workflow import CaseStudyWorkflow
 from ..errors import (APIError, ConfigurationError, NetworkUnreachable,
                       ReproError, StateError)
-from ..k8s.objects import PodPhase
-from ..net.http import HttpClient, lookup
+from ..net.http import HttpClient
 from ..obs.alerts import AlertEvaluator, default_slo_rules
 from ..obs.critical_path import CriticalPathAnalyzer
 from ..obs.scrape import MetricsScraper
@@ -226,14 +225,8 @@ class Fleet:
         if self._seeded:
             return
         self.site.gitlab.seed(router_image())
-        seeded_s3 = False
         for name in self.spec.platforms:
-            platform = self.site.platform(name)
-            if isinstance(platform, HPCPlatform):
-                self.wf.admin_seed_model(self.spec.model, name)
-            elif not seeded_s3:
-                self.wf.admin_seed_s3(self.spec.model)
-                seeded_s3 = True
+            self.wf.admin_seed_model(self.spec.model, name)
         self._seeded = True
 
     def _start_router(self):
@@ -255,35 +248,11 @@ class Fleet:
         # Walk from the back so the deployer's front-first node preference
         # keeps GPU nodes clear of the router.
         for node in reversed(platform.nodes):
-            if node.up and lookup(self.site.fabric, node.hostname,
-                                  self.router_config.port) is None:
+            if self.wf.deployer.fits(node, 0, self.router_config.port):
                 return node
         raise StateError(f"no node on {platform.name!r} can host the router")
 
     # -- capacity ---------------------------------------------------------------
-
-    def _free_slots(self, platform) -> int:
-        tp = self.spec.tensor_parallel_size
-        if isinstance(platform, HPCPlatform):
-            slots = 0
-            for node in platform.nodes:
-                if not node.up or node.gpus_free < tp:
-                    continue
-                port_busy = lookup(self.site.fabric, node.hostname,
-                                   self.wf.package.service_port) is not None
-                slots += 0 if port_busy else 1
-            return slots
-        committed: dict[str, int] = {}
-        for pod in platform.cluster.api.list("Pod"):
-            if pod.deleted or pod.node_name is None:
-                continue
-            committed[pod.node_name] = (committed.get(pod.node_name, 0)
-                                        + pod.spec.total_gpus)
-        return sum(
-            1 for kn in platform.cluster.nodes
-            if kn.node.up and
-            kn.node.available_gpu_count
-            - committed.get(kn.node.hostname, 0) >= tp)
 
     def _next_platform_with_capacity(self, reserved: dict[str, int]
                                      | None = None):
@@ -294,7 +263,10 @@ class Fleet:
         for offset in range(len(names)):
             name = names[(self._next_platform + offset) % len(names)]
             platform = self.site.platform(name)
-            if self._free_slots(platform) - reserved.get(name, 0) > 0:
+            free = self.wf.deployer.free_slots(
+                platform, self.spec.tensor_parallel_size,
+                self.wf.package.service_port)
+            if free - reserved.get(name, 0) > 0:
                 self._next_platform = (self._next_platform + offset + 1) \
                     % len(names)
                 return platform
@@ -334,10 +306,8 @@ class Fleet:
                 # batch or a concurrent batch (autoscaler + supervisor) —
                 # cannot race onto one node's service port.
                 node = self.wf.deployer.pick_node(
-                    platform,
-                    {"tensor_parallel_size":
-                     self.spec.tensor_parallel_size},
-                    service_port=self.wf.package.service_port,
+                    platform, self.spec.tensor_parallel_size,
+                    self.wf.package.service_port,
                     exclude=reserved_nodes | self._pending_nodes)
                 reserved_nodes.add(node.hostname)
             placements.append((platform, f"vllm-r{self._next_id}", node))
@@ -390,21 +360,8 @@ class Fleet:
             platform.name, self.spec.model,
             tensor_parallel_size=self.spec.tensor_parallel_size,
             node=node, extra_params=extra)
-        if isinstance(platform, K8sPlatform):
-            host, port = self._k8s_backend(platform, name)
-        else:
-            host, port = deployment.endpoint
-        return Replica(name=name, platform_name=platform.name,
-                       deployment=deployment, backend_host=host,
-                       backend_port=port, role=role)
-
-    def _k8s_backend(self, platform: K8sPlatform,
-                     release_name: str) -> tuple[str, int]:
-        for pod in platform.cluster.api.list("Pod"):
-            if (pod.meta.labels.get("app") == release_name
-                    and pod.phase is PodPhase.RUNNING and pod.ready):
-                return pod.node_name, self.wf.package.service_port
-        raise StateError(f"no ready pod for release {release_name!r}")
+        return Replica(name, platform.name, deployment, *deployment.backend,
+                       role=role)
 
     def replica_status(self, replica: Replica) -> tuple[str, str]:
         """Health of one replica: ``(state, detail)``.
@@ -425,10 +382,8 @@ class Fleet:
             return "dead", (f"container exited "
                             f"(code={deployment.container.exit_code})")
         platform = self.site.platform(replica.platform_name)
-        pods = [p for p in platform.cluster.api.list("Pod")
-                if p.meta.labels.get("app") == replica.name and not p.deleted]
-        ready = [p for p in pods
-                 if p.phase is PodPhase.RUNNING and p.ready]
+        pods = platform.cluster.api.list("Pod", selector={"app": replica.name})
+        ready = [p for p in pods if p.serving]
         if ready:
             if ready[0].node_name != replica.backend_host:
                 return "moved", ready[0].node_name

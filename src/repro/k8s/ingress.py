@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import APIError
 from ..net.http import HttpClient, HttpRequest, HttpService
-from .objects import Ingress, PodPhase, Service
+from .objects import Ingress, Service
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import KubernetesCluster
@@ -53,10 +53,9 @@ class IngressController:
             "Service", rule.service_name, rule.meta.namespace)
         if service is None:
             raise APIError(503, f"service {rule.service_name!r} not found")
-        endpoints = [
-            p for p in self.api.list("Pod", rule.meta.namespace,
-                                     selector=service.selector)
-            if p.phase is PodPhase.RUNNING and p.ready and not p.deleted]
+        endpoints = [p for p in self.api.list("Pod", rule.meta.namespace,
+                                              selector=service.selector)
+                     if p.serving]
         if not endpoints:
             raise APIError(503, "no ready endpoints behind service "
                                 f"{service.meta.name!r}")

@@ -68,7 +68,7 @@ class Kubelet:
         for claim, path in cspec.volume_mounts.items():
             mounts[path] = self.cluster.volume_for(pod.meta.namespace, claim)
         # Simulation-side extras (perf profiles, fault plans) ride on the
-        # pod template; see Deployer._attach_extras.
+        # pod template; see Deployer.deploy_k8s.
         extras = dict(getattr(pod.spec, "_extras", {}) or {})
         return RunOpts(
             name=f"{pod.meta.name}/{cspec.name}",

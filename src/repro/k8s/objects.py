@@ -95,6 +95,12 @@ class Pod(KObject):
         self.owner: str | None = None  # owning Deployment name
         self.deleted = False
 
+    @property
+    def serving(self) -> bool:
+        """Running and ready: an endpoint its service can route to."""
+        return (self.phase is PodPhase.RUNNING and self.ready
+                and not self.deleted)
+
 
 class Deployment(KObject):
     kind = "Deployment"

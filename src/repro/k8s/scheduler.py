@@ -14,10 +14,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class PodScheduler:
     """Assigns pending pods to nodes.
 
-    Placement: filter by node selector and free GPUs/memory (counting
-    GPUs already *committed* to scheduled-but-not-yet-terminal pods), then
-    spread across the least-committed node.  Namespace ResourceQuota GPU
-    limits are enforced before placement.
+    Placement: filter by node selector and :meth:`fits` (free GPUs,
+    counting those already *committed* to scheduled-but-not-yet-terminal
+    pods, and a free host port), then spread across the least-committed
+    node.  Namespace ResourceQuota GPU limits are enforced before
+    placement.
     """
 
     def __init__(self, cluster: KubernetesCluster):
@@ -35,11 +36,14 @@ class PodScheduler:
                     and not pod.deleted):
                 self._try_schedule(pod)
 
+    def _committed(self, node_name: str) -> list[Pod]:
+        """Pods scheduled to ``node_name`` and not yet terminal."""
+        return [p for p in self.api.list("Pod")
+                if p.node_name == node_name and not p.deleted
+                and p.phase in (PodPhase.PENDING, PodPhase.RUNNING)]
+
     def _committed_gpus(self, node_name: str) -> int:
-        return sum(
-            p.spec.total_gpus for p in self.api.list("Pod")
-            if p.node_name == node_name and not p.deleted
-            and p.phase in (PodPhase.PENDING, PodPhase.RUNNING))
+        return sum(p.spec.total_gpus for p in self._committed(node_name))
 
     def _namespace_gpus_in_use(self, namespace: str) -> int:
         return sum(
@@ -56,27 +60,33 @@ class PodScheduler:
         limit = min(q.gpu_limit for q in quotas)
         return in_use + pod.spec.total_gpus <= limit
 
+    def fits(self, knode: KNode, gpus: int, port: int | None) -> bool:
+        """The node filter: ``knode`` is up, has ``gpus`` GPUs beyond those
+        committed to its pending and running pods, and none of them
+        claims ``port`` (pod servers bind on the node's hostname)."""
+        pods = self._committed(knode.node.hostname)
+        # allocatable = spec GPUs minus devices failed out (ECC) — what
+        # the device plugin would report.
+        free = knode.node.available_gpu_count - sum(
+            p.spec.total_gpus for p in pods)
+        return knode.node.up and free >= gpus and (port is None or all(
+            c.port != port for p in pods for c in p.spec.containers))
+
     def _try_schedule(self, pod: Pod) -> None:
         if not self._quota_allows(pod):
             pod.message = ("FailedScheduling: namespace GPU quota exceeded")
             return
-        candidates: list[tuple[int, "KNode"]] = []
-        for knode in self.cluster.nodes:
-            if not knode.node.up:
-                continue
-            if not all(knode.labels.get(k) == v
-                       for k, v in pod.spec.node_selector.items()):
-                continue
-            committed = self._committed_gpus(knode.node.hostname)
-            # allocatable = spec GPUs minus devices failed out (ECC) —
-            # what the device plugin would report.
-            free = knode.node.available_gpu_count - committed
-            if free < pod.spec.total_gpus:
-                continue
-            candidates.append((committed, knode))
+        port = pod.spec.main.port
+        candidates: list[tuple[int, "KNode"]] = [
+            (self._committed_gpus(knode.node.hostname), knode)
+            for knode in self.cluster.nodes
+            if all(knode.labels.get(k) == v
+                   for k, v in pod.spec.node_selector.items())
+            and self.fits(knode, pod.spec.total_gpus, port)]
         if not candidates:
             pod.message = (f"FailedScheduling: 0/{len(self.cluster.nodes)} "
-                           "nodes have enough free GPUs")
+                           "nodes have enough free GPUs"
+                           + (f" and port {port} free" if port else ""))
             return
         candidates.sort(key=lambda pair: (pair[0], pair[1].node.hostname))
         chosen = candidates[0][1]

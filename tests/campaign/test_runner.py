@@ -7,7 +7,8 @@ import pytest
 from repro.campaign import (CampaignGrid, CampaignRunner, ScenarioSpec,
                             ScheduleSpec, SiteSpec, demo_grid, run_cell,
                             scorecard_text, smoke_grid)
-from repro.errors import ConfigurationError
+from repro.campaign import runner as runner_module
+from repro.errors import ConfigurationError, StateError
 
 SMALL_SITE = SiteSpec(hops_nodes=4, eldorado_nodes=2, goodall_nodes=3,
                       cee_nodes=1)
@@ -161,14 +162,21 @@ def test_pool_sizes_are_byte_identical(small_campaign):
             == scorecard_text(scorecard_serial))
 
 
-def test_failed_cell_becomes_error_row():
-    # tensor_parallel_size larger than any node -> deploy must fail.
-    grid = CampaignGrid(base=_tiny_base(name="doomed",
-                                        tensor_parallel_size=64),
-                        name="doomed")
+def test_failed_cell_becomes_error_row(monkeypatch):
+    # tensor_parallel_size larger than any node is refused when the spec
+    # is built, so a cell that dies mid-run is staged by failing its run.
+    with pytest.raises(ConfigurationError):
+        _tiny_base(name="doomed", tensor_parallel_size=64)
+
+    def doomed(spec, observability=True):
+        raise StateError(f"{spec.name} lost every replica")
+
+    monkeypatch.setattr(runner_module, "run_cell", doomed)
+    grid = CampaignGrid(base=_tiny_base(name="doomed"), name="doomed")
     scorecard = CampaignRunner(grid, workers=1).run()
     assert scorecard["summary"]["failed"] == 1
     assert "error" in scorecard["cells"][0]
+    assert scorecard["cells"][0]["error"].startswith("StateError: doomed")
 
 
 def test_runner_rejects_bad_workers():

@@ -1,16 +1,20 @@
 """Generated specs: each one is refused at construction or plays through.
 
 A first slice of differential scenario fuzzing.  Hypothesis draws the
-fleet's names and knobs: router policy, replica platforms, router
-platform, scrape cadence, disagg, KV-memory share and engine scheduler
-policy, all legal, or with one of them spoiled.  A spoiled spec must
-raise ``ConfigurationError`` when it is built; a legal one must finish
-a 60 s ``play()`` on a small site with every arrival accounted for.
+fleet's names and knobs: router policy, replica platforms (HPC and
+Kubernetes), router platform, scrape cadence, disagg, sessions,
+KV-memory share, engine scheduler policy, tensor parallelism and the
+site's node counts, all legal, or with one of them spoiled.  A spoiled
+spec must raise ``ConfigurationError`` when it is built; a legal one
+must finish a 60 s ``play()`` with every arrival accounted for.
 
-Capacity stays out of the strategy: the site has room for any drawn
-placement, and ``gpu_memory_utilization`` is drawn where the model's
-weights fit (0.5 and up) or outside the legal range.  Whether a legal
-spec fits its site is checked only when replicas deploy.
+Capacity is judged by :func:`_fits`, an oracle written out here: one
+replica per node, on nodes with at least ``tensor_parallel_size`` GPUs.
+A draw it refuses must fail at construction too, and so must an HPC
+platform without nodes (its workload manager, and the router, run
+there).  ``gpu_memory_utilization`` is drawn where the model's weights
+fit at the drawn parallelism (0.5 and up, at ``tensor_parallel_size``
+2 or more) or outside the legal range.
 """
 
 from __future__ import annotations
@@ -24,7 +28,11 @@ from repro.campaign.runner import play
 from repro.core.site import PLATFORM_KINDS
 from repro.errors import ConfigurationError
 from repro.services.router import RouterPolicy
+from repro.sessions import SessionSpec
 from repro.vllm.scheduler import SCHEDULER_POLICIES
+
+#: GPUs per node of each platform, as the paper's site has them.
+GPUS_PER_NODE = {"hops": 4, "eldorado": 4, "goodall": 2, "cee": 4}
 
 #: Legal values of each drawn setting.
 VALID = st.fixed_dictionaries({
@@ -37,6 +45,13 @@ VALID = st.fixed_dictionaries({
     "disagg": st.booleans(),
     "gpu_memory_utilization": st.floats(0.5, 1.0),
     "scheduler_policy": st.sampled_from(list(SCHEDULER_POLICIES)),
+    "sessions": st.booleans().map(lambda on: SessionSpec(enabled=on)),
+    "tensor_parallel_size": st.sampled_from([2, 4]),
+    # HPC platforms need a node (their workload managers run there), a
+    # Kubernetes platform may have none.
+    "site": st.builds(SiteSpec, **{
+        f"{p}_nodes": st.integers(1 if kind == "hpc" else 0, 2)
+        for p, kind in PLATFORM_KINDS.items()}),
 })
 
 #: Values each setting must refuse at construction.
@@ -47,6 +62,9 @@ INVALID = {
     "scrape_interval": [-1.0],
     "gpu_memory_utilization": [0.05, 1.5],
     "scheduler_policy": ["bogus"],
+    # 8 is more than any node has.
+    "tensor_parallel_size": [0, 8],
+    "site": [SiteSpec(hops_nodes=0), SiteSpec(eldorado_nodes=0)],
 }
 
 #: At most one setting spoiled per draw, so most draws play.
@@ -57,22 +75,41 @@ SPOIL = st.one_of(st.none(), st.sampled_from(sorted(INVALID)).flatmap(
 def _spec(**kwargs) -> ScenarioSpec:
     return ScenarioSpec(
         name="generated", seed=5, horizon=60.0,
-        site=SiteSpec(hops_nodes=2, eldorado_nodes=2, goodall_nodes=2,
-                      cee_nodes=2),
         schedule=ScheduleSpec(kind="poisson", rate_rps=0.2), **kwargs)
 
 
-@settings(max_examples=40, deadline=None)
+def _fits(kwargs: dict) -> bool:
+    """Whether the drawn site holds the initial pool."""
+    site, tp = kwargs["site"], kwargs["tensor_parallel_size"]
+    slots = sum(getattr(site, f"{p}_nodes") for p in kwargs["platforms"]
+                if GPUS_PER_NODE[p] >= tp)
+    return slots >= (2 if kwargs["disagg"] else 1)
+
+
+@settings(max_examples=60, deadline=None)
 @given(VALID, SPOIL)
 @example({}, ("policy", "bogus"))
 @example({}, ("platforms", ("nope",)))
 @example({}, ("router_platform", "goodall"))
+@example({}, ("tensor_parallel_size", 16))
+@example({"platforms": ("goodall",)}, ("site", SiteSpec(goodall_nodes=0)))
+@example({"platforms": ("goodall",)}, ("site", SiteSpec(hops_nodes=0)))
+@example({"platforms": ("goodall",)}, ("site", SiteSpec(eldorado_nodes=0)))
+@example({"platforms": ("cee",), "disagg": True},
+         ("site", SiteSpec(cee_nodes=1)))
 def test_generated_spec_is_refused_or_plays(kwargs, spoil):
     if spoil is not None:
         field, value = spoil
         with pytest.raises(ConfigurationError):
             _spec(**{**kwargs, field: value})
         return
+    if not _fits(kwargs):
+        with pytest.raises(ConfigurationError):
+            _spec(**kwargs)
+        return
     report, fleet, _digest = play(_spec(**kwargs))
-    assert report.arrivals == report.slo.completed + report.slo.errors
+    # A session's turns are requests too: count what was submitted.
+    assert report.slo.submitted == report.slo.completed + report.slo.errors
+    if not kwargs["sessions"].enabled:
+        assert report.arrivals == report.slo.submitted
     assert fleet.inflight == 0

@@ -6,8 +6,12 @@ import pytest
 
 from repro.containers.image import vllm_cuda_image
 from repro.containers.runtime import RunOpts
-from repro.core import Deployer, vllm_package
+from repro.core import (CaseStudyWorkflow, Deployer, build_sandia_site,
+                        vllm_package)
+from repro.core.translate import helm_values_for
 from repro.errors import NotFoundError
+from repro.k8s import PodPhase
+from repro.k8s.helm import HelmRelease
 from repro.net.http import HttpClient
 from tests.core.conftest import QUANT, SCOUT
 
@@ -165,3 +169,78 @@ def test_no_free_gpus_raises(site, workflow, deployer):
 
     with pytest.raises(StateError, match="free GPUs"):
         workflow.run(go(site.kernel))
+
+
+def test_second_release_on_a_busy_port_stays_pending():
+    """One replica per node per service port on Kubernetes: a 4-GPU node
+    serving one 2-GPU release has GPUs left but not its port."""
+    site = build_sandia_site(seed=11, hops_nodes=1, eldorado_nodes=1,
+                             goodall_nodes=1, cee_nodes=1)
+    CaseStudyWorkflow(site).admin_seed_s3(QUANT)
+    pkg, cluster = vllm_package(), site.cee.cluster
+    (knode,) = cluster.nodes
+    values = {name: helm_values_for(
+        site, pkg, pkg.variant_for("cuda"), pkg.profile(),
+        {"model": QUANT, "tensor_parallel_size": 2,
+         "max_model_len": 65536, "name": name})
+        for name in ("first", "second")}
+    HelmRelease.install(cluster, "first", values["first"])
+    site.kernel.run(until=site.kernel.now + 1800)
+    HelmRelease.install(cluster, "second", values["second"])
+    for _ in range(6):
+        site.kernel.run(until=site.kernel.now + 600)
+        pods = {p.meta.labels["app"]: p for p in cluster.pods()}
+        assert pods["first"].phase is PodPhase.RUNNING
+        assert pods["second"].phase is PodPhase.PENDING
+        assert pods["second"].node_name is None
+        assert "FailedScheduling" in pods["second"].message
+    scheduler = cluster.scheduler
+    assert scheduler.fits(knode, 2, None)
+    assert not scheduler.fits(knode, 2, pkg.service_port)
+    assert scheduler.fits(knode, 2, pkg.service_port + 1)
+
+
+def test_deployment_records_the_serving_backend(site, workflow, deployer):
+    """Both platform kinds hand back the (host, port) that serves: the
+    HPC node, or the node of the release's ready pod."""
+    _seed(workflow, QUANT, "hops")
+    workflow.admin_seed_s3(QUANT)
+    params = {"model": QUANT, "tensor_parallel_size": 2,
+              "max_model_len": 65536}
+
+    def go(env):
+        hpc = yield from deployer.deploy(vllm_package(), "hops", params)
+        k8s = yield from deployer.deploy(vllm_package(), "goodall", params)
+        return hpc, k8s
+
+    hpc, k8s = workflow.run(go(site.kernel))
+    assert hpc.backend == hpc.endpoint == (hpc.container.node.hostname, 8000)
+    (pod,) = site.goodall.cluster.running_pods()
+    assert k8s.backend == (pod.node_name, 8000)
+    assert k8s.endpoint[0] == "goodall-ingress"
+
+
+def test_free_slots_follow_one_rule_per_platform_kind(site, workflow,
+                                                      deployer):
+    """A slot is a node with the GPUs and the service port free, counted
+    by the deployer's HPC rule or the pod scheduler's fit."""
+    _seed(workflow, QUANT, "hops")
+    workflow.admin_seed_s3(QUANT)
+    port = vllm_package().service_port
+    assert deployer.free_slots(site.hops, 2, port) == 6
+    assert deployer.free_slots(site.cee, 2, port) == 2
+    assert deployer.free_slots(site.goodall, 4, port) == 0
+
+    def go(env):
+        for name in ("hops", "cee"):
+            yield from deployer.deploy(
+                vllm_package(), name,
+                {"model": QUANT, "tensor_parallel_size": 2,
+                 "max_model_len": 65536})
+
+    workflow.run(go(site.kernel))
+    # Each busy node keeps two free GPUs but not its port.
+    assert deployer.free_slots(site.hops, 2, port) == 5
+    assert deployer.free_slots(site.hops, 2, port + 1) == 6
+    assert deployer.free_slots(site.cee, 2, port) == 1
+    assert deployer.free_slots(site.cee, 2, port + 1) == 2

@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
-import pytest
+from dataclasses import replace
 
-from repro.core import vllm_package
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import build_sandia_site, vllm_package
 from repro.core.translate import command_text, helm_values_for
 from repro.errors import ConfigurationError
+from repro.vllm.config import parse_serve_command
+from repro.vllm.scheduler import SCHEDULER_POLICIES
 from tests.core.conftest import SCOUT
 
 
@@ -68,3 +74,48 @@ def test_command_text_renders_multiline():
     text = command_text(["podman run", "--rm", "--name=vllm", "image"])
     assert text.startswith("podman run")
     assert "\\" in text
+
+
+#: ``vllm serve`` parameters, each absent or set to a legal value.
+ENGINE_PARAMS = st.fixed_dictionaries({"model": st.just(SCOUT)}, optional={
+    "tensor_parallel_size": st.integers(1, 8),
+    "pipeline_parallel_size": st.integers(1, 4),
+    "disable_log_requests": st.booleans(),
+    "enable_prefix_caching": st.booleans(),
+    "gpu_memory_utilization": st.floats(0.1, 1.0),
+    "max_model_len": st.none() | st.integers(16, 131072),
+    "served_model_name": st.sampled_from(["scout", "team/llm"]),
+    "scheduler_policy": st.sampled_from(list(SCHEDULER_POLICIES)),
+    "chunk_tokens": st.integers(1, 4096),
+    "disagg_role": st.sampled_from(["unified", "prefill", "decode"]),
+    "override_generation_config": st.dictionaries(
+        st.sampled_from(["attn_temperature_tuning", "temperature"]),
+        st.booleans() | st.floats(0.0, 2.0), max_size=2),
+})
+
+
+@pytest.fixture(scope="module")
+def chart_site():
+    return build_sandia_site(seed=11, hops_nodes=1, eldorado_nodes=1,
+                             goodall_nodes=1, cee_nodes=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ENGINE_PARAMS)
+def test_podman_and_helm_commands_configure_the_same_engine(chart_site,
+                                                            params):
+    """One flag renderer: the Podman/Apptainer argv and the Helm chart
+    command parse to equal engine arguments, apart from what each head
+    names itself (model path, served name, host and port)."""
+    pkg = vllm_package()
+    podman = parse_serve_command(pkg.command(params))
+    chart = helm_values_for(chart_site, pkg, pkg.variant_for("cuda"),
+                            pkg.profile(), params)["image"]["command"]
+    helm = parse_serve_command(tuple(chart))
+    head = {"model": "", "served_model_name": None, "host": "",
+            "port": 0}
+    assert replace(helm, **head) == replace(podman, **head)
+    served = [t for t in chart if t.startswith("--served-model-name")]
+    assert len(served) == 1
+    assert helm.served_model_name == params.get("served_model_name", SCOUT)
+    assert podman.public_model_name == helm.public_model_name
