@@ -24,14 +24,18 @@ import pathlib
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, TypeVar
 
-from ..core.site import GPUS_PER_NODE, PLATFORM_KINDS
-from ..errors import ConfigurationError
+from ..core.site import GPU_MODEL, GPUS_PER_NODE, PLATFORM_KINDS
+from ..core.workflow import MAX_MODEL_LEN
+from ..errors import CapacityError, ConfigurationError, NotFoundError
 from ..fleet.autoscaler import AutoscalerConfig
 from ..fleet.fleet import DisaggSpec
 from ..fleet.slo import SloSpec
 from ..fleet.traffic import (DAY, ArrivalSchedule, DiurnalSchedule,
                              FlashCrowdSchedule, PoissonSchedule,
                              PulseSchedule, Tenant, TenantMix)
+from ..hardware.gpu import gpu_spec
+from ..models.catalog import model_card
+from ..models.weights import validate_fit
 from ..services.router import RouterPolicy
 from ..sessions.spec import SessionSpec
 from ..vllm.scheduler import SCHEDULER_POLICIES
@@ -281,7 +285,11 @@ class ScenarioSpec:
         """Refuse a site that cannot be built or hold the initial pool:
         each HPC platform runs a workload manager (one also runs the
         router), and a platform holds one replica per node with at
-        least ``tensor_parallel_size`` GPUs (one per service port)."""
+        least ``tensor_parallel_size`` GPUs (one per service port).
+        On every platform that can hold a replica, the model's weights
+        and one ``MAX_MODEL_LEN`` sequence of KV must fit the GPUs at
+        ``gpu_memory_utilization``, or each replica would crash at
+        startup."""
         nodes = {p: int(getattr(self.site, f"{p}_nodes"))
                  for p in PLATFORM_KINDS}
         empty = [p for p, kind in PLATFORM_KINDS.items()
@@ -291,8 +299,22 @@ class ScenarioSpec:
                 f"HPC platforms {empty} have no nodes; each needs one "
                 f"for its workload manager (the router runs on "
                 f"{self.router_platform!r})")
-        slots = sum(nodes[p] for p in self.platforms
-                    if GPUS_PER_NODE[p] >= self.tensor_parallel_size)
+        hosts = [p for p in self.platforms
+                 if GPUS_PER_NODE[p] >= self.tensor_parallel_size]
+        try:
+            card = model_card(self.model)
+        except NotFoundError as exc:
+            raise ConfigurationError(str(exc)) from exc
+        for p in hosts:
+            try:
+                validate_fit(
+                    card, gpu_spec(GPU_MODEL[p]), self.tensor_parallel_size,
+                    max_model_len=MAX_MODEL_LEN,
+                    gpu_memory_utilization=self.gpu_memory_utilization)
+            except (CapacityError, ConfigurationError) as exc:
+                raise ConfigurationError(
+                    f"replicas on {p!r} cannot start: {exc}") from exc
+        slots = sum(nodes[p] for p in hosts)
         pool = self.initial_replicas + (self.disagg.prefill_replicas
                                         if self.disagg.enabled else 0)
         if slots < pool:

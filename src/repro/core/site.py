@@ -44,9 +44,11 @@ S3_KEY, S3_SECRET = "AKIA_SANDIA", "s3-secret-demo"
 #: :class:`ConvergedSite` resolves names against and specs validate by.
 PLATFORM_KINDS = {"hops": "hpc", "eldorado": "hpc", "goodall": "k8s",
                   "cee": "k8s"}
-#: GPUs on each node of each platform: the table the site's nodes are
-#: built from and specs check capacity against.
+#: GPUs on each node of each platform, and their model: the tables the
+#: site's nodes are built from and specs check capacity and fit against.
 GPUS_PER_NODE = {"hops": 4, "eldorado": 4, "goodall": 2, "cee": 4}
+GPU_MODEL = {"hops": "H100-SXM-80G", "eldorado": "MI300A-120G",
+             "goodall": "H100-NVL-94G", "cee": "A100-SXM-80G"}
 
 
 @dataclass
@@ -80,11 +82,10 @@ class ConvergedSite:
         return {name: getattr(self, name) for name in PLATFORM_KINDS}
 
 
-def _hpc_node_spec(name: str, gpu_name: str, gpus: int,
-                   mem_gib: int = 768) -> NodeSpec:
+def _hpc_node_spec(name: str, platform: str) -> NodeSpec:
     return NodeSpec(
-        name=name, cpus=96, memory_bytes=mem_gib * GiB,
-        gpus=tuple([gpu_spec(gpu_name)] * gpus),
+        name=name, cpus=96, memory_bytes=768 * GiB,
+        gpus=tuple([gpu_spec(GPU_MODEL[platform])] * GPUS_PER_NODE[platform]),
         nics=(NicSpec("hsn0", gbps(200), "hsn"),
               NicSpec("eth0", gbps(25), "campus")))
 
@@ -157,7 +158,7 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
     fabric.connect("hops-lustre", hops_switch, gbps(800))
     hops_nodes_list = make_nodes(
         "hops", hops_nodes,
-        _hpc_node_spec("hops-node", "H100-SXM-80G", GPUS_PER_NODE["hops"]))
+        _hpc_node_spec("hops-node", "hops"))
     for node in hops_nodes_list:
         fabric.add_host(node.hostname, zone="hops")
         fabric.connect(node.hostname, hops_switch, gbps(200))
@@ -191,7 +192,7 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
     fabric.connect("eldo-lustre", eldo_switch, gbps(800))
     eldo_nodes_list = make_nodes(
         "eldo", eldorado_nodes,
-        _hpc_node_spec("eldo-node", "MI300A-120G", GPUS_PER_NODE["eldorado"]),
+        _hpc_node_spec("eldo-node", "eldorado"),
         start=1001, width=4)
     for node in eldo_nodes_list:
         fabric.add_host(node.hostname, zone="eldorado")
@@ -212,12 +213,11 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
     # -- Goodall (OpenShift + H100 NVL) ---------------------------------------------------
     goodall = _build_k8s_platform(
         kernel, fabric, spine, name="goodall", n_nodes=goodall_nodes,
-        gpu_name="H100-NVL-94G", registry=quay)
+        registry=quay)
 
     # -- CEE-OpenShift (production, A100) ---------------------------------------------------
     cee = _build_k8s_platform(
-        kernel, fabric, spine, name="cee", n_nodes=cee_nodes,
-        gpu_name="A100-SXM-80G", registry=quay)
+        kernel, fabric, spine, name="cee", n_nodes=cee_nodes, registry=quay)
 
     site = ConvergedSite(
         kernel=kernel, fabric=fabric, s3=s3, hub=hub, gitlab=gitlab,
@@ -234,7 +234,8 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
 
 
 def _build_k8s_platform(kernel, fabric, spine, name: str, n_nodes: int,
-                        gpu_name: str, registry: Registry) -> K8sPlatform:
+                        registry: Registry) -> K8sPlatform:
+    gpu_name = GPU_MODEL[name]
     switch = fabric.add_switch(f"{name}-net")
     fabric.connect(switch, spine, gbps(200), name=f"{name}-uplink")
     fabric.add_host(f"{name}-ingress", zone=name, externally_reachable=True)

@@ -27,6 +27,10 @@ from .ingress import ExposedService, expose_service
 from .package import AppPackage, vllm_package
 from .site import ConvergedSite
 
+#: ``--max-model-len`` every deployed replica serves with unless told
+#: otherwise: the paper's setting for Scout (Figs. 4-6).
+MAX_MODEL_LEN = 65536
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..hardware.node import Node
 
@@ -152,7 +156,7 @@ class CaseStudyWorkflow:
 
     def deploy_model(self, platform_name: str, model: str,
                      tensor_parallel_size: int,
-                     max_model_len: int | None = 65536,
+                     max_model_len: int | None = MAX_MODEL_LEN,
                      runtime_name: str | None = None,
                      node: Node | None = None,
                      extra_params: dict[str, Any] | None = None):

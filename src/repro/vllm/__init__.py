@@ -16,9 +16,8 @@ from .config import EngineArgs, OFFLINE_ENV_FLAGS, parse_serve_command
 from .engine import LLMEngine, Request, RequestStats
 from .kvcache import BlockManager
 from .perf import PerfModel, PerfProfile
-from .scheduler import (SCHEDULER_POLICIES, ChunkedPrefillPolicy, FcfsPolicy,
-                        PriorityPolicy, Scheduler, SchedulingPolicy,
-                        make_policy)
+from .scheduler import (SCHEDULER_POLICIES, SCHEDULERS, ChunkedScheduler,
+                        PriorityScheduler, Scheduler)
 from .spec import RequestSpec
 from .faults import CrashAfterRequests, CrashAtTime, FaultPlan
 from .multinode import MultiNodeEngineLauncher
@@ -39,11 +38,9 @@ __all__ = [
     "RequestSpec",
     "RequestStats",
     "SCHEDULER_POLICIES",
+    "SCHEDULERS",
     "Scheduler",
-    "SchedulingPolicy",
-    "FcfsPolicy",
-    "PriorityPolicy",
-    "ChunkedPrefillPolicy",
-    "make_policy",
+    "PriorityScheduler",
+    "ChunkedScheduler",
     "parse_serve_command",
 ]

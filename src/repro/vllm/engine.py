@@ -5,10 +5,11 @@ paper's curves: admission from a waiting queue while KV blocks are
 available, one token per running sequence per iteration, recompute-
 preemption when the cache fills, and iteration times from the
 calibrated :class:`~repro.vllm.perf.PerfModel`.  *Which* request is
-admitted, preempted, or coalesced over is the
-:class:`~repro.vllm.scheduler.Scheduler`'s decision — FCFS by default,
-with priority and chunked-prefill policies selectable through
-``EngineArgs.scheduler_policy``.
+admitted, preempted, or coalesced over is the decision of one
+scheduler object, built from ``EngineArgs.scheduler_policy`` through
+:data:`~repro.vllm.scheduler.SCHEDULERS`: the FCFS
+:class:`~repro.vllm.scheduler.Scheduler` (default) or one of its
+policy subclasses.
 
 An engine also carries a *disaggregation role* (``EngineArgs.
 disagg_role``): ``unified`` (default) serves whole requests; a
@@ -33,7 +34,7 @@ from ..simkernel import Event, Interrupted, Sleep
 from .config import EngineArgs
 from .kvcache import BlockManager
 from .perf import PerfModel
-from .scheduler import Scheduler, make_policy
+from .scheduler import SCHEDULERS
 from .spec import RequestSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -150,12 +151,8 @@ class LLMEngine:
         self.args = args
         self.name = name
         self.blocks = BlockManager(
-            kv_capacity_tokens,
-            prefix_caching=getattr(args, "enable_prefix_caching", False))
-        self.scheduler = Scheduler(
-            self, make_policy(getattr(args, "scheduler_policy", "fcfs"),
-                              chunk_tokens=getattr(args, "chunk_tokens",
-                                                   512)))
+            kv_capacity_tokens, prefix_caching=args.enable_prefix_caching)
+        self.scheduler = SCHEDULERS[args.scheduler_policy](self)
         # The scheduler's waiting deque and running list themselves
         # (plain aliases: the hot loop reads them without a property
         # call).  The scheduler mutates both in place and never rebinds
@@ -278,7 +275,7 @@ class LLMEngine:
             "num_preemptions_total": self.completed_preemptions
             + sum(r.preemptions for r in self.running),
             "prefix_cache": self.blocks.cache_stats(),
-            "scheduler_policy": self.scheduler.policy.name,
+            "scheduler_policy": self.scheduler.name,
             "request_latency_p50": float(np.percentile(latencies, 50))
             if latencies else 0.0,
             "crashed": self.crashed is not None,

@@ -1,32 +1,27 @@
 """The engine's scheduler: queues, admission, and the coalescing plan.
 
-PRs 1-6 grew this logic inline in ``LLMEngine._loop``/``_admit``/
-``_plan_jump``; it now lives in an explicit :class:`Scheduler` object
-holding the waiting queue and running batch, with the policy decisions
-— queue order, per-iteration admission, preemption victim choice, and
-the coalesced-decode jump plan — delegated to a pluggable
-:class:`SchedulingPolicy`:
+A :class:`Scheduler` holds one engine's waiting queue and running batch
+and makes every policy decision over them: queue order, per-iteration
+admission, the preemption victim, and the coalesced-decode jump plan.
+The base class *is* the FCFS scheduler; each other policy subclasses it
+and overrides only the decisions it changes:
 
-* :class:`FcfsPolicy` (default) is the legacy behavior, verbatim:
-  FCFS admission while KV blocks allow, LIFO recompute-preemption,
-  and the PR 4 multi-iteration coalescing plan.  Bit-identical to the
-  pre-extraction engine by construction (the property suite in
-  ``tests/vllm/test_engine_coalescing.py`` holds it to that).
-* :class:`PriorityPolicy` keeps the waiting queue ordered by
-  ``(-priority, arrival)`` and preempts lower-priority running
-  requests when a higher-priority arrival cannot otherwise be
-  admitted.
-* :class:`ChunkedPrefillPolicy` spreads each prompt's prefill over
-  iterations in ``chunk_tokens`` slices, so one long prompt no longer
-  stalls every in-flight decode for a full prefill (the TTFT tail win
-  of chunked prefill).
+* :class:`Scheduler` (``fcfs``, the default): FCFS admission while KV
+  blocks allow, LIFO recompute-preemption, and the coalescing plan;
+* :class:`PriorityScheduler`: admission by ``(-priority, arrival)``,
+  evicting lower classes to admit a higher one;
+* :class:`ChunkedScheduler`: each prefill paid in ``chunk_tokens``
+  slices.
 
 Coalescing compatibility (see ``docs/serving.md``): the jump plan's
 proof obligations — "the waiting head cannot become admissible
 mid-jump" and "no first token fires mid-jump" — are FCFS-specific, so
-only :class:`FcfsPolicy` declares ``supports_coalescing``.  The other
-policies return a zero-length jump and the engine asserts it never
-enters a fast-forward under them.
+both subclasses clear ``supports_coalescing`` and the engine never asks
+them for a jump plan.
+
+Policy names are validated where they enter the program
+(``EngineArgs``, ``ScenarioSpec``, ``--scheduler-policy``), all from
+:data:`SCHEDULER_POLICIES`, so the table lookup here cannot miss.
 """
 
 from __future__ import annotations
@@ -34,54 +29,15 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING
 
-from ..errors import ConfigurationError
-
 if TYPE_CHECKING:  # pragma: no cover
     from .engine import LLMEngine, Request
 
-__all__ = ["Scheduler", "SchedulingPolicy", "FcfsPolicy", "PriorityPolicy",
-           "ChunkedPrefillPolicy", "SCHEDULER_POLICIES", "make_policy"]
-
-#: Policy names accepted by ``--scheduler-policy`` / ``ScenarioSpec``.
-SCHEDULER_POLICIES = ("fcfs", "priority", "chunked")
-
-
-class SchedulingPolicy:
-    """Strategy interface; every hook receives the owning Scheduler."""
-
-    name = "abstract"
-    #: Whether the PR 4 coalesced-decode fast-forward may run under
-    #: this policy.  Only FCFS can: the jump-plan argument relies on
-    #: admission order being frozen while the engine sleeps.
-    supports_coalescing = False
-
-    def enqueue(self, sched: Scheduler, request: Request) -> None:
-        raise NotImplementedError
-
-    def requeue(self, sched: Scheduler, victim: Request) -> None:
-        """Return a preempted request to the waiting queue."""
-        raise NotImplementedError
-
-    def schedule(self, sched: Scheduler) -> int:
-        """Admit work for one iteration; returns prefill tokens to
-        charge this step."""
-        raise NotImplementedError
-
-    def plan_jump(self, sched: Scheduler) -> int:
-        """Iterations provably free of scheduling events (0 = none)."""
-        return 0
-
-    def victim(self, sched: Scheduler,
-               protect: Request) -> Request | None:
-        """Choose a preemption victim so ``protect`` can grow."""
-        for candidate in reversed(sched.running):
-            if candidate is not protect:
-                return candidate
-        return None
+__all__ = ["Scheduler", "PriorityScheduler", "ChunkedScheduler",
+           "SCHEDULERS", "SCHEDULER_POLICIES"]
 
 
 class Scheduler:
-    """Owns the waiting queue and running batch of one engine.
+    """The FCFS scheduler, and the base every other policy overrides.
 
     The engine keeps the resources (BlockManager, perf model, KV
     counter) and the iteration loop; the scheduler decides *which*
@@ -90,32 +46,37 @@ class Scheduler:
     objects, so neither is ever rebound.
     """
 
-    def __init__(self, engine: LLMEngine, policy: SchedulingPolicy):
+    name = "fcfs"
+    #: Whether the coalesced-decode fast-forward may run under this
+    #: policy.  Only FCFS can: the jump-plan argument relies on
+    #: admission order being frozen while the engine sleeps.
+    supports_coalescing = True
+
+    def __init__(self, engine: LLMEngine):
         self.engine = engine
-        self.policy = policy
         self.waiting: deque[Request] = deque()
         self.running: list[Request] = []
 
-    @property
-    def supports_coalescing(self) -> bool:
-        return self.policy.supports_coalescing
-
     def enqueue(self, request: Request) -> None:
-        self.policy.enqueue(self, request)
+        self.waiting.append(request)
 
     def requeue(self, victim: Request) -> None:
-        self.policy.requeue(self, victim)
+        """Return a preempted request to the waiting queue.
 
-    def schedule(self) -> int:
-        return self.policy.schedule(self)
-
-    def plan_jump(self) -> int:
-        return self.policy.plan_jump(self)
+        Recompute-preemption readmits LIFO: the youngest victim goes
+        back first, ahead of never-admitted arrivals.
+        """
+        self.waiting.appendleft(victim)
 
     def victim(self, protect: Request) -> Request | None:
-        return self.policy.victim(self, protect)
+        """Choose a preemption victim so ``protect`` can grow: the
+        youngest running request."""
+        for candidate in reversed(self.running):
+            if candidate is not protect:
+                return candidate
+        return None
 
-    # -- shared admission machinery ----------------------------------------------
+    # -- admission ----------------------------------------------------------------
 
     def can_admit(self, request: Request) -> bool:
         """The one admission predicate, shared by admission and
@@ -128,74 +89,67 @@ class Scheduler:
         admission the stepwise engine would have made — breaking
         bit-identity.
         """
-        blocks = self.engine.blocks
-        return blocks.can_allocate(request.total_tokens,
-                                   prefix_key=request.session_key)
+        return self.engine.blocks.can_allocate(
+            request.total_tokens, prefix_key=request.session_key)
 
-    def admit_head(self) -> Request:
-        """Pop the waiting head into the running batch; returns it with
-        ``cached_tokens``/``needs_prefill`` updated (prefill cost is
-        the caller's to account — policies differ on when to pay it).
+    def make_room(self, request: Request) -> bool:
+        """Whether the waiting head ``request`` may be admitted now.
+
+        FCFS never evicts to admit: the head waits for KV blocks.
+        """
+        return self.can_admit(request)
+
+    def admit_head(self) -> int:
+        """Pop the waiting head into the running batch; returns the
+        prefill tokens it owes.
+
+        With prefix caching, tokens covered by cached blocks are owed
+        nothing — the engine skips that compute entirely, which is the
+        TTFT win of a warm conversation.  A ``prefill_done`` request
+        (disaggregated handoff) owes no prefill at all on its first
+        admission: the KV arrived over the fabric.
         """
         engine = self.engine
         nxt = self.waiting.popleft()
         if nxt.admitted_at is None:   # keep first admission on recompute
             nxt.admitted_at = engine.kernel.now
-        cached = engine.blocks.allocate(nxt.id, nxt.total_tokens,
+        total = nxt.total_tokens      # includes recompute after preemption
+        cached = engine.blocks.allocate(nxt.id, total,
                                         prefix_key=nxt.session_key)
         nxt.cached_tokens = cached
-        nxt.needs_prefill = True
         nxt.active = True
         self.running.append(nxt)
-        engine._kv_tokens += nxt.total_tokens
-        return nxt
+        engine._kv_tokens += total
+        if nxt.prefill_done:
+            # One-shot: a preemption drops the transferred KV, so
+            # recompute prefills locally like any other request.
+            nxt.prefill_done = False
+            nxt.needs_prefill = False
+            return 0
+        nxt.needs_prefill = True
+        return total - cached
 
-
-class FcfsPolicy(SchedulingPolicy):
-    """First-come-first-served admission — the legacy engine, verbatim."""
-
-    name = "fcfs"
-    supports_coalescing = True
-
-    def enqueue(self, sched: Scheduler, request: Request) -> None:
-        sched.waiting.append(request)
-
-    def requeue(self, sched: Scheduler, victim: Request) -> None:
-        # Recompute-preemption readmits LIFO: the youngest victim goes
-        # back first, ahead of never-admitted arrivals.
-        sched.waiting.appendleft(victim)
-
-    def schedule(self, sched: Scheduler) -> int:
-        """FCFS admission while KV blocks allow; returns prefill tokens.
-
-        With prefix caching, tokens covered by cached blocks are
-        excluded from the returned prefill cost — the engine skips that
-        compute entirely, which is the TTFT win of a warm conversation.
-        A ``prefill_done`` request (disaggregated handoff) charges no
-        prefill at all on its first admission: the KV arrived over the
-        fabric.
-        """
-        engine = sched.engine
-        waiting = sched.waiting
+    def schedule(self) -> int:
+        """Admit work for one iteration; returns the prefill tokens to
+        charge this step.  Admits in queue order while the batch-size
+        cap and :meth:`make_room` allow."""
+        waiting = self.waiting
+        running = self.running
+        max_num_seqs = self.engine.args.max_num_seqs
         prefill = 0
-        while waiting and len(sched.running) < engine.args.max_num_seqs:
-            nxt = waiting[0]
-            needed = nxt.total_tokens  # includes recompute after preemption
-            if not sched.can_admit(nxt):
-                break
-            sched.admit_head()
-            if nxt.prefill_done:
-                # One-shot: a preemption drops the transferred KV, so
-                # recompute prefills locally like any other request.
-                nxt.prefill_done = False
-                nxt.needs_prefill = False
-            else:
-                prefill += needed - nxt.cached_tokens
+        while (waiting and len(running) < max_num_seqs
+               and self.make_room(waiting[0])):
+            prefill += self.admit_head()
         return prefill
 
-    def plan_jump(self, sched: Scheduler) -> int:
+    # -- coalescing -----------------------------------------------------------------
+
+    def plan_jump(self) -> int:
         """Iterations guaranteed free of finishes, first tokens,
         admissions, and preemptions — eligible for one coalesced sleep.
+
+        Only sound under ``supports_coalescing``; the engine asks no
+        other policy.
 
         A *blocked* waiting queue cannot unblock mid-jump (free KV
         blocks only shrink between finishes and the batch-size cap only
@@ -205,19 +159,19 @@ class FcfsPolicy(SchedulingPolicy):
         no jump sleep to wake, so it must not be slept past here.
 
         Prefix caching does not loosen this argument: admissibility
-        (:meth:`Scheduler.can_admit`) reads cached hits plus evictable
-        blocks, and mid-jump neither can grow — registrations happen
-        only at finishes (none in a jump) and appends only consume
-        capacity.  Evictable cached blocks *do* count toward the
-        block-crossing budget below: evictions cost no simulated time
-        and pop a deterministic LRU, so bulk-applied iterations evict
-        exactly the blocks per-iteration stepping would.
+        (:meth:`can_admit`) reads cached hits plus evictable blocks,
+        and mid-jump neither can grow — registrations happen only at
+        finishes (none in a jump) and appends only consume capacity.
+        Evictable cached blocks *do* count toward the block-crossing
+        budget below: evictions cost no simulated time and pop a
+        deterministic LRU, so bulk-applied iterations evict exactly the
+        blocks per-iteration stepping would.
         """
-        engine = sched.engine
-        running = sched.running
-        waiting = sched.waiting
+        engine = self.engine
+        running = self.running
+        waiting = self.waiting
         if waiting and (len(running) < engine.args.max_num_seqs
-                        and sched.can_admit(waiting[0])):
+                        and self.can_admit(waiting[0])):
             return 0
         # Single pass over the batch: the shortest remaining decode
         # bounds the jump, and any pending prefill vetoes it.  This
@@ -264,7 +218,7 @@ class FcfsPolicy(SchedulingPolicy):
         return j
 
 
-class PriorityPolicy(SchedulingPolicy):
+class PriorityScheduler(Scheduler):
     """Priority admission with cross-class preemption.
 
     The waiting queue is kept ordered by ``(-priority, arrival)``; a
@@ -278,6 +232,7 @@ class PriorityPolicy(SchedulingPolicy):
     """
 
     name = "priority"
+    supports_coalescing = False
 
     @staticmethod
     def _key(request: Request) -> tuple:
@@ -286,8 +241,8 @@ class PriorityPolicy(SchedulingPolicy):
         # original id and re-sorts ahead of younger peers of its class.
         return (-request.priority, request.id)
 
-    def _insert(self, sched: Scheduler, request: Request) -> None:
-        waiting = sched.waiting
+    def enqueue(self, request: Request) -> None:
+        waiting = self.waiting
         key = self._key(request)
         # Linear scan from the tail: arrivals are usually lowest-rank.
         idx = len(waiting)
@@ -295,17 +250,12 @@ class PriorityPolicy(SchedulingPolicy):
             idx -= 1
         waiting.insert(idx, request)
 
-    def enqueue(self, sched: Scheduler, request: Request) -> None:
-        self._insert(sched, request)
+    requeue = enqueue
 
-    def requeue(self, sched: Scheduler, victim: Request) -> None:
-        self._insert(sched, victim)
-
-    def victim(self, sched: Scheduler,
-               protect: Request) -> Request | None:
+    def victim(self, protect: Request) -> Request | None:
         # Lowest priority first; LIFO (latest id) within the class.
         best = None
-        for candidate in sched.running:
+        for candidate in self.running:
             if candidate is protect:
                 continue
             if best is None or (candidate.priority, -candidate.id) \
@@ -313,31 +263,17 @@ class PriorityPolicy(SchedulingPolicy):
                 best = candidate
         return best
 
-    def schedule(self, sched: Scheduler) -> int:
-        engine = sched.engine
-        waiting = sched.waiting
-        prefill = 0
-        while waiting and len(sched.running) < engine.args.max_num_seqs:
-            nxt = waiting[0]
-            needed = nxt.total_tokens
-            while not sched.can_admit(nxt):
-                # Make room by evicting strictly lower-priority work.
-                victim = self.victim(sched, nxt)
-                if victim is None or victim.priority >= nxt.priority:
-                    break
-                engine._preempt(victim)
-            if not sched.can_admit(nxt):
-                break
-            sched.admit_head()
-            if nxt.prefill_done:
-                nxt.prefill_done = False
-                nxt.needs_prefill = False
-            else:
-                prefill += needed - nxt.cached_tokens
-        return prefill
+    def make_room(self, request: Request) -> bool:
+        """Evict strictly lower-priority work until ``request`` fits."""
+        while not self.can_admit(request):
+            victim = self.victim(request)
+            if victim is None or victim.priority >= request.priority:
+                return False
+            self.engine._preempt(victim)
+        return True
 
 
-class ChunkedPrefillPolicy(SchedulingPolicy):
+class ChunkedScheduler(Scheduler):
     """FCFS admission with prefill spread over ``chunk_tokens`` slices.
 
     Each iteration charges at most ``chunk_tokens`` of prefill compute:
@@ -352,62 +288,39 @@ class ChunkedPrefillPolicy(SchedulingPolicy):
     """
 
     name = "chunked"
+    supports_coalescing = False
 
-    def __init__(self, chunk_tokens: int = 512):
-        if chunk_tokens < 1:
-            raise ConfigurationError(
-                f"chunk_tokens must be positive, got {chunk_tokens}")
-        self.chunk_tokens = chunk_tokens
+    def __init__(self, engine: LLMEngine):
+        super().__init__(engine)
+        self.chunk_tokens = engine.args.chunk_tokens
 
-    def enqueue(self, sched: Scheduler, request: Request) -> None:
-        sched.waiting.append(request)
-
-    def requeue(self, sched: Scheduler, victim: Request) -> None:
-        victim.prefill_remaining = 0   # recompute restarts the slices
-        sched.waiting.appendleft(victim)
-
-    def schedule(self, sched: Scheduler) -> int:
-        engine = sched.engine
+    def schedule(self) -> int:
         budget = self.chunk_tokens
-        charged = 0
         # Drain in-flight prefills first, in admission order.
-        for request in sched.running:
+        for request in self.running:
             if budget <= 0:
                 break
             if request.prefill_remaining > 0:
                 take = min(budget, request.prefill_remaining)
                 request.prefill_remaining -= take
                 budget -= take
-                charged += take
         # Admit while budget remains for at least one slice.
-        waiting = sched.waiting
+        waiting = self.waiting
+        max_num_seqs = self.engine.args.max_num_seqs
         while (budget > 0 and waiting
-               and len(sched.running) < engine.args.max_num_seqs):
-            nxt = waiting[0]
-            needed = nxt.total_tokens
-            if not sched.can_admit(nxt):
-                break
-            sched.admit_head()
-            if nxt.prefill_done:
-                nxt.prefill_done = False
-                nxt.needs_prefill = False
-                continue
-            remaining = needed - nxt.cached_tokens
-            take = min(budget, remaining)
-            nxt.prefill_remaining = remaining - take
+               and len(self.running) < max_num_seqs
+               and self.make_room(waiting[0])):
+            owed = self.admit_head()
+            take = min(budget, owed)
+            # Set on every admission, so a recompute restarts the slices.
+            self.running[-1].prefill_remaining = owed - take
             budget -= take
-            charged += take
-        return charged
+        return self.chunk_tokens - budget
 
 
-def make_policy(name: str, chunk_tokens: int = 512) -> SchedulingPolicy:
-    """Policy factory for ``EngineArgs.scheduler_policy``."""
-    if name == "fcfs":
-        return FcfsPolicy()
-    if name == "priority":
-        return PriorityPolicy()
-    if name == "chunked":
-        return ChunkedPrefillPolicy(chunk_tokens=chunk_tokens)
-    raise ConfigurationError(
-        f"unknown scheduler policy {name!r} "
-        f"(choices: {', '.join(SCHEDULER_POLICIES)})")
+#: Policy name -> scheduler class, the one place a policy is registered.
+SCHEDULERS: dict[str, type[Scheduler]] = {
+    cls.name: cls for cls in (Scheduler, PriorityScheduler, ChunkedScheduler)}
+
+#: Policy names accepted by ``--scheduler-policy`` / ``ScenarioSpec``.
+SCHEDULER_POLICIES = tuple(SCHEDULERS)

@@ -9,12 +9,14 @@ spec must raise ``ConfigurationError`` when it is built; a legal one
 must finish a 60 s ``play()`` with every arrival accounted for.
 
 Capacity is judged by :func:`_fits`, an oracle written out here: one
-replica per node, on nodes with at least ``tensor_parallel_size`` GPUs.
-A draw it refuses must fail at construction too, and so must an HPC
-platform without nodes (its workload manager, and the router, run
-there).  ``gpu_memory_utilization`` is drawn where the model's weights
-fit at the drawn parallelism (0.5 and up, at ``tensor_parallel_size``
-2 or more) or outside the legal range.
+replica per node, on nodes with at least ``tensor_parallel_size`` GPUs,
+and on each platform that can hold one, the model must fit that
+platform's GPU (its weights plus one 65,536-token sequence of KV at
+the drawn ``gpu_memory_utilization``).  A draw it refuses must fail at
+construction too, and so must an HPC platform without nodes (its
+workload manager, and the router, run there).  Tensor parallelism is
+drawn from 1, 2 and 4 and ``gpu_memory_utilization`` over its whole
+legal range, 0.1 to 1.0, so many draws do not fit.
 """
 
 from __future__ import annotations
@@ -25,14 +27,21 @@ from hypothesis import strategies as st
 
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
 from repro.campaign.runner import play
+from repro.campaign.spec import DEFAULT_MODEL
 from repro.core.site import PLATFORM_KINDS
-from repro.errors import ConfigurationError
+from repro.errors import CapacityError, ConfigurationError
+from repro.hardware import gpu_spec
+from repro.models import model_card
+from repro.models.weights import validate_fit
 from repro.services.router import RouterPolicy
 from repro.sessions import SessionSpec
 from repro.vllm.scheduler import SCHEDULER_POLICIES
 
-#: GPUs per node of each platform, as the paper's site has them.
+#: GPUs per node of each platform, and their model, as the paper's site
+#: has them.
 GPUS_PER_NODE = {"hops": 4, "eldorado": 4, "goodall": 2, "cee": 4}
+GPU_MODEL = {"hops": "H100-SXM-80G", "eldorado": "MI300A-120G",
+             "goodall": "H100-NVL-94G", "cee": "A100-SXM-80G"}
 
 #: Legal values of each drawn setting.
 VALID = st.fixed_dictionaries({
@@ -43,10 +52,13 @@ VALID = st.fixed_dictionaries({
         [p for p, kind in PLATFORM_KINDS.items() if kind == "hpc"]),
     "scrape_interval": st.one_of(st.just(0.0), st.floats(5.0, 600.0)),
     "disagg": st.booleans(),
-    "gpu_memory_utilization": st.floats(0.5, 1.0),
+    # The whole legal range, and as often 0.9 and up, where the model
+    # fits at every parallelism, so that enough draws play.
+    "gpu_memory_utilization": st.one_of(st.floats(0.9, 1.0),
+                                        st.floats(0.1, 1.0)),
     "scheduler_policy": st.sampled_from(list(SCHEDULER_POLICIES)),
     "sessions": st.booleans().map(lambda on: SessionSpec(enabled=on)),
-    "tensor_parallel_size": st.sampled_from([2, 4]),
+    "tensor_parallel_size": st.sampled_from([1, 2, 4]),
     # HPC platforms need a node (their workload managers run there), a
     # Kubernetes platform may have none.
     "site": st.builds(SiteSpec, **{
@@ -78,11 +90,25 @@ def _spec(**kwargs) -> ScenarioSpec:
         schedule=ScheduleSpec(kind="poisson", rate_rps=0.2), **kwargs)
 
 
+def _model_fits(platform: str, tp: int, utilization: float) -> bool:
+    try:
+        validate_fit(model_card(DEFAULT_MODEL), gpu_spec(GPU_MODEL[platform]),
+                     tp, max_model_len=65536,
+                     gpu_memory_utilization=utilization)
+    except CapacityError:
+        return False
+    return True
+
+
 def _fits(kwargs: dict) -> bool:
-    """Whether the drawn site holds the initial pool."""
+    """Whether the drawn site holds the initial pool and the model fits
+    wherever a replica can land."""
     site, tp = kwargs["site"], kwargs["tensor_parallel_size"]
-    slots = sum(getattr(site, f"{p}_nodes") for p in kwargs["platforms"]
-                if GPUS_PER_NODE[p] >= tp)
+    hosts = [p for p in kwargs["platforms"] if GPUS_PER_NODE[p] >= tp]
+    if not all(_model_fits(p, tp, kwargs["gpu_memory_utilization"])
+               for p in hosts):
+        return False
+    slots = sum(getattr(site, f"{p}_nodes") for p in hosts)
     return slots >= (2 if kwargs["disagg"] else 1)
 
 
@@ -97,6 +123,11 @@ def _fits(kwargs: dict) -> bool:
 @example({"platforms": ("goodall",)}, ("site", SiteSpec(eldorado_nodes=0)))
 @example({"platforms": ("cee",), "disagg": True},
          ("site", SiteSpec(cee_nodes=1)))
+# Legal settings whose replicas could not start: the model does not fit.
+@example({"platforms": ("hops",)}, ("gpu_memory_utilization", 0.3))
+@example({"platforms": ("eldorado",)}, ("gpu_memory_utilization", 0.3))
+@example({"platforms": ("goodall",), "tensor_parallel_size": 1},
+         ("gpu_memory_utilization", 0.5))
 def test_generated_spec_is_refused_or_plays(kwargs, spoil):
     if spoil is not None:
         field, value = spoil

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cluster.platform import HPCPlatform, K8sPlatform
 from repro.core import apply_s3_routing_fix
-from repro.core.site import PLATFORM_KINDS
+from repro.core.site import GPU_MODEL, GPUS_PER_NODE, PLATFORM_KINDS
 from repro.errors import NotFoundError
 from repro.units import GB, gbps
 from tests.core.conftest import SCOUT
@@ -38,13 +38,17 @@ def test_hub_has_gated_models(site):
 
 
 def test_platform_kinds_declare_the_built_site(site):
-    # Specs validate platform names and the router's platform against
-    # PLATFORM_KINDS, so it must name and type exactly what is built.
+    # Specs validate platform names, the router's platform, capacity
+    # and model fit against these tables, so they must name, type and
+    # equip exactly what is built.
     assert list(site.platforms) == list(PLATFORM_KINDS)
     kinds = {"hpc": HPCPlatform, "k8s": K8sPlatform}
     for name, kind in PLATFORM_KINDS.items():
-        assert isinstance(site.platform(name), kinds[kind])
-        assert site.platform(name).name == name
+        platform = site.platform(name)
+        assert isinstance(platform, kinds[kind])
+        assert platform.name == name
+        assert platform.gpu_spec.name == GPU_MODEL[name]
+        assert platform.gpus_per_node == GPUS_PER_NODE[name]
 
 
 def test_unknown_platform_raises(site):

@@ -1,14 +1,21 @@
-"""Tests for the extracted Scheduler and its pluggable policies.
+"""Tests for the engine's scheduler and its policy subclasses.
 
-The policy-swap equivalence tests are the refactor's safety net: with
-every request in one priority class (or one prefill chunk), the
-priority and chunked policies must reproduce FCFS *bit-identically* —
-same tokens, same TTFTs, same finish times — because their decision
-rules degenerate to FCFS there.  The pressure tests then pin the
-behaviors that are supposed to differ.
+``Scheduler`` is the FCFS scheduler; ``PriorityScheduler`` and
+``ChunkedScheduler`` override only the decisions they change.  The
+policy-swap equivalence tests hold them to FCFS where their rules
+degenerate to it: with every request in one priority class (or one
+prefill chunk), the trajectory — tokens, TTFTs, finish times — must be
+bit-identical.  The pressure pins fix each policy's own trajectory
+under KV and batch-size pressure, with preemptions, prefix hits and
+disaggregated handoffs in the mix, so a refactor of the scheduler can
+move none of them.  The remaining tests pin the behaviors that are
+supposed to differ, and check that bad policy settings are refused
+where they enter the program.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import pytest
 
@@ -16,18 +23,20 @@ from repro.errors import ConfigurationError
 from repro.hardware import gpu_spec
 from repro.models import llama4_scout
 from repro.simkernel import SimKernel
-from repro.vllm import (ChunkedPrefillPolicy, EngineArgs, FcfsPolicy,
-                        LLMEngine, PerfModel, PerfProfile, PriorityPolicy,
-                        RequestSpec, Scheduler, make_policy)
+from repro.vllm import (SCHEDULER_POLICIES, SCHEDULERS, ChunkedScheduler,
+                        EngineArgs, LLMEngine, PerfModel, PerfProfile,
+                        PriorityScheduler, RequestSpec, Scheduler,
+                        parse_serve_command)
 
 
 def _engine(kernel, policy="fcfs", kv_tokens=200_000, max_num_seqs=1024,
-            chunk_tokens=512, coalesce=True):
+            chunk_tokens=512, coalesce=True, prefix_caching=False):
     card = llama4_scout()
     gpu = gpu_spec("H100-SXM-80G")
     args = EngineArgs(model=card.name, tensor_parallel_size=4,
                       max_model_len=65536, max_num_seqs=max_num_seqs,
-                      scheduler_policy=policy, chunk_tokens=chunk_tokens)
+                      scheduler_policy=policy, chunk_tokens=chunk_tokens,
+                      enable_prefix_caching=prefix_caching)
     perf = PerfModel(card, gpu, 4, profile=PerfProfile())
     engine = LLMEngine(kernel, card, perf, args, kv_tokens)
     if not coalesce:
@@ -69,22 +78,40 @@ def _run_workload(policy, kv_tokens=6144, chunk_tokens=512, workload=None):
              r.preemptions) for r in requests]
 
 
-def test_make_policy_factory_and_validation():
-    assert isinstance(make_policy("fcfs"), FcfsPolicy)
-    assert isinstance(make_policy("priority"), PriorityPolicy)
-    chunked = make_policy("chunked", chunk_tokens=64)
-    assert isinstance(chunked, ChunkedPrefillPolicy)
-    assert chunked.chunk_tokens == 64
-    with pytest.raises(ConfigurationError, match="unknown scheduler"):
-        make_policy("sjf")
-    with pytest.raises(ConfigurationError, match="chunk_tokens"):
-        ChunkedPrefillPolicy(chunk_tokens=0)
+@pytest.mark.parametrize("kwargs,match", [
+    ({"scheduler_policy": "sjf"}, "unknown scheduler_policy"),
+    ({"chunk_tokens": 0}, "chunk_tokens"),
+], ids=["policy", "chunk_tokens"])
+def test_bad_scheduler_settings_fail_at_the_input_boundary(kwargs, match):
+    """A bad policy name or chunk budget is refused where it enters the
+    program: ``EngineArgs`` and the ``vllm serve`` parser."""
+    with pytest.raises(ConfigurationError, match=match):
+        EngineArgs(model="m", **kwargs)
+    (flag, value), = kwargs.items()
+    argv = ("vllm", "serve", "/data/", f"--{flag.replace('_', '-')}",
+            str(value))
+    with pytest.raises(ConfigurationError, match=match):
+        parse_serve_command(argv)
+
+
+@pytest.mark.parametrize("policy,cls", [
+    ("fcfs", Scheduler), ("priority", PriorityScheduler),
+    ("chunked", ChunkedScheduler)])
+def test_each_policy_builds_its_scheduler(kernel, policy, cls):
+    engine = _engine(kernel, policy=policy, chunk_tokens=64)
+    assert type(engine.scheduler) is cls
+    assert SCHEDULERS[policy] is cls
+    assert engine.scheduler.name == policy
+    assert engine.metrics()["scheduler_policy"] == policy
+    assert SCHEDULER_POLICIES == tuple(SCHEDULERS)
+    if policy == "chunked":
+        assert engine.scheduler.chunk_tokens == 64
 
 
 def test_only_fcfs_supports_coalescing():
-    assert FcfsPolicy.supports_coalescing
-    assert not PriorityPolicy.supports_coalescing
-    assert not ChunkedPrefillPolicy.supports_coalescing
+    assert Scheduler.supports_coalescing
+    assert not PriorityScheduler.supports_coalescing
+    assert not ChunkedScheduler.supports_coalescing
 
 
 def test_engine_queues_are_scheduler_views(kernel):
@@ -200,3 +227,91 @@ def test_chunked_prefill_still_completes_everything():
     results = _run_workload("chunked", kv_tokens=6144, chunk_tokens=128)
     expected = [max_new for _, _, max_new, _ in WORKLOAD]
     assert [tokens for tokens, *_ in results] == expected
+
+
+def _pressure_specs():
+    """Compressed arrivals (every 0.05-0.2 s) in priority classes 0, 1
+    and 5, with a disaggregated handoff after every fourth request and
+    two conversations whose turns share a prefix.  Yields
+    ``(submit_at, RequestSpec)``."""
+    t = 0.0
+    turns = {"a": 0, "b": 0}
+    for i in range(32):
+        t += (0.05, 0.2, 0.1, 0.05)[i % 4]
+        session = ("a", "b", None)[i % 3]
+        if session is None:
+            prompt = 96 + (i * 53) % 400
+        else:
+            turns[session] += 1
+            prompt = 128 * turns[session]
+        yield t, RequestSpec(prompt, 24 + (i * 37) % 150,
+                             session_key=session,
+                             priority=(0, 1, 0, 5, 1)[i % 5])
+        if i % 4 == 3:
+            yield t, RequestSpec(160 + (i * 29) % 300, 40 + i,
+                                 priority=(1, 5)[i % 8 // 4],
+                                 prefill_done=True, tokens_generated=1)
+
+
+def _pressure_trajectory(policy, coalesce=True, chunk_tokens=512):
+    """Per-request observables of the pressure workload on a 2,048-token
+    KV budget with at most three running sequences."""
+    kernel = SimKernel(seed=11)
+    engine = _engine(kernel, policy=policy, kv_tokens=2048, max_num_seqs=3,
+                     chunk_tokens=chunk_tokens, coalesce=coalesce,
+                     prefix_caching=True)
+    requests = []
+
+    def feeder(env):
+        now = 0.0
+        for at, spec in _pressure_specs():
+            if at > now:
+                yield env.timeout(at - now)
+                now = at
+            requests.append(engine.submit(spec))
+
+    kernel.run(until=kernel.spawn(feeder(kernel)))
+    kernel.run(until=kernel.all_of([r.done for r in requests]))
+    return [(r.tokens_generated, r.first_token_at, r.finished_at,
+             r.preemptions, r.cached_tokens) for r in requests]
+
+
+def _digest(trajectory) -> str:
+    return hashlib.sha256(repr(trajectory).encode()).hexdigest()
+
+
+#: SHA-256 of each policy's trajectory under the pressure workload.
+#: A refactor of the scheduler must leave every one unchanged.
+PRESSURE_DIGESTS = {
+    ("fcfs", True):
+        "e01ca4ea27ea74fafbbb175c6394ea29dc68b73f64fa637ad1b8ef7dc475b89c",
+    ("fcfs", False):
+        "2e1df03250808cc6a03ccd5f0c21801aa47d6ef2b08b9423ee1e6213d5d5ea49",
+    ("priority", False):
+        "8b25d6fa7e150ea0e2e1e27ddc379e0f19ff0826efd423c007944099d7faf11d",
+    ("chunked", False):
+        "548915442f75e7b2e0ebfac32f9e89265272b8a84f762bc03d3a56a0bca3e279",
+}
+
+
+@pytest.mark.parametrize("policy,coalesce", list(PRESSURE_DIGESTS))
+def test_policy_trajectory_under_pressure_is_pinned(policy, coalesce):
+    """Every policy's per-request trajectory (tokens, first-token and
+    finish times, preemptions, cached tokens) under KV and batch-size
+    pressure, with handoffs and prefix hits in the mix, is pinned."""
+    trajectory = _pressure_trajectory(policy, coalesce=coalesce,
+                                      chunk_tokens=64)
+    assert all(tokens == spec.max_new_tokens for (tokens, *_), (_, spec)
+               in zip(trajectory, _pressure_specs()))
+    assert _digest(trajectory) == PRESSURE_DIGESTS[policy, coalesce]
+
+
+def test_pressure_pins_are_not_degenerate():
+    """The pinned workload preempts, hits the prefix cache, and the
+    priority policy's trajectory differs from FCFS's."""
+    fcfs = _pressure_trajectory("fcfs", coalesce=False)
+    priority = _pressure_trajectory("priority", coalesce=False)
+    for trajectory in (fcfs, priority):
+        assert sum(row[3] for row in trajectory) > 0
+        assert sum(row[4] for row in trajectory) > 0
+    assert _digest(priority) != _digest(fcfs)
