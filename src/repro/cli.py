@@ -604,8 +604,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--top", type=int, default=5,
                      help="how many slowest requests to show")
     obs.add_argument("--profile", action="store_true",
-                     help="enable the wall-clock self-profiler and print "
-                          "the per-subsystem report + text flamegraph")
+                     help="profile the run with cProfile and print "
+                          "per-layer time and calls + text flamegraph")
     obs.add_argument("--alerts", action="store_true",
                      help="print the SLO alert timeline (pending/firing/"
                           "resolved transitions) and the rule-set digest")

@@ -16,7 +16,7 @@ from ..errors import ConfigurationError
 from ..hardware.node import Node
 from ..storage.filesystem import ParallelFilesystem
 from .image import ImageManifest, SifImage, flatten_to_sif
-from .registry import ImageCache, Registry
+from .registry import Registry
 from .runtime import ContainerRuntime, EffectiveEnvironment, RunOpts
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,18 +40,9 @@ class ApptainerRuntime(ContainerRuntime):
 
     def __init__(self, kernel: SimKernel, fabric: Fabric,
                  registry: Registry, filesystem: ParallelFilesystem):
-        super().__init__(kernel, fabric)
-        self.registry = registry
+        super().__init__(kernel, fabric, registry)
         self.filesystem = filesystem
-        self.caches: dict[str, ImageCache] = {}
         self.sif_store: dict[str, SifImage] = {}
-
-    def cache_for(self, node: Node) -> ImageCache:
-        cache = self.caches.get(node.hostname)
-        if cache is None:
-            cache = ImageCache(node.hostname)
-            self.caches[node.hostname] = cache
-        return cache
 
     def effective_environment(self, opts: RunOpts,
                               gpus_visible: int) -> EffectiveEnvironment:

@@ -8,35 +8,14 @@ sandbox, which Kubernetes provides natively).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..hardware.node import Node
-from .image import ImageManifest, SifImage
-from .registry import ImageCache, Registry
 from .runtime import ContainerRuntime, EffectiveEnvironment, RunOpts
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..simkernel import SimKernel
-    from ..net.topology import Fabric
 
 
 class CriRuntime(ContainerRuntime):
     """Container runtime interface used by kubelets."""
 
     name = "cri"
-
-    def __init__(self, kernel: SimKernel, fabric: Fabric,
-                 registry: Registry):
-        super().__init__(kernel, fabric)
-        self.registry = registry
-        self.caches: dict[str, ImageCache] = {}
-
-    def cache_for(self, node: Node) -> ImageCache:
-        cache = self.caches.get(node.hostname)
-        if cache is None:
-            cache = ImageCache(node.hostname)
-            self.caches[node.hostname] = cache
-        return cache
+    oci_runner = "kubelet"
 
     def effective_environment(self, opts: RunOpts,
                               gpus_visible: int) -> EffectiveEnvironment:
@@ -50,16 +29,6 @@ class CriRuntime(ContainerRuntime):
             host_ipc=True,       # pod-shared IPC namespace
             gpus_visible=gpus_visible,
         )
-
-    def stage_image(self, node: Node, image: ImageManifest | SifImage | str):
-        if isinstance(image, SifImage):
-            raise TypeError("kubelet runs OCI images, not SIF files")
-        ref = image.ref if isinstance(image, ImageManifest) else image
-        cache = self.cache_for(node)
-        if cache.has_image(ref):
-            return cache.images[ref]
-        manifest = yield from self.registry.pull(cache, ref)
-        return manifest
 
     def cli(self, image_ref: str, opts: RunOpts) -> list[str]:
         # Kubernetes has no CLI equivalent; the Helm chart is the artifact.

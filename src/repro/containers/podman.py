@@ -7,35 +7,14 @@ container); host network/IPC and GPU access are opt-in flags.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from ..hardware.node import Node
-from .image import ImageManifest, SifImage
-from .registry import ImageCache, Registry
 from .runtime import ContainerRuntime, EffectiveEnvironment, RunOpts
-
-if TYPE_CHECKING:  # pragma: no cover
-    from ..simkernel import SimKernel
-    from ..net.topology import Fabric
 
 
 class PodmanRuntime(ContainerRuntime):
     """Per-platform Podman installation pulling from a registry."""
 
     name = "podman"
-
-    def __init__(self, kernel: SimKernel, fabric: Fabric,
-                 registry: Registry):
-        super().__init__(kernel, fabric)
-        self.registry = registry
-        self.caches: dict[str, ImageCache] = {}
-
-    def cache_for(self, node: Node) -> ImageCache:
-        cache = self.caches.get(node.hostname)
-        if cache is None:
-            cache = ImageCache(node.hostname)
-            self.caches[node.hostname] = cache
-        return cache
+    oci_runner = "podman"
 
     def effective_environment(self, opts: RunOpts,
                               gpus_visible: int) -> EffectiveEnvironment:
@@ -49,16 +28,6 @@ class PodmanRuntime(ContainerRuntime):
             host_ipc=opts.ipc_host,
             gpus_visible=gpus_visible,
         )
-
-    def stage_image(self, node: Node, image: ImageManifest | SifImage | str):
-        if isinstance(image, SifImage):
-            raise TypeError("podman runs OCI images, not SIF files")
-        ref = image.ref if isinstance(image, ImageManifest) else image
-        cache = self.cache_for(node)
-        if cache.has_image(ref):
-            return cache.images[ref]
-        manifest = yield from self.registry.pull(cache, ref)
-        return manifest
 
     def cli(self, image_ref: str, opts: RunOpts) -> list[str]:
         """Equivalent ``podman run`` argv (cf. paper Figure 4)."""

@@ -19,6 +19,7 @@ from ..errors import ConfigurationError, ContainerCrash, StateError
 from ..hardware.node import Node
 from ..simkernel import Event, Interrupted
 from .image import ImageManifest, SifImage, app_factory
+from .registry import ImageCache, Registry
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel import SimKernel
@@ -185,6 +186,7 @@ class Container:
         self.name = opts.name or f"{image.repository.split('/')[-1]}-{self.id}"
         self.state = "created"
         self.exit_code: int | None = None
+        self.exit_reason = ""
         self.ready: Event = kernel.event()
         self.exited: Event = kernel.event()
         self.ctx = ContainerContext(kernel, fabric, node, self, effective, opts)
@@ -242,6 +244,7 @@ class Container:
     def _finish(self, code: int, reason: str) -> None:
         self.state = "exited"
         self.exit_code = code
+        self.exit_reason = reason
         try:
             self.app.shutdown(self.ctx)
         finally:
@@ -268,23 +271,46 @@ class Container:
 
 
 class ContainerRuntime:
-    """Base runtime: image staging + environment mapping + lifecycle."""
+    """Base runtime: image staging + environment mapping + lifecycle.
+
+    Images are pulled from ``registry`` into a per-node layer cache.
+    """
 
     name = "abstract"
+    #: What the SIF refusal in :meth:`stage_image` calls the runtime.
+    oci_runner = "abstract"
 
-    def __init__(self, kernel: SimKernel, fabric: Fabric):
+    def __init__(self, kernel: SimKernel, fabric: Fabric,
+                 registry: Registry):
         self.kernel = kernel
         self.fabric = fabric
+        self.registry = registry
+        self.caches: dict[str, ImageCache] = {}
         self.containers: list[Container] = []
+
+    def cache_for(self, node: Node) -> ImageCache:
+        cache = self.caches.get(node.hostname)
+        if cache is None:
+            cache = ImageCache(node.hostname)
+            self.caches[node.hostname] = cache
+        return cache
+
+    def stage_image(self, node: Node, image: ImageManifest | SifImage | str):
+        """Generator: pull the OCI image into the node's cache unless it
+        is there; returns the manifest."""
+        if isinstance(image, SifImage):
+            raise TypeError(f"{self.oci_runner} runs OCI images, not SIF files")
+        ref = image.ref if isinstance(image, ImageManifest) else image
+        cache = self.cache_for(node)
+        if cache.has_image(ref):
+            return cache.images[ref]
+        manifest = yield from self.registry.pull(cache, ref)
+        return manifest
 
     # -- to be provided by concrete runtimes ------------------------------------
 
     def effective_environment(self, opts: RunOpts,
                               gpus_visible: int) -> EffectiveEnvironment:
-        raise NotImplementedError
-
-    def stage_image(self, node: Node, image: ImageManifest | SifImage | str):
-        """Generator: make the image available locally; returns manifest."""
         raise NotImplementedError
 
     def cli(self, image_ref: str, opts: RunOpts) -> list[str]:

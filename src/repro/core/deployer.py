@@ -236,14 +236,21 @@ class Deployer:
 
     def _wait_ready(self, platform: K8sPlatform, release_name: str,
                     poll: float = 5.0, timeout: float = 7200.0):
-        """Generator: the release's first Running, ready pod."""
+        """Generator: the release's first Running, ready pod.  While none
+        serves, a pod's first crash-loop back-off fails with its reason."""
         kernel = self.site.kernel
         deadline = kernel.now + timeout
         while kernel.now < deadline:
-            for pod in platform.cluster.api.list(
-                    "Pod", selector={"app": release_name}):
+            pods = platform.cluster.api.list(
+                "Pod", selector={"app": release_name})
+            for pod in pods:
                 if pod.serving:
                     return pod
+            for pod in pods:
+                if pod.message.startswith("CrashLoopBackOff"):
+                    raise StateError(
+                        f"release {release_name!r} crash-looped at "
+                        f"startup: {pod.termination_message}")
             yield kernel.timeout(poll)
         raise StateError(
             f"release {release_name!r} did not become ready within "

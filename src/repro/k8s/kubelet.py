@@ -142,6 +142,7 @@ class Kubelet:
                     self.cluster.api.update(pod)
                 code = yield container.exited
                 pod.ready = False
+                pod.termination_message = container.exit_reason
                 if pod.deleted:
                     return
                 if code == 0 and pod.spec.restart_policy != "Always":

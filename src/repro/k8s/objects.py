@@ -91,6 +91,9 @@ class Pod(KObject):
         self.node_name: str | None = None
         self.restarts = 0
         self.message = ""
+        #: why the main container last exited (Kubernetes'
+        #: ``lastState.terminated.message``)
+        self.termination_message = ""
         self.ready = False
         self.owner: str | None = None  # owning Deployment name
         self.deleted = False

@@ -12,8 +12,9 @@ through the same four primitives:
   digest-stable across campaign worker counts;
 * :mod:`~repro.obs.scrape` — a simulated Prometheus: periodic registry
   snapshots into a deterministic time-series;
-* :mod:`~repro.obs.profile` / :mod:`~repro.obs.export` — wall-clock
-  self-profiler and Chrome-trace/Perfetto JSON export.
+* :mod:`~repro.obs.profile` / :mod:`~repro.obs.export` — a cProfile
+  run folded into per-layer self time and call counts, and
+  Chrome-trace/Perfetto JSON export.
 
 On top of that data plane sits the *analysis plane* (PR 10):
 

@@ -10,7 +10,8 @@ independent observability surfaces — no globals, no cross-cell bleed.
 The registry and the span recorder are live from the start, and
 :meth:`Observability.disable` is the one switch that turns both off
 (the dark arm of overhead benches and ``play(observability=False)``).
-The wall-clock profiler is process-global by design — see
+The per-layer profiler is not part of it: it wraps cProfile, which
+hooks the whole interpreter, and no kernel component reads it — see
 :mod:`repro.obs.profile`.
 """
 

@@ -1,10 +1,10 @@
-"""Chrome-trace / Perfetto JSON export for spans and self-profiles.
+"""Chrome-trace / Perfetto JSON export for spans and layer profiles.
 
 Both ``chrome://tracing`` and https://ui.perfetto.dev consume the Trace
 Event Format: a JSON object with a ``traceEvents`` list of events whose
 timestamps are **microseconds**.  We emit complete events (``"ph": "X"``
 with ``ts`` + ``dur``) exclusively — they need no begin/end pairing and
-every span/section already knows its bounds when it closes.
+every span and profile row already knows its bounds when it closes.
 
 Mapping:
 
@@ -13,9 +13,10 @@ Mapping:
   with route/queue/prefill/decode nested by time.  Simulated seconds
   are scaled by 1e6 — one trace-viewer microsecond per simulated
   microsecond.
-* **Profiler sections** (wall seconds) → process ``pid=2``, collapsed
-  path depth as ``tid`` nesting is already encoded in the path, so each
-  path becomes one summary event with its total self time.
+* **Profile rows** (wall seconds) → process ``pid=2``, one track per
+  path depth: layers on ``tid=1``, their functions on ``tid=2`` under
+  them.  Each ``layer`` or ``layer;module:function`` path becomes one
+  summary event with its total time and call count.
 
 The export is plain data; write it with ``json.dump`` (the CLI does)
 and load it in either viewer unchanged.
@@ -62,11 +63,11 @@ def span_events(spans: Iterable["Span"]) -> list[dict[str, Any]]:
 
 
 def profile_events(prof: Profiler) -> list[dict[str, Any]]:
-    """Summary events for profiler paths (wall-clock totals).
+    """Summary events for profile paths (wall-clock totals).
 
-    Sections from many distinct real-time intervals are merged into one
-    total, so each path is drawn once at an offset encoding its stack
-    depth — a flame-*chart* of totals rather than a timeline.
+    A path's time is summed over the whole run, so each path is drawn
+    once at an offset encoding its depth — a flame-*chart* of totals
+    rather than a timeline.
     """
     events: list[dict[str, Any]] = []
     cursor_by_parent: dict[str, float] = {}

@@ -19,7 +19,6 @@ from ..containers.runtime import ContainerApp, ContainerContext
 from ..errors import (APIError, ConfigurationError, NetworkUnreachable,
                       ReproError)
 from ..net.http import HttpClient, HttpResponse, HttpService
-from ..obs.profile import profiler
 from ..units import MiB
 from ..vllm.server import VllmOpenAIServer
 from ..vllm.spec import CompletionCall, CompletionResult
@@ -597,14 +596,7 @@ class LlmRouter(ContainerApp):
         failed_attempts = 0
         picker = self._pick(session=session, role=role)
         while True:
-            if profiler.enabled:
-                profiler.push("router.pick")
-                try:
-                    backend = next(picker, None)
-                finally:
-                    profiler.pop()
-            else:
-                backend = next(picker, None)
+            backend = next(picker, None)
             if backend is None:
                 break
             # Failed hops get their own "attempt" child spans below; the

@@ -8,7 +8,6 @@ from typing import Any
 
 from ..errors import StateError
 from ..obs.context import Observability
-from ..obs.profile import profiler
 from .events import (AllOf, AnyOf, Callback, Event, Interrupted, Sleep,
                      Timeout)
 from .rng import RngRegistry
@@ -230,14 +229,7 @@ class SimKernel:
         if t < self.now:  # pragma: no cover - defensive
             raise StateError(f"time went backwards: {t} < {self.now}")
         self.now = t
-        if profiler.enabled:
-            profiler.push("kernel.dispatch")
-            try:
-                event._run_callbacks()
-            finally:
-                profiler.pop()
-        else:
-            event._run_callbacks()
+        event._run_callbacks()
 
     def run(self, until: float | Event | None = None) -> Any:
         """Run the simulation.

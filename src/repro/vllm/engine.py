@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING
 
 from ..errors import APIError, ContainerCrash
 from ..models.catalog import ModelCard
-from ..obs.profile import profiler
 from ..simkernel import Event, Interrupted, Sleep
 from .config import EngineArgs
 from .kvcache import BlockManager
@@ -301,14 +300,7 @@ class LLMEngine:
                     step += self.perf.prefill_time(prefill_tokens)
                 yield kernel.timeout(step)
                 self.iterations += 1
-                if profiler.enabled:
-                    profiler.push("engine.advance")
-                    try:
-                        self._advance_all()
-                    finally:
-                        profiler.pop()
-                else:
-                    self._advance_all()
+                self._advance_all()
                 if (self.fault_plan is None and self.running
                         and self.scheduler.supports_coalescing):
                     yield from self._fast_forward()
@@ -348,14 +340,7 @@ class LLMEngine:
         assert self.scheduler.supports_coalescing, \
             "coalescing is FCFS-only; the loop gate must keep other " \
             "policies out of the fast-forward"
-        if profiler.enabled:
-            profiler.push("engine.jump")
-            try:
-                j = self.scheduler.plan_jump()
-            finally:
-                profiler.pop()
-        else:
-            j = self.scheduler.plan_jump()
+        j = self.scheduler.plan_jump()
         if j < self.MIN_JUMP:
             return
         kernel = self.kernel

@@ -9,7 +9,8 @@ from __future__ import annotations
 import pytest
 
 from repro.containers import RunOpts
-from repro.containers.image import vllm_cuda_image, vllm_rocm_image
+from repro.containers.image import (flatten_to_sif, vllm_cuda_image,
+                                    vllm_rocm_image)
 from repro.errors import ContainerCrash
 from tests.containers.conftest import drive
 
@@ -161,3 +162,22 @@ def test_rocm_image_exists_for_amd_platforms(rig):
     rocm = vllm_rocm_image()
     assert rocm.repository == "rocm/vllm"
     assert rig.registry.has(rocm.ref)
+
+
+def test_oci_runtimes_stage_once_per_node_and_refuse_sif(rig):
+    # Podman and the kubelet's CRI share one OCI staging path: a pull
+    # per node into that node's cache, and a refusal of SIF files that
+    # names who runs the image.
+    image = _server_image(vllm_cuda_image())
+    rig.registry.seed(image)
+    sif = flatten_to_sif(image, "/images/vllm.sif")
+    for runtime, runner in ((rig.podman, "podman"), (rig.cri, "kubelet")):
+        pulls = rig.registry.pull_count.get(image.ref, 0)
+        for node in (rig.nodes[0], rig.nodes[0], rig.nodes[1]):
+            staged = drive(rig.kernel, runtime.stage_image(node, image))
+            assert staged.ref == image.ref
+        assert rig.registry.pull_count[image.ref] == pulls + 2
+        assert runtime.cache_for(rig.nodes[0]).has_image(image.ref)
+        with pytest.raises(TypeError,
+                           match=f"^{runner} runs OCI images, not SIF files$"):
+            drive(rig.kernel, runtime.stage_image(rig.nodes[0], sif))

@@ -9,7 +9,7 @@ from repro.containers.runtime import RunOpts
 from repro.core import (CaseStudyWorkflow, Deployer, build_sandia_site,
                         vllm_package)
 from repro.core.translate import helm_values_for
-from repro.errors import NotFoundError
+from repro.errors import NotFoundError, StateError
 from repro.k8s import PodPhase
 from repro.k8s.helm import HelmRelease
 from repro.net.http import HttpClient
@@ -244,3 +244,25 @@ def test_free_slots_follow_one_rule_per_platform_kind(site, workflow,
     assert deployer.free_slots(site.hops, 2, port + 1) == 6
     assert deployer.free_slots(site.cee, 2, port) == 1
     assert deployer.free_slots(site.cee, 2, port + 1) == 2
+
+
+def test_helm_startup_crash_loop_fails_fast(site, workflow, deployer):
+    # Scout's bf16 weights (203 GiB) cannot fit one 94 GiB goodall GPU.
+    # The engine crashes at startup, as it does on HPC, and the deploy
+    # fails at the pod's first back-off instead of waiting out the
+    # readiness timeout.
+    workflow.admin_seed_model(SCOUT, "goodall")
+
+    def go(env):
+        yield from deployer.deploy(
+            vllm_package(), "goodall",
+            {"model": SCOUT, "tensor_parallel_size": 1,
+             "max_model_len": 65536})
+
+    with pytest.raises(StateError, match="crash-looped at startup: vllm: "
+                       ".*weights alone need 203.0 GiB"):
+        workflow.run(go(site.kernel))
+    pods = site.goodall.cluster.api.list("Pod")
+    assert [pod.restarts for pod in pods] == [1]
+    assert pods[0].message == "CrashLoopBackOff (exit 1)"
+    assert site.kernel.now < 600.0

@@ -27,7 +27,11 @@ def test_obs_command_full_surface(tmp_path, capsys):
     assert "rules=" in out and "fired=" in out
     assert "incident timeline" in out
     assert "wall-clock self-profile" in out
-    assert "kernel.dispatch" in out
+    report = out.split("wall-clock self-profile:")[1]
+    report = report.split("flamegraph (collapsed")[0]
+    rows = [line.split()[0] for line in report.splitlines() if line.strip()]
+    assert rows[0] == "path"
+    assert {"simkernel", "engine"} <= set(rows[1:])
     assert "flamegraph" in out
 
     doc = json.loads(trace_path.read_text())
