@@ -12,7 +12,7 @@ detectors play in production serving stacks.
 Architecture
 ------------
 * :mod:`findings` — the :class:`Finding` record (rule code, location,
-  snippet, stable fingerprint).
+  snippet).
 * :mod:`context` — per-module parse state shared by every rule: the
   AST, an import alias table, and a module-local set-type inference
   table.
@@ -21,8 +21,6 @@ Architecture
 * :mod:`suppress` — inline ``# repro: allow[CODE] -- reason``
   suppressions (a reason is mandatory; unused suppressions are
   themselves findings).
-* :mod:`baseline` — the checked-in grandfather file for pre-existing
-  findings (kept empty; the clean pass fixed everything).
 * :mod:`report` — human-readable and JSON reporters.
 * :mod:`runner` — file discovery and orchestration; the CLI entry.
 
@@ -30,7 +28,6 @@ See ``docs/static-analysis.md`` for the rule reference and the
 determinism contract each rule enforces.
 """
 
-from .baseline import Baseline
 from .context import ModuleContext
 from .findings import Finding
 from .report import render_human, render_json
@@ -38,7 +35,6 @@ from .rules import LintRule, all_rules, get_rule
 from .runner import LintResult, lint_paths, main
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintResult",
     "LintRule",

@@ -2,20 +2,13 @@
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation at a source location.
-
-    ``fingerprint`` identifies the finding across line drift: it hashes
-    the rule code, the file path, and the offending source line (not the
-    line *number*), so reordering unrelated code neither hides a
-    baselined finding nor resurfaces it as new.
-    """
+    """One rule violation at a source location."""
 
     code: str
     message: str
@@ -23,10 +16,6 @@ class Finding:
     line: int          # 1-based
     col: int           # 0-based, as reported by the ast module
     snippet: str       # the stripped source line
-
-    def fingerprint(self) -> str:
-        text = f"{self.code}\x1f{self.path}\x1f{self.snippet}"
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     def sort_key(self) -> tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.code)
@@ -39,7 +28,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "snippet": self.snippet,
-            "fingerprint": self.fingerprint(),
         }
 
     def location(self) -> str:

@@ -40,7 +40,6 @@ def render_json(result: LintResult) -> str:
             "files": result.files,
             "findings": len(result.findings),
             "suppressed": result.suppressed,
-            "baselined": result.baselined,
         },
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -50,5 +49,4 @@ def summary_line(result: LintResult) -> str:
     n = len(result.findings)
     noun = "finding" if n == 1 else "findings"
     return (f"{n} {noun} across {result.files} files "
-            f"({result.suppressed} suppressed, "
-            f"{result.baselined} baselined)")
+            f"({result.suppressed} suppressed)")

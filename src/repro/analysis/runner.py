@@ -14,7 +14,6 @@ import sys
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
 
-from .baseline import Baseline
 from .context import ModuleContext
 from .findings import Finding
 from .report import render_human, render_json
@@ -26,12 +25,11 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis"})
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run (post suppression/baseline filtering)."""
+    """Outcome of one lint run (post suppression filtering)."""
 
     findings: list[Finding] = field(default_factory=list)
     files: int = 0
     suppressed: int = 0
-    baselined: int = 0
     parse_errors: int = 0
 
     @property
@@ -57,7 +55,7 @@ def discover(paths: Iterable[str | pathlib.Path]) -> list[pathlib.Path]:
 
 def lint_file(path: pathlib.Path,
               rules: Sequence[LintRule]) -> tuple[list[Finding], int]:
-    """All (pre-baseline) findings for one file.
+    """All unsuppressed findings for one file.
 
     Returns ``(findings, suppressed_count)``; a syntax error yields a
     single LNT000 finding.
@@ -81,7 +79,6 @@ def lint_file(path: pathlib.Path,
 
 
 def lint_paths(paths: Iterable[str | pathlib.Path], *,
-               baseline: Baseline | None = None,
                rules: Sequence[LintRule] | None = None) -> LintResult:
     """Lint every python file under ``paths``."""
     rules = list(rules) if rules is not None else all_rules()
@@ -94,9 +91,6 @@ def lint_paths(paths: Iterable[str | pathlib.Path], *,
         result.parse_errors += sum(1 for f in findings
                                    if f.code == "LNT000")
         collected.extend(findings)
-    if baseline is not None:
-        collected, grandfathered = baseline.filter(collected)
-        result.baselined = len(grandfathered)
     result.findings = sorted(collected, key=Finding.sort_key)
     return result
 
@@ -108,12 +102,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["human", "json"],
                         default="human", dest="fmt",
                         help="report format")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="grandfathered-findings file; new findings "
-                             "still fail")
-    parser.add_argument("--update-baseline", action="store_true",
-                        help="rewrite --baseline with the current "
-                             "findings and exit 0")
     parser.add_argument("--list-rules", action="store_true",
                         help="print every rule code and summary, then "
                              "exit")
@@ -139,21 +127,7 @@ def main(args: argparse.Namespace) -> int:
                   file=sys.stderr)
             return 2
         rules = [r for r in rules if r.code in wanted]
-    baseline = Baseline.load(args.baseline) if args.baseline else None
-    if args.update_baseline:
-        if baseline is None:
-            print("--update-baseline needs --baseline FILE",
-                  file=sys.stderr)
-            return 2
-        fresh = lint_paths(args.paths, baseline=None, rules=rules)
-        if fresh.parse_errors:
-            print(render_human(fresh))
-            return 2
-        baseline.update(fresh.findings)
-        target = baseline.save()
-        print(f"wrote {len(fresh.findings)} findings to {target}")
-        return 0
-    result = lint_paths(args.paths, baseline=baseline, rules=rules)
+    result = lint_paths(args.paths, rules=rules)
     output = render_json(result) if args.fmt == "json" \
         else render_human(result)
     print(output, end="" if output.endswith("\n") else "\n")

@@ -38,7 +38,7 @@ from ..models.catalog import model_card
 from ..models.weights import validate_fit
 from ..services.router import RouterPolicy
 from ..sessions.spec import SessionSpec
-from ..vllm.scheduler import SCHEDULER_POLICIES
+from ..vllm.config import EngineArgs
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.site import ConvergedSite
@@ -243,14 +243,12 @@ class ScenarioSpec:
             raise ConfigurationError(
                 f"router_platform {self.router_platform!r} must be one of "
                 f"the HPC platforms {hpc}: the router runs podman-side")
-        if self.scheduler_policy not in SCHEDULER_POLICIES:
-            raise ConfigurationError(
-                f"unknown scheduler_policy {self.scheduler_policy!r} "
-                f"(choices: {', '.join(SCHEDULER_POLICIES)})")
-        if not (0.1 <= self.gpu_memory_utilization <= 1.0):
-            raise ConfigurationError(
-                f"gpu_memory_utilization {self.gpu_memory_utilization} "
-                "out of range (0.1..1.0)")
+        # The engine knobs every replica serves with, checked by the
+        # engine's own argument type.
+        EngineArgs(model=self.model,
+                   tensor_parallel_size=self.tensor_parallel_size,
+                   gpu_memory_utilization=self.gpu_memory_utilization,
+                   scheduler_policy=self.scheduler_policy)
         if not self.name:
             raise ConfigurationError("spec needs a non-empty name")
         if not self.platforms:
@@ -259,8 +257,6 @@ class ScenarioSpec:
             raise ConfigurationError("horizon must be positive")
         if self.initial_replicas < 1:
             raise ConfigurationError("initial_replicas must be >= 1")
-        if self.tensor_parallel_size < 1:
-            raise ConfigurationError("tensor_parallel_size must be >= 1")
         if self.probe_interval <= 0 or self.supervisor_interval <= 0:
             raise ConfigurationError(
                 "probe_interval and supervisor_interval must be positive")

@@ -237,7 +237,8 @@ class Deployer:
     def _wait_ready(self, platform: K8sPlatform, release_name: str,
                     poll: float = 5.0, timeout: float = 7200.0):
         """Generator: the release's first Running, ready pod.  While none
-        serves, a pod's first crash-loop back-off fails with its reason."""
+        serves, a pod's first crash-loop back-off (of its server or of an
+        init container) fails with its reason."""
         kernel = self.site.kernel
         deadline = kernel.now + timeout
         while kernel.now < deadline:
@@ -247,7 +248,8 @@ class Deployer:
                 if pod.serving:
                     return pod
             for pod in pods:
-                if pod.message.startswith("CrashLoopBackOff"):
+                if pod.message.startswith(("CrashLoopBackOff",
+                                           "Init:CrashLoopBackOff")):
                     raise StateError(
                         f"release {release_name!r} crash-looped at "
                         f"startup: {pod.termination_message}")

@@ -23,6 +23,7 @@ from collections.abc import Callable
 from typing import Any
 
 from ..errors import ConfigurationError, NotFoundError
+from ..vllm.config import FLAG_TYPES, SERVE_FLAGS
 
 
 @dataclass(frozen=True)
@@ -103,45 +104,25 @@ ONLINE_SERVING_ENV = {
 }
 
 
-def vllm_serve_flags(params: dict[str, Any],
-                     served_name: bool = True) -> list[str]:
-    """Every ``vllm serve`` engine flag after the tensor-parallel head.
+def vllm_serve_flags(params: dict[str, Any]) -> list[str]:
+    """Every ``vllm serve`` engine flag after the command head.
 
     The one flag renderer: the Podman/Apptainer argv and the Helm chart
-    command both append it.  A flag appears only when its parameter is
-    set, in a fixed order.  ``served_name=False`` leaves
-    ``--served-model-name`` to a head that names it (the chart's).
+    command both append it.  It walks :data:`~repro.vllm.config.SERVE_FLAGS`,
+    so a flag appears only when its parameter is set, in a fixed order.
     """
     flags: list[str] = []
-    pp = int(params.get("pipeline_parallel_size", 1))
-    if pp > 1:
-        flags.append(f"--pipeline_parallel_size={pp}")
-    if params.get("disable_log_requests", True):
-        flags.append("--disable-log-requests")
-    if params.get("enable_prefix_caching"):
-        flags.append("--enable-prefix-caching")
-    gmu = params.get("gpu_memory_utilization")
-    if gmu is not None:
-        flags.append(f"--gpu_memory_utilization={float(gmu)}")
-    max_len = params.get("max_model_len")
-    if max_len is not None:
-        flags.append(f"--max-model-len={int(max_len)}")
-    served = params.get("served_model_name")
-    if served and served_name:
-        flags.append(f"--served-model-name={served}")
-    policy = params.get("scheduler_policy")
-    if policy and policy != "fcfs":
-        flags.append(f"--scheduler-policy={policy}")
-    chunk = params.get("chunk_tokens")
-    if chunk is not None:
-        flags.append(f"--chunk-tokens={int(chunk)}")
-    role = params.get("disagg_role")
-    if role and role != "unified":
-        flags.append(f"--disagg-role={role}")
-    overrides = params.get("override_generation_config")
-    if overrides:
-        flags.append(
-            f"--override-generation-config={json.dumps(overrides)}")
+    for flag in SERVE_FLAGS:
+        value = params.get(flag.field, flag.absent)
+        if not value or value == flag.skip:
+            continue
+        kind = FLAG_TYPES[flag.field]
+        if kind is bool:
+            flags.append(flag.spelling)
+        elif kind is dict:
+            flags.append(f"{flag.spelling}={json.dumps(value)}")
+        else:
+            flags.append(f"{flag.spelling}={kind(value)}")
     return flags
 
 

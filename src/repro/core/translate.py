@@ -40,7 +40,8 @@ def helm_values_for(site: ConvergedSite, package: AppPackage,
                str(package.service_port),
                "--served-model-name", str(served),
                f"--tensor-parallel-size={gpus}",
-               *vllm_serve_flags(params, served_name=False)]
+               *vllm_serve_flags({key: value for key, value in params.items()
+                                  if key != "served_model_name"})]
     env = [{"name": key, "value": value} for key, value in
            {"HOME": "/data", "HF_HOME": "/data", **profile.env}.items()]
     storage = int(params.get("storage_bytes", 300 * 1024**3))

@@ -217,17 +217,11 @@ class CaseStudyWorkflow:
             client_host = (platform.service_host
                            if isinstance(platform, HPCPlatform)
                            else platform.cluster.ingress.frontend_host)
-        endpoint_host, endpoint_port = deployment.endpoint
-        client = BenchmarkClient(
-            self.kernel, self.site.fabric, client_host,
-            endpoint_host, endpoint_port, model)
-        sampler = ShareGptSampler(
-            self.kernel.rng.stream(seed_stream),
-            max_total_tokens=max_total_tokens)
-        sweep = ConcurrencySweep(self.kernel, client, sampler,
-                                 n_requests=n_requests, levels=tuple(levels))
-        result = yield from sweep.run(
-            label or f"{deployment.platform_name}:{model}")
+        result = yield from self.benchmark_endpoint(
+            deployment.endpoint, model, levels=levels, n_requests=n_requests,
+            label=label or f"{deployment.platform_name}:{model}",
+            client_host=client_host, max_total_tokens=max_total_tokens,
+            seed_stream=seed_stream)
         return result
 
     # -- demo ----------------------------------------------------------------------------------------

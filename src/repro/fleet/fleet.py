@@ -36,6 +36,7 @@ from ..obs.alerts import AlertEvaluator, default_slo_rules
 from ..obs.critical_path import CriticalPathAnalyzer
 from ..obs.scrape import MetricsScraper
 from ..services.router import LlmRouter, RouterConfig, router_image
+from ..vllm.config import EngineArgs
 from ..vllm.spec import CompletionCall
 from .autoscaler import Autoscaler
 from .governor import FleetFastForward
@@ -117,18 +118,17 @@ class Fleet:
         self.wf = CaseStudyWorkflow(site)
         self.router_config = RouterConfig(policy=spec.policy,
                                           disagg=spec.disagg.enabled)
-        # Extra ``vllm serve`` parameters for every replica: non-default
-        # knobs only, in this order, so the rendered command (and every
-        # deployment artifact) stays byte-stable for specs that do not
-        # touch them.
+        # Extra ``vllm serve`` parameters for every replica: knobs off
+        # their ``EngineArgs`` default only, in this order, so the
+        # rendered command (and every deployment artifact) stays
+        # byte-stable for specs that do not touch them.
         self._engine_params: dict = {}
         if spec.sessions.enabled and spec.sessions.prefix_caching:
             self._engine_params["enable_prefix_caching"] = True
-        if spec.gpu_memory_utilization != 0.90:
-            self._engine_params["gpu_memory_utilization"] = \
-                spec.gpu_memory_utilization
-        if spec.scheduler_policy != "fcfs":
-            self._engine_params["scheduler_policy"] = spec.scheduler_policy
+        for knob in ("gpu_memory_utilization", "scheduler_policy"):
+            value = getattr(spec, knob)
+            if value != getattr(EngineArgs, knob):
+                self._engine_params[knob] = value
         self.slo = SloTracker(site.kernel, spec.slo)
         self.autoscaler = Autoscaler(self, spec.autoscaler)
         self.ff = FleetFastForward(self)

@@ -113,6 +113,7 @@ class Kubelet:
                     if code == 0:
                         break
                     pod.restarts += 1
+                    pod.termination_message = container.exit_reason
                     pod.message = (f"Init:CrashLoopBackOff "
                                    f"({init.name} exit {code})")
                     self.cluster.api.update(pod)

@@ -91,7 +91,7 @@ class Pod(KObject):
         self.node_name: str | None = None
         self.restarts = 0
         self.message = ""
-        #: why the main container last exited (Kubernetes'
+        #: why the main or an init container last exited (Kubernetes'
         #: ``lastState.terminated.message``)
         self.termination_message = ""
         self.ready = False

@@ -605,6 +605,7 @@ class LlmRouter(ContainerApp):
             attempt_start = rec.kernel.now if rec is not None else 0.0
             host = backend.host
             backend.outstanding += 1
+            outcome = None
             try:
                 server = client.preflight(host, backend.port).app
                 if isinstance(server, VllmOpenAIServer) and call.is_completion:
@@ -618,21 +619,15 @@ class LlmRouter(ContainerApp):
                         json=request.json, headers=request.headers)
                     result = CompletionResult.from_response(response)
             except (APIError, NetworkUnreachable, ReproError) as exc:
-                self._note_failure(backend)
-                self.failed_forwards += 1
-                failed_attempts += 1
-                last_error = CompletionResult.failed(502, str(exc))
-                if rec is not None:
-                    rec.emit("attempt", call.trace_id, route_sid,
-                             attempt_start, rec.kernel.now,
-                             {"backend": backend.key, "outcome": "error"})
-                continue
+                result = CompletionResult.failed(502, str(exc))
+                outcome = "error"
             finally:
                 backend.outstanding -= 1
             if result.status >= 500:
-                # Server errors count toward quarantine too: faster than
-                # waiting out the periodic health pass, and it covers
-                # backends whose health endpoint lies.
+                # A raised error or a server error: both count toward
+                # quarantine, which is faster than waiting out the
+                # periodic health pass and covers backends whose health
+                # endpoint lies.
                 self._note_failure(backend)
                 self.failed_forwards += 1
                 failed_attempts += 1
@@ -641,7 +636,7 @@ class LlmRouter(ContainerApp):
                     rec.emit("attempt", call.trace_id, route_sid,
                              attempt_start, rec.kernel.now,
                              {"backend": backend.key,
-                              "outcome": f"http_{result.status}"})
+                              "outcome": outcome or f"http_{result.status}"})
                 continue
             backend.consecutive_failures = 0
             backend.served += 1

@@ -21,7 +21,6 @@ Example
 
 from .events import AllOf, AnyOf, Callback, Event, Interrupted, Sleep, Timeout
 from .kernel import Process, SimKernel
-from .resources import Resource, Store
 from .rng import RngRegistry
 from .tracing import TraceRecord, Tracer
 
@@ -32,11 +31,9 @@ __all__ = [
     "Event",
     "Interrupted",
     "Process",
-    "Resource",
     "RngRegistry",
     "SimKernel",
     "Sleep",
-    "Store",
     "Timeout",
     "TraceRecord",
     "Tracer",

@@ -1,9 +1,17 @@
-"""Engine arguments and the offline-serving environment contract."""
+"""Engine arguments, the ``vllm serve`` flag schema, and the
+offline-serving environment contract.
+
+:class:`EngineArgs` declares every engine flag once.  The parser reads
+each flag's type from its field annotation, and :data:`SERVE_FLAGS`
+gives the deploy tool's renderer
+(:func:`~repro.core.package.vllm_serve_flags`) each flag's spelling.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Any, NamedTuple, get_args, get_type_hints
 
 from ..errors import ConfigurationError
 from .scheduler import SCHEDULER_POLICIES
@@ -25,7 +33,11 @@ TELEMETRY_ENV_FLAGS = (
 
 @dataclass
 class EngineArgs:
-    """Parsed ``vllm serve`` configuration (subset the case study uses)."""
+    """Parsed ``vllm serve`` configuration (subset the case study uses).
+
+    Each field but ``model`` is a flag of its annotated type; a field
+    the command heads do not name needs a :data:`SERVE_FLAGS` row.
+    """
 
     model: str
     tensor_parallel_size: int = 1
@@ -63,6 +75,8 @@ class EngineArgs:
                 f"(choices: {', '.join(SCHEDULER_POLICIES)})")
         if self.chunk_tokens < 1:
             raise ConfigurationError("chunk_tokens must be positive")
+        if self.max_num_seqs < 1:
+            raise ConfigurationError("max_num_seqs must be positive")
         if self.disagg_role not in ("unified", "prefill", "decode"):
             raise ConfigurationError(
                 f"unknown disagg_role {self.disagg_role!r} "
@@ -73,12 +87,69 @@ class EngineArgs:
         return self.served_model_name or self.model
 
 
+def _flag_type(hint: Any) -> type:
+    """The value type a field's annotation names (``int | None`` -> int)."""
+    kinds = [kind for kind in get_args(hint) if kind is not type(None)]
+    return kinds[0] if kinds else hint
+
+
+#: Every flag ``vllm serve`` accepts, by field, with the value type its
+#: ``EngineArgs`` annotation names.  The model is positional, not a flag.
+FLAG_TYPES: dict[str, type] = {
+    name: _flag_type(hint)
+    for name, hint in get_type_hints(EngineArgs).items() if name != "model"}
+
+
+class ServeFlag(NamedTuple):
+    """How the deploy tool renders one engine flag."""
+
+    field: str
+    spelling: str
+    #: left out at this value, and whenever the value is unset or empty
+    skip: Any = None
+    #: the value assumed when the deploy parameters do not name the field
+    absent: Any = None
+
+
+#: Every ``EngineArgs`` field after the command heads, in rendered order.
+#: The heads name ``model``, ``tensor_parallel_size``, ``host`` and
+#: ``port`` themselves (Figures 4-6); a new field needs a row here.  The
+#: paper's commands always pass ``--disable-log-requests``.
+SERVE_FLAGS: tuple[ServeFlag, ...] = (
+    ServeFlag("pipeline_parallel_size", "--pipeline_parallel_size", 1),
+    ServeFlag("disable_log_requests", "--disable-log-requests", absent=True),
+    ServeFlag("enable_prefix_caching", "--enable-prefix-caching"),
+    ServeFlag("gpu_memory_utilization", "--gpu_memory_utilization"),
+    ServeFlag("max_model_len", "--max-model-len"),
+    ServeFlag("served_model_name", "--served-model-name"),
+    ServeFlag("scheduler_policy", "--scheduler-policy", "fcfs"),
+    ServeFlag("chunk_tokens", "--chunk-tokens"),
+    ServeFlag("disagg_role", "--disagg-role", "unified"),
+    ServeFlag("override_generation_config", "--override-generation-config"),
+    ServeFlag("max_num_seqs", "--max-num-seqs"),
+)
+
+
+def _flag_value(key: str, kind: type, value: str) -> Any:
+    if kind is bool:
+        return value.lower() in ("1", "true", "yes")
+    if kind is dict:
+        try:
+            return json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(
+                f"bad JSON for --{key.replace('_', '-')}: {exc}") from exc
+    return kind(value)
+
+
 def parse_serve_command(command: tuple[str, ...]) -> EngineArgs:
     """Parse a ``vllm serve``-style argv into :class:`EngineArgs`.
 
     Accepts both ``--flag=value`` and ``--flag value`` forms, and both
     underscore and hyphen spellings (the paper's figures mix them:
-    ``--tensor_parallel_size=4`` vs ``--tensor-parallel-size=4``).
+    ``--tensor_parallel_size=4`` vs ``--tensor-parallel-size=4``).  A
+    flag's type is its field's (:data:`FLAG_TYPES`); a bool flag may be
+    given bare.
     """
     args = list(command)
     if args and args[0] == "vllm":
@@ -95,56 +166,21 @@ def parse_serve_command(command: tuple[str, ...]) -> EngineArgs:
         token = args[i]
         if not token.startswith("--"):
             raise ConfigurationError(f"unexpected argument {token!r}")
-        if "=" in token:
-            flag, value = token[2:].split("=", 1)
-            i += 1
-        else:
-            flag = token[2:]
-            if flag in ("disable-log-requests", "disable_log_requests",
-                        "enable-prefix-caching", "enable_prefix_caching"):
-                value = "true"
-                i += 1
-            else:
-                if i + 1 >= len(args):
-                    raise ConfigurationError(f"flag {token!r} needs a value")
-                value = args[i + 1]
-                i += 2
+        flag, eq, value = token[2:].partition("=")
         key = flag.replace("-", "_")
-        if key == "tensor_parallel_size":
-            kwargs[key] = int(value)
-        elif key == "pipeline_parallel_size":
-            kwargs[key] = int(value)
-        elif key == "max_model_len":
-            kwargs[key] = int(value)
-        elif key == "max_num_seqs":
-            kwargs[key] = int(value)
-        elif key == "gpu_memory_utilization":
-            kwargs[key] = float(value)
-        elif key == "served_model_name":
-            kwargs[key] = value
-        elif key == "host":
-            kwargs[key] = value
-        elif key == "port":
-            kwargs[key] = int(value)
-        elif key == "disable_log_requests":
-            kwargs[key] = value.lower() in ("1", "true", "yes")
-        elif key == "enable_prefix_caching":
-            kwargs[key] = value.lower() in ("1", "true", "yes")
-        elif key == "scheduler_policy":
-            kwargs[key] = value
-        elif key == "chunk_tokens":
-            kwargs[key] = int(value)
-        elif key == "disagg_role":
-            kwargs[key] = value
-        elif key == "override_generation_config":
-            try:
-                kwargs[key] = json.loads(value)
-            except json.JSONDecodeError as exc:
-                raise ConfigurationError(
-                    f"bad JSON for --override-generation-config: {exc}"
-                ) from exc
-        else:
+        kind = FLAG_TYPES.get(key)
+        i += 1
+        if not eq:
+            if kind is bool:
+                value = "true"
+            elif i >= len(args):
+                raise ConfigurationError(f"flag {token!r} needs a value")
+            else:
+                value = args[i]
+                i += 1
+        if kind is None:
             raise ConfigurationError(f"unknown vllm serve flag --{flag}")
+        kwargs[key] = _flag_value(key, kind, value)
     return EngineArgs(model=model, **kwargs)
 
 

@@ -1,4 +1,4 @@
-"""Framework tests: suppressions, baseline round-trip, runner, CLI."""
+"""Framework tests: suppressions, runner, reporters, CLI."""
 
 from __future__ import annotations
 
@@ -6,7 +6,9 @@ import argparse
 import json
 import pathlib
 
-from repro.analysis import Baseline, get_rule, lint_paths
+import pytest
+
+from repro.analysis import get_rule, lint_paths
 from repro.analysis.report import render_human, render_json
 from repro.analysis.runner import add_lint_arguments, lint_file, main
 
@@ -77,59 +79,6 @@ def test_docstring_examples_are_not_suppressions(tmp_path):
     assert suppressed == 0
 
 
-# -- baseline ----------------------------------------------------------------
-
-
-def test_baseline_round_trip(tmp_path):
-    mod = tmp_path / "mod.py"
-    mod.write_text(WALLCLOCK)
-    target = tmp_path / "baseline.json"
-
-    fresh = lint_paths([mod])
-    assert len(fresh.findings) == 1
-
-    baseline = Baseline.load(str(target))      # missing file: empty
-    baseline.update(fresh.findings)
-    baseline.save()
-
-    again = lint_paths([mod], baseline=Baseline.load(str(target)))
-    assert again.findings == []
-    assert again.baselined == 1
-    assert again.exit_code == 0
-
-
-def test_baseline_survives_line_drift(tmp_path):
-    mod = tmp_path / "mod.py"
-    mod.write_text(WALLCLOCK)
-    target = tmp_path / "baseline.json"
-    baseline = Baseline.load(str(target))
-    baseline.update(lint_paths([mod]).findings)
-    baseline.save()
-
-    # Same offending line, shifted down: fingerprint (no line number)
-    # still matches, so the finding stays grandfathered.
-    mod.write_text("import time\n\n\n" + "t = time.time()\n")
-    drifted = lint_paths([mod], baseline=Baseline.load(str(target)))
-    assert drifted.findings == []
-    assert drifted.baselined == 1
-
-
-def test_new_finding_not_masked_by_baseline(tmp_path):
-    mod = tmp_path / "mod.py"
-    mod.write_text(WALLCLOCK)
-    target = tmp_path / "baseline.json"
-    baseline = Baseline.load(str(target))
-    baseline.update(lint_paths([mod]).findings)
-    baseline.save()
-
-    mod.write_text(WALLCLOCK + "u = time.monotonic()\n")
-    result = lint_paths([mod], baseline=Baseline.load(str(target)))
-    assert result.baselined == 1
-    assert [f.code for f in result.findings] == ["DET001"]
-    assert "monotonic" in result.findings[0].message
-    assert result.exit_code == 1
-
-
 # -- runner / reporters / CLI ------------------------------------------------
 
 
@@ -151,7 +100,7 @@ def test_reporters_cover_every_finding(tmp_path):
     payload = json.loads(render_json(result))
     assert payload["summary"]["findings"] == 1
     assert payload["findings"][0]["code"] == "DET001"
-    assert payload["findings"][0]["fingerprint"]
+    assert payload["findings"][0]["line"] == 2
 
 
 def _cli(*argv):
@@ -185,12 +134,14 @@ def test_cli_list_rules(capsys):
         assert code in out
 
 
-def test_cli_update_baseline_then_clean(tmp_path, capsys):
+def test_cli_has_no_baseline_flags(tmp_path, capsys):
+    """Nothing can be grandfathered: every finding fails the run."""
     mod = tmp_path / "mod.py"
     mod.write_text(WALLCLOCK)
-    target = tmp_path / "baseline.json"
-    assert _cli(str(mod), "--baseline", str(target),
-                "--update-baseline") == 0
+    for flag in ("--baseline", "--update-baseline"):
+        with pytest.raises(SystemExit):
+            _cli(str(mod), flag)
     capsys.readouterr()
-    assert _cli(str(mod), "--baseline", str(target)) == 0
-    assert "1 baselined" in capsys.readouterr().out
+    assert _cli(str(mod)) == 1
+    assert "1 finding across 1 files (0 suppressed)" in \
+        capsys.readouterr().out

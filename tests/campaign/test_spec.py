@@ -46,6 +46,17 @@ def test_validation_rejects_bad_specs():
         ChaosEventSpec("node_crash", inject_at=-1.0)
 
 
+@pytest.mark.parametrize("knob,value,match", [
+    ("tensor_parallel_size", 0, "parallel sizes must be >= 1"),
+    ("gpu_memory_utilization", 1.5, "gpu_memory_utilization 1.5 out of range"),
+    ("scheduler_policy", "sjf", "unknown scheduler_policy 'sjf'"),
+])
+def test_engine_knobs_are_checked_as_engine_args(knob, value, match):
+    """The spec refuses a bad engine knob with ``EngineArgs``' error."""
+    with pytest.raises(ConfigurationError, match=match):
+        ScenarioSpec(**{knob: value})
+
+
 def test_validation_rejects_unknown_chaos_scenario():
     with pytest.raises(ConfigurationError, match="unknown chaos scenario"):
         ScenarioSpec(chaos=(ChaosEventSpec(scenario="meteor_strike"),))

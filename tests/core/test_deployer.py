@@ -266,3 +266,22 @@ def test_helm_startup_crash_loop_fails_fast(site, workflow, deployer):
     assert [pod.restarts for pod in pods] == [1]
     assert pods[0].message == "CrashLoopBackOff (exit 1)"
     assert site.kernel.now < 600.0
+
+
+def test_helm_init_crash_loop_fails_fast(site, workflow, deployer):
+    # Nobody seeded goodall's S3 bucket, so the chart's model-download
+    # init container exits 1 on every try.  The deploy fails at its
+    # first back-off with the download's reason, instead of waiting out
+    # the readiness timeout.
+    def go(env):
+        yield from deployer.deploy(
+            vllm_package(), "goodall",
+            {"model": QUANT, "tensor_parallel_size": 2})
+
+    with pytest.raises(StateError, match="crash-looped at startup: "
+                       "aws-cli: nothing found"):
+        workflow.run(go(site.kernel))
+    pods = site.goodall.cluster.api.list("Pod")
+    assert [pod.restarts for pod in pods] == [1]
+    assert pods[0].message == "Init:CrashLoopBackOff (model-download exit 1)"
+    assert site.kernel.now < 600.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkernel import Resource, SimKernel
+from repro.simkernel import SimKernel
 from repro.simkernel.rng import RngRegistry
 
 
@@ -51,35 +51,6 @@ def test_identical_seeds_identical_traces(delays, seed):
                 for r in kernel.trace.of_kind("done")]
 
     assert build() == build()
-
-
-@given(capacity=st.integers(min_value=1, max_value=8),
-       n_users=st.integers(min_value=1, max_value=40),
-       holds=st.lists(st.floats(min_value=0.01, max_value=10.0,
-                                allow_nan=False), min_size=40, max_size=40))
-@settings(max_examples=50, deadline=None)
-def test_resource_never_oversubscribed(capacity, n_users, holds):
-    """in_use never exceeds capacity; all users eventually acquire."""
-    kernel = SimKernel()
-    res = Resource(kernel, capacity=capacity)
-    acquired = []
-    max_in_use = 0
-
-    def user(env, hold):
-        nonlocal max_in_use
-        yield res.request()
-        max_in_use = max(max_in_use, res.in_use)
-        assert res.in_use <= res.capacity
-        acquired.append(env.now)
-        yield env.timeout(hold)
-        res.release()
-
-    for i in range(n_users):
-        kernel.spawn(user(kernel, holds[i]))
-    kernel.run()
-    assert len(acquired) == n_users
-    assert max_in_use <= capacity
-    assert res.in_use == 0
 
 
 @given(seed=st.integers(min_value=0, max_value=2**31),

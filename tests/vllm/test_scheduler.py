@@ -81,7 +81,8 @@ def _run_workload(policy, kv_tokens=6144, chunk_tokens=512, workload=None):
 @pytest.mark.parametrize("kwargs,match", [
     ({"scheduler_policy": "sjf"}, "unknown scheduler_policy"),
     ({"chunk_tokens": 0}, "chunk_tokens"),
-], ids=["policy", "chunk_tokens"])
+    ({"max_num_seqs": 0}, "max_num_seqs"),
+], ids=["policy", "chunk_tokens", "max_num_seqs"])
 def test_bad_scheduler_settings_fail_at_the_input_boundary(kwargs, match):
     """A bad policy name or chunk budget is refused where it enters the
     program: ``EngineArgs`` and the ``vllm serve`` parser."""
