@@ -147,33 +147,9 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
 
     # -- Hops (Slurm + H100) ------------------------------------------------------------
     from ..wlm.slurm import SlurmManager
-    hops_switch = fabric.add_switch("hops-hsn")
-    fabric.connect(hops_switch, spine, gbps(400), name="hops-uplink")
-    fabric.connect(hops_switch, campus, gbps(25), name="hops-campus")
-    fabric.add_host("hops-login", zone="hops", externally_reachable=True)
-    fabric.connect("hops-login", hops_switch, gbps(25))
-    fabric.add_host("hops-svc", zone="hops", externally_reachable=True)
-    fabric.connect("hops-svc", hops_switch, gbps(25))
-    fabric.add_host("hops-lustre", zone="hops")
-    fabric.connect("hops-lustre", hops_switch, gbps(800))
-    hops_nodes_list = make_nodes(
-        "hops", hops_nodes,
-        _hpc_node_spec("hops-node", "hops"))
-    for node in hops_nodes_list:
-        fabric.add_host(node.hostname, zone="hops")
-        fabric.connect(node.hostname, hops_switch, gbps(200))
-    hops_fs = ParallelFilesystem(kernel, fabric, "hops-lustre", "hops-lustre",
-                                 mounted_platforms=["hops"])
-    hops_slurm = SlurmManager(kernel, hops_nodes_list, platform="hops")
-    hops_proxy = NginxProxy(fabric, "hops-svc")
-    hops = HPCPlatform(
-        name="hops", kernel=kernel, fabric=fabric, nodes=hops_nodes_list,
-        wlm=hops_slurm, filesystem=hops_fs,
-        podman=PodmanRuntime(kernel, fabric, gitlab),
-        apptainer=ApptainerRuntime(kernel, fabric, gitlab, hops_fs),
-        login_host="hops-login", service_host="hops-svc",
-        proxy=hops_proxy, cal=ComputeAsLogin(fabric, hops_proxy),
-        gpu_variant="cuda", default_runtime="podman")
+    hops = _build_hpc_platform(
+        kernel, fabric, spine, name="hops", prefix="hops", n_nodes=hops_nodes,
+        wlm_cls=SlurmManager, registry=gitlab, campus=campus)
     if misroute_hops_s3:
         # Initial state of Section 2.4: Hops -> S3 hairpins through the
         # 25 Gbps campus path instead of the 400 Gbps spine uplink.
@@ -182,33 +158,10 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
 
     # -- El Dorado (Flux + MI300A) -------------------------------------------------------
     from ..wlm.flux import FluxManager
-    eldo_switch = fabric.add_switch("eldo-hsn")
-    fabric.connect(eldo_switch, spine, gbps(400), name="eldo-uplink")
-    fabric.add_host("eldo-login", zone="eldorado", externally_reachable=True)
-    fabric.connect("eldo-login", eldo_switch, gbps(25))
-    fabric.add_host("eldo-svc", zone="eldorado", externally_reachable=True)
-    fabric.connect("eldo-svc", eldo_switch, gbps(25))
-    fabric.add_host("eldo-lustre", zone="eldorado")
-    fabric.connect("eldo-lustre", eldo_switch, gbps(800))
-    eldo_nodes_list = make_nodes(
-        "eldo", eldorado_nodes,
-        _hpc_node_spec("eldo-node", "eldorado"),
+    eldorado = _build_hpc_platform(
+        kernel, fabric, spine, name="eldorado", prefix="eldo",
+        n_nodes=eldorado_nodes, wlm_cls=FluxManager, registry=gitlab,
         start=1001, width=4)
-    for node in eldo_nodes_list:
-        fabric.add_host(node.hostname, zone="eldorado")
-        fabric.connect(node.hostname, eldo_switch, gbps(200))
-    eldo_fs = ParallelFilesystem(kernel, fabric, "eldo-lustre", "eldo-lustre",
-                                 mounted_platforms=["eldorado"])
-    eldo_flux = FluxManager(kernel, eldo_nodes_list, platform="eldorado")
-    eldo_proxy = NginxProxy(fabric, "eldo-svc")
-    eldorado = HPCPlatform(
-        name="eldorado", kernel=kernel, fabric=fabric,
-        nodes=eldo_nodes_list, wlm=eldo_flux, filesystem=eldo_fs,
-        podman=PodmanRuntime(kernel, fabric, gitlab),
-        apptainer=ApptainerRuntime(kernel, fabric, gitlab, eldo_fs),
-        login_host="eldo-login", service_host="eldo-svc",
-        proxy=eldo_proxy, cal=ComputeAsLogin(fabric, eldo_proxy),
-        gpu_variant="rocm", default_runtime="podman")
 
     # -- Goodall (OpenShift + H100 NVL) ---------------------------------------------------
     goodall = _build_k8s_platform(
@@ -231,6 +184,39 @@ def build_sandia_site(seed: int = 0, hops_nodes: int = 16,
         })
     kernel.trace.emit("site.built", platforms=sorted(PLATFORM_KINDS))
     return site
+
+
+def _build_hpc_platform(kernel, fabric, spine, name: str, prefix: str,
+                        n_nodes: int, wlm_cls, registry: Registry,
+                        campus=None, **numbering) -> HPCPlatform:
+    """One HPC platform: a high-speed switch with login, service and
+    Lustre hosts, its nodes, and its workload manager.  ``campus`` adds
+    Hops's 25 Gbps campus link; ``numbering`` is ``make_nodes``'s."""
+    switch = fabric.add_switch(f"{prefix}-hsn")
+    fabric.connect(switch, spine, gbps(400), name=f"{prefix}-uplink")
+    if campus is not None:
+        fabric.connect(switch, campus, gbps(25), name=f"{prefix}-campus")
+    for role, bandwidth in (("login", 25), ("svc", 25), ("lustre", 800)):
+        fabric.add_host(f"{prefix}-{role}", zone=name,
+                        externally_reachable=role != "lustre")
+        fabric.connect(f"{prefix}-{role}", switch, gbps(bandwidth))
+    nodes = make_nodes(prefix, n_nodes, _hpc_node_spec(f"{prefix}-node", name),
+                       **numbering)
+    for node in nodes:
+        fabric.add_host(node.hostname, zone=name)
+        fabric.connect(node.hostname, switch, gbps(200))
+    fs = ParallelFilesystem(kernel, fabric, f"{prefix}-lustre",
+                            f"{prefix}-lustre", mounted_platforms=[name])
+    wlm = wlm_cls(kernel, nodes, platform=name)
+    proxy = NginxProxy(fabric, f"{prefix}-svc")
+    return HPCPlatform(
+        name=name, kernel=kernel, fabric=fabric, nodes=nodes, wlm=wlm,
+        filesystem=fs, podman=PodmanRuntime(kernel, fabric, registry),
+        apptainer=ApptainerRuntime(kernel, fabric, registry, fs),
+        login_host=f"{prefix}-login", service_host=f"{prefix}-svc",
+        proxy=proxy, cal=ComputeAsLogin(fabric, proxy),
+        gpu_variant="rocm" if "MI300" in GPU_MODEL[name] else "cuda",
+        default_runtime="podman")
 
 
 def _build_k8s_platform(kernel, fabric, spine, name: str, n_nodes: int,

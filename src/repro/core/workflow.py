@@ -52,6 +52,22 @@ class CaseStudyWorkflow:
                 return node
         raise ConfigurationError(f"no free node on {platform.name}")
 
+    def _hpc_platform(self, name: str) -> HPCPlatform:
+        platform = self.site.platform(name)
+        assert isinstance(platform, HPCPlatform)
+        return platform
+
+    def _run_stage(self, platform: HPCPlatform, image: str, opts: RunOpts,
+                   what: str):
+        """Run one containerized stage on a free node of ``platform``;
+        a nonzero exit raises ``SimulatedFailure``."""
+        node = self._free_node(platform)
+        container = yield from platform.podman.run(node, image, opts)
+        code = yield container.exited
+        if code != 0:
+            raise SimulatedFailure(f"{what} failed (exit {code})",
+                                   sim_time=self.kernel.now)
+
     def run(self, generator):
         """Drive a workflow generator to completion on the kernel."""
         def proc(env):
@@ -63,9 +79,7 @@ class CaseStudyWorkflow:
 
     def download_model(self, model: str, platform_name: str = "hops"):
         """Containerized ``git clone`` of the model onto platform storage."""
-        platform = self.site.platform(platform_name)
-        assert isinstance(platform, HPCPlatform)
-        node = self._free_node(platform)
+        platform = self._hpc_platform(platform_name)
         mount = platform.models_mount()
         opts = RunOpts(
             name="model-download",
@@ -76,21 +90,15 @@ class CaseStudyWorkflow:
             mounts={"/git/models": mount},
             workdir="/git/models",
         )
-        container = yield from platform.podman.run(
-            node, "alpine/git:latest", opts)
-        code = yield container.exited
-        if code != 0:
-            raise SimulatedFailure(f"model download failed (exit {code})",
-                                   sim_time=self.kernel.now)
+        yield from self._run_stage(platform, "alpine/git:latest", opts,
+                                   "model download")
         return mount.listdir()
 
     # -- stage 2: store in S3 (Figure 3) ------------------------------------------------
 
     def upload_model_to_s3(self, model: str, platform_name: str = "hops"):
         """Containerized ``aws s3 sync`` of the checkout into site S3."""
-        platform = self.site.platform(platform_name)
-        assert isinstance(platform, HPCPlatform)
-        node = self._free_node(platform)
+        platform = self._hpc_platform(platform_name)
         model_dir = PfsMount(platform.filesystem, f"/models/{model}")
         opts = RunOpts(
             name="model-upload",
@@ -101,12 +109,8 @@ class CaseStudyWorkflow:
             mounts={f"./models/{model}": model_dir},
             workdir="/aws",
         )
-        container = yield from platform.podman.run(
-            node, "amazon/aws-cli:latest", opts)
-        code = yield container.exited
-        if code != 0:
-            raise SimulatedFailure(f"S3 upload failed (exit {code})",
-                                   sim_time=self.kernel.now)
+        yield from self._run_stage(platform, "amazon/aws-cli:latest", opts,
+                                   "S3 upload")
         return self.site.s3.list_objects("huggingface.co", f"{model}/")
 
     # -- stage 3: stage to a platform -----------------------------------------------------
@@ -114,9 +118,7 @@ class CaseStudyWorkflow:
     def stage_model_from_s3(self, model: str, platform_name: str):
         """Pull the model from S3 onto an HPC platform's filesystem
         (Kubernetes platforms stage via the Helm chart's init container)."""
-        platform = self.site.platform(platform_name)
-        assert isinstance(platform, HPCPlatform)
-        node = self._free_node(platform)
+        platform = self._hpc_platform(platform_name)
         mount = platform.models_mount()
         opts = RunOpts(
             name="model-stage",
@@ -125,12 +127,8 @@ class CaseStudyWorkflow:
                      "./models"),
             mounts={"./models": mount},
         )
-        container = yield from platform.podman.run(
-            node, "amazon/aws-cli:latest", opts)
-        code = yield container.exited
-        if code != 0:
-            raise SimulatedFailure(f"staging failed (exit {code})",
-                                   sim_time=self.kernel.now)
+        yield from self._run_stage(platform, "amazon/aws-cli:latest", opts,
+                                   "staging")
         return mount.listdir()
 
     def admin_seed_model(self, model: str, platform_name: str) -> None:

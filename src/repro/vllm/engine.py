@@ -301,8 +301,7 @@ class LLMEngine:
                 yield kernel.timeout(step)
                 self.iterations += 1
                 self._advance_all()
-                if (self.fault_plan is None and self.running
-                        and self.scheduler.supports_coalescing):
+                if self.fault_plan is None and self.running:
                     yield from self._fast_forward()
         except Interrupted:
             self._fail_outstanding(APIError(503, "engine stopped"))
@@ -332,14 +331,12 @@ class LLMEngine:
         granularity, and the main loop admits at the boundary —
         bit-for-bit the same token counts, TTFTs, and finish times as
         per-iteration stepping (timing differs only by float-sum
-        rounding).  Disabled whenever
-        a fault plan is armed (those contracts are per-iteration) and
-        under any scheduler policy but FCFS — the jump plan's proof
-        obligations are FCFS-specific (see ``docs/serving.md``).
+        rounding).  Every scheduler policy takes this path; one whose
+        decisions FCFS's plan does not cover adds a veto to it (see
+        ``docs/serving.md``).  Disabled
+        whenever a fault plan is armed: those contracts are
+        per-iteration.
         """
-        assert self.scheduler.supports_coalescing, \
-            "coalescing is FCFS-only; the loop gate must keep other " \
-            "policies out of the fast-forward"
         j = self.scheduler.plan_jump()
         if j < self.MIN_JUMP:
             return

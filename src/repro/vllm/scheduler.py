@@ -13,11 +13,9 @@ and overrides only the decisions it changes:
 * :class:`ChunkedScheduler`: each prefill paid in ``chunk_tokens``
   slices.
 
-Coalescing compatibility (see ``docs/serving.md``): the jump plan's
-proof obligations — "the waiting head cannot become admissible
-mid-jump" and "no first token fires mid-jump" — are FCFS-specific, so
-both subclasses clear ``supports_coalescing`` and the engine never asks
-them for a jump plan.
+Every policy runs the same engine loop and coalescing plan (see
+``docs/serving.md``); a subclass overrides :meth:`Scheduler.plan_jump`
+only to veto the boundaries its own decisions can change.
 
 Policy names are validated where they enter the program
 (``EngineArgs``, ``ScenarioSpec``, ``--scheduler-policy``), all from
@@ -47,10 +45,6 @@ class Scheduler:
     """
 
     name = "fcfs"
-    #: Whether the coalesced-decode fast-forward may run under this
-    #: policy.  Only FCFS can: the jump-plan argument relies on
-    #: admission order being frozen while the engine sleeps.
-    supports_coalescing = True
 
     def __init__(self, engine: LLMEngine):
         self.engine = engine
@@ -148,8 +142,9 @@ class Scheduler:
         """Iterations guaranteed free of finishes, first tokens,
         admissions, and preemptions — eligible for one coalesced sleep.
 
-        Only sound under ``supports_coalescing``; the engine asks no
-        other policy.
+        This is FCFS's plan, and the base every policy runs: a subclass
+        whose :meth:`make_room` or :meth:`schedule` can change the batch
+        where FCFS's could not overrides it to veto those boundaries.
 
         A *blocked* waiting queue cannot unblock mid-jump (free KV
         blocks only shrink between finishes and the batch-size cap only
@@ -226,13 +221,11 @@ class PriorityScheduler(Scheduler):
     *strictly lower* priority (recompute-style, youngest victim first
     among the lowest class).  Within one priority class the behavior
     degenerates to FCFS — the policy-swap equivalence tests pin that.
-    Coalescing is off: an admissible-priority arrival must be able to
-    preempt at the very next iteration boundary, which the jump plan
-    cannot guarantee.
+    Coalescing adds one veto (:meth:`plan_jump`): no jump while the
+    waiting head could evict at the next boundary.
     """
 
     name = "priority"
-    supports_coalescing = False
 
     @staticmethod
     def _key(request: Request) -> tuple:
@@ -272,6 +265,16 @@ class PriorityScheduler(Scheduler):
             self.engine._preempt(victim)
         return True
 
+    def plan_jump(self) -> int:
+        """FCFS's plan, vetoed while :meth:`make_room` could evict: a
+        seat is free and a running request ranks below the waiting head."""
+        waiting = self.waiting
+        running = self.running
+        if (waiting and len(running) < self.engine.args.max_num_seqs
+                and any(r.priority < waiting[0].priority for r in running)):
+            return 0
+        return super().plan_jump()
+
 
 class ChunkedScheduler(Scheduler):
     """FCFS admission with prefill spread over ``chunk_tokens`` slices.
@@ -283,12 +286,13 @@ class ChunkedScheduler(Scheduler):
     ``prefill_remaining`` reaches zero — so a 100k-token prompt adds
     bounded latency to every iteration instead of one giant stall,
     trading its own TTFT for the batch's inter-token latency.
-    Coalescing is off: prefill slices are per-iteration events by
-    definition.
+    Coalescing needs no override: a request still paying slices has its
+    first token pending, which vetoes the base plan, and with no slice
+    in flight the budget is whole, so admission is FCFS's
+    :meth:`can_admit`.
     """
 
     name = "chunked"
-    supports_coalescing = False
 
     def __init__(self, engine: LLMEngine):
         super().__init__(engine)

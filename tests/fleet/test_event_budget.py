@@ -4,13 +4,16 @@ Counts every ``SimKernel.step`` dispatch of a whole ``run_cell`` (fleet
 bring-up included) and divides by the completed requests.  The counts
 are deterministic, so the bounds do not depend on host speed.  The
 cells are the short (0.25 h) poisson_steady and disagg_heavy variants
-of the repo benchmark.  A change that adds heap entries to the request
-path fails here; a change that removes some should lower the bound.
+of the repo benchmark, and poisson_steady under the priority and
+chunked scheduler policies, which take the same coalesced engine loop.
+A change that adds heap entries to the request path fails here; a
+change that removes some should lower the bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -21,9 +24,9 @@ HORIZON = 0.25 * 3600.0
 SEED = 1
 
 
-def _poisson_steady():
+def _poisson_steady(policy="fcfs"):
     spec = demo_grid(SEED).expand()[0][0]   # hops, 2-3 replicas, 2 rps
-    return dataclasses.replace(spec, horizon=HORIZON)
+    return dataclasses.replace(spec, horizon=HORIZON, scheduler_policy=policy)
 
 
 def _disagg_heavy():
@@ -37,7 +40,11 @@ def _disagg_heavy():
 @pytest.mark.parametrize("build, budget", [
     (_poisson_steady, 11.6),    # 16.11 before lean dispatch
     (_disagg_heavy, 18.8),      # 24.39 before lean dispatch
-], ids=["poisson_steady", "disagg_heavy"])
+    # 118.4 each while only FCFS coalesced engine iterations
+    (functools.partial(_poisson_steady, "priority"), 11.6),
+    (functools.partial(_poisson_steady, "chunked"), 11.7),
+], ids=["poisson_steady", "disagg_heavy", "poisson_steady_priority",
+        "poisson_steady_chunked"])
 def test_kernel_events_per_completed_request(monkeypatch, build, budget):
     dispatched = 0
     step = SimKernel.step

@@ -8,9 +8,11 @@ prefill chunk), the trajectory — tokens, TTFTs, finish times — must be
 bit-identical.  The pressure pins fix each policy's own trajectory
 under KV and batch-size pressure, with preemptions, prefix hits and
 disaggregated handoffs in the mix, so a refactor of the scheduler can
-move none of them.  The remaining tests pin the behaviors that are
-supposed to differ, and check that bad policy settings are refused
-where they enter the program.
+move none of them.  Every policy runs the one coalesced engine loop,
+and a drawn-workload property holds each to per-iteration stepping.
+The remaining tests pin the behaviors that are supposed to differ, and
+check that bad policy settings are refused where they enter the
+program.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from __future__ import annotations
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.hardware import gpu_spec
@@ -109,10 +113,69 @@ def test_each_policy_builds_its_scheduler(kernel, policy, cls):
         assert engine.scheduler.chunk_tokens == 64
 
 
-def test_only_fcfs_supports_coalescing():
-    assert Scheduler.supports_coalescing
-    assert not PriorityScheduler.supports_coalescing
-    assert not ChunkedScheduler.supports_coalescing
+#: One drawn arrival: the gap since the previous one (0 is a tie),
+#: prompt, output budget, priority class, session key, and whether it
+#: is a disaggregated handoff (``prefill_done``, first token already
+#: generated elsewhere).
+ARRIVAL = st.tuples(
+    st.sampled_from((0.0, 0.0, 0.01, 0.05, 0.2, 1.0, 5.0)),
+    st.integers(16, 480), st.integers(2, 400), st.sampled_from((0, 1, 5)),
+    st.sampled_from((None, "a", "b")), st.booleans())
+
+
+def _drawn_trajectory(policy, arrivals, kv_tokens, max_num_seqs,
+                      chunk_tokens, coalesce):
+    kernel = SimKernel(seed=13)
+    engine = _engine(kernel, policy=policy, kv_tokens=kv_tokens,
+                     max_num_seqs=max_num_seqs, chunk_tokens=chunk_tokens,
+                     coalesce=coalesce, prefix_caching=True)
+    requests = []
+
+    def feeder(env):
+        for gap, prompt, max_new, priority, session, handoff in arrivals:
+            if gap:
+                yield env.timeout(gap)
+            requests.append(engine.submit(RequestSpec(
+                prompt, max_new, session_key=session, priority=priority,
+                prefill_done=handoff, tokens_generated=int(handoff))))
+
+    kernel.run(until=kernel.spawn(feeder(kernel)))
+    kernel.run(until=kernel.all_of([r.done for r in requests]))
+    return engine, requests
+
+
+@pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
+@settings(max_examples=40, deadline=None)
+# A class-0 handoff preempts the class-1 request it shares a 1,024-token
+# cache with; at the next boundary the class-1 head may evict it back.
+# Coalescing past that boundary under priority diverges from stepping.
+@example(arrivals=[(1.0, 156, 372, 0, "b", True),
+                   (0.05, 278, 303, 1, None, False)],
+         kv_tokens=1024, max_num_seqs=3, chunk_tokens=512)
+@given(arrivals=st.lists(ARRIVAL, min_size=1, max_size=14),
+       kv_tokens=st.sampled_from((1024, 2048, 4096, 200_000)),
+       max_num_seqs=st.integers(1, 4),
+       chunk_tokens=st.sampled_from((16, 64, 512)))
+def test_coalesced_equals_stepped(policy, arrivals, kv_tokens, max_num_seqs,
+                                  chunk_tokens):
+    """Every policy runs the one coalesced loop, and over drawn
+    workloads (ties, priority classes, prefix-cached sessions,
+    handoffs, KV and batch-size pressure, chunk budgets) it matches
+    per-iteration stepping: tokens, preemptions and cache hits exactly,
+    times to float-sum rounding."""
+    runs = [_drawn_trajectory(policy, arrivals, kv_tokens, max_num_seqs,
+                              chunk_tokens, coalesce)
+            for coalesce in (True, False)]
+    (fast_engine, fast), (slow_engine, slow) = runs
+    for a, b in zip(fast, slow):
+        assert (a.tokens_generated, a.preemptions, a.cached_tokens) \
+            == (b.tokens_generated, b.preemptions, b.cached_tokens)
+        assert a.first_token_at == pytest.approx(b.first_token_at,
+                                                 rel=1e-9, abs=1e-6)
+        assert a.finished_at == pytest.approx(b.finished_at,
+                                              rel=1e-9, abs=1e-6)
+    assert fast_engine.iterations == slow_engine.iterations
+    assert fast_engine.blocks.cache_stats() == slow_engine.blocks.cache_stats()
 
 
 def test_engine_queues_are_scheduler_views(kernel):
@@ -281,15 +344,21 @@ def _digest(trajectory) -> str:
     return hashlib.sha256(repr(trajectory).encode()).hexdigest()
 
 
-#: SHA-256 of each policy's trajectory under the pressure workload.
-#: A refactor of the scheduler must leave every one unchanged.
+#: SHA-256 of each policy's trajectory under the pressure workload,
+#: coalesced and stepped.  A coalesced run equals the stepped one only
+#: to float-sum rounding, so each side has its own pin.  A refactor of
+#: the scheduler must leave every one unchanged.
 PRESSURE_DIGESTS = {
     ("fcfs", True):
         "e01ca4ea27ea74fafbbb175c6394ea29dc68b73f64fa637ad1b8ef7dc475b89c",
     ("fcfs", False):
         "2e1df03250808cc6a03ccd5f0c21801aa47d6ef2b08b9423ee1e6213d5d5ea49",
+    ("priority", True):
+        "fb498f85e56ceb07513fc7eb6b5851f8c7c7226a9ec3ff10e4869a867937412a",
     ("priority", False):
         "8b25d6fa7e150ea0e2e1e27ddc379e0f19ff0826efd423c007944099d7faf11d",
+    ("chunked", True):
+        "4db1a82d2a02dd7086e951eff1daa817af65f26c3c8a6a49b68303dacd649701",
     ("chunked", False):
         "548915442f75e7b2e0ebfac32f9e89265272b8a84f762bc03d3a56a0bca3e279",
 }
