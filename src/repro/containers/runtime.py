@@ -345,6 +345,20 @@ class ContainerRuntime:
         container.start()
         return container
 
+    def exec(self, container: Container, opts: RunOpts) -> Container:
+        """``podman exec``: start ``opts``' app as another process inside
+        the running ``container``, in its environment and seeing its GPUs.
+
+        The process has its own lifecycle (``ready``, ``exited``) but
+        holds no GPUs of its own; ``container`` keeps them.
+        """
+        process = Container(self.kernel, self.fabric, container.node,
+                            container.image, self, opts,
+                            container.ctx.effective)
+        self.containers.append(process)
+        process.start()
+        return process
+
     def _release(self, container: Container) -> None:
         if container.ctx.gpu_indices:
             container.node.release_gpus(container.ctx.gpu_indices)

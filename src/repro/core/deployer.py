@@ -35,6 +35,7 @@ from ..errors import NotFoundError, StateError
 from ..hardware.node import Node
 from ..k8s.helm import HelmRelease
 from ..net.http import lookup
+from ..vllm.config import parse_serve_command
 from .package import AppPackage
 from .site import ConvergedSite
 from .translate import helm_values_for
@@ -125,9 +126,9 @@ class Deployer:
         manifest = runtime.registry.resolve(variant.image_ref)
         profile = package.profile(profile_name)
 
-        gpus = int(params.get("tensor_parallel_size", 1))
-        chosen = node or self.pick_node(platform, gpus, package.service_port)
         command = package.command(params)
+        gpus = parse_serve_command(command).world_size
+        chosen = node or self.pick_node(platform, gpus, package.service_port)
         opts = RunOpts(
             name=params.get("name", package.name),
             env={**profile.env, **params.get("env", {})},

@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigurationError
+from ..vllm.config import parse_serve_command
 from .package import (AppPackage, ConfigProfile, HardwareVariant,
                       vllm_serve_flags)
 
@@ -33,15 +34,17 @@ def helm_values_for(site: ConvergedSite, package: AppPackage,
     if not model:
         raise ConfigurationError("k8s deployment needs a 'model' parameter")
     repository, _, tag = variant.image_ref.rpartition(":")
-    gpus = int(params.get("tensor_parallel_size", 1))
+    tp = int(params.get("tensor_parallel_size", 1))
     served = params.get("served_model_name") or model
     command = ["vllm", "serve", "/data/",
                "--host", "0.0.0.0", "--port",
                str(package.service_port),
                "--served-model-name", str(served),
-               f"--tensor-parallel-size={gpus}",
+               f"--tensor-parallel-size={tp}",
                *vllm_serve_flags({key: value for key, value in params.items()
                                   if key != "served_model_name"})]
+    # Every TP rank of every pipeline stage holds a GPU.
+    gpus = parse_serve_command(tuple(command)).world_size
     env = [{"name": key, "value": value} for key, value in
            {"HOME": "/data", "HF_HOME": "/data", **profile.env}.items()]
     storage = int(params.get("storage_bytes", 300 * 1024**3))

@@ -13,9 +13,7 @@ from __future__ import annotations
 
 from ..core import CaseStudyWorkflow, build_sandia_site
 from ..errors import JobKilled
-from ..models.catalog import llama31_405b
 from ..cluster.profiles import perf_profile
-from ..storage.mounts import PfsMount
 from ..vllm import (CrashAfterRequests, EngineArgs, FaultPlan,
                     MultiNodeEngineLauncher)
 from .common import FigureResult
@@ -27,25 +25,29 @@ PAPER_LEVELS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 def run_405b_once(label: str, n_requests: int, levels,
                   fault_plan=None, downtime_at: float | None = None,
                   seed: int = 400):
-    """One Fig.-12 run: Slurm job -> Ray -> multi-node vLLM -> sweep."""
+    """One Fig.-12 run: Slurm job -> Ray -> multi-node vLLM -> sweep.
+
+    Returns ``(sweep, job, ready_at)``: ``ready_at`` is when the head's
+    ``vllm serve`` finished starting (None if it never did).
+    """
     site = build_sandia_site(seed=seed, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=2, cee_nodes=1)
     wf = CaseStudyWorkflow(site)
     wf.admin_seed_model(B405, "hops")
-    card = llama31_405b()
     args = EngineArgs(model=B405, tensor_parallel_size=4,
                       pipeline_parallel_size=4, max_model_len=65536)
     launcher = MultiNodeEngineLauncher(
-        site.kernel, site.fabric, site.hops.podman,
-        "vllm/vllm-openai:v0.9.1", card, args,
-        PfsMount(site.hops.filesystem, f"/models/{B405}"),
-        profile=perf_profile("hops", "405b-multinode"),
-        fault_plan=fault_plan)
+        site.hops.podman, "vllm/vllm-openai:v0.9.1", args,
+        site.hops.models_mount(),
+        extras={"perf_profile": perf_profile("hops", "405b-multinode"),
+                "fault_plan": fault_plan})
 
     collected: list = []
+    servers: list = []
 
     def job_script(ctx):
         deployment = yield from launcher.launch(ctx.nodes)
+        servers.append(deployment.server)
         ctx.defer(deployment.stop)
         sweep = yield from wf.benchmark_endpoint(
             deployment.endpoint, B405, levels=levels,
@@ -83,7 +85,8 @@ def run_405b_once(label: str, n_requests: int, levels,
             return sweep
 
     result = site.kernel.run(until=site.kernel.spawn(driver(site.kernel)))
-    return result, job
+    ready_at = servers[0].startup_finished_at if servers else None
+    return result, job, ready_at
 
 
 def run_fig12(n_requests: int = 1000,
@@ -98,29 +101,27 @@ def run_fig12(n_requests: int = 1000,
     crash_threshold = n_requests * (levels.index(512)) + n_requests // 3
     plan = FaultPlan(CrashAfterRequests(
         crash_threshold, reason="memory leak: engine OOM"))
-    sweep1, job1 = run_405b_once("Hops HPC, Run 1 (hops 39-42)",
-                                 n_requests, levels, fault_plan=plan,
-                                 seed=401)
+    sweep1, job1, _ = run_405b_once("Hops HPC, Run 1 (hops 39-42)",
+                                    n_requests, levels, fault_plan=plan,
+                                    seed=401)
     result.series.append(sweep1)
     result.notes.append(
         f"run 1: {sweep1.terminated_early or 'completed (unexpected!)'}")
 
     # Run 2: clean.
-    sweep2, job2 = run_405b_once("Hops HPC, Run 2 (hops 22-25)",
-                                 n_requests, levels, seed=402)
+    sweep2, job2, ready2 = run_405b_once("Hops HPC, Run 2 (hops 22-25)",
+                                         n_requests, levels, seed=402)
     result.series.append(sweep2)
 
-    # Run 3: killed by a scheduled downtime partway through the sweep —
-    # timed (from run 2's per-level durations) to land after the fourth
-    # sweep point, as in the paper's figure.
+    # Run 3: killed by a scheduled downtime partway through the sweep.
+    # The window opens half-way into the fifth sweep point by run 2's
+    # clock: its server's measured startup plus its per-level durations.
     durations = [p.result.duration for p in sweep2.points]
-    downtime_at = (sum(durations[:4])
-                   + 0.5 * (durations[4] if len(durations) > 4 else 600.0)
-                   + 1500.0)  # startup margin
-    sweep3, job3 = run_405b_once("Hops HPC, Run 3 (hops 28, 37-38, 58)",
-                                 n_requests, levels,
-                                 downtime_at=downtime_at,
-                                 seed=403)
+    downtime_at = ((ready2 or 0.0) + sum(durations[:4])
+                   + 0.5 * (durations[4] if len(durations) > 4 else 600.0))
+    sweep3, job3, _ = run_405b_once("Hops HPC, Run 3 (hops 28, 37-38, 58)",
+                                    n_requests, levels,
+                                    downtime_at=downtime_at, seed=403)
     result.series.append(sweep3)
     result.notes.append(f"run 3: {sweep3.terminated_early}")
     result.notes.append(

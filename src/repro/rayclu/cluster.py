@@ -1,13 +1,11 @@
-"""Ray cluster: head/worker bootstrap, GCS, placement groups, actors."""
+"""Ray cluster: head/worker bootstrap, GCS, placement groups."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from collections.abc import Callable, Generator
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
-from ..errors import CapacityError, ConfigurationError, StateError
+from ..errors import CapacityError, StateError
 from ..hardware.node import Node
 from ..simkernel import Event
 
@@ -44,51 +42,21 @@ class PlacementGroup:
     one bundle per node, as vLLM uses for pipeline stages)."""
 
     bundles: list[tuple[RayNode, int]] = field(default_factory=list)
-    ready: bool = False
 
     @property
     def nodes(self) -> list[Node]:
         return [rn.node for rn, _ in self.bundles]
 
 
-class RayActor:
-    """A remote actor bound to a bundle; runs generator methods remotely."""
-
-    _ids = itertools.count(1)
-
-    def __init__(self, cluster: RayCluster, ray_node: RayNode,
-                 name: str = ""):
-        self.id = next(RayActor._ids)
-        self.cluster = cluster
-        self.ray_node = ray_node
-        self.name = name or f"actor-{self.id}"
-        self.alive = True
-
-    def remote(self, fn: Callable[..., Generator], *args: Any):
-        """Invoke a generator on the actor's node; returns its value.
-        Adds the cluster's internode RPC latency."""
-        if not self.alive:
-            raise StateError(f"actor {self.name} is dead")
-        kernel = self.cluster.kernel
-        yield kernel.timeout(self.cluster.rpc_latency)
-        result = yield from fn(self.ray_node.node, *args)
-        return result
-
-    def kill(self) -> None:
-        self.alive = False
-
-
 class RayCluster:
     """A Ray cluster over a set of hardware nodes."""
 
-    def __init__(self, kernel: SimKernel, rpc_latency: float = 0.0005):
+    def __init__(self, kernel: SimKernel):
         self.kernel = kernel
-        self.rpc_latency = rpc_latency
         self.head: RayNode | None = None
         self.workers: list[RayNode] = []
-        self.started: Event = kernel.event()
-        self.actors: list[RayActor] = []
-        self._down = False
+        #: fires once, at :meth:`shutdown`; every raylet exits on it
+        self.stopped: Event = kernel.event()
 
     # -- bootstrap (paper Figure 11 flow) ----------------------------------------
 
@@ -103,8 +71,6 @@ class RayCluster:
         yield self.kernel.timeout(HEAD_BOOT_DELAY)
         self.head = RayNode(node=node, is_head=True,
                             joined_at=self.kernel.now)
-        if not self.started.triggered:
-            self.started.succeed(self)
         self.kernel.trace.emit("ray.head.up", node=node.hostname)
         return self.head
 
@@ -132,7 +98,7 @@ class RayCluster:
     def create_placement_group(self, gpus_per_bundle: int,
                                n_bundles: int) -> PlacementGroup:
         """Reserve one GPU bundle on each of ``n_bundles`` distinct nodes."""
-        if self._down:
+        if self.stopped.triggered:
             raise StateError("ray cluster is shut down")
         eligible = [rn for rn in self.nodes
                     if rn.gpus_available >= gpus_per_bundle]
@@ -145,30 +111,16 @@ class RayCluster:
         for rn in eligible[:n_bundles]:
             rn.gpus_reserved += gpus_per_bundle
             group.bundles.append((rn, gpus_per_bundle))
-        group.ready = True
         self.kernel.trace.emit("ray.pg.ready", bundles=n_bundles,
                                gpus_per_bundle=gpus_per_bundle)
         return group
 
-    def release_placement_group(self, group: PlacementGroup) -> None:
-        for rn, gpus in group.bundles:
-            rn.gpus_reserved -= gpus
-        group.bundles.clear()
-        group.ready = False
-
-    def spawn_actor(self, group: PlacementGroup, bundle_index: int,
-                    name: str = "") -> RayActor:
-        if not group.ready:
-            raise ConfigurationError("placement group not ready")
-        ray_node, _ = group.bundles[bundle_index]
-        actor = RayActor(self, ray_node, name=name)
-        self.actors.append(actor)
-        return actor
-
     def shutdown(self) -> None:
-        self._down = True
-        for actor in self.actors:
-            actor.kill()
+        """``ray stop`` on the head: the GCS goes, and every raylet with
+        it.  Idempotent."""
+        if self.stopped.triggered:
+            return
         self.head = None
         self.workers.clear()
+        self.stopped.succeed(self)
         self.kernel.trace.emit("ray.shutdown")

@@ -117,10 +117,13 @@ class ParallelFilesystem:
         self.kernel.trace.emit("pfs.write", fs=self.name, path=path, size=size)
         return size
 
-    def read(self, node_host: str, path: str):
-        """Read a file to a node: bytes flow fs frontend -> node."""
+    def read(self, node_host: str, path: str, size: int | None = None):
+        """Read a file to a node: bytes flow fs frontend -> node.  Given
+        ``size``, read that many bytes from under ``path`` instead (one
+        node's pipeline-parallel shard of a model directory)."""
         self._check_up()
-        size = self.stat(path)
+        if size is None:
+            size = self.stat(path)
         flow = self.fabric.start_transfer(self.host, node_host, size,
                                           name=f"pfs-read:{path}")
         yield flow.done

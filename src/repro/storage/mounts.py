@@ -64,10 +64,8 @@ class PfsMount(MountHandle):
         return total
 
     def read_bytes(self, node_host: str, nbytes: int):
-        flow = self.fs.fabric.start_transfer(
-            self.fs.host, node_host, nbytes, name=f"pfs-shard:{node_host}")
-        yield flow.done
-        return nbytes
+        result = yield from self.fs.read(node_host, self.prefix, nbytes)
+        return result
 
     def write(self, node_host: str, path: str, size: int):
         result = yield from self.fs.write(node_host, self.prefix + path, size)

@@ -86,6 +86,11 @@ class EngineArgs:
     def public_model_name(self) -> str:
         return self.served_model_name or self.model
 
+    @property
+    def world_size(self) -> int:
+        """GPUs the engine runs on: one per TP rank of every PP stage."""
+        return self.tensor_parallel_size * self.pipeline_parallel_size
+
 
 def _flag_type(hint: Any) -> type:
     """The value type a field's annotation names (``int | None`` -> int)."""

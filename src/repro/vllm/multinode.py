@@ -4,39 +4,40 @@ Section 3.5 of the paper: *"we achieve this by deploying a multi-node job
 running one vLLM container per node, executing the Ray cluster startup
 command as its entry point.  Once the Ray cluster is established, we exec
 into one of the vLLM containers (any works) and start the vLLM server."*
-Tensor parallelism runs within each node, pipeline parallelism between
-nodes.
+
+:class:`MultiNodeEngineLauncher` does exactly that.  Its one ``vllm
+serve`` is the single-node server's own startup: started inside the
+cluster, it claims a placement group of one TP bundle per pipeline
+stage, and each stage node loads its shard of the weights.  Tensor
+parallelism runs within each node, pipeline parallelism between nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING, Any
 
 from ..containers.image import ImageManifest, register_app
 from ..containers.runtime import (Container, ContainerApp, ContainerContext,
                                   ContainerRuntime, RunOpts)
-from ..errors import ConfigurationError, ContainerCrash
-from ..hardware.node import Node
-from ..models.catalog import ModelCard
-from ..models.weights import validate_fit
-from ..net.http import HttpService
+from ..errors import ConfigurationError
 from ..rayclu import RayCluster
-from ..simkernel import Event
-from .config import EngineArgs
-from .engine import LLMEngine
-from .perf import PerfModel, PerfProfile
-from .server import ENGINE_INIT_SECONDS, VllmOpenAIServer
+from .config import OFFLINE_ENV_FLAGS, EngineArgs, parse_serve_command
+from .server import VllmOpenAIServer
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..simkernel import SimKernel
+    from ..hardware.node import Node
     from ..storage.mounts import MountHandle
+
+#: Where every container of the job binds the model directory.
+MODELS_DIR = "/vllm-workspace/models"
 
 
 @register_app("ray-node")
 class RayNodeApp(ContainerApp):
     """The per-node vLLM container whose entrypoint starts Ray
-    (``run-cluster.sh --head|--worker`` in paper Figure 11)."""
+    (``run-cluster.sh --head|--worker`` in paper Figure 11).  Its raylet
+    runs until the container is stopped or the cluster shuts down."""
 
     def startup(self, ctx: ContainerContext):
         ctx.check_expectations()
@@ -48,55 +49,60 @@ class RayNodeApp(ContainerApp):
             yield from cluster.join_worker(ctx.node)
 
     def run(self, ctx: ContainerContext):
-        yield ctx.stop_event
+        cluster: RayCluster = ctx.opts.extras["ray_cluster"]
+        yield ctx.kernel.any_of([ctx.stop_event, cluster.stopped])
 
 
 @dataclass
 class MultiNodeDeployment:
     """A running multi-node vLLM service."""
 
-    engine: LLMEngine
     ray: RayCluster
+    #: one ``ray-node`` container per node, the Ray head's first
     containers: list[Container]
-    head_node: Node
-    service: HttpService | None = None
-    failed: Event | None = None
+    #: ``vllm serve``, exec'd into the head's container
+    head: Container
+
+    @property
+    def server(self) -> VllmOpenAIServer:
+        return self.head.app  # type: ignore[return-value]
 
     @property
     def endpoint(self) -> tuple[str, int]:
-        return (self.head_node.hostname, self.engine.args.port)
+        return (self.head.node.hostname, self.server.args.port)
 
     def stop(self) -> None:
-        self.engine.stop()
-        if self.service is not None:
-            self.service.close()
-            self.service = None
-        for container in self.containers:
-            if container.running:
-                container.stop()
-        self.ray.shutdown()
+        """Stop ``vllm serve``; the Ray cluster and its containers follow."""
+        self.head.stop()
 
 
 class MultiNodeEngineLauncher:
-    """Brings up Ray + a TP x PP engine over a node allocation."""
+    """Brings up Ray + a TP x PP ``vllm serve`` over a node allocation.
 
-    def __init__(self, kernel: SimKernel, fabric, runtime: ContainerRuntime,
-                 image: ImageManifest | str, card: ModelCard,
+    ``model_mount`` is the models directory (the server finds
+    ``args.model`` under it); ``extras`` reach the server's
+    ``RunOpts.extras`` (``perf_profile``, ``fault_plan``).
+    """
+
+    def __init__(self, runtime: ContainerRuntime, image: ImageManifest | str,
                  args: EngineArgs, model_mount: MountHandle,
-                 profile: PerfProfile | None = None,
-                 fault_plan=None):
+                 extras: dict[str, Any] | None = None):
+        from ..core.package import vllm_package  # repro.core imports us
+
         if args.pipeline_parallel_size < 2:
             raise ConfigurationError(
                 "use the single-node server for pipeline_parallel_size=1")
-        self.kernel = kernel
-        self.fabric = fabric
+        # The deploy tool's argv, which the head's server parses back.
+        self.command = vllm_package().command(asdict(args))
+        if parse_serve_command(self.command) != args:
+            raise ConfigurationError(
+                "the vllm serve argv cannot carry these engine arguments "
+                "(the deploy tool sets host and port itself)")
         self.runtime = runtime
         self.image = image
-        self.card = card
         self.args = args
         self.model_mount = model_mount
-        self.profile = profile or PerfProfile()
-        self.fault_plan = fault_plan
+        self.extras = dict(extras or {})
 
     def launch(self, nodes: list[Node]):
         """Generator: returns a ready :class:`MultiNodeDeployment`."""
@@ -105,91 +111,33 @@ class MultiNodeEngineLauncher:
             raise ConfigurationError(
                 f"pipeline_parallel_size={args.pipeline_parallel_size} "
                 f"needs exactly that many nodes, got {len(nodes)}")
-        kernel = self.kernel
-        ray = RayCluster(kernel)
+        ray = RayCluster(self.runtime.kernel)
+        base = RunOpts(
+            env={flag: "1" for flag in OFFLINE_ENV_FLAGS},
+            mounts={MODELS_DIR: self.model_mount}, workdir=MODELS_DIR,
+            network_host=True, ipc_host=True, gpus="all",
+            apptainer_fakeroot=True, apptainer_writable_tmpfs=True,
+            apptainer_cleanenv=True, apptainer_no_home=True,
+            apptainer_nv=True)
 
         # One vLLM container per node; entrypoint = Ray bootstrap.
         containers: list[Container] = []
         for i, node in enumerate(nodes):
-            opts = RunOpts(
-                name=f"vllm-ray-{node.hostname}",
-                env={"RAY_ROLE": "head" if i == 0 else "worker",
-                     "HF_HUB_OFFLINE": "1", "TRANSFORMERS_OFFLINE": "1",
-                     "HF_DATASETS_OFFLINE": "1"},
-                network_host=True, ipc_host=True, gpus="all",
-                apptainer_fakeroot=True, apptainer_writable_tmpfs=True,
-                apptainer_cleanenv=True, apptainer_no_home=True,
-                apptainer_nv=True,
+            opts = replace(
+                base, name=f"vllm-ray-{node.hostname}",
+                env={"RAY_ROLE": "head" if i == 0 else "worker", **base.env},
                 entrypoint="run-cluster.sh",
-                extras={"ray_cluster": ray, "app_override": "ray-node"},
-            )
+                extras={"ray_cluster": ray, "app_override": "ray-node"})
             container = yield from self.runtime.run(node, self.image, opts)
             containers.append(container)
         for container in containers:
             yield container.ready
         yield from ray.wait_for_size(len(nodes))
 
-        # vLLM allocates GPU bundles through Ray placement groups.
-        ray.create_placement_group(
-            gpus_per_bundle=args.tensor_parallel_size,
-            n_bundles=args.pipeline_parallel_size)
-
-        head = nodes[0]
-        gpu = head.spec.gpus[0]
-        kv_capacity = validate_fit(
-            self.card, gpu, args.tensor_parallel_size,
-            args.pipeline_parallel_size, max_model_len=args.max_model_len,
-            gpu_memory_utilization=args.gpu_memory_utilization)
-
-        # Every pipeline stage loads its weight shard in parallel.
-        shard = self.card.weight_bytes / args.pipeline_parallel_size
-        loaders = [
-            kernel.spawn(self.model_mount.read_bytes(n.hostname, int(shard)),
-                         name=f"shard:{n.hostname}")
-            for n in nodes]
-        yield kernel.all_of(loaders)
-        # Deserialize + upload to HBM (each node processes its shard).
-        from .server import WEIGHT_LOAD_RATE_PER_NODE
-        yield kernel.timeout(shard / WEIGHT_LOAD_RATE_PER_NODE)
-        yield kernel.timeout(ENGINE_INIT_SECONDS)
-
-        perf = PerfModel(self.card, gpu, args.tensor_parallel_size,
-                         args.pipeline_parallel_size, profile=self.profile)
-        engine = LLMEngine(kernel, self.card, perf, args, kv_capacity,
-                           fault_plan=self.fault_plan,
-                           name=f"{head.hostname}-multinode")
-        deployment = MultiNodeDeployment(engine=engine, ray=ray,
-                                         containers=containers,
-                                         head_node=head)
-        deployment.failed = kernel.event()
-
-        # Bind the OpenAI API on the head node, reusing the single-node
-        # server's HTTP handlers.
-        front = VllmOpenAIServer()
-        front.engine = engine
-        front.args = args
-        deployment.service = HttpService(
-            self.fabric, head.hostname, args.port, front._handle,
-            name=f"vllm-multinode@{head.hostname}")
-
-        engine_proc = engine.start()
-
-        def watch(env):
-            try:
-                yield engine_proc
-            except ContainerCrash as crash:
-                if deployment.failed is not None and \
-                        not deployment.failed.triggered:
-                    deployment.failed.succeed(crash)
-                for container in containers:
-                    if container.running:
-                        container.stop()
-                env.trace.emit("vllm.multinode.crash",
-                               head=head.hostname, reason=str(crash))
-
-        kernel.spawn(watch(kernel), name="multinode-watch")
-        kernel.trace.emit("vllm.multinode.ready", head=head.hostname,
-                          nodes=[n.hostname for n in nodes],
-                          tp=args.tensor_parallel_size,
-                          pp=args.pipeline_parallel_size)
-        return deployment
+        # Exec into the head's container and start the one vLLM server.
+        head = self.runtime.exec(containers[0], replace(
+            base, name=f"vllm-serve-{nodes[0].hostname}", entrypoint="vllm",
+            command=self.command,
+            extras={**self.extras, "ray_cluster": ray}))
+        yield head.ready
+        return MultiNodeDeployment(ray=ray, containers=containers, head=head)

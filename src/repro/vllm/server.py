@@ -6,11 +6,17 @@ Startup sequence (each stage can fail the way the paper describes):
 2. validate offline environment — without the ``HF_HUB_OFFLINE`` family of
    flags the server tries to reach huggingface.co, which on an air-gapped
    platform fails;
-3. resolve the model card and check the deployment fits GPU memory
-   (Scout's 10M default context forces ``--max-model-len``);
+3. resolve the model card, claim the engine's GPUs and check the
+   deployment fits GPU memory (Scout's 10M default context forces
+   ``--max-model-len``);
 4. load weights from the model mount (parallel FS / PVC / local dir) —
    "startup ... can take 30 minutes or more for large models";
 5. initialize the engine (CUDA graphs, warmup) and bind the API port.
+
+Started inside a Ray cluster (``opts.extras["ray_cluster"]``, the
+multi-node path of Section 3.5), the same startup claims its GPUs as a
+placement group of one TP bundle per pipeline stage, and every stage
+node loads its shard of the weights in parallel.
 """
 
 from __future__ import annotations
@@ -86,11 +92,7 @@ class VllmOpenAIServer(ContainerApp):
         except NotFoundError as exc:
             raise ContainerCrash(str(exc), sim_time=kernel.now) from exc
         tp = args.tensor_parallel_size
-        if len(ctx.gpu_indices) < tp:
-            raise ContainerCrash(
-                f"vllm: tensor_parallel_size={tp} but only "
-                f"{len(ctx.gpu_indices)} GPUs visible", sim_time=kernel.now)
-        gpu = ctx.node.spec.gpus[ctx.gpu_indices[0]]
+        gpu, stages = self._claim_gpus(ctx, args)
         try:
             kv_capacity = validate_fit(
                 card, gpu, tp, args.pipeline_parallel_size,
@@ -100,7 +102,7 @@ class VllmOpenAIServer(ContainerApp):
             raise ContainerCrash(f"vllm: {exc}", sim_time=kernel.now) from exc
 
         # Locate and stream the weights.
-        yield from self._load_weights(ctx, card, args)
+        yield from self._load_weights(ctx, card, args, stages)
 
         # Engine init: graph capture + warmup.
         yield kernel.timeout(ENGINE_INIT_SECONDS)
@@ -119,8 +121,37 @@ class VllmOpenAIServer(ContainerApp):
         kernel.trace.emit("vllm.ready", node=ctx.hostname,
                           model=model_name, port=args.port)
 
-    def _load_weights(self, ctx: ContainerContext, card, args: EngineArgs):
-        """Stream model weights from whichever mount provides them."""
+    @staticmethod
+    def _claim_gpus(ctx: ContainerContext, args: EngineArgs):
+        """The engine's GPU model and the node of each pipeline stage.
+
+        Alone, the container's visible GPUs must cover the world size.
+        Inside a Ray cluster the server reserves a placement group of
+        one ``tensor_parallel_size`` bundle per stage, as vLLM does.
+        """
+        tp, pp = args.tensor_parallel_size, args.pipeline_parallel_size
+        ray = ctx.opts.extras.get("ray_cluster")
+        if ray is None:
+            if len(ctx.gpu_indices) < args.world_size:
+                raise ContainerCrash(
+                    f"vllm: world size {args.world_size} "
+                    f"(tensor_parallel_size={tp} x pipeline_parallel_size="
+                    f"{pp}) but only {len(ctx.gpu_indices)} GPUs visible",
+                    sim_time=ctx.kernel.now)
+            return ctx.node.spec.gpus[ctx.gpu_indices[0]], [ctx.node]
+        try:
+            group = ray.create_placement_group(gpus_per_bundle=tp,
+                                               n_bundles=pp)
+        except CapacityError as exc:
+            raise ContainerCrash(f"vllm: {exc}",
+                                 sim_time=ctx.kernel.now) from exc
+        return group.nodes[0].spec.gpus[0], group.nodes
+
+    def _load_weights(self, ctx: ContainerContext, card, args: EngineArgs,
+                      stages):
+        """Stream model weights from whichever mount provides them: all of
+        them to this node, or each pipeline stage's shard to its node,
+        the stages in parallel."""
         model_ref = args.model
         if model_ref.startswith("/"):
             mount = ctx.mount(model_ref)
@@ -135,10 +166,18 @@ class VllmOpenAIServer(ContainerApp):
                 f"vllm: model files for {card.name!r} not found under "
                 f"{model_ref!r} (found {found} bytes, expected "
                 f"~{card.weight_bytes})", sim_time=ctx.kernel.now)
-        yield from mount.read_all(ctx.hostname, prefix)
-        # Deserialize + upload the node's full shard set to HBM.
-        yield ctx.kernel.timeout(card.weight_bytes
-                                 / WEIGHT_LOAD_RATE_PER_NODE)
+        kernel = ctx.kernel
+        if len(stages) == 1:
+            yield from mount.read_all(ctx.hostname, prefix)
+        else:
+            shard = int(card.weight_bytes / len(stages))
+            yield kernel.all_of([
+                kernel.spawn(mount.read_bytes(node.hostname, shard),
+                             name=f"shard:{node.hostname}")
+                for node in stages])
+        # Deserialize + upload each node's shard to HBM.
+        yield kernel.timeout(card.weight_bytes / len(stages)
+                             / WEIGHT_LOAD_RATE_PER_NODE)
 
     # -- serving -------------------------------------------------------------------
 
@@ -156,6 +195,12 @@ class VllmOpenAIServer(ContainerApp):
         if self.service is not None:
             self.service.close()
             self.service = None
+        # Inside a Ray cluster the server owns the cluster's work: when
+        # it exits, for a stop or a crash, the cluster and every ray-node
+        # container go down with it.
+        ray = ctx.opts.extras.get("ray_cluster")
+        if ray is not None:
+            ray.shutdown()
 
     # -- HTTP handlers -----------------------------------------------------------------
 

@@ -13,7 +13,7 @@ from repro.errors import NotFoundError, StateError
 from repro.k8s import PodPhase
 from repro.k8s.helm import HelmRelease
 from repro.net.http import HttpClient
-from tests.core.conftest import QUANT, SCOUT
+from tests.core.conftest import B405, QUANT, SCOUT
 
 
 @pytest.fixture
@@ -169,6 +169,29 @@ def test_no_free_gpus_raises(site, workflow, deployer):
 
     with pytest.raises(StateError, match="free GPUs"):
         workflow.run(go(site.kernel))
+
+
+def test_pipeline_parallel_deploy_needs_the_world_size_in_gpus(
+        site, workflow):
+    """A TP4 x PP4 engine needs 16 GPUs: no 4-GPU Hops node can place
+    it, so the deploy fails at placement instead of starting a PP-4
+    engine on 4 GPUs."""
+    workflow.admin_seed_model(B405, "hops")
+    with pytest.raises(StateError, match="no node .* 16 free GPUs"):
+        workflow.run(workflow.deploy_model(
+            "hops", B405, tensor_parallel_size=4,
+            extra_params={"pipeline_parallel_size": 4}))
+
+
+def test_tp2_pp2_deploy_holds_four_gpus(site, workflow):
+    workflow.admin_seed_model(QUANT, "hops")
+    deployment = workflow.run(workflow.deploy_model(
+        "hops", QUANT, tensor_parallel_size=2,
+        extra_params={"pipeline_parallel_size": 2}))
+    container = deployment.container
+    assert len(container.ctx.gpu_indices) == 4
+    assert container.node.gpus_used == 4
+    assert container.app.engine.perf.pp == 2
 
 
 def test_second_release_on_a_busy_port_stays_pending():

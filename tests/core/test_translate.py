@@ -61,6 +61,17 @@ def test_vllm_command_builder_matches_figure4():
     assert any("attn_temperature_tuning" in c for c in cmd)
 
 
+def test_helm_gpus_are_the_world_size(site):
+    """The chart requests TP x PP GPUs; the head flag stays TP."""
+    pkg = vllm_package()
+    values = helm_values_for(
+        site, pkg, pkg.variant_for("cuda"), pkg.profile(),
+        {"model": SCOUT, "tensor_parallel_size": 2,
+         "pipeline_parallel_size": 2, "max_model_len": 65536})
+    assert values["resources"]["gpus"] == 4
+    assert "--tensor-parallel-size=2" in values["image"]["command"]
+
+
 def test_offline_profile_env_matches_paper():
     env = vllm_package().profile("offline-serving").env
     for flag in ("HF_HUB_OFFLINE", "TRANSFORMERS_OFFLINE",

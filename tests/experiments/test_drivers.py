@@ -27,8 +27,9 @@ def test_fig09_driver_shape_small():
 
 def test_fig12_run_crash_path():
     plan = FaultPlan(CrashAfterRequests(60, reason="memory leak"))
-    sweep, job = run_405b_once("crash-run", n_requests=40,
-                               levels=(1, 4, 16), fault_plan=plan, seed=901)
+    sweep, job, _ = run_405b_once("crash-run", n_requests=40,
+                                  levels=(1, 4, 16), fault_plan=plan,
+                                  seed=901)
     assert sweep.terminated_early is not None
     assert sweep.points[-1].result.crashed
     # Crashed during the second level (cumulative 60 > 40).
@@ -39,9 +40,9 @@ def test_fig12_run_downtime_path():
     # Startup takes ~900 s (shard deserialization); the c=1 level with 100
     # queries takes ~1400 s more.  A downtime at 2500 s lands in the second
     # sweep level: one point retained, job killed NODE_FAIL.
-    sweep, job = run_405b_once("downtime-run", n_requests=100,
-                               levels=(1, 4), downtime_at=2500.0,
-                               seed=902)
+    sweep, job, _ = run_405b_once("downtime-run", n_requests=100,
+                                  levels=(1, 4), downtime_at=2500.0,
+                                  seed=902)
     assert sweep.terminated_early is not None
     assert "maintenance" in sweep.terminated_early
     assert job.state.value == "NODE_FAIL"
@@ -50,9 +51,11 @@ def test_fig12_run_downtime_path():
 
 
 def test_fig12_clean_run_completes():
-    sweep, job = run_405b_once("clean-run", n_requests=30,
-                               levels=(1, 4), seed=903)
+    sweep, job, ready_at = run_405b_once("clean-run", n_requests=30,
+                                         levels=(1, 4), seed=903)
     assert sweep.terminated_early is None
+    # The head's server measured its own startup: Ray, shards, init.
+    assert 900.0 < ready_at < 1200.0
     assert len(sweep.points) == 2
     assert job.state.value == "COMPLETED"
     assert sweep.throughput_at(1) == pytest.approx(12.5, rel=0.2)

@@ -7,6 +7,7 @@ import pytest
 from repro.errors import NotFoundError
 from repro.net import Fabric
 from repro.storage import LocalDirMount, ParallelFilesystem, PfsMount, VolumeMount
+from repro.storage.filesystem import FilesystemDown
 from repro.units import GB, gbps
 
 
@@ -51,6 +52,20 @@ def test_pfs_mount_read_write(kernel, pfs_rig):
     assert read == GB
     shard = _drive(kernel, mount.read_bytes("node", GB // 2))
     assert shard == GB // 2
+
+
+def test_pfs_shard_read_fails_during_downtime(kernel, pfs_rig):
+    """A pipeline stage's shard read goes through the filesystem's checked
+    read: refused during maintenance, and traced as ``pfs.read``."""
+    _fab, fs = pfs_rig
+    kernel.trace.retain = True
+    mount = PfsMount(fs, "/models")
+    assert _drive(kernel, mount.read_bytes("node", GB)) == GB
+    assert [(r.path, r.size) for r in kernel.trace.of_kind("pfs.read")] == [
+        ("/models/", GB)]
+    fs.schedule_downtime(start=kernel.now, duration=100.0)
+    with pytest.raises(FilesystemDown):
+        _drive(kernel, mount.read_bytes("node", GB))
 
 
 def test_volume_mount_transfers_via_backend(kernel, pfs_rig):

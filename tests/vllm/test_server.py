@@ -113,6 +113,17 @@ def test_missing_model_files_crash(rig):
         rig.kernel.run(until=container.ready)
 
 
+def test_pipeline_parallel_needs_world_size_gpus_without_ray(rig):
+    """PP 4 on a 4-GPU container with no Ray cluster: the engine needs
+    TP x PP = 16 GPUs, and startup crashes naming that world size."""
+    _seed_model(rig)
+    opts = _opts(tp=4)
+    opts.command += ("--pipeline_parallel_size=4",)
+    container = _run_vllm(rig, opts)
+    with pytest.raises(ContainerCrash, match="world size 16"):
+        rig.kernel.run(until=container.ready)
+
+
 def test_default_context_window_crashes_single_node(rig):
     """No --max-model-len: Scout's 10M context cannot fit (Section 3.2)."""
     _seed_model(rig)
