@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments import run_fig09
 
-from .conftest import record_series
+from conftest import record_series
 
 
 def test_fig09_hops_vs_eldorado(benchmark, fidelity):

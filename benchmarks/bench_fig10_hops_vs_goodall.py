@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from repro.experiments import run_fig10
 
-from .conftest import record_series
+from conftest import record_series
 
 
 def test_fig10_hops_vs_goodall(benchmark, fidelity):

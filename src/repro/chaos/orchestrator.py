@@ -157,8 +157,7 @@ class ChaosOrchestrator:
             return False
         if any(fleet.replica_status(r)[0] != "ok" for r in fleet.replicas):
             return False
-        stats = fleet.router_app.stats()
-        return stats["healthy"] == len(fleet.replicas)
+        return fleet.router_app.healthy_backends == len(fleet.replicas)
 
     def _slo_ok(self) -> bool:
         snap = self.fleet.slo.snapshot()
@@ -191,13 +190,13 @@ class ChaosOrchestrator:
         only post-fault traffic to the fault.
         """
         fleet = self.fleet
-        stats = fleet.router_app.stats()
+        router = fleet.router_app
         record = {
             "scenario": scenario.name,
             "layer": scenario.layer,
             "injected_at": self.kernel.now,
-            "failed_forwards_before": stats["failed_forwards"],
-            "retried_before": stats["retried_ok"],
+            "failed_forwards_before": router.failed_forwards,
+            "retried_before": router.retried_ok,
             "errors_before": fleet.slo.errors,
         }
         ctx = ChaosContext(
@@ -367,10 +366,10 @@ class ChaosOrchestrator:
         before injecting reports ``"fault never injected"``.
         """
         fleet = self.fleet
-        stats = fleet.router_app.stats()
+        router = fleet.router_app
         end_of_run = {"injected_at": math.inf,
-                      "failed_forwards_before": stats["failed_forwards"],
-                      "retried_before": stats["retried_ok"],
+                      "failed_forwards_before": router.failed_forwards,
+                      "retried_before": router.retried_ok,
                       "errors_before": report.slo.errors}
         bounds = injections[1:] + [end_of_run]
         repairs = [e.row() for e in self.supervisor.events]

@@ -144,9 +144,9 @@ class Autoscaler:
         closed-form ticks sample what stepped ticks would."""
         return self._samples.hexdigest()
 
-    def _fold(self, t: float, replicas: int, stats: dict) -> None:
-        self._samples.update(_SAMPLE.pack(t, replicas, stats["outstanding"],
-                                        stats["healthy"]))
+    def _fold(self, t: float, replicas: int, outstanding: int,
+              healthy: int) -> None:
+        self._samples.update(_SAMPLE.pack(t, replicas, outstanding, healthy))
 
     # -- control loop -----------------------------------------------------------
 
@@ -182,10 +182,11 @@ class Autoscaler:
         """Closed-form ticks over an idle fleet: each folds a zero-load
         sample and extends the low streak, deciding nothing (they all
         precede :meth:`next_decision_tick`)."""
-        stats = self.fleet.router_app.stats()
+        router = self.fleet.router_app
         n = len(self.fleet.replicas)
+        outstanding, healthy = router.outstanding, router.healthy_backends
         for t in ticks:
-            self._fold(t, n, stats)
+            self._fold(t, n, outstanding, healthy)
         if self.config.scale_down_threshold > 0:
             self._low_streak += len(ticks)
         else:
@@ -201,12 +202,12 @@ class Autoscaler:
         while (yield from ff.wait_tick(cfg.interval, stop_event,
                                        idle=self._play_idle)):
             now = self._tick = kernel.now
-            stats = self.fleet.router_app.stats()
+            router = self.fleet.router_app
             n = len(self.fleet.replicas)
-            self._fold(now, n, stats)
+            outstanding = router.outstanding
+            self._fold(now, n, outstanding, router.healthy_backends)
             if self._scaling:
                 continue  # a deploy/drain is already converging
-            outstanding = stats["outstanding"]
             desired = self.desired_replicas(outstanding)
             if outstanding / max(n, 1) < cfg.scale_down_threshold:
                 self._low_streak += 1

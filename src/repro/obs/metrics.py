@@ -20,10 +20,11 @@ returns a child handle that callers cache once and update with plain
 attribute math — the per-request path never touches a dict.
 
 ``exposition()`` renders the Prometheus text format (histograms as
-summaries with ``quantile`` labels) and :func:`parse_exposition` is the
-one parser every test uses — replacing the three ad-hoc payload shapes
-(`/metrics` dict, ``/router/stats``, ``/router/cache``) that each grew
-their own assertions.
+summaries with ``quantile`` labels).  It is the one telemetry surface
+over HTTP: the vLLM server's ``/metrics`` serves its engine's slice,
+the router's ``/router/metrics`` the whole registry and
+``/router/stats`` the ``router_`` slice.  :func:`parse_exposition` is
+the one parser every test reading them uses.
 
 Determinism: collection order is (metric name, label values) sorted, so
 two simulations that took the same path render byte-identical text no

@@ -20,6 +20,7 @@ from ..errors import (APIError, ConfigurationError, NetworkUnreachable,
                       ReproError)
 from ..net.http import HttpClient, HttpResponse, HttpService
 from ..units import MiB
+from ..vllm.config import DISAGG_ROLES
 from ..vllm.server import VllmOpenAIServer
 from ..vllm.spec import CompletionCall, CompletionResult
 
@@ -125,11 +126,6 @@ class Backend:
     def __post_init__(self) -> None:
         self.key = f"{self.host}:{self.port}"
 
-    @property
-    def cache_hit_rate(self) -> float:
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
 
 @register_app("llm-router")
 class LlmRouter(ContainerApp):
@@ -142,8 +138,8 @@ class LlmRouter(ContainerApp):
     ``cache-affinity`` (session-sticky: requests carrying a
     ``repro_session`` key go to the backend holding that conversation's
     KV prefix, falling back to least-outstanding when the sticky
-    backend is quarantined, removed, or the session is new;
-    ``/router/cache`` exposes the per-backend prefix-cache telemetry).
+    backend is quarantined, removed, or the session is new; the
+    per-backend ``router_cache_*`` series count the prefix-cache hits).
 
     With ``disagg`` enabled, completion requests are dispatched in two
     legs — prefill-pool then decode-pool, the second carrying the KV
@@ -153,6 +149,10 @@ class LlmRouter(ContainerApp):
     Backends may also be added and removed at runtime — either through
     :meth:`add_backend` / :meth:`remove_backend` (control-plane handle,
     used by the fleet autoscaler) or the ``/router/backends`` admin route.
+    Telemetry is the kernel registry: ``/router/metrics`` serves all of
+    it and ``/router/stats`` its ``router_`` slice; in-process readers
+    (autoscaler, chaos probes) use :attr:`outstanding` and
+    :attr:`healthy_backends`.
     """
 
     UNHEALTHY_AFTER = 2
@@ -193,8 +193,18 @@ class LlmRouter(ContainerApp):
 
     @property
     def policy(self) -> str:
-        """The active policy name (kept a string for stats/back-compat)."""
+        """The active policy name, as ``RouterConfig`` spells it."""
         return self.config.policy.value
+
+    @property
+    def outstanding(self) -> int:
+        """In-flight forwards across all backends."""
+        return sum(b.outstanding for b in self.backends)
+
+    @property
+    def healthy_backends(self) -> int:
+        """Registered backends currently passing health checks."""
+        return sum(b.healthy for b in self.backends)
 
     def startup(self, ctx: ContainerContext):
         ctx.check_expectations()
@@ -207,7 +217,11 @@ class LlmRouter(ContainerApp):
             host = parts[0]
             port = int(parts[1]) if len(parts) > 1 and parts[1] else 8000
             role = parts[2] if len(parts) > 2 and parts[2] else "unified"
-            self.add_backend(host, port, role=role)
+            try:
+                self.add_backend(host, port, role=role)
+            except ConfigurationError as exc:
+                raise ContainerCrash(f"router: bad BACKENDS {spec!r}: {exc}",
+                                     sim_time=ctx.kernel.now) from exc
         if not self.backends:
             raise ContainerCrash("router: no BACKENDS configured",
                                  sim_time=ctx.kernel.now)
@@ -253,19 +267,17 @@ class LlmRouter(ContainerApp):
         reg = self._kernel.obs.registry
         reg.gauge("router_backends_healthy",
                   "Healthy backends in the pool") \
-            .labels().set_function(
-                lambda: sum(b.healthy for b in self.backends))
+            .labels().set_function(lambda: self.healthy_backends)
         # The alerting-friendly complement: a nonzero value is a page
         # (a dead backend is operator-actionable regardless of whether
         # retries are still hiding it from the SLO window).
         reg.gauge("router_backends_unhealthy",
                   "Registered backends currently failing health checks") \
             .labels().set_function(
-                lambda: sum(not b.healthy for b in self.backends))
+                lambda: len(self.backends) - self.healthy_backends)
         reg.gauge("router_outstanding",
                   "In-flight forwards across all backends") \
-            .labels().set_function(
-                lambda: sum(b.outstanding for b in self.backends))
+            .labels().set_function(lambda: self.outstanding)
         reg.gauge("router_failed_forwards_total",
                   "Forward attempts that errored or 5xx'd") \
             .labels().set_function(lambda: self.failed_forwards)
@@ -346,6 +358,10 @@ class LlmRouter(ContainerApp):
     def add_backend(self, host: str, port: int,
                     role: str = "unified") -> Backend:
         """Register a backend; idempotent on (host, port)."""
+        if role not in DISAGG_ROLES:
+            raise ConfigurationError(
+                f"unknown backend role {role!r} "
+                f"(choices: {', '.join(DISAGG_ROLES)})")
         backend = self.find_backend(host, port)
         if backend is None:
             backend = Backend(host, int(port), role=role)
@@ -369,59 +385,6 @@ class LlmRouter(ContainerApp):
             if backend.host == host and backend.port == port:
                 return backend
         return None
-
-    def stats(self) -> dict:
-        """Control-plane snapshot (the fleet autoscaler's load signal)."""
-        return {
-            "policy": self.policy,
-            "backends": [{
-                "host": b.host, "port": b.port, "role": b.role,
-                "healthy": b.healthy,
-                "outstanding": b.outstanding, "served": b.served,
-            } for b in self.backends],
-            "disagg": self.config.disagg,
-            "healthy": sum(b.healthy for b in self.backends),
-            "outstanding": sum(b.outstanding for b in self.backends),
-            "failed_forwards": self.failed_forwards,
-            "retried_ok": self.retried_ok,
-            "sessions_tracked": len(self._affinity),
-            "affinity_reassignments": self.affinity_reassignments,
-        }
-
-    def _cache_report(self):
-        """Generator: per-backend prefix-cache stats for /router/cache.
-
-        The router-side view (hits/misses/cached tokens it observed on
-        forwarded session turns) is joined with each live backend's own
-        ``/metrics`` prefix-cache gauges (resident blocks, evictions) —
-        unreachable backends simply report ``engine: null``.
-        """
-        backends = []
-        for b in list(self.backends):
-            row = {
-                "backend": b.key,
-                "healthy": b.healthy,
-                "sessions_assigned": b.sessions_assigned,
-                "hits": b.cache_hits,
-                "misses": b.cache_misses,
-                "hit_rate": round(b.cache_hit_rate, 4),
-                "cached_tokens": b.cached_tokens,
-                "engine": None,
-            }
-            try:
-                response = yield from self._client.get(
-                    b.host, b.port, "/metrics")
-                if response.ok and isinstance(response.json, dict):
-                    row["engine"] = response.json.get("prefix_cache")
-            except (APIError, NetworkUnreachable, ReproError):
-                pass
-            backends.append(row)
-        return HttpResponse(200, json={
-            "policy": self.policy,
-            "sessions_tracked": len(self._affinity),
-            "affinity_reassignments": self.affinity_reassignments,
-            "backends": backends,
-        })
 
     # -- routing ----------------------------------------------------------------------
 
@@ -534,9 +497,6 @@ class LlmRouter(ContainerApp):
 
     def _handle(self, request):
         """HTTP edge: admin routes, and JSON onto :meth:`route`."""
-        if request.path == "/router/cache" and request.method == "GET":
-            response = yield from self._cache_report()
-            return response
         if request.path.startswith("/router/"):
             return self._handle_admin(request)
         result = yield from self.route(CompletionCall.from_http(request))
@@ -716,24 +676,18 @@ class LlmRouter(ContainerApp):
     # -- admin API ---------------------------------------------------------------------
 
     def _handle_admin(self, request) -> HttpResponse:
-        if request.path == "/router/metrics" and request.method == "GET":
-            # The fleet-wide exposition: every series registered on this
-            # kernel (engines included), same format as the vLLM
-            # server's ``/metrics`` text view, same parser in tests.
+        if (request.path in ("/router/metrics", "/router/stats")
+                and request.method == "GET"):
+            # ``/router/metrics`` is the fleet-wide exposition, every
+            # series on this kernel (engines included); ``/router/stats``
+            # is its router_* slice, per-backend series included.  Same
+            # format as the vLLM server's ``/metrics``.
             if self._kernel is None:
                 return HttpResponse(503, json={"error": "router not started"})
+            prefix = "router_" if request.path == "/router/stats" else None
             return HttpResponse(
-                200, json=self._kernel.obs.registry.exposition(),
+                200, json=self._kernel.obs.registry.exposition(prefix=prefix),
                 headers={"content-type": "text/plain"})
-        if request.path == "/router/stats" and request.method == "GET":
-            accept = request.header("accept", "") or ""
-            if accept.startswith("text/plain") and self._kernel is not None:
-                # The router's slice of the registry (router_* families,
-                # per-backend series included).
-                text = self._kernel.obs.registry.exposition(prefix="router_")
-                return HttpResponse(200, json=text,
-                                    headers={"content-type": "text/plain"})
-            return HttpResponse(200, json=self.stats())
         if request.path == "/router/backends":
             if request.method == "GET":
                 return HttpResponse(200, json={
@@ -752,10 +706,10 @@ class LlmRouter(ContainerApp):
                     "error": "need op=add|remove and host[, port]"})
             if op == "add":
                 role = str(body.get("role") or "unified")
-                if role not in ("unified", "prefill", "decode"):
-                    return HttpResponse(400, json={
-                        "error": f"unknown role {role!r}"})
-                self.add_backend(host, port, role=role)
+                try:
+                    self.add_backend(host, port, role=role)
+                except ConfigurationError as exc:
+                    return HttpResponse(400, json={"error": str(exc)})
                 return HttpResponse(200, json={"added": f"{host}:{port}",
                                                "role": role})
             removed = self.remove_backend(host, port)

@@ -23,6 +23,9 @@ OFFLINE_ENV_FLAGS = (
     "HF_DATASETS_OFFLINE",
 )
 
+#: ``--disagg-role`` values, which are also the router's backend roles.
+DISAGG_ROLES = ("unified", "prefill", "decode")
+
 #: Telemetry opt-outs the paper also sets; tracked for artifact fidelity.
 TELEMETRY_ENV_FLAGS = (
     "HF_HUB_DISABLE_TELEMETRY",
@@ -77,10 +80,10 @@ class EngineArgs:
             raise ConfigurationError("chunk_tokens must be positive")
         if self.max_num_seqs < 1:
             raise ConfigurationError("max_num_seqs must be positive")
-        if self.disagg_role not in ("unified", "prefill", "decode"):
+        if self.disagg_role not in DISAGG_ROLES:
             raise ConfigurationError(
                 f"unknown disagg_role {self.disagg_role!r} "
-                "(choices: unified, prefill, decode)")
+                f"(choices: {', '.join(DISAGG_ROLES)})")
 
     @property
     def public_model_name(self) -> str:

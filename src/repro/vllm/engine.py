@@ -23,7 +23,6 @@ admission with their prefill already paid for.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -159,9 +158,8 @@ class LLMEngine:
         self.waiting = self.scheduler.waiting
         self.running = self.scheduler.running
         self.fault_plan = fault_plan
-        #: The last 500 finished requests; the counters cover the run.
-        self.completed: deque[Request] = deque(maxlen=500)
-        self.completed_count = self.completed_preemptions = 0
+        #: Run-long counters; finished requests are not kept.
+        self.completed_count = 0
         self.total_output_tokens = 0
         self.total_requests = 0
         self.iterations = 0
@@ -257,28 +255,6 @@ class LLMEngine:
     def kv_tokens_in_use(self) -> int:
         """Context tokens held by the running batch (O(1) counter)."""
         return self._kv_tokens
-
-    def metrics(self) -> dict:
-        """Prometheus-style snapshot (vLLM's /metrics equivalent)."""
-        import numpy as np
-        latencies = [r.stats().latency for r in self.completed]
-        return {
-            "num_requests_running": len(self.running),
-            "num_requests_waiting": len(self.waiting),
-            "gpu_cache_usage_perc": round(
-                self.blocks.used_blocks / self.blocks.total_blocks, 4),
-            "num_requests_total": self.total_requests,
-            "num_requests_completed": self.completed_count,
-            "generation_tokens_total": self.total_output_tokens,
-            "iterations_total": self.iterations,
-            "num_preemptions_total": self.completed_preemptions
-            + sum(r.preemptions for r in self.running),
-            "prefix_cache": self.blocks.cache_stats(),
-            "scheduler_policy": self.scheduler.name,
-            "request_latency_p50": float(np.percentile(latencies, 50))
-            if latencies else 0.0,
-            "crashed": self.crashed is not None,
-        }
 
     # -- engine loop -------------------------------------------------------------------
 
@@ -460,9 +436,7 @@ class LLMEngine:
         self._kv_tokens -= request.total_tokens
         request.finished_at = now
         request.mark_first_token(now)
-        self.completed.append(request)
         self.completed_count += 1
-        self.completed_preemptions += request.preemptions
         if self._obs.registry.enabled:
             self._h_latency.observe(now - request.submitted_at)
             self._h_ttft.observe(request.first_token_at

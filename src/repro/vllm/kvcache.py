@@ -100,7 +100,7 @@ class BlockManager:
         self._lru: OrderedDict[_Segment, None] = OrderedDict()
         self._segments: dict[str, dict[_Segment, None]] = {}
         self._evictable = 0
-        # Telemetry (engine /metrics and the router's /router/cache).
+        # Telemetry, read through cache_stats().
         self.cache_hit_blocks = 0
         self.cache_miss_blocks = 0
         self.cache_evictions = 0
@@ -389,7 +389,8 @@ class BlockManager:
     # -- telemetry ----------------------------------------------------------------
 
     def cache_stats(self) -> dict:
-        """Prefix-cache counters (engine /metrics, router /router/cache)."""
+        """Prefix-cache counters, read in process (no HTTP route serves
+        them; the router's ``router_cache_*`` series are its own view)."""
         lookups = self.cache_hit_blocks + self.cache_miss_blocks
         return {
             "enabled": self.prefix_caching,

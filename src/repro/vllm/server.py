@@ -212,19 +212,13 @@ class VllmOpenAIServer(ContainerApp):
                 return HttpResponse(503, json={"status": "unhealthy"})
             return HttpResponse(200, json={"status": "ok"})
         if request.path == "/metrics":
-            if self.engine is None:
-                return HttpResponse(200, json={})
-            # Content negotiation: the JSON dict is the stable scripting
-            # surface; ``Accept: text/plain`` serves this engine's slice
-            # of the kernel registry in Prometheus exposition format —
-            # the same format the router admin routes speak.
-            accept = request.header("accept", "") or ""
-            if accept.startswith("text/plain"):
-                text = self.engine.kernel.obs.registry.exposition(
+            # This engine's slice of the kernel registry in Prometheus
+            # exposition format, the format the router routes speak too.
+            text = "" if self.engine is None else \
+                self.engine.kernel.obs.registry.exposition(
                     where={"engine": self.engine.name})
-                return HttpResponse(200, json=text,
-                                    headers={"content-type": "text/plain"})
-            return HttpResponse(200, json=self.engine.metrics())
+            return HttpResponse(200, json=text,
+                                headers={"content-type": "text/plain"})
         if request.path == "/v1/models":
             return HttpResponse(200, json={"data": [
                 {"id": self.args.public_model_name, "object": "model"}]})

@@ -80,7 +80,7 @@ def test_crash_at_time_through_fleet_recovery():
     assert len(fleet.replicas) == 2
     assert all(fleet.replica_status(r)[0] == "ok"
                for r in fleet.replicas)
-    assert fleet.router_app.stats()["healthy"] == 2
+    assert fleet.router_app.healthy_backends == 2
     # No request was lost: failover retried the in-flight ones.
     assert report.slo.errors == 0
     assert report.slo.completed == report.arrivals

@@ -102,8 +102,8 @@ def test_dead_replica_is_replaced():
     assert "replace" in actions and "replaced" in actions
     # A successor with a fresh name joined, registered with the router.
     assert {r.name for r in fleet.replicas} != set(names_before)
-    stats = fleet.router_app.stats()
-    assert stats["healthy"] == len(stats["backends"]) == 2
+    router = fleet.router_app
+    assert router.healthy_backends == len(router.backends) == 2
 
 
 def test_replace_failure_leaves_deficit_then_retries():
@@ -148,8 +148,8 @@ def test_k8s_pod_move_is_rebound():
     supervisor = _run_with_supervisor(site, fleet, wound)
     actions = [e.action for e in supervisor.events]
     assert "rebind" in actions
-    stats = fleet.router_app.stats()
-    assert stats["healthy"] == 2
+    router = fleet.router_app
+    assert router.healthy_backends == 2
     # The router backend now points at the pod's new node.
-    backend_hosts = {b["host"] for b in stats["backends"]}
+    backend_hosts = {b.host for b in router.backends}
     assert backend_hosts == {r.backend_host for r in fleet.replicas}

@@ -29,7 +29,7 @@ def test_reset_clears_cooldowns_streak_and_tapes():
     scaler._low_streak = 3
     empty = scaler.digest()
     scaler.events.append(object())
-    scaler._fold(10.0, 1, {"outstanding": 3, "healthy": 1})
+    scaler._fold(10.0, 1, 3, 1)
     assert scaler.digest() != empty
     scaler.reset()
     assert scaler._last_up == -math.inf

@@ -112,10 +112,10 @@ def test_no_requests_lost_and_slo_reported(elastic_run):
 
 def test_router_backends_track_replicas(elastic_run):
     _, fleet, report = elastic_run
-    stats = fleet.router_app.stats()
-    assert stats["policy"] == "least-outstanding"
-    assert len(stats["backends"]) == len(fleet.replicas) == 1
-    assert stats["backends"][0]["served"] > 0
+    router = fleet.router_app
+    assert router.policy == "least-outstanding"
+    assert len(router.backends) == len(fleet.replicas) == 1
+    assert router.backends[0].served > 0
 
 
 def test_scenario_is_deterministic():

@@ -127,33 +127,32 @@ def test_registry_counts_match_the_slo_report(obs_run):
     assert sum(lat_counts.values()) == completed
 
 
-def _get(site, host, port, path, accept=None):
+def _get(site, host, port, path):
     client = HttpClient(site.fabric, "hops-svc")
-    headers = {"accept": accept} if accept else None
 
     def proc(env):
-        resp = yield from client.get(host, port, path, headers=headers)
+        resp = yield from client.get(host, port, path)
         return resp
 
     return site.kernel.run(until=site.kernel.spawn(proc(site.kernel)))
 
 
-def test_vllm_metrics_route_negotiates_text_exposition(obs_run):
+def test_vllm_metrics_route_serves_one_engine_exposition(obs_run):
     site, fleet, report = obs_run
     replica = fleet.replicas[0]
-    # Default stays the JSON dict (back-compat with existing clients).
-    as_json = _get(site, replica.backend_host, replica.backend_port,
-                   "/metrics")
-    assert as_json.ok and isinstance(as_json.json, dict)
-    assert "num_requests_total" in as_json.json
-    # Accept: text/plain serves this engine's slice of the registry.
-    as_text = _get(site, replica.backend_host, replica.backend_port,
-                   "/metrics", accept="text/plain")
-    assert as_text.headers["content-type"] == "text/plain"
-    parsed = parse_exposition(as_text.json)
-    # The slice holds exactly one engine — no other replica leaks in.
+    # No Accept header: the route always serves this engine's slice of
+    # the registry as Prometheus text.
+    resp = _get(site, replica.backend_host, replica.backend_port,
+                "/metrics")
+    assert resp.ok and resp.headers["content-type"] == "text/plain"
+    parsed = parse_exposition(resp.json)
+    # The slice holds exactly one engine's series: no other replica and
+    # no router or fleet family leaks in.
+    assert all(name.startswith("engine_") for name in parsed)
+    engines = {dict(labels)["engine"]
+               for series in parsed.values() for labels in series}
+    assert len(engines) == 1
     (label,) = parsed["engine_iterations_total"]
-    assert label[0][0] == "engine"
     assert parsed["engine_iterations_total"][label] > 0
     full = parse_exposition(site.kernel.obs.registry.exposition())
     assert len(full["engine_iterations_total"]) == len(fleet.replicas)
@@ -172,13 +171,13 @@ def test_router_admin_routes_serve_the_registry(obs_run):
     served = {labels[0][1]: v
               for labels, v in parsed["router_backend_served_total"].items()}
     assert sum(served.values()) == report.arrivals
-    # /router/stats still answers JSON by default...
+    # /router/stats: the router_ slice of the same exposition.
     stats = _get(site, host, port, "/router/stats")
-    assert stats.ok and stats.json["healthy"] == len(fleet.replicas)
-    # ...and negotiates the router_ slice of the same exposition.
-    text = _get(site, host, port, "/router/stats", accept="text/plain")
-    sliced = parse_exposition(text.json)
-    assert all(name.startswith("router_") for name in sliced)
+    assert stats.ok and stats.headers["content-type"] == "text/plain"
+    sliced = parse_exposition(stats.json)
+    assert sliced and all(name.startswith("router_") for name in sliced)
+    assert sliced == {name: series for name, series in parsed.items()
+                      if name.startswith("router_")}
     assert sliced["router_backends_healthy"][()] == len(fleet.replicas)
 
 

@@ -4,14 +4,15 @@ The policy contract: a request carrying a ``repro_session`` key goes to
 the backend that served that session before (it holds the KV prefix);
 new sessions go least-outstanding; a quarantined or removed sticky
 backend triggers a least-outstanding reassignment — and the per-backend
-prefix-cache telemetry shows up on ``/router/stats`` and
-``/router/cache``.
+prefix-cache telemetry shows up as the ``router_cache_*`` and
+``router_sessions_*`` series of ``/router/stats``.
 """
 
 from __future__ import annotations
 
 from repro.containers import RunOpts
 from repro.net.http import HttpClient, HttpResponse, HttpService
+from repro.obs import parse_exposition
 from repro.services import router_image
 from repro.services.router import LlmRouter, RouterConfig
 from tests.containers.conftest import drive
@@ -40,18 +41,12 @@ def _get(kernel, fab, src, host, port, path):
 def _vllm_like_backend(rig, host):
     """A fake vLLM endpoint with a toy per-session prefix cache: a
     repeat visit from a known session reports cached tokens."""
-    state = {"healthy": True, "calls": 0, "sessions": set(),
-             "evictions": 0}
+    state = {"healthy": True, "calls": 0, "sessions": set()}
 
     def handler(request):
         if request.path == "/health":
             code = 200 if state["healthy"] else 500
             return HttpResponse(code, json={"status": "ok"})
-        if request.path == "/metrics":
-            return HttpResponse(200, json={"prefix_cache": {
-                "enabled": True,
-                "resident_blocks": len(state["sessions"]),
-                "evictions": state["evictions"]}})
         state["calls"] += 1
         if not state["healthy"]:
             return HttpResponse(500, json={"error": "down"})
@@ -89,6 +84,18 @@ def _turn(rig, router_host, session):
                  {"messages": [], "repro_session": session})
 
 
+def _router_stats(rig, router_host):
+    resp = _get(rig.kernel, rig.fabric, "registry", router_host, 4000,
+                "/router/stats")
+    assert resp.ok
+    return parse_exposition(resp.json)
+
+
+def _per_backend(stats, name):
+    return {dict(labels)["backend"]: value
+            for labels, value in stats[name].items()}
+
+
 def test_session_sticks_to_one_backend(rig):
     s1 = _vllm_like_backend(rig, "hops01")
     s2 = _vllm_like_backend(rig, "hops02")
@@ -111,7 +118,7 @@ def test_new_sessions_spread_least_outstanding(rig):
         assert _turn(rig, router_host, f"conv-{i}").ok
     # Idle backends tie on outstanding; the rotation spreads sessions.
     assert states[0]["calls"] > 0 and states[1]["calls"] > 0
-    assert app.stats()["sessions_tracked"] == 8
+    assert _router_stats(rig, router_host)["router_sessions_tracked"][()] == 8
 
 
 def test_quarantined_sticky_backend_falls_back_and_restick(rig):
@@ -152,40 +159,40 @@ def test_failover_mid_turn_updates_affinity(rig):
     assert app.retried_ok == 1
 
 
-def test_router_cache_route_reports_per_backend_stats(rig):
+def test_router_cache_series_report_per_backend_stats(rig):
     _vllm_like_backend(rig, "hops01")
     _vllm_like_backend(rig, "hops02")
     router_host, app = _start_router(rig, ["hops01", "hops02"])
     for i in range(4):
         for _ in range(2):
             assert _turn(rig, router_host, f"conv-{i}").ok
-    resp = _get(rig.kernel, rig.fabric, "registry", router_host, 4000,
-                "/router/cache")
-    assert resp.ok
-    body = resp.json
-    assert body["policy"] == "cache-affinity"
-    assert body["sessions_tracked"] == 4
-    rows = {row["backend"]: row for row in body["backends"]}
-    assert set(rows) == {"hops01:8000", "hops02:8000"}
-    total_hits = sum(r["hits"] for r in rows.values())
-    total_misses = sum(r["misses"] for r in rows.values())
-    assert total_hits == 4 and total_misses == 4
-    for row in rows.values():
-        assert row["engine"] is not None           # joined from /metrics
-        assert row["engine"]["enabled"] is True
-        assert "resident_blocks" in row["engine"]
+    stats = _router_stats(rig, router_host)
+    assert stats["router_sessions_tracked"][()] == 4
+    hits = _per_backend(stats, "router_cache_hits_total")
+    misses = _per_backend(stats, "router_cache_misses_total")
+    assert set(hits) == set(misses) == {"hops01:8000", "hops02:8000"}
+    assert sum(hits.values()) == 4 and sum(misses.values()) == 4
+    cached = _per_backend(stats, "router_cached_tokens_total")
+    assert sum(cached.values()) == 4 * 64
+    assigned = _per_backend(stats, "router_sessions_assigned_total")
+    assert sum(assigned.values()) == 4
+    # Each backend's hits are the sessions it was assigned, revisited.
+    assert hits == assigned
 
 
-def test_router_cache_route_tolerates_dead_backend(rig):
+def test_router_cache_series_cover_a_dead_backend(rig):
     _vllm_like_backend(rig, "hops01")
     router_host, app = _start_router(rig, ["hops01"])
     app.add_backend("hops03", 8000)                # nothing listens there
-    resp = _get(rig.kernel, rig.fabric, "registry", router_host, 4000,
-                "/router/cache")
-    assert resp.ok
-    rows = {row["backend"]: row for row in resp.json["backends"]}
-    assert rows["hops03:8000"]["engine"] is None
-    assert rows["hops01:8000"]["engine"] is not None
+    for _ in range(2):
+        assert _turn(rig, router_host, "conv-1").ok
+    # The route reads the registry only, so a backend nothing answers
+    # for still reports, with zeros.
+    stats = _router_stats(rig, router_host)
+    hits = _per_backend(stats, "router_cache_hits_total")
+    misses = _per_backend(stats, "router_cache_misses_total")
+    assert hits == {"hops01:8000": 1, "hops03:8000": 0}
+    assert misses == {"hops01:8000": 1, "hops03:8000": 0}
 
 
 def test_unkeyed_requests_ignore_affinity_machinery(rig):
@@ -195,7 +202,7 @@ def test_unkeyed_requests_ignore_affinity_machinery(rig):
     for _ in range(4):
         assert _post(rig.kernel, rig.fabric, "registry", router_host,
                      4000, "/v1/chat/completions", {"messages": []}).ok
-    assert app.stats()["sessions_tracked"] == 0
+    assert _router_stats(rig, router_host)["router_sessions_tracked"][()] == 0
 
 
 def test_affinity_map_is_bounded(rig):

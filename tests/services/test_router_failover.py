@@ -12,7 +12,9 @@ from __future__ import annotations
 import pytest
 
 from repro.containers import RunOpts
+from repro.errors import ConfigurationError
 from repro.net.http import HttpClient, HttpResponse, HttpService
+from repro.obs import parse_exposition
 from repro.services import router_image
 from repro.services.router import LlmRouter, RouterConfig
 from tests.containers.conftest import drive
@@ -207,10 +209,14 @@ def test_stats_reports_outstanding_and_served(rig):
         resp = yield from client.get(router_host, 4000, "/router/stats")
         return resp
 
-    stats = k.run(until=k.spawn(get_stats(k))).json
-    assert stats["healthy"] == 1
-    assert stats["outstanding"] == 0
-    assert stats["backends"][0]["served"] == 3
+    resp = k.run(until=k.spawn(get_stats(k)))
+    assert resp.ok and resp.headers["content-type"] == "text/plain"
+    stats = parse_exposition(resp.json)
+    assert stats["router_backends_healthy"][()] == 1
+    assert stats["router_outstanding"][()] == 0
+    assert stats["router_backend_served_total"] == {
+        (("backend", "hops01:8000"),): 3}
+    assert (app.healthy_backends, app.outstanding) == (1, 0)
 
 
 def test_rotation_state_bounded_under_churn(rig):
@@ -256,3 +262,35 @@ def test_unknown_policy_crashes_startup(rig):
                      "ROUTER_CONFIG": '{"policy": "spray-and-pray"}'})))
     with pytest.raises(ContainerCrash, match="ROUTER_CONFIG"):
         rig.kernel.run(until=container.ready)
+
+
+def test_unknown_backend_role_is_refused():
+    """A misspelled role would leave the backend out of every disagg
+    pool; add_backend refuses it instead."""
+    app = LlmRouter()
+    with pytest.raises(ConfigurationError, match="'prefil'"):
+        app.add_backend("h1", 8000, role="prefil")
+    assert app.backends == []
+    assert app.add_backend("h1", 8000, role="prefill").role == "prefill"
+    assert app._serving_pool("prefill") == app.backends
+
+
+def test_unknown_backend_role_crashes_startup(rig):
+    from repro.errors import ContainerCrash
+    _backend(rig, "hops01")
+    rig.registry.seed(router_image())
+    container = drive(rig.kernel, rig.podman.run(
+        rig.nodes[3], "berriai/litellm:main",
+        RunOpts(network_host=True, env={"BACKENDS": "hops01:8000:prefil"})))
+    with pytest.raises(ContainerCrash, match="bad BACKENDS.*'prefil'"):
+        rig.kernel.run(until=container.ready)
+
+
+def test_admin_route_refuses_unknown_backend_role(rig):
+    _backend(rig, "hops01")
+    router_host, app = _start_router(rig, ["hops01"])
+    r = _post(rig.kernel, rig.fabric, "registry", router_host, 4000,
+              "/router/backends",
+              {"op": "add", "host": "hops02", "role": "prefil"})
+    assert r.status == 400 and "'prefil'" in r.json["error"]
+    assert [b.key for b in app.backends] == ["hops01:8000"]

@@ -1,7 +1,10 @@
-"""The engine keeps run-long counters and only a bounded tail of
-finished requests, so a long run holds no per-request history."""
+"""The engine keeps run-long counters and no finished requests, so a
+long run holds no per-request history."""
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 from repro.hardware import gpu_spec
 from repro.models import llama4_scout
@@ -34,16 +37,13 @@ def test_counters_cover_the_run_while_history_stays_bounded():
     kernel.spawn(feeder(kernel))
     kernel.run(until=20000.0)
     assert all(r.done.triggered for r in requests)
-    assert len(engine.completed) == 500
-    assert list(engine.completed) == sorted(
-        requests, key=lambda r: r.finished_at)[-500:]
     assert engine.completed_count == N
-    preemptions = sum(r.preemptions for r in requests)
-    assert preemptions > 0
-    assert engine.completed_preemptions == preemptions
-    metrics = engine.metrics()
-    assert metrics["num_requests_completed"] == N
-    assert metrics["num_preemptions_total"] == preemptions
+    assert sum(r.preemptions for r in requests) > 0
     gauge = parse_exposition(kernel.obs.registry.exposition())[
         "engine_requests_completed_total"]
     assert sum(gauge.values()) == N
+    # Nothing in the engine holds a finished request alive.
+    refs = [weakref.ref(r) for r in requests]
+    del requests[:]
+    gc.collect()
+    assert not any(ref() is not None for ref in refs)

@@ -334,7 +334,7 @@ def test_engine_metrics_exposes_cache_gauges():
     kernel.run(until=r1.done)
     r2 = engine.submit(RequestSpec(700, 50, session_key="m"))
     kernel.run(until=r2.done)
-    cache = engine.metrics()["prefix_cache"]
+    cache = engine.blocks.cache_stats()
     assert cache["enabled"] is True
     assert cache["hit_blocks"] > 0
     assert cache["resident_blocks"] > 0
