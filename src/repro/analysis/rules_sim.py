@@ -30,7 +30,7 @@ class BlockingSleepRule(LintRule):
     rationale = (
         "time.sleep stalls the host process, not simulated time: it "
         "cannot advance the event heap and silently serializes worker "
-        "pools.  Processes wait with `yield kernel.timeout(delay)`.")
+        "pools.  Processes wait with `yield delay` (simulated seconds).")
     allow_paths = ("*benchmarks/*", "*/obs/profile.py")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
@@ -40,7 +40,7 @@ class BlockingSleepRule(LintRule):
                 yield self.finding(
                     ctx, node,
                     "blocking time.sleep() on a sim path; use "
-                    "`yield kernel.timeout(delay)` (simulated seconds)")
+                    "`yield delay` (simulated seconds)")
 
 
 @register

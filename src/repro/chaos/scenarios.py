@@ -78,7 +78,7 @@ class ChaosContext:
         kernel = self.kernel
 
         def heal(env):
-            yield env.timeout(delay)
+            yield delay
             action()
             env.trace.emit("chaos.heal", action=name)
 

@@ -22,7 +22,7 @@ class SleepApp(ContainerApp):
 
     def run(self, ctx: ContainerContext):
         duration = float(ctx.env.get("REPRO_SLEEP", "1"))
-        yield ctx.kernel.timeout(duration)
+        yield duration
 
 
 @register_app("server")
@@ -34,7 +34,7 @@ class ServerApp(ContainerApp):
         ctx.check_expectations()
         delay = float(ctx.env.get("REPRO_STARTUP", "0"))
         if delay:
-            yield ctx.kernel.timeout(delay)
+            yield delay
 
     def run(self, ctx: ContainerContext):
         yield ctx.stop_event

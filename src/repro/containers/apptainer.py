@@ -64,7 +64,7 @@ class ApptainerRuntime(ContainerRuntime):
         on the parallel filesystem (generator; returns SifImage)."""
         cache = self.cache_for(node)
         manifest = yield from self.registry.pull(cache, ref)
-        yield self.kernel.timeout(manifest.size / SIF_BUILD_RATE)
+        yield manifest.size / SIF_BUILD_RATE
         sif = flatten_to_sif(manifest, path)
         yield from self.filesystem.write(node.hostname, path, sif.size)
         self.sif_store[path] = sif

@@ -127,7 +127,7 @@ class Registry:
         self.kernel.trace.emit("registry.push", registry=self.name,
                                ref=manifest.ref, size=manifest.size)
         if self.scan_on_push:
-            yield self.kernel.timeout(self.scan_duration)
+            yield self.scan_duration
             findings = int(self.kernel.rng.stream(
                 "registry.scan").integers(0, 12))
             self.scans[manifest.digest] = ScanResult(
@@ -146,7 +146,7 @@ class Registry:
     def _mirror(self, manifest: ImageManifest, target: Registry,
                 lag: float) -> None:
         def mirror_proc(env):
-            yield env.timeout(lag)
+            yield lag
             flow = self.fabric.start_transfer(
                 self.host, target.host, manifest.size,
                 name=f"mirror:{manifest.ref}")

@@ -254,7 +254,7 @@ class Deployer:
                     raise StateError(
                         f"release {release_name!r} crash-looped at "
                         f"startup: {pod.termination_message}")
-            yield kernel.timeout(poll)
+            yield poll
         raise StateError(
             f"release {release_name!r} did not become ready within "
             f"{timeout} s")

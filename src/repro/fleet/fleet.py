@@ -453,7 +453,7 @@ class Fleet:
         deadline = kernel.now + drain_timeout
         while (backend is not None and backend.outstanding > 0
                and kernel.now < deadline):
-            yield kernel.timeout(5.0)
+            yield 5.0
         replica.deployment.stop()
         self.replica_timeline.append((kernel.now, len(self.replicas)))
         return replica
@@ -519,9 +519,9 @@ class Fleet:
         latency = self.site.fabric.latency
         try:
             client.preflight(router_host, self.router_config.port)
-            yield kernel.timeout(latency(client.host, router_host))
+            yield latency(client.host, router_host)
             result = yield from self.router_app.route(call)
-            yield kernel.timeout(latency(router_host, client.host))
+            yield latency(router_host, client.host)
             ok = result.ok
             if ok:
                 ttft = result.ttft
@@ -694,7 +694,7 @@ class Fleet:
         kernel = self.kernel
         deadline = kernel.now + DRAIN_TIMEOUT
         while self.inflight > 0 and kernel.now < deadline:
-            yield kernel.timeout(10.0)
+            yield 10.0
 
     # -- teardown ---------------------------------------------------------------
 

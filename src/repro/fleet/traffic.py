@@ -391,7 +391,7 @@ class TrafficGenerator:
             entries = self.mix.draw_block(self.rng, len(block))
             for t, (tenant, sample) in zip(block, entries, strict=True):
                 if t > kernel.now:
-                    yield kernel.timeout(t - kernel.now)
+                    yield t - kernel.now
                 self.submit(tenant, sample)
                 self.generated += 1
                 if self.generated % 1000 == 0:

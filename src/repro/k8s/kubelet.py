@@ -101,7 +101,7 @@ class Kubelet:
                 self.kernel.trace.emit("k8s.start_backoff",
                                        pod=pod.meta.name, kind=kind,
                                        attempts=attempts)
-                yield self.kernel.timeout(self._backoff(attempts))
+                yield self._backoff(attempts)
 
     def _pod_lifecycle(self, pod: Pod):
         try:
@@ -121,7 +121,7 @@ class Kubelet:
                         pod.phase = PodPhase.FAILED
                         self.cluster.api.update(pod)
                         return
-                    yield self.kernel.timeout(self._backoff(pod.restarts))
+                    yield self._backoff(pod.restarts)
 
             # Main container with restart policy.
             while True:
@@ -163,7 +163,7 @@ class Kubelet:
                 self.cluster.api.update(pod)
                 self.kernel.trace.emit("k8s.restart", pod=pod.meta.name,
                                        restarts=pod.restarts, code=code)
-                yield self.kernel.timeout(self._backoff(pod.restarts))
+                yield self._backoff(pod.restarts)
         except Interrupted:
             container = self.containers.get(pod.meta.uid)
             if container is not None and getattr(container, "running", False):

@@ -137,7 +137,7 @@ class HttpClient:
         service = self.preflight(host, port)
 
         # Forward latency (+ optional request body transfer).
-        yield kernel.timeout(self.fabric.latency(self.host, host))
+        yield self.fabric.latency(self.host, host)
         if body_bytes > 0:
             flow = self.fabric.start_transfer(
                 self.host, host, body_bytes, name=f"http:{path}")
@@ -149,7 +149,7 @@ class HttpClient:
         response = yield from _invoke(kernel, service, request)
 
         # Return latency (+ response body transfer).
-        yield kernel.timeout(self.fabric.latency(host, self.host))
+        yield self.fabric.latency(host, self.host)
         if response.body_bytes > 0:
             flow = self.fabric.start_transfer(
                 host, self.host, response.body_bytes, name=f"http:{path}:resp")

@@ -12,8 +12,9 @@ namespace and one scrape sees the whole cell:
   how per-iteration engine state is exported with **zero** hot-path
   cost;
 * :class:`Histogram` — distribution summaries backed by the existing
-  :class:`~repro.obs.stats.LogHistogram`, so ``observe()`` stays O(1)
-  and allocation-free and quantiles are paid only at collection.
+  :class:`~repro.obs.stats.LogHistogram`; ``observe()`` appends the raw
+  value, bucketing runs in bulk before a read, and quantiles are paid
+  only at collection.
 
 Instruments are families keyed by label names; ``family.labels(...)``
 returns a child handle that callers cache once and update with plain
@@ -164,21 +165,56 @@ class Gauge(_Child):
 class Histogram(_Child):
     """Distribution summary backed by :class:`LogHistogram`.
 
-    ``observe`` is O(1); count/sum/quantiles are computed at collection.
+    ``observe`` only appends the raw value; the values are bucketed in
+    one :meth:`LogHistogram.add_many` loop, and summed in arrival
+    order, before any read of ``hist``, ``count`` or ``sum``, and
+    whenever ``_FOLD_AT`` of them wait, so memory stays bounded with no
+    reader.  Count/sum/quantiles are computed at collection.
     """
 
-    __slots__ = ("hist", "count", "sum")
+    __slots__ = ("_hist", "_count", "_sum", "_pending")
+
+    #: Raw values that wait before they are bucketed.
+    _FOLD_AT = 256
 
     def __init__(self, family: _Family, values: tuple[str, ...]):
         super().__init__(family, values)
-        self.hist = LogHistogram()
-        self.count = 0
-        self.sum = 0.0
+        self._hist = LogHistogram()
+        self._count = 0
+        self._sum = 0.0
+        self._pending: list[float] = []
 
     def observe(self, value: float) -> None:
-        self.hist.add(value)
-        self.count += 1
-        self.sum += value
+        pending = self._pending
+        pending.append(value)
+        if len(pending) >= self._FOLD_AT:
+            self._fold()
+
+    def _fold(self) -> None:
+        pending = self._pending
+        if pending:
+            self._hist.add_many(pending)
+            self._count += len(pending)
+            total = self._sum
+            for value in pending:   # not sum(): 3.12+ compensates
+                total += value
+            self._sum = total
+            pending.clear()
+
+    @property
+    def hist(self) -> LogHistogram:
+        self._fold()
+        return self._hist
+
+    @property
+    def count(self) -> int:
+        self._fold()
+        return self._count
+
+    @property
+    def sum(self) -> float:
+        self._fold()
+        return self._sum
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

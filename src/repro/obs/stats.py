@@ -96,6 +96,26 @@ class LogHistogram:
         self._counts[self._index(value)] += 1
         self._total += 1
 
+    def add_many(self, values: list[float]) -> None:
+        """``add`` each of ``values``, in one loop.
+
+        The bucket mapping is :meth:`_index`'s, inlined: the same
+        ``math.log`` and the same clamps, so every count equals the
+        per-value ``add``'s.
+        """
+        counts = self._counts
+        lo, hi = self.min_value, self.max_value
+        inv, top, log = self._inv_log_growth, self._buckets, math.log
+        for value in values:
+            if value < lo:
+                counts[0] += 1
+            elif value >= hi:
+                counts[top + 1] += 1
+            else:
+                idx = int(log(value / lo) * inv) + 1
+                counts[1 if idx < 1 else top if idx > top else idx] += 1
+        self._total += len(values)
+
     def add_at(self, idx: int) -> None:
         """Add one value already mapped to bucket ``idx`` by ``_index``
         of a histogram with this one's ``(min_value, max_value, growth)``."""

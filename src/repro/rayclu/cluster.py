@@ -68,7 +68,7 @@ class RayCluster:
         """``ray start --head`` on a node (generator)."""
         if self.head is not None:
             raise StateError("head already started")
-        yield self.kernel.timeout(HEAD_BOOT_DELAY)
+        yield HEAD_BOOT_DELAY
         self.head = RayNode(node=node, is_head=True,
                             joined_at=self.kernel.now)
         self.kernel.trace.emit("ray.head.up", node=node.hostname)
@@ -79,8 +79,8 @@ class RayCluster:
         if self.head is None:
             # Workers retry until the head's GCS answers.
             while self.head is None:
-                yield self.kernel.timeout(1.0)
-        yield self.kernel.timeout(JOIN_DELAY)
+                yield 1.0
+        yield JOIN_DELAY
         worker = RayNode(node=node, joined_at=self.kernel.now)
         self.workers.append(worker)
         self.kernel.trace.emit("ray.worker.join", node=node.hostname,
@@ -90,7 +90,7 @@ class RayCluster:
     def wait_for_size(self, n: int):
         """Block until the cluster has ``n`` raylets (generator)."""
         while len(self.nodes) < n:
-            yield self.kernel.timeout(1.0)
+            yield 1.0
         return self
 
     # -- resources ---------------------------------------------------------------------

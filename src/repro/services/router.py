@@ -234,7 +234,7 @@ class LlmRouter(ContainerApp):
         self.service = HttpService(ctx.fabric, ctx.hostname,
                                    self.config.port, self._handle,
                                    name="litellm")
-        yield ctx.kernel.timeout(3.0)
+        yield 3.0
 
     def run(self, ctx: ContainerContext):
         # Periodic health checks run alongside request serving.  Under a
@@ -550,7 +550,6 @@ class LlmRouter(ContainerApp):
         service bound at the backend's port gets the call over HTTP.
         """
         client = self._client
-        kernel = client.fabric.kernel
         latency = client.fabric.latency
         last_error: CompletionResult | None = None
         failed_attempts = 0
@@ -569,9 +568,9 @@ class LlmRouter(ContainerApp):
             try:
                 server = client.preflight(host, backend.port).app
                 if isinstance(server, VllmOpenAIServer) and call.is_completion:
-                    yield kernel.timeout(latency(client.host, host))
+                    yield latency(client.host, host)
                     result = yield from server.complete(call)
-                    yield kernel.timeout(latency(host, client.host))
+                    yield latency(host, client.host)
                 else:
                     request = call.to_http()
                     response = yield from client.request(

@@ -61,7 +61,7 @@ class VectorDbService(ContainerApp):
 
     def startup(self, ctx: ContainerContext):
         ctx.check_expectations()
-        yield ctx.kernel.timeout(self.STARTUP_SECONDS)
+        yield self.STARTUP_SECONDS
         port = int(ctx.env.get("MILVUS_PORT", "19530"))
         self.service = HttpService(ctx.fabric, ctx.hostname, port,
                                    self._handle, name="milvus")

@@ -51,7 +51,7 @@ class ChatWebUi(ContainerApp):
         port = int(self._env.get("UI_PORT", "8080"))
         self.service = HttpService(ctx.fabric, ctx.hostname, port,
                                    self._handle, name="chainlit")
-        yield ctx.kernel.timeout(2.0)
+        yield 2.0
 
     def run(self, ctx: ContainerContext):
         yield ctx.stop_event

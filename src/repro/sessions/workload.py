@@ -108,7 +108,7 @@ class SessionTraffic:
         procs = []
         for t in self.schedule.arrivals(self.rng, start, horizon):
             if t > kernel.now:
-                yield kernel.timeout(t - kernel.now)
+                yield t - kernel.now
             sid = self.log.started
             self.log.started += 1
             tenant = "sessions"
@@ -170,7 +170,7 @@ class SessionTraffic:
             if kernel.now + think >= end:
                 outcome = "cut"
                 break
-            yield kernel.timeout(think)
+            yield think
         self.log.finished += 1
         self.log.note_turns(turns_done)
         if outcome == "aborted":

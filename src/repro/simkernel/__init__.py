@@ -2,8 +2,9 @@
 
 A small, simpy-style kernel: simulation *processes* are Python generators
 that ``yield`` waitables (:class:`Event`, :class:`Timeout`, other processes,
-or combinators).  The :class:`SimKernel` owns virtual time and an event heap;
-running the kernel advances time deterministically.
+or combinators), or sleep by yielding a delay in simulated seconds.  The
+:class:`SimKernel` owns virtual time and an event heap; running the kernel
+advances time deterministically.
 
 Example
 -------
@@ -11,7 +12,7 @@ Example
 >>> k = SimKernel()
 >>> log = []
 >>> def proc(env):
-...     yield env.timeout(2.0)
+...     yield 2.0
 ...     log.append(env.now)
 >>> _ = k.spawn(proc(k))
 >>> k.run()

@@ -120,14 +120,18 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay."""
+    """An event that fires after a fixed delay.
+
+    For a wait that is composed, carries a value or takes callbacks; a
+    process that only sleeps yields the delay itself (``yield delay``).
+    """
 
     __slots__ = ()
 
     def __init__(self, kernel: SimKernel, delay: float,
                  value: Any = None, *, at: float | None = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
+        if not delay >= 0:      # one test that also refuses NaN
+            raise ValueError(f"negative or NaN delay: {delay!r}")
         # The hottest constructor in a run: set the slots and queue the
         # entry directly rather than through Event.__init__ + _schedule.
         self.kernel = kernel

@@ -13,7 +13,39 @@ from .events import (AllOf, AnyOf, Callback, Event, Interrupted, Sleep,
 from .rng import RngRegistry
 from .tracing import Tracer
 
-ProcGen = Generator[Event, Any, Any]
+#: What a process generator yields: an event to wait on, or a bare
+#: delay in simulated seconds (``yield 2.5``).
+ProcGen = Generator[Event | float, Any, Any]
+
+
+class _Waker:
+    """The heap entry of a process's bare-delay wait (``yield delay``).
+
+    One per process, reused by every such wait: firing it resumes the
+    generator with ``None``, as a fired :class:`Timeout` would, with no
+    event, callback list or bound method built per wait.
+    :meth:`detach` (an interrupt) makes a queued entry inert.
+    """
+
+    __slots__ = ("proc",)
+    _ok = True          # read by Process._resume as a fired wait's outcome
+    _value = None       # ... and by SimKernel.peek(ignore=...)
+
+    def __init__(self, proc: Process) -> None:
+        self.proc: Process | None = proc
+
+    def _run_callbacks(self) -> None:
+        proc = self.proc
+        if proc is not None:
+            proc._waiting_on = None
+            proc._resume(self)
+
+    def detach(self, _cb: Callable[[Any], None]) -> None:
+        """Abandon the wait: the process gets a fresh waker and this
+        one's queued entry wakes nobody."""
+        proc, self.proc = self.proc, None
+        if proc is not None:
+            proc._waker = _Waker(proc)
 
 
 class Process(Event):
@@ -26,16 +58,23 @@ class Process(Event):
     still finds it processed, and a failure still raises through
     ``run(until=proc)``.  Processes may be interrupted; the waiting
     process receives :class:`Interrupted`.
+
+    A process waits by yielding an :class:`Event`, or sleeps by yielding
+    a delay (a ``float`` or ``int``, not ``bool``), which queues its
+    :class:`_Waker` where ``yield kernel.timeout(delay)`` would have
+    queued a ``Timeout``: at ``now + delay``, in the same ``(time, seq)``
+    order.  A negative or NaN delay raises ``ValueError`` at the yield.
     """
 
-    __slots__ = ("generator", "name", "_waiting_on")
+    __slots__ = ("generator", "name", "_waiting_on", "_waker")
 
     def __init__(self, kernel: SimKernel, generator: ProcGen,
                  name: str = "") -> None:
         super().__init__(kernel)
         self.generator = generator
         self.name = name or getattr(generator, "__name__", "process")
-        self._waiting_on: Event | None = None
+        self._waiting_on: Event | _Waker | None = None
+        self._waker = _Waker(self)
 
     @property
     def is_alive(self) -> bool:
@@ -71,7 +110,7 @@ class Process(Event):
 
     # -- generator driving ---------------------------------------------------
 
-    def _resume(self, ev: Event) -> None:
+    def _resume(self, ev: Event | _Waker) -> None:
         """Send ``ev``'s value into the generator (or throw its
         exception), then wait on whatever it yields next."""
         try:
@@ -87,21 +126,41 @@ class Process(Event):
                 raise
             self._complete(False, exc)
             return
-        if not isinstance(nxt, Event):
+        delay: float
+        if type(nxt) is float or type(nxt) is int:
+            delay = nxt
+        elif isinstance(nxt, Event):
+            self._waiting_on = nxt
+            callbacks = nxt.callbacks       # Event.add_callback, inlined
+            if callbacks is None:
+                self._resume(nxt)
+            else:
+                callbacks.append(self._resume)
+            return
+        elif isinstance(nxt, (float, int)) and not isinstance(nxt, bool):
+            delay = nxt         # a subclass, such as numpy's float64
+        else:
             # Programming error inside the process: fail loudly.
             self.generator.close()
             self._complete(False, TypeError(
                 f"process {self.name!r} yielded non-event {nxt!r}"))
             return
-        self._waiting_on = nxt
-        callbacks = nxt.callbacks       # Event.add_callback, inlined
-        if callbacks is None:
-            self._resume(nxt)
-        else:
-            callbacks.append(self._resume)
+        if delay >= 0:          # one test that also refuses NaN
+            kernel = self.kernel
+            self._waiting_on = waker = self._waker
+            kernel._seq += 1
+            heappush(kernel._heap, (kernel.now + delay, kernel._seq, waker))
+            return
+        bad = Event(self.kernel)        # an outcome only: never queued
+        bad._ok = False
+        bad._value = ValueError(f"negative or NaN delay: {delay!r}")
+        self._resume(bad)
 
     def _complete(self, ok: bool, value: Any) -> None:
         self._waiting_on = None
+        # Break the process <-> waker cycle, so that a finished process
+        # is freed by reference counting, not left to the cyclic GC.
+        self._waker.proc = None
         self._ok = ok
         self._value = value
         self._scheduled = True
@@ -127,7 +186,7 @@ class SimKernel:
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event | _Waker]] = []
         self._seq = 0
         self.rng = RngRegistry(seed)
         self.trace = Tracer(self)
@@ -161,7 +220,9 @@ class SimKernel:
         that computed its tick times by repeated addition wakes on them
         bit for bit.  Times already in the past fire immediately —
         schedulers (e.g. the chaos orchestrator) can plan injections
-        before knowing how long bring-up takes.
+        before knowing how long bring-up takes.  A NaN ``when`` raises
+        ``ValueError`` (``max`` keeps it, and ``Timeout`` refuses the NaN
+        delay it makes).
         """
         when = max(when, self.now)
         return Timeout(self, when - self.now, value, at=when)
@@ -208,7 +269,8 @@ class SimKernel:
 
     def call_at(self, when: float, fn: Callable[[Any], None],
                 arg: Any = None) -> Callback:
-        """Schedule ``fn(arg)`` at exactly ``when`` (clamped to now)."""
+        """Schedule ``fn(arg)`` at exactly ``when`` (clamped to now; a
+        NaN ``when`` raises ``ValueError``, as in :meth:`at`)."""
         when = max(when, self.now)
         return Callback(self, when - self.now, fn, arg, at=when)
 

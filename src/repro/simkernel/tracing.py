@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import starmap
 from typing import TYPE_CHECKING, Any
@@ -40,8 +41,26 @@ def _jsonable(obj: Any) -> Any:
     return repr(obj)
 
 
-#: One record's digest line, without the newline: ``[time, kind, fields]``.
-_encode = json.JSONEncoder(sort_keys=True, default=_jsonable).encode
+def _make_encode() -> Callable[[Any], str]:
+    """The digest line of one record, without the newline: the text of
+    ``json.dumps(row, sort_keys=True, default=_jsonable)``.
+
+    ``JSONEncoder.encode`` builds a C encoder on every call; this builds
+    one, with the settings ``encode`` passes it (ASCII, NaN allowed),
+    and reuses it.  It keeps no circular-reference markers, which a
+    reused encoder would leave stale after an encode that raised.
+    Without the C accelerator, ``encode`` itself is the encoder.
+    """
+    make = getattr(json.encoder, "c_make_encoder", None)
+    if make is None:
+        return json.JSONEncoder(sort_keys=True, default=_jsonable).encode
+    chunks = make(None, _jsonable, json.encoder.encode_basestring_ascii,
+                  None, ": ", ", ", True, False, True)
+    return lambda row: "".join(chunks(row, 0))
+
+
+_encode = _make_encode()
+
 #: Records that wait in the young list before they are hashed.
 _FOLD = 512
 

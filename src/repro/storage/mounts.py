@@ -127,14 +127,14 @@ class LocalDirMount(MountHandle):
     def read_all(self, node_host: str, prefix: str = ""):
         total = sum(s for p, s in self.files.items() if p.startswith(prefix))
         if total > 0:
-            yield self.kernel.timeout(total / self.read_rate)
+            yield total / self.read_rate
         return total
 
     def read_bytes(self, node_host: str, nbytes: int):
-        yield self.kernel.timeout(nbytes / self.read_rate)
+        yield nbytes / self.read_rate
         return nbytes
 
     def write(self, node_host: str, path: str, size: int):
-        yield self.kernel.timeout(size / self.read_rate)
+        yield size / self.read_rate
         self.files[path] = size
         return size

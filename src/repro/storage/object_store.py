@@ -206,7 +206,7 @@ class ObjectStore:
         primary = self.primary()
 
         def replicate(env):
-            yield env.timeout(self.replication_lag)
+            yield self.replication_lag
             for site in self.sites[1:]:
                 flow = self.fabric.start_transfer(
                     primary.host, site.host, size,

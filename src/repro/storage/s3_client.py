@@ -99,7 +99,7 @@ class S3Client:
             except APIError:
                 if attempts >= self.config.max_attempts:
                     raise
-                yield self.kernel.timeout(min(2.0 ** attempts, 30.0))
+                yield min(2.0 ** attempts, 30.0)
 
     def get_object(self, bucket: str, key: str):
         self._preflight()

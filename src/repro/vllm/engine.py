@@ -274,7 +274,7 @@ class LLMEngine:
                 step = const + kv_coeff * self._kv_tokens
                 if prefill_tokens:
                     step += self.perf.prefill_time(prefill_tokens)
-                yield kernel.timeout(step)
+                yield step
                 self.iterations += 1
                 self._advance_all()
                 if self.fault_plan is None and self.running:
@@ -343,7 +343,7 @@ class LLMEngine:
         self._apply_iterations(m)
         remainder = cum(m + 1) - elapsed
         if remainder > 0:
-            yield kernel.timeout(remainder)
+            yield remainder
         self._apply_iterations(1)
 
     @staticmethod

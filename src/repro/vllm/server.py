@@ -77,7 +77,7 @@ class VllmOpenAIServer(ContainerApp):
         if not is_offline_env(ctx.env):
             try:
                 ctx.fabric.vertex_path(ctx.hostname, "huggingface.co")
-                yield kernel.timeout(5.0)  # hub metadata round trip
+                yield 5.0  # hub metadata round trip
             except (NetworkUnreachable, NotFoundError) as exc:
                 raise ContainerCrash(
                     "vllm: failed to reach huggingface.co and offline mode "
@@ -105,7 +105,7 @@ class VllmOpenAIServer(ContainerApp):
         yield from self._load_weights(ctx, card, args, stages)
 
         # Engine init: graph capture + warmup.
-        yield kernel.timeout(ENGINE_INIT_SECONDS)
+        yield ENGINE_INIT_SECONDS
 
         profile: PerfProfile = ctx.opts.extras.get(
             "perf_profile", PerfProfile())
@@ -176,8 +176,8 @@ class VllmOpenAIServer(ContainerApp):
                              name=f"shard:{node.hostname}")
                 for node in stages])
         # Deserialize + upload each node's shard to HBM.
-        yield kernel.timeout(card.weight_bytes / len(stages)
-                             / WEIGHT_LOAD_RATE_PER_NODE)
+        yield (card.weight_bytes / len(stages)
+               / WEIGHT_LOAD_RATE_PER_NODE)
 
     # -- serving -------------------------------------------------------------------
 

@@ -235,7 +235,7 @@ class WorkloadManager:
 
         def enforcer(env):
             if env.now < start:
-                yield env.timeout(start - env.now)
+                yield start - env.now
             for job in list(self.running):
                 if any(res.covers(h) for h in job.hostnames):
                     job.kill_reason = res.reason
@@ -244,7 +244,7 @@ class WorkloadManager:
             env.trace.emit(f"{self.name}.maintenance.start", reason=reason)
             # Jobs held for the window become eligible when it ends.
             if env.now < res.end:
-                yield env.timeout(res.end - env.now)
+                yield res.end - env.now
             self._schedule_pass()
             env.trace.emit(f"{self.name}.maintenance.end", reason=reason)
 

@@ -165,8 +165,10 @@ def test_interrupt_finished_process_is_noop(kernel):
 
 
 def test_yield_non_event_fails_process(kernel):
+    # A number is a bare-delay wait (``yield 2.5``); anything else that
+    # is not an Event is a programming error.
     def bad(env):
-        yield 42  # type: ignore[misc]
+        yield "42"  # type: ignore[misc]
 
     p = kernel.spawn(bad(kernel))
     kernel.run()
