@@ -4,7 +4,9 @@ The model: each active transfer is a *flow* along a path of links.  At any
 instant every flow gets its max-min fair rate; whenever the flow set changes
 the network settles transferred bytes and recomputes rates.  Transfer
 completion events are scheduled from the current rate and invalidated (via a
-generation counter) when rates change.
+generation counter) when rates change.  Active flows are kept in start
+order, which is flow-id order, so every pass over them (rate allocation,
+settling, completion) runs in one deterministic order.
 
 This reproduces the phenomena the paper describes qualitatively:
 *"container registries become a bottleneck when multiple nodes
@@ -164,7 +166,8 @@ class FlowNetwork:
 
     def __init__(self, kernel: SimKernel):
         self.kernel = kernel
-        self.active: set[Flow] = set()
+        #: Active flows in start order (a dict used as an ordered set).
+        self.active: dict[Flow, None] = {}
         self._last_settle = kernel.now
         self._generation = 0
 
@@ -182,7 +185,7 @@ class FlowNetwork:
             flow.done.succeed(flow)
             return flow
         self._settle()
-        self.active.add(flow)
+        self.active[flow] = None
         self._reallocate()
         self.kernel.trace.emit("net.flow.start", flow=flow.name,
                                nbytes=nbytes,
@@ -195,7 +198,7 @@ class FlowNetwork:
         if flow not in self.active:
             return
         self._settle()
-        self.active.discard(flow)
+        del self.active[flow]
         flow.cancelled = True
         flow.finished_at = self.kernel.now
         flow.done.fail(TransferError(
@@ -212,21 +215,22 @@ class FlowNetwork:
     # -- internals ---------------------------------------------------------------
 
     def _ordered(self) -> list[Flow]:
-        """Active flows in creation order.
+        """A snapshot of the active flows in creation order.
 
-        ``active`` is a set of identity-hashed objects: iterating it
-        directly would let the max-min fair tie-break (and completion
-        callback order) vary run-to-run with object addresses, breaking
-        the same-seed-same-trace guarantee.
+        A flow enters ``active`` as it is created, and flow ids grow
+        with creation, so insertion order is id order: no sort, and no
+        order that varies with object addresses, is needed to keep the
+        max-min fair tie-break and the completion order the same run to
+        run.
         """
-        return sorted(self.active, key=lambda f: f.id)
+        return list(self.active)
 
     def _settle(self) -> None:
         """Credit bytes transferred since the last rate change."""
         now = self.kernel.now
         dt = now - self._last_settle
         if dt > 0:
-            for flow in self._ordered():
+            for flow in self.active:
                 if math.isinf(flow.rate):
                     flow.bytes_done = flow.total_bytes
                 else:
@@ -236,7 +240,9 @@ class FlowNetwork:
 
     def _reallocate(self) -> None:
         """Recompute rates and (re)schedule the next completion."""
-        self._generation += 1
+        self._generation += 1       # stales the pending timer, if any
+        if not self.active:
+            return
         gen = self._generation
         ordered = self._ordered()
         rates = max_min_fair_rates(ordered)
@@ -262,38 +268,37 @@ class FlowNetwork:
             if flow.rate > 0:
                 next_eta = min(next_eta, flow.remaining / flow.rate)
         if math.isfinite(next_eta):
-            timer = self.kernel.timeout(next_eta)
-            timer.add_callback(self._make_finisher(gen))
+            self.kernel.call_in(next_eta, self._finish_due, gen)
 
     @staticmethod
     def _tolerance(flow: Flow) -> float:
         # Sub-byte residue from float rounding on multi-GiB transfers.
         return max(1.0, flow.total_bytes * 1e-9)
 
-    def _make_finisher(self, gen: int):
-        def finisher(_ev) -> None:
-            if gen != self._generation:
-                return  # stale timer from an older allocation
-            self._settle()
-            finished = [f for f in self._ordered()
-                        if f.remaining <= self._tolerance(f)]
-            if not finished:
-                # The timer fired exactly at the earliest ETA, so the
-                # argmin flow is done up to float rounding; force it.
-                due = min(self._ordered(),
-                          key=lambda f: (f.remaining / f.rate
-                                         if f.rate > 0 else math.inf,
-                                         f.id))
-                finished = [due]
-            for flow in finished:
-                self._complete(flow)
-            self._reallocate()
-        return finisher
+    def _finish_due(self, gen: int) -> None:
+        """The completion timer of allocation ``gen``: complete whatever
+        has finished, then reallocate."""
+        if gen != self._generation:
+            return  # stale timer from an older allocation
+        self._settle()
+        finished = [f for f in self.active
+                    if f.remaining <= self._tolerance(f)]
+        if not finished:
+            # The timer fired exactly at the earliest ETA, so the
+            # argmin flow is done up to float rounding; force it.  On a
+            # tie, min keeps the earliest started.
+            due = min(self.active,
+                      key=lambda f: (f.remaining / f.rate
+                                     if f.rate > 0 else math.inf))
+            finished = [due]
+        for flow in finished:
+            self._complete(flow)
+        self._reallocate()
 
     def _complete(self, flow: Flow) -> None:
         flow.bytes_done = flow.total_bytes
         flow.finished_at = self.kernel.now
-        self.active.discard(flow)
+        del self.active[flow]
         if not flow.done.triggered:
             flow.done.succeed(flow)
         self.kernel.trace.emit("net.flow.done", flow=flow.name,
@@ -304,8 +309,6 @@ class FlowNetwork:
 
     def utilization(self, link: Link) -> float:
         """Current fraction of ``link`` capacity in use."""
-        # _ordered() (not the raw set): float accumulation order must
-        # not vary with object addresses.
-        used = sum(f.rate for f in self._ordered() if link in f.path
+        used = sum(f.rate for f in self.active if link in f.path
                    and not math.isinf(f.rate))
         return used / link.capacity

@@ -20,7 +20,7 @@ Example
 [2.0]
 """
 
-from .events import AllOf, AnyOf, Callback, Event, Interrupted, Sleep, Timeout
+from .events import AllOf, AnyOf, Callback, Event, Interrupted, Timeout
 from .kernel import Process, SimKernel
 from .rng import RngRegistry
 from .tracing import TraceRecord, Tracer
@@ -34,7 +34,6 @@ __all__ = [
     "Process",
     "RngRegistry",
     "SimKernel",
-    "Sleep",
     "Timeout",
     "TraceRecord",
     "Tracer",

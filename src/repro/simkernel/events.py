@@ -145,43 +145,6 @@ class Timeout(Event):
                                 kernel._seq, self))
 
 
-class Sleep(Timeout):
-    """A timeout that :meth:`wake` can fire early, at the current instant.
-
-    One timer where a wait would otherwise be
-    ``any_of([wake_event, timeout])``: no second event, no composite,
-    no re-dispatch.  Waking queues the sleep at ``now``; its deadline
-    entry stays on the heap and is a no-op when it comes up.  After the
-    sleep fires, :attr:`woke` tells the two apart: True only if it fired
-    before its deadline.  A wake at the deadline instant itself loses to
-    the deadline entry, which was queued first.  Created via
-    :meth:`SimKernel.sleep`.
-    """
-
-    __slots__ = ("deadline", "woke")
-
-    def __init__(self, kernel: SimKernel, delay: float,
-                 value: Any = None) -> None:
-        super().__init__(kernel, delay, value)
-        self.deadline = kernel.now + delay
-        self.woke = False
-
-    def wake(self) -> None:
-        """Fire at the current instant instead of at the deadline; a
-        no-op once the sleep has fired or a wake is already queued."""
-        if self._processed or self.woke:
-            return
-        self.woke = True
-        self.kernel._schedule(self)
-
-    def _run_callbacks(self) -> None:
-        if self._processed:
-            return          # the other of the two heap entries
-        if self.woke and self.kernel.now >= self.deadline:
-            self.woke = False   # the deadline entry won the instant
-        Event._run_callbacks(self)
-
-
 class Callback(Timeout):
     """A timeout that invokes one function when it fires.
 

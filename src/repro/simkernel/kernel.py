@@ -8,8 +8,7 @@ from typing import Any
 
 from ..errors import StateError
 from ..obs.context import Observability
-from .events import (AllOf, AnyOf, Callback, Event, Interrupted, Sleep,
-                     Timeout)
+from .events import AllOf, AnyOf, Callback, Event, Interrupted, Timeout
 from .rng import RngRegistry
 from .tracing import Tracer
 
@@ -24,15 +23,16 @@ class _Waker:
     One per process, reused by every such wait: firing it resumes the
     generator with ``None``, as a fired :class:`Timeout` would, with no
     event, callback list or bound method built per wait.
-    :meth:`detach` (an interrupt) makes a queued entry inert.
+    :meth:`detach` (an interrupt or :meth:`Process.rearm`) makes a queued
+    entry inert.
     """
 
     __slots__ = ("proc",)
     _ok = True          # read by Process._resume as a fired wait's outcome
     _value = None       # ... and by SimKernel.peek(ignore=...)
 
-    def __init__(self, proc: Process) -> None:
-        self.proc: Process | None = proc
+    def __init__(self, proc: Process | None) -> None:
+        self.proc = proc
 
     def _run_callbacks(self) -> None:
         proc = self.proc
@@ -46,6 +46,11 @@ class _Waker:
         proc, self.proc = self.proc, None
         if proc is not None:
             proc._waker = _Waker(proc)
+
+
+#: What :meth:`SimKernel.start` resumes a new generator with: an inert
+#: waker, whose class-level outcome sends ``None``.
+_GO = _Waker(None)
 
 
 class Process(Event):
@@ -64,6 +69,7 @@ class Process(Event):
     :class:`_Waker` where ``yield kernel.timeout(delay)`` would have
     queued a ``Timeout``: at ``now + delay``, in the same ``(time, seq)``
     order.  A negative or NaN delay raises ``ValueError`` at the yield.
+    :meth:`rearm` moves a pending bare-delay wait to another time.
     """
 
     __slots__ = ("generator", "name", "_waiting_on", "_waker")
@@ -107,6 +113,27 @@ class Process(Event):
         tick = Event(self.kernel)
         tick.fail(Interrupted(cause))
         tick.add_callback(deliver)
+
+    def rearm(self, delay: float) -> None:
+        """Move a pending bare-delay wait to ``now + delay``.
+
+        The queued entry goes inert, as on an interrupt, and a fresh
+        waker is queued in its place, so the generator resumes once, at
+        the new time, in the ``(time, seq)`` order of a wait yielded
+        now.  A no-op unless the process waits on a bare delay (before
+        its first step, once it fired, or while it waits on an event).
+        A negative or NaN delay raises ``ValueError`` and queues nothing.
+        """
+        if not delay >= 0:      # one test that also refuses NaN
+            raise ValueError(f"negative or NaN delay: {delay!r}")
+        waker = self._waker
+        if self._waiting_on is not waker:
+            return
+        waker.detach(self._resume)      # self._waker is now a fresh one
+        kernel = self.kernel
+        self._waiting_on = fresh = self._waker
+        kernel._seq += 1
+        heappush(kernel._heap, (kernel.now + delay, kernel._seq, fresh))
 
     # -- generator driving ---------------------------------------------------
 
@@ -249,14 +276,8 @@ class SimKernel:
         that is already processed.
         """
         proc = Process(self, generator, name=name)
-        go = Event(self)        # an outcome only: never queued
-        go._ok = True
-        proc._resume(go)
+        proc._resume(_GO)
         return proc
-
-    def sleep(self, delay: float, value: Any = None) -> Sleep:
-        """A timeout that ``wake()`` can fire early; see :class:`Sleep`."""
-        return Sleep(self, delay, value)
 
     def call_in(self, delay: float, fn: Callable[[Any], None],
                 arg: Any = None) -> Callback:
@@ -342,9 +363,10 @@ class SimKernel:
         """Time of the next pending event, or +inf if none.
 
         With ``ignore``, entries whose event value *is* that object are
-        passed over.  An entry that will turn out a no-op (the deadline
-        a woken :class:`Sleep` leaves behind) still counts, so the time
-        is never later than the next event that can change state.
+        passed over.  A stale entry still counts: the inert waker that an
+        interrupt or :meth:`Process.rearm` leaves queued wakes nobody when
+        it comes up, but it bounds the time, which is so never later than
+        the next event that can change state.
         """
         heap = self._heap
         if ignore is None:

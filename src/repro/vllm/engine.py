@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from ..errors import APIError, ContainerCrash
 from ..models.catalog import ModelCard
-from ..simkernel import Event, Interrupted, Sleep
+from ..simkernel import Event, Interrupted
 from .config import EngineArgs
 from .kvcache import BlockManager
 from .perf import PerfModel
@@ -166,7 +166,9 @@ class LLMEngine:
         self.crashed: EngineCrash | None = None
         self._kv_tokens = 0       # running total of in-batch context tokens
         self._wake: Event | None = None       # idle engine, waiting for load
-        self._jump_sleep: Sleep | None = None  # coalesced decode in progress
+        # Coalesced decode in progress: (started, deadline, j, per_iter,
+        # kv_growth); None when no jump is in flight or it was nudged.
+        self._jump: tuple[float, float, int, float, float] | None = None
         self._proc = None
         self._register_obs()
 
@@ -230,17 +232,31 @@ class LLMEngine:
         return request
 
     def nudge(self) -> None:
-        """Interrupt a coalesced decode sleep at the current instant.
+        """Cut a coalesced decode jump short at the next iteration boundary.
 
         New arrivals (and live fault attachment) must be noticed at the
-        next iteration *boundary*, exactly as in per-iteration stepping;
-        a no-op unless a fast-forward sleep is in flight.  The sleep is
-        one :class:`~repro.simkernel.Sleep` timer: ``wake()`` queues it
-        at ``now`` and its deadline entry becomes a no-op, so a nudge
-        costs one heap entry and the loop resumes straight from it.
+        next iteration *boundary*, exactly as in per-iteration stepping.
+        The nudge applies the whole iterations elapsed so far, then
+        re-arms the engine process's wake, in place, to the end of the
+        iteration in flight (``Process.rearm``): one heap entry, and the
+        loop resumes at that boundary to complete it.  A no-op unless a
+        jump is in flight and its deadline has not come: a nudge at the
+        deadline instant loses to the deadline, and a second nudge in
+        one jump finds it already cut.
         """
-        if self._jump_sleep is not None:
-            self._jump_sleep.wake()
+        jump = self._jump
+        if jump is None:
+            return
+        started, deadline, j, per_iter, kv_growth = jump
+        now = self.kernel.now
+        if now >= deadline:
+            return
+        self._jump = None
+        elapsed = now - started
+        m = self._completed_iterations(elapsed, per_iter, kv_growth, j)
+        self._apply_iterations(m)
+        remainder = self._jump_time(m + 1, per_iter, kv_growth) - elapsed
+        self._proc.rearm(remainder if remainder > 0 else 0.0)
 
     def start(self):
         """Spawn the engine loop; returns the process."""
@@ -249,6 +265,9 @@ class LLMEngine:
 
     def stop(self) -> None:
         if self._proc is not None and self._proc.is_alive:
+            # A nudge before the interrupt lands must not apply
+            # iterations the stopped jump never completes.
+            self._jump = None
             self._proc.interrupt("engine stop")
 
     @property
@@ -293,66 +312,57 @@ class LLMEngine:
     MIN_JUMP = 4
 
     def _fast_forward(self):
-        """Run many decode iterations under a single kernel sleep.
+        """Run many decode iterations under a single kernel wait.
 
         Between iteration boundaries the batch can only change at a
         finish, a preemption, an admission, a first token, or a fault
         check — ``Scheduler.plan_jump`` counts how many iterations are
         provably free of all five, and that whole stretch collapses into
-        one :class:`~repro.simkernel.Sleep` whose duration is the
-        closed-form sum of the per-iteration costs (affine in KV tokens,
-        which grow by ``batch`` per iteration).  A new arrival wakes the
-        sleep early via :meth:`nudge`; the elapsed whole iterations are
-        applied in bulk, the iteration in flight completes at normal
-        granularity, and the main loop admits at the boundary —
-        bit-for-bit the same token counts, TTFTs, and finish times as
-        per-iteration stepping (timing differs only by float-sum
-        rounding).  Every scheduler policy takes this path; one whose
-        decisions FCFS's plan does not cover adds a veto to it (see
-        ``docs/serving.md``).  Disabled
-        whenever a fault plan is armed: those contracts are
-        per-iteration.
+        one bare-delay wait whose duration is the closed-form sum of the
+        per-iteration costs (affine in KV tokens, which grow by
+        ``batch`` per iteration).  A new arrival cuts the jump short via
+        :meth:`nudge`: the elapsed whole iterations are applied in bulk,
+        the wait is re-armed to the end of the iteration in flight, which
+        then completes at normal granularity, and the main loop admits
+        at the boundary — bit-for-bit the same token counts, TTFTs, and
+        finish times as per-iteration stepping (timing differs only by
+        float-sum rounding).  Every scheduler policy takes this path;
+        one whose decisions FCFS's plan does not cover adds a veto to it
+        (see ``docs/serving.md``).  Disabled whenever a fault plan is
+        armed: those contracts are per-iteration.
         """
         j = self.scheduler.plan_jump()
         if j < self.MIN_JUMP:
             return
-        kernel = self.kernel
         batch = len(self.running)
         const, kv_coeff = self.perf.decode_coeffs(batch)
         per_iter = const + kv_coeff * self._kv_tokens
         kv_growth = kv_coeff * batch
-
-        def cum(m: int) -> float:
-            """Time for the first ``m`` jump iterations."""
-            return m * per_iter + kv_growth * (m * (m - 1) * 0.5)
-
-        sleep = self._jump_sleep = kernel.sleep(cum(j))
-        started = kernel.now
+        duration = self._jump_time(j, per_iter, kv_growth)
+        now = self.kernel.now
+        self._jump = (now, now + duration, j, per_iter, kv_growth)
         try:
-            yield sleep
+            yield duration
         finally:
-            self._jump_sleep = None
-        if not sleep.woke:
-            self._apply_iterations(j)
-            return
-        # Nudged mid-sleep: bulk-apply the whole iterations already
-        # elapsed, finish the one in flight at normal granularity, then
-        # let the main loop admit at the boundary.
-        elapsed = kernel.now - started
-        m = self._completed_iterations(elapsed, cum, j)     # m < j
-        self._apply_iterations(m)
-        remainder = cum(m + 1) - elapsed
-        if remainder > 0:
-            yield remainder
-        self._apply_iterations(1)
+            jump, self._jump = self._jump, None
+        # Nudged mid-jump: the nudge applied the whole iterations that
+        # had elapsed, and this wake ends the one that was in flight.
+        self._apply_iterations(j if jump is not None else 1)
 
     @staticmethod
-    def _completed_iterations(progress: float, cum, j: int) -> int:
-        """Largest ``m < j`` with ``cum(m) <= progress`` (binary search)."""
+    def _jump_time(m: int, per_iter: float, kv_growth: float) -> float:
+        """Time for the first ``m`` iterations of a jump."""
+        return m * per_iter + kv_growth * (m * (m - 1) * 0.5)
+
+    @classmethod
+    def _completed_iterations(cls, progress: float, per_iter: float,
+                              kv_growth: float, j: int) -> int:
+        """Largest ``m < j`` with ``_jump_time(m) <= progress`` (binary
+        search)."""
         lo, hi = 0, j - 1
         while lo < hi:
             mid = (lo + hi + 1) // 2
-            if cum(mid) <= progress:
+            if cls._jump_time(mid, per_iter, kv_growth) <= progress:
                 lo = mid
             else:
                 hi = mid - 1

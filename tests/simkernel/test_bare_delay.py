@@ -198,17 +198,21 @@ def test_an_uncaught_bad_bare_delay_fails_the_process(kernel):
     assert kernel.now == 0.0
 
 
+def _on_an_event(env):
+    yield env.event()
+
+
 @pytest.mark.parametrize("make", [
     lambda k: k.timeout(math.nan),
-    lambda k: k.sleep(math.nan),
+    lambda k: k.start(_on_an_event(k)).rearm(math.nan),
     lambda k: k.call_in(math.nan, print),
     lambda k: k.at(math.nan),
     lambda k: k.call_at(math.nan, print),
     lambda k: k.timeout(-0.5),
-    lambda k: k.sleep(-0.5),
+    lambda k: k.start(_on_an_event(k)).rearm(-0.5),
     lambda k: k.call_in(-0.5, print),
-], ids=["timeout", "sleep", "call_in", "at", "call_at", "timeout-neg",
-        "sleep-neg", "call_in-neg"])
+], ids=["timeout", "rearm", "call_in", "at", "call_at", "timeout-neg",
+        "rearm-neg", "call_in-neg"])
 def test_a_nan_or_negative_delay_is_refused_where_it_is_made(kernel, make):
     kernel.run(until=1.0)
     with pytest.raises(ValueError, match="negative or NaN"):

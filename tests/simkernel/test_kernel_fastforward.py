@@ -191,13 +191,17 @@ def test_peek_ignore_counts_callbacks_and_plain_timeouts(kernel):
 
 
 def test_peek_ignore_counts_a_woken_sleeps_stale_deadline(kernel):
-    """The deadline entry an early wake leaves behind is a no-op when it
-    comes up, but it still bounds the edge: earlier, never later."""
-    sleep = kernel.sleep(10.0)
-    kernel.call_at(2.0, lambda _: sleep.wake())
+    """The deadline entry an early wake (``Process.rearm``) leaves
+    behind wakes nobody when it comes up, but it still bounds the edge:
+    earlier, never later."""
+    def sleeper(env):
+        yield 10.0
+
+    proc = kernel.spawn(sleeper(kernel))
+    kernel.call_at(2.0, lambda _: proc.rearm(0.0))
     kernel.at(20.0, TICK)
     kernel.run(until=3.0)
-    assert sleep.processed and sleep.woke
+    assert proc.processed
     assert kernel.peek(ignore=TICK) == 10.0
 
 

@@ -2,7 +2,8 @@
 
 - a process that finishes unwatched completes in place;
 - ``SimKernel.start`` runs a process's first step inline (no boot event);
-- ``Sleep`` is one timer that ``wake()`` can fire early;
+- ``Process.rearm`` moves a bare-delay sleep in place (the engine's
+  nudge), and the entry it leaves behind wakes nobody;
 - ``Request.first_token`` is created only when someone asks for it.
 """
 
@@ -12,7 +13,7 @@ import pytest
 
 from repro.hardware import gpu_spec
 from repro.models import llama4_scout
-from repro.simkernel import Interrupted, SimKernel, Sleep
+from repro.simkernel import Interrupted, SimKernel
 from repro.vllm import (EngineArgs, LLMEngine, PerfModel, PerfProfile,
                         RequestSpec)
 
@@ -134,92 +135,138 @@ def test_start_of_a_generator_that_returns_at_once(kernel):
     assert kernel.peek() == float("inf")
 
 
-# -- early-fire sleep -------------------------------------------------------------
+# -- re-armed sleep ----------------------------------------------------------------
 
-def test_sleep_fires_at_its_deadline_with_its_value(kernel):
+def test_rearmed_sleep_fires_at_its_new_deadline(kernel):
     seen = []
 
-    def proc(env):
-        sleep = env.sleep(4.0, value="full")
-        value = yield sleep
-        seen.append((env.now, value, sleep.woke))
+    def sleeper(env):
+        value = yield 4.0
+        seen.append((env.now, value))
 
-    kernel.spawn(proc(kernel))
+    proc = kernel.spawn(sleeper(kernel))
+    kernel.run(until=1.0)
+    proc.rearm(5.0)                 # past the old deadline: fires at 6
+    kernel.run(until=4.0)           # the old entry resumes nobody
+    assert seen == []
     kernel.run()
-    assert seen == [(4.0, "full", False)]
+    assert seen == [(6.0, None)]
 
 
 def test_woken_sleep_resumes_at_now_and_its_deadline_entry_is_a_noop(kernel):
     seen = []
-    box: list[Sleep] = []
 
     def sleeper(env):
-        sleep = env.sleep(10.0)
-        box.append(sleep)
-        yield sleep
-        seen.append((env.now, sleep.woke))
-        yield env.timeout(20.0)
+        yield 10.0
+        seen.append(env.now)
+        yield 20.0
         seen.append(env.now)
 
-    kernel.spawn(sleeper(kernel))
+    proc = kernel.spawn(sleeper(kernel))
     kernel.run(until=3.0)
-    box[0].wake()
-    box[0].wake()               # a second wake queues nothing more
+    proc.rearm(0.0)
     kernel.run(until=3.0)
-    assert seen == [(3.0, True)]
+    assert seen == [3.0]
     kernel.run(until=10.0)      # the stale deadline entry: nothing resumes
-    assert seen == [(3.0, True)]
+    assert seen == [3.0]
     kernel.run()
-    assert seen == [(3.0, True), 23.0]
+    assert seen == [3.0, 23.0]
 
 
-def test_wake_at_the_deadline_instant_loses_to_the_deadline(kernel):
-    """A wake queued at the deadline instant, ahead of the deadline
-    entry's dispatch, still leaves the sleep fired at its deadline."""
+def test_wake_at_the_deadline_instant_loses_to_the_deadline():
+    """A nudge queued at a jump's deadline instant, ahead of the jump's
+    own wake, leaves the jump whole: all its iterations apply at the
+    deadline, as when nothing nudged it."""
+    def jump_of(kernel, engine):
+        engine.submit(RequestSpec(200, 64))
+        while engine._jump is None:
+            kernel.step()
+        return engine._jump
+
+    alone = SimKernel(seed=1)
+    engine = _engine(alone)
+    started, deadline, j, _, _ = jump_of(alone, engine)
+    before = engine.iterations
+    alone.run(until=deadline)
+    assert engine.iterations == before + j
+
+    nudged = SimKernel(seed=1)
+    engine = _engine(nudged)
     seen = []
-    waker = kernel.timeout(5.0)     # queued first: dispatches first at 5
-    sleep = kernel.sleep(5.0, value="full")
-    waker.add_callback(lambda _ev: sleep.wake())
-    sleep.add_callback(lambda ev: seen.append((kernel.now, ev.value,
-                                               ev.woke)))
-    kernel.step()                   # the waker: queues the early entry
-    assert sleep.woke and not sleep.processed
-    kernel.run()
-    assert seen == [(5.0, "full", False)]
+
+    def at_deadline(_arg):
+        seen.append(engine._jump is not None)
+        engine.submit(RequestSpec(200, 8))      # submit() nudges
+        seen.append(engine._jump is not None)
+
+    nudged.call_at(deadline, at_deadline)       # queued before the jump
+    assert jump_of(nudged, engine)[:3] == (started, deadline, j)
+    nudged.run(until=deadline)
+    assert seen == [True, True]                 # the nudge did nothing
+    assert engine.iterations == before + j and engine._jump is None
 
 
 def test_wake_after_the_sleep_fired_is_a_noop(kernel):
-    sleep = kernel.sleep(1.0)
+    gate = kernel.event()
+
+    def sleeper(env):
+        yield 1.0
+        yield gate
+
+    proc = kernel.spawn(sleeper(kernel))
     kernel.run()
-    sleep.wake()
-    assert not sleep.woke
+    proc.rearm(0.0)                 # waits on an event, not a delay
+    assert kernel.peek() == float("inf")
+    gate.succeed()
+    kernel.run()
+    assert proc.processed
+    proc.rearm(0.0)                 # finished
     assert kernel.peek() == float("inf")
 
 
 def test_interrupt_during_a_sleep_detaches_cleanly(kernel):
     caught = []
-    box: list[Sleep] = []
+    gate = kernel.event()
 
     def sleeper(env):
-        sleep = env.sleep(10.0)
-        box.append(sleep)
         try:
-            yield sleep
+            yield 10.0
         except Interrupted:
             caught.append(env.now)
-        yield env.timeout(1.0)
+        yield gate
         caught.append(env.now)
 
     proc = kernel.spawn(sleeper(kernel))
+    kernel.run(until=1.0)
+    proc.rearm(5.0)                 # two queued entries now: 6 and 10
     kernel.run(until=2.0)
     proc.interrupt()
     kernel.run(until=2.0)
     assert caught == [2.0]
-    assert not box[0].callbacks     # the process let go of the sleep
-    box[0].wake()                   # a late wake resumes nobody
+    proc.rearm(0.0)                 # a late wake resumes nobody
+    assert kernel.peek() == 6.0     # the stale entries are still queued
+    kernel.run(until=10.0)
+    assert caught == [2.0]
+    gate.succeed()
     kernel.run()
-    assert caught == [2.0, 3.0]
+    assert caught == [2.0, 10.0]
     assert proc.processed
+
+
+def test_a_refused_rearm_leaves_the_sleep_in_place(kernel):
+    seen = []
+
+    def sleeper(env):
+        yield 5.0
+        seen.append(env.now)
+
+    proc = kernel.spawn(sleeper(kernel))
+    kernel.run(until=1.0)
+    for bad in (-0.5, float("nan")):
+        with pytest.raises(ValueError, match="negative or NaN"):
+            proc.rearm(bad)
+    kernel.run()
+    assert seen == [5.0]
 
 
 # -- lazy first token -------------------------------------------------------------
