@@ -15,17 +15,19 @@ questions online:
 every per-request objective, per second — throughput that violates the
 SLO does not count.
 
-The tracker is *streaming*: window aggregates (good/ok/error counts,
-token sums) update O(1) on :meth:`SloTracker.observe` and trim, and
-every quantile — the reported p50/p95/p99 **and** the ``slo_met``
-attainment gate — comes from one shared
-:class:`~repro.obs.stats.LogHistogram` estimator, so
+The tracker is *streaming*: :meth:`SloTracker.observe` appends the
+record, and the window and run aggregates (good/ok/error counts, token
+sums, histograms) take every pending record in one loop at the next
+read, amortized O(1) per record.  Every quantile — the reported
+p50/p95/p99 **and** the ``slo_met`` attainment gate — comes from one
+shared :class:`~repro.obs.stats.LogHistogram` estimator, so
 :meth:`SloTracker.snapshot` never materializes or sorts the window and
 its cost is independent of how many requests were ever observed.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -280,17 +282,15 @@ class SloReport:
 
 @dataclass
 class _TurnTtft:
-    """Streaming TTFT aggregate for one turn class (first / later)."""
+    """Streaming TTFT aggregate for one turn class (first / later).
+
+    ``hist`` holds exactly ``n`` values; :meth:`SloTracker._fold` adds
+    to all three fields.
+    """
 
     n: int = 0
     ttft_sum: float = 0.0
     hist: LogHistogram = field(default_factory=LogHistogram)
-
-    def add_at(self, ttft: float, idx: int) -> None:
-        """Add ``ttft``, already bucketed to ``idx`` by the tracker."""
-        self.n += 1
-        self.ttft_sum += ttft
-        self.hist.add_at(idx)
 
     def to_json(self) -> dict:
         out = {"n": self.n,
@@ -304,16 +304,31 @@ def _layout(hist: LogHistogram) -> tuple[float, float, float]:
     return hist.min_value, hist.max_value, hist.growth
 
 
+#: Observed records that wait before they are folded in.
+_FOLD_AT = 256
+
+
 class SloTracker:
-    """Online SLO accounting: O(1) per observation, O(1)-window snapshots.
+    """Online SLO accounting: amortized per observation, done at reads.
+
+    :meth:`observe` only appends the record to a pending list (and
+    keeps the latest completion time, so :meth:`drained` stays exact).
+    :meth:`_fold` applies the pending records in arrival order, in one
+    loop, before any read (:meth:`snapshot`, :meth:`report` and the
+    ``completed``/``errors``/``good``/``output_tokens`` counters) and
+    whenever ``_FOLD_AT`` of them wait, so memory stays bounded with no
+    reader.  Integer aggregates do not depend on when they are added,
+    float sums keep arrival order, and one trim at the latest
+    completion removes what a trim after each record would have, so
+    every read equals per-record accounting's bit for bit.
 
     The rolling window keeps the raw records (ordered by completion
     time) only so aged-out records can be *subtracted* from the running
     aggregates; nothing ever iterates, copies, or sorts the window.
 
-    :meth:`observe` buckets a record's ``ttft`` and ``latency`` once and
-    adds those bucket indices to every histogram that takes the value,
-    so every histogram here shares one bucket layout.  The window keeps
+    The fold buckets a record's ``ttft`` and ``latency`` once and adds
+    those bucket indices to every histogram that takes the value, so
+    every histogram here shares one bucket layout.  The window keeps
     them in a packed key column, so a trimmed record is subtracted
     without being bucketed again.
     """
@@ -323,6 +338,10 @@ class SloTracker:
         self.spec = spec
         self.started_at = kernel.now
         self.submitted = 0
+        # Observed records not yet folded in, and the latest completion
+        # time ever observed (what the window's tail would be).
+        self._pending: list[RequestRecord] = []
+        self._last = -math.inf
         # Live window records, sorted by completion time, plus parallel
         # columns of their completion times (so out-of-order stragglers
         # can be placed by binary search instead of a linear scan) and
@@ -330,7 +349,7 @@ class SloTracker:
         self._window: list[RequestRecord] = []
         self._ctimes: list[float] = []
         self._wkeys = array("q")
-        # Rolling-window aggregates (maintained by observe/_trim).
+        # Rolling-window aggregates (maintained by _fold/_trim).
         self._w_ok = 0
         self._w_errors = 0
         self._w_good = 0
@@ -340,27 +359,26 @@ class SloTracker:
         self._w_session = 0
         self._w_cache_hits = 0
         # Whole-run accumulators.
-        self.completed = 0
-        self.errors = 0
-        self.good = 0
-        self.output_tokens = 0
+        self._completed = 0
+        self._errors = 0
+        self._good = 0
+        self._output_tokens = 0
         self._run_ttft = LogHistogram()
         self._run_e2e = LogHistogram()
-        self.per_tenant: dict[str, TenantStats] = {}
+        self._per_tenant: dict[str, TenantStats] = {}
         # Session-turn accumulators (all zero for single-shot traffic).
-        self.session_requests = 0       # ok requests with turn >= 1
-        self.cache_hit_requests = 0     # of those, cached_tokens > 0
-        self.cached_tokens = 0
-        self.session_prompt_tokens = 0
+        self._session_requests = 0      # ok requests with turn >= 1
+        self._cache_hit_requests = 0    # of those, cached_tokens > 0
+        self._cached_tokens = 0
+        self._session_prompt_tokens = 0
         self._turn_stats = {
             "first": _TurnTtft(), "later": _TurnTtft()}
         # Per-serving-path TTFT aggregates (unified vs disagg); only
         # reported when a non-unified path showed up.
         self._path_stats: dict[str, _TurnTtft] = {}
-        self.kv_transfers = 0           # ok requests that paid a handoff
-        self.kv_transfer_s = 0.0
-        # The one bucket mapping every histogram above shares.
-        self._index = self._run_ttft._index
+        self._kv_transfers = 0          # ok requests that paid a handoff
+        self._kv_transfer_s = 0.0
+        # The one bucket layout every histogram above shares.
         self._layout = _layout(self._run_ttft)
         assert all(_layout(hist) == self._layout for hist in (
             self._w_ttft, self._w_e2e, self._run_e2e,
@@ -378,80 +396,117 @@ class SloTracker:
                 and record.latency <= self.spec.e2e_target)
 
     def observe(self, record: RequestRecord) -> None:
-        ok = record.ok
-        if ok:
-            ttft = record.ttft
-            latency = record.latency
-            ttft_idx = self._index(ttft)
-            e2e_idx = self._index(latency)
-            good = (ttft <= self.spec.ttft_target
-                    and latency <= self.spec.e2e_target)
-            # Window key: both bucket indices and the good bit; -1 marks
-            # an error record.
-            key = (ttft_idx << self._idx_bits | e2e_idx) << 1 | good
-        else:
-            good = False
-            key = -1
-        window = self._window
-        ctimes = self._ctimes
-        completed = record.completed
-        if not ctimes or completed >= ctimes[-1]:
-            window.append(record)
-            ctimes.append(completed)
-            self._wkeys.append(key)
-        else:
-            # Straggler from a concurrent replica completing out of
-            # order: insert in completion order so trimming by the
-            # (sorted) front can never be blocked by a late record
-            # parked ahead of older ones.  bisect_right keeps FIFO
-            # order among equal completion times, matching the old
-            # backward scan, at O(log n) compares per straggler.
-            idx = bisect_right(ctimes, completed)
-            window.insert(idx, record)
-            ctimes.insert(idx, completed)
-            self._wkeys.insert(idx, key)
-        tenant = self.per_tenant.get(record.tenant)
-        if tenant is None:
-            tenant = self.per_tenant[record.tenant] = TenantStats()
-        if ok:
-            tokens = record.output_tokens
-            self._w_ok += 1
-            self._w_tokens += tokens
-            self._w_ttft.add_at(ttft_idx)
-            self._w_e2e.add_at(e2e_idx)
-            self.completed += 1
-            tenant.completed += 1
-            self.output_tokens += tokens
-            tenant.output_tokens += tokens
-            self._run_ttft.add_at(ttft_idx)
-            self._run_e2e.add_at(e2e_idx)
-            if record.turn >= 1:
-                self._w_session += 1
-                self.session_requests += 1
-                self.cached_tokens += record.cached_tokens
-                self.session_prompt_tokens += record.prompt_tokens
-                if record.cached_tokens > 0:
-                    self._w_cache_hits += 1
-                    self.cache_hit_requests += 1
-                self._turn_stats["first" if record.turn == 1 else "later"] \
-                    .add_at(ttft, ttft_idx)
-            path_stats = self._path_stats.get(record.path)
-            if path_stats is None:
-                path_stats = self._path_stats[record.path] = _TurnTtft()
-                assert _layout(path_stats.hist) == self._layout
-            path_stats.add_at(ttft, ttft_idx)
-            if record.kv_transfer_s > 0:
-                self.kv_transfers += 1
-                self.kv_transfer_s += record.kv_transfer_s
-            if good:
-                self._w_good += 1
-                self.good += 1
-                tenant.good += 1
-        else:
-            self._w_errors += 1
-            self.errors += 1
-            tenant.errors += 1
-        self._trim(ctimes[-1])
+        pending = self._pending
+        pending.append(record)
+        if record.completed > self._last:
+            self._last = record.completed
+        if len(pending) >= _FOLD_AT:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Apply the pending records, in arrival order, then trim once."""
+        pending = self._pending
+        if not pending:
+            return
+        self._pending = []
+        index = self._run_ttft.indices
+        ttft_idx = index([r.ttft if r.ok else 0.0 for r in pending])
+        e2e_idx = index([r.latency if r.ok else 0.0 for r in pending])
+        ttft_target = self.spec.ttft_target
+        e2e_target = self.spec.e2e_target
+        bits = self._idx_bits
+        window, ctimes, keys = self._window, self._ctimes, self._wkeys
+        tail = ctimes[-1] if ctimes else -math.inf
+        per_tenant, path_stats = self._per_tenant, self._path_stats
+        first, later = self._turn_stats["first"], self._turn_stats["later"]
+        w_ttft, w_e2e = self._w_ttft._counts, self._w_e2e._counts
+        run_ttft, run_e2e = self._run_ttft._counts, self._run_e2e._counts
+        n_ok = n_errors = n_good = tokens = 0
+        sessions = hits = cached_tokens = session_prompt = kv_n = 0
+        kv_s = self._kv_transfer_s
+        for record, ti, ei in zip(pending, ttft_idx, e2e_idx):
+            (name, _, completed, ttft, latency, prompt, out, ok, _, _,
+             turn, cached, path, kv) = record
+            tenant = per_tenant.get(name)
+            if tenant is None:
+                tenant = per_tenant[name] = TenantStats()
+            if ok:
+                good = ttft <= ttft_target and latency <= e2e_target
+                # Window key: both bucket indices and the good bit; -1
+                # marks an error record.
+                key = (ti << bits | ei) << 1 | good
+                n_ok += 1
+                tokens += out
+                tenant.completed += 1
+                tenant.output_tokens += out
+                w_ttft[ti] += 1
+                w_e2e[ei] += 1
+                run_ttft[ti] += 1
+                run_e2e[ei] += 1
+                if turn >= 1:
+                    sessions += 1
+                    cached_tokens += cached
+                    session_prompt += prompt
+                    if cached > 0:
+                        hits += 1
+                    stats = first if turn == 1 else later
+                    stats.n += 1
+                    stats.ttft_sum += ttft
+                    stats.hist._counts[ti] += 1
+                stats = path_stats.get(path)
+                if stats is None:
+                    stats = path_stats[path] = _TurnTtft()
+                    assert _layout(stats.hist) == self._layout
+                stats.n += 1
+                stats.ttft_sum += ttft
+                stats.hist._counts[ti] += 1
+                if kv > 0:
+                    kv_n += 1
+                    kv_s += kv
+                if good:
+                    n_good += 1
+                    tenant.good += 1
+            else:
+                key = -1
+                n_errors += 1
+                tenant.errors += 1
+            if completed >= tail:
+                window.append(record)
+                ctimes.append(completed)
+                keys.append(key)
+                tail = completed
+            else:
+                # Straggler from a concurrent replica completing out of
+                # order: insert in completion order so trimming by the
+                # (sorted) front can never be blocked by a late record
+                # parked ahead of older ones.  bisect_right keeps FIFO
+                # order among equal completion times.
+                idx = bisect_right(ctimes, completed)
+                window.insert(idx, record)
+                ctimes.insert(idx, completed)
+                keys.insert(idx, key)
+        for hist in (self._w_ttft, self._w_e2e,
+                     self._run_ttft, self._run_e2e):
+            hist._total += n_ok
+        for stats in (first, later, *path_stats.values()):
+            stats.hist._total = stats.n
+        self._w_ok += n_ok
+        self._w_errors += n_errors
+        self._w_good += n_good
+        self._w_tokens += tokens
+        self._w_session += sessions
+        self._w_cache_hits += hits
+        self._completed += n_ok
+        self._errors += n_errors
+        self._good += n_good
+        self._output_tokens += tokens
+        self._session_requests += sessions
+        self._cache_hit_requests += hits
+        self._cached_tokens += cached_tokens
+        self._session_prompt_tokens += session_prompt
+        self._kv_transfers += kv_n
+        self._kv_transfer_s = kv_s
+        self._trim(tail)
 
     def _trim(self, now: float) -> None:
         floor = now - self.spec.window
@@ -484,11 +539,32 @@ class SloTracker:
 
     # -- views ------------------------------------------------------------------
 
+    @property
+    def completed(self) -> int:
+        self._fold()
+        return self._completed
+
+    @property
+    def errors(self) -> int:
+        self._fold()
+        return self._errors
+
+    @property
+    def good(self) -> int:
+        self._fold()
+        return self._good
+
+    @property
+    def output_tokens(self) -> int:
+        self._fold()
+        return self._output_tokens
+
     def drained(self) -> bool:
-        """Is the rolling window empty right now?  (No trim: a pure
-        read of what :meth:`snapshot` would see.)"""
-        ctimes = self._ctimes
-        return not ctimes or ctimes[-1] < self.kernel.now - self.spec.window
+        """Is the rolling window empty right now?  (No fold or trim: a
+        pure read of what :meth:`snapshot` would see.)  The window is
+        empty exactly when the latest completion ever observed has aged
+        out."""
+        return self._last < self.kernel.now - self.spec.window
 
     def snapshot(self) -> SloSnapshot:
         """The rolling-window view right now.
@@ -499,6 +575,7 @@ class SloTracker:
         the *same* :class:`~repro.obs.stats.LogHistogram` estimator,
         so they can never disagree about where a percentile sits.
         """
+        self._fold()
         now = self.kernel.now
         self._trim(now)
         snap = SloSnapshot(time=now, window=self.spec.window)
@@ -528,39 +605,40 @@ class SloTracker:
         return snap
 
     def report(self) -> SloReport:
+        self._fold()
         turns = cache = paths = None
         if any(name != "unified" for name in self._path_stats):
             paths = {
                 "ttft": {name: stats.to_json()
                          for name, stats in sorted(self._path_stats.items())},
-                "kv_transfers": self.kv_transfers,
-                "kv_transfer_s": round(self.kv_transfer_s, 3),
+                "kv_transfers": self._kv_transfers,
+                "kv_transfer_s": round(self._kv_transfer_s, 3),
             }
-        if self.session_requests:
+        if self._session_requests:
             turns = {key: stats.to_json()
                      for key, stats in self._turn_stats.items()}
             cache = {
-                "session_requests": self.session_requests,
-                "hits": self.cache_hit_requests,
+                "session_requests": self._session_requests,
+                "hits": self._cache_hit_requests,
                 "hit_rate": round(
-                    self.cache_hit_requests / self.session_requests, 4),
-                "cached_tokens": self.cached_tokens,
-                "prompt_tokens": self.session_prompt_tokens,
+                    self._cache_hit_requests / self._session_requests, 4),
+                "cached_tokens": self._cached_tokens,
+                "prompt_tokens": self._session_prompt_tokens,
                 "cached_token_ratio": round(
-                    self.cached_tokens / self.session_prompt_tokens, 4)
-                if self.session_prompt_tokens else 0.0,
+                    self._cached_tokens / self._session_prompt_tokens, 4)
+                if self._session_prompt_tokens else 0.0,
             }
         return SloReport(
             spec=self.spec,
             duration=self.kernel.now - self.started_at,
             submitted=self.submitted,
-            completed=self.completed,
-            errors=self.errors,
-            good=self.good,
-            output_tokens=self.output_tokens,
+            completed=self._completed,
+            errors=self._errors,
+            good=self._good,
+            output_tokens=self._output_tokens,
             ttft_percentiles=self._run_ttft.percentile_dict(),
             e2e_percentiles=self._run_e2e.percentile_dict(),
-            per_tenant=dict(self.per_tenant),
+            per_tenant=dict(self._per_tenant),
             turns=turns,
             cache=cache,
             paths=paths,

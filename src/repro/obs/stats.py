@@ -96,38 +96,34 @@ class LogHistogram:
         self._counts[self._index(value)] += 1
         self._total += 1
 
-    def add_many(self, values: list[float]) -> None:
-        """``add`` each of ``values``, in one loop.
+    def indices(self, values: list[float]) -> list[int]:
+        """:meth:`_index` of each of ``values``, in one loop.
 
-        The bucket mapping is :meth:`_index`'s, inlined: the same
-        ``math.log`` and the same clamps, so every count equals the
-        per-value ``add``'s.
+        The mapping is :meth:`_index`'s, inlined: the same ``math.log``
+        and the same clamps, so every index equals the per-value one.
         """
-        counts = self._counts
         lo, hi = self.min_value, self.max_value
         inv, top, log = self._inv_log_growth, self._buckets, math.log
-        for value in values:
-            if value < lo:
-                counts[0] += 1
-            elif value >= hi:
-                counts[top + 1] += 1
-            else:
-                idx = int(log(value / lo) * inv) + 1
-                counts[1 if idx < 1 else top if idx > top else idx] += 1
-        self._total += len(values)
+        return [0 if value < lo else top + 1 if value >= hi
+                else 1 if (idx := int(log(value / lo) * inv) + 1) < 1
+                else top if idx > top else idx
+                for value in values]
 
-    def add_at(self, idx: int) -> None:
-        """Add one value already mapped to bucket ``idx`` by ``_index``
-        of a histogram with this one's ``(min_value, max_value, growth)``."""
-        self._counts[idx] += 1
-        self._total += 1
+    def add_many(self, values: list[float]) -> None:
+        """``add`` each of ``values``, bucketed by :meth:`indices`."""
+        counts = self._counts
+        for idx in self.indices(values):
+            counts[idx] += 1
+        self._total += len(values)
 
     def remove(self, value: float) -> None:
         """Remove a previously-added value (same bucket mapping as add)."""
         self.remove_at(self._index(value))
 
     def remove_at(self, idx: int) -> None:
-        """Remove one value from bucket ``idx`` (see :meth:`add_at`)."""
+        """Remove one value already mapped to bucket ``idx`` by
+        :meth:`_index` of a histogram with this one's ``(min_value,
+        max_value, growth)``."""
         if self._counts[idx] <= 0:
             raise ConfigurationError(
                 f"remove() without matching add() (bucket {idx})")

@@ -164,6 +164,7 @@ class LLMEngine:
         self.total_requests = 0
         self.iterations = 0
         self.crashed: EngineCrash | None = None
+        self.stopped = False
         self._kv_tokens = 0       # running total of in-batch context tokens
         self._wake: Event | None = None       # idle engine, waiting for load
         # Coalesced decode in progress: (started, deadline, j, per_iter,
@@ -219,6 +220,8 @@ class LLMEngine:
         """Enqueue a request; returns it (wait on ``request.done``)."""
         if self.crashed is not None:
             raise APIError(503, f"engine {self.name} has crashed")
+        if self.stopped:
+            raise APIError(503, f"engine {self.name} is stopped")
         if spec.prompt_tokens + spec.max_new_tokens > self.max_model_len:
             raise APIError(
                 400, f"requested {spec.prompt_tokens}+{spec.max_new_tokens} "
@@ -264,10 +267,16 @@ class LLMEngine:
         return self._proc
 
     def stop(self) -> None:
+        """Interrupt the loop: outstanding requests fail with 503, and
+        once the interrupt lands :meth:`submit` refuses new ones."""
         if self._proc is not None and self._proc.is_alive:
             # A nudge before the interrupt lands must not apply
-            # iterations the stopped jump never completes.
-            self._jump = None
+            # iterations the stopped jump never completes.  A jump whose
+            # deadline is now has completed: its wake, queued before the
+            # interrupt, applies it.
+            jump = self._jump
+            if jump is not None and self.kernel.now < jump[1]:
+                self._jump = None
             self._proc.interrupt("engine stop")
 
     @property
@@ -299,6 +308,7 @@ class LLMEngine:
                 if self.fault_plan is None and self.running:
                     yield from self._fast_forward()
         except Interrupted:
+            self.stopped = True
             self._fail_outstanding(APIError(503, "engine stopped"))
         except EngineCrash as crash:
             self.crashed = crash

@@ -1,0 +1,57 @@
+"""Python calls per completed request, on the benchmark's short cells.
+
+Runs ``run_cell`` of the short (seed 1) poisson_steady and
+sessions_crash cells of ``perfbench/child.py`` under ``cProfile`` in a
+fresh interpreter, so no cache warmed by an earlier test moves the
+count, and divides ``total_calls`` by the completed requests.  The
+count is exact and does not depend on host speed or hash seed, but it
+does on the interpreter, so the ceiling holds on CPython 3.11 only.  A
+change that adds Python work per request fails here; a change that
+removes some should lower the ceiling.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+_PROFILE = """
+import cProfile, json, pstats, sys
+from perfbench import child
+from repro.campaign.runner import run_cell
+spec = child.build_spec(sys.argv[1], 1, short=True)
+profile = cProfile.Profile()
+profile.enable()
+row = run_cell(spec)
+profile.disable()
+print(json.dumps({"calls": pstats.Stats(profile).total_calls,
+                  "completed": row["completed"]}))
+"""
+
+
+# Measured 292.66 / 342.71 with bulk SLO folds (301.63 / 354.29 while
+# SloTracker.observe did its bookkeeping per record).
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="call counts differ across CPython versions")
+@pytest.mark.parametrize("workload, ceiling", [
+    ("poisson_steady", 293.5),
+    ("sessions_crash", 343.5),
+])
+def test_calls_per_completed_request(workload, ceiling):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (os.path.join(ROOT, "src"), ROOT)))
+    out = subprocess.run(
+        [sys.executable, "-c", _PROFILE, workload], cwd=ROOT, env=env,
+        capture_output=True, text=True, check=True).stdout
+    result = json.loads(out.splitlines()[-1])
+    assert result["completed"] > 1500
+    per_request = result["calls"] / result["completed"]
+    assert per_request <= ceiling, (
+        f"{per_request:.2f} Python calls per request > ceiling {ceiling}")

@@ -75,14 +75,16 @@ def test_window_trim_removes_session_counters():
     assert snap.session_samples == 1          # the old one aged out
     assert snap.cache_hit_rate == 0.0         # survivor was a miss
     # Whole-run accumulators keep both.
-    assert tracker.session_requests == 2
-    assert tracker.cache_hit_requests == 1
+    cache = tracker.report().cache
+    assert cache["session_requests"] == 2
+    assert cache["hits"] == 1
 
 
 def test_errored_turns_do_not_count_as_session_samples():
     kernel, tracker = _tracker()
     kernel.now = 1.0
     tracker.observe(_record(1.0, turn=2, cached=64, ok=False))
-    assert tracker.session_requests == 0
     assert tracker.snapshot().session_samples == 0
-    assert tracker.report().turns is None
+    report = tracker.report()
+    assert report.turns is None and report.cache is None
+    assert report.errors == 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from repro.fleet.slo import RequestRecord, SloSpec, SloTracker
+from repro.fleet.slo import _FOLD_AT, RequestRecord, SloSpec, SloTracker
 from repro.simkernel import SimKernel
 
 
@@ -89,13 +89,15 @@ def test_window_stays_sorted_and_trims_through_stragglers():
     for i in range(300):
         slo.observe(_record(1000.0 + i))             # fresh completions
         slo.observe(_record(950.0 + i * 0.1))        # stragglers far behind
+        assert len(slo._pending) < _FOLD_AT
+    # Aggregates survived the churn: totals count every observation.
+    # (The read folds the pending records into the window first.)
+    assert slo.completed == 600
     ctimes = slo._ctimes
     assert all(a <= b for a, b in zip(ctimes, ctimes[1:]))
     assert len(ctimes) == len(slo._window)
     tail = ctimes[-1]
     assert ctimes[0] >= tail - 100.0                 # trimmed to the window
-    # Aggregates survived the churn: totals count every observation.
-    assert slo.completed == 600
 
 
 def test_equal_completion_times_keep_fifo_order():
@@ -105,6 +107,7 @@ def test_equal_completion_times_keep_fifo_order():
     slo.observe(first)
     second = _record(50.0, tenant="second")
     slo.observe(second)                # equal ctime: must land after first
+    assert slo.completed == 3          # a read folds the records in
     idx_first = slo._window.index(first)
     idx_second = slo._window.index(second)
     assert idx_first < idx_second

@@ -9,7 +9,7 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.fleet.slo import RequestRecord, SloSpec, SloTracker
+from repro.fleet.slo import _FOLD_AT, RequestRecord, SloSpec, SloTracker
 from repro.simkernel import SimKernel
 
 
@@ -52,10 +52,10 @@ def test_interleaved_completions_keep_window_sorted_and_counted():
     times = [10.0, 30.0, 20.0, 40.0, 15.0, 35.0, 25.0]
     for t in times:
         slo.observe(_record(t, tokens=10))
-    ordered = [r.completed for r in slo._window]
-    assert ordered == sorted(ordered)
     kernel.now = 60.0
     snap = slo.snapshot()                # trim floor is t=10.0, inclusive
+    ordered = [r.completed for r in slo._window]
+    assert ordered == sorted(ordered) and len(ordered) == len(times)
     in_window = [t for t in times if t >= 60.0 - 50.0]
     assert snap.samples == len(in_window)
     assert snap.completions == len(in_window)
@@ -146,37 +146,42 @@ def test_snapshot_never_iterates_the_window():
 
 
 def test_snapshot_work_is_independent_of_total_observed():
-    """Operation-count harness: estimator update counts scale with the
-    *window*, not the run; snapshot() adds zero estimator updates.  The
-    tracker buckets each value once and updates through the index-level
-    ``add_at``/``remove_at``, so those are what is counted."""
-    from repro.obs.stats import LogHistogram
+    """Operation-count harness: aggregate updates scale with the
+    *window*, not the run; a snapshot with nothing pending adds zero.
+    ``observe`` appends; ``_fold`` takes each record into the aggregates
+    once and ``_trim`` subtracts each once, so those are what is
+    counted."""
+    calls = {"folded": 0, "trimmed": 0}
 
-    calls = {"add": 0, "remove": 0}
+    class CountingTracker(SloTracker):
+        def _fold(self):
+            assert len(self._pending) <= _FOLD_AT
+            calls["folded"] += len(self._pending)
+            super()._fold()
 
-    class CountingHistogram(LogHistogram):
-        __slots__ = ()
+        def _trim(self, now):
+            before = len(self._ctimes)
+            super()._trim(now)
+            calls["trimmed"] += before - len(self._ctimes)
 
-        def add_at(self, idx):
-            calls["add"] += 1
-            super().add_at(idx)
-
-        def remove_at(self, idx):
-            calls["remove"] += 1
-            super().remove_at(idx)
-
-    kernel, slo = _tracker(window=10.0)
-    slo._w_ttft = CountingHistogram()
+    kernel = SimKernel(seed=0)
+    slo = CountingTracker(kernel, SloSpec(
+        ttft_target=1.0, e2e_target=10.0, max_error_rate=0.1, window=10.0))
     for i in range(5000):
         kernel.now = float(i)
         slo.observe(_record(float(i)))
-    assert calls["add"] == 5000             # one per observation
-    assert calls["remove"] >= 5000 - 11     # trim keeps pace with the window
+        assert len(slo._pending) < _FOLD_AT
+        if i % 97 == 0:                     # a reader now and then
+            slo.snapshot()
+            assert len(slo._window) <= 11
+    slo.snapshot()
+    assert calls["folded"] == 5000          # one per observation
+    assert calls["trimmed"] >= 5000 - 11    # trim keeps pace with the window
     assert len(slo._window) <= 11
     before = dict(calls)
     for _ in range(50):
         slo.snapshot()
-    assert calls == before                  # snapshots do no estimator work
+    assert calls == before                  # snapshots do no aggregate work
 
 
 # -- streaming aggregates == exact recompute ------------------------------------

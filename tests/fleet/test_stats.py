@@ -52,10 +52,11 @@ def test_remove_without_add_raises():
 
 def test_index_level_updates_match_value_updates():
     by_value, by_index = LogHistogram(), LogHistogram()
-    values = (0.0, 1e-4, 1e-3, 0.5, 2.0, 1e5, 1e9)
+    values = [0.0, 1e-4, 1e-3, 0.5, 2.0, 1e5, 1e9]
     for v in values:
         by_value.add(v)
-        by_index.add_at(by_index._index(v))
+    assert by_index.indices(values) == [by_index._index(v) for v in values]
+    by_index.add_many(values)
     assert by_value._counts == by_index._counts
     assert len(by_value) == len(by_index) == len(values)
     by_value.remove(0.5)

@@ -150,6 +150,25 @@ def test_stop_fails_requests_cleanly(kernel):
     assert kernel.run(until=p) == 503
 
 
+def test_stopped_engine_refuses_submissions(kernel):
+    """A request submitted after ``stop()`` is refused with 503, as on
+    a crashed engine, instead of queueing forever."""
+    engine = _engine(kernel)
+    refused = []
+
+    def stop_then_submit(env):
+        yield env.timeout(0.5)
+        engine.stop()
+        yield env.timeout(0.5)
+        with pytest.raises(APIError, match="stopped") as exc:
+            engine.submit(RequestSpec(32, 8))
+        refused.append(exc.value.status)
+
+    kernel.run(until=kernel.spawn(stop_then_submit(kernel)))
+    assert refused == [503]
+    assert not engine.waiting and not engine.running
+
+
 def test_engine_idle_then_wakes(kernel):
     engine = _engine(kernel)
     kernel.run(until=10.0)  # idle

@@ -296,6 +296,9 @@ CASES = [
          max_num_seqs=4)
 @example(arrivals=CASES[1][1], actions=CASES[1][2], kv_tokens=200_000,
          max_num_seqs=4)
+# A stop at the jump's deadline instant: the jump has completed.
+@example(arrivals=[(0.0, 16, 6, 0, None, False)],
+         actions=[("stop", 1.0, "alone")], kv_tokens=1024, max_num_seqs=1)
 @given(arrivals=st.lists(ARRIVAL, min_size=1, max_size=10),
        actions=st.lists(ACTION, max_size=8),
        kv_tokens=st.sampled_from((1024, 4096, 200_000)),
