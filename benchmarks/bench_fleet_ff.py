@@ -24,24 +24,19 @@ drown both arms in identical, uninformative overhead.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import time
 
+from repro.campaign.catalogue import ff_100k
 from repro.campaign.runner import run_cell
-from repro.campaign.spec import ScenarioSpec, ScheduleSpec
+from repro.campaign.spec import ScenarioSpec
 
 MIN_SPEEDUP = 3.5
-DAYS = 400
-BURST_SECONDS = 250.0
-BURST_RPS = 1.0
 
 
 def _spec(fast_forward: bool) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="ff-100k", seed=1234, horizon=DAYS * 86400.0,
-        schedule=ScheduleSpec(kind="pulse", rate_rps=BURST_RPS,
-                              period=86400.0, duty=BURST_SECONDS / 86400.0),
-        fast_forward=fast_forward)
+    return dataclasses.replace(ff_100k(seed=1234), fast_forward=fast_forward)
 
 
 def test_bench_fleet_ff_100k_cell(benchmark):

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign.runner import demo_grid, run_cell
+from repro.campaign.catalogue import demo_grid
+from repro.campaign.runner import run_cell
 from repro.fleet.slo import RequestRecord, SloSpec, SloTracker
 from repro.services.router import LlmRouter
 from repro.simkernel import SimKernel

@@ -46,7 +46,8 @@ import statistics
 import time
 import tracemalloc
 
-from repro.campaign.runner import demo_grid, play, run_cell
+from repro.campaign.catalogue import demo_grid
+from repro.campaign.runner import play, run_cell
 from repro.fleet import Fleet
 from repro.obs.alerts import AlertEvaluator
 from repro.obs.critical_path import CriticalPathAnalyzer

@@ -20,7 +20,8 @@ drift gate (``benchmarks/check_regression.py``).
 from __future__ import annotations
 
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
-from repro.campaign.runner import run_cell, sessions_grid
+from repro.campaign.catalogue import sessions_grid
+from repro.campaign.runner import run_cell
 from repro.fleet import AutoscalerConfig, SloSpec
 from repro.sessions import SessionSpec
 

@@ -26,11 +26,8 @@ from typing import Any
 
 from ..errors import ConfigurationError
 from ..experiments.common import canonical_json_text
-from ..fleet.autoscaler import AutoscalerConfig
-from ..fleet.fleet import Fleet
-from ..fleet.slo import SloSpec
-from .spec import (ChaosEventSpec, ScenarioSpec, ScheduleSpec, SiteSpec,
-                   _load_text, set_path)
+from ..fleet.fleet import DisaggSpec, Fleet
+from .spec import ChaosEventSpec, ScenarioSpec, _load_text, get_path, set_path
 
 #: Scorecard schema tag; bump on any breaking layout change.
 SCHEMA = "campaign_scorecard/v1"
@@ -39,15 +36,13 @@ SCHEMA = "campaign_scorecard/v1"
 # -- grids ----------------------------------------------------------------------
 
 def _render(value: Any) -> str:
-    """A short, stable label for one axis value."""
+    """A short, stable label for one (coerced) axis value."""
     if isinstance(value, ChaosEventSpec):
         return value.scenario
-    if isinstance(value, dict) and "scenario" in value:
-        return str(value["scenario"])
-    if isinstance(value, (tuple, list)):
+    if isinstance(value, DisaggSpec):
+        return str(value.enabled)
+    if isinstance(value, tuple):
         return "+".join(_render(v) for v in value) or "none"
-    if value is None or value == "none":
-        return "none"
     if isinstance(value, float) and value == int(value):
         return str(int(value))
     return str(value)
@@ -85,8 +80,9 @@ class CampaignGrid:
 
         Returns ``(spec, axes_map)`` pairs; ``axes_map`` records the
         rendered axis assignment so the scorecard can aggregate per
-        axis.  Cell names must be unique — duplicate cells would merge
-        silently in the scorecard.
+        axis; a label renders the value the cell's spec holds, so ``1``,
+        ``1.0`` and ``"1.0"`` name one cell.  Cell names must be unique —
+        duplicate cells would merge silently in the scorecard.
         """
         axis_items = sorted(self.axes.items())
         for path, values in axis_items:
@@ -102,7 +98,7 @@ class CampaignGrid:
                 parts = [self.base.name]
                 for (path, _), value in zip(axis_items, combo, strict=True):
                     spec = set_path(spec, path, value)
-                    axes_map[path] = _render(value)
+                    axes_map[path] = _render(get_path(spec, path))
                     parts.append(
                         f"{path.rsplit('.', 1)[-1]}={axes_map[path]}")
                 spec = dataclasses.replace(spec, name="/".join(parts))
@@ -280,9 +276,13 @@ class CampaignRunner:
                     if on_cell is not None:
                         on_cell(row)
         rows.sort(key=lambda r: r["cell"])
-        return self._scorecard(rows)
+        # Each axis's labels in axis order, as the cells render them.
+        labels = {path: list(dict.fromkeys(
+            axes[path] for _spec, axes in expanded if axes))
+            for path in self.grid.axes}
+        return self._scorecard(rows, labels)
 
-    def _scorecard(self, rows: list[dict]) -> dict:
+    def _scorecard(self, rows: list[dict], labels: dict[str, list]) -> dict:
         ok = [r for r in rows if "error" not in r]
         chaos_rows = [r for r in ok if r["chaos"]]
         mttrs = [r["resilience"]["mttr_s"] for r in chaos_rows
@@ -292,8 +292,7 @@ class CampaignRunner:
             "schema": SCHEMA,
             "campaign": self.grid.name,
             "base": self.grid.base.to_dict(),
-            "axes": {path: [_render(v) for v in values]
-                     for path, values in sorted(self.grid.axes.items())},
+            "axes": {path: labels[path] for path in sorted(labels)},
             "cells": rows,
             "aggregates": {
                 path: _axis_aggregate(path, ok)
@@ -367,111 +366,10 @@ def scorecard_text(scorecard: dict) -> str:
     return canonical_json_text(scorecard)
 
 
-# -- built-in grids -------------------------------------------------------------
-
-def demo_grid(seed: int = 42) -> CampaignGrid:
-    """The default 24-cell demo: 2 platforms x 2 schedules x 2 chaos
-    modes x 3 seeds, half an hour of simulated traffic per cell.
-
-    Arrival rates are sized for the streaming hot path (~2 req/s per
-    cell, an order of magnitude above the original demo): ~85k requests
-    across the grid, which the coalesced engine and O(1) metrics path
-    simulate in seconds per cell (see ``benchmarks/bench_hotpath.py``).
-    """
-    base = ScenarioSpec(
-        name="demo", seed=seed, horizon=1800.0, initial_replicas=2,
-        site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=4,
-                      cee_nodes=1),
-        schedule=ScheduleSpec(kind="poisson", rate_rps=2.0, base_rps=0.5,
-                              peak_rps=3.0, period=3600.0, peak_hour=0.25),
-        slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
-        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3))
-    return CampaignGrid(
-        base=base, name="demo-24",
-        axes={
-            "platforms": ["hops", "goodall"],
-            "schedule.kind": ["poisson", "diurnal"],
-            "chaos": ["none", "node_crash"],
-            "seed": [seed, seed + 1, seed + 2],
-        })
-
-
-def sessions_grid(seed: int = 42) -> CampaignGrid:
-    """The built-in conversational sweep: turns x think-time x cache.
-
-    9 cells of multi-turn traffic (30 simulated minutes each) under
-    the cache-affinity router: conversation length {3, 6} x think time
-    {10 s, 45 s} x prefix cache {on, off}, plus an explicit
-    small-KV-budget cell.  The
-    ``sessions.prefix_caching`` margin is the headline (later-turn TTFT
-    with and without block reuse); the ``gpu_memory_utilization`` cell
-    shows eviction pressure eating the hit rate.
-    """
-    from ..sessions import SessionSpec
-    base = ScenarioSpec(
-        name="sessions", seed=seed, horizon=1800.0, initial_replicas=2,
-        policy="cache-affinity",
-        site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=4,
-                      cee_nodes=1),
-        schedule=ScheduleSpec(kind="poisson", rate_rps=0.25),
-        slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
-        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3),
-        sessions=SessionSpec(enabled=True, mean_turns=5, min_turns=2,
-                             think_mean_s=20.0))
-    return CampaignGrid(
-        base=base, name="sessions-9",
-        axes={
-            "sessions.mean_turns": [3.0, 6.0],
-            "sessions.think_mean_s": [10.0, 45.0],
-            "sessions.prefix_caching": [True, False],
-        },
-        cells=[
-            # ~4.5x less KV than the 0.90 default on H100: eviction
-            # pressure visibly dents the hit rate without starving
-            # max_model_len.
-            {"name": "sessions/small-kv",
-             "gpu_memory_utilization": 0.50},
-        ])
-
-
-def disagg_grid(seed: int = 42) -> CampaignGrid:
-    """The serving-architecture sweep: unified vs disaggregated.
-
-    8 cells (30 simulated minutes each): serving path {unified,
-    disagg} x arrival rate {moderate, heavy} x seed pair.  The
-    ``disagg`` margin is the headline — TTFT on the disagg path should
-    hold as decode load grows (prefill never queues behind decode
-    batches), priced against the KV-transfer seconds the handoffs
-    cost.  Disagg cells start one prefill + two decode replicas against
-    unified's two, so both arms field three engines at peak.
-    """
-    base = ScenarioSpec(
-        name="disagg", seed=seed, horizon=1800.0, initial_replicas=2,
-        policy="round-robin",
-        site=SiteSpec(hops_nodes=8, eldorado_nodes=2, goodall_nodes=4,
-                      cee_nodes=1),
-        schedule=ScheduleSpec(kind="poisson", rate_rps=1.0),
-        slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
-        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3))
-    return CampaignGrid(
-        base=base, name="disagg-8",
-        axes={
-            "disagg": [False, True],
-            "schedule.rate_rps": [1.0, 2.0],
-            "seed": [seed, seed + 1],
-        })
-
-
-def smoke_grid(seed: int = 42) -> CampaignGrid:
-    """A 4-cell, 15-simulated-minute grid: the CI regression gate for
-    the runner itself (expansion, pool fan-out, merge, determinism)."""
-    grid = demo_grid(seed)
-    grid.name = "smoke-4"
-    grid.base = dataclasses.replace(grid.base, name="smoke", horizon=900.0)
-    grid.axes = {
-        "platforms": ["hops", "goodall"],
-        "chaos": ["none", {"scenario": "node_crash", "inject_at": 300.0,
-                           "fault_duration": 200.0}],
-        "seed": [seed],
-    }
-    return grid
+def __getattr__(name: str) -> Any:
+    # The built-in grids live in the scenario catalogue, which imports
+    # this module; perfbench imports three of them from here.
+    if name in ("demo_grid", "smoke_grid", "sessions_grid", "disagg_grid"):
+        from . import catalogue
+        return getattr(catalogue, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -18,8 +18,10 @@ are rejected rather than silently dropped.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import math
 import pathlib
 from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Any, TypeVar
@@ -37,7 +39,7 @@ from ..hardware.gpu import gpu_spec
 from ..models.catalog import model_card
 from ..models.weights import validate_fit
 from ..services.router import RouterPolicy
-from ..sessions.spec import SessionSpec
+from ..sessions.spec import SessionSpec, _coerce_bool
 from ..vllm.config import EngineArgs
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -154,6 +156,56 @@ def _known_chaos_names() -> set[str]:
     return {s.name for s in CATALOG}
 
 
+@functools.cache
+def _scalar_fields(cls: type) -> dict[str, type]:
+    """``{field: bool | int | float}`` for the scalar fields of ``cls``
+    (spec modules postpone annotations: a type reads as its name)."""
+    kinds = {kind.__name__: kind for kind in (bool, int, float)}
+    return {f.name: kinds[f.type] for f in fields(cls) if f.type in kinds}
+
+
+def _cast(kind: type, name: str, value: Any) -> Any:
+    """``value`` as the ``kind`` field ``name`` declares: strings are
+    parsed (``"900"``, ``"1e3"``, ``"false"``) and ints and integral
+    floats swap, so every spelling of a setting gives one
+    ``spec_hash()``.  Anything else raises ConfigurationError."""
+    if kind is bool:
+        return _coerce_bool(name, value)
+    try:
+        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+            raise TypeError
+        cast = kind(value)
+        if (not isinstance(value, str) and cast != value) \
+                or not math.isfinite(cast):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        what = "an integer" if kind is int else "a finite number"
+        raise ConfigurationError(
+            f"{name} must be {what}, got {value!r}") from None
+    return cast
+
+
+def _typed(cls: type, data: dict[str, Any]) -> dict[str, Any]:
+    """``data`` with each scalar field of ``cls`` cast to its type."""
+    kinds = _scalar_fields(cls)
+    return {k: _cast(kinds[k], k, v) if k in kinds else v
+            for k, v in data.items()}
+
+
+def _recast(spec: Any) -> dict[str, Any]:
+    """The scalar fields of ``spec`` that need a cast, cast."""
+    return {k: _cast(kind, k, v)
+            for k, kind in _scalar_fields(type(spec)).items()
+            if type(v := getattr(spec, k)) is not kind
+            or kind is float and not math.isfinite(v)}
+
+
+def _coerced(spec: _T) -> _T:
+    """``spec`` rebuilt if any of its scalar fields needed a cast."""
+    changed = _recast(spec)
+    return dataclasses.replace(spec, **changed) if changed else spec
+
+
 def _make(cls: type[_T], data: dict[str, Any], where: str) -> _T:
     known = {f.name for f in fields(cls)}
     unknown = set(data) - known
@@ -161,7 +213,7 @@ def _make(cls: type[_T], data: dict[str, Any], where: str) -> _T:
         raise ConfigurationError(
             f"unknown {where} keys: {sorted(unknown)} "
             f"(known: {sorted(known)})")
-    return cls(**data)
+    return cls(**_typed(cls, data))
 
 
 @dataclass(frozen=True)
@@ -211,25 +263,29 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         # The one coercion point: every ergonomic spelling (a bare
-        # platform name, nested dicts, a chaos name, ``disagg=True``)
-        # becomes its typed value here, so the constructor, from_dict,
-        # set_path and grid axes all accept the same spellings and give
-        # equal specs.  Unknown nested keys fail now, never mid-run.
-        if isinstance(self.platforms, str):
-            object.__setattr__(self, "platforms", (self.platforms,))
-        elif not isinstance(self.platforms, tuple):
-            object.__setattr__(self, "platforms", tuple(self.platforms))
+        # platform name, ``hops+goodall``, nested dicts, a chaos name,
+        # ``disagg=True``, ``"900"`` for a float) becomes its typed value
+        # here, so the constructor, from_dict, set_path and grid axes all
+        # accept the same spellings and give equal specs.  Unknown nested
+        # keys and unparseable values fail now, never mid-run.
+        platforms = self.platforms
+        object.__setattr__(self, "platforms", tuple(
+            platforms.split("+") if isinstance(platforms, str) else platforms))
         object.__setattr__(self, "chaos", coerce_chaos(self.chaos))
         object.__setattr__(self, "tenants", tuple(
-            _make(TenantSpec, t, "tenant") if isinstance(t, dict) else t
-            for t in self.tenants))
-        if isinstance(self.disagg, bool):
-            object.__setattr__(self, "disagg", DisaggSpec(enabled=self.disagg))
+            _make(TenantSpec, t, "tenant") if isinstance(t, dict)
+            else _coerced(t) for t in self.tenants))
+        if isinstance(self.disagg, (bool, str)):
+            object.__setattr__(self, "disagg", DisaggSpec(
+                enabled=_coerce_bool("disagg", self.disagg)))
+        for name, value in _recast(self).items():
+            object.__setattr__(self, name, value)
         for f in fields(self):
             kind, value = f.default_factory, getattr(self, f.name)
-            if (isinstance(value, dict) and isinstance(kind, type)
-                    and dataclasses.is_dataclass(kind)):
-                object.__setattr__(self, f.name, _make(kind, value, f.name))
+            if isinstance(kind, type) and dataclasses.is_dataclass(kind):
+                object.__setattr__(self, f.name, (
+                    _make(kind, value, f.name) if isinstance(value, dict)
+                    else _coerced(value)))
         # Validated, but kept as the plain string: spec_hash() reads it.
         object.__setattr__(self, "policy",
                            RouterPolicy.coerce(self.policy).value)
@@ -286,7 +342,7 @@ class ScenarioSpec:
         and one ``MAX_MODEL_LEN`` sequence of KV must fit the GPUs at
         ``gpu_memory_utilization``, or each replica would crash at
         startup."""
-        nodes = {p: int(getattr(self.site, f"{p}_nodes"))
+        nodes = {p: getattr(self.site, f"{p}_nodes")
                  for p in PLATFORM_KINDS}
         empty = [p for p, kind in PLATFORM_KINDS.items()
                  if kind == "hpc" and nodes[p] == 0]
@@ -368,17 +424,20 @@ def coerce_chaos(value: Any) -> tuple[ChaosEventSpec, ...]:
     """Normalize the many spellings of a chaos list into event specs.
 
     Accepts ``None`` / ``"none"`` / ``()`` (no faults), a bare scenario
-    name, an event dict, a :class:`ChaosEventSpec`, or a list of any of
-    those — the currency of grid axes and YAML files alike.
+    name, ``+``-joined names, an event dict, a :class:`ChaosEventSpec`,
+    or a list of any of those — the currency of grid axes, ``--set`` and
+    YAML files alike.
     """
     if value is None or value == () or value == [] or value == "none":
         return ()
-    if isinstance(value, (str, dict, ChaosEventSpec)):
+    if isinstance(value, str):
+        value = value.split("+")
+    elif isinstance(value, (dict, ChaosEventSpec)):
         value = [value]
     out = []
     for item in value:
         if isinstance(item, ChaosEventSpec):
-            out.append(item)
+            out.append(_coerced(item))
         elif isinstance(item, str):
             out.append(ChaosEventSpec(scenario=item))
         elif isinstance(item, dict):
@@ -405,9 +464,10 @@ def get_path(spec: Any, path: str) -> Any:
 def set_path(spec: Any, path: str, value: Any) -> Any:
     """A copy of ``spec`` with the dotted-path field replaced.
 
-    The value may take any spelling the spec's constructor accepts:
-    ``dataclasses.replace`` reruns ``__post_init__``, the one coercion
-    point.
+    The value may take any spelling the spec's constructor accepts, a
+    string included: ``dataclasses.replace`` reruns ``__post_init__``,
+    the one coercion point, and a scalar is cast before a nested spec
+    validates it.
     """
     head, _, rest = path.partition(".")
     if not dataclasses.is_dataclass(spec) or not hasattr(spec, head):
@@ -415,7 +475,7 @@ def set_path(spec: Any, path: str, value: Any) -> Any:
             f"no spec field {path!r} (failed at {head!r})")
     if rest:
         value = set_path(getattr(spec, head), rest, value)
-    return dataclasses.replace(spec, **{head: value})
+    return dataclasses.replace(spec, **_typed(type(spec), {head: value}))
 
 
 # -- file formats ---------------------------------------------------------------

@@ -9,11 +9,11 @@ simulation clock, so the same seed produces a byte-identical scorecard.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable
 
 from ..errors import ConfigurationError
 from ..experiments.common import canonical_json_text
-from ..fleet import AutoscalerConfig, SloSpec
 from .orchestrator import ResilienceReport
 from .scenarios import ChaosScenario, catalog
 
@@ -34,35 +34,26 @@ def case_spec(scenario: str, fleet_platform: str = "hops", seed: int = 42,
               mode: str = "quick"):
     """The matrix cell as a declarative :class:`ScenarioSpec`.
 
-    The cell's one chaos event injects the catalog ``scenario`` on a
-    fleet on ``fleet_platform``, timed by ``MODES[mode]``.  Chaos cases
-    construct their site and fleet through the campaign spec, so the
-    matrix runner and the campaign runner provably build identical
-    worlds for identical knobs.
+    The catalogue's ``chaos:hops`` case with its one chaos event set to
+    the catalog ``scenario`` on a fleet on ``fleet_platform``, timed by
+    ``MODES[mode]``.  Chaos cases construct their site and fleet through
+    the campaign spec, so the matrix runner and the campaign runner
+    provably build identical worlds for identical knobs.
     """
-    # Deferred import: repro.campaign.spec <-> repro.chaos is a cycle at
-    # module scope (the spec validates scenario names against the
-    # catalog).
-    from ..campaign.spec import (ChaosEventSpec, ScenarioSpec, ScheduleSpec,
-                                 SiteSpec)
+    # Deferred: repro.campaign.spec <-> repro.chaos is a module-scope
+    # cycle (the spec validates scenario names against the catalog).
+    from ..campaign.catalogue import chaos_case
+    from ..campaign.spec import ChaosEventSpec
     if mode not in MODES:
         raise ConfigurationError(
             f"chaos mode must be one of {sorted(MODES)}: {mode!r}")
     rate_rps, horizon, inject_at, fault_duration = MODES[mode]
-    return ScenarioSpec(
-        name=f"chaos:{fleet_platform}", seed=seed,
-        platforms=(fleet_platform,), initial_replicas=2, horizon=horizon,
-        site=SiteSpec(hops_nodes=6, eldorado_nodes=4, goodall_nodes=5,
-                      cee_nodes=1),
-        schedule=ScheduleSpec(kind="poisson", rate_rps=rate_rps),
-        slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
-        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3,
-                                    target_outstanding=8.0),
-        chaos=(ChaosEventSpec(scenario, inject_at, fault_duration),),
-        # Tighter than the fleet default: the alert evaluator runs at
-        # the scrape cadence, and telemetry-driven detection delay is
-        # only meaningful when resolved finer than the fault duration.
-        scrape_interval=60.0)
+    base = chaos_case(seed)
+    return dataclasses.replace(
+        base, name=f"chaos:{fleet_platform}", platforms=(fleet_platform,),
+        horizon=horizon,
+        schedule=dataclasses.replace(base.schedule, rate_rps=rate_rps),
+        chaos=(ChaosEventSpec(scenario, inject_at, fault_duration),))
 
 
 def run_case(spec, platform_kind: str):

@@ -8,35 +8,29 @@ Commands
                         gnuplot artifacts with ``--out DIR``.
 ``ablation <name>``     run one ablation (pull-storm, s3-routing,
                         startup, quantization, parallelism).
-``fleet``               open-loop elastic-fleet scenario: diurnal traffic
-                        plus a flash crowd, autoscaled across platforms;
-                        optionally write the JSON scorecard with
-                        ``--out FILE``.
+``run NAME``            play a scenario from ``repro.campaign.catalogue``
+                        (e.g. ``cli-fleet``), edited with ``--set
+                        PATH=VALUE``; optionally write the JSON
+                        scorecard with ``--out FILE``.
 ``chaos``               run the fault-injection scenario matrix on HPC
                         and/or Kubernetes fleets and emit the
                         deterministic ``chaos_scorecard.json``.
-``campaign``            expand a declarative scenario grid (platform x
-                        schedule x chaos x seed x ...) and run every
-                        cell across a ``multiprocessing`` pool; emits
-                        ``campaign_scorecard.json``, byte-identical for
-                        any ``--workers`` value.
-``sessions``            multi-turn conversational day: session starts on
-                        an arrival schedule, turns growing each prompt
-                        from the prior context, KV prefix caching and
-                        cache-affinity routing; prints the per-turn TTFT
-                        split and cache hit rates.
-``obs``                 observability demo: run a short fleet scenario
-                        with span tracing on and print the per-phase
-                        latency breakdown, the top-N slowest requests,
-                        and the registry/span/scrape digests; opt-in
-                        wall-clock self-profile (``--profile``) and
-                        Chrome-trace export (``--trace-out``).
+``campaign [NAME|FILE]``  run every cell of a catalogue grid (default
+                        ``demo-24``) or campaign file across a process
+                        pool; the scorecard is byte-identical for any
+                        ``--workers`` value.
+``obs [NAME]``          play a scenario (default ``cli-obs``) and print
+                        per-phase latency, the top-N slowest requests
+                        and the digests; opt-in self-profile
+                        (``--profile``) and Chrome trace (``--trace-out``).
 ``lint``                determinism & sim-discipline static analysis:
                         wall-clock reads, global RNG, unordered set
                         iteration, env reads outside the typed-config
                         layer, blocking sleeps, private kernel state
                         (see ``docs/static-analysis.md``).
 ``site``                print the converged-site inventory.
+
+A ``ConfigurationError`` exits with status 2 and one line on stderr.
 """
 
 from __future__ import annotations
@@ -47,10 +41,10 @@ import sys
 
 from .core import CaseStudyWorkflow, build_sandia_site
 from .core.translate import command_text
+from .errors import ConfigurationError
 from .units import fmt_duration
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
-SCOUT = "meta-llama/Llama-4-Scout-17B-16E-Instruct"
 
 
 def _cmd_site(args: argparse.Namespace) -> int:
@@ -135,147 +129,81 @@ def _cmd_ablation(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_spec(args: argparse.Namespace):
-    """The ``repro fleet`` flags as a declarative ScenarioSpec."""
-    from .campaign import ScenarioSpec, ScheduleSpec, SiteSpec
-    from .fleet import AutoscalerConfig, DisaggSpec, SloSpec
-    platforms = tuple(p.strip() for p in args.platforms.split(",")
-                      if p.strip())
-    return ScenarioSpec(
-        name="cli-fleet", seed=args.seed, model=args.model,
-        tensor_parallel_size=args.tp, platforms=platforms,
-        policy=args.policy, initial_replicas=args.min_replicas,
-        scheduler_policy=args.scheduler_policy,
-        disagg=DisaggSpec(enabled=args.disagg,
-                          prefill_replicas=args.prefill_replicas),
-        horizon=args.hours * 3600.0,
-        site=SiteSpec(hops_nodes=8, eldorado_nodes=4, goodall_nodes=4,
-                      cee_nodes=2),
-        schedule=ScheduleSpec(
-            kind="diurnal", base_rps=args.base_rate,
-            peak_rps=args.peak_rate, peak_hour=args.peak_hour,
-            flash_mult=max(args.flash_mult, 1.0),
-            flash_start=args.flash_hour * 3600.0,
-            flash_duration=args.flash_minutes * 60.0),
-        slo=SloSpec(ttft_target=args.ttft_slo, e2e_target=args.e2e_slo),
-        autoscaler=AutoscalerConfig(
-            min_replicas=args.min_replicas,
-            max_replicas=args.max_replicas))
+def _with_sets(spec, sets: list[str] | None):
+    """``spec`` with each ``--set PATH=VALUE`` applied in order."""
+    from .campaign.spec import set_path
+    for text in sets or ():
+        path, sep, value = text.partition("=")
+        if not sep or not path:
+            raise ConfigurationError(
+                f"--set must look like PATH=VALUE: {text!r}")
+        try:
+            spec = set_path(spec, path, value)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"--set {text}: {exc}") from None
+    return spec
 
 
-def _write_scorecard(report, out: str) -> None:
-    """Write a fleet report's canonical JSON scorecard to ``out``."""
+def _play(args: argparse.Namespace, profile: bool = False):
+    """Play the catalogue scenario ``args.name`` with its ``--set``
+    edits, under the wall-clock profiler if asked; print its report."""
+    from .campaign import catalogue, play
+    from .obs import profiler
+    spec = _with_sets(catalogue.scenario(args.name, args.seed), args.set)
+    if profile:
+        profiler.reset()
+        profiler.enable()
+    report, fleet, _digest = play(spec)
+    if profile:
+        profiler.disable()
+    print(report.summary())
+    if spec.sessions.enabled:
+        sessions = report.sessions or {}
+        print(f"  sessions: {sessions.get('started', 0)} started, "
+              f"{sessions.get('turns_ok', 0)}/"
+              f"{sessions.get('turns_submitted', 0)} turns ok, "
+              f"{sessions.get('cut_by_horizon', 0)} cut by horizon, "
+              f"max context {sessions.get('context_tokens_max', 0)} tokens")
+    print(f"simulated time: {fmt_duration(fleet.kernel.now)}")
+    return report, fleet
+
+
+def _write_scorecard(scorecard: dict, out: str) -> None:
+    """Write a scorecard's canonical JSON text to ``out``."""
     import pathlib
     from .experiments.common import canonical_json_text
     path = pathlib.Path(out)
-    path.write_text(canonical_json_text(report.to_json()))
+    path.write_text(canonical_json_text(scorecard))
     print(f"wrote scorecard to {path}")
 
 
-def _cmd_fleet(args: argparse.Namespace) -> int:
-    from .campaign import play
-    report, fleet, _digest = play(_fleet_spec(args))
-    print(report.summary())
-    print(f"simulated time: {fmt_duration(fleet.kernel.now)}")
+def _cmd_run(args: argparse.Namespace) -> int:
+    report, _fleet = _play(args)
     if args.out:
-        _write_scorecard(report, args.out)
+        _write_scorecard(report.to_json(), args.out)
     return 0
-
-
-def _sessions_spec(args: argparse.Namespace):
-    """The ``repro sessions`` flags as a declarative ScenarioSpec."""
-    from .campaign import ScenarioSpec, ScheduleSpec, SiteSpec
-    from .fleet import AutoscalerConfig, SloSpec
-    from .sessions import SessionSpec
-    platforms = tuple(p.strip() for p in args.platforms.split(",")
-                      if p.strip())
-    caching = not args.no_prefix_cache
-    return ScenarioSpec(
-        name="cli-sessions", seed=args.seed, model=args.model,
-        tensor_parallel_size=args.tp, platforms=platforms,
-        policy=args.policy if caching else "least-outstanding",
-        initial_replicas=args.min_replicas,
-        horizon=args.hours * 3600.0,
-        site=SiteSpec(hops_nodes=8, eldorado_nodes=4, goodall_nodes=4,
-                      cee_nodes=2),
-        schedule=ScheduleSpec(
-            kind="diurnal", base_rps=args.base_rate,
-            peak_rps=args.peak_rate, peak_hour=args.peak_hour),
-        slo=SloSpec(ttft_target=args.ttft_slo, e2e_target=args.e2e_slo),
-        autoscaler=AutoscalerConfig(min_replicas=args.min_replicas,
-                                    max_replicas=args.max_replicas),
-        sessions=SessionSpec(
-            enabled=True, mean_turns=args.turns,
-            min_turns=args.min_turns, max_turns=args.max_turns,
-            think_mean_s=args.think, prefix_caching=caching),
-        gpu_memory_utilization=args.gpu_memory_utilization)
-
-
-def _cmd_sessions(args: argparse.Namespace) -> int:
-    from .campaign import play
-    report, fleet, _digest = play(_sessions_spec(args))
-    print(report.summary())
-    sessions = report.sessions or {}
-    print(f"  sessions: {sessions.get('started', 0)} started, "
-          f"{sessions.get('turns_ok', 0)}/"
-          f"{sessions.get('turns_submitted', 0)} turns ok, "
-          f"{sessions.get('cut_by_horizon', 0)} cut by horizon, "
-          f"max context {sessions.get('context_tokens_max', 0)} tokens")
-    print(f"simulated time: {fmt_duration(fleet.kernel.now)}")
-    if args.out:
-        _write_scorecard(report, args.out)
-    return 0
-
-
-def _parse_axis(text: str) -> tuple[str, list]:
-    """``schedule.kind=poisson,diurnal`` -> (path, typed value list)."""
-    path, sep, raw = text.partition("=")
-    if not sep or not path or not raw:
-        raise SystemExit(f"--axis must look like PATH=V1,V2,...: {text!r}")
-    values: list = []
-    for token in raw.split(","):
-        token = token.strip()
-        try:
-            values.append(int(token))
-        except ValueError:
-            try:
-                values.append(float(token))
-            except ValueError:
-                values.append(token)
-    return path, values
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from .campaign import (CampaignGrid, CampaignRunner, demo_grid,
-                           disagg_grid, scorecard_text, sessions_grid,
-                           smoke_grid)
-    if args.spec:
-        grid = CampaignGrid.from_file(args.spec)
-    elif args.smoke:
-        grid = smoke_grid(seed=args.seed)
-    elif args.sessions:
-        grid = sessions_grid(seed=args.seed)
-    elif args.disagg:
-        grid = disagg_grid(seed=args.seed)
+    import pathlib
+    from .campaign import CampaignGrid, CampaignRunner
+    from .campaign.catalogue import CATALOGUE, grid as catalogue_grid
+    if args.name in CATALOGUE or not pathlib.Path(args.name).exists():
+        grid = catalogue_grid(args.name, args.seed)
     else:
-        grid = demo_grid(seed=args.seed)
-    if args.rate_scale != 1.0:
-        import dataclasses
-        if args.rate_scale <= 0:
-            raise SystemExit("--rate-scale must be positive")
-        sched = grid.base.schedule
-        grid.base = dataclasses.replace(grid.base, schedule=dataclasses.replace(
-            sched, rate_rps=sched.rate_rps * args.rate_scale,
-            base_rps=sched.base_rps * args.rate_scale,
-            peak_rps=sched.peak_rps * args.rate_scale))
+        grid = CampaignGrid.from_file(args.name)
+    grid.base = _with_sets(grid.base, args.set)
     for axis in args.axis or []:
-        path, values = _parse_axis(axis)
-        grid.axes[path] = values
+        # Values stay strings: the spec casts each to its field's type.
+        path, sep, raw = axis.partition("=")
+        if not sep or not path or not raw:
+            raise ConfigurationError(
+                f"--axis must look like PATH=V1,V2,...: {axis!r}")
+        grid.axes[path] = [value.strip() for value in raw.split(",")]
     cells = grid.expand()
-    print(f"campaign {grid.name!r}: {len(cells)} cells "
-          f"({' x '.join(f'{len(v)} {k}' for k, v in sorted(grid.axes.items()))})"
-          if grid.axes else
-          f"campaign {grid.name!r}: {len(cells)} cells")
+    shape = " x ".join(f"{len(v)} {k}" for k, v in sorted(grid.axes.items()))
+    print(f"campaign {grid.name!r}: {len(cells)} cells"
+          + (f" ({shape})" if shape else ""))
     if args.list:
         for spec, _axes in cells:
             print(f"  {spec.spec_hash()}  {spec.name}")
@@ -300,46 +228,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
           f"recovered, mttr mean="
           f"{'n/a' if mttr is None else f'{mttr}s'}")
     if args.out:
-        import pathlib
-        path = pathlib.Path(args.out)
-        path.write_text(scorecard_text(scorecard))
-        print(f"wrote scorecard to {path}")
+        _write_scorecard(scorecard, args.out)
     return 1 if summary["failed"] else 0
 
 
-def _percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile of a non-empty sorted list."""
-    import math
-    rank = max(1, math.ceil(q / 100.0 * len(values)))
-    return values[rank - 1]
-
-
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from .campaign import ScenarioSpec, ScheduleSpec, SiteSpec, play
-    from .fleet import AutoscalerConfig, SloSpec
+    import math
     from .obs import CriticalPathAnalyzer, IncidentLog, chrome_trace, profiler
     from .obs.critical_path import _union_length
     from .obs.spans import by_trace
 
-    spec = ScenarioSpec(
-        name="cli-obs", seed=args.seed,
-        platforms=("hops",), initial_replicas=2,
-        horizon=args.minutes * 60.0,
-        site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=4,
-                      cee_nodes=1),
-        schedule=ScheduleSpec(kind="poisson", rate_rps=args.rate),
-        slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
-        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3))
-    if args.profile:
-        profiler.reset()
-        profiler.enable()
-    report, fleet, _digest = play(spec)
-    if args.profile:
-        profiler.disable()
-
+    report, fleet = _play(args, profile=args.profile)
     spans = fleet.kernel.obs.spans
-    print(report.summary())
-    print(f"simulated time: {fmt_duration(fleet.kernel.now)}")
 
     # Per-phase latency breakdown across every traced request.
     print("\nper-phase latency breakdown:")
@@ -366,7 +266,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             continue
         print(f"  {name:8s} {len(durations):7d} "
               f"{sum(durations) / len(durations):9.3f} "
-              f"{_percentile(durations, 95.0):9.3f} "
+              f"{durations[math.ceil(0.95 * len(durations)) - 1]:9.3f} "
               f"{durations[-1]:9.3f} "
               f"{sum(durations) / total:6.1%}")
 
@@ -439,13 +339,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(f"wrote Chrome trace ({len(doc['traceEvents'])} events) "
               f"to {path} — open in chrome://tracing or ui.perfetto.dev")
     if args.out:
-        _write_scorecard(report, args.out)
+        _write_scorecard(report.to_json(), args.out)
     return 0
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from .chaos import run_matrix
-    from .chaos.runner import scorecard_text
     platforms = tuple(args.platform or ("hpc", "k8s"))
     mode = "long" if args.long else "quick"
     print(f"chaos matrix: platforms={list(platforms)} mode={mode} "
@@ -468,10 +367,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
           f"(mean +{summary['alert_delay_mean_s']}s, "
           f"false={summary['false_alerts_total']})")
     if args.out:
-        import pathlib
-        path = pathlib.Path(args.out)
-        path.write_text(scorecard_text(scorecard))
-        print(f"wrote scorecard to {path}")
+        _write_scorecard(scorecard, args.out)
     return 0 if summary["recovered"] == summary["cases"] else 1
 
 
@@ -480,11 +376,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return lint_main(args)
 
 
+def _set_argument(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--set", action="append", metavar="PATH=VALUE",
+                        help="set one spec field (repeatable), e.g. "
+                             "horizon=7200 or platforms=hops+goodall")
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .chaos.runner import PLATFORM_FLEETS
-    from .services.router import RouterPolicy
-    from .vllm.scheduler import SCHEDULER_POLICIES
-    router_policies = [p.value for p in RouterPolicy]
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Simulated converged HPC/K8s GenAI serving "
@@ -517,90 +416,19 @@ def build_parser() -> argparse.ArgumentParser:
                                            "parallelism"])
     ablation.add_argument("--nodes", type=int, default=8)
 
-    fleet = sub.add_parser(
-        "fleet", help="open-loop elastic-fleet scenario with autoscaling")
-    fleet.add_argument("--model", default=QUANT)
-    fleet.add_argument("--tp", type=int, default=2,
-                       help="tensor parallel size per replica")
-    fleet.add_argument("--platforms", default="hops,goodall",
-                       help="comma-separated replica placement targets")
-    fleet.add_argument("--policy", default="least-outstanding",
-                       choices=router_policies)
-    fleet.add_argument("--scheduler-policy", default="fcfs",
-                       choices=SCHEDULER_POLICIES,
-                       help="engine admission policy on every replica")
-    fleet.add_argument("--disagg", action="store_true",
-                       help="disaggregated serving: a fixed prefill pool "
-                            "plus an elastic decode pool, KV handoffs "
-                            "over the fabric")
-    fleet.add_argument("--prefill-replicas", type=int, default=1,
-                       help="prefill-pool size under --disagg")
-    fleet.add_argument("--hours", type=float, default=6.0,
-                       help="scenario length in simulated hours")
-    fleet.add_argument("--base-rate", type=float, default=0.05,
-                       help="night-time arrival rate, req/s")
-    fleet.add_argument("--peak-rate", type=float, default=0.25,
-                       help="diurnal peak arrival rate, req/s")
-    fleet.add_argument("--peak-hour", type=float, default=3.0,
-                       help="diurnal peak (simulated clock hour)")
-    fleet.add_argument("--flash-hour", type=float, default=3.0,
-                       help="flash-crowd start (simulated clock hour)")
-    fleet.add_argument("--flash-minutes", type=float, default=30.0)
-    fleet.add_argument("--flash-mult", type=float, default=60.0,
-                       help="flash-crowd rate multiplier (1 disables)")
-    fleet.add_argument("--min-replicas", type=int, default=1)
-    fleet.add_argument("--max-replicas", type=int, default=4)
-    fleet.add_argument("--ttft-slo", type=float, default=10.0,
-                       help="TTFT target, seconds")
-    fleet.add_argument("--e2e-slo", type=float, default=120.0,
-                       help="end-to-end latency target, seconds")
-    fleet.add_argument("--out", default=None,
-                       help="write the JSON scorecard to this file")
-
-    sessions = sub.add_parser(
-        "sessions", help="multi-turn conversational day with KV prefix "
-                         "caching and cache-affinity routing")
-    sessions.add_argument("--model", default=QUANT)
-    sessions.add_argument("--tp", type=int, default=2,
-                          help="tensor parallel size per replica")
-    sessions.add_argument("--platforms", default="hops,goodall",
-                          help="comma-separated replica placement targets")
-    sessions.add_argument("--policy", default="cache-affinity",
-                          choices=router_policies)
-    sessions.add_argument("--hours", type=float, default=6.0,
-                          help="scenario length in simulated hours")
-    sessions.add_argument("--base-rate", type=float, default=0.02,
-                          help="night-time session starts/s")
-    sessions.add_argument("--peak-rate", type=float, default=0.12,
-                          help="diurnal peak session starts/s")
-    sessions.add_argument("--peak-hour", type=float, default=3.0,
-                          help="diurnal peak (simulated clock hour)")
-    sessions.add_argument("--turns", type=float, default=5.0,
-                          help="mean turns per session")
-    sessions.add_argument("--min-turns", type=int, default=1)
-    sessions.add_argument("--max-turns", type=int, default=16)
-    sessions.add_argument("--think", type=float, default=30.0,
-                          help="mean think time between turns, seconds")
-    sessions.add_argument("--no-prefix-cache", action="store_true",
-                          help="disable KV prefix caching (and fall back "
-                               "to least-outstanding routing)")
-    sessions.add_argument("--gpu-memory-utilization", type=float,
-                          default=0.90,
-                          help="vLLM KV-memory fraction (cache size knob)")
-    sessions.add_argument("--min-replicas", type=int, default=1)
-    sessions.add_argument("--max-replicas", type=int, default=4)
-    sessions.add_argument("--ttft-slo", type=float, default=10.0)
-    sessions.add_argument("--e2e-slo", type=float, default=120.0)
-    sessions.add_argument("--out", default=None,
-                          help="write the JSON scorecard to this file")
+    run = sub.add_parser(
+        "run", help="play a named scenario from the catalogue")
+    run.add_argument("name", help="catalogue scenario, e.g. cli-fleet")
+    _set_argument(run)
+    run.add_argument("--out", default=None,
+                     help="write the JSON scorecard to this file")
 
     obs = sub.add_parser(
         "obs", help="observability demo: span breakdowns, slowest "
                     "requests, self-profile, Chrome-trace export")
-    obs.add_argument("--minutes", type=float, default=30.0,
-                     help="scenario length in simulated minutes")
-    obs.add_argument("--rate", type=float, default=0.5,
-                     help="Poisson arrival rate, req/s")
+    obs.add_argument("name", nargs="?", default="cli-obs",
+                     help="catalogue scenario (default: cli-obs)")
+    _set_argument(obs)
     obs.add_argument("--top", type=int, default=5,
                      help="how many slowest requests to show")
     obs.add_argument("--profile", action="store_true",
@@ -636,29 +464,18 @@ def build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign", help="expand a scenario grid and run every cell "
                          "across a worker pool")
-    campaign.add_argument("--spec", default=None,
-                          help="campaign file (YAML or JSON: base spec + "
-                               "axes + explicit cells)")
+    campaign.add_argument("name", nargs="?", default="demo-24",
+                          metavar="NAME|FILE",
+                          help="catalogue grid or scenario, or a campaign "
+                               "file (YAML or JSON: base spec + axes + "
+                               "explicit cells); default: demo-24")
+    _set_argument(campaign)
     campaign.add_argument("--axis", action="append", metavar="PATH=V1,V2",
                           help="override/add one sweep axis (repeatable), "
                                "e.g. schedule.kind=poisson,diurnal")
     campaign.add_argument("--workers", type=int, default=1,
                           help="process-pool size (1 runs inline; the "
                                "scorecard is identical either way)")
-    campaign.add_argument("--smoke", action="store_true",
-                          help="built-in 4-cell CI grid instead of the "
-                               "24-cell demo grid")
-    campaign.add_argument("--sessions", action="store_true",
-                          help="built-in 9-cell conversational grid "
-                               "(turns x think-time x prefix cache)")
-    campaign.add_argument("--disagg", action="store_true",
-                          help="built-in 8-cell serving-architecture "
-                               "grid (unified vs disaggregated x load "
-                               "x seed)")
-    campaign.add_argument("--rate-scale", type=float, default=1.0,
-                          help="multiply every arrival rate in the "
-                               "grid's base schedule (load scaling for "
-                               "hot-path benchmarking)")
     campaign.add_argument("--list", action="store_true",
                           help="print the expanded cells and exit")
     campaign.add_argument("--out", default=None,
@@ -681,14 +498,17 @@ def main(argv: list[str] | None = None) -> int:
         "deploy": _cmd_deploy,
         "bench": _cmd_bench,
         "ablation": _cmd_ablation,
-        "fleet": _cmd_fleet,
-        "sessions": _cmd_sessions,
+        "run": _cmd_run,
         "obs": _cmd_obs,
         "chaos": _cmd_chaos,
         "campaign": _cmd_campaign,
         "lint": _cmd_lint,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ConfigurationError as exc:
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

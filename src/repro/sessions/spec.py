@@ -26,14 +26,12 @@ import numpy as np
 from ..bench.sharegpt import MIN_TOKENS, OUTPUT_MU, OUTPUT_SIGMA, PROMPT_MU
 from ..errors import ConfigurationError
 
-_BOOL_FIELDS = ("enabled", "prefix_caching")
-
 _TRUE = ("1", "true", "yes", "on")
 _FALSE = ("0", "false", "no", "off")
 
 
 def _coerce_bool(name: str, value) -> bool:
-    """Accept bools and their grid-axis / YAML spellings."""
+    """Accept bools and their grid-axis / ``--set`` / YAML spellings."""
     if isinstance(value, bool):
         return value
     if isinstance(value, (int, float)) and value in (0, 1):
@@ -78,12 +76,7 @@ class SessionSpec:
     prefix_caching: bool = True
 
     def __post_init__(self):
-        for name in _BOOL_FIELDS:
-            object.__setattr__(self, name,
-                               _coerce_bool(name, getattr(self, name)))
-        object.__setattr__(self, "mean_turns", float(self.mean_turns))
-        object.__setattr__(self, "min_turns", int(self.min_turns))
-        object.__setattr__(self, "max_turns", int(self.max_turns))
+        # Field types are cast by the enclosing ScenarioSpec.
         if self.min_turns < 1:
             raise ConfigurationError("min_turns must be >= 1")
         if self.max_turns < self.min_turns:
@@ -105,7 +98,7 @@ class SessionSpec:
         """Shifted geometric: ``min_turns - 1 + Geometric(p)``, capped."""
         extra_mean = self.mean_turns - (self.min_turns - 1)
         turns = self.min_turns - 1 + int(rng.geometric(1.0 / extra_mean))
-        return min(turns, int(self.max_turns))
+        return min(turns, self.max_turns)
 
     def draw_think(self, rng: np.random.Generator) -> float:
         """Log-normal think time whose *mean* is ``think_mean_s``."""

@@ -1,4 +1,4 @@
-"""The ``repro campaign`` subcommand end to end."""
+"""The ``repro campaign`` and ``repro run`` subcommands end to end."""
 
 from __future__ import annotations
 
@@ -6,8 +6,8 @@ import json
 
 import pytest
 
-from repro.campaign import play
-from repro.cli import _fleet_spec, _sessions_spec, build_parser, main
+from repro.campaign import catalogue, play, set_path
+from repro.cli import main
 from repro.experiments.common import canonical_json_text
 
 
@@ -23,7 +23,7 @@ def test_campaign_list_prints_cells(capsys):
 
 def test_campaign_smoke_writes_canonical_scorecard(tmp_path, capsys):
     out_path = tmp_path / "campaign_scorecard.json"
-    assert main(["campaign", "--smoke", "--out", str(out_path)]) == 0
+    assert main(["campaign", "smoke-4", "--out", str(out_path)]) == 0
     text = out_path.read_text()
     scorecard = json.loads(text)
     assert scorecard["schema"] == "campaign_scorecard/v1"
@@ -37,7 +37,7 @@ def test_campaign_smoke_writes_canonical_scorecard(tmp_path, capsys):
 
 def test_campaign_axis_override(tmp_path, capsys):
     out_path = tmp_path / "sc.json"
-    assert main(["campaign", "--smoke", "--axis", "seed=5",
+    assert main(["campaign", "smoke-4", "--axis", "seed=5",
                  "--axis", "chaos=none", "--out", str(out_path)]) == 0
     scorecard = json.loads(out_path.read_text())
     assert scorecard["summary"]["cells"] == 2      # 2 platforms x 1 x 1
@@ -56,29 +56,37 @@ def test_campaign_spec_file(tmp_path):
         "axes": {"seed": [1, 2]},
     }))
     out_path = tmp_path / "sc.json"
-    assert main(["campaign", "--spec", str(spec_file),
+    assert main(["campaign", str(spec_file),
                  "--out", str(out_path)]) == 0
     scorecard = json.loads(out_path.read_text())
     assert scorecard["campaign"] == "from-file"
     assert scorecard["summary"]["cells"] == 2
 
 
-def test_campaign_bad_axis_exits():
-    with pytest.raises(SystemExit):
-        main(["campaign", "--axis", "notanaxis"])
+def test_campaign_bad_axis_exits(capsys):
+    assert main(["campaign", "--axis", "notanaxis"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: --axis must look like")
+    assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv, to_spec", [
-    (["fleet", "--hours", "0.25", "--flash-hour", "0.1",
-      "--flash-minutes", "5"], _fleet_spec),
-    (["sessions", "--hours", "0.25", "--base-rate", "0.03",
-      "--peak-rate", "0.06"], _sessions_spec),
+@pytest.mark.parametrize("name, sets", [
+    ("cli-fleet", {"horizon": "900", "schedule.flash_start": "360",
+                   "schedule.flash_duration": "300"}),
+    ("cli-sessions", {"horizon": "900", "schedule.base_rps": "0.03",
+                      "schedule.peak_rps": "0.06"}),
 ], ids=["fleet", "sessions"])
-def test_cli_scorecard_is_the_played_spec(tmp_path, capsys, argv, to_spec):
-    """``repro fleet`` / ``repro sessions`` write exactly what
-    :func:`play` reports for the spec their flags describe."""
+def test_cli_scorecard_is_the_played_spec(tmp_path, capsys, name, sets):
+    """``repro run NAME --set ...`` writes exactly what :func:`play`
+    reports for the catalogue spec with those fields set."""
     out_path = tmp_path / "scorecard.json"
+    argv = ["run", name]
+    for path, value in sets.items():
+        argv += ["--set", f"{path}={value}"]
     assert main([*argv, "--out", str(out_path)]) == 0
     assert "wrote scorecard to" in capsys.readouterr().out
-    report, _fleet, _digest = play(to_spec(build_parser().parse_args(argv)))
+    spec = catalogue.scenario(name)
+    for path, value in sets.items():
+        spec = set_path(spec, path, value)
+    report, _fleet, _digest = play(spec)
     assert out_path.read_text() == canonical_json_text(report.to_json())

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign import (CampaignGrid, CampaignRunner, ScenarioSpec,
-                            ScheduleSpec, SiteSpec, demo_grid, run_cell,
-                            scorecard_text, smoke_grid)
+                            ScheduleSpec, SiteSpec, run_cell, scorecard_text)
+from repro.campaign.catalogue import demo_grid, smoke_grid
 from repro.campaign import runner as runner_module
 from repro.errors import ConfigurationError, StateError
 

@@ -15,8 +15,8 @@ import dataclasses
 import pytest
 
 from repro.campaign import (CampaignGrid, ChaosEventSpec, ScenarioSpec,
-                            ScheduleSpec, SiteSpec, TenantSpec, run_cell,
-                            set_path)
+                            ScheduleSpec, SiteSpec, TenantSpec, get_path,
+                            run_cell, set_path)
 from repro.errors import ConfigurationError
 from repro.fleet import AutoscalerConfig, SloSpec
 from repro.fleet.fleet import DisaggSpec
@@ -142,3 +142,92 @@ def test_policy_is_validated_but_stored_as_the_plain_string():
     plain = ScenarioSpec(policy="round-robin")
     assert type(typed.policy) is str
     assert typed == plain and typed.spec_hash() == plain.spec_hash()
+
+
+# -- leaf values: one hash per setting, whatever its spelling --------------------
+
+#: ``(dotted path, loose spelling, typed value)`` for scalar fields.
+LEAVES = [
+    ("horizon", 3600, 3600.0),
+    ("horizon", "3600", 3600.0),
+    ("horizon", "3.6e3", 3600.0),
+    ("schedule.rate_rps", 1, 1.0),
+    ("schedule.rate_rps", "1.0", 1.0),
+    ("seed", "7", 7),
+    ("seed", 7.0, 7),
+    ("autoscaler.max_replicas", "5", 5),
+    ("fast_forward", "False", False),
+    ("fast_forward", "off", False),
+    ("sessions.prefix_caching", "no", False),
+    ("sessions.mean_turns", 4, 4.0),
+    ("platforms", "hops+goodall", ("hops", "goodall")),
+    ("chaos", "node_crash+engine_oom",
+     (ChaosEventSpec("node_crash"), ChaosEventSpec("engine_oom"))),
+]
+
+
+@pytest.mark.parametrize("path,loose,typed", LEAVES,
+                         ids=[f"{p}-{i}" for i, (p, _l, _t)
+                              in enumerate(LEAVES)])
+def test_every_leaf_spelling_gives_one_hash(path, loose, typed):
+    want = set_path(BASE, path, typed)
+    got = set_path(BASE, path, loose)
+    assert got == want and got.spec_hash() == want.spec_hash()
+    value = get_path(got, path)
+    assert type(value) is type(typed) and value == typed
+
+
+def test_constructor_casts_ints_in_float_fields():
+    """``horizon=3600`` used to compare equal to ``3600.0`` but hash
+    differently."""
+    loose = ScenarioSpec(horizon=3600,
+                         schedule=ScheduleSpec(rate_rps=1),
+                         sessions=SessionSpec(mean_turns=4),
+                         chaos=[{"scenario": "node_crash", "inject_at": 60}])
+    typed = ScenarioSpec(horizon=3600.0,
+                         schedule=ScheduleSpec(rate_rps=1.0),
+                         sessions=SessionSpec(mean_turns=4.0),
+                         chaos=[ChaosEventSpec("node_crash", 60.0)])
+    assert loose.spec_hash() == typed.spec_hash()
+    assert isinstance(loose.schedule.rate_rps, float)
+
+
+def test_string_axis_values_are_typed_and_labelled_by_value():
+    """A ``--axis fast_forward=False`` cell used to run with the truthy
+    string ``'False'``; a ``disagg`` string axis used to crash."""
+    grid = CampaignGrid(base=BASE, axes={
+        "fast_forward": ["False"], "disagg": ["True"],
+        "schedule.rate_rps": ["1.0"]})
+    ((spec, axes),) = grid.expand()
+    assert spec.fast_forward is False
+    assert spec.disagg == DisaggSpec(enabled=True)
+    assert axes == {"fast_forward": "False", "disagg": "True",
+                    "schedule.rate_rps": "1"}
+    typed = CampaignGrid(base=BASE, axes={
+        "fast_forward": [False], "disagg": [True],
+        "schedule.rate_rps": [1.0]}).expand()[0][0]
+    assert spec.spec_hash() == typed.spec_hash()
+
+
+@pytest.mark.parametrize("path,bad", [
+    ("horizon", "soon"),
+    ("horizon", "nan"),
+    ("seed", "4.5"),
+    ("seed", 4.5),
+    ("autoscaler.max_replicas", True),
+    ("fast_forward", "maybe"),
+    ("disagg", "maybe"),
+    ("slo.ttft_target", [1.0]),
+])
+def test_bad_leaf_spelling_raises(path, bad):
+    with pytest.raises(ConfigurationError):
+        set_path(BASE, path, bad)
+
+
+def test_non_finite_numbers_fail_on_every_path():
+    for build in (lambda: ScenarioSpec(horizon=float("nan")),
+                  lambda: ScenarioSpec(slo=SloSpec(window=float("inf"))),
+                  lambda: ScenarioSpec.from_dict({"horizon": float("inf")}),
+                  lambda: set_path(BASE, "schedule.rate_rps", "inf")):
+        with pytest.raises(ConfigurationError, match="finite"):
+            build()

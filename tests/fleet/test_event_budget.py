@@ -17,7 +17,8 @@ import functools
 
 import pytest
 
-from repro.campaign.runner import demo_grid, disagg_grid, run_cell
+from repro.campaign.catalogue import demo_grid, disagg_grid
+from repro.campaign.runner import run_cell
 from repro.simkernel import SimKernel
 
 HORIZON = 0.25 * 3600.0

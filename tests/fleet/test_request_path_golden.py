@@ -17,7 +17,8 @@ import dataclasses
 
 import pytest
 
-from repro.campaign.runner import disagg_grid, run_cell, sessions_grid
+from repro.campaign.catalogue import disagg_grid, sessions_grid
+from repro.campaign.runner import run_cell
 from repro.campaign.spec import (ChaosEventSpec, ScenarioSpec, ScheduleSpec,
                                  SiteSpec)
 from repro.chaos.runner import case_spec

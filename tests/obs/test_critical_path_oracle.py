@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaign import play
-from repro.campaign.runner import sessions_grid
+from repro.campaign.catalogue import sessions_grid
 from repro.campaign.spec import ChaosEventSpec
 from repro.obs.critical_path import (_COHORTS, PHASES, CriticalPathAnalyzer,
                                      CriticalPathReport, _union_length)

@@ -18,7 +18,7 @@ import dataclasses
 import pytest
 
 from repro.campaign import play
-from repro.campaign.runner import demo_grid, disagg_grid, sessions_grid
+from repro.campaign.catalogue import demo_grid, disagg_grid, sessions_grid
 from repro.campaign.spec import ChaosEventSpec, ScenarioSpec, ScheduleSpec
 from repro.chaos.runner import case_spec
 from repro.obs.spans import Span, SpanRecorder

@@ -12,7 +12,8 @@ from repro.cli import main
 def test_obs_command_full_surface(tmp_path, capsys):
     trace_path = tmp_path / "trace.json"
     out_path = tmp_path / "scorecard.json"
-    assert main(["obs", "--minutes", "6", "--rate", "0.3", "--top", "3",
+    assert main(["obs", "--set", "horizon=360",
+                 "--set", "schedule.rate_rps=0.3", "--top", "3",
                  "--profile", "--alerts", "--incidents",
                  "--trace-out", str(trace_path),
                  "--out", str(out_path)]) == 0
@@ -51,7 +52,8 @@ def test_obs_command_full_surface(tmp_path, capsys):
 
 
 def test_obs_command_minimal_run_is_quiet_about_profile(capsys):
-    assert main(["obs", "--minutes", "4", "--rate", "0.2"]) == 0
+    assert main(["obs", "--set", "horizon=240",
+                 "--set", "schedule.rate_rps=0.2"]) == 0
     out = capsys.readouterr().out
     assert "per-phase latency breakdown" in out
     assert "critical-path attribution" in out
@@ -63,7 +65,8 @@ def test_obs_command_minimal_run_is_quiet_about_profile(capsys):
 def test_obs_phase_shares_partition_the_time(capsys):
     """``route`` spans cover the engine phases; the table counts only the
     time those phases leave of it, so the shares sum to the whole."""
-    assert main(["obs", "--minutes", "6", "--rate", "0.3"]) == 0
+    assert main(["obs", "cli-obs", "--set", "horizon=360",
+                 "--set", "schedule.rate_rps=0.3"]) == 0
     out = capsys.readouterr().out
     table = out.split("per-phase latency breakdown:\n")[1].split("\n\n")[0]
     shares = {line.split()[0]: float(line.split()[-1].rstrip("%"))

@@ -9,7 +9,8 @@ import pytest
 
 from repro.campaign import (CampaignGrid, CampaignRunner, ScenarioSpec,
                             ScheduleSpec, SiteSpec, get_path,
-                            scorecard_text, sessions_grid, set_path)
+                            scorecard_text, set_path)
+from repro.campaign.catalogue import sessions_grid
 from repro.campaign.runner import run_cell
 from repro.errors import ConfigurationError
 from repro.fleet import AutoscalerConfig, Fleet, SloSpec

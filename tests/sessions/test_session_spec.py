@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.campaign import ScenarioSpec, set_path
 from repro.errors import ConfigurationError
 from repro.sessions import SessionSpec
 
@@ -21,13 +22,22 @@ def test_defaults_are_disabled_and_valid():
     ("Yes", True), ("0", False),
 ])
 def test_bool_coercion_spellings(value, expected):
-    assert SessionSpec(enabled=value).enabled is expected
-    assert SessionSpec(prefix_caching=value).prefix_caching is expected
+    """The enclosing scenario spec casts the session bools."""
+    spec = ScenarioSpec(sessions={"enabled": value,
+                                  "prefix_caching": value})
+    assert spec.sessions.enabled is expected
+    assert spec.sessions.prefix_caching is expected
+    spec = set_path(ScenarioSpec(), "sessions.enabled", value)
+    assert spec.sessions.enabled is expected
+    spec = ScenarioSpec(sessions=SessionSpec(prefix_caching=value))
+    assert spec.sessions.prefix_caching is expected
 
 
 def test_bad_bool_rejected():
     with pytest.raises(ConfigurationError):
-        SessionSpec(enabled="maybe")
+        ScenarioSpec(sessions={"enabled": "maybe"})
+    with pytest.raises(ConfigurationError):
+        set_path(ScenarioSpec(), "sessions.enabled", "maybe")
 
 
 @pytest.mark.parametrize("kw", [

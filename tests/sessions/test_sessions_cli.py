@@ -1,4 +1,4 @@
-"""The ``repro sessions`` subcommand and ``repro campaign --sessions``."""
+"""``repro run cli-sessions`` and ``repro campaign sessions-9``."""
 
 from __future__ import annotations
 
@@ -9,8 +9,11 @@ from repro.cli import main
 
 def test_sessions_command_runs_a_short_day(tmp_path, capsys):
     out_path = tmp_path / "sessions_scorecard.json"
-    assert main(["sessions", "--hours", "0.5", "--base-rate", "0.03",
-                 "--peak-rate", "0.06", "--turns", "4", "--think", "15",
+    assert main(["run", "cli-sessions", "--set", "horizon=1800",
+                 "--set", "schedule.base_rps=0.03",
+                 "--set", "schedule.peak_rps=0.06",
+                 "--set", "sessions.mean_turns=4",
+                 "--set", "sessions.think_mean_s=15",
                  "--out", str(out_path)]) == 0
     out = capsys.readouterr().out
     assert "prefix cache: hit rate" in out
@@ -23,15 +26,19 @@ def test_sessions_command_runs_a_short_day(tmp_path, capsys):
 
 
 def test_sessions_command_no_prefix_cache(capsys):
-    assert main(["sessions", "--hours", "0.4", "--base-rate", "0.03",
-                 "--peak-rate", "0.05", "--turns", "3", "--think", "10",
-                 "--no-prefix-cache"]) == 0
+    assert main(["run", "cli-sessions", "--set", "horizon=1440",
+                 "--set", "schedule.base_rps=0.03",
+                 "--set", "schedule.peak_rps=0.05",
+                 "--set", "sessions.mean_turns=3",
+                 "--set", "sessions.think_mean_s=10",
+                 "--set", "sessions.prefix_caching=false",
+                 "--set", "policy=least-outstanding"]) == 0
     out = capsys.readouterr().out
     assert "hit rate 0.00%" in out
 
 
 def test_campaign_sessions_grid_lists_nine_cells(capsys):
-    assert main(["campaign", "--sessions", "--list"]) == 0
+    assert main(["campaign", "sessions-9", "--list"]) == 0
     out = capsys.readouterr().out
     assert "9 cells" in out
     assert "sessions/small-kv" in out
