@@ -46,6 +46,7 @@ def main() -> None:
         tensor_parallel_size=2,
         platforms=("hops", "goodall"),
         policy="least-outstanding",
+        initial_replicas=2,
         slo=SloSpec(name="interactive", ttft_target=10.0,
                     e2e_target=120.0),
         autoscaler=AutoscalerConfig(

@@ -17,6 +17,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import multiprocessing
@@ -257,24 +258,23 @@ class CampaignRunner:
         expanded = self.grid.expand()
         payloads = [{"spec": spec.to_dict(), "axes": axes}
                     for spec, axes in expanded]
-        if self.workers == 1:
-            rows = []
-            for payload in payloads:
-                row = _run_cell_payload(payload)
+        rows = []
+        with contextlib.ExitStack() as stack:
+            if self.workers == 1:
+                cells = map(_run_cell_payload, payloads)
+            else:
+                methods = multiprocessing.get_all_start_methods()
+                ctx = multiprocessing.get_context(
+                    "fork" if "fork" in methods else "spawn")
+                workers = min(self.workers, len(payloads)) or 1
+                pool = stack.enter_context(ctx.Pool(processes=workers))
+                # imap, not imap_unordered: on_cell sees the cells in
+                # grid order whatever the worker count.
+                cells = pool.imap(_run_cell_payload, payloads)
+            for row in cells:
                 rows.append(row)
                 if on_cell is not None:
                     on_cell(row)
-        else:
-            methods = multiprocessing.get_all_start_methods()
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn")
-            workers = min(self.workers, len(payloads)) or 1
-            with ctx.Pool(processes=workers) as pool:
-                rows = []
-                for row in pool.imap_unordered(_run_cell_payload, payloads):
-                    rows.append(row)
-                    if on_cell is not None:
-                        on_cell(row)
         rows.sort(key=lambda r: r["cell"])
         # Each axis's labels in axis order, as the cells render them.
         labels = {path: list(dict.fromkeys(

@@ -311,8 +311,13 @@ class ScenarioSpec:
             raise ConfigurationError("spec needs at least one platform")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
-        if self.initial_replicas < 1:
-            raise ConfigurationError("initial_replicas must be >= 1")
+        scaler = self.autoscaler
+        if not (scaler.min_replicas <= self.initial_replicas
+                <= scaler.max_replicas):
+            raise ConfigurationError(
+                f"initial_replicas {self.initial_replicas} is outside the "
+                f"autoscaler's [{scaler.min_replicas}, "
+                f"{scaler.max_replicas}]")
         if self.probe_interval <= 0 or self.supervisor_interval <= 0:
             raise ConfigurationError(
                 "probe_interval and supervisor_interval must be positive")

@@ -18,13 +18,16 @@ namespace and one scrape sees the whole cell:
 
 Instruments are families keyed by label names; ``family.labels(...)``
 returns a child handle that callers cache once and update with plain
-attribute math — the per-request path never touches a dict.
+attribute math — the per-request path never touches a dict.  A child's
+label values never change, so it renders its series key(s) once, when
+it registers, and every read is a walk over ``(key, value)`` pairs.
 
 ``exposition()`` renders the Prometheus text format (histograms as
-summaries with ``quantile`` labels).  It is the one telemetry surface
-over HTTP: the vLLM server's ``/metrics`` serves its engine's slice,
-the router's ``/router/metrics`` the whole registry and
-``/router/stats`` the ``router_`` slice.  :func:`parse_exposition` is
+summaries with ``quantile`` labels) and ``sample_dict()`` the
+scraper's flat dict, both from the same series.  The exposition is the
+one telemetry surface over HTTP: the vLLM server's ``/metrics`` serves
+its engine's slice, the router's ``/router/metrics`` the whole registry
+and ``/router/stats`` the ``router_`` slice.  :func:`parse_exposition` is
 the one parser every test reading them uses.
 
 Determinism: collection order is (metric name, label values) sorted, so
@@ -34,39 +37,37 @@ matter how many worker processes the campaign used.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from typing import Any
 
 from ..errors import ConfigurationError
 from .stats import LogHistogram
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "Sample", "parse_exposition", "render_label_set"]
+           "parse_exposition"]
 
 #: Quantiles exported for every histogram (summary exposition).
 HISTOGRAM_QUANTILES = (0.5, 0.95, 0.99)
 
+#: Decimal places ``sample_dict`` keeps of a non-integer value.
+_SAMPLE_DIGITS = 9
+
 
 def _fmt(value: float) -> str:
-    """Canonical sample rendering: ints without a dot, floats via repr."""
-    if isinstance(value, bool):  # pragma: no cover - defensive
-        return "1" if value else "0"
-    if isinstance(value, int):
-        return str(value)
-    as_float = float(value)
-    if as_float.is_integer() and abs(as_float) < 1e15:
-        return str(int(as_float))
-    return repr(as_float)
+    """Canonical sample rendering: integral floats without a dot."""
+    if value.is_integer() and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
 
 
-def render_label_set(names: tuple[str, ...],
-                     values: tuple[str, ...]) -> str:
-    """``{a="x",b="y"}`` — empty string for the unlabeled child."""
-    if not names:
-        return ""
+def _key(name: str, label_names: tuple[str, ...],
+         values: tuple[str, ...]) -> str:
+    """``name{a="x",b="y"}`` — the bare name for the unlabeled child."""
+    if not label_names:
+        return name
     inner = ",".join(f'{n}="{_escape(v)}"'
-                      for n, v in zip(names, values, strict=True))
-    return "{" + inner + "}"
+                      for n, v in zip(label_names, values, strict=True))
+    return name + "{" + inner + "}"
 
 
 def _escape(value: str) -> str:
@@ -79,35 +80,17 @@ def _unescape(value: str) -> str:
             .replace("\\\\", "\\"))
 
 
-class Sample:
-    """One exposed time-series point: ``name{labels} value``."""
-
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: tuple[tuple[str, str], ...],
-                 value: float):
-        self.name = name
-        self.labels = labels
-        self.value = value
-
-    @property
-    def key(self) -> str:
-        names = tuple(n for n, _ in self.labels)
-        values = tuple(v for _, v in self.labels)
-        return self.name + render_label_set(names, values)
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<Sample {self.key} {self.value}>"
-
-
 class _Child:
-    """Base child handle: one (family, label values) series."""
+    """Base child handle: one series, its key rendered at registration."""
 
-    __slots__ = ("_family", "_values")
+    __slots__ = ("key",)
 
-    def __init__(self, family: _Family, values: tuple[str, ...]):
-        self._family = family
-        self._values = values
+    def __init__(self, name: str, label_names: tuple[str, ...],
+                 values: tuple[str, ...]):
+        self.key = _key(name, label_names, values)
+
+    def series(self) -> list[tuple[str, float]]:
+        return [(self.key, self.value)]
 
 
 class Counter(_Child):
@@ -115,8 +98,9 @@ class Counter(_Child):
 
     __slots__ = ("value",)
 
-    def __init__(self, family: _Family, values: tuple[str, ...]):
-        super().__init__(family, values)
+    def __init__(self, name: str, label_names: tuple[str, ...],
+                 values: tuple[str, ...]):
+        super().__init__(name, label_names, values)
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -130,8 +114,9 @@ class Gauge(_Child):
 
     __slots__ = ("_value", "_fn")
 
-    def __init__(self, family: _Family, values: tuple[str, ...]):
-        super().__init__(family, values)
+    def __init__(self, name: str, label_names: tuple[str, ...],
+                 values: tuple[str, ...]):
+        super().__init__(name, label_names, values)
         self._value = 0.0
         self._fn: Callable[[], float] | None = None
 
@@ -162,7 +147,7 @@ class Gauge(_Child):
         return self._value
 
 
-class Histogram(_Child):
+class Histogram:
     """Distribution summary backed by :class:`LogHistogram`.
 
     ``observe`` only appends the raw value; the values are bucketed in
@@ -172,13 +157,20 @@ class Histogram(_Child):
     reader.  Count/sum/quantiles are computed at collection.
     """
 
-    __slots__ = ("_hist", "_count", "_sum", "_pending")
+    __slots__ = ("_keys", "_hist", "_count", "_sum", "_pending")
 
     #: Raw values that wait before they are bucketed.
     _FOLD_AT = 256
 
-    def __init__(self, family: _Family, values: tuple[str, ...]):
-        super().__init__(family, values)
+    _PERCENTILES = tuple(q * 100.0 for q in HISTOGRAM_QUANTILES)
+
+    def __init__(self, name: str, label_names: tuple[str, ...],
+                 values: tuple[str, ...]):
+        self._keys = (
+            _key(name + "_count", label_names, values),
+            _key(name + "_sum", label_names, values),
+            *(_key(name, label_names + ("quantile",), values + (_fmt(q),))
+              for q in HISTOGRAM_QUANTILES))
         self._hist = LogHistogram()
         self._count = 0
         self._sum = 0.0
@@ -216,6 +208,12 @@ class Histogram(_Child):
         self._fold()
         return self._sum
 
+    def series(self) -> list[tuple[str, float]]:
+        self._fold()
+        return list(zip(self._keys, (
+            float(self._count), self._sum,
+            *self._hist.quantiles(self._PERCENTILES)), strict=True))
+
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
@@ -223,17 +221,16 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class _Family:
     """A named instrument with a fixed label-name schema."""
 
-    __slots__ = ("name", "kind", "help", "label_names", "_children",
-                 "_registry")
+    __slots__ = ("name", "kind", "help", "label_names", "_children")
 
-    def __init__(self, registry: MetricsRegistry, name: str, kind: str,
-                 help: str, label_names: tuple[str, ...]):
+    def __init__(self, name: str, kind: str, help: str,
+                 label_names: tuple[str, ...]):
         self.name = name
         self.kind = kind
         self.help = help
         self.label_names = label_names
-        self._children: dict[tuple[str, ...], _Child] = {}
-        self._registry = registry
+        self._children: dict[tuple[str, ...],
+                             Counter | Gauge | Histogram] = {}
 
     def labels(self, **labels: Any) -> Any:
         """The child for one label-value assignment (created once)."""
@@ -244,26 +241,22 @@ class _Family:
         values = tuple(str(labels[n]) for n in self.label_names)
         child = self._children.get(values)
         if child is None:
-            child = _KINDS[self.kind](self, values)
+            child = _KINDS[self.kind](self.name, self.label_names, values)
             self._children[values] = child
         return child
 
-    def samples(self) -> Iterator[Sample]:
-        """Deterministic (label-value sorted) samples of every child."""
+    def series(self, where: dict[str, str] | None = None
+               ) -> list[tuple[str, float]]:
+        """``(key, value)`` of every child ``where`` admits, in
+        label-value order."""
+        out: list[tuple[str, float]] = []
         for values in sorted(self._children):
-            child = self._children[values]
-            labels = tuple(zip(self.label_names, values, strict=True))
-            if self.kind == "histogram":
-                yield Sample(self.name + "_count", labels,
-                             float(child.count))
-                yield Sample(self.name + "_sum", labels, child.sum)
-                qs = child.hist.quantiles(
-                    tuple(q * 100.0 for q in HISTOGRAM_QUANTILES))
-                for q, v in zip(HISTOGRAM_QUANTILES, qs, strict=True):
-                    yield Sample(self.name, labels + (("quantile",
-                                                       _fmt(q)),), v)
-            else:
-                yield Sample(self.name, labels, float(child.value))
+            if where:
+                labels = dict(zip(self.label_names, values, strict=True))
+                if any(labels.get(k) != v for k, v in where.items()):
+                    continue
+            out += self._children[values].series()
+        return out
 
 
 class MetricsRegistry:
@@ -295,7 +288,7 @@ class MetricsRegistry:
                     f"{list(family.label_names)}; cannot redeclare as "
                     f"{kind}{list(label_names)}")
             return family
-        family = _Family(self, name, kind, help, label_names)
+        family = _Family(name, kind, help, label_names)
         self._families[name] = family
         return family
 
@@ -313,53 +306,36 @@ class MetricsRegistry:
 
     # -- collection ---------------------------------------------------------------
 
-    def collect(self, where: dict[str, str] | None = None,
-                prefix: str | None = None
-                ) -> Iterator[tuple[_Family, list[Sample]]]:
-        """Families (name-sorted) with their samples.
+    def exposition(self, where: dict[str, str] | None = None,
+                   prefix: str | None = None) -> str:
+        """Prometheus text format, deterministically ordered.
 
-        ``where`` keeps only samples whose label set includes every
-        given (name, value) pair — the per-server view of a shared
-        registry (e.g. one engine's slice by ``engine=<name>``).
-        ``prefix`` keeps only families whose name starts with it (a
-        component's slice, e.g. ``router_``).
+        ``where`` keeps the children whose labels include every given
+        (name, value) pair (one engine's slice: ``engine=<name>``);
+        ``prefix`` the families whose name starts with it (``router_``).
         """
+        lines: list[str] = []
         for name in sorted(self._families):
             if prefix is not None and not name.startswith(prefix):
                 continue
             family = self._families[name]
-            samples = list(family.samples())
-            if where:
-                samples = [s for s in samples
-                           if all((k, v) in s.labels
-                                  for k, v in where.items())]
-            if samples:
-                yield family, samples
-
-    def exposition(self, where: dict[str, str] | None = None,
-                   prefix: str | None = None) -> str:
-        """Prometheus text format, deterministically ordered."""
-        lines: list[str] = []
-        for family, samples in self.collect(where, prefix):
+            series = family.series(where)
+            if not series:
+                continue
             if family.help:
-                lines.append(f"# HELP {family.name} {family.help}")
+                lines.append(f"# HELP {name} {family.help}")
             kind = "summary" if family.kind == "histogram" else family.kind
-            lines.append(f"# TYPE {family.name} {kind}")
-            for sample in samples:
-                lines.append(f"{sample.key} {_fmt(sample.value)}")
+            lines.append(f"# TYPE {name} {kind}")
+            lines += [f"{key} {_fmt(value)}" for key, value in series]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def sample_dict(self, where: dict[str, str] | None = None,
-                    round_to: int | None = 9) -> dict[str, float]:
-        """Flat ``{rendered-series-key: value}`` (the scraper's unit)."""
-        out: dict[str, float] = {}
-        for _family, samples in self.collect(where):
-            for sample in samples:
-                value = sample.value
-                if round_to is not None and not float(value).is_integer():
-                    value = round(value, round_to)
-                out[sample.key] = value
-        return out
+    def sample_dict(self) -> dict[str, float]:
+        """Flat ``{series-key: value}`` (the scraper's unit), non-integer
+        values rounded to ``_SAMPLE_DIGITS`` places."""
+        return {key: value if value.is_integer()
+                else round(value, _SAMPLE_DIGITS)
+                for name in sorted(self._families)
+                for key, value in self._families[name].series()}
 
 
 def parse_exposition(text: str) -> dict[str, dict[tuple[tuple[str, str],

@@ -182,3 +182,14 @@ def test_failed_cell_becomes_error_row(monkeypatch):
 def test_runner_rejects_bad_workers():
     with pytest.raises(ConfigurationError):
         CampaignRunner(CampaignGrid(base=_tiny_base()), workers=0)
+
+
+def test_pool_reports_cells_in_expand_order():
+    """Per-cell progress comes in cell order, not in finish order: the
+    long cell is first, so a pool that reports rows as they finish
+    would report the short one first."""
+    grid = CampaignGrid(base=_tiny_base(), axes={"horizon": [3600.0, 60.0]},
+                        name="order")
+    seen = []
+    CampaignRunner(grid, workers=2).run(on_cell=seen.append)
+    assert [r["cell"] for r in seen] == [s.name for s, _ in grid.expand()]

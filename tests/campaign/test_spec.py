@@ -10,7 +10,7 @@ from repro.campaign import (ChaosEventSpec, ScenarioSpec, ScheduleSpec,
                             SiteSpec, TenantSpec, coerce_chaos, get_path,
                             set_path)
 from repro.errors import ConfigurationError
-from repro.fleet import Fleet
+from repro.fleet import AutoscalerConfig, Fleet
 from repro.fleet.traffic import (DiurnalSchedule, FlashCrowdSchedule,
                                  PoissonSchedule)
 
@@ -55,6 +55,16 @@ def test_engine_knobs_are_checked_as_engine_args(knob, value, match):
     """The spec refuses a bad engine knob with ``EngineArgs``' error."""
     with pytest.raises(ConfigurationError, match=match):
         ScenarioSpec(**{knob: value})
+
+
+def test_initial_replicas_must_sit_in_the_autoscaler_bounds():
+    scaler = AutoscalerConfig(min_replicas=2, max_replicas=3)
+    for n in (2, 3):
+        spec = ScenarioSpec(initial_replicas=n, autoscaler=scaler)
+        assert spec.initial_replicas == n
+    for n in (1, 4):
+        with pytest.raises(ConfigurationError, match="initial_replicas"):
+            ScenarioSpec(initial_replicas=n, autoscaler=scaler)
 
 
 def test_validation_rejects_unknown_chaos_scenario():

@@ -31,8 +31,8 @@ SPELLINGS = [
     ("schedule", {"kind": "pulse", "rate_rps": 0.5},
      ScheduleSpec(kind="pulse", rate_rps=0.5)),
     ("slo", {"ttft_target": 3.0}, SloSpec(ttft_target=3.0)),
-    ("autoscaler", {"min_replicas": 2, "max_replicas": 5},
-     AutoscalerConfig(min_replicas=2, max_replicas=5)),
+    ("autoscaler", {"min_replicas": 1, "max_replicas": 5},
+     AutoscalerConfig(min_replicas=1, max_replicas=5)),
     ("sessions", {"enabled": True}, SessionSpec(enabled=True)),
     ("disagg", {"enabled": True, "prefill_replicas": 2},
      DisaggSpec(enabled=True, prefill_replicas=2)),

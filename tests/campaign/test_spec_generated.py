@@ -30,6 +30,7 @@ from repro.campaign.runner import play
 from repro.campaign.spec import DEFAULT_MODEL
 from repro.core.site import PLATFORM_KINDS
 from repro.errors import CapacityError, ConfigurationError
+from repro.fleet import AutoscalerConfig
 from repro.hardware import gpu_spec
 from repro.models import model_card
 from repro.models.weights import validate_fit
@@ -77,6 +78,8 @@ INVALID = {
     # 8 is more than any node has.
     "tensor_parallel_size": [0, 8],
     "site": [SiteSpec(hops_nodes=0), SiteSpec(eldorado_nodes=0)],
+    # The default initial_replicas=1 is below this autoscaler's floor.
+    "autoscaler": [AutoscalerConfig(min_replicas=2, max_replicas=3)],
 }
 
 #: At most one setting spoiled per draw, so most draws play.
@@ -118,6 +121,7 @@ def _fits(kwargs: dict) -> bool:
 @example({}, ("platforms", ("nope",)))
 @example({}, ("router_platform", "goodall"))
 @example({}, ("tensor_parallel_size", 16))
+@example({}, ("autoscaler", AutoscalerConfig(min_replicas=2, max_replicas=3)))
 @example({"platforms": ("goodall",)}, ("site", SiteSpec(goodall_nodes=0)))
 @example({"platforms": ("goodall",)}, ("site", SiteSpec(hops_nodes=0)))
 @example({"platforms": ("goodall",)}, ("site", SiteSpec(eldorado_nodes=0)))

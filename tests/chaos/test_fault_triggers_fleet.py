@@ -27,6 +27,7 @@ def _fleet(seed=23):
                              goodall_nodes=3, cee_nodes=1)
     fleet = Fleet(site, ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("hops",),
+        initial_replicas=2,
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3)))
     return site, fleet

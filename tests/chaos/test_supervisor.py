@@ -25,6 +25,7 @@ def _hpc_fleet(seed=7):
                              goodall_nodes=2, cee_nodes=1)
     fleet = Fleet(site, ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("hops",),
+        initial_replicas=2,
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3),
         supervisor_interval=20.0))
     return site, fleet
@@ -138,6 +139,7 @@ def test_k8s_pod_move_is_rebound():
                              goodall_nodes=5, cee_nodes=1)
     fleet = Fleet(site, ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("goodall",),
+        initial_replicas=2,
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3),
         supervisor_interval=20.0))
 

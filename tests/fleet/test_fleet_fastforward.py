@@ -38,6 +38,7 @@ def _build_fleet(seed: int, fast_forward: bool, platforms=("hops",),
         model=QUANT, tensor_parallel_size=2,
         platforms=platforms,
         policy="least-outstanding",
+        initial_replicas=min_replicas,
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(
             min_replicas=min_replicas, max_replicas=max_replicas,

@@ -27,6 +27,7 @@ def _run_day(seed=7, horizon=900.0):
                              goodall_nodes=2, cee_nodes=1)
     spec = ScenarioSpec(
         model=QUANT, tensor_parallel_size=2, platforms=("hops",),
+        initial_replicas=2,
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=2))
     fleet = Fleet(site, spec)

@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.obs.metrics import (MetricsRegistry, parse_exposition,
-                               render_label_set)
+from repro.obs.metrics import MetricsRegistry, parse_exposition
 
 
 @pytest.fixture
@@ -45,8 +44,7 @@ def test_histogram_count_sum_and_quantiles(registry):
     h = registry.histogram("latency_seconds").labels()
     for v in [0.1, 0.2, 0.3, 0.4, 10.0]:
         h.observe(v)
-    samples = {s.key: s.value for _f, ss in registry.collect()
-               for s in ss}
+    samples = registry.sample_dict()
     assert samples["latency_seconds_count"] == 5
     assert samples["latency_seconds_sum"] == pytest.approx(11.0)
     q50 = samples['latency_seconds{quantile="0.5"}']
@@ -142,10 +140,90 @@ def test_sample_dict_keys_render_label_sets(registry):
     registry.counter("hits_total", labels=("b",)).labels(b="x").inc()
     d = registry.sample_dict()
     assert d == {'hits_total{b="x"}': 1}
-    assert render_label_set(("b",), ("x",)) == '{b="x"}'
-    assert render_label_set((), ()) == ""
+    registry.gauge("up").labels().set(1)
+    assert registry.sample_dict()["up"] == 1     # unlabeled: the bare name
 
 
 def test_empty_registry_renders_empty_string(registry):
     assert registry.exposition() == ""
     assert parse_exposition("") == {}
+
+
+def _pinned_registry() -> MetricsRegistry:
+    """Two-label counter (one value needs escaping), a callback gauge
+    and a labelled histogram."""
+    reg = MetricsRegistry()
+    c = reg.counter("requests_total", "All requests",
+                    labels=("path", "outcome"))
+    c.labels(path='a,b"c\\d', outcome="ok").inc(3)
+    c.labels(path="/v1", outcome="error").inc()
+    reg.gauge("kv_usage", "KV usage", labels=("engine",)).labels(
+        engine="e0").set_function(lambda: 0.25)
+    h = reg.histogram("ttft_seconds", "Time to first token",
+                      labels=("engine",))
+    for v in (0.1, 0.2, 0.3, 1.5):
+        h.labels(engine="e0").observe(v)
+    h.labels(engine="e1").observe(2.0 / 3)
+    return reg
+
+
+_KV = """\
+# HELP kv_usage KV usage
+# TYPE kv_usage gauge
+kv_usage{engine="e0"} 0.25
+"""
+_REQUESTS = """\
+# HELP requests_total All requests
+# TYPE requests_total counter
+requests_total{path="/v1",outcome="error"} 1
+requests_total{path="a,b\\"c\\\\d",outcome="ok"} 3
+"""
+_TTFT_HEAD = """\
+# HELP ttft_seconds Time to first token
+# TYPE ttft_seconds summary
+"""
+_TTFT_E0 = """\
+ttft_seconds_count{engine="e0"} 4
+ttft_seconds_sum{engine="e0"} 2.1
+ttft_seconds{engine="e0",quantile="0.5"} 0.19977721121534245
+ttft_seconds{engine="e0",quantile="0.95"} 1.5057867317354692
+ttft_seconds{engine="e0",quantile="0.99"} 1.5057867317354692
+"""
+_TTFT_E1 = """\
+ttft_seconds_count{engine="e1"} 1
+ttft_seconds_sum{engine="e1"} 0.6666666666666666
+ttft_seconds{engine="e1",quantile="0.5"} 0.6685846844275454
+ttft_seconds{engine="e1",quantile="0.95"} 0.6685846844275454
+ttft_seconds{engine="e1",quantile="0.99"} 0.6685846844275454
+"""
+
+
+def test_exposition_bytes_are_pinned():
+    reg = _pinned_registry()
+    assert reg.exposition() == \
+        _KV + _REQUESTS + _TTFT_HEAD + _TTFT_E0 + _TTFT_E1
+    assert reg.exposition(where={"engine": "e0"}) == \
+        _KV + _TTFT_HEAD + _TTFT_E0
+    assert reg.exposition(prefix="ttft_") == _TTFT_HEAD + _TTFT_E0 + _TTFT_E1
+
+
+def test_sample_dict_is_pinned():
+    got = _pinned_registry().sample_dict()
+    want = {
+        'kv_usage{engine="e0"}': 0.25,
+        'requests_total{path="/v1",outcome="error"}': 1.0,
+        'requests_total{path="a,b\\"c\\\\d",outcome="ok"}': 3.0,
+        'ttft_seconds_count{engine="e0"}': 4.0,
+        'ttft_seconds_sum{engine="e0"}': 2.1,
+        'ttft_seconds{engine="e0",quantile="0.5"}': 0.199777211,
+        'ttft_seconds{engine="e0",quantile="0.95"}': 1.505786732,
+        'ttft_seconds{engine="e0",quantile="0.99"}': 1.505786732,
+        'ttft_seconds_count{engine="e1"}': 1.0,
+        'ttft_seconds_sum{engine="e1"}': 0.666666667,
+        'ttft_seconds{engine="e1",quantile="0.5"}': 0.668584684,
+        'ttft_seconds{engine="e1",quantile="0.95"}': 0.668584684,
+        'ttft_seconds{engine="e1",quantile="0.99"}': 0.668584684,
+    }
+    # Key order too: the scraper's digest reads the dict in order.
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is float for v in got.values())
