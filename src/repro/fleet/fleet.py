@@ -506,11 +506,11 @@ class Fleet:
         path, kv_transfer_s = "unified", 0.0
         # Root span for the whole request; its trace id travels with
         # the call so the router (route/attempt) and engine (queue/
-        # prefill/decode) attach their spans to the same tree.  Reserved
-        # here, emitted closed at completion; ids are (0, 0) when
-        # recording is off.
+        # prefill/decode) attach their spans to the same tree.  Its ids
+        # are minted here and it is emitted closed at completion; they
+        # are (0, 0) when recording is off.
         spans = kernel.obs.spans
-        trace_id, root_sid = spans.reserve_trace()
+        trace_id, root_sid = spans.start_trace()
         call = CompletionCall(
             prompt_tokens=prompt_tokens, max_tokens=output_tokens,
             model=self.spec.model, session=session, priority=priority,

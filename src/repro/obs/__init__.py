@@ -36,7 +36,7 @@ from .incident import IncidentEvent, IncidentLog
 from .metrics import MetricsRegistry, parse_exposition
 from .profile import Profiler, profiler
 from .scrape import MetricsScraper
-from .spans import NULL_SPAN, Span, SpanRecorder
+from .spans import Span, SpanRecorder
 from .stats import QUANTILE_KEYS, LogHistogram
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "LogHistogram",
     "MetricsRegistry",
     "MetricsScraper",
-    "NULL_SPAN",
     "Observability",
     "Profiler",
     "QUANTILE_KEYS",

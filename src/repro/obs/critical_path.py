@@ -199,9 +199,9 @@ class CriticalPathAnalyzer:
         """``(traces seen, trace id per ok request, its columns)``.
 
         The columns are e2e, the ``PHASES`` sums and ``other``, then
-        ttft and its ``PHASES`` sums; a trace without an ok, closed
-        root has no row.  Per-span temporaries are deleted as soon as
-        they are spent: this pass sets the run's peak heap.
+        ttft and its ``PHASES`` sums; a trace without an ok root has no
+        row.  Per-span temporaries are deleted as soon as they are
+        spent: this pass sets the run's peak heap.
         """
         ids = np.sort(cols.trace)
         traces = int(np.count_nonzero(ids[1:] != ids[:-1])) + bool(len(ids))
@@ -214,7 +214,7 @@ class CriticalPathAnalyzer:
         rows = np.flatnonzero((slot == _ROOT) & (cols.parent == 0))
         tids, first = np.unique(cols.trace[rows], return_index=True)
         rows = rows[first]
-        ok = (cols.ok[rows] != 0) & ~np.isnan(cols.end[rows])
+        ok = cols.ok[rows] != 0
         rows, tids = rows[ok], tids[ok]
         n = len(rows)
         if not n:
@@ -224,8 +224,7 @@ class CriticalPathAnalyzer:
 
         # Phase spans in close order, matched to their request by trace
         # id and clamped to its root.
-        spans = np.flatnonzero((slot >= 0) & (slot < _ROOT)
-                               & ~np.isnan(cols.end))
+        spans = np.flatnonzero((slot >= 0) & (slot < _ROOT))
         trace = cols.trace[spans]
         req = np.minimum(np.searchsorted(tids, trace), n - 1)
         hit = tids[req] == trace            # the trace has an ok request

@@ -42,8 +42,6 @@ def span_events(spans: Iterable["Span"]) -> list[dict[str, Any]]:
     events: list[dict[str, Any]] = []
     tids: set[int] = set()
     for span in spans:
-        if span.end is None:
-            continue
         tids.add(span.trace_id)
         events.append({
             "name": span.name,

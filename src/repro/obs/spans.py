@@ -20,11 +20,14 @@ kernel's virtual clock and the deterministic simulation path, which is
 what makes ``SpanRecorder.digest()`` byte-identical across worker
 counts.
 
-Spans are *cheap by construction*: components start/finish them only at
-request milestones (admission, first token, completion, a failover hop),
-never per decode iteration; the engine derives its phase spans from
-timestamps it already records.  When the recorder is disabled every
-call is a single attribute check returning a shared no-op span.
+Spans are *cheap by construction*: there is one way to write one.  A
+component mints ids with ``start_trace``/``start_span`` when the work
+starts and writes the span closed, with ``emit``/``emit_many``, once its
+bounds are known: at request milestones (admission, first token,
+completion, a failover hop), never per decode iteration; the engine
+derives its phase spans from timestamps it already records.  When the
+recorder is disabled ``start_trace`` hands out trace id 0, and every
+write with trace id 0 returns after one check.
 """
 
 from __future__ import annotations
@@ -36,7 +39,6 @@ import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import repeat
-from math import nan
 from typing import TYPE_CHECKING, Any, NamedTuple
 
 import numpy as np
@@ -44,86 +46,29 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel.kernel import SimKernel
 
-__all__ = ["Span", "SpanColumns", "SpanRecorder", "NULL_SPAN", "by_trace"]
+__all__ = ["Span", "SpanColumns", "SpanRecorder", "by_trace"]
 
 
-class Span:
-    """One named interval of simulated time within a trace."""
+class Span(NamedTuple):
+    """One stored span read back from the recorder: a value, not a
+    handle, so reading it never changes the store."""
 
-    __slots__ = ("recorder", "name", "trace_id", "span_id", "parent_id",
-                 "start", "end", "attrs")
-
-    def __init__(self, recorder: SpanRecorder | None, name: str,
-                 trace_id: int, span_id: int, parent_id: int | None,
-                 start: float):
-        self.recorder = recorder
-        self.name = name
-        self.trace_id = trace_id
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.start = start
-        self.end: float | None = None
-        self.attrs: dict[str, Any] = {}
-
-    # -- lifecycle ----------------------------------------------------------------
-
-    def annotate(self, **attrs: Any) -> Span:
-        if self.recorder is not None:
-            self.attrs.update(attrs)
-        return self
-
-    def child(self, name: str, start: float | None = None) -> Span:
-        """Open a child span (same trace, this span as parent)."""
-        if self.recorder is None:
-            return NULL_SPAN
-        return self.recorder._open(name, self.trace_id, self.span_id, start)
-
-    def finish(self, end: float | None = None, **attrs: Any) -> Span:
-        """Close the span at ``end`` (default: kernel now)."""
-        if self.recorder is None:
-            return self
-        if attrs:
-            self.attrs.update(attrs)
-        self.end = self.recorder.kernel.now if end is None else float(end)
-        self.recorder._close(self)
-        return self
-
-    def record(self, start: float, end: float, **attrs: Any) -> Span:
-        """Close a span whose bounds are already known (derived phases)."""
-        if self.recorder is None:
-            return self
-        self.start = float(start)
-        return self.finish(end=end, **attrs)
+    name: str
+    trace_id: int
+    span_id: int
+    parent_id: int | None       # None for a root
+    start: float
+    end: float
+    attrs: dict[str, Any]
 
     @property
     def duration(self) -> float:
-        if self.end is None:
-            return 0.0
         return self.end - self.start
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "trace": self.trace_id,
-            "span": self.span_id,
-            "parent": self.parent_id,
-            "start": self.start,
-            "end": self.end,
-            "attrs": self.attrs,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"<Span {self.name} trace={self.trace_id} "
-                f"[{self.start}, {self.end}]>")
-
-
-#: Shared sentinel returned by every disabled-path call; finish/annotate
-#: on it are no-ops, so call sites need no ``if enabled`` of their own.
-NULL_SPAN = Span(None, "", 0, 0, None, 0.0)
 
 #: Fixed-width digest prefix, one record per span: trace id, span id,
-#: parent id (0 = root), start, end (-1.0 while open).  Span ids start
-#: at 1, so 0 is unambiguous for "no parent".
+#: parent id (0 = root), start, end.  Span ids start at 1, so 0 is
+#: unambiguous for "no parent".
 _DIGEST_DTYPE = np.dtype([("trace", "<i8"), ("span", "<i8"),
                           ("parent", "<i8"), ("start", "<f8"),
                           ("end", "<f8")])
@@ -201,24 +146,27 @@ class SpanColumns(NamedTuple):
     span: np.ndarray            # int64
     parent: np.ndarray          # int64, 0 for a root
     start: np.ndarray           # float64
-    end: np.ndarray             # float64, NaN while open
+    end: np.ndarray             # float64
     ok: np.ndarray              # int8, bool(attrs.get("ok", True))
 
 
 class SpanRecorder:
     """Owns every span of one simulation; cheap when disabled.
 
-    ``start_trace`` opens a root span and mints a fresh trace id; the id
-    travels with the request (``repro_trace`` in HTTP bodies) so the
-    router and engine attach their spans to the same tree.  Completed
-    spans are stored in close order — a deterministic order, since
-    closing happens at simulated-time milestones — as columns: ids in
-    ``array("q")``, times in ``array("d")`` (NaN for an open end),
-    names in a list.  Attributes are kept as the digest's text, not as
-    dicts: each span's ``name|attrs!r`` line, in one zlib-compressed
-    blob per flush, plus an ``int8`` column of ``bool(attrs.get("ok",
-    True))`` for the analysis pass.  A dict whose text would not read back
-    (numpy scalars, enums) is also kept as is, in a sparse side store.
+    The write surface is four calls.  ``start_trace`` mints a fresh
+    trace id and its root's span id; the trace id travels with the
+    request (``repro_trace`` in HTTP bodies) so the router and engine
+    attach their spans to the same tree.  ``start_span`` mints one more
+    span id, for a span whose children are written before it closes.
+    ``emit`` and ``emit_many`` write closed spans.  Spans are stored in
+    close order — a deterministic order, since closing happens at
+    simulated-time milestones — as columns: ids in ``array("q")``,
+    times in ``array("d")``, names in a list.  Attributes are kept as
+    the digest's text, not as dicts: each span's ``name|attrs!r`` line,
+    in one zlib-compressed blob per flush, plus an ``int8`` column of
+    ``bool(attrs.get("ok", True))`` for the analysis pass.  A dict whose
+    text would not read back (numpy scalars, enums) is also kept as is,
+    in a sparse side store.
     Writers extend a flat young list by one row of ``_FIELDS`` values;
     every 512 rows, and before any read, :meth:`_flush` moves it into
     the columns.  No per-span object outlives its flush, so the garbage
@@ -239,54 +187,26 @@ class SpanRecorder:
 
     @property
     def finished(self) -> list[Span]:
-        """Completed spans in close order, as read-only views: recorder-
-        less ``Span``s built from the columns, so annotating or
-        finishing one is a no-op and the store never changes.  The
-        attribute dicts are read back from the text (``repr``-equal to
-        what was written), so this is for reports, not the run path."""
+        """Stored spans in close order, as :class:`Span` values built
+        from the columns.  The attribute dicts are read back from the
+        text (``repr``-equal to what was written), so this is for
+        reports, not the run path."""
         self._flush()
-        out = []
-        for name, tid, sid, pid, start, end, attrs in zip(
-                self._name, self._trace, self._span, self._parent,
-                self._start, self._end, self._read_attrs(), strict=True):
-            span = Span(None, name, tid, sid, pid or None, start)
-            if end == end:                  # NaN marks an open end
-                span.end = end
-            span.attrs = attrs
-            out.append(span)
-        return out
+        return [Span(name, tid, sid, pid or None, start, end, attrs)
+                for name, tid, sid, pid, start, end, attrs in zip(
+                    self._name, self._trace, self._span, self._parent,
+                    self._start, self._end, self._read_attrs(),
+                    strict=True)]
 
-    # -- creation -----------------------------------------------------------------
+    # -- writing ------------------------------------------------------------------
 
-    def start_trace(self, name: str, **attrs: Any) -> Span:
-        """Open a root span with a newly-minted trace id."""
-        if not self.enabled:
-            return NULL_SPAN
-        self._next_trace += 1
-        span = self._open(name, self._next_trace, None, None)
-        if attrs:
-            span.attrs.update(attrs)
-        return span
+    def start_trace(self) -> tuple[int, int]:
+        """Mint ``(trace_id, root_span_id)`` for a request starting now.
 
-    def start_span(self, name: str, trace_id: int,
-                   parent_id: int | None = None, **attrs: Any) -> Span:
-        """Open a span in an existing trace (id arrived with the request)."""
-        if not self.enabled or not trace_id:
-            return NULL_SPAN
-        span = self._open(name, trace_id, parent_id, None)
-        if attrs:
-            span.attrs.update(attrs)
-        return span
-
-    def reserve_trace(self) -> tuple[int, int]:
-        """Mint ``(trace_id, root_span_id)`` without opening a span.
-
-        The zero-allocation counterpart to :meth:`start_trace` for hot
-        call sites that close the root with :meth:`emit` at completion
-        (passing the reserved id back as ``span_id``).  Returns
-        ``(0, 0)`` when recording is off — and a zero trace id makes
-        every downstream span call a no-op, so callers need no guard of
-        their own.
+        The root is written closed with :meth:`emit` at completion,
+        passing the root id back as ``span_id``.  Returns ``(0, 0)``
+        when recording is off — and a zero trace id makes every write
+        in that trace a no-op, so callers need no guard of their own.
         """
         if not self.enabled:
             return 0, 0
@@ -294,7 +214,7 @@ class SpanRecorder:
         self._next_span += 1
         return self._next_trace, self._next_span
 
-    def reserve_span(self) -> int:
+    def start_span(self) -> int:
         """Mint one span id now, to be emitted closed later."""
         self._next_span += 1
         return self._next_span
@@ -304,12 +224,10 @@ class SpanRecorder:
              span_id: int | None = None) -> None:
         """Append an already-closed span in one call.
 
-        The hot-path form for spans whose bounds are known at write
-        time (the engine's queue/prefill/decode, the fleet's root, the
-        router's route): one call, no intermediate open-span state.
         ``attrs`` is adopted, not copied — pass a fresh dict.  A
-        ``span_id`` reserved earlier keeps id order matching open
-        order; left ``None``, a fresh id is minted.
+        ``span_id`` minted earlier by :meth:`start_trace` or
+        :meth:`start_span` keeps id order matching start order; left
+        ``None``, a fresh id is minted.
         """
         if not self.enabled or not trace_id:
             return
@@ -344,19 +262,6 @@ class SpanRecorder:
         if len(young) >= _FLUSH:
             self._flush()
 
-    def _open(self, name: str, trace_id: int, parent_id: int | None,
-              start: float | None) -> Span:
-        self._next_span += 1
-        return Span(self, name, trace_id, self._next_span, parent_id,
-                    self.kernel.now if start is None else float(start))
-
-    def _close(self, span: Span) -> None:
-        young = self._young
-        young += (span.name, span.trace_id, span.span_id,
-                  span.parent_id or 0, span.start, span.end, span.attrs)
-        if len(young) >= _FLUSH:
-            self._flush()
-
     def _flush(self) -> None:
         """Move the young rows into the columns: one stride slice and
         one ``struct`` pack per column, and one compressed text blob."""
@@ -383,12 +288,7 @@ class SpanRecorder:
         self._span.frombytes(struct.pack(ints, *young[2::_FIELDS]))
         self._parent.frombytes(struct.pack(ints, *young[3::_FIELDS]))
         self._start.frombytes(struct.pack(floats, *young[4::_FIELDS]))
-        ends = young[5::_FIELDS]
-        try:
-            self._end.frombytes(struct.pack(floats, *ends))
-        except struct.error:            # an open end stores as NaN
-            self._end.frombytes(struct.pack(
-                floats, *[nan if end is None else end for end in ends]))
+        self._end.frombytes(struct.pack(floats, *young[5::_FIELDS]))
         young.clear()
 
     def _read_attrs(self) -> Iterator[dict[str, Any]]:
@@ -422,13 +322,6 @@ class SpanRecorder:
     def span_count(self) -> int:
         """``len(finished)`` without building the views."""
         return len(self._name) + len(self._young) // _FIELDS
-
-    def traces(self) -> dict[int, list[Span]]:
-        """Finished spans grouped by trace id, start-ordered within."""
-        return by_trace(self.finished)
-
-    def of_name(self, name: str) -> list[Span]:
-        return [s for s in self.finished if s.name == name]
 
     def columns(self) -> SpanColumns:
         """The whole store as numpy column views, in close order."""
@@ -468,10 +361,8 @@ class SpanRecorder:
         for lo in range(0, n, _CHUNK):
             hi = min(n, lo + _CHUNK)
             rec = head[:hi - lo]
-            for field in ("trace", "span", "parent", "start"):
+            for field in ("trace", "span", "parent", "start", "end"):
                 rec[field] = getattr(cols, field)[lo:hi]
-            end = cols.end[lo:hi]
-            rec["end"] = np.where(np.isnan(end), -1.0, end)
             h.update(rec.tobytes())
         for blob in self._text:
             h.update(zlib.decompress(blob))

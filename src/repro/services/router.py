@@ -508,7 +508,7 @@ class LlmRouter(ContainerApp):
         Picks a backend by policy, fails over (quarantining backends
         that error or answer 5xx), keeps session affinity, and under
         ``disagg`` dispatches the prefill and decode legs.  The route
-        span is reserved up front (failed hops parent their ``attempt``
+        span's id is minted up front (failed hops parent their ``attempt``
         children to it) and emitted closed when the call resolves.
         ``rec`` is None when tracing is off (or the router runs bare in
         a bench): every span line below gates on it.
@@ -519,7 +519,7 @@ class LlmRouter(ContainerApp):
         rec = self._kernel.obs.spans if self._kernel is not None else None
         if rec is not None and not (rec.enabled and trace_id):
             rec = None
-        route_sid = rec.reserve_span() if rec is not None else 0
+        route_sid = rec.start_span() if rec is not None else 0
         route_start = rec.kernel.now if rec is not None else 0.0
         if self.config.disagg and call.is_completion:
             result, attrs = yield from self._route_disagg(call, rec,

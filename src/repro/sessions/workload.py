@@ -138,7 +138,7 @@ class SessionTraffic:
         # opens a separate per-request trace via the fleet).  Its ids are
         # minted now and it is emitted closed when the conversation ends.
         spans = kernel.obs.spans
-        trace_id, span_id = spans.reserve_trace()
+        trace_id, span_id = spans.start_trace()
         started = kernel.now
         context = 0
         turns_done = 0

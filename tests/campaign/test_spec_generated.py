@@ -4,9 +4,11 @@ A first slice of differential scenario fuzzing.  Hypothesis draws the
 fleet's names and knobs: router policy, replica platforms (HPC and
 Kubernetes), router platform, scrape cadence, disagg, sessions,
 KV-memory share, engine scheduler policy, tensor parallelism and the
-site's node counts, all legal, or with one of them spoiled.  A spoiled
-spec must raise ``ConfigurationError`` when it is built; a legal one
-must finish a 60 s ``play()`` with every arrival accounted for.
+site's node counts, all legal, or with one of them spoiled, or with a
+pair of edits that are each legal alone and refused together (a
+cross-field check).  A spoiled spec must raise ``ConfigurationError``
+when it is built; a legal one must finish a 60 s ``play()`` with every
+arrival accounted for.
 
 Capacity is judged by :func:`_fits`, an oracle written out here: one
 replica per node, on nodes with at least ``tensor_parallel_size`` GPUs,
@@ -27,7 +29,7 @@ from hypothesis import strategies as st
 
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
 from repro.campaign.runner import play
-from repro.campaign.spec import DEFAULT_MODEL
+from repro.campaign.spec import DEFAULT_MODEL, ChaosEventSpec
 from repro.core.site import PLATFORM_KINDS
 from repro.errors import CapacityError, ConfigurationError
 from repro.fleet import AutoscalerConfig
@@ -82,15 +84,25 @@ INVALID = {
     "autoscaler": [AutoscalerConfig(min_replicas=2, max_replicas=3)],
 }
 
-#: At most one setting spoiled per draw, so most draws play.
-SPOIL = st.one_of(st.none(), st.sampled_from(sorted(INVALID)).flatmap(
-    lambda f: st.tuples(st.just(f), st.sampled_from(INVALID[f]))))
+#: Pairs of edits that are each legal on the default spec and refused
+#: together, whatever else was drawn.
+CROSS = [
+    {"initial_replicas": 4, "autoscaler": AutoscalerConfig(max_replicas=3)},
+    {"horizon": 30.0, "chaos": (ChaosEventSpec("node_crash", inject_at=45.0),)},
+    # goodall's nodes have 2 GPUs each, so none holds a 4-way replica.
+    {"tensor_parallel_size": 4, "platforms": ("goodall",)},
+]
+
+#: At most one setting or one cross pair spoiled per draw, so about half
+#: the draws play.
+SPOIL = st.one_of(st.none(), st.sampled_from(
+    [{f: v} for f in sorted(INVALID) for v in INVALID[f]] + CROSS))
 
 
 def _spec(**kwargs) -> ScenarioSpec:
-    return ScenarioSpec(
-        name="generated", seed=5, horizon=60.0,
-        schedule=ScheduleSpec(kind="poisson", rate_rps=0.2), **kwargs)
+    return ScenarioSpec(**{
+        "name": "generated", "seed": 5, "horizon": 60.0,
+        "schedule": ScheduleSpec(kind="poisson", rate_rps=0.2), **kwargs})
 
 
 def _model_fits(platform: str, tp: int, utilization: float) -> bool:
@@ -117,26 +129,29 @@ def _fits(kwargs: dict) -> bool:
 
 @settings(max_examples=60, deadline=None)
 @given(VALID, SPOIL)
-@example({}, ("policy", "bogus"))
-@example({}, ("platforms", ("nope",)))
-@example({}, ("router_platform", "goodall"))
-@example({}, ("tensor_parallel_size", 16))
-@example({}, ("autoscaler", AutoscalerConfig(min_replicas=2, max_replicas=3)))
-@example({"platforms": ("goodall",)}, ("site", SiteSpec(goodall_nodes=0)))
-@example({"platforms": ("goodall",)}, ("site", SiteSpec(hops_nodes=0)))
-@example({"platforms": ("goodall",)}, ("site", SiteSpec(eldorado_nodes=0)))
+@example({}, {"policy": "bogus"})
+@example({}, {"platforms": ("nope",)})
+@example({}, {"router_platform": "goodall"})
+@example({}, {"tensor_parallel_size": 16})
+@example({}, {"autoscaler": AutoscalerConfig(min_replicas=2, max_replicas=3)})
+@example({"platforms": ("goodall",)}, {"site": SiteSpec(goodall_nodes=0)})
+@example({"platforms": ("goodall",)}, {"site": SiteSpec(hops_nodes=0)})
+@example({"platforms": ("goodall",)}, {"site": SiteSpec(eldorado_nodes=0)})
 @example({"platforms": ("cee",), "disagg": True},
-         ("site", SiteSpec(cee_nodes=1)))
+         {"site": SiteSpec(cee_nodes=1)})
 # Legal settings whose replicas could not start: the model does not fit.
-@example({"platforms": ("hops",)}, ("gpu_memory_utilization", 0.3))
-@example({"platforms": ("eldorado",)}, ("gpu_memory_utilization", 0.3))
+@example({"platforms": ("hops",)}, {"gpu_memory_utilization": 0.3})
+@example({"platforms": ("eldorado",)}, {"gpu_memory_utilization": 0.3})
 @example({"platforms": ("goodall",), "tensor_parallel_size": 1},
-         ("gpu_memory_utilization", 0.5))
+         {"gpu_memory_utilization": 0.5})
+# Cross-field pairs, one example each.
+@example({}, CROSS[0])
+@example({}, CROSS[1])
+@example({}, CROSS[2])
 def test_generated_spec_is_refused_or_plays(kwargs, spoil):
     if spoil is not None:
-        field, value = spoil
         with pytest.raises(ConfigurationError):
-            _spec(**{**kwargs, field: value})
+            _spec(**{**kwargs, **spoil})
         return
     if not _fits(kwargs):
         with pytest.raises(ConfigurationError):
@@ -148,3 +163,13 @@ def test_generated_spec_is_refused_or_plays(kwargs, spoil):
     if not kwargs["sessions"].enabled:
         assert report.arrivals == report.slo.submitted
     assert fleet.inflight == 0
+
+
+@pytest.mark.parametrize("pair", CROSS, ids=lambda pair: "+".join(pair))
+def test_each_cross_edit_is_legal_alone(pair):
+    """A cross pair spoils nothing field by field: each edit alone
+    builds, so only the check that reads both fields refuses the pair."""
+    for field, value in pair.items():
+        _spec(**{field: value})
+    with pytest.raises(ConfigurationError):
+        _spec(**pair)

@@ -1,9 +1,9 @@
 """Python calls per completed request, on the benchmark's short cells.
 
-Runs ``run_cell`` of the short (seed 1) poisson_steady and
-sessions_crash cells of ``perfbench/child.py`` under ``cProfile`` in a
-fresh interpreter, so no cache warmed by an earlier test moves the
-count, and divides ``total_calls`` by the completed requests.  The
+Runs ``run_cell`` of each short (seed 1) cell of ``perfbench/child.py``
+under ``cProfile`` in a fresh interpreter, so no cache warmed by an
+earlier test moves the count, and divides ``total_calls`` by the
+completed requests.  The
 count is exact and does not depend on host speed or hash seed, but it
 does on the interpreter, so the ceiling holds on CPython 3.11 only.  A
 change that adds Python work per request fails here; a change that
@@ -36,22 +36,34 @@ print(json.dumps({"calls": pstats.Stats(profile).total_calls,
 """
 
 
-# Measured 292.66 / 342.71 with bulk SLO folds (301.63 / 354.29 while
-# SloTracker.observe did its bookkeeping per record).
+#: workload -> (calls-per-request ceiling, completed-request floor),
+#: measured on CPython 3.11.7.
+BUDGETS = {
+    # 288.71 over 1,861 requests.
+    "poisson_steady": (289.5, 1500),
+    # 375.84 over 521 requests: two simulated days of one 250 s pulse
+    # each, so the idle days' scrapes and alert evaluations weigh on
+    # every request.
+    "pulse_idle": (376.5, 500),
+    # 337.44 over 2,520 requests.
+    "sessions_crash": (338.0, 1500),
+    # 526.23 over 1,861 requests: two router legs and a KV handoff each.
+    "disagg_heavy": (527.0, 1500),
+}
+
+
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11),
                     reason="call counts differ across CPython versions")
-@pytest.mark.parametrize("workload, ceiling", [
-    ("poisson_steady", 293.5),
-    ("sessions_crash", 343.5),
-])
-def test_calls_per_completed_request(workload, ceiling):
+@pytest.mark.parametrize("workload", sorted(BUDGETS))
+def test_calls_per_completed_request(workload):
+    ceiling, floor = BUDGETS[workload]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         (os.path.join(ROOT, "src"), ROOT)))
     out = subprocess.run(
         [sys.executable, "-c", _PROFILE, workload], cwd=ROOT, env=env,
         capture_output=True, text=True, check=True).stdout
     result = json.loads(out.splitlines()[-1])
-    assert result["completed"] > 1500
+    assert result["completed"] > floor
     per_request = result["calls"] / result["completed"]
     assert per_request <= ceiling, (
         f"{per_request:.2f} Python calls per request > ceiling {ceiling}")

@@ -17,7 +17,7 @@ def _recorder():
 
 def _request(rec, start, end, phases, ok=True):
     """Emit one request tree; ``phases`` is [(name, start, end), ...]."""
-    trace_id, root_id = rec.reserve_trace()
+    trace_id, root_id = rec.start_trace()
     for name, s, e in phases:
         rec.emit(name, trace_id, root_id, s, e)
     rec.emit("request", trace_id, None, start, end, {"ok": ok},
@@ -95,7 +95,7 @@ def test_errored_and_rootless_traces_are_skipped():
     rec = _recorder()
     _request(rec, 0.0, 10.0, [("decode", 0.0, 10.0)], ok=False)
     # A trace with phase spans but no request root (lost root).
-    trace_id, root_id = rec.reserve_trace()
+    trace_id, root_id = rec.start_trace()
     rec.emit("decode", trace_id, root_id, 0.0, 5.0)
     _request(rec, 0.0, 4.0, [("decode", 0.0, 4.0)])
     report = CriticalPathAnalyzer(rec).report()

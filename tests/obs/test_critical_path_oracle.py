@@ -3,12 +3,12 @@
 The analyzer reads the span store in one pass over flat per-request
 columns.  The frozen reference below is the per-request object version
 it replaced: a ``_Request`` with two phase dicts per request, ranked and
-summed cohort by cohort.  Hypothesis generates span stores that mix raw
-``emit``/``emit_many`` tuples with ``start_trace``/``start_span`` Span
-objects, closed in a shuffled order, and the two must agree on every
-byte of ``to_json()`` — on the raw store, and again on a second pass
-after the reference has read it through ``SpanRecorder.finished``'s
-read-only views (which leave the store unchanged).
+summed cohort by cohort.  Hypothesis generates span stores written
+through ``emit`` and ``emit_many``, some with span ids minted by
+``start_span`` before the spans are written, in a shuffled order, and
+the two must agree on every byte of ``to_json()`` — on the raw store,
+and again on a second pass after the reference has read it through
+``SpanRecorder.finished``'s views (which leave the store unchanged).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _decompose(spans):
         if span.name == "request" and span.parent_id is None:
             root = span
             break
-    if root is None or root.end is None:
+    if root is None:
         return None
     if not bool(root.attrs.get("ok", True)):
         return None
@@ -61,7 +61,7 @@ def _decompose(spans):
     for span in spans:
         name = span.name if span.name in _PHASE_NAMES else (
             "retry" if span.name == "attempt" else None)
-        if name is None or span.end is None:
+        if name is None:
             continue
         start = max(span.start, r_start)
         end = min(span.end, r_end)
@@ -75,7 +75,7 @@ def _decompose(spans):
     for span in spans:
         name = span.name if span.name in _PHASE_NAMES else (
             "retry" if span.name == "attempt" else None)
-        if name is None or span.end is None:
+        if name is None:
             continue
         start = max(span.start, r_start)
         end = min(span.end, ttft_end)
@@ -176,33 +176,29 @@ TRACE = st.fixed_dictionaries({
     "root": st.sampled_from(("request", "request", "session")),
     "ok": st.sampled_from((True, False, None)),
     "start": TIMES, "end": TIMES,
-    "form": st.sampled_from(("emit", "span")),
     "children": st.lists(CHILD, max_size=6),
 })
 
 
 def _build(traces, rnd):
-    """Open every trace, then close all spans in a shuffled order."""
+    """Start every trace, then write all spans in a shuffled order."""
     rec = SpanRecorder(SimKernel(seed=1))
     rec.enabled = True
     closes = []
     for trace in traces:
         attrs = {} if trace["ok"] is None else {"ok": trace["ok"]}
         start, end = trace["start"], trace["end"]
-        if trace["form"] == "span":
-            root = rec.start_trace(trace["root"], **attrs)
-            tid, root_sid = root.trace_id, root.span_id
-            closes.append(lambda root=root, s=start, e=end: root.record(s, e))
-        else:
-            tid, root_sid = rec.reserve_trace()
-            closes.append(lambda tid=tid, sid=root_sid, t=trace, a=attrs, s=start,
-                          e=end: rec.emit(t["root"], tid, None, s, e, dict(a),
-                                          span_id=sid))
+        tid, root_sid = rec.start_trace()
+        closes.append(lambda tid=tid, sid=root_sid, t=trace, a=attrs, s=start,
+                      e=end: rec.emit(t["root"], tid, None, s, e, dict(a),
+                                      span_id=sid))
         for name, c_start, c_end, form in trace["children"]:
             if form == "span":
-                span = rec.start_span(name, tid, root_sid)
-                closes.append(lambda span=span, s=c_start, e=c_end:
-                              span.record(s, e, engine="e0"))
+                sid = rec.start_span()
+                closes.append(lambda tid=tid, root=root_sid, sid=sid, n=name,
+                              s=c_start, e=c_end: rec.emit(
+                                  n, tid, root, s, e, {"engine": "e0"},
+                                  span_id=sid))
             elif form == "many":
                 closes.append(lambda tid=tid, sid=root_sid, n=name, s=c_start,
                               e=c_end: rec.emit_many(tid, sid, [(n, s, e, None)]))
@@ -229,7 +225,7 @@ def test_one_pass_matches_the_per_request_reference(traces, rnd):
 def test_a_child_closing_after_its_root_still_counts():
     rec = SpanRecorder(SimKernel(seed=1))
     rec.enabled = True
-    tid, root_sid = rec.reserve_trace()
+    tid, root_sid = rec.start_trace()
     rec.emit("request", tid, None, 0.0, 10.0, {"ok": True}, span_id=root_sid)
     rec.emit("decode", tid, root_sid, 2.0, 10.0)
     entry = CriticalPathAnalyzer(rec).report().cohorts["e2e"]["all"]
@@ -258,7 +254,7 @@ def test_tied_values_rank_by_trace_id_across_a_cohort_edge():
     even when the higher ids closed first."""
     rec = SpanRecorder(SimKernel(seed=1))
     rec.enabled = True
-    ids = [rec.reserve_trace() for _ in range(4)]
+    ids = [rec.start_trace() for _ in range(4)]
     for k, (tid, sid) in reversed(list(enumerate(ids))):
         rec.emit("prefill", tid, sid, 0.0, 1.0 + k)
         rec.emit("request", tid, None, 0.0, 10.0, span_id=sid)
@@ -273,7 +269,7 @@ def test_cohort_sums_add_in_rank_order():
     it one at a time but not when added to each other first."""
     rec = SpanRecorder(SimKernel(seed=1))
     for k in range(24):
-        tid, sid = rec.reserve_trace()
+        tid, sid = rec.start_trace()
         rec.emit("queue", tid, sid, 0.0, 1e16 if k == 0 else 1.0)
         rec.emit("request", tid, None, 0.0, 1e16 + 4.0 * k, span_id=sid)
     report = CriticalPathAnalyzer(rec).report()
@@ -286,7 +282,7 @@ def test_touching_phases_merge_into_one_run():
     a, b, c = 3.0, 1.061179966067107e16, 1.161406633128822e16
     assert (b - a) + (c - b) != c - a
     rec = SpanRecorder(SimKernel(seed=1))
-    tid, sid = rec.reserve_trace()
+    tid, sid = rec.start_trace()
     rec.emit("queue", tid, sid, a, b)
     rec.emit("decode", tid, sid, b, c)
     rec.emit("request", tid, None, 0.0, 2e16, span_id=sid)
@@ -300,7 +296,7 @@ def test_the_first_closed_root_decides():
     closed first is the root: here an errored one, so the trace is
     skipped."""
     rec = SpanRecorder(SimKernel(seed=1))
-    tid, sid = rec.reserve_trace()
+    tid, sid = rec.start_trace()
     rec.emit("decode", tid, sid, 1.0, 2.0)
     rec.emit("request", tid, None, 0.0, 3.0, {"ok": False}, span_id=sid)
     rec.emit("request", tid, None, 0.0, 4.0, {"ok": True})

@@ -71,11 +71,11 @@ def test_span_digest_matches_one_shot_across_chunk_edges(n):
     rec = SpanRecorder(SimKernel(seed=1))
     rec.enabled = True
     for i in range(n):
+        tid, sid = rec.start_trace()
         if i % 3 == 2:
-            span = rec.start_trace("session", n=np.int32(i))
-            span.record(i * 0.5, i * 0.5 + 0.25, note="ü")
+            rec.emit_many(tid, None, [("session", i * 0.5, i * 0.5 + 0.25,
+                                       {"n": np.int32(i), "note": "ü"})])
         else:
-            tid, sid = rec.reserve_trace()
             rec.emit("request", tid, None, i * 0.5, i * 0.5 + 1 / 3,
                      _attrs(i), span_id=sid)
     assert rec.digest() == _one_shot_spans(rec)

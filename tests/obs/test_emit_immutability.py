@@ -21,7 +21,7 @@ from repro.campaign import play
 from repro.campaign.catalogue import demo_grid, disagg_grid, sessions_grid
 from repro.campaign.spec import ChaosEventSpec, ScenarioSpec, ScheduleSpec
 from repro.chaos.runner import case_spec
-from repro.obs.spans import Span, SpanRecorder
+from repro.obs.spans import SpanRecorder
 from repro.simkernel.tracing import Tracer, _encode
 
 DAY = 86400.0
@@ -88,7 +88,6 @@ def witness(monkeypatch):
     seen = _Witness()
     trace_emit = Tracer.emit
     span_emit, span_many = SpanRecorder.emit, SpanRecorder.emit_many
-    span_close = SpanRecorder._close
 
     def emit(self, kind, **fields):
         seen.record((self.kernel.now, kind, fields))
@@ -108,14 +107,9 @@ def witness(monkeypatch):
                 seen.span(attrs)
         span_many(self, trace_id, parent_id, phases)
 
-    def close(self, span: Span):
-        seen.span(span.attrs)
-        span_close(self, span)
-
     monkeypatch.setattr(Tracer, "emit", emit)
     monkeypatch.setattr(SpanRecorder, "emit", emit_span)
     monkeypatch.setattr(SpanRecorder, "emit_many", emit_many)
-    monkeypatch.setattr(SpanRecorder, "_close", close)
     return seen
 
 

@@ -18,6 +18,7 @@ from repro.fleet import (AutoscalerConfig, Fleet,
                          PoissonSchedule, SloSpec)
 from repro.net.http import HttpClient
 from repro.obs import parse_exposition
+from repro.obs.spans import by_trace
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
@@ -95,9 +96,9 @@ def test_request_span_trees_have_all_phases(obs_run):
     spans = site.kernel.obs.spans
     names = {s.name for s in spans.finished}
     assert {"request", "route", "queue", "prefill", "decode"} <= names
-    roots = spans.of_name("request")
+    roots = [s for s in spans.finished if s.name == "request"]
     assert len(roots) == report.arrivals
-    trace = spans.traces()[roots[0].trace_id]
+    trace = by_trace(spans.finished)[roots[0].trace_id]
     by_name = {s.name: s for s in trace}
     # The router's route span is a child of the fleet's root span and
     # names the backend it proxied to ("attempt" children appear only

@@ -141,15 +141,13 @@ def test_profiling_leaves_the_run_unchanged():
 
 
 def _spans():
-    kernel = SimKernel(seed=1)
-    rec = SpanRecorder(kernel)
+    rec = SpanRecorder(SimKernel(seed=1))
     rec.enabled = True
-    root = rec.start_trace("request", tenant="t")
-    kernel.run(until=1.0)
-    root.child("route").finish()
-    kernel.run(until=3.0)
-    root.finish(ok=True)
-    rec.start_span("queue", trace_id=root.trace_id).record(0.0, 0.25)
+    trace_id, root_sid = rec.start_trace()
+    rec.emit("route", trace_id, root_sid, 1.0, 1.0)
+    rec.emit("request", trace_id, None, 0.0, 3.0,
+             {"tenant": "t", "ok": True}, span_id=root_sid)
+    rec.emit("queue", trace_id, None, 0.0, 0.25)
     return rec
 
 
@@ -166,15 +164,6 @@ def test_span_events_are_complete_events_in_microseconds():
     assert root["args"] == {"tenant": "t", "ok": True}
     metas = [e for e in events if e["ph"] == "M"]
     assert metas and metas[0]["args"]["name"] == "trace 1"
-
-
-def test_unfinished_spans_are_skipped():
-    kernel = SimKernel(seed=1)
-    rec = SpanRecorder(kernel)
-    rec.enabled = True
-    open_span = rec.start_trace("request")
-    assert open_span.end is None
-    assert span_events([open_span]) == []
 
 
 def test_profile_events_layout_encodes_the_stack():

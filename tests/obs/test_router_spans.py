@@ -10,28 +10,31 @@ from tests.services.test_router_failover import (_backend, _post,
                                                  _start_router)
 
 
+def _named(spans, name):
+    return [s for s in spans.finished if s.name == name]
+
+
 def test_failed_hops_emit_attempt_spans(rig):
     s1 = _backend(rig, "hops01")
     s2 = _backend(rig, "hops02")
     router_host, app = _start_router(rig, ["hops01", "hops02"])
     kernel = rig.kernel
     spans = kernel.obs.spans
-    root = spans.start_trace("request")
+    trace_id, root_sid = spans.start_trace()
     s1["healthy"] = False                # first hop fails, failover saves it
     resp = _post(kernel, rig.fabric, "registry", router_host, 4000,
                  "/v1/chat/completions",
-                 {"messages": [], "repro_trace": root.trace_id,
-                  "repro_parent": root.span_id})
+                 {"messages": [], "repro_trace": trace_id,
+                  "repro_parent": root_sid})
     assert resp.ok
-    root.finish(ok=True)
 
-    route = spans.of_name("route")
-    attempts = spans.of_name("attempt")
+    route = _named(spans, "route")
+    attempts = _named(spans, "attempt")
     # Exactly the failed hop got an attempt child; the route span names
     # the backend that finally served.
     ok_routes = [s for s in route if s.attrs.get("outcome") == "ok"]
     assert len(ok_routes) == 1
-    assert ok_routes[0].parent_id == root.span_id
+    assert ok_routes[0].parent_id == root_sid
     assert ok_routes[0].attrs["attempts"] == 2
     failed = [s for s in attempts if s.parent_id == ok_routes[0].span_id]
     assert len(failed) == 1
@@ -65,16 +68,15 @@ def test_disagg_missing_handoff_emits_the_failed_route_span(rig):
     kernel = rig.kernel
     kernel.run(until=container.ready)
     spans = kernel.obs.spans
-    root = spans.start_trace("request")
+    trace_id, root_sid = spans.start_trace()
     resp = _post(kernel, rig.fabric, "registry", rig.nodes[3].hostname,
                  4000, "/v1/chat/completions",
-                 {"messages": [], "repro_trace": root.trace_id,
-                  "repro_parent": root.span_id})
+                 {"messages": [], "repro_trace": trace_id,
+                  "repro_parent": root_sid})
     assert resp.status == 502
     assert "repro_handoff" in resp.json["error"]
-    root.finish(ok=False)
 
-    (route,) = spans.of_name("route")
-    assert route.parent_id == root.span_id
+    (route,) = _named(spans, "route")
+    assert route.parent_id == root_sid
     assert route.attrs == {"attempts": 1, "path": "disagg",
                            "outcome": "failed", "leg": "prefill"}
