@@ -43,6 +43,7 @@ from .supervisor import ReplicaSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fleet import Fleet, FleetReport
+    from ..fleet.governor import TickRun
     from ..fleet.traffic import ArrivalSchedule, TenantMix
     from ..sessions import SessionSpec
 
@@ -175,7 +176,9 @@ class ChaosOrchestrator:
                 idle=self._probe_idle)):
             self._probe_once()
 
-    def _probe_idle(self, ticks: list[float]) -> None:
+    def _probe_idle(self, ticks: TickRun) -> None:
+        # Probes stay one record per tick: chaos runs are hours long,
+        # and the recovery scorer filters the probe list by time.
         infra_ok = self._infra_ok()
         self.probes += [Probe(t, infra_ok, True) for t in ticks]
 

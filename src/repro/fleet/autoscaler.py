@@ -23,7 +23,10 @@ import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..errors import ConfigurationError, ReproError, StateError
+from .governor import TickRun, chain_blocks, ticks_until
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel import Event
@@ -95,6 +98,9 @@ class ScaleEvent:
 #: one tick's (time, replicas, outstanding, healthy), as folded into
 #: :meth:`Autoscaler.digest`.
 _SAMPLE = struct.Struct("<dqqq")
+#: :data:`_SAMPLE` as a numpy record: a run's samples, packed alike
+_SAMPLES = np.dtype([("t", "<f8"), ("replicas", "<i8"),
+                     ("outstanding", "<i8"), ("healthy", "<i8")])
 
 
 class Autoscaler:
@@ -168,30 +174,42 @@ class Autoscaler:
             return t
         if n == cfg.min_replicas or cfg.scale_down_threshold <= 0:
             return math.inf
-        streak = self._low_streak
-        while t < bound:
-            streak += 1
-            if (streak >= cfg.low_streak
-                    and t - self._last_down >= cfg.down_cooldown
-                    and t - self._last_up >= cfg.down_cooldown):
-                return t
-            t += cfg.interval
-        return math.inf
+        # Every condition, once met on the chain, stays met: the first
+        # tick that meets all three is the decision tick.
+        need = cfg.low_streak - self._low_streak - 1
+        seen = 0
+        steps = (cfg.interval,)
+        blocks = chain_blocks(t, steps, ticks_until(t, steps, bound))
+        while True:
+            ticks = next(blocks)
+            ok = ((ticks - self._last_down >= cfg.down_cooldown)
+                  & (ticks - self._last_up >= cfg.down_cooldown))
+            ok[:max(0, need - seen)] = False
+            if ok.any():
+                hit = float(ticks[ok.argmax()])
+                return hit if hit < bound else math.inf
+            if ticks[-1] >= bound:
+                return math.inf
+            seen += len(ticks)
 
-    def _play_idle(self, ticks: list[float]) -> None:
-        """Closed-form ticks over an idle fleet: each folds a zero-load
-        sample and extends the low streak, deciding nothing (they all
-        precede :meth:`next_decision_tick`)."""
+    def _play_idle(self, ticks: TickRun) -> None:
+        """Closed-form ticks over an idle fleet: each samples zero load
+        and extends the low streak, deciding nothing (they all precede
+        :meth:`next_decision_tick`).  The run's samples fold in one
+        digest update, packed as :data:`_SAMPLE` packs them one by one."""
         router = self.fleet.router_app
-        n = len(self.fleet.replicas)
-        outstanding, healthy = router.outstanding, router.healthy_backends
-        for t in ticks:
-            self._fold(t, n, outstanding, healthy)
+        times = ticks.times()
+        samples = np.empty(len(times), _SAMPLES)
+        samples["t"] = times
+        samples["replicas"] = len(self.fleet.replicas)
+        samples["outstanding"] = router.outstanding
+        samples["healthy"] = router.healthy_backends
+        self._samples.update(samples.tobytes())
         if self.config.scale_down_threshold > 0:
-            self._low_streak += len(ticks)
+            self._low_streak += len(times)
         else:
             self._low_streak = 0
-        self._tick = ticks[-1]
+        self._tick = float(times[-1])
 
     def run(self, stop_event: Event):
         """Generator process: sample, decide, and converge until stopped."""

@@ -39,7 +39,7 @@ from ..services.router import LlmRouter, RouterConfig, router_image
 from ..vllm.config import EngineArgs
 from ..vllm.spec import CompletionCall
 from .autoscaler import Autoscaler
-from .governor import FleetFastForward
+from .governor import FleetFastForward, TickRun
 from .report import FleetReport
 from .slo import RequestRecord, SloSnapshot, SloTracker
 from .traffic import ArrivalSchedule, TenantMix, TrafficGenerator
@@ -138,7 +138,7 @@ class Fleet:
         self.placements: list[tuple[str, str]] = []  # (replica, platform)
         self.replica_timeline: list[tuple[float, int]] = []
         #: SLO monitor rows as stored: see :attr:`FleetReport.monitor`
-        self.monitor: list[dict | tuple[dict, list[float]]] = []
+        self.monitor: list[dict | tuple[dict, TickRun]] = []
         self.inflight = 0
         self.router_container: Container | None = None
         self.router_app: LlmRouter | None = None
@@ -657,9 +657,9 @@ class Fleet:
                                             idle=self._record_idle)):
             self._record(self.slo.snapshot())
 
-    def _record_idle(self, ticks: list[float]) -> None:
+    def _record_idle(self, ticks: TickRun) -> None:
         # The drained SLO window makes the empty-window row exact; the
-        # quiet window is stored as that one row and its tick times.
+        # quiet window is stored as that one row and its run of ticks.
         row = SloSnapshot(time=0.0, window=self.slo.spec.window).row()
         row["replicas"] = len(self.replicas)
         self.monitor.append((row, ticks))
@@ -675,7 +675,7 @@ class Fleet:
         """
         kernel = self.kernel
 
-        def idle(ticks: list[float]) -> None:
+        def idle(ticks: TickRun) -> None:
             scraper.scrape_idle(ticks)
             alerts.evaluate_idle(ticks)
 

@@ -4,14 +4,119 @@ fleet loop waits through, :meth:`FleetFastForward.wait_tick`."""
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+import numpy as np
 
 from ..net.http import lookup
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel import Event, Timeout
     from .fleet import Fleet
+
+# -- tick chains ------------------------------------------------------------------
+#
+# A periodic loop that waits ``d1, ..., dk`` and then ``interval`` after
+# each tick places its next tick at ``(((t + d1) + ...) + dk) + interval``:
+# the float additions stepping makes, in its order.  ``np.cumsum`` is a
+# sequential left-to-right accumulation (only ``np.sum`` sums pairwise),
+# so one cumulative sum over ``[t, d1, ..., dk, interval, d1, ...]``
+# repeats those additions bit for bit, and every ``k + 1``-th partial sum
+# is a tick.  Chains are summed in blocks of at most :data:`BLOCK`
+# entries; each block starts from the previous block's last tick, which
+# is the same chain.
+
+#: chain entries (ticks and the delays between them) per cumulative
+#: sum: at most 256 KB of float64 per block
+BLOCK = 32768
+
+
+def chain_blocks(first: float, steps: tuple[float, ...],
+                 size: int) -> Iterator[np.ndarray]:
+    """Yield the chain's ticks from ``first`` in consecutive blocks.
+
+    A tick plus ``steps``, added in order, is the next tick.  The first
+    block holds ``size`` ticks, later ones as many as :data:`BLOCK`
+    allows (never fewer than one); the caller stops iterating.
+    """
+    k = len(steps)
+    cap = max(1, BLOCK // k)
+    n = max(1, min(size, cap))
+    t = first
+    while True:
+        seq = np.empty(1 + n * k)
+        seq[0] = t
+        seq[1:].reshape(n, k)[:] = steps
+        ticks = seq.cumsum()[::k]            # t and the n ticks after it
+        yield ticks[:-1]
+        t = ticks[-1]
+        n = cap
+
+
+def ticks_until(first: float, steps: tuple[float, ...],
+                until: float) -> int:
+    """Roughly how many chain ticks from ``first`` reach ``until``: a
+    first-block size for :func:`chain_blocks`, which caps it."""
+    return int(min(BLOCK, (until - first) / sum(steps) + 2.0))
+
+
+@dataclass(frozen=True, slots=True)
+class TickRun:
+    """A run of skipped ticks: ``count`` ticks from ``first`` on the
+    chain that adds ``steps`` in order (a loop's waits, then its
+    interval) from each tick to the next.
+
+    One immutable value whatever the run's length: :meth:`times`
+    regenerates the exact floats, and iterating yields them as Python
+    floats.
+    """
+
+    first: float
+    steps: tuple[float, ...]
+    count: int
+
+    @classmethod
+    def before(cls, first: float, steps: tuple[float, ...],
+               edge: float) -> tuple[TickRun, float]:
+        """The ticks from ``first`` whose next tick is still before
+        ``edge``, and the tick after them (the last one before
+        ``edge``, or ``first`` when even it is not)."""
+        below, live = 0, first
+        for block in chain_blocks(first, steps,
+                                  ticks_until(first, steps, edge)):
+            n = int(block.searchsorted(edge))
+            below += n
+            if n:
+                live = float(block[n - 1])
+            if n < len(block):
+                break
+        return cls(first, steps, max(below - 1, 0)), live
+
+    def times(self) -> np.ndarray:
+        """The run's tick times, as stepping computes them."""
+        need = self.count
+        if not need:
+            return np.empty(0)
+        parts = []
+        for block in chain_blocks(self.first, self.steps, need):
+            parts.append(block[:need])
+            need -= len(block)
+            if need <= 0:
+                break
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[float]:
+        return iter(self.times().tolist())
+
+
+#: the empty run: a wait that skips nothing
+NO_TICKS = TickRun(0.0, (), 0)
+
 
 #: Value of every governed periodic wake (see
 #: :meth:`FleetFastForward.next_tick`); no loop reads it.  The quiet
@@ -122,11 +227,11 @@ class FleetFastForward:
         return self._edge
 
     def next_tick(self, interval: float,
-                  waits: Callable[[], list[float]] | None = None,
-                  keep: bool = True) -> tuple[list[float], Timeout]:
+                  waits: Callable[[], list[float]] | None = None
+                  ) -> tuple[TickRun, Timeout]:
         """Plan a periodic loop's wait for its next live tick.
 
-        Returns the tick times skipped, for which the caller plays its
+        Returns the run of ticks skipped, for which the caller plays its
         closed-form idle tick body, and the timeout to wait on.  Tick
         times follow the loop's stepped chain from ``now``: a tick at
         ``t`` ends once the delays ``waits()`` lists have been added to
@@ -137,43 +242,35 @@ class FleetFastForward:
         the edge, which queues the next one as stepping does (same
         instant, same heap position), so ticks that tie with the edge's
         entry run in stepping's order — loop bodies need not commute.
-        ``keep=False`` walks the same chain but lists no skipped tick,
-        for a loop with no idle body.
+        The chain is summed by :meth:`TickRun.before`, whatever the
+        window's length, with stepping's own float additions.
         """
         t = self.kernel.now + interval
-        skipped: list[float] = []
         edge = self.edge()
-        delays = waits() if waits is not None and t < edge else ()
-        while t < edge:
-            end = t
-            for delay in delays:
-                end += delay
-            end += interval
-            if end >= edge:
-                break
-            if keep:
-                skipped.append(t)
-            t = end
-        return skipped, self.kernel.at(t, _TICK)
+        if not t < edge:
+            return NO_TICKS, self.kernel.at(t, _TICK)
+        steps = (*waits(), interval) if waits is not None else (interval,)
+        skipped, live = TickRun.before(t, steps, edge)
+        return skipped, self.kernel.at(live, _TICK)
 
     def wait_tick(self, interval: float, stop: Event,
-                  idle: Callable[[list[float]], None] | None = None,
+                  idle: Callable[[TickRun], None] | None = None,
                   waits: Callable[[], list[float]] | None = None):
         """Generator: wait for a periodic loop's next live tick.
 
         Returns False, scheduling nothing, when ``stop`` has already
         fired.  Otherwise plans the wait with :meth:`next_tick`, hands
-        any skipped tick times to ``idle`` (the loop's closed-form idle
-        body) before waiting, and returns True when the live tick, not
-        ``stop``, woke the loop::
+        any skipped run of ticks to ``idle`` (the loop's closed-form
+        idle body) before waiting, and returns True when the live tick,
+        not ``stop``, woke the loop::
 
             while (yield from fleet.ff.wait_tick(interval, stop)):
                 ...  # the live tick body
         """
         if stop.triggered:
             return False
-        skipped, tick = self.next_tick(interval, waits, idle is not None)
-        if skipped and idle is not None:
+        skipped, tick = self.next_tick(interval, waits)
+        if skipped.count and idle is not None:
             idle(skipped)
         yield self.kernel.any_of([stop, tick])
         return not stop.triggered

@@ -8,6 +8,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from ..chaos.orchestrator import ResilienceReport
     from .autoscaler import ScaleEvent
+    from .governor import TickRun
 
 
 @dataclass
@@ -21,8 +22,9 @@ class FleetReport:
     scale_events: list[ScaleEvent]
     replica_timeline: list[tuple[float, int]]
     #: SLO monitor rows as stored: a row per live tick, and one
-    #: ``(row, ticks)`` run per quiet window (see :attr:`snapshots`)
-    monitor: list[dict | tuple[dict, list[float]]] = field(
+    #: ``(row, ticks)`` pair per quiet window, ``ticks`` its
+    #: :class:`~repro.fleet.governor.TickRun` (see :attr:`snapshots`)
+    monitor: list[dict | tuple[dict, TickRun]] = field(
         default_factory=list)
     #: chaos-orchestrator resilience scorecard (None outside chaos runs)
     resilience: dict | None = None

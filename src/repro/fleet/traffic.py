@@ -48,6 +48,11 @@ def _thin_blocks(schedule: ArrivalSchedule, rng: np.random.Generator,
     per-block work — the traffic generator draws one vectorized
     tenant/length batch per block.  Flattened, they are
     :meth:`ArrivalSchedule.arrivals`.
+
+    A batch that :meth:`ArrivalSchedule.zero_between` proves lies
+    where the rate is zero skips the rate evaluation, keeping its
+    draws: it accepts nothing unless some accept draw times the
+    envelope is exactly 0.0, which ``0.0 <= rate`` accepts.
     """
     if envelope <= 0:
         raise ConfigurationError("schedule peak rate must be positive")
@@ -58,6 +63,9 @@ def _thin_blocks(schedule: ArrivalSchedule, rng: np.random.Generator,
         accepts = rng.random(batch)
         times = t + np.cumsum(gaps)
         t = float(times[-1])
+        if (schedule.zero_between(float(times[0]), t)
+                and float(accepts.min()) * envelope > 0.0):
+            continue
         keep = accepts * envelope <= schedule.rate_array(times)
         accepted = times[keep & (times < end)]
         if accepted.size:
@@ -83,6 +91,11 @@ class ArrivalSchedule:
         """Vectorized :meth:`rate`; subclasses override with pure numpy."""
         return np.fromiter((self.rate(float(t)) for t in ts),
                            dtype=float, count=len(ts))
+
+    def zero_between(self, first: float, last: float) -> bool:
+        """True only if :meth:`rate_array` is 0.0 at every time in
+        ``[first, last]``; False whenever that is not proven."""
+        return False
 
     def arrivals(self, rng: np.random.Generator, start: float,
                  horizon: float) -> Iterator[float]:
@@ -206,6 +219,16 @@ class PulseSchedule(ArrivalSchedule):
         on = np.mod(ts, self.period) < self.duty * self.period
         return np.where(on, self.rate_rps, 0.0)
 
+    def zero_between(self, first: float, last: float) -> bool:
+        # Float ``%`` and ``np.mod`` of non-negative times are exact.
+        # Less than a period apart with the phase not wrapping, the two
+        # ends share a period, so every time between them has a phase
+        # between theirs, all past the on-window.
+        period = self.period
+        return (last - first < period
+                and first % period <= last % period
+                and first % period >= self.duty * period)
+
     def peak_rate(self) -> float:
         return self.rate_rps
 
@@ -256,6 +279,9 @@ class FlashCrowdSchedule(ArrivalSchedule):
 
     def peak_rate(self) -> float:
         return self.inner.peak_rate() * self.multiplier
+
+    def zero_between(self, first: float, last: float) -> bool:
+        return self.inner.zero_between(first, last)
 
     def arrival_blocks(self, rng: np.random.Generator, start: float,
                        horizon: float) -> Iterator[list[float]]:

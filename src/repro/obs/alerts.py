@@ -43,6 +43,7 @@ from typing import TYPE_CHECKING, Any
 from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..fleet.governor import TickRun
     from ..simkernel.kernel import SimKernel
     from .scrape import MetricsScraper
 
@@ -280,7 +281,7 @@ class AlertEvaluator:
                 st.state = INACTIVE
         self.evaluations += 1
 
-    def evaluate_idle(self, ticks: Sequence[float]) -> None:
+    def evaluate_idle(self, run: TickRun) -> None:
         """Evaluate at every tick of a run of skipped (empty) scrapes.
 
         The same events and states as :meth:`evaluate_at` on each tick
@@ -291,6 +292,7 @@ class AlertEvaluator:
         when a window start passes a change of one of its series.
         ``evaluations`` still counts every tick.
         """
+        ticks = run.times().tolist()
         n = len(ticks)
         i = calls = 0
         while i < n:

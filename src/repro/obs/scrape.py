@@ -30,10 +30,10 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, overload
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..fleet.governor import TickRun
     from ..simkernel.kernel import SimKernel
     from .metrics import MetricsRegistry
 
@@ -69,9 +69,9 @@ class MetricsScraper:
         self.interval = interval
         #: scrapes taken, live and skipped
         self.scrapes = 0
-        # Time-ordered log: a live sample, or the tick times of a run
-        # of skipped scrapes (each an empty delta).
-        self._log: list[ScrapeSample | Sequence[float]] = []
+        # Time-ordered log: a live sample, or the TickRun of a run of
+        # skipped scrapes (each an empty delta).
+        self._log: list[ScrapeSample | TickRun] = []
         self._last: dict[str, float] = {}
         # Per-series change index: key -> (change times, values), both
         # append-only and time-sorted because scrapes only move forward.
@@ -100,13 +100,13 @@ class MetricsScraper:
                 entry[1].append(value)
         return sample
 
-    def scrape_idle(self, ticks: Sequence[float]) -> None:
-        """Record scrapes at ``ticks`` (float times) at which no series
-        moved.
+    def scrape_idle(self, ticks: TickRun) -> None:
+        """Record a scrape, at which no series moved, at every tick of
+        the run ``ticks`` (a :class:`~repro.fleet.governor.TickRun`).
 
         The empty deltas :meth:`scrape_once` would store at each tick,
         for a caller that knows the registry has not changed since the
-        last live scrape, kept as one entry whatever the run's length.
+        last live scrape, kept as the one run whatever its length.
         The change index is untouched, so :meth:`value_at` and
         :meth:`last_change` read exactly as if it had scraped.
         """

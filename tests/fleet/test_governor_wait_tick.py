@@ -81,13 +81,13 @@ def test_quiet_window_plays_skipped_ticks_before_the_live_wait():
     [(skipped, tick)] = plans
     assert len(skipped) >= 2, "the fleet was not quiet for a window"
     # The idle body ran once, before the wait, on the skipped times.
-    assert idled == [(start, skipped)]
+    assert idled == [(start, list(skipped))]
     # Chain order: each tick is the previous one plus the interval, as
     # stepping's own float chain would place it.
     chain = [start + interval]
     while len(chain) < len(skipped) + 1:
         chain.append(chain[-1] + interval)
-    assert skipped == chain[:-1]
+    assert list(skipped) == chain[:-1]
     # The loop woke on next_tick's live tick, the next link of the chain.
     assert tick.processed
     assert kernel.now == chain[-1] < fleet.ff._edge

@@ -1,0 +1,54 @@
+"""Live heap against horizon on the 100k pulse cell's shape, dark.
+
+Quiet-play keeps each quiet window as one record whatever its length
+(a :class:`~repro.fleet.governor.TickRun` per loop), and a dark run
+folds each request into fixed-size aggregates, so the heap a finished
+run holds does not grow with the simulated days between bursts.  Runs
+the ``ff-100k`` scenario at 5 and 20 days with observability off, each
+in a fresh interpreter so neither pays the other's imports, and
+compares the tracemalloc live heap after ``gc.collect()`` with the
+report and fleet still alive.  Measured on CPython 3.11.7: 1.14 MB at
+5 days and 1.12 MB at 20; before windows were stored as runs, the
+governor's per-tick lists made it 1.26 and 1.59 MB.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+_MEASURE = """
+import dataclasses, gc, json, sys, tracemalloc
+from repro.campaign.catalogue import ff_100k
+from repro.campaign.runner import play
+spec = dataclasses.replace(ff_100k(), horizon=float(sys.argv[1]) * 86400.0)
+tracemalloc.start()
+report, fleet, _ = play(spec, observability=False)
+gc.collect()
+print(json.dumps({"live": tracemalloc.get_traced_memory()[0],
+                  "arrivals": report.arrivals}))
+"""
+
+#: live-heap growth allowed from 5 to 20 days, in bytes
+GROWTH = 100_000
+
+
+def _live(days: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", _MEASURE, str(days)], cwd=ROOT, env=env,
+        capture_output=True, text=True, check=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def test_live_heap_does_not_grow_with_quiet_days():
+    five, twenty = _live(5), _live(20)
+    assert twenty["arrivals"] > 3.5 * five["arrivals"]
+    growth = twenty["live"] - five["live"]
+    assert growth <= GROWTH, (
+        f"live heap grew {growth / 1e6:.2f} MB from 5 to 20 days")

@@ -18,6 +18,7 @@ import pytest
 from repro.campaign import ScenarioSpec, ScheduleSpec
 from repro.campaign.runner import play
 from repro.fleet.fleet import SNAPSHOT_INTERVAL
+from repro.fleet.governor import TickRun
 
 DAY = 86400.0
 
@@ -43,7 +44,7 @@ def test_quiet_storage_grows_with_windows_not_ticks(days):
     runs = [e for e in report.monitor if isinstance(e, tuple)]
     assert len(runs) == days
     assert len(report.monitor) - len(runs) <= 10 * days
-    scrape_runs = [e for e in scraper._log if isinstance(e, list)]
+    scrape_runs = [e for e in scraper._log if isinstance(e, TickRun)]
     assert len(scrape_runs) == days
     assert len(scraper._log) - len(scrape_runs) <= 10 * days
     assert len(report.snapshots) >= days * DAY / SNAPSHOT_INTERVAL

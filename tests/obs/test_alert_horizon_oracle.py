@@ -20,6 +20,7 @@ from repro.obs.alerts import AlertEvaluator, AlertRule
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.scrape import MetricsScraper
 from repro.simkernel import SimKernel
+from repro.fleet.governor import TickRun
 
 _KEYS = ("s0", "s1", "s2", "s3")
 #: rules may name a series that never appears
@@ -73,9 +74,12 @@ class _History:
     def idle(self, n):
         """A run of ``n`` skipped scrapes after now; returns both sides'
         end states."""
-        ticks = _chain(self.kernel.now, self.scraper.interval, n)
-        self.scraper.scrape_idle(ticks)
-        self.fast.evaluate_idle(ticks)
+        interval = self.scraper.interval
+        ticks = _chain(self.kernel.now, interval, n)
+        run = TickRun(self.kernel.now + interval, (interval,), n)
+        assert list(run) == ticks
+        self.scraper.scrape_idle(run)
+        self.fast.evaluate_idle(run)
         for t in ticks:
             self.oracle.evaluate_at(t)
         return ticks, _state(self.fast), _state(self.oracle)
