@@ -24,8 +24,8 @@ drift gate (``benchmarks/check_regression.py``).
 from __future__ import annotations
 
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
-from repro.campaign.runner import run_cell
-from repro.fleet import AutoscalerConfig, DisaggSpec, Fleet, SloSpec
+from repro.campaign.runner import play, run_cell
+from repro.fleet import AutoscalerConfig, DisaggSpec, SloSpec
 
 MODEL = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
@@ -45,20 +45,11 @@ def _scenario(disagg: bool, rate: float) -> ScenarioSpec:
 
 
 def _serve(spec: ScenarioSpec):
-    """One arm, run directly so the full SloReport (overall TTFT
+    """One arm's report, so the full SloReport (overall TTFT
     percentiles, paths block) is in reach — run_cell rows carry only
     the scorecard columns."""
-    site = spec.build_site()
-    fleet = Fleet(site, spec)
-    schedule = spec.schedule.build()
-
-    def scenario(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        report = yield from fleet.run_scenario(
-            schedule, spec.horizon, label=spec.name)
-        return report
-
-    return site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
+    report, _fleet, _digest = play(spec)
+    return report
 
 
 def _run_arms():

@@ -9,10 +9,9 @@ the burst, scales back afterwards, and loses no requests.
 
 from __future__ import annotations
 
-from repro.campaign import ScenarioSpec
+from repro.campaign import ScenarioSpec, ScheduleSpec
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, Fleet, FlashCrowdSchedule,
-                         PoissonSchedule, SloSpec)
+from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
@@ -21,21 +20,20 @@ def _run_autoscale_scenario():
     site = build_sandia_site(seed=77, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
     spec = ScenarioSpec(
-        model=QUANT, tensor_parallel_size=2,
-        platforms=("hops", "goodall"),
+        name="bench-autoscale", model=QUANT, tensor_parallel_size=2,
+        platforms=("hops", "goodall"), horizon=2 * 3600.0,
+        schedule=ScheduleSpec(kind="poisson", rate_rps=0.1,
+                              flash_mult=150.0, flash_start=900.0,
+                              flash_duration=1200.0, flash_ramp=180.0),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(
             min_replicas=1, max_replicas=4, target_outstanding=8.0,
             up_cooldown=120.0, down_cooldown=600.0))
     fleet = Fleet(site, spec)
-    schedule = FlashCrowdSchedule(
-        PoissonSchedule(0.1), start=900.0, duration=1200.0,
-        multiplier=150.0, ramp=180.0)
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=1)
-        report = yield from fleet.run_scenario(
-            schedule, horizon=2 * 3600.0, label="bench-autoscale")
+        yield from fleet.start()
+        report = yield from fleet.run_scenario()
         return report
 
     report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))

@@ -94,13 +94,10 @@ def _timed_day(enabled: bool) -> float:
         kernel.obs.disable()
     fleet = Fleet(site, dataclasses.replace(spec, scrape_interval=0.0),
                   obs_report=False)
-    schedule = spec.schedule.build()
-    mix = spec.build_mix(kernel)
 
     def cell(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        report = yield from fleet.run_scenario(
-            schedule, spec.horizon, mix=mix, label=spec.name)
+        yield from fleet.start()
+        report = yield from fleet.run_scenario()
         return report
 
     gc.collect()
@@ -197,13 +194,10 @@ def _full_obs_day():
     site = spec.build_site()
     kernel = site.kernel
     fleet = Fleet(site, spec, obs_report=False)
-    schedule = spec.schedule.build()
-    mix = spec.build_mix(kernel)
 
     def cell(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        report = yield from fleet.run_scenario(
-            schedule, spec.horizon, mix=mix, label=spec.name)
+        yield from fleet.start()
+        report = yield from fleet.run_scenario()
         return report
 
     gc.collect()

@@ -25,53 +25,53 @@ Run:  python examples/chaos_gameday.py
 
 from __future__ import annotations
 
-from repro.campaign import ScenarioSpec
-from repro.chaos import ChaosOrchestrator, catalog
-from repro.core import build_sandia_site
-from repro.fleet import AutoscalerConfig, Fleet, PoissonSchedule, SloSpec
+from repro.campaign import ChaosEventSpec, ScenarioSpec, SiteSpec
+from repro.chaos import ChaosOrchestrator
+from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 from repro.units import fmt_duration
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 SEED = 2025
 HORIZON = 6 * 3600.0
+#: Each fault stays in force for 15 minutes.
+FAULT_S = 900.0
 
 
 def main() -> None:
-    site = build_sandia_site(seed=SEED, hops_nodes=8, eldorado_nodes=4,
-                             goodall_nodes=5, cee_nodes=2)
-    kernel = site.kernel
-
-    fleet = Fleet(site, ScenarioSpec(
-        model=QUANT,
+    spec = ScenarioSpec(
+        name="gameday", seed=SEED, model=QUANT,
         tensor_parallel_size=2,
         platforms=("hops", "goodall"),
         policy="least-outstanding",
         initial_replicas=2,
+        horizon=HORIZON,
+        site=SiteSpec(hops_nodes=8, eldorado_nodes=4, goodall_nodes=5,
+                      cee_nodes=2),
         slo=SloSpec(name="interactive", ttft_target=10.0,
                     e2e_target=120.0),
         autoscaler=AutoscalerConfig(
             min_replicas=2, max_replicas=4, target_outstanding=8.0),
-    ))
+        chaos=(
+            ChaosEventSpec("engine_oom", 2400.0, FAULT_S),
+            ChaosEventSpec("node_crash", 6600.0, FAULT_S),
+            ChaosEventSpec("network_partition", 11400.0, FAULT_S),
+            ChaosEventSpec("pod_eviction", 16200.0, FAULT_S),
+        ),
+    )
+    site = spec.build_site()
+    kernel = site.kernel
+    fleet = Fleet(site, spec)
     orchestrator = ChaosOrchestrator(fleet)
 
-    by_name = {s.name: s for s in catalog()}
-    plan = [
-        (2400.0, by_name["engine_oom"]),
-        (6600.0, by_name["node_crash"]),
-        (11400.0, by_name["network_partition"]),
-        (16200.0, by_name["pod_eviction"]),
-    ]
-
     def gameday(env):
-        yield from fleet.start(initial_replicas=2)
-        result = yield from orchestrator.run_gameday(
-            plan, PoissonSchedule(0.15), HORIZON, fault_duration=900.0,
-            platform_name="goodall")
-        return result
+        yield from fleet.start()
+        # The Kubernetes faults need a target on the OpenShift side.
+        report = yield from orchestrator.run(platform_name="goodall")
+        return report
 
-    report, windows = kernel.run(until=kernel.spawn(gameday(kernel),
-                                                    name="gameday"))
+    report = kernel.run(until=kernel.spawn(gameday(kernel), name="gameday"))
     fleet.shutdown()
+    windows = report.faults
 
     print(report.summary())
     print(f"\nsimulated time: {fmt_duration(kernel.now)}")

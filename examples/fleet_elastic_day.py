@@ -18,10 +18,8 @@ Run:  python examples/fleet_elastic_day.py
 
 from __future__ import annotations
 
-from repro.campaign import ScenarioSpec
-from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, DiurnalSchedule, Fleet,
-                         FlashCrowdSchedule, SloSpec, Tenant, TenantMix)
+from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec, TenantSpec
+from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 from repro.units import fmt_duration
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
@@ -30,41 +28,40 @@ DAY = 24 * 3600.0
 
 
 def main() -> None:
-    site = build_sandia_site(seed=SEED, hops_nodes=8, eldorado_nodes=4,
-                             goodall_nodes=4, cee_nodes=2)
-    kernel = site.kernel
-
     spec = ScenarioSpec(
-        model=QUANT,
+        name="elastic-day", seed=SEED, model=QUANT,
         tensor_parallel_size=2,
         platforms=("hops", "goodall"),      # CUDA HPC + OpenShift
         policy="least-outstanding",
+        horizon=DAY,
+        site=SiteSpec(hops_nodes=8, eldorado_nodes=4, goodall_nodes=4,
+                      cee_nodes=2),
+        # Quiet nights around 0.03 req/s, afternoons around 0.2 req/s,
+        # and a 30-minute 14:00 flash crowd at ~80x the instantaneous
+        # rate — far past one replica's decode ceiling, so the
+        # autoscaler must act.
+        schedule=ScheduleSpec(
+            kind="diurnal", base_rps=0.03, peak_rps=0.2, peak_hour=14.0,
+            flash_mult=80.0, flash_start=14.0 * 3600.0,
+            flash_duration=30 * 60.0, flash_ramp=240.0),
+        tenants=(
+            TenantSpec("chat-ui", weight=6.0),
+            TenantSpec("code-assist", weight=3.0, max_total_tokens=2048),
+            TenantSpec("batch-summarize", weight=1.0,
+                       max_total_tokens=8192),
+        ),
         slo=SloSpec(name="interactive", ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(
             min_replicas=1, max_replicas=4, target_outstanding=8.0,
             up_cooldown=120.0, down_cooldown=600.0, low_streak=5),
     )
+    site = spec.build_site()
+    kernel = site.kernel
     fleet = Fleet(site, spec)
 
-    # Quiet nights around 0.03 req/s, afternoons around 0.2 req/s, and a
-    # 30-minute 14:00 flash crowd at ~80x the instantaneous rate — far
-    # past one replica's decode ceiling, so the autoscaler must act.
-    schedule = FlashCrowdSchedule(
-        DiurnalSchedule(base_rps=0.03, peak_rps=0.2, peak_hour=14.0),
-        start=14.0 * 3600.0, duration=30 * 60.0, multiplier=80.0,
-        ramp=240.0)
-    mix = TenantMix(kernel, [
-        Tenant("chat-ui", weight=6.0),
-        Tenant("code-assist", weight=3.0,
-               sampler_kw={"max_total_tokens": 2048}),
-        Tenant("batch-summarize", weight=1.0,
-               sampler_kw={"max_total_tokens": 8192}),
-    ])
-
     def scenario(env):
-        yield from fleet.start(initial_replicas=1)
-        report = yield from fleet.run_scenario(
-            schedule, horizon=DAY, mix=mix, label="elastic-day")
+        yield from fleet.start()
+        report = yield from fleet.run_scenario()
         return report
 
     report = kernel.run(until=kernel.spawn(scenario(kernel)))

@@ -58,13 +58,10 @@ def run_day(prefix_caching: bool):
     spec = build_spec(prefix_caching)
     site = spec.build_site()
     fleet = Fleet(site, spec)
-    schedule = spec.schedule.build()
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        report = yield from fleet.run_scenario(
-            schedule, horizon=spec.horizon, label=spec.name,
-            sessions=spec.sessions)
+        yield from fleet.start()
+        report = yield from fleet.run_scenario()
         return report
 
     report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))

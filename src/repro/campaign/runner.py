@@ -125,8 +125,9 @@ def play(spec: ScenarioSpec, observability: bool = True):
     """Simulate one spec start to finish: the one scenario driver.
 
     Builds a fresh site and fleet from the spec, starts the fleet, plays
-    the schedule (plainly, through one chaos fault, or through a game
-    day when the spec lists several), and shuts the fleet down.
+    the spec (through :meth:`Fleet.run_scenario`, or through
+    :meth:`ChaosOrchestrator.run` when it lists chaos faults), and shuts
+    the fleet down.  Neither takes an argument: the spec is the run.
     Returns ``(report, fleet, trace_digest)``; a chaos cell's report
     carries one typed :class:`~repro.chaos.ResilienceReport` per fault
     in ``report.faults``.  The kernel's trace digest is taken *before*
@@ -142,35 +143,14 @@ def play(spec: ScenarioSpec, observability: bool = True):
     if not observability:
         kernel.obs.disable()
     fleet = Fleet(site, spec)
-    schedule = spec.schedule.build()
-    mix = spec.build_mix(kernel)
-    sessions = spec.sessions if spec.sessions.enabled else None
 
     def cell(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
+        yield from fleet.start()
         if not spec.chaos:
-            report = yield from fleet.run_scenario(
-                schedule, spec.horizon, mix=mix, label=spec.name,
-                sessions=sessions)
-            return report
+            return (yield from fleet.run_scenario())
         # The chaos stack loads only for chaos cells.
         from ..chaos.orchestrator import ChaosOrchestrator
-        from ..chaos.scenarios import catalog
-
-        by_name = {s.name: s for s in catalog()}
-        orchestrator = ChaosOrchestrator(fleet)
-        if len(spec.chaos) == 1:
-            event = spec.chaos[0]
-            report, _res = yield from orchestrator.run_case(
-                by_name[event.scenario], schedule, spec.horizon,
-                event.inject_at, fault_duration=event.fault_duration,
-                mix=mix, sessions=sessions)
-        else:
-            plan = [(e.inject_at, by_name[e.scenario], e.fault_duration)
-                    for e in spec.chaos]
-            report, _windows = yield from orchestrator.run_gameday(
-                plan, schedule, spec.horizon, mix=mix, sessions=sessions)
-        return report
+        return (yield from ChaosOrchestrator(fleet).run())
 
     report = kernel.run(until=kernel.spawn(cell(kernel), name=spec.name))
     digest = kernel.trace.digest()

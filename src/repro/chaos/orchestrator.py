@@ -1,14 +1,13 @@
-"""The chaos orchestrator: schedule a fault, measure the recovery.
+"""The chaos orchestrator: schedule faults, measure the recovery.
 
-``run_case`` plays one scenario against a live fleet (a one-event plan
-on the same run loop a multi-fault ``run_gameday`` uses): open-loop
-traffic runs for the whole horizon, the fault injects at a scheduled
-simulated time on the simkernel event loop, the
-:class:`ReplicaSupervisor` and the fleet autoscaler react, and a probe
-loop samples two booleans the whole time — *is the infrastructure
-whole* (every replica serving, router pool fully healthy, no repair
-deficit) and *is the SLO window met*.  The resilience report derives
-from that probe timeline:
+``ChaosOrchestrator.run()`` plays the fleet's spec with the faults its
+``chaos`` list declares: open-loop traffic runs for the whole horizon,
+each fault injects at its scheduled simulated time on the simkernel
+event loop, the :class:`ReplicaSupervisor` and the fleet autoscaler
+react, and a probe loop samples two booleans the whole time — *is the
+infrastructure whole* (every replica serving, router pool fully
+healthy, no repair deficit) and *is the SLO window met*.  The resilience
+report derives from that probe timeline:
 
 * **MTTR** — injection until the first probe after which both signals
   stay good through the end of the fault's window (0 when the fault
@@ -26,8 +25,8 @@ firings are counted, and the firing timeline merges with injections,
 supervisor repairs, and scale actions into a deterministic
 :class:`~repro.obs.incident.IncidentLog` on the report.
 
-One scorer serves both: each fault scores over its window, up to the
-next injection or the run's end; a single fault is the one-window case.
+Each fault scores over its window, up to the next injection or the
+run's end; a single fault is the one-window case.
 """
 
 from __future__ import annotations
@@ -38,14 +37,12 @@ from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError, StateError
 from ..obs.incident import IncidentLog
-from .scenarios import ChaosContext, ChaosScenario
+from .scenarios import ChaosContext, ChaosScenario, catalog
 from .supervisor import ReplicaSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fleet import Fleet, FleetReport
     from ..fleet.governor import TickRun
-    from ..fleet.traffic import ArrivalSchedule, TenantMix
-    from ..sessions import SessionSpec
 
 
 @dataclass
@@ -138,7 +135,7 @@ SEGMENT_KEYS = frozenset({
 
 
 class ChaosOrchestrator:
-    """Binds a fleet to the supervisor, a probe loop, and fault plans.
+    """Binds a fleet to the supervisor, a probe loop, and its spec's faults.
 
     Both cadences come from the fleet's spec: ``supervisor_interval``
     for the supervisor's sweeps, ``probe_interval`` for the probes.
@@ -217,105 +214,65 @@ class ChaosOrchestrator:
                if isinstance(v, (str, int, float))})
         return record
 
-    # -- the run loop -----------------------------------------------------------
+    # -- the run ----------------------------------------------------------------
 
-    def _play(self, plan: list[tuple[float, ChaosScenario, float]],
-              schedule: ArrivalSchedule, horizon: float,
-              label: str, mix: TenantMix | None,
-              platform_name: str | None, sessions: SessionSpec | None):
-        """Generator: one traffic run with ``plan``'s faults injected.
+    def run(self, platform_name: str | None = None):
+        """Generator: play the fleet's spec with ``spec.chaos`` injected.
 
-        ``plan`` is ``[(offset_seconds, scenario, fault_duration), ...]``
-        sorted by offset.  Spawns the supervisor, the probe loop, and one
-        injector that walks the plan; plays the traffic; takes the
-        end-of-run confirmation probe; stops.  Returns the
-        :class:`FleetReport` with one scored :class:`ResilienceReport`
-        per planned fault in its ``faults`` field.
+        The faults inject in ``inject_at`` order (seconds after traffic
+        start) on ``platform_name``, the fleet's first platform unless
+        given.  Spawns the supervisor, the probe loop and one injector
+        that walks the faults; plays the traffic; takes the end-of-run
+        confirmation probe; stops.  Returns the :class:`FleetReport`
+        with one scored :class:`ResilienceReport` per fault in its
+        ``faults`` field.
+
+        One fault labels the report ``chaos:<scenario>`` and sets its
+        ``resilience`` to that window's JSON.  Several faults label it
+        ``chaos:gameday``; ``resilience`` then lists each window's
+        :data:`SEGMENT_KEYS` and the whole-cell verdict: recovered when
+        every window recovered, MTTR the worst window's (None when any
+        window did not recover).
         """
         fleet = self.fleet
+        events = sorted(fleet.spec.chaos, key=lambda e: e.inject_at)
+        if not events:
+            raise ConfigurationError("a chaos run needs at least one fault")
         if fleet.router_app is None:
             raise StateError("start the fleet before running chaos")
         kernel = self.kernel
         self.probes = []
         self.supervisor.reset()
         platform_name = platform_name or fleet.spec.platforms[0]
+        by_name = {s.name: s for s in catalog()}
+        scenarios = [by_name[e.scenario] for e in events]
         start = kernel.now
         injections: list[dict] = []
 
         def injector(env):
-            for offset, scenario, duration in plan:
-                yield env.at(start + offset)
-                injections.append(self._inject_now(scenario, platform_name,
-                                                   duration))
+            for event, scenario in zip(events, scenarios, strict=True):
+                yield env.at(start + event.inject_at)
+                injections.append(self._inject_now(
+                    scenario, platform_name, event.fault_duration))
 
         stop = kernel.event()
         kernel.spawn(self.supervisor.run(stop), name="chaos:supervisor")
         kernel.spawn(self._probe_loop(stop), name="chaos:probes")
         kernel.spawn(injector(kernel), name="chaos:inject")
-        report = yield from fleet.run_scenario(
-            schedule, horizon, mix=mix, label=label, sessions=sessions)
+        report = yield from fleet.run_scenario()
         self._probe_once()      # end-of-run confirmation probe
         stop.succeed()
-        report.faults = self._score(plan, injections, report, platform_name)
-        return report
-
-    # -- one scenario -----------------------------------------------------------
-
-    def run_case(self, scenario: ChaosScenario,
-                 schedule: ArrivalSchedule, horizon: float,
-                 inject_at: float, fault_duration: float = 600.0,
-                 mix: TenantMix | None = None,
-                 platform_name: str | None = None,
-                 sessions: SessionSpec | None = None):
-        """Generator: one scenario over one traffic run.
-
-        A one-event plan on the shared run loop, scored as one window.
-        ``inject_at`` is seconds after traffic start.  Returns
-        ``(FleetReport, ResilienceReport)``; the fleet report carries the
-        resilience scorecard in its ``resilience`` field.  ``sessions``
-        plays the multi-turn conversational workload through the fault,
-        exactly as :meth:`Fleet.run_scenario` would.
-        """
-        report = yield from self._play(
-            [(inject_at, scenario, fault_duration)], schedule, horizon,
-            f"chaos:{scenario.name}", mix, platform_name, sessions)
-        (resilience,) = report.faults
-        report.resilience = resilience.to_json()
-        return report, resilience
-
-    # -- gameday: several faults over one run -----------------------------------
-
-    def run_gameday(self, plan: list[tuple[float, ChaosScenario]],
-                    schedule: ArrivalSchedule, horizon: float,
-                    fault_duration: float = 600.0,
-                    mix: TenantMix | None = None,
-                    platform_name: str | None = None,
-                    sessions: SessionSpec | None = None):
-        """Generator: inject several faults over a single traffic run.
-
-        ``plan`` is ``[(offset_seconds, scenario), ...]``; an optional
-        third element overrides ``fault_duration`` for that injection
-        (campaign specs carry per-event durations).  Returns
-        ``(FleetReport, windows)``: one :class:`ResilienceReport` per
-        fault, scored over the window between its injection and the
-        next one.  The fleet report's ``resilience`` block lists each
-        window's :data:`SEGMENT_KEYS` and the whole-cell verdict:
-        recovered when every window recovered, MTTR the worst window's
-        (None when any window did not recover).
-        """
-        if not plan:
-            raise ConfigurationError("a game day needs at least one fault")
-        plan = sorted(((item[0], item[1],
-                        item[2] if len(item) > 2 else fault_duration)
-                       for item in plan), key=lambda item: item[0])
-        report = yield from self._play(
-            plan, schedule, horizon, "chaos:gameday", mix, platform_name,
-            sessions)
-        windows = report.faults
+        windows = report.faults = self._score(scenarios, injections, report,
+                                              platform_name)
+        if len(windows) == 1:
+            report.label = f"chaos:{windows[0].scenario}"
+            report.resilience = windows[0].to_json()
+            return report
         rows = [window.to_json() for window in windows]
         segments = [{k: v for k, v in row.items() if k in SEGMENT_KEYS}
                     for row in rows]
         mttrs = [s["mttr_s"] for s in segments]
+        report.label = "chaos:gameday"
         report.resilience = {
             "gameday": segments,
             # run-level, so every window carries the same ones
@@ -323,7 +280,7 @@ class ChaosOrchestrator:
                if k in rows[0]},
             "recovery_ok": all(w.recovery_ok for w in windows),
             "mttr_s": None if None in mttrs else max(mttrs)}
-        return report, windows
+        return report
 
     # -- scoring ----------------------------------------------------------------
 
@@ -358,7 +315,7 @@ class ChaosOrchestrator:
                      f"{e.replicas_before}->{e.replicas_after}")
                     for e in self.fleet.autoscaler.events])
 
-    def _score(self, plan: list[tuple[float, ChaosScenario, float]],
+    def _score(self, scenarios: list[ChaosScenario],
                injections: list[dict], report: FleetReport,
                platform_name: str) -> list[ResilienceReport]:
         """One :class:`ResilienceReport` per planned fault, each over
@@ -383,7 +340,7 @@ class ChaosOrchestrator:
             log = self._incident_log(injections)
             false_alerts, incidents = log.false_alerts(), log.to_json()
         windows = []
-        for i, (_offset, scenario, _duration) in enumerate(plan):
+        for i, scenario in enumerate(scenarios):
             out = ResilienceReport(
                 scenario=scenario.name, layer=scenario.layer,
                 platform=platform_name, injected_at=-1.0,

@@ -90,23 +90,16 @@ class ChaosContext:
 
 def engine_of(fleet: Fleet, replica: Replica) -> LLMEngine:
     """The live vLLM engine backing a replica, on either platform kind."""
-    deployment = replica.deployment
-    if deployment.container is not None:          # HPC: podman container
-        engine = getattr(deployment.container.app, "engine", None)
-        if engine is not None:
-            return engine
+    engine = getattr(container_of(fleet, replica).app, "engine", None)
+    if engine is None:                # an HPC container without one
         raise StateError(f"chaos: replica {replica.name!r} has no engine")
-    platform = fleet.site.platform(replica.platform_name)
-    for container in platform.cluster.cri.containers:
-        if (container.running
-                and container.opts.name.startswith(f"{replica.name}-")
-                and getattr(container.app, "engine", None) is not None):
-            return container.app.engine
-    raise StateError(f"chaos: no live engine for replica {replica.name!r}")
+    return engine
 
 
 def container_of(fleet: Fleet, replica: Replica):
-    """The running main container backing a replica."""
+    """The running main container backing a replica: the podman
+    container on HPC, the live pod container serving an engine on
+    Kubernetes."""
     deployment = replica.deployment
     if deployment.container is not None:
         return deployment.container

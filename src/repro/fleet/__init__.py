@@ -6,7 +6,9 @@ counterpart: realistic open-loop arrivals (:mod:`~repro.fleet.traffic`),
 online SLO accounting (:mod:`~repro.fleet.slo`), an elastic replica
 autoscaler spanning the converged site's HPC and Kubernetes platforms
 (:mod:`~repro.fleet.autoscaler`), and the :class:`~repro.fleet.fleet.Fleet`
-handle that ties them together behind one ``run_scenario()`` call.
+handle that ties them together: ``start()`` then ``run_scenario()``
+play what the fleet's :class:`~repro.campaign.spec.ScenarioSpec`
+declares.
 """
 
 from .autoscaler import Autoscaler, AutoscalerConfig, ScaleEvent

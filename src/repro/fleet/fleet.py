@@ -9,9 +9,12 @@ Flux, or OpenShift platforms interchangeably), one
 load, and a :class:`~repro.fleet.slo.SloTracker` scoring every request
 against the fleet's SLO.
 
-``run_scenario()`` is the entry point: feed it an arrival schedule and a
-tenant mix and it plays open-loop traffic against the fleet, autoscaling
-as the day unfolds, and returns a :class:`FleetReport` scorecard.
+``start()`` then ``run_scenario()`` is the whole run: the fleet's
+:class:`~repro.campaign.spec.ScenarioSpec` says how many replicas to
+deploy, which arrival schedule and tenant mix to play for how long, and
+whether arrivals open multi-turn sessions; ``run_scenario()`` plays that
+traffic against the fleet, autoscaling as the day unfolds, and returns a
+:class:`FleetReport` scorecard.
 
 Kubernetes replicas are registered with the router by their *pod node*
 endpoint rather than the cluster ingress: every Helm release shares one
@@ -42,14 +45,13 @@ from .autoscaler import Autoscaler
 from .governor import FleetFastForward, TickRun
 from .report import FleetReport
 from .slo import RequestRecord, SloSnapshot, SloTracker
-from .traffic import ArrivalSchedule, TenantMix, TrafficGenerator
+from .traffic import TenantMix, TrafficGenerator
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..campaign.spec import ScenarioSpec
     from ..chaos.supervisor import ReplicaSupervisor
     from ..core.site import ConvergedSite
     from ..hardware.node import Node
-    from ..sessions import SessionSpec
     from ..simkernel import Event
 
 #: Simulated seconds between SLO monitor rows (``FleetReport.snapshots``).
@@ -64,7 +66,7 @@ class DisaggSpec:
 
     When ``enabled``, the fleet runs two replica pools: a fixed pool of
     ``prefill_replicas`` engines in role ``prefill`` and an elastic
-    decode pool (sized by ``Fleet.start(initial_replicas)`` and scaled
+    decode pool (sized by the spec's ``initial_replicas`` and scaled
     by the autoscaler — decode capacity is what queues under load; the
     prefill pool is provisioned for the arrival rate up front).  The
     router dispatches each completion in two legs and the decode engine
@@ -101,12 +103,14 @@ class Replica:
 class Fleet:
     """Deployments + router + autoscaler + SLO tracker, one lifecycle.
 
-    ``spec`` is the fleet's one declaration: model, placement, router
-    policy, SLO, autoscaler, scrape cadence, disagg shape, quiet-play
-    (``fast_forward``) and engine knobs, plus the chaos supervisor's and
-    probes' cadences, are all read from it.  ``obs_report=False`` skips
-    the end-of-run ``FleetReport.obs`` pass (recording still happens),
-    so an overhead bench times the serving day alone.
+    ``spec`` is the fleet's one declaration: model, placement, initial
+    replicas, router policy, SLO, autoscaler, scrape cadence, disagg
+    shape, quiet-play (``fast_forward``) and engine knobs, the chaos
+    supervisor's and probes' cadences, and the traffic a scenario plays
+    (schedule, tenants, sessions, horizon, label) are all read from it.
+    ``obs_report=False`` skips the end-of-run ``FleetReport.obs`` pass
+    (recording still happens), so an overhead bench times the serving
+    day alone.
     """
 
     def __init__(self, site: ConvergedSite, spec: ScenarioSpec,
@@ -197,19 +201,19 @@ class Fleet:
 
     # -- bring-up ---------------------------------------------------------------
 
-    def start(self, initial_replicas: int = 1):
-        """Generator: seed artifacts, deploy replicas, start the router.
+    def start(self):
+        """Generator: seed artifacts, deploy ``spec.initial_replicas``
+        replicas, start the router.
 
         Under a disagg spec ``initial_replicas`` sizes the *decode*
         pool; the prefill pool is ``spec.disagg.prefill_replicas``.
         """
         self._seed()
-        if self.spec.disagg.enabled:
-            yield from self.add_replicas(
-                self.spec.disagg.prefill_replicas, role="prefill")
-            yield from self.add_replicas(initial_replicas, role="decode")
-        else:
-            yield from self.add_replicas(initial_replicas)
+        disagg = self.spec.disagg
+        if disagg.enabled:
+            yield from self.add_replicas(disagg.prefill_replicas,
+                                         role="prefill")
+        yield from self.add_replicas(self.spec.initial_replicas)
         yield from self._start_router()
         self._client = HttpClient(self.site.fabric,
                                   self._router_platform().service_host)
@@ -563,40 +567,43 @@ class Fleet:
 
     # -- scenarios --------------------------------------------------------------
 
-    def run_scenario(self, schedule: ArrivalSchedule, horizon: float,
-                     mix: TenantMix | None = None, label: str = "scenario",
-                     sessions: SessionSpec | None = None):
-        """Generator: play ``horizon`` seconds of open-loop traffic.
+    def run_scenario(self):
+        """Generator: play the spec's traffic for ``spec.horizon`` seconds.
 
-        Starts the autoscaler, the SLO monitor and (with a scraper) the
-        telemetry loop, waits for the arrival stream to end and in-flight
-        requests to drain, then returns a :class:`FleetReport`.
+        Builds ``spec.schedule`` and the tenant mix, starts the
+        autoscaler, the SLO monitor and (with a scraper) the telemetry
+        loop, waits for the arrival stream to end and in-flight requests
+        to drain, then returns a :class:`FleetReport` labelled
+        ``spec.name``.
 
-        With a ``sessions`` spec the schedule emits *session starts*
-        instead of single-shot requests: each start becomes a multi-turn
-        conversation whose follow-up turns self-schedule closed-loop
-        (serving latency + think time), carrying the session identity
-        that keys the engines' prefix caches and the router's
+        With ``spec.sessions`` enabled the schedule emits *session
+        starts* instead of single-shot requests: each start becomes a
+        multi-turn conversation whose follow-up turns self-schedule
+        closed-loop (serving latency + think time), carrying the session
+        identity that keys the engines' prefix caches and the router's
         cache-affinity policy.
         """
         if self.router_app is None:
             raise StateError("call fleet.start() before run_scenario()")
         kernel = self.kernel
+        spec = self.spec
         if self._scenario_ran:
             # Fresh accounting per scenario; earlier FleetReports keep
             # their own (now detached) trackers and event lists.
-            self.slo = SloTracker(kernel, self.spec.slo)
+            self.slo = SloTracker(kernel, spec.slo)
             self.autoscaler.reset()
             self.monitor = []
             self.replica_timeline = []
         self._scenario_ran = True
         from ..sessions import SessionTraffic
-        if sessions is not None and sessions.enabled:
-            traffic = SessionTraffic(kernel, schedule, sessions,
+        schedule, mix = spec.schedule.build(), spec.build_mix(kernel)
+        if spec.sessions.enabled:
+            traffic = SessionTraffic(kernel, schedule, spec.sessions,
                                      self.request, mix=mix)
         else:
-            mix = mix or TenantMix.single(kernel)
-            traffic = TrafficGenerator(kernel, schedule, mix, self.submit)
+            traffic = TrafficGenerator(
+                kernel, schedule, mix or TenantMix.single(kernel),
+                self.submit)
         # No quiet window carries over between scenarios.
         self.ff._edge = -math.inf
         self.router_app.ff_governor = self.ff
@@ -604,20 +611,20 @@ class Fleet:
         kernel.spawn(self.autoscaler.run(stop), name="fleet:autoscaler")
         kernel.spawn(self._monitor(stop), name="fleet:monitor")
         scraper = self.alerts = None
-        if self.spec.scrape_interval > 0 and kernel.obs.registry.enabled:
+        if spec.scrape_interval > 0 and kernel.obs.registry.enabled:
             scraper = MetricsScraper(kernel, kernel.obs.registry,
-                                     self.spec.scrape_interval)
-            slo = self.spec.slo
+                                     spec.scrape_interval)
+            slo = spec.slo
             self.alerts = AlertEvaluator(kernel, scraper, default_slo_rules(
                 ttft_target=slo.ttft_target, e2e_target=slo.e2e_target,
                 max_error_rate=slo.max_error_rate,
                 percentile=slo.percentile, interval=scraper.interval,
-                min_replicas=self.spec.autoscaler.min_replicas))
+                min_replicas=spec.autoscaler.min_replicas))
             kernel.spawn(self._telemetry(stop, scraper, self.alerts),
                          name="fleet:telemetry")
         started = kernel.now
         self.replica_timeline.append((started, len(self.replicas)))
-        arrivals = yield kernel.spawn(traffic.run(horizon),
+        arrivals = yield kernel.spawn(traffic.run(spec.horizon),
                                       name="fleet:traffic")
         yield from self._drain()
         stop.succeed()
@@ -643,7 +650,8 @@ class Fleet:
                 obs["attribution"] = \
                     CriticalPathAnalyzer(kernel.obs.spans).report().to_json()
         return FleetReport(
-            label=label, duration=kernel.now - started, arrivals=arrivals,
+            label=spec.name, duration=kernel.now - started,
+            arrivals=arrivals,
             slo=self.slo.report(),
             scale_events=list(self.autoscaler.events),
             replica_timeline=list(self.replica_timeline),

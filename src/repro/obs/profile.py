@@ -4,9 +4,10 @@ Spans and metrics measure the *simulated* system; the profiler measures
 the *simulator* — which layer burns real wall-clock while a scenario
 runs:
 
+    from repro.campaign import play
     from repro.obs import profiler
     profiler.enable()
-    run_scenario(...)
+    play(spec)                        # or any Fleet.run_scenario() run
     profiler.disable()
     print(profiler.report())          # per-layer and per-function rows
     print(profiler.flamegraph())      # collapsed-stack text flamegraph

@@ -13,7 +13,7 @@ exposes ``/v1/chat/completions``.
 """
 
 from .config import EngineArgs, OFFLINE_ENV_FLAGS, parse_serve_command
-from .engine import LLMEngine, Request, RequestStats
+from .engine import LLMEngine, Request
 from .kvcache import BlockManager
 from .perf import PerfModel, PerfProfile
 from .scheduler import (SCHEDULER_POLICIES, SCHEDULERS, ChunkedScheduler,
@@ -36,7 +36,6 @@ __all__ = [
     "PerfProfile",
     "Request",
     "RequestSpec",
-    "RequestStats",
     "SCHEDULER_POLICIES",
     "SCHEDULERS",
     "Scheduler",

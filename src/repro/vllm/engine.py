@@ -23,7 +23,6 @@ admission with their prefill already paid for.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from ..errors import APIError, ContainerCrash
@@ -42,18 +41,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 class EngineCrash(ContainerCrash):
     """The engine died (e.g. the memory-leak crash of Fig. 12 run 1)."""
-
-
-@dataclass
-class RequestStats:
-    """Final accounting for one completed request."""
-
-    prompt_tokens: int
-    output_tokens: int
-    ttft: float          # time to first token
-    latency: float       # submit -> finish
-    preemptions: int
-    cached_tokens: int = 0   # prompt tokens served from the prefix cache
 
 
 class Request:
@@ -118,17 +105,6 @@ class Request:
             self.first_token_at = now
             if self._first_token is not None:
                 self._first_token.succeed(now)
-
-    def stats(self) -> RequestStats:
-        assert self.finished_at is not None and self.first_token_at is not None
-        return RequestStats(
-            prompt_tokens=self.prompt_tokens,
-            output_tokens=self.tokens_generated,
-            ttft=self.first_token_at - self.submitted_at,
-            latency=self.finished_at - self.submitted_at,
-            preemptions=self.preemptions,
-            cached_tokens=self.cached_tokens,
-        )
 
     @property
     def total_tokens(self) -> int:

@@ -293,22 +293,22 @@ class VllmOpenAIServer(ContainerApp):
             return CompletionResult.failed(exc.status, exc.message)
         except ContainerCrash as exc:
             return CompletionResult.failed(500, f"engine crashed: {exc}")
-        stats = finished.stats()
+        prompt, output = finished.prompt_tokens, finished.tokens_generated
         result = CompletionResult(
             request_id=finished.id, model=model,
-            prompt_tokens=stats.prompt_tokens,
-            output_tokens=stats.output_tokens, ttft=stats.ttft,
-            latency=stats.latency, preemptions=stats.preemptions,
-            cached_tokens=stats.cached_tokens,
+            prompt_tokens=prompt, output_tokens=output,
+            ttft=finished.first_token_at - finished.submitted_at,
+            latency=finished.finished_at - finished.submitted_at,
+            preemptions=finished.preemptions,
+            cached_tokens=finished.cached_tokens,
             path="decode" if generated else role,
             kv_transfer_s=kv_transfer_s)
         if role == "prefill":
             # Everything a decode engine needs to continue the request.
             result.handoff = KvHandoff(
                 source=self._ctx.hostname if self._ctx else "",
-                prompt_tokens=stats.prompt_tokens,
-                generated=stats.output_tokens or 1,
-                kv_tokens=stats.prompt_tokens + stats.output_tokens)
+                prompt_tokens=prompt, generated=output or 1,
+                kv_tokens=prompt + output)
         return result
 
     def _kv_transfer(self, handoff: KvHandoff, fallback_tokens: int,

@@ -37,15 +37,12 @@ def _spec(kind: str, events) -> object:
 
 
 def _run(spec, fast_forward: bool) -> tuple[dict, int]:
-    """Play ``spec`` as a game day; returns the five outputs and the
+    """Play ``spec`` with its faults; returns the five outputs and the
     number of ticks the governor skipped."""
     spec = dataclasses.replace(spec, fast_forward=fast_forward)
     fleet = Fleet(spec.build_site(), spec)
     kernel = fleet.kernel
     orchestrator = ChaosOrchestrator(fleet)
-    by_name = {s.name: s for s in catalog()}
-    plan = [(e.inject_at, by_name[e.scenario], e.fault_duration)
-            for e in spec.chaos]
     skipped = [0]
     next_tick = fleet.ff.next_tick
 
@@ -57,9 +54,8 @@ def _run(spec, fast_forward: bool) -> tuple[dict, int]:
     fleet.ff.next_tick = counted
 
     def cell(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        report, _windows = yield from orchestrator.run_gameday(
-            plan, spec.schedule.build(), spec.horizon)
+        yield from fleet.start()
+        report = yield from orchestrator.run()
         return report
 
     report = kernel.run(until=kernel.spawn(cell(kernel)))

@@ -12,25 +12,29 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import ScenarioSpec
+from repro.campaign import (ChaosEventSpec, ScenarioSpec, ScheduleSpec,
+                            SiteSpec)
 from repro.chaos import ChaosOrchestrator, ReplicaSupervisor
 from repro.chaos.scenarios import engine_of
-from repro.core import build_sandia_site
-from repro.fleet import AutoscalerConfig, Fleet, PoissonSchedule, SloSpec
+from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 from repro.vllm import faults
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
-def _fleet(seed=23):
-    site = build_sandia_site(seed=seed, hops_nodes=6, eldorado_nodes=2,
-                             goodall_nodes=3, cee_nodes=1)
-    fleet = Fleet(site, ScenarioSpec(
-        model=QUANT, tensor_parallel_size=2, platforms=("hops",),
-        initial_replicas=2,
+def _fleet(seed=23, chaos=()):
+    """Two hops replicas under 0.2 rps of Poisson traffic for 2400 s."""
+    spec = ScenarioSpec(
+        name="trigger-e2e", seed=seed, model=QUANT, tensor_parallel_size=2,
+        platforms=("hops",), initial_replicas=2, horizon=2400.0,
+        site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=3,
+                      cee_nodes=1),
+        schedule=ScheduleSpec(kind="poisson", rate_rps=0.2),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
-        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3)))
-    return site, fleet
+        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3),
+        chaos=chaos)
+    site = spec.build_site()
+    return site, Fleet(site, spec)
 
 
 def _run_trigger_scenario(site, fleet, arm):
@@ -40,7 +44,7 @@ def _run_trigger_scenario(site, fleet, arm):
     state = {}
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=2)
+        yield from fleet.start()
         stop = env.event()
         env.spawn(supervisor.run(stop), name="sup")
 
@@ -52,8 +56,7 @@ def _run_trigger_scenario(site, fleet, arm):
             arm(state["engine"])
 
         env.spawn(arm_later(env), name="arm")
-        report = yield from fleet.run_scenario(
-            PoissonSchedule(0.2), horizon=2400.0, label="trigger-e2e")
+        report = yield from fleet.run_scenario()
         stop.succeed()
         return report
 
@@ -104,20 +107,18 @@ def test_crash_on_concurrency_through_fleet_recovery():
 
 def test_crash_at_time_scored_by_orchestrator():
     """The same trigger measured via the orchestrator's probe timeline."""
-    from repro.chaos.scenarios import CATALOG
-    site, fleet = _fleet(seed=31)
+    site, fleet = _fleet(seed=31, chaos=(
+        ChaosEventSpec("engine_oom", inject_at=600.0, fault_duration=300.0),))
     orchestrator = ChaosOrchestrator(fleet)
-    scenario = next(s for s in CATALOG if s.name == "engine_oom")
     kernel = site.kernel
 
     def run(env):
-        yield from fleet.start(initial_replicas=2)
-        result = yield from orchestrator.run_case(
-            scenario, PoissonSchedule(0.2), horizon=2400.0,
-            inject_at=600.0, fault_duration=300.0)
-        return result
+        yield from fleet.start()
+        report = yield from orchestrator.run()
+        return report
 
-    report, res = kernel.run(until=kernel.spawn(run(kernel)))
+    report = kernel.run(until=kernel.spawn(run(kernel)))
+    (res,) = report.faults
     assert res.recovery_ok
     assert res.detected_at is not None
     assert res.first_response_s is not None

@@ -1,9 +1,9 @@
-"""The orchestrator's one run loop and one scorer.
+"""The orchestrator's one run and one scorer.
 
-``run_case`` is a one-event plan on the loop ``run_gameday`` walks, so
-the same fault at the same time must leave the same simulation behind
-and the same score: the game day's one window is the case's report.
-Only the report label and the resilience block's layout differ.
+``ChaosOrchestrator.run()`` plays the faults of the fleet's spec: each
+fault scores over its own window, up to the next injection or the run's
+end.  The report's label and resilience layout follow the fault count
+(see tests/campaign/test_spec_is_the_run.py).
 """
 
 from __future__ import annotations
@@ -13,18 +13,11 @@ import dataclasses
 import pytest
 
 from repro.campaign import ChaosEventSpec, play
-from repro.chaos import ChaosOrchestrator, catalog
 from repro.chaos.runner import PLATFORM_FLEETS, case_spec, run_case
-from repro.errors import ConfigurationError
-from repro.fleet import AutoscalerConfig, Fleet
+from repro.fleet import AutoscalerConfig
 
 #: Chaos cells here run half an hour, not the matrix's quick hour.
 HORIZON = 1800.0
-#: The keys of a game-day segment row.
-SEGMENT_KEYS = {"scenario", "layer", "injected_at_s", "detail",
-                "detected_at_s", "recovered_at_s", "mttr_s",
-                "detection_delay_alert_s", "requests_lost",
-                "requests_retried", "error"}
 
 
 def _chaos_spec(fleet_platform: str, *events):
@@ -33,64 +26,6 @@ def _chaos_spec(fleet_platform: str, *events):
     return dataclasses.replace(
         case_spec(events[0][0], fleet_platform), horizon=HORIZON,
         chaos=tuple(ChaosEventSpec(*event) for event in events))
-
-
-#: A node crash 600 s in, for 300 s.
-SPEC = _chaos_spec("hops", ("node_crash", 600.0, 300.0))
-
-
-def _play(arm: str) -> tuple[str, dict]:
-    spec = SPEC
-    (event,) = spec.chaos
-    fleet = Fleet(spec.build_site(), spec)
-    orchestrator = ChaosOrchestrator(fleet)
-    (scenario,) = catalog(names=[event.scenario])
-    schedule = spec.schedule.build()
-
-    def run(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        if arm == "case":
-            report, _res = yield from orchestrator.run_case(
-                scenario, schedule, spec.horizon, event.inject_at,
-                fault_duration=event.fault_duration)
-        else:
-            report, _segments = yield from orchestrator.run_gameday(
-                [(event.inject_at, scenario)], schedule, spec.horizon,
-                fault_duration=event.fault_duration)
-        return report
-
-    kernel = fleet.kernel
-    report = kernel.run(until=kernel.spawn(run(kernel)))
-    digest = kernel.trace.digest()
-    fleet.shutdown()
-    return digest, report.to_json()
-
-
-def test_run_case_is_a_one_event_gameday():
-    case_digest, case = _play("case")
-    day_digest, day = _play("gameday")
-    assert case_digest == day_digest
-    assert case["label"] == "chaos:node_crash"
-    assert day["label"] == "chaos:gameday"
-    assert case["resilience"]["recovery_ok"]
-    # One scorer: the game day's one segment is the case's report cut
-    # to the segment keys, and the run-level blocks and the whole-cell
-    # verdict are the case's too.
-    (segment,) = day["resilience"]["gameday"]
-    assert segment == {k: v for k, v in case["resilience"].items()
-                       if k in SEGMENT_KEYS}
-    for key in ("repair_events", "incidents", "recovery_ok", "mttr_s"):
-        assert day["resilience"][key] == case["resilience"][key], key
-    for key in ("slo", "scale_events", "obs"):
-        assert case[key] == day[key], key
-    # The fault really ran: the supervisor repaired the crashed node.
-    assert case["resilience"]["injected_at_s"] is not None
-    assert case["resilience"]["repair_events"]
-    assert case["obs"]["alerts"]["digest"]
-    # Whole reports match once the two permitted differences are out.
-    for report in (case, day):
-        del report["label"], report["resilience"]
-    assert case == day
 
 
 @pytest.mark.parametrize("name,kind", [("registry_outage", "hpc"),
@@ -104,13 +39,6 @@ def test_matrix_case_is_the_played_spec(name, kind):
     assert report.to_json() == played.to_json()
     assert report.faults == [res]
     assert report.resilience == res.to_json()
-
-
-def test_gameday_needs_a_fault():
-    orchestrator = ChaosOrchestrator(Fleet(SPEC.build_site(), SPEC))
-    with pytest.raises(ConfigurationError):
-        next(orchestrator.run_gameday([], SPEC.schedule.build(),
-                                      SPEC.horizon))
 
 
 def test_gameday_windows_end_at_the_next_injection():

@@ -48,7 +48,7 @@ def test_sweeps_follow_the_spec_interval():
     supervisor._sweep = sweep
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=1)
+        yield from fleet.start()
         start = env.now
         stop = env.event()
         env.spawn(supervisor.run(stop), name="sup")
@@ -66,7 +66,7 @@ def _run_with_supervisor(site, fleet, wound, settle=3600.0):
     supervisor = ReplicaSupervisor(fleet)
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=2)
+        yield from fleet.start()
         stop = env.event()
         env.spawn(supervisor.run(stop), name="sup")
         wound(fleet)

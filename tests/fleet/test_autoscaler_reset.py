@@ -10,10 +10,9 @@ first scale decision for up to a full cooldown of simulated time.
 import hashlib
 import math
 
-from repro.campaign import ScenarioSpec
+from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, Fleet,
-                         FlashCrowdSchedule, PoissonSchedule, SloSpec)
+from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
@@ -43,38 +42,36 @@ def test_second_scenario_can_scale_despite_huge_cooldown():
     """With a cooldown longer than the whole campaign, only a reset
     between scenarios lets scenario 2 take its scale-up — stale
     ``_last_up`` from scenario 1 would veto it for the entire horizon."""
-    site = build_sandia_site(seed=31, hops_nodes=6, eldorado_nodes=2,
-                             goodall_nodes=3, cee_nodes=1)
     spec = ScenarioSpec(
-        model=QUANT, tensor_parallel_size=2, platforms=("hops",),
+        name="cooldown", seed=31, model=QUANT, tensor_parallel_size=2,
+        platforms=("hops",), horizon=2400.0,
+        site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=3,
+                      cee_nodes=1),
+        # 5 rps bursts for the first quarter of every 2700 s: scenario 1
+        # starts (after the ~345 s deploy) inside the first burst and
+        # scenario 2 (at ~2755 s) inside the second, so each opens with
+        # a backlog one replica cannot serve.
+        schedule=ScheduleSpec(kind="pulse", rate_rps=5.0, period=2700.0,
+                              duty=0.25),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(
             min_replicas=1, max_replicas=3, target_outstanding=8.0,
             up_cooldown=10_000_000.0, down_cooldown=10_000_000.0,
             low_streak=4))
+    site = spec.build_site()
     fleet = Fleet(site, spec)
 
-    def _flash(at: float) -> FlashCrowdSchedule:
-        # Flash windows are absolute sim time, so scenario 2 needs its
-        # own burst placed after the clock has moved on.
-        return FlashCrowdSchedule(PoissonSchedule(0.05), start=at + 300.0,
-                                  duration=600.0, multiplier=200.0,
-                                  ramp=60.0)
-
     def campaign(env):
-        yield from fleet.start(initial_replicas=1)
-        first = yield from fleet.run_scenario(_flash(env.now), horizon=2400.0,
-                                              label="first")
+        yield from fleet.start()
+        first = yield from fleet.run_scenario()
         while len(fleet.replicas) > 1:     # hand scenario 2 headroom
             yield from fleet.remove_replica()
-        second = yield from fleet.run_scenario(_flash(env.now),
-                                               horizon=2400.0,
-                                               label="second")
+        second = yield from fleet.run_scenario()
         return first, second
 
     first, second = site.kernel.run(
         until=site.kernel.spawn(campaign(site.kernel)))
     ups_first = [e for e in first.scale_events if e.action == "up"]
     ups_second = [e for e in second.scale_events if e.action == "up"]
-    assert ups_first, "scenario 1 never scaled — flash too weak for the test"
+    assert ups_first, "scenario 1 never scaled — burst too weak for the test"
     assert ups_second, "stale cooldown leaked into scenario 2"

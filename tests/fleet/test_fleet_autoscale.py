@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import ScenarioSpec
+from repro.campaign import ScenarioSpec, ScheduleSpec
 from repro.core import build_sandia_site
-from repro.fleet import (Autoscaler, AutoscalerConfig, Fleet,
-                         FlashCrowdSchedule, PoissonSchedule, SloSpec)
+from repro.fleet import Autoscaler, AutoscalerConfig, Fleet, SloSpec
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
@@ -55,24 +54,25 @@ def elastic_run():
     site = build_sandia_site(seed=99, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
     spec = ScenarioSpec(
-        model=QUANT, tensor_parallel_size=2,
+        name="e2e", model=QUANT, tensor_parallel_size=2,
         platforms=("hops", "goodall"),
         policy="least-outstanding",
+        horizon=5400.0,
+        # Baseline 0.1 req/s; the burst (~15 req/s) exceeds a single
+        # replica's decode ceiling, so backlog builds until the fleet
+        # grows.
+        schedule=ScheduleSpec(kind="poisson", rate_rps=0.1,
+                              flash_mult=150.0, flash_start=600.0,
+                              flash_duration=900.0, flash_ramp=120.0),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(
             min_replicas=1, max_replicas=3, target_outstanding=8.0,
             up_cooldown=120.0, down_cooldown=600.0, low_streak=4))
     fleet = Fleet(site, spec)
-    # Baseline 0.1 req/s; the burst (~15 req/s) exceeds a single
-    # replica's decode ceiling, so backlog builds until the fleet grows.
-    schedule = FlashCrowdSchedule(
-        PoissonSchedule(0.1), start=600.0, duration=900.0,
-        multiplier=150.0, ramp=120.0)
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=1)
-        report = yield from fleet.run_scenario(
-            schedule, horizon=5400.0, label="e2e")
+        yield from fleet.start()
+        report = yield from fleet.run_scenario()
         return report
 
     report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
@@ -124,18 +124,18 @@ def test_scenario_is_deterministic():
         site = build_sandia_site(seed=123, hops_nodes=4, eldorado_nodes=2,
                                  goodall_nodes=2, cee_nodes=1)
         spec = ScenarioSpec(
-            model=QUANT, tensor_parallel_size=2, platforms=("hops",),
+            name="det", model=QUANT, tensor_parallel_size=2,
+            platforms=("hops",), horizon=1800.0,
+            schedule=ScheduleSpec(kind="poisson", rate_rps=0.1,
+                                  flash_mult=120.0, flash_start=300.0,
+                                  flash_duration=600.0, flash_ramp=60.0),
             autoscaler=AutoscalerConfig(
                 min_replicas=1, max_replicas=2, target_outstanding=8.0))
         fleet = Fleet(site, spec)
-        schedule = FlashCrowdSchedule(
-            PoissonSchedule(0.1), start=300.0, duration=600.0,
-            multiplier=120.0, ramp=60.0)
 
         def scenario(env):
-            yield from fleet.start(initial_replicas=1)
-            report = yield from fleet.run_scenario(
-                schedule, horizon=1800.0, label="det")
+            yield from fleet.start()
+            report = yield from fleet.run_scenario()
             return report
 
         report = site.kernel.run(

@@ -26,7 +26,7 @@ def test_add_replicas_refuses_a_node_with_a_busy_port(platform):
     kernel = site.kernel
 
     def start(env):
-        yield from fleet.start(1)
+        yield from fleet.start()
 
     kernel.run(until=kernel.spawn(start(kernel)))
     (node,) = (site.hops.nodes if platform == "hops"

@@ -20,33 +20,45 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import ScenarioSpec
+from repro.campaign import ScenarioSpec, ScheduleSpec
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, DisaggSpec, Fleet,
-                         FlashCrowdSchedule, PoissonSchedule, SloSpec)
+from repro.fleet import AutoscalerConfig, DisaggSpec, Fleet, SloSpec
 from repro.fleet.traffic import PulseSchedule
+from repro.sessions import SessionSpec
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
-def _build_fleet(seed: int, fast_forward: bool, platforms=("hops",),
+def _build_fleet(seed: int, fast_forward: bool, schedule: ScheduleSpec,
+                 horizon: float, platforms=("hops",),
                  max_replicas: int = 3, min_replicas: int = 1,
-                 disagg: bool = False) -> tuple:
+                 replicas: int | None = None, disagg: bool = False,
+                 sessions: bool = False) -> tuple:
+    """A fleet playing ``schedule`` for ``horizon`` seconds from
+    ``replicas`` replicas (``min_replicas`` unless given)."""
     site = build_sandia_site(seed=seed, hops_nodes=6, eldorado_nodes=2,
                              goodall_nodes=3, cee_nodes=1)
     spec = ScenarioSpec(
-        model=QUANT, tensor_parallel_size=2,
+        name="ff-equiv", model=QUANT, tensor_parallel_size=2,
         platforms=platforms,
         policy="least-outstanding",
-        initial_replicas=min_replicas,
+        initial_replicas=replicas or min_replicas,
+        horizon=horizon, schedule=schedule,
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(
             min_replicas=min_replicas, max_replicas=max_replicas,
             target_outstanding=8.0, up_cooldown=120.0,
             down_cooldown=600.0, low_streak=4),
+        sessions=SessionSpec(enabled=sessions),
         disagg=DisaggSpec(enabled=disagg),
         fast_forward=fast_forward)
     return site, Fleet(site, spec)
+
+
+def _pulse(rate: float, period: float, duty: float) -> ScheduleSpec:
+    """Pulse traffic, ``duty`` seconds on per ``period``."""
+    return ScheduleSpec(kind="pulse", rate_rps=rate, period=period,
+                        duty=duty / period)
 
 
 def _count_quiet(fleet) -> dict:
@@ -63,22 +75,19 @@ def _count_quiet(fleet) -> dict:
     return seen
 
 
-def _play(site, fleet, schedule, horizon: float, replicas: int = 1,
-          during=None, sessions=None) -> dict:
-    """Run one scenario and capture every digest-visible artifact.
+def _play(site, fleet, during=None) -> dict:
+    """Run the fleet's scenario and capture every digest-visible artifact.
 
     ``during(env)``, when given, runs as its own process alongside the
-    scenario (mid-run fault injection).  ``sessions`` turns the
-    schedule's arrivals into session starts.
+    scenario (mid-run fault injection).
     """
     seen = _count_quiet(fleet)
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=replicas)
+        yield from fleet.start()
         if during is not None:
             env.spawn(during(env))
-        report = yield from fleet.run_scenario(
-            schedule, horizon=horizon, label="ff-equiv", sessions=sessions)
+        report = yield from fleet.run_scenario()
         return report
 
     report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
@@ -107,14 +116,15 @@ def test_flash_crowd_bit_identical_vs_stepping():
     issue every request through the one request path; only the on arm
     fast-plays quiet ticks.
     """
-    schedule = FlashCrowdSchedule(
-        PoissonSchedule(0.1), start=600.0, duration=900.0,
-        multiplier=150.0, ramp=120.0)
+    schedule = ScheduleSpec(kind="poisson", rate_rps=0.1, flash_mult=150.0,
+                            flash_start=600.0, flash_duration=900.0,
+                            flash_ramp=120.0)
     runs = {}
     for ff in (True, False):
         site, fleet = _build_fleet(seed=99, fast_forward=ff,
+                                   schedule=schedule, horizon=5400.0,
                                    platforms=("hops", "goodall"))
-        runs[ff] = _play(site, fleet, schedule, horizon=5400.0)
+        runs[ff] = _play(site, fleet)
     on, off = runs[True], runs[False]
     assert on["arrivals"] > 1000
     assert on["fast"] == off["fast"] == on["arrivals"]
@@ -132,12 +142,12 @@ def test_pulse_gaps_bit_identical_vs_stepping():
     where any phase or closed-form error would show up as a diverging
     autoscaler digest or snapshot row.
     """
-    schedule = PulseSchedule(rate_rps=1.2, period=21600.0,
-                             duty=600.0 / 21600.0)
     runs = {}
     for ff in (True, False):
-        site, fleet = _build_fleet(seed=7, fast_forward=ff)
-        runs[ff] = _play(site, fleet, schedule, horizon=86400.0)
+        site, fleet = _build_fleet(seed=7, fast_forward=ff,
+                                   schedule=_pulse(1.2, 21600.0, 600.0),
+                                   horizon=86400.0)
+        runs[ff] = _play(site, fleet)
     on, off = runs[True], runs[False]
     assert on["arrivals"] > 1000
     assert on["fast"] == on["arrivals"]
@@ -152,7 +162,9 @@ def _telemetry_arm(fast_forward: bool, monkeypatch) -> dict:
     skipped the telemetry tick."""
     from repro.obs.scrape import MetricsScraper
 
-    site, fleet = _build_fleet(seed=1, fast_forward=fast_forward)
+    site, fleet = _build_fleet(seed=1, fast_forward=fast_forward,
+                               schedule=_pulse(0.05, 7200.0, 600.0),
+                               horizon=3 * 7200.0)
     kernel = site.kernel
     live, idle, start = [], [], []
     registry = kernel.obs.registry
@@ -170,14 +182,11 @@ def _telemetry_arm(fast_forward: bool, monkeypatch) -> dict:
         scrape_idle(self, ticks)
 
     monkeypatch.setattr(MetricsScraper, "scrape_idle", recorded_scrape_idle)
-    schedule = PulseSchedule(rate_rps=0.05, period=7200.0,
-                             duty=600.0 / 7200.0)
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=1)
+        yield from fleet.start()
         start.append(env.now)
-        report = yield from fleet.run_scenario(
-            schedule, horizon=3 * 7200.0, label="telemetry")
+        report = yield from fleet.run_scenario()
         return report
 
     report = kernel.run(until=kernel.spawn(scenario(kernel)))
@@ -227,32 +236,38 @@ def _pulse_arms(seed: int, rate: float, period: float, duty: float,
                 sessions: bool = False) -> dict:
     """Both arms of one pulse shape (``duty`` in seconds per period).
 
-    ``crash_at`` attaches a :func:`~repro.vllm.faults.CrashAtTime` to
-    one live engine at that absolute time; the engine only crashes once
-    load next reaches it, so a crash attached in a traffic gap lands
-    while every periodic loop is skipping ticks.  ``sessions`` makes
-    each arrival a multi-turn conversation whose later turns follow
-    closed-loop think timers.
+    The run opens with ``replicas`` live replicas.  Fewer than
+    ``min_replicas`` is not a legal start, so the fleet starts at the
+    floor and discards the surplus as traffic starts: the autoscaler's
+    first tick then scales back up to the floor.  ``crash_at`` attaches
+    a :func:`~repro.vllm.faults.CrashAtTime` to one live engine at that
+    absolute time; the engine only crashes once load next reaches it,
+    so a crash attached in a traffic gap lands while every periodic
+    loop is skipping ticks.  ``sessions`` makes each arrival a
+    multi-turn conversation whose later turns follow closed-loop think
+    timers.
     """
-    from repro.sessions import SessionSpec
     from repro.vllm import faults
 
-    schedule = PulseSchedule(rate_rps=rate, period=period,
-                             duty=duty / period)
     runs = {}
     for ff in (True, False):
-        site, fleet = _build_fleet(seed=seed, fast_forward=ff,
-                                   min_replicas=min_replicas, disagg=disagg)
-        during = None
-        if crash_at is not None:
-            def during(env, fleet=fleet):
+        site, fleet = _build_fleet(
+            seed=seed, fast_forward=ff, schedule=_pulse(rate, period, duty),
+            horizon=periods * period, min_replicas=min_replicas,
+            replicas=max(replicas, min_replicas), disagg=disagg,
+            sessions=sessions)
+
+        def during(env, fleet=fleet):
+            for _ in range(min_replicas - replicas):
+                fleet.discard_replica(fleet.replicas[-1])
+            if crash_at is not None:
                 yield env.timeout(max(0.0, crash_at - env.now))
                 engine = next(iter(fleet.ff.engines().values()))
                 faults.attach(engine, faults.CrashAtTime(
                     env.now, reason="crash in the gap"))
-        runs[ff] = _play(site, fleet, schedule, horizon=periods * period,
-                         replicas=replicas, during=during,
-                         sessions=SessionSpec(enabled=sessions))
+            yield from ()
+
+        runs[ff] = _play(site, fleet, during=during)
     return runs
 
 
@@ -311,17 +326,17 @@ def test_deploy_inside_a_traffic_gap_ends_the_quiet_window():
     """A scale-out that a timer starts in the middle of a traffic gap:
     the timer is a pending kernel entry, so it ends the quiet window
     and every loop ticks live through the deploy, as stepping does."""
-    schedule = PulseSchedule(0.5, period=7200.0, duty=600.0 / 7200.0)
     runs = {}
     for ff in (True, False):
-        site, fleet = _build_fleet(seed=5, fast_forward=ff)
+        site, fleet = _build_fleet(seed=5, fast_forward=ff,
+                                   schedule=_pulse(0.5, 7200.0, 600.0),
+                                   horizon=4 * 7200.0)
 
         def scale_out(env, fleet=fleet):
             yield env.timeout(10200.0)
             yield from fleet.add_replicas(1)
 
-        runs[ff] = _play(site, fleet, schedule, horizon=4 * 7200.0,
-                         during=scale_out)
+        runs[ff] = _play(site, fleet, during=scale_out)
     on, off = runs[True], runs[False]
     assert on["quiet"] > 0
     for key in EQUIV_KEYS:
@@ -333,16 +348,16 @@ def test_armed_fault_plan_disarms_quiet_play():
     disarm quiet-tick fast-play for the whole scenario."""
     from repro.vllm import faults
 
-    site, fleet = _build_fleet(seed=11, fast_forward=True)
+    site, fleet = _build_fleet(seed=11, fast_forward=True,
+                               schedule=_pulse(0.5, 3600.0, 900.0),
+                               horizon=7200.0)
     seen = _count_quiet(fleet)
-    schedule = PulseSchedule(rate_rps=0.5, period=3600.0, duty=0.25)
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=1)
+        yield from fleet.start()
         for engine in fleet.ff.engines().values():
             faults.attach(engine, lambda eng: None)   # armed, never fires
-        report = yield from fleet.run_scenario(
-            schedule, horizon=7200.0, label="armed")
+        report = yield from fleet.run_scenario()
         return report
 
     report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
@@ -358,10 +373,11 @@ def test_mid_run_fault_fails_over_like_stepping():
     fast-forward arm matches the stepped arm byte for byte."""
     from repro.vllm import faults
 
-    schedule = PoissonSchedule(0.5)
     runs = {}
     for ff in (True, False):
-        site, fleet = _build_fleet(seed=13, fast_forward=ff, min_replicas=2)
+        site, fleet = _build_fleet(
+            seed=13, fast_forward=ff, min_replicas=2, horizon=1800.0,
+            schedule=ScheduleSpec(kind="poisson", rate_rps=0.5))
 
         def crash_one(env, fleet=fleet):
             yield env.timeout(300.0)
@@ -369,8 +385,7 @@ def test_mid_run_fault_fails_over_like_stepping():
             faults.attach(engine, faults.CrashAtTime(
                 env.now, reason="mid-run OOM"))
 
-        runs[ff] = _play(site, fleet, schedule, horizon=1800.0,
-                         replicas=2, during=crash_one)
+        runs[ff] = _play(site, fleet, during=crash_one)
     on, off = runs[True], runs[False]
     assert on["arrivals"] > 500
     assert on["retried"] > 0                # failover saved requests

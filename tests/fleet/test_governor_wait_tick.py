@@ -22,7 +22,7 @@ def _started_fleet():
     fleet = Fleet(site, ScenarioSpec(
         model=QUANT, autoscaler=AutoscalerConfig(min_replicas=1)))
     kernel = site.kernel
-    kernel.run(until=kernel.spawn(fleet.start(initial_replicas=1)))
+    kernel.run(until=kernel.spawn(fleet.start()))
     assert fleet.ff.quiet()
     return kernel, fleet
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import ScenarioSpec
+from repro.campaign import ScenarioSpec, ScheduleSpec
 from repro.core import build_sandia_site
-from repro.fleet import (AutoscalerConfig, Fleet,
-                         PoissonSchedule, SloSpec)
+from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 from repro.net.http import HttpClient
 from repro.obs import parse_exposition
 from repro.obs.spans import by_trace
@@ -27,16 +26,16 @@ def _run_day(seed=7, horizon=900.0):
     site = build_sandia_site(seed=seed, hops_nodes=4, eldorado_nodes=2,
                              goodall_nodes=2, cee_nodes=1)
     spec = ScenarioSpec(
-        model=QUANT, tensor_parallel_size=2, platforms=("hops",),
-        initial_replicas=2,
+        name="obs-day", model=QUANT, tensor_parallel_size=2,
+        platforms=("hops",), initial_replicas=2, horizon=horizon,
+        schedule=ScheduleSpec(kind="poisson", rate_rps=0.2),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=2))
     fleet = Fleet(site, spec)
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=2)
-        report = yield from fleet.run_scenario(
-            PoissonSchedule(0.2), horizon=horizon, label="obs-day")
+        yield from fleet.start()
+        report = yield from fleet.run_scenario()
         return report
 
     report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
@@ -197,15 +196,16 @@ def test_disabled_observability_yields_no_obs_block():
                              goodall_nodes=2, cee_nodes=1)
     site.kernel.obs.disable()
     spec = ScenarioSpec(
-        model=QUANT, tensor_parallel_size=2, platforms=("hops",),
+        name="dark", model=QUANT, tensor_parallel_size=2,
+        platforms=("hops",), horizon=300.0,
+        schedule=ScheduleSpec(kind="poisson", rate_rps=0.1),
         autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=1),
         scrape_interval=0.0)
     fleet = Fleet(site, spec)
 
     def scenario(env):
-        yield from fleet.start(initial_replicas=1)
-        report = yield from fleet.run_scenario(
-            PoissonSchedule(0.1), horizon=300.0, label="dark")
+        yield from fleet.start()
+        report = yield from fleet.run_scenario()
         return report
 
     report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.chaos import ChaosOrchestrator, catalog
+from repro.chaos import ChaosOrchestrator
 from repro.chaos.runner import case_spec
 from repro.fleet import Fleet
 from repro.obs.scrape import MetricsScraper
@@ -46,14 +46,10 @@ def test_router_properties_equal_gauges_at_every_scrape(monkeypatch):
     monkeypatch.setattr(MetricsScraper, "scrape_once", live)
     monkeypatch.setattr(MetricsScraper, "scrape_idle", idle)
     orchestrator = ChaosOrchestrator(fleet)
-    by_name = {s.name: s for s in catalog()}
-    plan = [(e.inject_at, by_name[e.scenario], e.fault_duration)
-            for e in spec.chaos]
 
     def day(env):
-        yield from fleet.start(initial_replicas=spec.initial_replicas)
-        report, _windows = yield from orchestrator.run_gameday(
-            plan, spec.schedule.build(), spec.horizon)
+        yield from fleet.start()
+        report = yield from orchestrator.run()
         return report
 
     report = kernel.run(until=kernel.spawn(day(kernel)))

@@ -98,7 +98,7 @@ def test_engine_params_render_into_vllm_serve(overrides, commands):
     site = spec.build_site()
     fleet = Fleet(site, spec)
     kernel = site.kernel
-    kernel.run(until=kernel.spawn(fleet.start(spec.initial_replicas)))
+    kernel.run(until=kernel.spawn(fleet.start()))
     rendered = []
     for replica in fleet.replicas:
         argv = replica.deployment.artifact

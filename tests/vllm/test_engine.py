@@ -30,10 +30,10 @@ def test_single_request_completes_with_stats(kernel):
     engine = _engine(kernel)
     request = engine.submit(RequestSpec(prompt_tokens=200, max_new_tokens=50))
     finished = kernel.run(until=request.done)
-    stats = finished.stats()
-    assert stats.output_tokens == 50
-    assert stats.prompt_tokens == 200
-    assert 0 < stats.ttft < stats.latency
+    assert finished.tokens_generated == 50
+    assert finished.prompt_tokens == 200
+    assert finished.submitted_at < finished.first_token_at \
+        < finished.finished_at                    # 0 < ttft < latency
     assert engine.blocks.used_blocks == 0  # all freed
 
 

@@ -272,14 +272,15 @@ def test_second_turn_ttft_beats_cold():
     engine = _engine(kernel, kv_tokens=65536 * 4)
     r1 = engine.submit(RequestSpec(1000, 200, session_key="s1"))
     kernel.run(until=r1.done)
-    assert r1.stats().cached_tokens == 0
+    assert r1.cached_tokens == 0
     r2 = engine.submit(RequestSpec(1280, 200, session_key="s1"))     # prior context + 80
     kernel.run(until=r2.done)
     cold = engine.submit(RequestSpec(1280, 200))                     # same shape, no key
     kernel.run(until=cold.done)
-    assert r2.stats().cached_tokens == 1200             # 75 blocks
-    assert cold.stats().cached_tokens == 0
-    assert r2.stats().ttft < cold.stats().ttft / 2
+    assert r2.cached_tokens == 1200             # 75 blocks
+    assert cold.cached_tokens == 0
+    ttft = {r: r.first_token_at - r.submitted_at for r in (r2, cold)}
+    assert ttft[r2] < ttft[cold] / 2
     engine.blocks.check_invariants()
 
 
@@ -298,7 +299,7 @@ def test_preempted_session_request_rehits_cache_on_readmission():
     engine.blocks.check_invariants()
     kernel.run(until=follow.done)
     assert follow.preemptions == 1
-    assert follow.stats().cached_tokens == 1040    # re-hit after recompute
+    assert follow.cached_tokens == 1040    # re-hit after recompute
     engine.blocks.check_invariants()
 
 
@@ -338,4 +339,4 @@ def test_engine_metrics_exposes_cache_gauges():
     assert cache["enabled"] is True
     assert cache["hit_blocks"] > 0
     assert cache["resident_blocks"] > 0
-    assert cache["cached_tokens_total"] == r2.stats().cached_tokens
+    assert cache["cached_tokens_total"] == r2.cached_tokens

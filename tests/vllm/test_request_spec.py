@@ -94,7 +94,6 @@ def test_submit_takes_only_a_request_spec(kernel):
     engine = _engine(kernel)
     request = engine.submit(RequestSpec(300, 40))
     kernel.run(until=request.done)
-    stats = request.stats()
-    assert stats.prompt_tokens == 300 and stats.output_tokens == 40
+    assert request.prompt_tokens == 300 and request.tokens_generated == 40
     with pytest.raises(TypeError):
         engine.submit(200, 50)
