@@ -9,41 +9,28 @@ the burst, scales back afterwards, and loses no requests.
 
 from __future__ import annotations
 
-from repro.campaign import ScenarioSpec, ScheduleSpec
-from repro.core import build_sandia_site
-from repro.fleet import AutoscalerConfig, Fleet, SloSpec
+from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec, play
+from repro.fleet import AutoscalerConfig, SloSpec
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
-
-def _run_autoscale_scenario():
-    site = build_sandia_site(seed=77, hops_nodes=6, eldorado_nodes=2,
-                             goodall_nodes=3, cee_nodes=1)
-    spec = ScenarioSpec(
-        name="bench-autoscale", model=QUANT, tensor_parallel_size=2,
-        platforms=("hops", "goodall"), horizon=2 * 3600.0,
-        schedule=ScheduleSpec(kind="poisson", rate_rps=0.1,
-                              flash_mult=150.0, flash_start=900.0,
-                              flash_duration=1200.0, flash_ramp=180.0),
-        slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
-        autoscaler=AutoscalerConfig(
-            min_replicas=1, max_replicas=4, target_outstanding=8.0,
-            up_cooldown=120.0, down_cooldown=600.0))
-    fleet = Fleet(site, spec)
-
-    def scenario(env):
-        yield from fleet.start()
-        report = yield from fleet.run_scenario()
-        return report
-
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    fleet.shutdown()
-    return report, fleet
+SPEC = ScenarioSpec(
+    name="bench-autoscale", seed=77, model=QUANT, tensor_parallel_size=2,
+    platforms=("hops", "goodall"), horizon=2 * 3600.0,
+    site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=3,
+                  cee_nodes=1),
+    schedule=ScheduleSpec(kind="poisson", rate_rps=0.1,
+                          flash_mult=150.0, flash_start=900.0,
+                          flash_duration=1200.0, flash_ramp=180.0),
+    slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
+    autoscaler=AutoscalerConfig(
+        min_replicas=1, max_replicas=4, target_outstanding=8.0,
+        up_cooldown=120.0, down_cooldown=600.0))
 
 
 def test_flash_crowd_autoscale(benchmark):
-    report, fleet = benchmark.pedantic(_run_autoscale_scenario,
-                                       rounds=1, iterations=1)
+    report, fleet, _digest = benchmark.pedantic(play, args=(SPEC,),
+                                                rounds=1, iterations=1)
     slo = report.slo
     benchmark.extra_info.update({
         "arrivals": report.arrivals,

@@ -87,13 +87,9 @@ def _timed_day(enabled: bool) -> float:
     timed window contains exactly the per-request instrumentation
     difference; see the module docstring.
     """
-    spec = _cell_spec()
-    site = spec.build_site()
-    kernel = site.kernel
-    if not enabled:
-        kernel.obs.disable()
-    fleet = Fleet(site, dataclasses.replace(spec, scrape_interval=0.0),
-                  obs_report=False)
+    fleet = Fleet(dataclasses.replace(_cell_spec(), scrape_interval=0.0),
+                  observability=enabled, obs_report=False)
+    kernel = fleet.kernel
 
     def cell(env):
         yield from fleet.start()
@@ -190,10 +186,8 @@ def test_obs_overhead_campaign_cell_10x(benchmark):
 def _full_obs_day():
     """One hot-cell day with the full surface on (scraper + alerts),
     reporting off; returns (wall_s, kernel, fleet)."""
-    spec = _cell_spec()
-    site = spec.build_site()
-    kernel = site.kernel
-    fleet = Fleet(site, spec, obs_report=False)
+    fleet = Fleet(_cell_spec(), obs_report=False)
+    kernel = fleet.kernel
 
     def cell(env):
         yield from fleet.start()

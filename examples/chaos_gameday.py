@@ -25,9 +25,8 @@ Run:  python examples/chaos_gameday.py
 
 from __future__ import annotations
 
-from repro.campaign import ChaosEventSpec, ScenarioSpec, SiteSpec
-from repro.chaos import ChaosOrchestrator
-from repro.fleet import AutoscalerConfig, Fleet, SloSpec
+from repro.campaign import ChaosEventSpec, ScenarioSpec, SiteSpec, play
+from repro.fleet import AutoscalerConfig, SloSpec
 from repro.units import fmt_duration
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
@@ -58,23 +57,14 @@ def main() -> None:
             ChaosEventSpec("pod_eviction", 16200.0, FAULT_S),
         ),
     )
-    site = spec.build_site()
-    kernel = site.kernel
-    fleet = Fleet(site, spec)
-    orchestrator = ChaosOrchestrator(fleet)
-
-    def gameday(env):
-        yield from fleet.start()
-        # The Kubernetes faults need a target on the OpenShift side.
-        report = yield from orchestrator.run(platform_name="goodall")
-        return report
-
-    report = kernel.run(until=kernel.spawn(gameday(kernel), name="gameday"))
-    fleet.shutdown()
+    # The pod eviction needs a Kubernetes target, so the faults inject
+    # on goodall: the first listed platform every fault supports.
+    assert spec.chaos_platform == "goodall"
+    report, fleet, _digest = play(spec)
     windows = report.faults
 
     print(report.summary())
-    print(f"\nsimulated time: {fmt_duration(kernel.now)}")
+    print(f"\nsimulated time: {fmt_duration(fleet.kernel.now)}")
     print("\ngame-day faults:")
     for window in windows:
         mttr = ("not recovered" if window.mttr_s is None

@@ -18,8 +18,9 @@ Run:  python examples/fleet_elastic_day.py
 
 from __future__ import annotations
 
-from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec, TenantSpec
-from repro.fleet import AutoscalerConfig, Fleet, SloSpec
+from repro.campaign import (ScenarioSpec, ScheduleSpec, SiteSpec,
+                            TenantSpec, play)
+from repro.fleet import AutoscalerConfig, SloSpec
 from repro.units import fmt_duration
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
@@ -55,21 +56,11 @@ def main() -> None:
             min_replicas=1, max_replicas=4, target_outstanding=8.0,
             up_cooldown=120.0, down_cooldown=600.0, low_streak=5),
     )
-    site = spec.build_site()
-    kernel = site.kernel
-    fleet = Fleet(site, spec)
-
-    def scenario(env):
-        yield from fleet.start()
-        report = yield from fleet.run_scenario()
-        return report
-
-    report = kernel.run(until=kernel.spawn(scenario(kernel)))
-    fleet.shutdown()
+    report, fleet, _digest = play(spec)
 
     print(report.summary())
     print(f"\nreplica placements: {fleet.placements}")
-    print(f"simulated time: {fmt_duration(kernel.now)}")
+    print(f"simulated time: {fmt_duration(fleet.kernel.now)}")
 
     # The elastic story this example exists to demonstrate:
     assert report.peak_replicas >= 3, "flash crowd must trigger scale-out"

@@ -23,8 +23,8 @@ Run:  python examples/sessions_day.py
 
 from __future__ import annotations
 
-from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
-from repro.fleet import AutoscalerConfig, Fleet, SloSpec
+from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec, play
+from repro.fleet import AutoscalerConfig, SloSpec
 from repro.sessions import SessionSpec
 from repro.units import fmt_duration
 
@@ -55,18 +55,8 @@ def build_spec(prefix_caching: bool) -> ScenarioSpec:
 
 
 def run_day(prefix_caching: bool):
-    spec = build_spec(prefix_caching)
-    site = spec.build_site()
-    fleet = Fleet(site, spec)
-
-    def scenario(env):
-        yield from fleet.start()
-        report = yield from fleet.run_scenario()
-        return report
-
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    fleet.shutdown()
-    return report, site.kernel.now
+    report, fleet, _digest = play(build_spec(prefix_caching))
+    return report, fleet.kernel.now
 
 
 def main() -> None:

@@ -124,8 +124,8 @@ class CampaignGrid:
 def play(spec: ScenarioSpec, observability: bool = True):
     """Simulate one spec start to finish: the one scenario driver.
 
-    Builds a fresh site and fleet from the spec, starts the fleet, plays
-    the spec (through :meth:`Fleet.run_scenario`, or through
+    Builds the fleet, site included, with ``Fleet(spec)``, starts it,
+    plays the spec (through :meth:`Fleet.run_scenario`, or through
     :meth:`ChaosOrchestrator.run` when it lists chaos faults), and shuts
     the fleet down.  Neither takes an argument: the spec is the run.
     Returns ``(report, fleet, trace_digest)``; a chaos cell's report
@@ -133,16 +133,13 @@ def play(spec: ScenarioSpec, observability: bool = True):
     in ``report.faults``.  The kernel's trace digest is taken *before*
     shutdown, whose Helm uninstalls emit trace records of their own.
 
-    ``observability=False`` runs the identical cell fully dark (no
-    registry, spans, or scraper; the report's ``obs`` block is None) —
-    the baseline arm of the overhead bench and of instrumentation-cost
-    ablations.
+    ``observability=False`` (the fleet's keyword) runs the identical
+    cell fully dark (no registry, spans, or scraper; the report's
+    ``obs`` block is None) — the baseline arm of the overhead bench and
+    of instrumentation-cost ablations.
     """
-    site = spec.build_site()
-    kernel = site.kernel
-    if not observability:
-        kernel.obs.disable()
-    fleet = Fleet(site, spec)
+    fleet = Fleet(spec, observability=observability)
+    kernel = fleet.kernel
 
     def cell(env):
         yield from fleet.start()

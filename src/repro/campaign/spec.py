@@ -4,11 +4,11 @@ A :class:`ScenarioSpec` composes everything the stack can already do —
 site topology, replica platforms, traffic schedule (Poisson / diurnal /
 flash-crowd overlay + tenant mix), autoscaler policy, a list of chaos
 injections, horizon, and seed — into a single frozen dataclass.  The
-spec is the *only* input a campaign cell needs: ``build_site()`` and
-``schedule.build()`` turn it into live objects, ``Fleet(site, spec)``
-reads its fleet, supervisor and probe settings straight from it, and
-``spec_hash()`` canonically fingerprints it, so two processes holding
-equal specs provably simulate the same cell.
+spec is the *only* input a campaign cell needs: ``Fleet(spec)`` builds
+its site (``build_site()``) and reads every setting, the chaos target
+(``chaos_platform``) included, straight from it, and ``spec_hash()``
+canonically fingerprints it, so two processes holding equal specs
+provably simulate the same cell.
 
 Specs round-trip through plain dicts (``to_dict`` / ``from_dict``) and
 through YAML or JSON files (``to_file`` / ``from_file``); unknown keys
@@ -147,13 +147,6 @@ class ChaosEventSpec:
             raise ConfigurationError("inject_at must be >= 0")
         if self.fault_duration <= 0:
             raise ConfigurationError("fault_duration must be positive")
-
-
-def _known_chaos_names() -> set[str]:
-    # Deferred: repro.chaos.runner imports this module, so a module-level
-    # import of the catalog would be circular.
-    from ..chaos.scenarios import CATALOG
-    return {s.name for s in CATALOG}
 
 
 @functools.cache
@@ -327,16 +320,33 @@ class ScenarioSpec:
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate tenant names: {names}")
         self._check_capacity()
-        known = _known_chaos_names() if self.chaos else set()
         for event in self.chaos:
-            if event.scenario not in known:
-                raise ConfigurationError(
-                    f"unknown chaos scenario {event.scenario!r} "
-                    f"(catalog: {sorted(known)})")
             if event.inject_at >= self.horizon:
                 raise ConfigurationError(
                     f"chaos {event.scenario!r} injects at "
                     f"{event.inject_at}s, past the {self.horizon}s horizon")
+        if self.chaos:
+            self.chaos_platform  # noqa: B018 - checks names and target
+
+    @property
+    def chaos_platform(self) -> str:
+        """The chaos target: the first of ``platforms`` whose kind every
+        fault in ``chaos`` supports.  Construction refuses a spec with
+        an unknown fault or with no such platform."""
+        # Deferred: repro.chaos.runner imports this module, so a
+        # module-level import of the catalog would be circular.
+        from ..chaos.scenarios import CATALOG
+        catalog = {s.name: s.platforms for s in CATALOG}
+        unknown = sorted({e.scenario for e in self.chaos} - set(catalog))
+        if unknown:
+            raise ConfigurationError(f"unknown chaos scenarios {unknown} "
+                                     f"(catalog: {sorted(catalog)})")
+        kinds = {e.scenario: catalog[e.scenario] for e in self.chaos}
+        for p in self.platforms:
+            if all(PLATFORM_KINDS[p] in k for k in kinds.values()):
+                return p
+        raise ConfigurationError(f"no platform of {list(self.platforms)} "
+                                 f"fits every fault's platform kinds {kinds}")
 
     def _check_capacity(self) -> None:
         """Refuse a site that cannot be built or hold the initial pool:
@@ -412,11 +422,8 @@ class ScenarioSpec:
 
     def build_site(self) -> ConvergedSite:
         from ..core.site import build_sandia_site
-        return build_sandia_site(
-            seed=self.seed, hops_nodes=self.site.hops_nodes,
-            eldorado_nodes=self.site.eldorado_nodes,
-            goodall_nodes=self.site.goodall_nodes,
-            cee_nodes=self.site.cee_nodes)
+        # SiteSpec's fields are build_sandia_site's node-count keywords.
+        return build_sandia_site(seed=self.seed, **vars(self.site))
 
     def build_mix(self, kernel: SimKernel) -> TenantMix | None:
         """The declared tenant mix, or ``None`` for the fleet default."""

@@ -216,16 +216,15 @@ class ChaosOrchestrator:
 
     # -- the run ----------------------------------------------------------------
 
-    def run(self, platform_name: str | None = None):
+    def run(self):
         """Generator: play the fleet's spec with ``spec.chaos`` injected.
 
         The faults inject in ``inject_at`` order (seconds after traffic
-        start) on ``platform_name``, the fleet's first platform unless
-        given.  Spawns the supervisor, the probe loop and one injector
-        that walks the faults; plays the traffic; takes the end-of-run
-        confirmation probe; stops.  Returns the :class:`FleetReport`
-        with one scored :class:`ResilienceReport` per fault in its
-        ``faults`` field.
+        start) on the spec's ``chaos_platform``.  Spawns the supervisor,
+        the probe loop and one injector that walks the faults; plays the
+        traffic; takes the end-of-run confirmation probe; stops.  Returns
+        the :class:`FleetReport` with one scored :class:`ResilienceReport`
+        per fault in its ``faults`` field.
 
         One fault labels the report ``chaos:<scenario>`` and sets its
         ``resilience`` to that window's JSON.  Several faults label it
@@ -243,7 +242,7 @@ class ChaosOrchestrator:
         kernel = self.kernel
         self.probes = []
         self.supervisor.reset()
-        platform_name = platform_name or fleet.spec.platforms[0]
+        platform_name = fleet.spec.chaos_platform
         by_name = {s.name: s for s in catalog()}
         scenarios = [by_name[e.scenario] for e in events]
         start = kernel.now

@@ -9,12 +9,12 @@ Flux, or OpenShift platforms interchangeably), one
 load, and a :class:`~repro.fleet.slo.SloTracker` scoring every request
 against the fleet's SLO.
 
-``start()`` then ``run_scenario()`` is the whole run: the fleet's
-:class:`~repro.campaign.spec.ScenarioSpec` says how many replicas to
-deploy, which arrival schedule and tenant mix to play for how long, and
-whether arrivals open multi-turn sessions; ``run_scenario()`` plays that
-traffic against the fleet, autoscaling as the day unfolds, and returns a
-:class:`FleetReport` scorecard.
+``Fleet(spec)``, ``start()``, ``run_scenario()`` is the whole run: the
+:class:`~repro.campaign.spec.ScenarioSpec` says which site to build, how
+many replicas to deploy, which arrival schedule and tenant mix to play
+for how long, and whether arrivals open multi-turn sessions;
+``run_scenario()`` plays that traffic against the fleet, autoscaling as
+the day unfolds, and returns a :class:`FleetReport` scorecard.
 
 Kubernetes replicas are registered with the router by their *pod node*
 endpoint rather than the cluster ingress: every Helm release shares one
@@ -50,7 +50,6 @@ from .traffic import TenantMix, TrafficGenerator
 if TYPE_CHECKING:  # pragma: no cover
     from ..campaign.spec import ScenarioSpec
     from ..chaos.supervisor import ReplicaSupervisor
-    from ..core.site import ConvergedSite
     from ..hardware.node import Node
     from ..simkernel import Event
 
@@ -103,22 +102,26 @@ class Replica:
 class Fleet:
     """Deployments + router + autoscaler + SLO tracker, one lifecycle.
 
-    ``spec`` is the fleet's one declaration: model, placement, initial
-    replicas, router policy, SLO, autoscaler, scrape cadence, disagg
-    shape, quiet-play (``fast_forward``) and engine knobs, the chaos
+    ``spec`` is the fleet's one declaration: the site (``fleet.site``,
+    built by ``spec.build_site()``), model, placement, initial replicas,
+    router policy, SLO, autoscaler, scrape cadence, disagg shape,
+    quiet-play (``fast_forward``) and engine knobs, the chaos
     supervisor's and probes' cadences, and the traffic a scenario plays
     (schedule, tenants, sessions, horizon, label) are all read from it.
-    ``obs_report=False`` skips the end-of-run ``FleetReport.obs`` pass
-    (recording still happens), so an overhead bench times the serving
-    day alone.
+    ``observability=False`` builds it dark: the kernel's observability
+    is off before any series registers.  ``obs_report=False`` skips the
+    end-of-run ``FleetReport.obs`` pass (recording still happens), so
+    an overhead bench times the serving day alone.
     """
 
-    def __init__(self, site: ConvergedSite, spec: ScenarioSpec,
+    def __init__(self, spec: ScenarioSpec, *, observability: bool = True,
                  obs_report: bool = True):
-        self.site = site
+        self.site = site = spec.build_site()
+        self.kernel = site.kernel
+        if not observability:
+            self.kernel.obs.disable()
         self.spec = spec
         self.obs_report = obs_report
-        self.kernel = site.kernel
         self.wf = CaseStudyWorkflow(site)
         self.router_config = RouterConfig(policy=spec.policy,
                                           disagg=spec.disagg.enabled)
@@ -133,7 +136,7 @@ class Fleet:
             value = getattr(spec, knob)
             if value != getattr(EngineArgs, knob):
                 self._engine_params[knob] = value
-        self.slo = SloTracker(site.kernel, spec.slo)
+        self.slo = SloTracker(self.kernel, spec.slo)
         self.autoscaler = Autoscaler(self, spec.autoscaler)
         self.ff = FleetFastForward(self)
         #: chaos replica supervisor, if bound; a deficit bars quiet-play
@@ -151,7 +154,6 @@ class Fleet:
         self._next_platform = 0
         self._pending_nodes: set[str] = set()  # HPC deploys in flight
         self._client: HttpClient | None = None
-        self._seeded = False
         self._scenario_ran = False
         #: alert evaluator of the current/last scenario (None when the
         #: scraper is off); chaos scoring reads its events.
@@ -208,7 +210,9 @@ class Fleet:
         Under a disagg spec ``initial_replicas`` sizes the *decode*
         pool; the prefill pool is ``spec.disagg.prefill_replicas``.
         """
-        self._seed()
+        self.site.gitlab.seed(router_image())
+        for name in self.spec.platforms:
+            self.wf.admin_seed_model(self.spec.model, name)
         disagg = self.spec.disagg
         if disagg.enabled:
             yield from self.add_replicas(disagg.prefill_replicas,
@@ -224,14 +228,6 @@ class Fleet:
     def _router_platform(self) -> HPCPlatform:
         # The spec admits only HPC router platforms.
         return self.site.platform(self.spec.router_platform)
-
-    def _seed(self) -> None:
-        if self._seeded:
-            return
-        self.site.gitlab.seed(router_image())
-        for name in self.spec.platforms:
-            self.wf.admin_seed_model(self.spec.model, name)
-        self._seeded = True
 
     def _start_router(self):
         platform = self._router_platform()

@@ -157,9 +157,8 @@ def test_build_site_and_fleet_honour_spec():
                       cee_nodes=1),
         platforms=("hops",), policy="round-robin",
         tensor_parallel_size=4)
-    site = spec.build_site()
-    assert len(site.platform("hops").nodes) == 3
-    fleet = Fleet(site, spec)
+    fleet = Fleet(spec)
+    assert len(fleet.site.platform("hops").nodes) == 3
     assert fleet.spec is spec
     assert fleet.router_config.policy.value == "round-robin"
     assert fleet.spec.tensor_parallel_size == 4

@@ -91,6 +91,9 @@ CROSS = [
     {"horizon": 30.0, "chaos": (ChaosEventSpec("node_crash", inject_at=45.0),)},
     # goodall's nodes have 2 GPUs each, so none holds a 4-way replica.
     {"tensor_parallel_size": 4, "platforms": ("goodall",)},
+    # A workload-manager preemption needs an HPC platform to target.
+    {"platforms": ("goodall",),
+     "chaos": (ChaosEventSpec("wlm_preemption", 30.0),)},
 ]
 
 #: At most one setting or one cross pair spoiled per draw, so about half
@@ -148,6 +151,7 @@ def _fits(kwargs: dict) -> bool:
 @example({}, CROSS[0])
 @example({}, CROSS[1])
 @example({}, CROSS[2])
+@example({}, CROSS[3])
 def test_generated_spec_is_refused_or_plays(kwargs, spoil):
     if spoil is not None:
         with pytest.raises(ConfigurationError):

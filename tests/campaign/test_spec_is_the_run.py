@@ -1,10 +1,10 @@
 """The spec is the run: the fleet's run API reads its ``ScenarioSpec``.
 
-``Fleet.start()`` and ``Fleet.run_scenario()`` take no arguments, and
-``ChaosOrchestrator.run()`` takes only the platform its faults target,
-so a run cannot disagree with the spec that was checked when it was
-built: the replica count, traffic, horizon, label and faults are the
-spec's.
+``Fleet(spec)`` builds its own site from the spec, and
+``Fleet.start()``, ``Fleet.run_scenario()`` and
+``ChaosOrchestrator.run()`` take no arguments, so a run cannot disagree
+with the spec that was checked when it was built: the site, replica
+count, traffic, horizon, label, faults and fault target are the spec's.
 """
 
 from __future__ import annotations
@@ -13,7 +13,8 @@ import dataclasses
 
 import pytest
 
-from repro.campaign import ChaosEventSpec, ScenarioSpec, ScheduleSpec, play
+from repro.campaign import (ChaosEventSpec, ScenarioSpec, ScheduleSpec,
+                            SiteSpec, play)
 from repro.chaos import ChaosOrchestrator
 from repro.chaos.runner import case_spec
 from repro.errors import ConfigurationError
@@ -42,7 +43,7 @@ def _chaos(*events) -> ScenarioSpec:
 @pytest.mark.parametrize("disagg", [False, True])
 def test_start_deploys_the_specs_initial_replicas(disagg):
     spec = dataclasses.replace(SPEC, disagg=disagg)
-    fleet = Fleet(spec.build_site(), spec)
+    fleet = Fleet(spec)
     kernel = fleet.kernel
     kernel.run(until=kernel.spawn(fleet.start()))
     roles = sorted(replica.role for replica in fleet.replicas)
@@ -88,6 +89,46 @@ def test_several_faults_report_a_gameday():
 
 
 def test_run_needs_a_fault():
-    fleet = Fleet(SPEC.build_site(), SPEC)
+    fleet = Fleet(SPEC)
     with pytest.raises(ConfigurationError, match="at least one fault"):
         next(ChaosOrchestrator(fleet).run())
+
+
+
+def test_fleet_builds_the_specs_site():
+    spec = dataclasses.replace(SPEC, seed=9, site=SiteSpec(
+        hops_nodes=3, eldorado_nodes=1, goodall_nodes=2, cee_nodes=0))
+    fleet = Fleet(spec)
+    site = fleet.site
+    assert fleet.kernel is site.kernel
+    assert site.kernel.rng.root_seed == spec.seed
+    assert [len(site.hops.nodes), len(site.eldorado.nodes),
+            len(site.goodall.cluster.nodes),
+            len(site.cee.cluster.nodes)] == [3, 1, 2, 0]
+    # The spec is the only way in: a hand-built site is refused.
+    hand_built = spec.build_site()
+    with pytest.raises(TypeError):
+        Fleet(hand_built, spec)
+
+
+def _eviction(platforms) -> ScenarioSpec:
+    """A half-hour chaos cell on ``platforms`` with one pod eviction."""
+    return dataclasses.replace(
+        case_spec("node_crash", "hops"), platforms=platforms,
+        horizon=1800.0, chaos=(ChaosEventSpec("pod_eviction", 600.0, 300.0),))
+
+
+def test_chaos_targets_the_first_platform_its_faults_support():
+    spec = _eviction(("hops", "goodall"))
+    assert spec.chaos_platform == "goodall"
+    # A fault every platform kind supports keeps the first platform.
+    assert _chaos(("node_crash", 600.0, 300.0)).chaos_platform == "hops"
+    report, fleet, _digest = play(spec)
+    (window,) = report.faults
+    assert window.error is None and window.platform == "goodall"
+    assert dict(fleet.placements)[window.detail["victim"]] == "goodall"
+
+
+def test_chaos_no_listed_platform_supports_is_refused():
+    with pytest.raises(ConfigurationError, match="pod_eviction"):
+        _eviction(("hops",))

@@ -40,7 +40,7 @@ def _run(spec, fast_forward: bool) -> tuple[dict, int]:
     """Play ``spec`` with its faults; returns the five outputs and the
     number of ticks the governor skipped."""
     spec = dataclasses.replace(spec, fast_forward=fast_forward)
-    fleet = Fleet(spec.build_site(), spec)
+    fleet = Fleet(spec)
     kernel = fleet.kernel
     orchestrator = ChaosOrchestrator(fleet)
     skipped = [0]

@@ -10,11 +10,9 @@ supervisor replacement -> SLO re-attained, with no request lost.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.campaign import (ChaosEventSpec, ScenarioSpec, ScheduleSpec,
-                            SiteSpec)
-from repro.chaos import ChaosOrchestrator, ReplicaSupervisor
+                            SiteSpec, play)
+from repro.chaos import ReplicaSupervisor
 from repro.chaos.scenarios import engine_of
 from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 from repro.vllm import faults
@@ -22,9 +20,9 @@ from repro.vllm import faults
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
-def _fleet(seed=23, chaos=()):
+def _spec(seed=23, chaos=()):
     """Two hops replicas under 0.2 rps of Poisson traffic for 2400 s."""
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         name="trigger-e2e", seed=seed, model=QUANT, tensor_parallel_size=2,
         platforms=("hops",), initial_replicas=2, horizon=2400.0,
         site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=3,
@@ -33,13 +31,11 @@ def _fleet(seed=23, chaos=()):
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3),
         chaos=chaos)
-    site = spec.build_site()
-    return site, Fleet(site, spec)
 
 
-def _run_trigger_scenario(site, fleet, arm):
+def _run_trigger_scenario(fleet, arm):
     """Start, arm the trigger at t+300, run traffic, track recovery."""
-    kernel = site.kernel
+    kernel = fleet.kernel
     supervisor = ReplicaSupervisor(fleet)   # the spec's 30 s sweeps
     state = {}
 
@@ -65,11 +61,11 @@ def _run_trigger_scenario(site, fleet, arm):
 
 
 def test_crash_at_time_through_fleet_recovery():
-    site, fleet = _fleet(seed=23)
+    fleet = Fleet(_spec(seed=23))
     supervisor, state, report = _run_trigger_scenario(
-        site, fleet,
+        fleet,
         lambda engine: faults.attach(
-            engine, faults.CrashAtTime(site.kernel.now,
+            engine, faults.CrashAtTime(fleet.kernel.now,
                                        reason="injected failure")))
     engine = state["engine"]
     # The trigger fired, recorded its reason, and killed the engine...
@@ -91,9 +87,9 @@ def test_crash_at_time_through_fleet_recovery():
 
 
 def test_crash_on_concurrency_through_fleet_recovery():
-    site, fleet = _fleet(seed=29)
+    fleet = Fleet(_spec(seed=29))
     supervisor, state, report = _run_trigger_scenario(
-        site, fleet,
+        fleet,
         lambda engine: faults.attach(
             engine, faults.CrashOnConcurrency(1)))
     engine = state["engine"]
@@ -107,17 +103,8 @@ def test_crash_on_concurrency_through_fleet_recovery():
 
 def test_crash_at_time_scored_by_orchestrator():
     """The same trigger measured via the orchestrator's probe timeline."""
-    site, fleet = _fleet(seed=31, chaos=(
-        ChaosEventSpec("engine_oom", inject_at=600.0, fault_duration=300.0),))
-    orchestrator = ChaosOrchestrator(fleet)
-    kernel = site.kernel
-
-    def run(env):
-        yield from fleet.start()
-        report = yield from orchestrator.run()
-        return report
-
-    report = kernel.run(until=kernel.spawn(run(kernel)))
+    report, _fleet, _digest = play(_spec(seed=31, chaos=(
+        ChaosEventSpec("engine_oom", inject_at=600.0, fault_duration=300.0),)))
     (res,) = report.faults
     assert res.recovery_ok
     assert res.detected_at is not None

@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import ScenarioSpec
+from repro.campaign import ScenarioSpec, SiteSpec
 from repro.chaos import ReplicaSupervisor
-from repro.core import build_sandia_site
 from repro.errors import ConfigurationError
 from repro.fleet import AutoscalerConfig, Fleet
 
@@ -20,25 +19,26 @@ def test_supervisor_config_validation():
         ScenarioSpec(probe_interval=0.0)
 
 
+#: Five hops nodes: room for the pool and its replacements.
+HOPS5 = SiteSpec(hops_nodes=5, eldorado_nodes=2, goodall_nodes=2,
+                 cee_nodes=1)
+
+
 def _hpc_fleet(seed=7):
-    site = build_sandia_site(seed=seed, hops_nodes=5, eldorado_nodes=2,
-                             goodall_nodes=2, cee_nodes=1)
-    fleet = Fleet(site, ScenarioSpec(
-        model=QUANT, tensor_parallel_size=2, platforms=("hops",),
-        initial_replicas=2,
+    return Fleet(ScenarioSpec(
+        seed=seed, model=QUANT, tensor_parallel_size=2, platforms=("hops",),
+        initial_replicas=2, site=HOPS5,
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3),
         supervisor_interval=20.0))
-    return site, fleet
 
 
 def test_sweeps_follow_the_spec_interval():
-    site = build_sandia_site(seed=7, hops_nodes=5, eldorado_nodes=2,
-                             goodall_nodes=2, cee_nodes=1)
     # Stepping, so every tick runs and the sweep times are the cadence.
-    fleet = Fleet(site, ScenarioSpec(
-        model=QUANT, supervisor_interval=20.0, fast_forward=False))
+    fleet = Fleet(ScenarioSpec(
+        seed=7, model=QUANT, site=HOPS5, supervisor_interval=20.0,
+        fast_forward=False))
     supervisor = ReplicaSupervisor(fleet)
-    kernel = site.kernel
+    kernel = fleet.kernel
     sweeps = []
 
     def sweep():
@@ -60,9 +60,9 @@ def test_sweeps_follow_the_spec_interval():
     assert [round(t - start, 6) for t in sweeps] == [20, 40, 60, 80, 100]
 
 
-def _run_with_supervisor(site, fleet, wound, settle=3600.0):
+def _run_with_supervisor(fleet, wound, settle=3600.0):
     """Start a 2-replica fleet, apply ``wound``, wait for wholeness."""
-    kernel = site.kernel
+    kernel = fleet.kernel
     supervisor = ReplicaSupervisor(fleet)
 
     def scenario(env):
@@ -87,7 +87,7 @@ def _run_with_supervisor(site, fleet, wound, settle=3600.0):
 
 
 def test_dead_replica_is_replaced():
-    site, fleet = _hpc_fleet()
+    fleet = _hpc_fleet()
     names_before = []
 
     def wound(fleet):
@@ -95,7 +95,7 @@ def test_dead_replica_is_replaced():
         names_before.extend(r.name for r in fleet.replicas)
         victim.deployment.container.stop()
 
-    supervisor = _run_with_supervisor(site, fleet, wound)
+    supervisor = _run_with_supervisor(fleet, wound)
     assert len(fleet.replicas) == 2
     assert all(fleet.replica_status(r)[0] == "ok"
                for r in fleet.replicas)
@@ -108,7 +108,8 @@ def test_dead_replica_is_replaced():
 
 
 def test_replace_failure_leaves_deficit_then_retries():
-    site, fleet = _hpc_fleet(seed=11)
+    fleet = _hpc_fleet(seed=11)
+    site = fleet.site
     registry = site.hops.podman.registry
 
     def wound(fleet):
@@ -124,7 +125,7 @@ def test_replace_failure_leaves_deficit_then_retries():
             registry.set_available(True)
         site.kernel.spawn(heal(site.kernel))
 
-    supervisor = _run_with_supervisor(site, fleet, wound)
+    supervisor = _run_with_supervisor(fleet, wound)
     actions = [e.action for e in supervisor.events]
     assert "replace_failed" in actions       # pull failed mid-outage
     assert "redeploy" in actions             # deficit worked off later
@@ -135,19 +136,19 @@ def test_replace_failure_leaves_deficit_then_retries():
 
 
 def test_k8s_pod_move_is_rebound():
-    site = build_sandia_site(seed=13, hops_nodes=4, eldorado_nodes=2,
-                             goodall_nodes=5, cee_nodes=1)
-    fleet = Fleet(site, ScenarioSpec(
-        model=QUANT, tensor_parallel_size=2, platforms=("goodall",),
+    fleet = Fleet(ScenarioSpec(
+        seed=13, model=QUANT, tensor_parallel_size=2, platforms=("goodall",),
         initial_replicas=2,
+        site=SiteSpec(hops_nodes=4, eldorado_nodes=2, goodall_nodes=5,
+                      cee_nodes=1),
         autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=3),
         supervisor_interval=20.0))
 
     def wound(fleet):
         victim = fleet.replicas[0]
-        site.goodall.cluster.drain(victim.backend_host)
+        fleet.site.goodall.cluster.drain(victim.backend_host)
 
-    supervisor = _run_with_supervisor(site, fleet, wound)
+    supervisor = _run_with_supervisor(fleet, wound)
     actions = [e.action for e in supervisor.events]
     assert "rebind" in actions
     router = fleet.router_app

@@ -11,17 +11,16 @@ import hashlib
 import math
 
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
-from repro.core import build_sandia_site
 from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
 def test_reset_clears_cooldowns_streak_and_tapes():
-    site = build_sandia_site(seed=13, hops_nodes=4, eldorado_nodes=1,
-                             goodall_nodes=1, cee_nodes=1)
-    fleet = Fleet(site, ScenarioSpec(model=QUANT, tensor_parallel_size=2,
-                                     platforms=("hops",)))
+    fleet = Fleet(ScenarioSpec(
+        seed=13, model=QUANT, tensor_parallel_size=2, platforms=("hops",),
+        site=SiteSpec(hops_nodes=4, eldorado_nodes=1, goodall_nodes=1,
+                      cee_nodes=1)))
     scaler = fleet.autoscaler
     scaler._last_up = 5000.0
     scaler._last_down = 4000.0
@@ -58,8 +57,8 @@ def test_second_scenario_can_scale_despite_huge_cooldown():
             min_replicas=1, max_replicas=3, target_outstanding=8.0,
             up_cooldown=10_000_000.0, down_cooldown=10_000_000.0,
             low_streak=4))
-    site = spec.build_site()
-    fleet = Fleet(site, spec)
+    fleet = Fleet(spec)
+    kernel = fleet.kernel
 
     def campaign(env):
         yield from fleet.start()
@@ -69,8 +68,7 @@ def test_second_scenario_can_scale_despite_huge_cooldown():
         second = yield from fleet.run_scenario()
         return first, second
 
-    first, second = site.kernel.run(
-        until=site.kernel.spawn(campaign(site.kernel)))
+    first, second = kernel.run(until=kernel.spawn(campaign(kernel)))
     ups_first = [e for e in first.scale_events if e.action == "up"]
     ups_second = [e for e in second.scale_events if e.action == "up"]
     assert ups_first, "scenario 1 never scaled — burst too weak for the test"

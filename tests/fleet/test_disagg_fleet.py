@@ -7,33 +7,34 @@ from __future__ import annotations
 import pytest
 
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec, run_cell
-from repro.core import build_sandia_site
 from repro.fleet import AutoscalerConfig, DisaggSpec, Fleet, SloSpec
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
 def _run_disagg_day(seed=11):
-    site = build_sandia_site(seed=seed, hops_nodes=8, eldorado_nodes=2,
-                            goodall_nodes=3, cee_nodes=1)
-    spec = ScenarioSpec(
-        name="disagg-day", model=QUANT, tensor_parallel_size=2,
+    """Play one day and leave the fleet up: a test below posts to its
+    router after the run, so it keeps its own driver, not play()."""
+    fleet = Fleet(ScenarioSpec(
+        name="disagg-day", seed=seed, model=QUANT, tensor_parallel_size=2,
         platforms=("hops",),
         policy="round-robin",
         initial_replicas=2, horizon=900.0,
+        site=SiteSpec(hops_nodes=8, eldorado_nodes=2, goodall_nodes=3,
+                      cee_nodes=1),
         schedule=ScheduleSpec(kind="poisson", rate_rps=0.5),
         slo=SloSpec(ttft_target=15.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=3),
-        disagg=DisaggSpec(enabled=True, prefill_replicas=1))
-    fleet = Fleet(site, spec)
+        disagg=DisaggSpec(enabled=True, prefill_replicas=1)))
 
     def scenario(env):
         yield from fleet.start()
         report = yield from fleet.run_scenario()
         return report
 
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    return site, fleet, report
+    kernel = fleet.kernel
+    report = kernel.run(until=kernel.spawn(scenario(kernel)))
+    return fleet.site, fleet, report
 
 
 @pytest.fixture(scope="module")

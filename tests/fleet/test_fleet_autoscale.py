@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import ScenarioSpec, ScheduleSpec
-from repro.core import build_sandia_site
-from repro.fleet import Autoscaler, AutoscalerConfig, Fleet, SloSpec
+from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec, play
+from repro.fleet import Autoscaler, AutoscalerConfig, SloSpec
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
@@ -51,13 +50,13 @@ def test_desired_replicas_clamped():
 @pytest.fixture(scope="module")
 def elastic_run():
     """One compact flash-crowd day shared by the assertions below."""
-    site = build_sandia_site(seed=99, hops_nodes=6, eldorado_nodes=2,
-                             goodall_nodes=3, cee_nodes=1)
-    spec = ScenarioSpec(
-        name="e2e", model=QUANT, tensor_parallel_size=2,
+    return play(ScenarioSpec(
+        name="e2e", seed=99, model=QUANT, tensor_parallel_size=2,
         platforms=("hops", "goodall"),
         policy="least-outstanding",
         horizon=5400.0,
+        site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=3,
+                      cee_nodes=1),
         # Baseline 0.1 req/s; the burst (~15 req/s) exceeds a single
         # replica's decode ceiling, so backlog builds until the fleet
         # grows.
@@ -67,20 +66,11 @@ def elastic_run():
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
         autoscaler=AutoscalerConfig(
             min_replicas=1, max_replicas=3, target_outstanding=8.0,
-            up_cooldown=120.0, down_cooldown=600.0, low_streak=4))
-    fleet = Fleet(site, spec)
-
-    def scenario(env):
-        yield from fleet.start()
-        report = yield from fleet.run_scenario()
-        return report
-
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    return site, fleet, report
+            up_cooldown=120.0, down_cooldown=600.0, low_streak=4)))
 
 
 def test_flash_crowd_scales_out_and_back(elastic_run):
-    _, fleet, report = elastic_run
+    report, fleet, _digest = elastic_run
     assert report.peak_replicas >= 3
     assert report.final_replicas == 1
     actions = [e.action for e in report.scale_events]
@@ -90,14 +80,14 @@ def test_flash_crowd_scales_out_and_back(elastic_run):
 
 
 def test_replicas_span_hpc_and_k8s(elastic_run):
-    _, fleet, report = elastic_run
+    report, fleet, _digest = elastic_run
     platforms = {platform for _, platform in fleet.placements}
     assert "hops" in platforms
     assert "goodall" in platforms
 
 
 def test_no_requests_lost_and_slo_reported(elastic_run):
-    _, fleet, report = elastic_run
+    report, fleet, _digest = elastic_run
     slo = report.slo
     assert report.arrivals > 1000
     assert slo.completed + slo.errors == report.arrivals == slo.submitted
@@ -111,7 +101,7 @@ def test_no_requests_lost_and_slo_reported(elastic_run):
 
 
 def test_router_backends_track_replicas(elastic_run):
-    _, fleet, report = elastic_run
+    report, fleet, _digest = elastic_run
     router = fleet.router_app
     assert router.policy == "least-outstanding"
     assert len(router.backends) == len(fleet.replicas) == 1
@@ -121,28 +111,18 @@ def test_router_backends_track_replicas(elastic_run):
 def test_scenario_is_deterministic():
     """Same seed -> identical arrival count and scale-event schedule."""
     def run_once():
-        site = build_sandia_site(seed=123, hops_nodes=4, eldorado_nodes=2,
-                                 goodall_nodes=2, cee_nodes=1)
-        spec = ScenarioSpec(
-            name="det", model=QUANT, tensor_parallel_size=2,
+        report, fleet, _digest = play(ScenarioSpec(
+            name="det", seed=123, model=QUANT, tensor_parallel_size=2,
             platforms=("hops",), horizon=1800.0,
+            site=SiteSpec(hops_nodes=4, eldorado_nodes=2, goodall_nodes=2,
+                          cee_nodes=1),
             schedule=ScheduleSpec(kind="poisson", rate_rps=0.1,
                                   flash_mult=120.0, flash_start=300.0,
                                   flash_duration=600.0, flash_ramp=60.0),
             autoscaler=AutoscalerConfig(
-                min_replicas=1, max_replicas=2, target_outstanding=8.0))
-        fleet = Fleet(site, spec)
-
-        def scenario(env):
-            yield from fleet.start()
-            report = yield from fleet.run_scenario()
-            return report
-
-        report = site.kernel.run(
-            until=site.kernel.spawn(scenario(site.kernel)))
-        # Teardown stops the router and every tracked replica.
-        fleet.shutdown()
-        site.kernel.run(until=site.kernel.now + 60.0)
+                min_replicas=1, max_replicas=2, target_outstanding=8.0)))
+        # play()'s teardown stops the router and every tracked replica.
+        fleet.kernel.run(until=fleet.kernel.now + 60.0)
         assert not fleet.router_container.running
         for replica in fleet.replicas:
             container = replica.deployment.container

@@ -21,9 +21,8 @@ def test_add_replicas_refuses_a_node_with_a_busy_port(platform):
         platforms=(platform,), horizon=60.0,
         site=SiteSpec(hops_nodes=1, eldorado_nodes=1, goodall_nodes=0,
                       cee_nodes=1))
-    site = spec.build_site()
-    fleet = Fleet(site, spec)
-    kernel = site.kernel
+    fleet = Fleet(spec)
+    site, kernel = fleet.site, fleet.kernel
 
     def start(env):
         yield from fleet.start()

@@ -20,8 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.campaign import ScenarioSpec, ScheduleSpec
-from repro.core import build_sandia_site
+from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec
 from repro.fleet import AutoscalerConfig, DisaggSpec, Fleet, SloSpec
 from repro.fleet.traffic import PulseSchedule
 from repro.sessions import SessionSpec
@@ -33,14 +32,14 @@ def _build_fleet(seed: int, fast_forward: bool, schedule: ScheduleSpec,
                  horizon: float, platforms=("hops",),
                  max_replicas: int = 3, min_replicas: int = 1,
                  replicas: int | None = None, disagg: bool = False,
-                 sessions: bool = False) -> tuple:
+                 sessions: bool = False) -> Fleet:
     """A fleet playing ``schedule`` for ``horizon`` seconds from
     ``replicas`` replicas (``min_replicas`` unless given)."""
-    site = build_sandia_site(seed=seed, hops_nodes=6, eldorado_nodes=2,
-                             goodall_nodes=3, cee_nodes=1)
-    spec = ScenarioSpec(
-        name="ff-equiv", model=QUANT, tensor_parallel_size=2,
+    return Fleet(ScenarioSpec(
+        name="ff-equiv", seed=seed, model=QUANT, tensor_parallel_size=2,
         platforms=platforms,
+        site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=3,
+                      cee_nodes=1),
         policy="least-outstanding",
         initial_replicas=replicas or min_replicas,
         horizon=horizon, schedule=schedule,
@@ -51,8 +50,7 @@ def _build_fleet(seed: int, fast_forward: bool, schedule: ScheduleSpec,
             down_cooldown=600.0, low_streak=4),
         sessions=SessionSpec(enabled=sessions),
         disagg=DisaggSpec(enabled=disagg),
-        fast_forward=fast_forward)
-    return site, Fleet(site, spec)
+        fast_forward=fast_forward))
 
 
 def _pulse(rate: float, period: float, duty: float) -> ScheduleSpec:
@@ -75,7 +73,7 @@ def _count_quiet(fleet) -> dict:
     return seen
 
 
-def _play(site, fleet, during=None) -> dict:
+def _play(fleet, during=None) -> dict:
     """Run the fleet's scenario and capture every digest-visible artifact.
 
     ``during(env)``, when given, runs as its own process alongside the
@@ -90,16 +88,17 @@ def _play(site, fleet, during=None) -> dict:
         report = yield from fleet.run_scenario()
         return report
 
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
+    kernel = fleet.kernel
+    report = kernel.run(until=kernel.spawn(scenario(kernel)))
     return {
         "report": json.dumps(report.to_json(), sort_keys=True),
-        "trace": site.kernel.trace.digest(),
+        "trace": kernel.trace.digest(),
         "obs": json.dumps(report.obs, sort_keys=True),
         "samples": fleet.autoscaler.digest(),
         "snapshots": json.dumps(report.snapshots),
         "fast": fleet.ff.fast_requests,
         "quiet": seen["quiet"],
-        "now": site.kernel.now,
+        "now": kernel.now,
         "arrivals": report.arrivals,
         "retried": fleet.router_app.retried_ok,
     }
@@ -121,10 +120,9 @@ def test_flash_crowd_bit_identical_vs_stepping():
                             flash_ramp=120.0)
     runs = {}
     for ff in (True, False):
-        site, fleet = _build_fleet(seed=99, fast_forward=ff,
-                                   schedule=schedule, horizon=5400.0,
-                                   platforms=("hops", "goodall"))
-        runs[ff] = _play(site, fleet)
+        fleet = _build_fleet(seed=99, fast_forward=ff, schedule=schedule,
+                             horizon=5400.0, platforms=("hops", "goodall"))
+        runs[ff] = _play(fleet)
     on, off = runs[True], runs[False]
     assert on["arrivals"] > 1000
     assert on["fast"] == off["fast"] == on["arrivals"]
@@ -144,10 +142,10 @@ def test_pulse_gaps_bit_identical_vs_stepping():
     """
     runs = {}
     for ff in (True, False):
-        site, fleet = _build_fleet(seed=7, fast_forward=ff,
-                                   schedule=_pulse(1.2, 21600.0, 600.0),
-                                   horizon=86400.0)
-        runs[ff] = _play(site, fleet)
+        fleet = _build_fleet(seed=7, fast_forward=ff,
+                             schedule=_pulse(1.2, 21600.0, 600.0),
+                             horizon=86400.0)
+        runs[ff] = _play(fleet)
     on, off = runs[True], runs[False]
     assert on["arrivals"] > 1000
     assert on["fast"] == on["arrivals"]
@@ -162,10 +160,10 @@ def _telemetry_arm(fast_forward: bool, monkeypatch) -> dict:
     skipped the telemetry tick."""
     from repro.obs.scrape import MetricsScraper
 
-    site, fleet = _build_fleet(seed=1, fast_forward=fast_forward,
-                               schedule=_pulse(0.05, 7200.0, 600.0),
-                               horizon=3 * 7200.0)
-    kernel = site.kernel
+    fleet = _build_fleet(seed=1, fast_forward=fast_forward,
+                         schedule=_pulse(0.05, 7200.0, 600.0),
+                         horizon=3 * 7200.0)
+    kernel = fleet.kernel
     live, idle, start = [], [], []
     registry = kernel.obs.registry
     sample_dict = registry.sample_dict
@@ -251,7 +249,7 @@ def _pulse_arms(seed: int, rate: float, period: float, duty: float,
 
     runs = {}
     for ff in (True, False):
-        site, fleet = _build_fleet(
+        fleet = _build_fleet(
             seed=seed, fast_forward=ff, schedule=_pulse(rate, period, duty),
             horizon=periods * period, min_replicas=min_replicas,
             replicas=max(replicas, min_replicas), disagg=disagg,
@@ -267,7 +265,7 @@ def _pulse_arms(seed: int, rate: float, period: float, duty: float,
                     env.now, reason="crash in the gap"))
             yield from ()
 
-        runs[ff] = _play(site, fleet, during=during)
+        runs[ff] = _play(fleet, during=during)
     return runs
 
 
@@ -328,15 +326,15 @@ def test_deploy_inside_a_traffic_gap_ends_the_quiet_window():
     and every loop ticks live through the deploy, as stepping does."""
     runs = {}
     for ff in (True, False):
-        site, fleet = _build_fleet(seed=5, fast_forward=ff,
-                                   schedule=_pulse(0.5, 7200.0, 600.0),
-                                   horizon=4 * 7200.0)
+        fleet = _build_fleet(seed=5, fast_forward=ff,
+                             schedule=_pulse(0.5, 7200.0, 600.0),
+                             horizon=4 * 7200.0)
 
         def scale_out(env, fleet=fleet):
             yield env.timeout(10200.0)
             yield from fleet.add_replicas(1)
 
-        runs[ff] = _play(site, fleet, during=scale_out)
+        runs[ff] = _play(fleet, during=scale_out)
     on, off = runs[True], runs[False]
     assert on["quiet"] > 0
     for key in EQUIV_KEYS:
@@ -348,9 +346,8 @@ def test_armed_fault_plan_disarms_quiet_play():
     disarm quiet-tick fast-play for the whole scenario."""
     from repro.vllm import faults
 
-    site, fleet = _build_fleet(seed=11, fast_forward=True,
-                               schedule=_pulse(0.5, 3600.0, 900.0),
-                               horizon=7200.0)
+    fleet = _build_fleet(seed=11, fast_forward=True,
+                         schedule=_pulse(0.5, 3600.0, 900.0), horizon=7200.0)
     seen = _count_quiet(fleet)
 
     def scenario(env):
@@ -360,7 +357,8 @@ def test_armed_fault_plan_disarms_quiet_play():
         report = yield from fleet.run_scenario()
         return report
 
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
+    kernel = fleet.kernel
+    report = kernel.run(until=kernel.spawn(scenario(kernel)))
     assert report.arrivals > 500
     assert seen["quiet"] == 0
     assert fleet.ff.fast_requests == report.arrivals
@@ -375,7 +373,7 @@ def test_mid_run_fault_fails_over_like_stepping():
 
     runs = {}
     for ff in (True, False):
-        site, fleet = _build_fleet(
+        fleet = _build_fleet(
             seed=13, fast_forward=ff, min_replicas=2, horizon=1800.0,
             schedule=ScheduleSpec(kind="poisson", rate_rps=0.5))
 
@@ -385,7 +383,7 @@ def test_mid_run_fault_fails_over_like_stepping():
             faults.attach(engine, faults.CrashAtTime(
                 env.now, reason="mid-run OOM"))
 
-        runs[ff] = _play(site, fleet, during=crash_one)
+        runs[ff] = _play(fleet, during=crash_one)
     on, off = runs[True], runs[False]
     assert on["arrivals"] > 500
     assert on["retried"] > 0                # failover saved requests

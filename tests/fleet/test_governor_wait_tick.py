@@ -9,19 +9,18 @@ tick.
 
 import math
 
-from repro.campaign import ScenarioSpec
-from repro.core import build_sandia_site
+from repro.campaign import ScenarioSpec, SiteSpec
 from repro.fleet import AutoscalerConfig, Fleet
 
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
 def _started_fleet():
-    site = build_sandia_site(seed=3, hops_nodes=6, eldorado_nodes=2,
-                             goodall_nodes=3, cee_nodes=1)
-    fleet = Fleet(site, ScenarioSpec(
-        model=QUANT, autoscaler=AutoscalerConfig(min_replicas=1)))
-    kernel = site.kernel
+    fleet = Fleet(ScenarioSpec(
+        seed=3, model=QUANT, autoscaler=AutoscalerConfig(min_replicas=1),
+        site=SiteSpec(hops_nodes=6, eldorado_nodes=2, goodall_nodes=3,
+                      cee_nodes=1)))
+    kernel = fleet.kernel
     kernel.run(until=kernel.spawn(fleet.start()))
     assert fleet.ff.quiet()
     return kernel, fleet

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import ScenarioSpec, ScheduleSpec
-from repro.core import build_sandia_site
+from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec, play
 from repro.fleet import AutoscalerConfig, Fleet, SloSpec
 from repro.net.http import HttpClient
 from repro.obs import parse_exposition
@@ -22,24 +21,28 @@ from repro.obs.spans import by_trace
 QUANT = "RedHatAI/Llama-4-Scout-17B-16E-Instruct-quantized.w4a16"
 
 
+#: Four hops nodes hold the two-replica pool and the router.
+SITE = SiteSpec(hops_nodes=4, eldorado_nodes=2, goodall_nodes=2, cee_nodes=1)
+
+
 def _run_day(seed=7, horizon=900.0):
-    site = build_sandia_site(seed=seed, hops_nodes=4, eldorado_nodes=2,
-                             goodall_nodes=2, cee_nodes=1)
-    spec = ScenarioSpec(
-        name="obs-day", model=QUANT, tensor_parallel_size=2,
-        platforms=("hops",), initial_replicas=2, horizon=horizon,
+    """Play one day and leave the fleet up: the tests below query its
+    routes after the run, so it keeps its own driver, not play()."""
+    fleet = Fleet(ScenarioSpec(
+        name="obs-day", seed=seed, model=QUANT, tensor_parallel_size=2,
+        platforms=("hops",), initial_replicas=2, horizon=horizon, site=SITE,
         schedule=ScheduleSpec(kind="poisson", rate_rps=0.2),
         slo=SloSpec(ttft_target=10.0, e2e_target=120.0),
-        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=2))
-    fleet = Fleet(site, spec)
+        autoscaler=AutoscalerConfig(min_replicas=2, max_replicas=2)))
 
     def scenario(env):
         yield from fleet.start()
         report = yield from fleet.run_scenario()
         return report
 
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
-    return site, fleet, report
+    kernel = fleet.kernel
+    report = kernel.run(until=kernel.spawn(scenario(kernel)))
+    return fleet.site, fleet, report
 
 
 @pytest.fixture(scope="module")
@@ -192,23 +195,13 @@ def test_obs_digests_reproduce_across_runs():
 
 
 def test_disabled_observability_yields_no_obs_block():
-    site = build_sandia_site(seed=3, hops_nodes=4, eldorado_nodes=2,
-                             goodall_nodes=2, cee_nodes=1)
-    site.kernel.obs.disable()
     spec = ScenarioSpec(
-        name="dark", model=QUANT, tensor_parallel_size=2,
-        platforms=("hops",), horizon=300.0,
+        name="dark", seed=3, model=QUANT, tensor_parallel_size=2,
+        platforms=("hops",), horizon=300.0, site=SITE,
         schedule=ScheduleSpec(kind="poisson", rate_rps=0.1),
         autoscaler=AutoscalerConfig(min_replicas=1, max_replicas=1),
         scrape_interval=0.0)
-    fleet = Fleet(site, spec)
-
-    def scenario(env):
-        yield from fleet.start()
-        report = yield from fleet.run_scenario()
-        return report
-
-    report = site.kernel.run(until=site.kernel.spawn(scenario(site.kernel)))
+    report, fleet, _digest = play(spec, observability=False)
     assert report.obs is None
-    assert site.kernel.obs.spans.finished == []
+    assert fleet.kernel.obs.spans.finished == []
     assert "obs" not in report.to_json()

@@ -20,7 +20,7 @@ from repro.obs.scrape import MetricsScraper
 def test_router_properties_equal_gauges_at_every_scrape(monkeypatch):
     spec = dataclasses.replace(case_spec("node_crash", "hops"),
                                horizon=1800.0)
-    fleet = Fleet(spec.build_site(), spec)
+    fleet = Fleet(spec)
     kernel = fleet.kernel
     seen: list[tuple[float, int, int, float, float]] = []
 

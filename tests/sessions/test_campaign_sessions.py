@@ -95,9 +95,8 @@ _SERVE = ("vllm/vllm-openai:v0.9.1 serve "
 ], ids=["sessions", "disagg", "knobs", "cold"])
 def test_engine_params_render_into_vllm_serve(overrides, commands):
     spec = ScenarioSpec(**overrides)
-    site = spec.build_site()
-    fleet = Fleet(site, spec)
-    kernel = site.kernel
+    fleet = Fleet(spec)
+    kernel = fleet.kernel
     kernel.run(until=kernel.spawn(fleet.start()))
     rendered = []
     for replica in fleet.replicas:
