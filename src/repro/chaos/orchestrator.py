@@ -37,23 +37,17 @@ from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError, StateError
 from ..obs.incident import IncidentLog
+from ..simkernel.ticks import TickLog, TickRun
 from .scenarios import ChaosContext, ChaosScenario, catalog
 from .supervisor import ReplicaSupervisor
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..fleet import Fleet, FleetReport
-    from ..fleet.governor import TickRun
 
 
-@dataclass
-class Probe:
-    time: float
-    infra_ok: bool
-    slo_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.infra_ok and self.slo_ok
+#: the four ``(infra_ok, slo_ok)`` readings: probe entries share them,
+#: so a live probe stores no tuple of its own
+_PROBE = {(i, s): (i, s) for i in (False, True) for s in (False, True)}
 
 
 @dataclass
@@ -145,7 +139,8 @@ class ChaosOrchestrator:
         self.fleet = fleet
         self.kernel = fleet.kernel
         self.supervisor = fleet.supervisor = ReplicaSupervisor(fleet)
-        self.probes: list[Probe] = []
+        #: ``(infra_ok, slo_ok)`` per probe tick
+        self.probes: TickLog[tuple[bool, bool]] = TickLog()
 
     # -- probes -----------------------------------------------------------------
 
@@ -162,8 +157,8 @@ class ChaosOrchestrator:
         return snap.slo_met or (snap.completions + snap.errors) == 0
 
     def _probe_once(self) -> None:
-        self.probes.append(Probe(self.kernel.now, self._infra_ok(),
-                                 self._slo_ok()))
+        self.probes.append((_PROBE[self._infra_ok(), self._slo_ok()],
+                            TickRun(self.kernel.now)))
 
     def _probe_loop(self, stop_event):
         """Probe every ``probe_interval``; a skipped probe reads the
@@ -174,10 +169,7 @@ class ChaosOrchestrator:
             self._probe_once()
 
     def _probe_idle(self, ticks: TickRun) -> None:
-        # Probes stay one record per tick: chaos runs are hours long,
-        # and the recovery scorer filters the probe list by time.
-        infra_ok = self._infra_ok()
-        self.probes += [Probe(t, infra_ok, True) for t in ticks]
+        self.probes.append((_PROBE[self._infra_ok(), True], ticks))
 
     # -- injection --------------------------------------------------------------
 
@@ -240,7 +232,7 @@ class ChaosOrchestrator:
         if fleet.router_app is None:
             raise StateError("start the fleet before running chaos")
         kernel = self.kernel
-        self.probes = []
+        self.probes = TickLog()
         self.supervisor.reset()
         platform_name = fleet.spec.chaos_platform
         by_name = {s.name: s for s in catalog()}
@@ -289,17 +281,17 @@ class ChaosOrchestrator:
 
         Never-impaired windows report ``(None, t0)`` — nothing to detect,
         recovery immediate.  Recovery requires every probe after the last
-        bad one (within the window) to be good.
+        bad one (within the window) to be good: it is the first probe
+        later than the last bad one.  Runs are in time order and do not
+        overlap, so that probe starts a run.
         """
-        window = [p for p in self.probes if t0 <= p.time < t1]
-        bad = [p for p in window if not p.ok]
+        bad = [t for (infra_ok, slo_ok), run in self.probes
+               if not (infra_ok and slo_ok) for t in run if t0 <= t < t1]
         if not bad:
             return None, t0
-        last_bad = bad[-1].time
-        good_after = [p for p in window if p.time > last_bad]
-        if good_after:
-            return bad[0].time, good_after[0].time
-        return bad[0].time, None
+        later = [run.first for _, run in self.probes
+                 if bad[-1] < run.first < t1]
+        return bad[0], later[0] if later else None
 
     def _incident_log(self, injections: list[dict]) -> IncidentLog:
         """Merge this run's event streams into one incident timeline."""

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..errors import ConfigurationError, ReproError, StateError
-from .governor import TickRun, chain_blocks, ticks_until
+from ..simkernel.ticks import TickRun, chain_blocks, ticks_until
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel import Event

@@ -39,10 +39,11 @@ from ..obs.alerts import AlertEvaluator, default_slo_rules
 from ..obs.critical_path import CriticalPathAnalyzer
 from ..obs.scrape import MetricsScraper
 from ..services.router import LlmRouter, RouterConfig, router_image
+from ..simkernel.ticks import TickLog, TickRun
 from ..vllm.config import EngineArgs
 from ..vllm.spec import CompletionCall
 from .autoscaler import Autoscaler
-from .governor import FleetFastForward, TickRun
+from .governor import FleetFastForward
 from .report import FleetReport
 from .slo import RequestRecord, SloSnapshot, SloTracker
 from .traffic import TenantMix, TrafficGenerator
@@ -145,7 +146,7 @@ class Fleet:
         self.placements: list[tuple[str, str]] = []  # (replica, platform)
         self.replica_timeline: list[tuple[float, int]] = []
         #: SLO monitor rows as stored: see :attr:`FleetReport.monitor`
-        self.monitor: list[dict | tuple[dict, TickRun]] = []
+        self.monitor: TickLog[dict] = TickLog()
         self.inflight = 0
         self.router_container: Container | None = None
         self.router_app: LlmRouter | None = None
@@ -588,7 +589,7 @@ class Fleet:
             # their own (now detached) trackers and event lists.
             self.slo = SloTracker(kernel, spec.slo)
             self.autoscaler.reset()
-            self.monitor = []
+            self.monitor = TickLog()
             self.replica_timeline = []
         self._scenario_ran = True
         from ..sessions import SessionTraffic
@@ -651,7 +652,7 @@ class Fleet:
             slo=self.slo.report(),
             scale_events=list(self.autoscaler.events),
             replica_timeline=list(self.replica_timeline),
-            monitor=list(self.monitor),
+            monitor=TickLog(self.monitor),
             sessions=(traffic.log.to_json()
                       if isinstance(traffic, SessionTraffic) else None),
             obs=obs)
@@ -662,11 +663,9 @@ class Fleet:
             self._record(self.slo.snapshot())
 
     def _record_idle(self, ticks: TickRun) -> None:
-        # The drained SLO window makes the empty-window row exact; the
-        # quiet window is stored as that one row and its run of ticks.
-        row = SloSnapshot(time=0.0, window=self.slo.spec.window).row()
-        row["replicas"] = len(self.replicas)
-        self.monitor.append((row, ticks))
+        # The drained SLO window makes the empty-window row exact at
+        # every tick of the quiet window.
+        self._record(SloSnapshot(time=0.0, window=self.slo.spec.window), ticks)
 
     def _telemetry(self, stop_event: Event, scraper: MetricsScraper,
                    alerts: AlertEvaluator):
@@ -689,10 +688,10 @@ class Fleet:
             alerts.evaluate_at(kernel.now)
             yield from self.ff.wait_tick(scraper.interval, stop_event, idle)
 
-    def _record(self, snap: SloSnapshot) -> None:
+    def _record(self, snap: SloSnapshot, ticks: TickRun | None = None) -> None:
         row = snap.row()
         row["replicas"] = len(self.replicas)
-        self.monitor.append(row)
+        self.monitor.append((row, ticks or TickRun(snap.time)))
 
     def _drain(self):
         kernel = self.kernel

@@ -5,10 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from ..simkernel.ticks import TickLog
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..chaos.orchestrator import ResilienceReport
     from .autoscaler import ScaleEvent
-    from .governor import TickRun
 
 
 @dataclass
@@ -21,11 +22,9 @@ class FleetReport:
     slo: object                      # SloReport
     scale_events: list[ScaleEvent]
     replica_timeline: list[tuple[float, int]]
-    #: SLO monitor rows as stored: a row per live tick, and one
-    #: ``(row, ticks)`` pair per quiet window, ``ticks`` its
-    #: :class:`~repro.fleet.governor.TickRun` (see :attr:`snapshots`)
-    monitor: list[dict | tuple[dict, TickRun]] = field(
-        default_factory=list)
+    #: SLO monitor rows as stored: one row per live tick or quiet
+    #: window (see :attr:`snapshots`)
+    monitor: TickLog[dict] = field(default_factory=TickLog)
     #: chaos-orchestrator resilience scorecard (None outside chaos runs)
     resilience: dict | None = None
     #: the typed per-fault reports behind ``resilience``, one per
@@ -44,19 +43,12 @@ class FleetReport:
     def snapshots(self) -> list[dict]:
         """The SLO monitor rows, one per tick, in time order.
 
-        Expanded from :attr:`monitor` on first read and cached: a quiet
-        window's run becomes its row once per tick, with that tick's
-        time.
+        Expanded from :attr:`monitor` on first read and cached: each
+        stored row once per tick, with that tick's time.
         """
         if self._snapshots is None:
-            rows: list[dict] = []
-            for entry in self.monitor:
-                if isinstance(entry, dict):
-                    rows.append(entry)
-                else:
-                    row, ticks = entry
-                    rows.extend([{**row, "t": round(t, 1)} for t in ticks])
-            self._snapshots = rows
+            self._snapshots = [{**row, "t": round(t, 1)}
+                               for row, t in self.monitor.expand()]
         return self._snapshots
 
     @property

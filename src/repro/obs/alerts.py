@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any
 from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fleet.governor import TickRun
+    from ..simkernel.ticks import TickRun
     from ..simkernel.kernel import SimKernel
     from .scrape import MetricsScraper
 

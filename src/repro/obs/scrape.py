@@ -30,24 +30,22 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
-from typing import TYPE_CHECKING, Any, overload
+from typing import TYPE_CHECKING, Any, NamedTuple, overload
+
+from ..simkernel.ticks import TickLog, TickRun
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..fleet.governor import TickRun
     from ..simkernel.kernel import SimKernel
     from .metrics import MetricsRegistry
 
 __all__ = ["MetricsScraper", "ScrapeSample"]
 
 
-class ScrapeSample:
+class ScrapeSample(NamedTuple):
     """One scrape: a timestamp plus the changed series."""
 
-    __slots__ = ("time", "values")
-
-    def __init__(self, time: float, values: dict[str, float]):
-        self.time = time
-        self.values = values
+    time: float
+    values: dict[str, float]
 
     def to_dict(self) -> dict[str, Any]:
         return {"time": self.time, "values": self.values}
@@ -69,9 +67,9 @@ class MetricsScraper:
         self.interval = interval
         #: scrapes taken, live and skipped
         self.scrapes = 0
-        # Time-ordered log: a live sample, or the TickRun of a run of
-        # skipped scrapes (each an empty delta).
-        self._log: list[ScrapeSample | TickRun] = []
+        # Each scrape's delta: one entry per live scrape, and one empty
+        # delta per run of skipped scrapes.
+        self._log: TickLog[dict[str, float]] = TickLog()
         self._last: dict[str, float] = {}
         # Per-series change index: key -> (change times, values), both
         # append-only and time-sorted because scrapes only move forward.
@@ -83,12 +81,12 @@ class MetricsScraper:
     def scrape_once(self) -> ScrapeSample:
         """Snapshot now; record only series that changed since last time."""
         current = self.registry.sample_dict()
+        last = self._last
         changed = {k: v for k, v in current.items()
-                   if self._last.get(k) != v}
+                   if k not in last or last[k] != v}
         self._last = current
         now = self.kernel.now
-        sample = ScrapeSample(now, changed)
-        self._log.append(sample)
+        self._log.append((changed, TickRun(now)))
         self.scrapes += 1
         points = self._points
         for key, value in changed.items():
@@ -98,11 +96,11 @@ class MetricsScraper:
             else:
                 entry[0].append(now)
                 entry[1].append(value)
-        return sample
+        return ScrapeSample(now, changed)
 
     def scrape_idle(self, ticks: TickRun) -> None:
         """Record a scrape, at which no series moved, at every tick of
-        the run ``ticks`` (a :class:`~repro.fleet.governor.TickRun`).
+        the run ``ticks`` (a :class:`~repro.simkernel.ticks.TickRun`).
 
         The empty deltas :meth:`scrape_once` would store at each tick,
         for a caller that knows the registry has not changed since the
@@ -110,7 +108,7 @@ class MetricsScraper:
         The change index is untouched, so :meth:`value_at` and
         :meth:`last_change` read exactly as if it had scraped.
         """
-        self._log.append(ticks)
+        self._log.append(({}, ticks))
         self.scrapes += len(ticks)
 
     # -- queries ------------------------------------------------------------------
@@ -119,13 +117,7 @@ class MetricsScraper:
     def samples(self) -> list[ScrapeSample]:
         """Every scrape in time order, skipped ones expanded from the
         run-length log into empty deltas."""
-        samples: list[ScrapeSample] = []
-        for entry in self._log:
-            if isinstance(entry, ScrapeSample):
-                samples.append(entry)
-            else:
-                samples.extend([ScrapeSample(t, {}) for t in entry])
-        return samples
+        return [ScrapeSample(t, changed) for changed, t in self._log.expand()]
 
     def series(self, key: str) -> list[tuple[float, float]]:
         """Reconstruct one series as (time, value) points at its changes."""
@@ -190,12 +182,10 @@ class MetricsScraper:
         property tests hold the two views equal on random series.
         """
         state: dict[str, float] = {}
-        for entry in self._log:
-            if not isinstance(entry, ScrapeSample):
-                continue            # a skipped run moves no series
-            if at is not None and entry.time > at:
+        for changed, run in self._log:
+            if at is not None and run.first > at:
                 break
-            state.update(entry.values)
+            state.update(changed)
         return state
 
     def to_dict(self) -> dict[str, Any]:
@@ -208,14 +198,10 @@ class MetricsScraper:
     def digest(self) -> str:
         """Canonical SHA-256 over the whole time-series."""
         h = hashlib.sha256()
-        for entry in self._log:
-            if isinstance(entry, ScrapeSample):
-                h.update(json.dumps([entry.time, entry.values],
-                                    sort_keys=True).encode())
-                h.update(b"\n")
-            else:
-                # json.dumps([t, {}]) of a float t is its float repr in
-                # brackets (json writes floats with float.__repr__).
-                h.update("".join([f"[{float.__repr__(t)}, {{}}]\n"
-                                  for t in entry]).encode())
+        for changed, run in self._log:
+            # json.dumps([t, changed], sort_keys=True) per scrape, one
+            # string per run: json writes a float with float.__repr__.
+            tail = f", {json.dumps(changed, sort_keys=True)}]\n"
+            h.update("".join([f"[{float.__repr__(t)}{tail}"
+                              for t in run]).encode())
         return h.hexdigest()

@@ -62,8 +62,7 @@ def _run(spec, fast_forward: bool) -> tuple[dict, int]:
     outputs = {
         "report": report.to_json(),
         "trace": kernel.trace.digest(),
-        "probes": [(p.time, p.infra_ok, p.slo_ok)
-                   for p in orchestrator.probes],
+        "probes": list(orchestrator.probes.expand()),
         "supervisor": [e.row() for e in orchestrator.supervisor.events],
         "autoscaler": fleet.autoscaler.digest(),
     }

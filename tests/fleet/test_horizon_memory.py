@@ -1,7 +1,7 @@
 """Live heap against horizon on the 100k pulse cell's shape, dark.
 
 Quiet-play keeps each quiet window as one record whatever its length
-(a :class:`~repro.fleet.governor.TickRun` per loop), and a dark run
+(a :class:`~repro.simkernel.ticks.TickRun` per loop), and a dark run
 folds each request into fixed-size aggregates, so the heap a finished
 run holds does not grow with the simulated days between bursts.  Runs
 the ``ff-100k`` scenario at 5 and 20 days with observability off, each
@@ -10,6 +10,12 @@ compares the tracemalloc live heap after ``gc.collect()`` with the
 report and fleet still alive.  Measured on CPython 3.11.7: 1.14 MB at
 5 days and 1.12 MB at 20; before windows were stored as runs, the
 governor's per-tick lists made it 1.26 and 1.59 MB.
+
+The chaos arm adds one ``node_crash`` on the first day, so the chaos
+probes run every 15 s for the whole horizon.  Measured the same way:
+1.33 MB at 5 days and 1.40 MB at 20 (the growth is the live probes of
+each day's burst); when the probes kept one record per tick it was
+4.99 and 16.12 MB.
 """
 
 from __future__ import annotations
@@ -24,9 +30,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
 
 _MEASURE = """
 import dataclasses, gc, json, sys, tracemalloc
+from repro.campaign import ChaosEventSpec
 from repro.campaign.catalogue import ff_100k
 from repro.campaign.runner import play
-spec = dataclasses.replace(ff_100k(), horizon=float(sys.argv[1]) * 86400.0)
+chaos = tuple(ChaosEventSpec(name, 900.0, 600.0) for name in sys.argv[2:])
+spec = dataclasses.replace(ff_100k(), horizon=float(sys.argv[1]) * 86400.0,
+                           chaos=chaos)
 tracemalloc.start()
 report, fleet, _ = play(spec, observability=False)
 gc.collect()
@@ -38,17 +47,27 @@ print(json.dumps({"live": tracemalloc.get_traced_memory()[0],
 GROWTH = 100_000
 
 
-def _live(days: int) -> dict:
+def _live(days: int, *faults: str) -> dict:
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run(
-        [sys.executable, "-c", _MEASURE, str(days)], cwd=ROOT, env=env,
-        capture_output=True, text=True, check=True).stdout
+        [sys.executable, "-c", _MEASURE, str(days), *faults], cwd=ROOT,
+        env=env, capture_output=True, text=True, check=True).stdout
     return json.loads(out.splitlines()[-1])
 
 
-def test_live_heap_does_not_grow_with_quiet_days():
-    five, twenty = _live(5), _live(20)
+def _assert_flat(*faults: str) -> None:
+    """Live-heap growth from 5 to 20 days, each fault injected on the
+    first day, is within :data:`GROWTH`."""
+    five, twenty = _live(5, *faults), _live(20, *faults)
     assert twenty["arrivals"] > 3.5 * five["arrivals"]
     growth = twenty["live"] - five["live"]
     assert growth <= GROWTH, (
         f"live heap grew {growth / 1e6:.2f} MB from 5 to 20 days")
+
+
+def test_live_heap_does_not_grow_with_quiet_days():
+    _assert_flat()
+
+
+def test_live_heap_does_not_grow_with_quiet_days_under_chaos():
+    _assert_flat("node_crash")

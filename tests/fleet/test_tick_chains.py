@@ -10,6 +10,12 @@ and each sample is packed on its own.  Both sides must agree bit for
 bit on starts up to 1e9 s, intervals from 0.01 to 500 s, 0-3 waits and
 edges placed exactly on a tick, one ulp either side of it, or between
 ticks, with blocks small enough that one chain spans several.
+
+The periodic loops record into a :class:`TickLog`: live ticks as
+one-tick runs, quiet windows as the runs they skipped.  Its expansion
+must be the per-tick ``(value, t)`` list a recorder that stepped every
+tick writes, and the chaos probes' recovery scoring over runs must
+agree with the per-probe list filter it replaced.
 """
 
 from __future__ import annotations
@@ -22,9 +28,11 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.fleet import AutoscalerConfig, governor
+from repro.chaos import ChaosOrchestrator
+from repro.fleet import AutoscalerConfig
 from repro.fleet.autoscaler import _SAMPLE, Autoscaler
-from repro.fleet.governor import TickRun
+from repro.simkernel import ticks as chains
+from repro.simkernel.ticks import TickLog, TickRun
 
 
 def _stepped(first, waits, interval, edge):
@@ -58,7 +66,7 @@ _INTERVAL = st.one_of(st.floats(0.01, 500.0),
                       st.sampled_from((0.01, 0.1, 15.0, 30.0, 120.0, 300.0)))
 _WAITS = st.lists(st.floats(0.0, 5.0), max_size=3).map(tuple)
 #: entries per cumulative sum: the default, and sizes that split a chain
-_BLOCKS = st.sampled_from((governor.BLOCK, 1, 2, 3, 5, 64))
+_BLOCKS = st.sampled_from((chains.BLOCK, 1, 2, 3, 5, 64))
 
 
 @st.composite
@@ -76,11 +84,11 @@ def _windows(draw):
 @settings(max_examples=400, deadline=None)
 @example(window=(0.0, (), 0.1, 0.30000000000000004, 1))
 @example(window=(1e9, (1e-3, 2e-3), 0.01, 1e9 + 1.0, 3))
-@example(window=(5.0, (), 1.0, 5.0, governor.BLOCK))
+@example(window=(5.0, (), 1.0, 5.0, chains.BLOCK))
 def test_tick_run_matches_the_stepped_walk(window):
     first, waits, interval, edge, block = window
     skipped, live = _stepped(first, waits, interval, edge)
-    with mock.patch.object(governor, "BLOCK", block):
+    with mock.patch.object(chains, "BLOCK", block):
         run, tick = TickRun.before(first, (*waits, interval), edge)
         assert run.times().tolist() == skipped
         assert list(run) == skipped
@@ -138,7 +146,7 @@ def test_next_decision_tick_matches_the_stepped_loop(
     bound = _chain(tick, (), interval, span)[-1]
     if nudge:
         bound = math.nextafter(bound, nudge * math.inf)
-    with mock.patch.object(governor, "BLOCK", block):
+    with mock.patch.object(chains, "BLOCK", block):
         assert scaler.next_decision_tick(bound) == \
             _stepped_decision(scaler, bound)
 
@@ -162,3 +170,84 @@ def test_idle_samples_fold_as_packed_one_by_one(
     assert scaler._tick == list(run)[-1]
     assert type(scaler._tick) is float
     assert scaler._low_streak == count
+
+
+@st.composite
+def _logs(draw, values):
+    """A loop's chain cut into live ticks and skipped runs: the
+    :class:`TickLog` quiet-play records, and the per-tick ``(value, t)``
+    list stepping records."""
+    first, interval, waits = draw(_FIRST), draw(_INTERVAL), draw(_WAITS)
+    steps = (*waits, interval)
+    # Each piece is a live tick (0) or a quiet window of that many ticks.
+    pieces = draw(st.lists(st.integers(0, 40), max_size=12))
+    ticks = _chain(first, waits, interval, sum(max(n, 1) for n in pieces))
+    log, stepped, i = TickLog(), [], 0
+    for n in pieces:
+        value = draw(values)
+        if n:
+            log.append((value, TickRun(ticks[i], steps, n)))
+        else:
+            log.append((value, TickRun(ticks[i])))
+        stepped += [(value, t) for t in ticks[i:i + max(n, 1)]]
+        i += max(n, 1)
+    return log, stepped, ticks
+
+
+@given(case=_logs(st.integers()), block=_BLOCKS)
+@settings(max_examples=300, deadline=None)
+def test_tick_log_expands_to_the_stepped_record(case, block):
+    log, stepped, _ = case
+    with mock.patch.object(chains, "BLOCK", block):
+        expanded = list(log.expand())
+    assert expanded == stepped
+    assert all(type(t) is float for _, t in expanded)
+    assert sum(len(run) for _, run in log) == len(stepped)
+
+
+def _listed_recovery_window(probes, t0, t1):
+    """The recovery scoring over one record per probe that the run
+    scoring replaced: ``probes`` is ``[((infra_ok, slo_ok), t), ...]``."""
+    window = [(ok, t) for ok, t in probes if t0 <= t < t1]
+    bad = [t for (infra_ok, slo_ok), t in window
+           if not (infra_ok and slo_ok)]
+    if not bad:
+        return None, t0
+    good_after = [t for _, t in window if t > bad[-1]]
+    if good_after:
+        return bad[0], good_after[0]
+    return bad[0], None
+
+
+_READINGS = st.sampled_from([(True, True), (True, False), (False, True),
+                             (False, False)])
+
+
+@st.composite
+def _recovery_cases(draw):
+    log, stepped, ticks = draw(_logs(_READINGS))
+    # The end-of-run confirmation probe can share the last tick's time.
+    if stepped and draw(st.booleans()):
+        t = stepped[-1][1]
+        reading = draw(_READINGS)
+        log.append((reading, TickRun(t)))
+        stepped.append((reading, t))
+
+    def edge():
+        tick = draw(st.sampled_from(ticks))
+        return draw(st.sampled_from((
+            tick, math.nextafter(tick, math.inf),
+            math.nextafter(tick, -math.inf),
+            tick + draw(st.floats(0.0, 1.0)) * (ticks[-1] - ticks[0]))))
+
+    t0, t1 = sorted((edge(), edge()))
+    return log, stepped, t0, t1
+
+
+@given(case=_recovery_cases())
+@settings(max_examples=400, deadline=None)
+def test_recovery_window_over_runs_matches_the_probe_list(case):
+    log, stepped, t0, t1 = case
+    orchestrator = SimpleNamespace(probes=log)
+    assert ChaosOrchestrator._recovery_window(orchestrator, t0, t1) == \
+        _listed_recovery_window(stepped, t0, t1)

@@ -20,7 +20,7 @@ from repro.obs.alerts import AlertEvaluator, AlertRule
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.scrape import MetricsScraper
 from repro.simkernel import SimKernel
-from repro.fleet.governor import TickRun
+from repro.simkernel.ticks import TickRun
 
 _KEYS = ("s0", "s1", "s2", "s3")
 #: rules may name a series that never appears
