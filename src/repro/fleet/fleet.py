@@ -38,6 +38,7 @@ from ..net.http import HttpClient
 from ..obs.alerts import AlertEvaluator, default_slo_rules
 from ..obs.critical_path import CriticalPathAnalyzer
 from ..obs.scrape import MetricsScraper
+from ..obs.spans import REQUEST, REQUEST_TURN
 from ..services.router import LlmRouter, RouterConfig, router_image
 from ..simkernel.ticks import TickLog, TickRun
 from ..vllm.config import EngineArgs
@@ -536,12 +537,12 @@ class Fleet:
             error = str(exc)
         if self.kernel.obs.registry.enabled:
             (self._c_req_ok if ok else self._c_req_err).inc()
-        if trace_id:
-            attrs = {"tenant": tenant, "ok": ok, "output_tokens": out_tokens}
-            if turn:
-                attrs["turn"] = turn
-            spans.emit("request", trace_id, None, submitted, kernel.now,
-                       attrs, span_id=root_sid)
+        if trace_id and turn:
+            spans.emit(REQUEST_TURN, trace_id, root_sid, 0, submitted,
+                       kernel.now, tenant, ok, out_tokens, turn)
+        elif trace_id:
+            spans.emit(REQUEST, trace_id, root_sid, 0, submitted,
+                       kernel.now, tenant, ok, out_tokens)
         # Positional, in field order: 14 keywords cost more than the
         # tuple itself (tests/fleet/test_slo.py pins the order).
         record = RequestRecord(

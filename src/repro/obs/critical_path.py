@@ -34,6 +34,8 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from .spans import KINDS
+
 if TYPE_CHECKING:  # pragma: no cover
     from .spans import SpanColumns, SpanRecorder
 
@@ -46,11 +48,12 @@ PHASES = ("queue", "prefill", "kv_transfer", "decode", "retry")
 _COHORTS = (("p50", 0.50), ("p50_p90", 0.90), ("p90_p99", 0.99),
             ("p99", 1.01))
 
-#: Span name -> phase slot; an ``attempt`` span is retry time.  A
-#: ``request`` span takes slot ``_ROOT`` in the analysis pass.
-_SLOT = {"queue": 0, "prefill": 1, "kv_transfer": 2, "decode": 3,
-         "attempt": 4}
+#: Span names by phase slot (an ``attempt`` span is retry time), then
+#: the root's; ``_KIND_SLOT`` maps kind codes to them, -1 for the rest.
+_SLOT = ("queue", "prefill", "kv_transfer", "decode", "attempt", "request")
 _ROOT = 5
+_KIND_SLOT = np.array([_SLOT.index(k.name) if k.name in _SLOT else -1
+                       for k in KINDS], np.int8)
 
 #: Per-request columns: e2e and its six phase values (``PHASES`` then
 #: ``other``), then from ``_TTFT`` on ttft and its five phase values.
@@ -206,15 +209,12 @@ class CriticalPathAnalyzer:
         ids = np.sort(cols.trace)
         traces = int(np.count_nonzero(ids[1:] != ids[:-1])) + bool(len(ids))
         del ids
-        lookup = dict.fromkeys(cols.name, -1)
-        lookup.update(_SLOT, request=_ROOT)
-        slot = np.fromiter(map(lookup.__getitem__, cols.name), np.int8,
-                           len(cols.name))
+        slot = np.take(_KIND_SLOT, cols.kind)
         # Root: each trace's first-closed parentless ``request`` span.
         rows = np.flatnonzero((slot == _ROOT) & (cols.parent == 0))
         tids, first = np.unique(cols.trace[rows], return_index=True)
         rows = rows[first]
-        ok = cols.ok[rows] != 0
+        ok = cols.ok[rows]
         rows, tids = rows[ok], tids[ok]
         n = len(rows)
         if not n:

@@ -11,31 +11,27 @@ spend its time": a completed trace reads
         attempt                      (one FAILED hop; present on failover)
       queue | prefill | decode       (engine phases, from timestamps)
 
-Span ids and trace ids come from **per-recorder counters**, never from
-engine request ids: ``Request._ids`` is a process-global
-``itertools.count``, so its values differ between a campaign run that
-reuses one worker process and one that forks four.  Everything that can
-end up in a digest — ids, times, attributes — is derived from the
-kernel's virtual clock and the deterministic simulation path, which is
-what makes ``SpanRecorder.digest()`` byte-identical across worker
-counts.
+Every span has a declared *kind*: one name plus a fixed, ordered tuple
+of typed attribute fields, declared once below (``REQUEST``, ``ROUTE``,
+...).  Writers pass the values positionally; a field declared with a
+value instead of a type holds that value in every span of its kind.
 
-Spans are *cheap by construction*: there is one way to write one.  A
-component mints ids with ``start_trace``/``start_span`` when the work
-starts and writes the span closed, with ``emit``/``emit_many``, once its
-bounds are known: at request milestones (admission, first token,
-completion, a failover hop), never per decode iteration; the engine
-derives its phase spans from timestamps it already records.  When the
-recorder is disabled ``start_trace`` hands out trace id 0, and every
-write with trace id 0 returns after one check.
+Span and trace ids come from **per-recorder counters**, never from the
+process-global engine request ids, and times from the kernel's virtual
+clock, so ``SpanRecorder.digest()`` is byte-identical across campaign
+worker counts.
+
+There is one way to write a span: mint ids with ``start_trace``/
+``start_span`` when the work starts, and write the span closed with
+``emit``/``emit_many`` at a request milestone, never per decode
+iteration.  A disabled recorder hands out trace id 0, and every write
+with trace id 0 returns after one check.
 """
 
 from __future__ import annotations
 
-import ast
 import hashlib
 import struct
-import zlib
 from array import array
 from collections.abc import Iterable, Iterator
 from itertools import repeat
@@ -46,7 +42,8 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from ..simkernel.kernel import SimKernel
 
-__all__ = ["Span", "SpanColumns", "SpanRecorder", "by_trace"]
+__all__ = ["KINDS", "Span", "SpanColumns", "SpanKind", "SpanRecorder",
+           "by_trace"]
 
 
 class Span(NamedTuple):
@@ -66,61 +63,75 @@ class Span(NamedTuple):
         return self.end - self.start
 
 
+#: Field type -> ``array`` typecode of its column; a ``str`` stores its
+#: intern code, and ``np.int64`` is for values past 2**31 (byte counts).
+_TYPECODE = {str: "i", bool: "b", int: "i", np.int64: "q"}
+
+
+class SpanKind(NamedTuple):
+    """One declared span kind: a name and its ordered attribute fields."""
+
+    name: str
+    fields: dict[str, Any]            # key -> type, or its fixed value
+    stored: tuple[Any, ...]           # the types of the written fields
+    template: str                     # the digest line, ``%r`` per field
+
+
+#: Every declared kind, indexed by its code.
+KINDS: list[SpanKind] = []
+
+
+def _kind(name: str, **fields: Any) -> int:
+    """Declare a kind; returns its code, the first argument of ``emit``."""
+    parts = [f"{key!r}: " + ("%r" if isinstance(t, type)
+                             else repr(t).replace("%", "%%"))
+             for key, t in fields.items()]
+    KINDS.append(SpanKind(
+        name, fields,
+        tuple(t for t in fields.values() if isinstance(t, type)),
+        f"{name}|{{" + ", ".join(parts) + "}\n"))
+    return len(KINDS) - 1
+
+
+# Writers: Fleet.request (REQUEST*), LlmRouter (ROUTE*, ATTEMPT), the
+# engine's trio (QUEUE, PREFILL, DECODE), VllmOpenAIServer (KV_TRANSFER)
+# and SessionTraffic (SESSION).
+REQUEST = _kind("request", tenant=str, ok=bool, output_tokens=int)
+REQUEST_TURN = _kind("request", tenant=str, ok=bool, output_tokens=int,
+                     turn=int)
+ROUTE = _kind("route", backend=str, attempts=int, outcome="ok")
+ROUTE_FAILED = _kind("route", attempts=int, outcome="failed")
+ROUTE_DISAGG = _kind("route", prefill=str, decode=str, attempts=int,
+                     path="disagg", outcome="ok")
+ROUTE_PREFILL_ONLY = _kind("route", prefill=str, attempts=int,
+                           path="disagg", outcome="ok")
+ROUTE_PREFILL_FAILED = _kind("route", attempts=int, path="disagg",
+                             outcome="failed", leg="prefill")
+ROUTE_DECODE_FAILED = _kind("route", prefill=str, attempts=int,
+                            path="disagg", outcome="failed", leg="decode")
+ATTEMPT = _kind("attempt", backend=str, outcome=str)
+QUEUE = _kind("queue")
+PREFILL = _kind("prefill", engine=str, prompt_tokens=int, cached_tokens=int)
+DECODE = _kind("decode", output_tokens=int, preemptions=int)
+KV_TRANSFER = _kind("kv_transfer", src=str, dst=str, bytes=np.int64,
+                    kv_tokens=int, engine=str)
+SESSION = _kind("session", session=str, tenant=str, turns=int, outcome=str,
+                context_tokens=int)
+
+
 #: Fixed-width digest prefix, one record per span: trace id, span id,
 #: parent id (0 = root), start, end.  Span ids start at 1, so 0 is
 #: unambiguous for "no parent".
-_DIGEST_DTYPE = np.dtype([("trace", "<i8"), ("span", "<i8"),
-                          ("parent", "<i8"), ("start", "<f8"),
-                          ("end", "<f8")])
+_DIGEST_DTYPE = np.dtype("<i8,<i8,<i8,<f8,<f8")
 
-#: Span headers packed per digest chunk.
+#: Spans per digest chunk, headers and text alike.
 _CHUNK = 4096
 
-#: Values per row of the flat young list: ``name, trace_id, span_id,
-#: parent_id or 0, start, end, attrs``.
-_FIELDS = 7
+#: Values per row of the young header list: ``kind, trace_id, span_id,
+#: parent_id, start, end``.
+_FIELDS = 6
 #: Young-list length that moves it into the columns (512 rows).
 _FLUSH = _FIELDS * 512
-
-#: The young row of an attribute-less span; rendered, never handed out.
-_NO_ATTRS: dict[str, Any] = {}
-
-#: Unbound ``dict.get``: ``map(_GET, attrs, repeat("ok"), repeat(True))``
-#: reads ``attrs.get("ok", True)`` of every span with no Python frame.
-_GET: Any = dict.get
-
-#: Value types whose ``repr`` ``ast.literal_eval`` reads back exactly
-#: (a non-finite float reads back through :func:`_literal`).
-_LITERAL_TYPES = frozenset((str, int, float, bool, type(None)))
-
-
-class _NonFinite(ast.NodeTransformer):
-    """``inf`` and ``nan`` (float reprs that are names) as constants."""
-
-    def visit_Name(self, node: ast.Name) -> ast.AST:
-        if node.id in ("inf", "nan"):
-            return ast.copy_location(ast.Constant(float(node.id)), node)
-        return node
-
-
-def _literal(text: str) -> dict[str, Any]:
-    """The attribute dict whose ``repr`` is ``text``."""
-    if text == "{}":
-        return {}
-    try:
-        attrs = ast.literal_eval(text)
-    except ValueError:
-        attrs = ast.literal_eval(
-            _NonFinite().visit(ast.parse(text, mode="eval")))
-    if repr(attrs) != text:
-        raise ValueError(f"span attributes {text} do not read back")
-    return attrs
-
-
-def _literal_only(attrs: dict[str, Any]) -> bool:
-    """True when every key and value of ``attrs`` is a literal type."""
-    return (_LITERAL_TYPES.issuperset(map(type, attrs))
-            and _LITERAL_TYPES.issuperset(map(type, attrs.values())))
 
 
 def by_trace(spans: Iterable[Span]) -> dict[int, list[Span]]:
@@ -134,44 +145,31 @@ def by_trace(spans: Iterable[Span]) -> dict[int, list[Span]]:
 
 
 class SpanColumns(NamedTuple):
-    """The span store read column-wise, in close order.
+    """The span store read column-wise, in close order: numpy views of
+    the recorder's arrays, to drop before the recorder writes again."""
 
-    The arrays are numpy views over the recorder's own arrays, not
-    copies.  An array cannot grow while a view of it is alive, so drop
-    the views before the recorder writes again.
-    """
-
-    name: list[str]
+    kind: np.ndarray            # uint8, the kind code
     trace: np.ndarray           # int64
     span: np.ndarray            # int64
     parent: np.ndarray          # int64, 0 for a root
     start: np.ndarray           # float64
     end: np.ndarray             # float64
-    ok: np.ndarray              # int8, bool(attrs.get("ok", True))
+    ok: np.ndarray              # bool: a request's ``ok``, else True
 
 
 class SpanRecorder:
     """Owns every span of one simulation; cheap when disabled.
 
-    The write surface is four calls.  ``start_trace`` mints a fresh
-    trace id and its root's span id; the trace id travels with the
-    request (``repro_trace`` in HTTP bodies) so the router and engine
-    attach their spans to the same tree.  ``start_span`` mints one more
-    span id, for a span whose children are written before it closes.
-    ``emit`` and ``emit_many`` write closed spans.  Spans are stored in
-    close order — a deterministic order, since closing happens at
-    simulated-time milestones — as columns: ids in ``array("q")``,
-    times in ``array("d")``, names in a list.  Attributes are kept as
-    the digest's text, not as dicts: each span's ``name|attrs!r`` line,
-    in one zlib-compressed blob per flush, plus an ``int8`` column of
-    ``bool(attrs.get("ok", True))`` for the analysis pass.  A dict whose
-    text would not read back (numpy scalars, enums) is also kept as is,
-    in a sparse side store.
-    Writers extend a flat young list by one row of ``_FIELDS`` values;
-    every 512 rows, and before any read, :meth:`_flush` moves it into
-    the columns.  No per-span object outlives its flush, so the garbage
-    collector has nothing per span to scan.  Writers hand over their
-    attribute dicts and must not change them afterwards.
+    The write surface is four calls: ``start_trace`` (a trace id, which
+    travels with the request, and its root's span id), ``start_span``
+    (one more span id), ``emit`` (one closed span of a declared kind)
+    and ``emit_many`` (the engine's queue/prefill/decode trio).  Spans
+    are stored in close order as columns: kind codes in a
+    ``bytearray``, ids and bounds in ``array("q")``/``array("d")``, and
+    per kind one typed column per written field (strings as intern
+    codes), the k-th span of a kind being row k.  Writers extend flat
+    young lists, which :meth:`_flush` packs every 512 spans and before
+    any read.  The digest text is rendered only inside :meth:`digest`.
     """
 
     _CHUNK = _CHUNK
@@ -187,16 +185,16 @@ class SpanRecorder:
 
     @property
     def finished(self) -> list[Span]:
-        """Stored spans in close order, as :class:`Span` values built
-        from the columns.  The attribute dicts are read back from the
-        text (``repr``-equal to what was written), so this is for
-        reports, not the run path."""
+        """Stored spans in close order, as :class:`Span` values with
+        fresh attribute dicts: for reports, not the run path."""
         self._flush()
-        return [Span(name, tid, sid, pid or None, start, end, attrs)
-                for name, tid, sid, pid, start, end, attrs in zip(
-                    self._name, self._trace, self._span, self._parent,
-                    self._start, self._end, self._read_attrs(),
-                    strict=True)]
+        kinds = list(self._kind)
+        rows = list(map(self._attr_rows, KINDS, self._columns))
+        return [Span(KINDS[code].name, tid, sid, pid or None, start, end,
+                     attrs)
+                for code, tid, sid, pid, start, end, attrs in zip(
+                    kinds, *self._heads,
+                    map(next, map(rows.__getitem__, kinds)), strict=True)]
 
     # -- writing ------------------------------------------------------------------
 
@@ -219,166 +217,163 @@ class SpanRecorder:
         self._next_span += 1
         return self._next_span
 
-    def emit(self, name: str, trace_id: int, parent_id: int | None,
-             start: float, end: float, attrs: dict[str, Any] | None = None,
-             span_id: int | None = None) -> None:
-        """Append an already-closed span in one call.
-
-        ``attrs`` is adopted, not copied — pass a fresh dict.  A
-        ``span_id`` minted earlier by :meth:`start_trace` or
-        :meth:`start_span` keeps id order matching start order; left
-        ``None``, a fresh id is minted.
-        """
+    def emit(self, kind: int, trace_id: int, span_id: int, parent_id: int,
+             start: float, end: float, *values: Any) -> None:
+        """Append one closed span of ``kind``; ``values`` are its written
+        fields in declaration order, of their declared types.  A span id
+        minted by :meth:`start_trace`/:meth:`start_span` keeps id order
+        matching start order; 0 mints one.  A root's parent is 0."""
         if not self.enabled or not trace_id:
             return
-        if span_id is None:
+        if not span_id:
             self._next_span += 1
             span_id = self._next_span
-        young = self._young
-        young += (name, trace_id, span_id, parent_id or 0, start, end,
-                  attrs or _NO_ATTRS)
-        if len(young) >= _FLUSH:
+        head = self._head
+        head += (kind, trace_id, span_id, parent_id, start, end)
+        self._young[kind] += values
+        if len(head) >= _FLUSH:
             self._flush()
 
-    def emit_many(self, trace_id: int, parent_id: int | None,
-                  phases: Iterable[tuple[str, float, float,
-                                         dict[str, Any] | None]]) -> None:
-        """Append several closed spans of one trace in close order.
-
-        ``phases`` is an iterable of ``(name, start, end, attrs)`` —
-        the engine's per-request queue/prefill/decode trio lands in a
-        single call.  Same adoption rule as :meth:`emit`.
-        """
+    def emit_many(self, trace_id: int, parent_id: int, submitted: float,
+                  admitted: float, first: float, end: float, engine: str,
+                  prompt_tokens: int, cached_tokens: int,
+                  output_tokens: int, preemptions: int) -> None:
+        """Append one request's engine trio, ``queue`` [submitted,
+        admitted), ``prefill`` [admitted, first) and ``decode`` [first,
+        end), with three consecutive fresh span ids."""
         if not self.enabled or not trace_id:
             return
         n = self._next_span
+        self._next_span = n + 3
+        head = self._head
+        head += (QUEUE, trace_id, n + 1, parent_id, submitted, admitted,
+                 PREFILL, trace_id, n + 2, parent_id, admitted, first,
+                 DECODE, trace_id, n + 3, parent_id, first, end)
         young = self._young
-        pid = parent_id or 0
-        for name, start, end, attrs in phases:
-            n += 1
-            young += (name, trace_id, n, pid, start, end,
-                      attrs or _NO_ATTRS)
-        self._next_span = n
-        if len(young) >= _FLUSH:
+        young[PREFILL] += (engine, prompt_tokens, cached_tokens)
+        young[DECODE] += (output_tokens, preemptions)
+        if len(head) >= _FLUSH:
             self._flush()
 
     def _flush(self) -> None:
         """Move the young rows into the columns: one stride slice and
-        one ``struct`` pack per column, and one compressed text blob."""
-        young = self._young
-        if not young:
+        one ``struct`` pack per column."""
+        head = self._head
+        if not head:
             return
-        n = len(young) // _FIELDS
-        names, attrs = young[0::_FIELDS], young[6::_FIELDS]
-        text = "".join([f"{name}|{a!r}\n"
-                        for name, a in zip(names, attrs, strict=True)])
-        # A repr that does not read back is a call (``np.int64(3)``), an
-        # angle repr (enums, objects) or a dotted name (``np.True_``):
-        # blocks without "(", "<" or "." skip the per-dict type check.
-        if "(" in text or "<" in text or "." in text:
-            row = len(self._name)
-            self._side.update((row + i, a) for i, a in enumerate(attrs)
-                             if not _literal_only(a))
-        self._text.append(zlib.compress(text.encode(), 1))
-        self._ok.frombytes(bytes(map(
-            bool, map(_GET, attrs, repeat("ok"), repeat(True)))))
-        ints, floats = f"{n}q", f"{n}d"
-        self._name += names
-        self._trace.frombytes(struct.pack(ints, *young[1::_FIELDS]))
-        self._span.frombytes(struct.pack(ints, *young[2::_FIELDS]))
-        self._parent.frombytes(struct.pack(ints, *young[3::_FIELDS]))
-        self._start.frombytes(struct.pack(floats, *young[4::_FIELDS]))
-        self._end.frombytes(struct.pack(floats, *young[5::_FIELDS]))
-        young.clear()
+        self._kind += bytes(head[0::_FIELDS])
+        for kind, young, columns in zip(KINDS, self._young, self._columns):
+            if young:
+                width = len(kind.stored)
+                for j, (t, column) in enumerate(zip(kind.stored, columns)):
+                    values = young[j::width]
+                    if t is str:
+                        values = self._intern(values)
+                    column.frombytes(struct.pack(
+                        f"{len(values)}{column.typecode}", *values))
+                young.clear()
+        n = len(head) // _FIELDS
+        for j, column in enumerate(self._heads, 1):
+            column.frombytes(struct.pack(f"{n}{column.typecode}",
+                                         *head[j::_FIELDS]))
+        head.clear()
 
-    def _read_attrs(self) -> Iterator[dict[str, Any]]:
-        """Each stored span's attributes, in close order, read back
-        from the text blobs (side-store dicts as kept).  Each distinct
-        text is parsed once per read; every span gets its own copy."""
-        names = iter(self._name)
-        parsed: dict[str, dict[str, Any]] = {}
-        row = 0
-        for blob in self._text:
-            text = zlib.decompress(blob).decode()
-            pos = 0
-            while pos < len(text):
-                pos += len(next(names)) + 1         # "name|"
-                attrs = self._side.get(row)
-                if attrs is None:
-                    end = text.index("\n", pos)
-                    line = text[pos:end]
-                    if line not in parsed:
-                        parsed[line] = _literal(line)
-                    attrs = dict(parsed[line])
-                else:
-                    end = pos + len(repr(attrs))
-                row += 1
-                pos = end + 1
-                yield attrs
+    def _intern(self, values: list[str]) -> list[int]:
+        """Each string's intern code, minting codes for new ones."""
+        codes = self._codes
+        try:
+            return list(map(codes.__getitem__, values))
+        except KeyError:
+            for value in values:
+                if value not in codes:
+                    codes[value] = len(codes)
+            return list(map(codes.__getitem__, values))
 
     # -- queries ------------------------------------------------------------------
 
     @property
     def span_count(self) -> int:
         """``len(finished)`` without building the views."""
-        return len(self._name) + len(self._young) // _FIELDS
+        return len(self._kind) + len(self._head) // _FIELDS
+
+    def _attr_rows(self, kind: SpanKind,
+                   columns: list[array]) -> Iterator[dict[str, Any]]:
+        """Fresh attribute dicts of ``kind``'s spans, in order."""
+        columns = iter(columns)
+        strings = list(self._codes)
+        fields = [repeat(t) if not isinstance(t, type)
+                  else map(strings.__getitem__, next(columns)) if t is str
+                  else map(bool, next(columns)) if t is bool
+                  else iter(next(columns)) for t in kind.fields.values()]
+        if not fields:
+            return iter(dict, None)
+        return map(dict, map(zip, repeat(tuple(kind.fields)), zip(*fields)))
 
     def columns(self) -> SpanColumns:
         """The whole store as numpy column views, in close order."""
         self._flush()
-        return SpanColumns(
-            self._name,
-            np.frombuffer(self._trace, np.int64),
-            np.frombuffer(self._span, np.int64),
-            np.frombuffer(self._parent, np.int64),
-            np.frombuffer(self._start, np.float64),
-            np.frombuffer(self._end, np.float64),
-            np.frombuffer(self._ok, np.int8))
+        kind = np.frombuffer(self._kind, np.uint8)
+        ok = np.ones(len(kind), bool)
+        for request in (REQUEST, REQUEST_TURN):     # tenant, ok, ...
+            if self._columns[request][1]:
+                ok[kind == request] = np.frombuffer(self._columns[request][1],
+                                                    np.int8)
+        return SpanColumns(kind, *[np.frombuffer(column, column.typecode)
+                                   for column in self._heads], ok)
 
     def digest(self) -> str:
-        """Canonical SHA-256 over every finished span.
-
-        Only simulated-time quantities and recorder-local ids feed the
-        hash, so equal simulation paths give equal digests regardless of
-        campaign worker count — the scorecard witness for spans.
-
-        Serialization is hand-rolled rather than ``json.dumps``: ids
-        and bounds pack as fixed-width ``<qqqdd`` records straight from
-        the columns; name and attributes hash as the ``repr``-rendered
-        text the flushes kept (insertion order is fixed by the emitting
-        code, so the dict repr is as deterministic as the values — ints,
-        floats, strings, bools from the serving components; numpy
-        scalars and enums repr deterministically too).  A 30-minute cell
-        finishes ~20k spans, and one dumps() per span was the single
-        largest line of observability overhead on the hot-cell bench.
-        Every span's packed header hashes before any span's text, one
-        chunk at a time.
-        """
+        """Canonical SHA-256 over every finished span: the scorecard
+        witness for spans.  Every span's ``<qqqdd`` header (ids and
+        bounds) hashes before any span's ``name|{attrs!r}`` text, one
+        4,096-span chunk at a time.  The text is rendered here from the
+        kinds' templates, each distinct row once; none outlives the
+        call."""
         cols = self.columns()
-        n = len(cols.name)
+        n = len(cols.kind)
         h = hashlib.sha256()
         head = np.empty(min(n, _CHUNK), _DIGEST_DTYPE)
         for lo in range(0, n, _CHUNK):
-            hi = min(n, lo + _CHUNK)
-            rec = head[:hi - lo]
-            for field in ("trace", "span", "parent", "start", "end"):
-                rec[field] = getattr(cols, field)[lo:hi]
+            rec = head[:min(n - lo, _CHUNK)]
+            for field, column in zip(_DIGEST_DTYPE.names, cols[1:6]):
+                rec[field] = column[lo:lo + _CHUNK]
             h.update(rec.tobytes())
-        for blob in self._text:
-            h.update(zlib.decompress(blob))
+        rows = [0] * len(KINDS)
+        strings = np.array(list(self._codes), object)
+        fields = [[np.frombuffer(column, np.bool_ if t is bool
+                                 else column.typecode)
+                   for t, column in zip(kind.stored, columns)]
+                  for kind, columns in zip(KINDS, self._columns)]
+        for lo in range(0, n, _CHUNK):
+            kinds = cols.kind[lo:lo + _CHUNK]
+            out = np.empty(len(kinds), object)
+            for code, count in enumerate(np.bincount(
+                    kinds, minlength=len(KINDS)).tolist()):
+                if not count:
+                    continue
+                at = rows[code]
+                rows[code] += count
+                values = [(strings.take(f[at:at + count]) if t is str
+                           else f[at:at + count]).tolist()
+                          for t, f in zip(KINDS[code].stored, fields[code])]
+                # Each distinct row of the chunk renders once.
+                new = set(zip(*values) if values else [()])
+                memo = dict(zip(new, map(KINDS[code].template.__mod__, new)))
+                out[kinds == code] = list(map(memo.__getitem__, zip(*values)
+                                              if values else [()] * count))
+            text = out.tolist()
+            for at in range(0, len(text), 512):     # a bounded buffer
+                h.update("".join(text[at:at + 512]).encode())
         return h.hexdigest()
 
     def clear(self) -> None:
         """Drop every finished span (id counters keep counting)."""
-        self._young: list[Any] = []
-        self._name: list[str] = []
-        self._trace = array("q")
-        self._span = array("q")
-        self._parent = array("q")
-        self._start = array("d")
-        self._end = array("d")
-        self._ok = array("b")
-        #: One ``name|attrs!r`` line per span, one zlib blob per flush.
-        self._text: list[bytes] = []
-        #: Row -> attribute dict whose text does not read back.
-        self._side: dict[int, dict[str, Any]] = {}
+        self._head: list[Any] = []
+        self._young: list[list[Any]] = [[] for _ in KINDS]
+        self._kind = bytearray()
+        #: trace, span and parent ids, start and end
+        self._heads = [array(typecode) for typecode in "qqqdd"]
+        #: Per kind, one typed column per written field.
+        self._columns = [[array(_TYPECODE[t]) for t in kind.stored]
+                         for kind in KINDS]
+        #: Intern table of the ``str`` fields: string -> code.
+        self._codes: dict[str, int] = {}

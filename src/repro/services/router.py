@@ -19,6 +19,9 @@ from ..containers.runtime import ContainerApp, ContainerContext
 from ..errors import (APIError, ConfigurationError, NetworkUnreachable,
                       ReproError)
 from ..net.http import HttpClient, HttpResponse, HttpService
+from ..obs.spans import (ATTEMPT, ROUTE, ROUTE_DECODE_FAILED, ROUTE_DISAGG,
+                         ROUTE_FAILED, ROUTE_PREFILL_FAILED,
+                         ROUTE_PREFILL_ONLY)
 from ..units import MiB
 from ..vllm.config import DISAGG_ROLES
 from ..vllm.server import VllmOpenAIServer
@@ -522,21 +525,18 @@ class LlmRouter(ContainerApp):
         route_sid = rec.start_span() if rec is not None else 0
         route_start = rec.kernel.now if rec is not None else 0.0
         if self.config.disagg and call.is_completion:
-            result, attrs = yield from self._route_disagg(call, rec,
-                                                          route_sid)
-        else:
-            result, backend, failed_attempts = yield from self._forward(
-                call, call.session, None, rec, route_sid)
-            attrs = ({"backend": backend.key,
-                      "attempts": failed_attempts + 1, "outcome": "ok"}
-                     if backend is not None else
-                     {"attempts": failed_attempts, "outcome": "failed"})
-            result = result or CompletionResult.failed(
-                503, "no healthy backends")
-        if rec is not None:
-            rec.emit("route", trace_id, call.trace_parent or None,
-                     route_start, rec.kernel.now, attrs, span_id=route_sid)
-        return result
+            return (yield from self._route_disagg(call, rec, route_sid,
+                                                  route_start))
+        result, backend, failed_attempts = yield from self._forward(
+            call, call.session, None, rec, route_sid)
+        if rec is not None and backend is not None:
+            rec.emit(ROUTE, trace_id, route_sid, call.trace_parent,
+                     route_start, rec.kernel.now, backend.key,
+                     failed_attempts + 1)
+        elif rec is not None:
+            rec.emit(ROUTE_FAILED, trace_id, route_sid, call.trace_parent,
+                     route_start, rec.kernel.now, failed_attempts)
+        return result or CompletionResult.failed(503, "no healthy backends")
 
     def _forward(self, call: CompletionCall, session: str | None,
                  role: str | None, rec, route_sid: int):
@@ -592,10 +592,9 @@ class LlmRouter(ContainerApp):
                 failed_attempts += 1
                 last_error = result
                 if rec is not None:
-                    rec.emit("attempt", call.trace_id, route_sid,
-                             attempt_start, rec.kernel.now,
-                             {"backend": backend.key,
-                              "outcome": outcome or f"http_{result.status}"})
+                    rec.emit(ATTEMPT, call.trace_id, 0, route_sid,
+                             attempt_start, rec.kernel.now, backend.key,
+                             outcome or f"http_{result.status}")
                 continue
             backend.consecutive_failures = 0
             backend.served += 1
@@ -606,7 +605,8 @@ class LlmRouter(ContainerApp):
             return result, backend, failed_attempts
         return last_error, None, failed_attempts
 
-    def _route_disagg(self, call: CompletionCall, rec, route_sid: int):
+    def _route_disagg(self, call: CompletionCall, rec, route_sid: int,
+                      route_start: float):
         """Disaggregated dispatch: prefill leg, then decode leg.
 
         The prefill backend runs the request to its first token and
@@ -619,32 +619,37 @@ class LlmRouter(ContainerApp):
 
         Session affinity applies to the prefill leg only — that is
         where the conversation's KV prefix lives; the decode pool is
-        balanced purely by the policy.  Returns ``(result, attrs)``,
-        ``attrs`` being the route span's attributes.
+        balanced purely by the policy.  Writes the route span, whose
+        kind names how far the dispatch got.
         """
+        tid, parent = call.trace_id, call.trace_parent
         pre, pre_backend, pre_failed = yield from self._forward(
             call, call.session, "prefill", rec, route_sid)
         attempts = pre_failed + (1 if pre_backend is not None else 0)
         served = pre_backend is not None and pre.ok
         handoff = pre.handoff if served else None
         if handoff is None:
-            attrs = {"attempts": attempts, "path": "disagg",
-                     "outcome": "failed", "leg": "prefill"}
+            if rec is not None:
+                rec.emit(ROUTE_PREFILL_FAILED, tid, route_sid, parent,
+                         route_start, rec.kernel.now, attempts)
             if not served:
                 return pre or CompletionResult.failed(
-                    503, "no prefill backends"), attrs
+                    503, "no prefill backends")
             # The backend is not actually a prefill engine (role
             # mislabeled); surface a clear dispatch error.
             return CompletionResult.failed(
                 502, f"backend {pre_backend.key} returned no "
                      "repro_handoff; is it running with "
-                     "--disagg-role prefill?"), attrs
+                     "--disagg-role prefill?")
         pre.response = None   # the merged reply is rendered, not relayed
         if handoff.generated >= call.max_tokens:
             # Single-token request: the prefill leg already finished it.
             pre.handoff = None
-            return pre, {"prefill": pre_backend.key, "attempts": attempts,
-                         "path": "disagg", "outcome": "ok"}
+            if rec is not None:
+                rec.emit(ROUTE_PREFILL_ONLY, tid, route_sid, parent,
+                         route_start, rec.kernel.now, pre_backend.key,
+                         attempts)
+            return pre
         # ``call`` plus the handoff, built field by field: a generic
         # dataclasses.replace walks fields() on every disagg request.
         leg = CompletionCall(
@@ -657,10 +662,11 @@ class LlmRouter(ContainerApp):
             leg, None, "decode", rec, route_sid)
         attempts += dec_failed + (1 if dec_backend is not None else 0)
         if dec_backend is None or not dec.ok:
-            attrs = {"prefill": pre_backend.key, "attempts": attempts,
-                     "path": "disagg", "outcome": "failed", "leg": "decode"}
-            return dec or CompletionResult.failed(
-                503, "no decode backends"), attrs
+            if rec is not None:
+                rec.emit(ROUTE_DECODE_FAILED, tid, route_sid, parent,
+                         route_start, rec.kernel.now, pre_backend.key,
+                         attempts)
+            return dec or CompletionResult.failed(503, "no decode backends")
         dec.response = None
         # TTFT is the prefill leg's: the client saw its first token when
         # the prefill engine produced it.
@@ -669,8 +675,11 @@ class LlmRouter(ContainerApp):
         dec.preemptions += pre.preemptions
         dec.cached_tokens = pre.cached_tokens
         dec.path = "disagg"
-        return dec, {"prefill": pre_backend.key, "decode": dec_backend.key,
-                     "attempts": attempts, "path": "disagg", "outcome": "ok"}
+        if rec is not None:
+            rec.emit(ROUTE_DISAGG, tid, route_sid, parent, route_start,
+                     rec.kernel.now, pre_backend.key, dec_backend.key,
+                     attempts)
+        return dec
 
     # -- admin API ---------------------------------------------------------------------
 

@@ -23,6 +23,7 @@ from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 from ..errors import ConfigurationError
+from ..obs.spans import SESSION
 from .spec import SessionSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -181,8 +182,6 @@ class SessionTraffic:
             self.log.cut_by_horizon += 1
         kernel.trace.emit("sessions.end", session=key, turns=turns_done,
                           context_tokens=context, outcome=outcome)
-        spans.emit("session", trace_id, None, started, kernel.now,
-                   {"session": key, "tenant": tenant, "turns": turns_done,
-                    "outcome": outcome, "context_tokens": context},
-                   span_id=span_id)
+        spans.emit(SESSION, trace_id, span_id, 0, started, kernel.now, key,
+                   tenant, turns_done, outcome, context)
         return turns_done

@@ -438,32 +438,18 @@ class LLMEngine:
             self._h_ttft.observe(request.first_token_at
                                  - request.submitted_at)
         if request.trace_id and self._obs.spans.enabled:
-            self._emit_request_spans(request, now)
+            # The request's queue/prefill/decode spans, from timestamps
+            # the engine records anyway: tracing adds no per-iteration
+            # work, only this one write at completion.
+            admitted = (request.admitted_at
+                        if request.admitted_at is not None
+                        else request.submitted_at)
+            self._obs.spans.emit_many(
+                request.trace_id, request.trace_parent,
+                request.submitted_at, admitted, request.first_token_at,
+                now, self.name, request.prompt_tokens, request.cached_tokens,
+                request.tokens_generated, request.preemptions)
         request.done.succeed(request)
-
-    def _emit_request_spans(self, request: Request, now: float) -> None:
-        """Derive queue/prefill/decode phase spans at finish.
-
-        Bounds come from timestamps the engine records anyway, so
-        tracing adds no per-iteration work: the whole span tree for a
-        request is three records written once, at completion.
-        """
-        spans = self._obs.spans
-        tid = request.trace_id
-        parent = request.trace_parent or None
-        admitted = (request.admitted_at if request.admitted_at is not None
-                    else request.submitted_at)
-        first = (request.first_token_at if request.first_token_at is not None
-                 else admitted)
-        spans.emit_many(tid, parent, (
-            ("queue", request.submitted_at, admitted, None),
-            ("prefill", admitted, first,
-             {"engine": self.name,
-              "prompt_tokens": request.prompt_tokens,
-              "cached_tokens": request.cached_tokens}),
-            ("decode", first, now,
-             {"output_tokens": request.tokens_generated,
-              "preemptions": request.preemptions})))
 
     def _ensure_appendable(self, request: Request,
                            finished: list[Request]) -> bool:

@@ -28,6 +28,7 @@ from ..containers.runtime import ContainerApp, ContainerContext
 from ..models.catalog import model_card
 from ..models.weights import validate_fit
 from ..net.http import HttpResponse, HttpService
+from ..obs.spans import KV_TRANSFER
 from .config import EngineArgs, is_offline_env, parse_serve_command
 from .engine import LLMEngine
 from .perf import PerfModel, PerfProfile
@@ -337,8 +338,7 @@ class VllmOpenAIServer(ContainerApp):
         seconds = kernel.now - started
         spans = kernel.obs.spans
         if trace_id and spans.enabled:
-            spans.emit("kv_transfer", trace_id, trace_parent or None,
-                       started, kernel.now,
-                       {"src": src, "dst": dst, "bytes": int(nbytes),
-                        "kv_tokens": kv_tokens, "engine": self.engine.name})
+            spans.emit(KV_TRANSFER, trace_id, 0, trace_parent, started,
+                       kernel.now, src, dst, int(nbytes), kv_tokens,
+                       self.engine.name)
         return None, seconds

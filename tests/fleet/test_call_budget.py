@@ -42,16 +42,16 @@ print(json.dumps({"calls": sum(e.callcount for e in profile.getstats()),
 #: workload -> (calls-per-request ceiling, completed-request floor),
 #: measured on CPython 3.11.7 and rounded up to the next 0.05.
 BUDGETS = {
-    # 291.78 over 1,861 requests.
-    "poisson_steady": (291.8, 1500),
-    # 332.21 over 521 requests: two simulated days of one 250 s pulse
+    # 291.25 over 1,861 requests.
+    "poisson_steady": (291.3, 1500),
+    # 331.86 over 521 requests: two simulated days of one 250 s pulse
     # each, so the idle days' scrapes and alert evaluations weigh on
     # every request.
-    "pulse_idle": (332.25, 500),
-    # 340.56 over 2,520 requests.
-    "sessions_crash": (340.6, 1500),
-    # 531.33 over 1,861 requests: two router legs and a KV handoff each.
-    "disagg_heavy": (531.35, 1500),
+    "pulse_idle": (331.9, 500),
+    # 340.45 over 2,520 requests.
+    "sessions_crash": (340.45, 1500),
+    # 530.57 over 1,861 requests: two router legs and a KV handoff each.
+    "disagg_heavy": (530.6, 1500),
 }
 
 

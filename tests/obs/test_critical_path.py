@@ -7,6 +7,7 @@ import pytest
 from repro.obs.critical_path import (CriticalPathAnalyzer, PHASES)
 from repro.obs.spans import SpanRecorder
 from repro.simkernel import SimKernel
+from tests.obs.conftest import emit_named, emit_request
 
 
 def _recorder():
@@ -19,9 +20,8 @@ def _request(rec, start, end, phases, ok=True):
     """Emit one request tree; ``phases`` is [(name, start, end), ...]."""
     trace_id, root_id = rec.start_trace()
     for name, s, e in phases:
-        rec.emit(name, trace_id, root_id, s, e)
-    rec.emit("request", trace_id, None, start, end, {"ok": ok},
-             span_id=root_id)
+        emit_named(rec, name, trace_id, 0, root_id, s, e)
+    emit_request(rec, trace_id, root_id, start, end, ok)
     return trace_id
 
 
@@ -96,7 +96,7 @@ def test_errored_and_rootless_traces_are_skipped():
     _request(rec, 0.0, 10.0, [("decode", 0.0, 10.0)], ok=False)
     # A trace with phase spans but no request root (lost root).
     trace_id, root_id = rec.start_trace()
-    rec.emit("decode", trace_id, root_id, 0.0, 5.0)
+    emit_named(rec, "decode", trace_id, 0, root_id, 0.0, 5.0)
     _request(rec, 0.0, 4.0, [("decode", 0.0, 4.0)])
     report = CriticalPathAnalyzer(rec).report()
     assert report.requests == 1

@@ -23,8 +23,9 @@ from repro.campaign.catalogue import sessions_grid
 from repro.campaign.spec import ChaosEventSpec
 from repro.obs.critical_path import (_COHORTS, PHASES, CriticalPathAnalyzer,
                                      CriticalPathReport, _union_length)
-from repro.obs.spans import SpanRecorder
+from repro.obs.spans import REQUEST, SpanRecorder
 from repro.simkernel import SimKernel
+from tests.obs.conftest import emit_named, emit_request
 
 # -- frozen reference -----------------------------------------------------------
 
@@ -168,13 +169,13 @@ TIMES = st.one_of(st.integers(0, 16).map(lambda q: q / 4),
                   st.floats(1e15, 1e17, allow_nan=False))
 CHILD_NAMES = st.sampled_from(
     ("queue", "prefill", "kv_transfer", "decode", "attempt", "route",
-     "request", "retry"))
+     "request", "session"))
 FORMS = st.sampled_from(("emit", "many", "span"))
 
 CHILD = st.tuples(CHILD_NAMES, TIMES, TIMES, FORMS)
 TRACE = st.fixed_dictionaries({
     "root": st.sampled_from(("request", "request", "session")),
-    "ok": st.sampled_from((True, False, None)),
+    "ok": st.sampled_from((True, False, True)),
     "start": TIMES, "end": TIMES,
     "children": st.lists(CHILD, max_size=6),
 })
@@ -186,30 +187,43 @@ def _build(traces, rnd):
     rec.enabled = True
     closes = []
     for trace in traces:
-        attrs = {} if trace["ok"] is None else {"ok": trace["ok"]}
         start, end = trace["start"], trace["end"]
         tid, root_sid = rec.start_trace()
-        closes.append(lambda tid=tid, sid=root_sid, t=trace, a=attrs, s=start,
-                      e=end: rec.emit(t["root"], tid, None, s, e, dict(a),
-                                      span_id=sid))
+        if trace["root"] == "request":
+            closes.append(lambda tid=tid, sid=root_sid, ok=trace["ok"],
+                          s=start, e=end: emit_request(rec, tid, sid, s, e,
+                                                       ok))
+        else:
+            closes.append(lambda tid=tid, sid=root_sid, s=start, e=end:
+                          emit_named(rec, "session", tid, sid, 0, s, e))
         for name, c_start, c_end, form in trace["children"]:
             if form == "span":
                 sid = rec.start_span()
                 closes.append(lambda tid=tid, root=root_sid, sid=sid, n=name,
-                              s=c_start, e=c_end: rec.emit(
-                                  n, tid, root, s, e, {"engine": "e0"},
-                                  span_id=sid))
+                              s=c_start, e=c_end: _child(rec, n, tid, sid,
+                                                         root, s, e))
             elif form == "many":
-                closes.append(lambda tid=tid, sid=root_sid, n=name, s=c_start,
-                              e=c_end: rec.emit_many(tid, sid, [(n, s, e, None)]))
+                # The engine trio: an empty queue, prefill over the
+                # child's bounds, then an empty decode.
+                closes.append(lambda tid=tid, sid=root_sid, s=c_start,
+                              e=c_end: rec.emit_many(tid, sid, s, s, e, e,
+                                                     "e0", 8, 0, 4, 0))
             else:
                 closes.append(lambda tid=tid, sid=root_sid, n=name, s=c_start,
-                              e=c_end: rec.emit(n, tid, sid, s, e))
+                              e=c_end: _child(rec, n, tid, 0, sid, s, e))
     # Shuffling interleaves traces and lets children close after roots.
     rnd.shuffle(closes)
     for close in closes:
         close()
     return rec
+
+
+def _child(rec, name, tid, sid, parent, start, end):
+    """One child span; a ``request`` child keeps its parent."""
+    if name == "request":
+        rec.emit(REQUEST, tid, sid, parent, start, end, "t", True, 4)
+    else:
+        emit_named(rec, name, tid, sid, parent, start, end)
 
 
 @settings(max_examples=150, deadline=None)
@@ -226,8 +240,8 @@ def test_a_child_closing_after_its_root_still_counts():
     rec = SpanRecorder(SimKernel(seed=1))
     rec.enabled = True
     tid, root_sid = rec.start_trace()
-    rec.emit("request", tid, None, 0.0, 10.0, {"ok": True}, span_id=root_sid)
-    rec.emit("decode", tid, root_sid, 2.0, 10.0)
+    emit_request(rec, tid, root_sid, 0.0, 10.0)
+    emit_named(rec, "decode", tid, 0, root_sid, 2.0, 10.0)
     entry = CriticalPathAnalyzer(rec).report().cohorts["e2e"]["all"]
     assert entry["phase_s"]["decode"] == 8.0
     assert entry["phase_s"]["other"] == 2.0
@@ -256,8 +270,8 @@ def test_tied_values_rank_by_trace_id_across_a_cohort_edge():
     rec.enabled = True
     ids = [rec.start_trace() for _ in range(4)]
     for k, (tid, sid) in reversed(list(enumerate(ids))):
-        rec.emit("prefill", tid, sid, 0.0, 1.0 + k)
-        rec.emit("request", tid, None, 0.0, 10.0, span_id=sid)
+        emit_named(rec, "prefill", tid, 0, sid, 0.0, 1.0 + k)
+        emit_request(rec, tid, sid, 0.0, 10.0)
     report = CriticalPathAnalyzer(rec).report()
     assert report.to_json() == _reference(rec).to_json()
     assert report.cohorts["e2e"]["p50"]["phase_s"]["prefill"] == 1.5
@@ -270,8 +284,8 @@ def test_cohort_sums_add_in_rank_order():
     rec = SpanRecorder(SimKernel(seed=1))
     for k in range(24):
         tid, sid = rec.start_trace()
-        rec.emit("queue", tid, sid, 0.0, 1e16 if k == 0 else 1.0)
-        rec.emit("request", tid, None, 0.0, 1e16 + 4.0 * k, span_id=sid)
+        emit_named(rec, "queue", tid, 0, sid, 0.0, 1e16 if k == 0 else 1.0)
+        emit_request(rec, tid, sid, 0.0, 1e16 + 4.0 * k)
     report = CriticalPathAnalyzer(rec).report()
     assert report.to_json() == _reference(rec).to_json()
 
@@ -283,9 +297,9 @@ def test_touching_phases_merge_into_one_run():
     assert (b - a) + (c - b) != c - a
     rec = SpanRecorder(SimKernel(seed=1))
     tid, sid = rec.start_trace()
-    rec.emit("queue", tid, sid, a, b)
-    rec.emit("decode", tid, sid, b, c)
-    rec.emit("request", tid, None, 0.0, 2e16, span_id=sid)
+    emit_named(rec, "queue", tid, 0, sid, a, b)
+    emit_named(rec, "decode", tid, 0, sid, b, c)
+    emit_request(rec, tid, sid, 0.0, 2e16)
     report = CriticalPathAnalyzer(rec).report()
     assert report.to_json() == _reference(rec).to_json()
     assert report.cohorts["e2e"]["all"]["phase_s"]["other"] == 2e16 - (c - a)
@@ -297,9 +311,9 @@ def test_the_first_closed_root_decides():
     skipped."""
     rec = SpanRecorder(SimKernel(seed=1))
     tid, sid = rec.start_trace()
-    rec.emit("decode", tid, sid, 1.0, 2.0)
-    rec.emit("request", tid, None, 0.0, 3.0, {"ok": False}, span_id=sid)
-    rec.emit("request", tid, None, 0.0, 4.0, {"ok": True})
+    emit_named(rec, "decode", tid, 0, sid, 1.0, 2.0)
+    emit_request(rec, tid, sid, 0.0, 3.0, ok=False)
+    emit_request(rec, tid, 0, 0.0, 4.0)
     report = CriticalPathAnalyzer(rec).report()
     assert report.to_json() == _reference(rec).to_json()
     assert (report.requests, report.skipped) == (0, 1)

@@ -1,12 +1,13 @@
 """Chunked digests hash exactly the bytes of the one-shot originals.
 
 ``SpanRecorder.digest`` and ``Tracer.digest`` feed SHA-256 one bounded
-chunk at a time, and both stores render their text as rows arrive.  The
-frozen one-shot versions below build whole-run buffers; both must agree
-on stores that end just before, on and after each chunk edge and each
-young-list edge, with numpy scalars and non-ASCII text in the payload,
-and with Span-closed rows mixed in among emitted ones.  The trace test
-opts into record retention, which the one-shot reference reads.
+chunk at a time; the tracer renders its text as rows arrive, the span
+store inside ``digest()``.  The frozen one-shot versions below build
+whole-run buffers; both must agree on stores that end just before, on
+and after each chunk edge and each young-list edge, with non-ASCII text
+in the payload (and numpy scalars in the trace records), and with engine
+trios mixed in among single spans.  The trace test opts into record
+retention, which the one-shot reference reads.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from repro.obs import spans as spans_module
-from repro.obs.spans import SpanRecorder
+from repro.obs.spans import REQUEST_TURN, SESSION, SpanRecorder
 from repro.simkernel import SimKernel
 from repro.simkernel import tracing as tracing_module
 from repro.simkernel.tracing import Tracer, _jsonable
@@ -73,11 +74,13 @@ def test_span_digest_matches_one_shot_across_chunk_edges(n):
     for i in range(n):
         tid, sid = rec.start_trace()
         if i % 3 == 2:
-            rec.emit_many(tid, None, [("session", i * 0.5, i * 0.5 + 0.25,
-                                       {"n": np.int32(i), "note": "ü"})])
+            rec.emit_many(tid, sid, i * 0.5, i * 0.5 + 0.25, i * 0.5 + 0.25,
+                          i * 0.5 + 1, f"hops{i % 3}", i, i // 2, 7, 0)
+            rec.emit(SESSION, tid, 0, 0, i * 0.5, i * 0.5 + 0.25, f"s{i}",
+                     "ü", i % 4, "cut", i)
         else:
-            rec.emit("request", tid, None, i * 0.5, i * 0.5 + 1 / 3,
-                     _attrs(i), span_id=sid)
+            rec.emit(REQUEST_TURN, tid, sid, 0, i * 0.5, i * 0.5 + 1 / 3,
+                     "équipe-推理", i % 5 != 0, i, i % 7)
     assert rec.digest() == _one_shot_spans(rec)
 
 

@@ -18,7 +18,7 @@ import repro.vllm.kvcache
 from repro.campaign import ScenarioSpec, ScheduleSpec, SiteSpec, run_cell
 from repro.obs.export import chrome_trace, profile_events, span_events
 from repro.obs.profile import LAYERS, Profiler, profiler
-from repro.obs.spans import SpanRecorder
+from repro.obs.spans import QUEUE, REQUEST, ROUTE_FAILED, SpanRecorder
 from repro.simkernel import SimKernel
 
 _LOOP = (repro.vllm.engine.__file__, 300, "_loop")
@@ -144,10 +144,9 @@ def _spans():
     rec = SpanRecorder(SimKernel(seed=1))
     rec.enabled = True
     trace_id, root_sid = rec.start_trace()
-    rec.emit("route", trace_id, root_sid, 1.0, 1.0)
-    rec.emit("request", trace_id, None, 0.0, 3.0,
-             {"tenant": "t", "ok": True}, span_id=root_sid)
-    rec.emit("queue", trace_id, None, 0.0, 0.25)
+    rec.emit(ROUTE_FAILED, trace_id, 0, root_sid, 1.0, 1.0, 1)
+    rec.emit(REQUEST, trace_id, root_sid, 0, 0.0, 3.0, "t", True, 2)
+    rec.emit(QUEUE, trace_id, 0, 0, 0.0, 0.25)
     return rec
 
 
@@ -161,7 +160,7 @@ def test_span_events_are_complete_events_in_microseconds():
     assert root["tid"] == 1                       # trace id as thread
     assert root["ts"] == 0.0
     assert root["dur"] == 3.0e6                   # 3 sim-seconds in µs
-    assert root["args"] == {"tenant": "t", "ok": True}
+    assert root["args"] == {"tenant": "t", "ok": True, "output_tokens": 2}
     metas = [e for e in events if e["ph"] == "M"]
     assert metas and metas[0]["args"]["name"] == "trace 1"
 

@@ -1,24 +1,24 @@
-"""Differential oracle for the columnar span store.
+"""Differential oracle for the typed span store.
 
-``SpanRecorder`` keeps closed spans as columns: ids and times in typed
-arrays, names in a list, attributes as their rendered digest text (plus
-a side store for dicts whose text does not read back), with recent rows
-waiting in a short young list.  The frozen reference below
-is the row store it replaced: one ``(name, trace, span, parent, start,
-end, attrs)`` tuple per closed span.  Hypothesis drives both through the
-same sequence of ``start_trace`` / ``start_span`` / ``emit`` /
-``emit_many`` / ``clear`` calls — with ids minted long before their
-span is written, numpy-scalar attributes and bulk writes that cross the
-flush and digest chunk size — and every read must agree: ``digest()``,
-``span_count`` and the ``finished`` views (attributes ``repr``-equal to
-what was written).
+``SpanRecorder`` keeps closed spans as columns: the kind code, ids and
+times in typed arrays, each kind's written fields in typed columns of
+their own (strings as intern codes), with recent rows waiting in short
+young lists; the ``name|{attrs!r}`` text is rendered only inside
+``digest()``.  The frozen reference below is the row store it replaced:
+one ``(name, trace, span, parent, start, end, attrs)`` tuple per closed
+span, its attributes a dict, its digest text that dict's ``repr``.
+Hypothesis drives both through the same sequence of ``start_trace`` /
+``start_span`` / ``emit`` / ``emit_many`` / ``clear`` calls, drawing
+rows of every declared kind: ``True``/``1`` and ``False``/``0`` in int
+and bool fields, strings that need ``repr`` escapes, ids minted long
+before their span is written, and bulk writes that cross the flush and
+digest chunk size.  Every read must agree: ``digest()``, ``span_count``
+and the ``finished`` views.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
-import math
 import struct
 from unittest import mock
 
@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import spans as spans_module
-from repro.obs.spans import Span, SpanRecorder
+from repro.obs.spans import KINDS, Span, SpanRecorder
 from repro.simkernel import SimKernel
 
 # -- frozen reference -----------------------------------------------------------
@@ -49,7 +49,7 @@ class _RowRecorder:
 
     @property
     def finished(self):
-        return [Span(name, tid, sid, pid or None, start, end, attrs)
+        return [Span(name, tid, sid, pid or None, start, end, dict(attrs))
                 for name, tid, sid, pid, start, end, attrs in self._rows]
 
     def start_trace(self):
@@ -106,47 +106,81 @@ class _RowRecorder:
         self._rows.clear()
 
 
+def _attrs(kind, values):
+    """The reference's attribute dict of one typed row."""
+    values = iter(values)
+    return {key: next(values) if isinstance(t, type) else t
+            for key, t in kind.fields.items()}
+
+
 # -- generated call sequences ---------------------------------------------------
 
-NAMES = st.sampled_from(("request", "route", "queue", "prefill", "decode",
-                         "attempt", "réseau"))
+TEXT = st.one_of(
+    st.sampled_from(("", "'", '"', "\\", "a'b\"c", "é", "推理", "\n", "%r",
+                     "hops01:8000")),
+    st.text(max_size=3))
+#: An int field draws ``True``/``False`` too, passed on as the ints a
+#: writer would pass; a bool field draws ``True``/``False`` only.
+INT32 = st.one_of(st.sampled_from((0, 1, True, False)), st.integers(-5, 5),
+                  st.integers(-2**31, 2**31 - 1)).map(int)
+INT64 = st.one_of(st.sampled_from((0, 1, True)),
+                  st.integers(-2**63, 2**63 - 1)).map(int)
+TYPES = {str: TEXT, int: INT32, np.int64: INT64, bool: st.booleans()}
+
+#: (code, values) of one row of any declared kind
+ROWS = st.sampled_from(range(len(KINDS))).flatmap(lambda code: st.tuples(
+    st.just(code), st.tuples(*[TYPES[t] for t in KINDS[code].stored])))
 TIMES = st.one_of(st.integers(0, 40).map(lambda q: q / 8),
                   st.floats(0.0, 1e6, allow_nan=False),
                   st.floats(1e15, 1e17, allow_nan=False))
-VALUES = st.one_of(
-    st.integers(-5, 5), st.booleans(), st.text(max_size=3),
-    st.integers(0, 9).map(np.int64), st.integers(0, 9).map(np.int32),
-    st.floats(0.0, 1.0, allow_nan=False).map(np.float64),
-    st.sampled_from((math.inf, -math.inf, -0.0, 1e-05, 0.1, None)),
-    st.sampled_from(("(", "<np>", "'ok': False", "a\nb")))
-ATTRS = st.one_of(st.none(),
-                  st.dictionaries(st.sampled_from(("ok", "engine", "n")),
-                                  VALUES, max_size=3))
+TRIO = st.tuples(TIMES, TIMES, TIMES, TIMES, TEXT, INT32, INT32, INT32, INT32)
 PICK = st.integers(0, 7)
 
 OPS = st.one_of(
-    st.tuples(st.just("emit"), NAMES, PICK, PICK, TIMES, TIMES, ATTRS,
+    st.tuples(st.just("emit"), ROWS, PICK, PICK, TIMES, TIMES,
               st.booleans()),
-    st.tuples(st.just("many"), PICK, PICK,
-              st.lists(st.tuples(NAMES, TIMES, TIMES, ATTRS), max_size=4)),
-    st.tuples(st.just("trace"), NAMES, ATTRS),
-    st.tuples(st.just("span"), NAMES, PICK, PICK, ATTRS),
+    st.tuples(st.just("many"), PICK, PICK, TRIO),
+    st.tuples(st.just("trace"), ROWS),
+    st.tuples(st.just("span"), ROWS, PICK, PICK),
     st.tuples(st.just("close"), PICK, TIMES, TIMES),
     st.tuples(st.just("bulk"), st.integers(1, 2 * SpanRecorder._CHUNK + 9)),
     st.tuples(st.just("clear")),
 )
 
 
-def _fresh(attrs):
-    return None if attrs is None else dict(attrs)
+def _emit(pair, row, tid, sid, parent, start, end):
+    """Write one typed row to both recorders; ``sid`` 0 mints an id."""
+    code, values = row
+    new, ref = pair
+    new.emit(code, tid, sid, parent, start, end, *values)
+    ref.emit(KINDS[code].name, tid, parent or None, start, end,
+             _attrs(KINDS[code], values), sid or None)
 
 
-def _bulk_rows(n):
-    """``n`` engine-style phase rows."""
-    return [(("queue", "prefill", "decode")[i % 3], i * 0.25,
-             i * 0.25 + 0.125,
-             {"tokens": np.int64(i), "engine": f"e{i % 2}"} if i % 2 else None)
-            for i in range(n)]
+def _trio(pair, tid, parent, trio):
+    submitted, admitted, first, end, engine, prompt, cached, out, pre = trio
+    new, ref = pair
+    new.emit_many(tid, parent, submitted, admitted, first, end, engine,
+                  prompt, cached, out, pre)
+    ref.emit_many(tid, parent, [
+        ("queue", submitted, admitted, None),
+        ("prefill", admitted, first, {"engine": engine,
+                                      "prompt_tokens": prompt,
+                                      "cached_tokens": cached}),
+        ("decode", first, end, {"output_tokens": out,
+                                "preemptions": pre})])
+
+
+def _bulk(pair, tid, sid, n):
+    """``n`` spans, engine trios and single rows of each kind in turn."""
+    for i in range(n // 4):
+        _trio(pair, tid, sid, (i * 0.25, i * 0.25, i * 0.25 + 0.125,
+                               i * 0.5, f"e{i % 2}", i, i % 3, i % 5, 0))
+        kind = KINDS[i % len(KINDS)]
+        values = tuple(bool(i % 2) if t is bool else f"é{i % 4}" if t is str
+                       else i % 3 for t in kind.stored)
+        _emit(pair, (i % len(KINDS), values), tid, 0, sid, i * 0.5,
+              i * 0.5 + 1)
 
 
 def _ids(pair, mint):
@@ -165,48 +199,38 @@ def _apply(op, pair, traces, started):
         for rec in pair:
             rec.clear()
     elif kind == "trace":
-        _k, name, attrs = op
         tid, sid = _ids(pair, "start_trace")
         traces.append((tid, sid))
-        started.append((name, tid, None, sid, attrs))
+        started.append((op[1], tid, 0, sid))
     elif kind == "span" and traces:
-        _k, name, t, p, attrs = op
+        _k, row, t, p = op
         tid, root = traces[t % len(traces)]
         sid = _ids(pair, "start_span")
-        started.append((name, tid, root if p % 2 else None, sid, attrs))
+        started.append((row, tid, root if p % 2 else 0, sid))
     elif kind == "close" and started:
-        name, tid, parent, sid, attrs = started.pop(op[1] % len(started))
-        for rec in pair:
-            rec.emit(name, tid, parent, op[2], op[3], _fresh(attrs),
-                     span_id=sid)
+        row, tid, parent, sid = started.pop(op[1] % len(started))
+        _emit(pair, row, tid, sid, parent, op[2], op[3])
     elif kind == "emit":
-        _k, name, t, p, start, end, attrs, new_trace = op
+        _k, row, t, p, start, end, new_trace = op
         if new_trace or not traces:
             tid, sid = _ids(pair, "start_trace")
             traces.append((tid, sid))
-            for rec in pair:
-                rec.emit(name, tid, None, start, end, _fresh(attrs),
-                         span_id=sid)
+            _emit(pair, row, tid, sid, 0, start, end)
         else:
             tid, sid = traces[t % len(traces)]
-            for rec in pair:
-                rec.emit(name, tid, sid if p % 2 else None, start, end,
-                         _fresh(attrs))
+            _emit(pair, row, tid, 0, sid if p % 2 else 0, start, end)
     elif kind == "many" and traces:
-        _k, t, p, phases = op
+        _k, t, p, trio = op
         tid, sid = traces[t % len(traces)]
-        for rec in pair:
-            rec.emit_many(tid, sid if p % 2 else None,
-                          [(n, s, e, _fresh(a)) for n, s, e, a in phases])
+        _trio(pair, tid, sid if p % 2 else 0, trio)
     elif kind == "bulk":
         tid, sid = _ids(pair, "start_trace")
         traces.append((tid, sid))
-        for rec in pair:
-            rec.emit_many(tid, sid, _bulk_rows(op[1]))
+        _bulk(pair, tid, sid, op[1])
 
 
 def _assert_same(new, ref, chunk):
-    assert len(new._young) < spans_module._FIELDS * chunk
+    assert len(new._head) < spans_module._FIELDS * chunk
     assert new.span_count == ref.span_count
     assert new.finished == ref.finished
     assert ([repr(span.attrs) for span in new.finished]
@@ -218,8 +242,8 @@ def _assert_same(new, ref, chunk):
 @given(ops=st.lists(OPS, max_size=40),
        chunk=st.sampled_from((3, 8, SpanRecorder._CHUNK)))
 def test_columns_match_the_row_store(ops, chunk):
-    """Every read of the columnar store equals the row store's, at the
-    real flush/digest chunk size and at small ones that put chunk edges
+    """Every read of the typed store equals the row store's, at the real
+    flush/digest chunk size and at small ones that put chunk edges
     inside ordinary call sequences."""
     kernel = SimKernel(seed=1)
     new = SpanRecorder(kernel)
@@ -233,52 +257,3 @@ def test_columns_match_the_row_store(ops, chunk):
         _assert_same(new, ref, chunk)
         # Reads leave the store unchanged: a second pass agrees too.
         _assert_same(new, ref, chunk)
-
-
-class _Mode(enum.Enum):
-    FAST = "fast"
-
-
-def test_attrs_read_back_repr_equal_whatever_their_values():
-    """Text that reads back, and dicts kept aside that would not: NaN
-    and infinities, enums, numpy scalars inside containers, strings
-    that look like reprs, and falsy ``ok`` values of several types."""
-    kernel = SimKernel(seed=1)
-    rec, ref = SpanRecorder(kernel), _RowRecorder(kernel)
-    written = [
-        {"ok": False, "x": math.nan, "y": -math.inf},
-        {"mode": _Mode.FAST, "ok": np.False_},
-        {"tokens": [np.int64(3), 4], "pair": (1, "a")},
-        {"note": "f(x) < g(x)", "nested": {"k": [1, 2.5]}, "ok": 0},
-        {"ok": True, "none": None, "neg": -0.0},
-        {},
-        {"ok": "yes", "b": b"\x00"},
-    ]
-    for i, attrs in enumerate(written):
-        tid, sid = rec.start_trace()
-        for store in (rec, ref):
-            store.emit("request", tid, None, float(i), i + 0.5, dict(attrs),
-                       span_id=sid)
-    got = [span.attrs for span in rec.finished]
-    assert [repr(a) for a in got] == [repr(a) for a in written]
-    assert rec.digest() == ref.digest()
-    assert rec.columns().ok.tolist() == [
-        bool(a.get("ok", True)) for a in written]
-
-
-@mock.patch.object(spans_module, "_FLUSH", spans_module._FIELDS)
-def test_each_flush_decides_its_own_side_store():
-    """One-span flushes: a numpy bool (``np.True_``, no parenthesis)
-    and a NaN alone in their blocks still read back."""
-    kernel = SimKernel(seed=1)
-    rec, ref = SpanRecorder(kernel), _RowRecorder(kernel)
-    written = [{"ok": np.True_}, {"x": math.nan}, {"ok": np.False_},
-               {"n": 1}]
-    for store in (rec, ref):
-        tid, _sid = store.start_trace()
-        for i, attrs in enumerate(written):
-            store.emit("request", tid, None, float(i), i + 1.0, dict(attrs))
-    assert ([repr(span.attrs) for span in rec.finished]
-            == [repr(a) for a in written])
-    assert rec.digest() == ref.digest()
-    assert rec.columns().ok.tolist() == [1, 1, 0, 1]

@@ -7,6 +7,7 @@ import dataclasses
 from types import SimpleNamespace
 
 from repro.net.http import HttpRequest
+from repro.obs.spans import ROUTE_DISAGG
 from repro.services.router import LlmRouter
 from repro.vllm.spec import CompletionCall, CompletionResult, KvHandoff
 
@@ -39,13 +40,17 @@ def test_decode_leg_call_equals_replace_with_handoff():
                 SimpleNamespace(key="dec"), 0)
 
     router = SimpleNamespace(_forward=forward)
-    gen = LlmRouter._route_disagg(router, call, None, 0)
+    routes = []
+    rec = SimpleNamespace(kernel=SimpleNamespace(now=1.0),
+                          emit=lambda kind, *args: routes.append(kind))
+    gen = LlmRouter._route_disagg(router, call, rec, 0, 0.0)
     try:
         while True:
             next(gen)
     except StopIteration as stop:
-        result, attrs = stop.value
-    assert attrs["outcome"] == "ok" and result.path == "disagg"
+        result = stop.value
+    # The route span records an ok two-leg dispatch.
+    assert routes == [ROUTE_DISAGG] and result.path == "disagg"
     assert [role for role, _ in legs] == ["prefill", "decode"]
     assert legs[0][1] is call
     decode_call = legs[1][1]
